@@ -69,39 +69,37 @@ inline void PrintCurvePoint(const char* system, const LoadMetrics& m) {
 // bench takes the same flags and emits the same metrics JSON shape through
 // the cluster-wide registry (docs/observability.md):
 //
-//   --trace-out=PATH        Chrome trace-event JSON covering the whole run
 //   --metrics-out=PATH      metrics registry JSON: per-load-point summaries
 //                           plus per-node counters under "<system>/r<rps>/"
 //   --sample-interval-us=N  queue-depth sampling period (default 100)
 //
 // Without flags no Observability is allocated, so the simulation runs on the
-// disabled fast path and the bench output is unchanged. A bench trace
-// superimposes every load point on the same host tracks (each cluster's
-// virtual clock restarts at zero); for a readable single-run trace use
-// tools/chaos_runner or restrict the bench to one point.
+// disabled fast path and the bench output is unchanged. Any other argument
+// prints the supported flags and exits 2 before anything is simulated. For a
+// Chrome trace of one run use tools/chaos_runner --trace-out.
 class BenchIo {
  public:
   BenchIo(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const char* a = argv[i];
       std::string v;
-      if (TakeFlag(a, "--trace-out", v)) {
-        trace_out_ = v;
-      } else if (TakeFlag(a, "--metrics-out", v)) {
+      if (TakeFlag(a, "--metrics-out", v)) {
         metrics_out_ = v;
       } else if (TakeFlag(a, "--sample-interval-us", v)) {
         sample_interval_ = Micros(std::atoll(v.c_str()));
       } else {
         std::fprintf(stderr,
-                     "warning: unknown flag %s (supported: --trace-out= --metrics-out= "
-                     "--sample-interval-us=)\n",
+                     "unknown flag %s\n"
+                     "supported flags:\n"
+                     "  --metrics-out=PATH      write the metrics registry as JSON\n"
+                     "  --sample-interval-us=N  queue-depth sampling period (default 100)\n",
                      a);
+        std::exit(2);
       }
     }
-    if (!trace_out_.empty() || !metrics_out_.empty()) {
+    if (!metrics_out_.empty()) {
       obs::Observability::Options oo;
-      oo.tracing = !trace_out_.empty();
-      oo.sampling = !metrics_out_.empty();
+      oo.sampling = true;
       oo.sample_interval = sample_interval_;
       obs_ = std::make_unique<obs::Observability>(oo);
     }
@@ -235,26 +233,13 @@ class BenchIo {
   // failure).
   int Finish() {
     if (obs_ == nullptr) return failed_ ? 1 : 0;
-    if (auto* tracer = obs_->tracer()) {
-      std::ofstream out(trace_out_, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", trace_out_.c_str());
-        return 2;
-      }
-      tracer->WriteChromeJson(out);
-      std::printf("trace: %zu events -> %s (dropped %llu)\n", tracer->event_count(),
-                  trace_out_.c_str(), static_cast<unsigned long long>(tracer->dropped_events()));
-      std::printf("%s", tracer->BreakdownTable().c_str());
+    std::ofstream out(metrics_out_, std::ios::binary);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", metrics_out_.c_str());
+      return 2;
     }
-    if (!metrics_out_.empty()) {
-      std::ofstream out(metrics_out_, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_out_.c_str());
-        return 2;
-      }
-      obs_->metrics().DumpJson(out);
-      std::printf("metrics: %zu entries -> %s\n", obs_->metrics().size(), metrics_out_.c_str());
-    }
+    obs_->metrics().DumpJson(out);
+    std::printf("metrics: %zu entries -> %s\n", obs_->metrics().size(), metrics_out_.c_str());
     return failed_ ? 1 : 0;
   }
 
@@ -268,7 +253,6 @@ class BenchIo {
     return false;
   }
 
-  std::string trace_out_;
   std::string metrics_out_;
   TimeNs sample_interval_ = Micros(100);
   bool failed_ = false;

@@ -72,14 +72,6 @@ void Run(benchutil::BenchIo& io) {
   }
 
   if (obs::Observability* o = io.obs()) {
-    if (auto* tracer = o->tracer()) {
-      for (size_t c = 0; c < clients.size(); ++c) {
-        const int32_t pid = obs::TrackOfHost(clients[c]->id());
-        tracer->NameProcess(pid, "client " + std::to_string(c));
-        tracer->NameThread(pid, obs::kTidNet, "net thread");
-        tracer->NameThread(pid, obs::kTidNic, "nic tx");
-      }
-    }
     o->StartSampling(&cluster.sim(), t0 + kDuration + Millis(200));
   }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/obs/observability.h"
+#include "src/obs/flight_recorder.h"
 #include "src/raft/messages.h"
 
 namespace hovercraft {
@@ -58,10 +58,9 @@ void Nemesis::At(TimeNs when, std::function<void()> fn) {
 
 void Nemesis::Log(const std::string& text) {
   events_.push_back(FormatMs(cluster_->sim().Now()) + " " + text);
-  // Nemesis faults double as trace annotations on the cluster-wide track.
-  if (auto* tracer = obs::TracerOf(&cluster_->sim())) {
-    tracer->Instant(obs::kClusterPid, obs::kTidNemesis, "nemesis",
-                    cluster_->sim().Now(), text);
+  // Nemesis faults double as recorder notes on the cluster-wide track.
+  if (auto* fr = obs::FrOf(&cluster_->sim())) {
+    fr->Note(cluster_->sim().Now(), kInvalidNode, "nemesis: " + text);
   }
 }
 

@@ -94,18 +94,22 @@ ChaosRunResult RunChaosSchedule(const ChaosRunConfig& config) {
   // Flight recorder + watchdog. The runner owns the recorder (rather than
   // letting the cluster build its default) so the watchdog can dump it on a
   // violation, and so the dump carries the repro command for this run.
-  std::unique_ptr<obs::FlightRecorder> flight_recorder;
+  std::unique_ptr<obs::FlightRecorder> owned_recorder;
+  obs::FlightRecorder* flight_recorder = config.flight_recorder;
+  if (flight_recorder == nullptr && config.flight_recorder_depth > 0) {
+    owned_recorder = std::make_unique<obs::FlightRecorder>(config.flight_recorder_depth);
+    flight_recorder = owned_recorder.get();
+  }
   std::unique_ptr<obs::Watchdog> watchdog;
-  if (config.flight_recorder_depth > 0) {
-    flight_recorder = std::make_unique<obs::FlightRecorder>(config.flight_recorder_depth);
+  if (flight_recorder != nullptr) {
     flight_recorder->set_repro(config.repro);
     flight_recorder->set_dump_path(config.dump_path);
     if (config.watchdog) {
-      watchdog = std::make_unique<obs::Watchdog>(flight_recorder.get());
+      watchdog = std::make_unique<obs::Watchdog>(flight_recorder);
     }
   }
   cc.flight_recorder_depth = config.flight_recorder_depth;
-  cc.flight_recorder = flight_recorder.get();
+  cc.flight_recorder = flight_recorder;
   cc.watchdog = watchdog.get();
   Cluster cluster(cc);
 
@@ -174,7 +178,7 @@ ChaosRunResult RunChaosSchedule(const ChaosRunConfig& config) {
   // anything the real run produces, so the injected violation is
   // attributable in the dump and collateral-free for per-node state.
   if (flight_recorder != nullptr && !config.inject_violation.empty()) {
-    obs::FlightRecorder* fr = flight_recorder.get();
+    obs::FlightRecorder* fr = flight_recorder;
     Simulator* sim = &cluster.sim();
     const std::string code = config.inject_violation;
     sim->At(t0 + config.duration / 2, [fr, sim, code]() {
@@ -205,14 +209,6 @@ ChaosRunResult RunChaosSchedule(const ChaosRunConfig& config) {
   }
 
   if (config.obs != nullptr) {
-    if (auto* tracer = config.obs->tracer()) {
-      for (size_t i = 0; i < clients.size(); ++i) {
-        const int32_t pid = obs::TrackOfHost(clients[i]->id());
-        tracer->NameProcess(pid, "client " + std::to_string(i));
-        tracer->NameThread(pid, obs::kTidNet, "net thread");
-        tracer->NameThread(pid, obs::kTidNic, "nic tx");
-      }
-    }
     config.obs->StartSampling(&cluster.sim(), t0 + config.duration + config.settle);
   }
 

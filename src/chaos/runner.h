@@ -111,15 +111,19 @@ struct ChaosRunConfig {
   std::vector<MembershipEvent> add_server_at;
   std::vector<MembershipEvent> remove_server_at;
 
-  // Optional observability bundle (tracing + metrics). Non-owning; when set,
-  // the run records traces/metrics into it and exports the cluster counters
-  // at the end. Nemesis faults double as trace annotations.
+  // Optional observability bundle (metrics + samplers). Non-owning; when
+  // set, the run samples queue depths into it and exports the cluster
+  // counters at the end.
   obs::Observability* obs = nullptr;
 
   // Always-on flight recorder: per-node ring depth (0 disables recording and
-  // with it the watchdog). Independent of `obs` — post-mortem dumps work
-  // with tracing off.
+  // with it the watchdog). Independent of `obs`. Nemesis faults are recorded
+  // as notes.
   size_t flight_recorder_depth = 512;
+  // Caller-owned recorder (non-owning) to record into instead of building
+  // one of flight_recorder_depth, so the caller can attach its own sinks and
+  // export the events after the run.
+  obs::FlightRecorder* flight_recorder = nullptr;
   // Online invariant watchdog over the recorder stream (docs/observability.md
   // has the invariant catalog). On by default: every defended chaos run is
   // expected to be violation-free, and a violation fails ok(). Controls that

@@ -8,7 +8,6 @@
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
-#include "src/obs/observability.h"
 
 namespace hovercraft {
 
@@ -191,10 +190,6 @@ void Aggregator::OnFollowerReply(HostId src, const AppendEntriesRep& rep) {
 
 void Aggregator::SendAggCommit() {
   ++stats_.commits_sent;
-  if (auto* tracer = obs::TracerOf(sim())) {
-    tracer->Instant(obs::TrackOfHost(id()), obs::kTidEvents, "agg_commit", sim()->Now(),
-                    "term " + std::to_string(term_) + " commit " + std::to_string(commit_));
-  }
   Send(group_all_, std::make_shared<AggCommitMsg>(term_, commit_, completed_, epoch_));
 }
 

@@ -163,26 +163,6 @@ Cluster::~Cluster() {
 
 void Cluster::InstallObservability() {
   obs::Observability* o = config_.obs;
-  if (auto* tracer = o->tracer()) {
-    for (size_t n = 0; n < servers_.size(); ++n) {
-      const int32_t pid = obs::TrackOfHost(server_hosts_[n]);
-      tracer->NameProcess(pid, "node " + std::to_string(n) + " (server)");
-      tracer->NameThread(pid, obs::kTidEvents, "events");
-      tracer->NameThread(pid, obs::kTidNet, "net thread");
-      tracer->NameThread(pid, obs::kTidApp, "app thread");
-      tracer->NameThread(pid, obs::kTidNic, "nic tx");
-    }
-    if (aggregator_ != nullptr) {
-      const int32_t pid = obs::TrackOfHost(aggregator_->id());
-      tracer->NameProcess(pid, "aggregator");
-      tracer->NameThread(pid, obs::kTidEvents, "events");
-    }
-    if (flow_control_ != nullptr) {
-      const int32_t pid = obs::TrackOfHost(flow_control_->id());
-      tracer->NameProcess(pid, "flow control");
-      tracer->NameThread(pid, obs::kTidEvents, "events");
-    }
-  }
   // Queue-depth samplers: read-only probes over the simulated resources.
   // Scheduling them consumes event ids but never reorders same-time work
   // relative to each other, so simulation outcomes are unchanged.

@@ -68,10 +68,10 @@ struct ClusterConfig {
   Simulator* external_sim = nullptr;
   Network* external_net = nullptr;
 
-  // Observability bundle (tracing + metrics + samplers). Non-owning; null
-  // leaves every hook disabled. The cluster attaches it to its simulator,
-  // names the trace tracks, and registers queue-depth samplers for its
-  // resources (removed again in the destructor).
+  // Observability bundle (metrics + samplers). Non-owning; null leaves every
+  // metric hook disabled. The cluster attaches it to its simulator and
+  // registers queue-depth samplers for its resources (removed again in the
+  // destructor).
   obs::Observability* obs = nullptr;
   // Prefix for metric names in ExportMetrics, e.g. "hovercraft/r80000/";
   // lets several load points share one registry without colliding.
@@ -79,9 +79,9 @@ struct ClusterConfig {
 
   // Always-on flight recorder: the cluster owns a FlightRecorder with this
   // many slots per node and attaches it to its simulator, independent of the
-  // obs bundle above — post-mortem dumps work even with tracing off. 0
-  // disables recording entirely (the one-branch hot-path check still runs,
-  // but finds no recorder).
+  // obs bundle above — post-mortem dumps work without it. 0 disables
+  // recording entirely (the one-branch hot-path check still runs, but finds
+  // no recorder).
   size_t flight_recorder_depth = 512;
   // External recorder override (non-owning). When set, the cluster attaches
   // this instead of building its own; flight_recorder_depth is ignored.
@@ -189,8 +189,8 @@ class Cluster {
   void ExportMetrics(obs::MetricsRegistry* metrics);
 
  private:
-  // Names trace tracks and registers the periodic queue-depth samplers on
-  // config_.obs (called from the constructor when an obs bundle is present).
+  // Registers the periodic queue-depth samplers on config_.obs (called from
+  // the constructor when an obs bundle is present).
   void InstallObservability();
   // Proposes add/remove to the leader, retrying every 1ms until the active
   // config reflects the goal (a change may already be in flight, or no

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/obs/observability.h"
 #include "src/r2p2/messages.h"
 #include "src/r2p2/shard.h"
 
@@ -30,12 +29,7 @@ void FlowControl::HandleMessage(HostId src, const MessagePtr& msg) {
     }
     if (threshold_ > 0 && outstanding() >= threshold_ && open_.count(req->rid()) == 0) {
       ++nacked_;
-      obs::MarkStageAll(sim(), req->rid(), obs::Stage::kNacked, kInvalidNode, sim()->Now());
-      if (auto* tracer = obs::TracerOf(sim())) {
-        tracer->Instant(obs::TrackOfHost(id()), obs::kTidEvents, "nack", sim()->Now(),
-                        "outstanding " + std::to_string(outstanding()) + "/" +
-                            std::to_string(threshold_));
-      }
+      obs::MarkStage(sim(), req->rid(), obs::Stage::kNacked, kInvalidNode, sim()->Now());
       RecordFlowOp(obs::FrFlowOp::kNack);
       Send(src, std::make_shared<NackMsg>(req->rid()));
       return;
@@ -69,9 +63,8 @@ void FlowControl::HandleMessage(HostId src, const MessagePtr& msg) {
     reconcile_rounds_ = 0;
     if (!reconcile_pending_.empty()) {
       ++reconciles_started_;
-      if (auto* tracer = obs::TracerOf(sim())) {
-        tracer->Instant(obs::TrackOfHost(id()), obs::kTidEvents, "fc-reconcile", sim()->Now(),
-                        std::to_string(reconcile_pending_.size()) + " open slots");
+      if (auto* fr = obs::FrOf(sim())) {
+        fr->Note(sim()->Now(), obs_node_, "fc-reconcile", reconcile_pending_.size());
       }
       SendReconcileQuery();
     }

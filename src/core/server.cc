@@ -19,6 +19,7 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
       app_(std::move(app)),
       app_thread_(sim) {
   HC_CHECK(app_ != nullptr);
+  set_obs_node(obs_node_id());
   InitShardState();
   if (IsReplicated()) {
     // Disk seed decorrelated from the raft RNG stream so adding durability
@@ -312,7 +313,7 @@ void ReplicatedServer::HandleMessage(HostId src, const MessagePtr& msg) {
 // ---------------------------------------------------------------------------
 
 void ReplicatedServer::OnClientRequest(std::shared_ptr<const RpcRequest> request) {
-  obs::MarkStageAll(sim(), request->rid(), obs::Stage::kReplicaRx, obs_node_id(), sim()->Now());
+  obs::MarkStage(sim(), request->rid(), obs::Stage::kReplicaRx, obs_node_id(), sim()->Now());
   if (request->policy() == R2p2Policy::kUnrestricted) {
     // Non-replicated request (paper section 6.1): served by whichever
     // replica the client picked, bypassing consensus, with the possibility
@@ -429,8 +430,7 @@ bool ReplicatedServer::TryServeReadIndex(const std::shared_ptr<const RpcRequest>
     ++stats_.feedback_sent;
     Send(flow_control_host_, std::make_shared<FeedbackMsg>(request->rid()));
   }
-  obs::MarkStageAll(sim(), request->rid(), obs::Stage::kReadGranted, obs_node_id(),
-                    sim()->Now());
+  obs::MarkStage(sim(), request->rid(), obs::Stage::kReadGranted, obs_node_id(), sim()->Now());
   if (grant.replier == node_id()) {
     ++stats_.read_index_local;
     if (apply_cursor_ >= grant.read_index) {
@@ -459,7 +459,7 @@ void ReplicatedServer::OnReadIndexGrant(const ReadIndexGrantMsg& grant) {
     return;
   }
   ++stats_.read_index_remote;
-  obs::MarkStageAll(sim(), grant.rid(), obs::Stage::kReadGranted, obs_node_id(), sim()->Now());
+  obs::MarkStage(sim(), grant.rid(), obs::Stage::kReadGranted, obs_node_id(), sim()->Now());
   if (apply_cursor_ >= grant.read_index()) {
     ExecuteLeasedRead(request, sim()->Now());
   } else {
@@ -484,13 +484,10 @@ void ReplicatedServer::ExecuteLeasedRead(const std::shared_ptr<const RpcRequest>
         .Record(sim()->Now() - granted);
   }
   const TimeNs apply_start = std::max(sim()->Now(), app_thread_.busy_until());
-  obs::MarkStageAll(sim(), request->rid(), obs::Stage::kApplyStart, obs_node_id(), apply_start);
-  obs::MarkStageAll(sim(), request->rid(), obs::Stage::kApplyEnd, obs_node_id(),
-                    apply_start + result.service_time);
-  if (auto* tracer = obs::TracerOf(sim())) {
-    tracer->Complete(obs::TrackOfHost(id()), obs::kTidApp, "apply", apply_start,
-                     result.service_time);
-  }
+  obs::MarkStage(sim(), request->rid(), obs::Stage::kApplyStart, obs_node_id(), apply_start);
+  obs::MarkStage(sim(), request->rid(), obs::Stage::kApplyEnd, obs_node_id(),
+                 apply_start + result.service_time);
+  RecordBusy(obs::FrResource::kApp, app_thread_, result.service_time);
   // FEEDBACK was settled at grant time on the leader.
   app_thread_.Submit(result.service_time,
                      [this, rid = request->rid(), body = std::move(result.reply)]() {
@@ -579,13 +576,10 @@ void ReplicatedServer::ExecuteUnreplicated(const std::shared_ptr<const RpcReques
   const bool send_feedback =
       (config_.mode == ClusterMode::kUnreplicated) && !request->is_retransmit();
   const TimeNs apply_start = std::max(sim()->Now(), app_thread_.busy_until());
-  obs::MarkStageAll(sim(), request->rid(), obs::Stage::kApplyStart, obs_node_id(), apply_start);
-  obs::MarkStageAll(sim(), request->rid(), obs::Stage::kApplyEnd, obs_node_id(),
-                    apply_start + result.service_time);
-  if (auto* tracer = obs::TracerOf(sim())) {
-    tracer->Complete(obs::TrackOfHost(id()), obs::kTidApp, "apply", apply_start,
-                     result.service_time);
-  }
+  obs::MarkStage(sim(), request->rid(), obs::Stage::kApplyStart, obs_node_id(), apply_start);
+  obs::MarkStage(sim(), request->rid(), obs::Stage::kApplyEnd, obs_node_id(),
+                 apply_start + result.service_time);
+  RecordBusy(obs::FrResource::kApp, app_thread_, result.service_time);
   app_thread_.Submit(result.service_time,
                      [this, rid = request->rid(), body = std::move(result.reply),
                       send_feedback]() { SendReply(rid, body, send_feedback); });
@@ -725,14 +719,11 @@ void ReplicatedServer::ScheduleApply(LogIndex idx) {
   if (reply_here) {
     // Stage marks follow the designated replier — the copy whose execution
     // produces the reply the client is waiting on.
-    obs::MarkStageAll(sim(), rid, obs::Stage::kApplyStart, obs_node_id(), apply_start);
-    obs::MarkStageAll(sim(), rid, obs::Stage::kApplyEnd, obs_node_id(),
-                      apply_start + result.service_time);
+    obs::MarkStage(sim(), rid, obs::Stage::kApplyStart, obs_node_id(), apply_start);
+    obs::MarkStage(sim(), rid, obs::Stage::kApplyEnd, obs_node_id(),
+                   apply_start + result.service_time);
   }
-  if (auto* tracer = obs::TracerOf(sim())) {
-    tracer->Complete(obs::TrackOfHost(id()), obs::kTidApp, "apply", apply_start,
-                     result.service_time);
-  }
+  RecordBusy(obs::FrResource::kApp, app_thread_, result.service_time);
   // Ownership rule: the reply Body is moved into the completion callback
   // (never copied); SendReply takes its own reference only when the reply
   // actually leaves this host. This capture set is the simulator's inline
@@ -888,7 +879,7 @@ void ReplicatedServer::SendReply(const RequestId& rid, Body body, bool send_feed
     return;
   }
   ++stats_.replies_sent;
-  obs::MarkStageAll(sim(), rid, obs::Stage::kReplySent, obs_node_id(), sim()->Now());
+  obs::MarkStage(sim(), rid, obs::Stage::kReplySent, obs_node_id(), sim()->Now());
   // R2P2 lets the reply's source differ from the request's destination — the
   // mechanism enabling reply load balancing (paper section 3.3).
   Send(rid.client, std::make_shared<RpcResponse>(rid, std::move(body)));

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/obs/observability.h"
+#include "src/obs/flight_recorder.h"
 
 namespace hovercraft {
 
@@ -108,7 +108,7 @@ void ClientHost::SendOne() {
   if (observer_ != nullptr) {
     observer_->OnInvoke(id(), seq, policy, request->body(), now);
   }
-  obs::MarkStageAll(sim(), rid, obs::Stage::kClientSend, kInvalidNode, now);
+  obs::MarkStage(sim(), rid, obs::Stage::kClientSend, kInvalidNode, now);
   Send(dst, std::move(request));
   if (retry_policy_.enabled) {
     ArmRetryTimer(seq, 1);
@@ -150,12 +150,7 @@ void ClientHost::ArmRetryTimer(uint64_t seq, uint32_t attempt) {
     ++pending.attempts;
     ++total_retransmits_;
     const RequestId rid{id(), seq};
-    obs::MarkStageAll(sim(), rid, obs::Stage::kRetransmit, kInvalidNode, now);
-    if (auto* tracer = obs::TracerOf(sim())) {
-      tracer->Instant(obs::kClusterPid, obs::kTidEvents, "retransmit", now,
-                      "c" + std::to_string(id()) + ":" + std::to_string(seq) +
-                          " attempt " + std::to_string(pending.attempts));
-    }
+    obs::MarkStage(sim(), rid, obs::Stage::kRetransmit, kInvalidNode, now);
     auto request = std::make_shared<RpcRequest>(rid, pending.policy, pending.body,
                                                 pending.attempts, ack_floor_,
                                                 pending.shard_slot);
@@ -217,7 +212,7 @@ void ClientHost::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
         timeseries_->Record(sim()->Now(), latency);
       }
       ResolveForAck(seq);
-      obs::MarkStageAll(sim(), resp->rid(), obs::Stage::kComplete, kInvalidNode, sim()->Now());
+      obs::MarkStage(sim(), resp->rid(), obs::Stage::kComplete, kInvalidNode, sim()->Now());
       if (observer_ != nullptr) {
         observer_->OnComplete(id(), seq, resp->body(), sim()->Now());
       }
@@ -240,7 +235,7 @@ void ClientHost::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
         timeseries_->Record(sim()->Now(), latency);
       }
       ResolveForAck(seq);
-      obs::MarkStageAll(sim(), resp->rid(), obs::Stage::kComplete, kInvalidNode, sim()->Now());
+      obs::MarkStage(sim(), resp->rid(), obs::Stage::kComplete, kInvalidNode, sim()->Now());
       if (observer_ != nullptr) {
         observer_->OnComplete(id(), seq, resp->body(), sim()->Now());
       }
@@ -265,11 +260,8 @@ void ClientHost::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
     ++pending.attempts;
     sim()->Cancel(pending.retry_timer);
     const TimeNs now = sim()->Now();
-    if (auto* tracer = obs::TracerOf(sim())) {
-      tracer->Instant(obs::kClusterPid, obs::kTidEvents, "wrong-shard", now,
-                      "c" + std::to_string(id()) + ":" + std::to_string(wrong->rid().seq) +
-                          " slot " + std::to_string(pending.shard_slot) + " epoch " +
-                          std::to_string(wrong->epoch()));
+    if (auto* fr = obs::FrOf(sim())) {
+      fr->Note(now, kInvalidNode, "wrong-shard", wrong->rid().seq, pending.shard_slot);
     }
     // Refresh the map view (inside ResolveTarget) and resend at the new
     // owner. Still the same logical invocation: no observer event, and the

@@ -1,7 +1,6 @@
 #include "src/loadgen/experiment.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -33,17 +32,6 @@ LoadMetrics RunLoadPoint(const ExperimentConfig& config, double rate_rps) {
   }
 
   obs::Observability* o = config.cluster.obs;
-  if (o != nullptr) {
-    if (auto* tracer = o->tracer()) {
-      for (size_t c = 0; c < clients.size(); ++c) {
-        const int32_t pid = obs::TrackOfHost(clients[c]->id());
-        tracer->NameProcess(pid, "client " + std::to_string(c));
-        tracer->NameThread(pid, obs::kTidNet, "net thread");
-        tracer->NameThread(pid, obs::kTidNic, "nic tx");
-      }
-    }
-  }
-
   const TimeNs t0 = cluster.sim().Now();
   const TimeNs window_start = t0 + config.warmup;
   const TimeNs window_end = window_start + config.measure;

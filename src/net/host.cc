@@ -7,7 +7,6 @@
 
 #include "src/common/check.h"
 #include "src/net/network.h"
-#include "src/obs/observability.h"
 
 namespace hovercraft {
 
@@ -134,12 +133,7 @@ void Host::TransmitPacket(Packet packet, TimeNs extra_cpu) {
     return;
   }
   // Net thread builds the message, then the NIC serializes it on the wire.
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    const TimeNs start = std::max(sim_->Now(), net_thread_.busy_until());
-    tracer->Complete(obs::TrackOfHost(id_), obs::kTidNet,
-                     std::string("tx ") + packet.msg->Name(), start,
-                     costs_.TxCpu(bytes) + extra_cpu);
-  }
+  RecordBusy(obs::FrResource::kNet, net_thread_, costs_.TxCpu(bytes) + extra_cpu);
   // Ownership rule: the packet's MessagePtr reference is moved down the TX
   // pipeline — net thread, then NIC, then fabric — never copied. The lambdas
   // are mutable solely to allow that handoff.
@@ -148,12 +142,7 @@ void Host::TransmitPacket(Packet packet, TimeNs extra_cpu) {
     if (failed_) {
       return;
     }
-    if (auto* tracer = obs::TracerOf(sim_)) {
-      const TimeNs start = std::max(sim_->Now(), nic_tx_.busy_until());
-      tracer->Complete(obs::TrackOfHost(id_), obs::kTidNic,
-                       std::string("wire ") + packet.msg->Name(), start,
-                       costs_.SerializationDelay(bytes));
-    }
+    RecordBusy(obs::FrResource::kNic, nic_tx_, costs_.SerializationDelay(bytes));
     nic_tx_.Submit(costs_.SerializationDelay(bytes),
                    [this, packet = std::move(packet)]() mutable {
                      if (!failed_) {
@@ -212,11 +201,7 @@ void Host::Receive(HostId src, MessagePtr msg) {
     });
     return;
   }
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    const TimeNs start = std::max(sim_->Now(), net_thread_.busy_until());
-    tracer->Complete(obs::TrackOfHost(id_), obs::kTidNet,
-                     std::string("rx ") + msg->Name(), start, costs_.RxCpu(bytes));
-  }
+  RecordBusy(obs::FrResource::kNet, net_thread_, costs_.RxCpu(bytes));
   // One RxCpu charge for the whole frame — the batch's per-frame saving —
   // then the members dispatch in queue order within the same event.
   net_thread_.Submit(costs_.RxCpu(bytes), [this, src, msg = std::move(msg)]() {

@@ -8,6 +8,7 @@
 #ifndef SRC_NET_HOST_H_
 #define SRC_NET_HOST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 
 #include "src/common/types.h"
 #include "src/net/packet.h"
+#include "src/obs/flight_recorder.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/serial_resource.h"
 #include "src/sim/simulator.h"
@@ -101,6 +103,21 @@ class Host {
  protected:
   Network* network() const { return network_; }
 
+  // Flight-recorder ring for this host's busy intervals: a server sets its
+  // Raft node's obs id; clients and middleboxes stay on the cluster ring.
+  void set_obs_node(NodeId node) { obs_node_ = node; }
+  // Records a kBusy span of `resource` about to be submitted with `cost`:
+  // it starts once the resource frees, [max(now, busy_until), + cost].
+  void RecordBusy(obs::FrResource resource, const SerialResource& on, TimeNs cost) const {
+    if (obs::FlightRecorder* fr = obs::FrOf(sim_)) {
+      const TimeNs now = sim_->Now();
+      fr->Record(now, obs_node_, obs::FrType::kBusy,
+                 static_cast<uint64_t>(std::max(now, on.busy_until())),
+                 static_cast<uint64_t>(cost),
+                 static_cast<uint32_t>(resource) | static_cast<uint32_t>(id_) << 8);
+    }
+  }
+
  private:
   // One coalescing queue per destination address (unicast or multicast —
   // fan-out of a batched frame happens in the fabric, like any frame).
@@ -122,6 +139,7 @@ class Host {
   Kind kind_;
   Network* network_ = nullptr;
   HostId id_ = kInvalidHost;
+  NodeId obs_node_ = kInvalidNode;
   bool failed_ = false;
   SerialResource net_thread_;
   SerialResource nic_tx_;

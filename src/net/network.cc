@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/obs/observability.h"
 
 namespace hovercraft {
 
@@ -132,7 +131,7 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
       blocked_links_.count(LinkKey(packet.src, dst)) != 0) {
     dropped_msgs_ += logical;
     dropped_by_fault_ += logical;
-    TraceDrop(packet, dst, "fault");
+    RecordDrop(packet.src, dst, obs::FrDropCause::kFault);
     return;
   }
   MessagePtr to_deliver = packet.msg;
@@ -147,7 +146,7 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
         const Packet member{packet.src, packet.dst, m};
         if (drop_filter_(member, dst)) {
           ++dropped_msgs_;
-          TraceDrop(member, dst, "filter");
+          RecordDrop(packet.src, dst, obs::FrDropCause::kFilter);
         } else {
           kept.push_back(m);
         }
@@ -162,7 +161,7 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
       }
     } else if (drop_filter_(packet, dst)) {
       ++dropped_msgs_;
-      TraceDrop(packet, dst, "filter");
+      RecordDrop(packet.src, dst, obs::FrDropCause::kFilter);
       return;
     }
   }
@@ -178,7 +177,7 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
     for (int32_t i = 0; i < frames; ++i) {
       if (rng_.NextBool(loss_probability_)) {
         dropped_msgs_ += delivering;
-        TraceDrop(packet, dst, "loss");
+        RecordDrop(packet.src, dst, obs::FrDropCause::kLoss);
         return;
       }
     }
@@ -207,12 +206,10 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
               [host, src = packet.src, msg = std::move(to_deliver)]() { host->Receive(src, msg); });
 }
 
-void Network::TraceDrop(const Packet& packet, HostId dst, const char* cause) {
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    tracer->Instant(obs::kClusterPid, obs::kTidFabric,
-                    std::string("drop ") + packet.msg->Name(), sim_->Now(),
-                    std::string(cause) + " " + std::to_string(packet.src) +
-                        "->" + std::to_string(dst));
+void Network::RecordDrop(HostId src, HostId dst, obs::FrDropCause cause) {
+  if (auto* fr = obs::FrOf(sim_)) {
+    fr->Record(sim_->Now(), kInvalidNode, obs::FrType::kDrop, static_cast<uint64_t>(src),
+               static_cast<uint64_t>(dst), static_cast<uint32_t>(cause));
   }
 }
 

@@ -94,7 +94,7 @@ class Network {
 
  private:
   void DeliverCopy(const Packet& packet, HostId dst);
-  void TraceDrop(const Packet& packet, HostId dst, const char* cause);
+  void RecordDrop(HostId src, HostId dst, obs::FrDropCause cause);
   static uint64_t LinkKey(HostId src, HostId dst) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(src)) << 32) |
            static_cast<uint32_t>(dst);

@@ -28,7 +28,6 @@
 
 #include "src/common/types.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/tracer.h"
 #include "src/r2p2/request_id.h"
 
 namespace hovercraft {

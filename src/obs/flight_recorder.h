@@ -1,20 +1,23 @@
 // Always-on flight recorder: a fixed-size, slab-allocated per-node ring of
-// compact binary events, recorded even when JSON tracing is off.
+// compact binary events — the simulator's only event store.
 //
 // The recorder is the black box of a run. Every node continuously records
 // stage marks, role/term changes, commit/durable-index advances, lease
-// grants, config changes and WAL flush boundaries into a power-of-two ring;
-// the hot path is one branch (is a recorder installed?) plus one 48-byte
-// store, with zero allocation after construction. When something goes wrong —
-// a CHECK failure, a watchdog violation, a chaos verdict failure — the last
-// `depth` events per node are dumped as a deterministic, replay-matching
-// Chrome trace together with a one-line repro command, so the moments before
-// the failure are always recoverable without re-running under a tracer.
+// grants, config changes, WAL flush boundaries and the busy intervals of its
+// net thread, NIC and app thread into a power-of-two ring; the hot path is
+// one branch (is a recorder installed?) plus one 48-byte store, with zero
+// allocation after construction. WriteDump exports the surviving events as a
+// deterministic, replay-matching Chrome trace (per-request async spans, busy
+// spans per resource, protocol instants). The same export serves the failure
+// path — a CHECK failure, a watchdog violation, a chaos verdict failure dumps
+// the last `depth` events per node with a one-line repro command — and a full
+// trace of a run, which is the same dump taken with a ring deep enough that
+// nothing rotated out.
 //
 // Subscribers (obs::Watchdog, obs::CriticalPath) observe the same hook
 // stream through Sink; they are passive readers and never schedule simulator
-// events, so recording cannot perturb the run it observes (the same
-// zero-perturbation contract the tracer keeps, asserted by tests and CI).
+// events, so recording cannot perturb the run it observes (the
+// zero-perturbation contract asserted by tests and CI).
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
 
@@ -22,13 +25,35 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/r2p2/request_id.h"
 #include "src/sim/simulator.h"
 
 namespace hovercraft {
 namespace obs {
+
+// Canonical pipeline stages of one request, in pipeline order (kStage
+// payload c). The critical-path analyzer blames each delta between
+// consecutive marks on the stage it ended at.
+enum class Stage : uint8_t {
+  kClientSend = 0,  // client hands the request to its NIC
+  kRetransmit,      // a retry attempt left the client (annotation only)
+  kReplicaRx,       // request arrived at a server (multicast replication)
+  kOrdered,         // leader appended the entry (append_entries ordering)
+  kCommitted,       // entry covered by the commit index
+  kDispatched,      // JBSQ/random replier assignment announced
+  kReadGranted,     // ReadIndex lease grant covered this read-only request
+  kApplyStart,      // state-machine execution began on the app thread
+  kApplyEnd,        // state-machine execution finished
+  kReplySent,       // reply handed to the replier's NIC
+  kComplete,        // client received the (first) reply
+  kNacked,          // flow control pushed the request back (terminal)
+};
+constexpr size_t kStageCount = 12;
+const char* StageName(Stage stage);
 
 // Event kinds. The a/b/c payload fields are typed per kind (see the comment
 // on each); `node` is the acting Raft node, kInvalidNode for cluster-scope
@@ -47,8 +72,12 @@ enum class FrType : uint8_t {
   kApply,         // a=rid.client, b=rid.seq, c=1 if session table says duplicate
   kFlow,          // a=open slots after the op, b=threshold, c=FrFlowOp
   kViolation,     // a=WatchdogCode — recorded by the watchdog at detection
+  kBusy,          // a=span start, b=duration, c=FrResource | host id << 8; ts is
+                  // the submit time (the span starts once the resource frees)
+  kDrop,          // a=src host, b=dst host, c=FrDropCause — fabric dropped a message
+  kNote,          // a=note-table index (see Note), b/c=note-specific payload
 };
-constexpr size_t kFrTypeCount = 13;
+constexpr size_t kFrTypeCount = 16;
 const char* FrTypeName(FrType type);
 
 // kRole payload b.
@@ -69,12 +98,19 @@ enum class FrRecovery : uint8_t {
 // kFlow payload c.
 enum class FrFlowOp : uint8_t { kOpen = 0, kClose, kNack, kForceRelease };
 
+// kBusy payload c (low 8 bits): the serial resource that was busy.
+enum class FrResource : uint8_t { kNet = 0, kNic, kApp };
+
+// kDrop payload c.
+enum class FrDropCause : uint8_t { kFault = 0, kFilter, kLoss };
+
 struct alignas(16) FrEvent {
   TimeNs ts = 0;
   uint64_t a = 0;
   uint64_t b = 0;
   uint64_t seq = 0;  // per-node record order; (ts, node, seq) is the
-                     // deterministic dump ordering
+                     // deterministic dump ordering (a kBusy span sorts by
+                     // its start, payload a)
   uint32_t c = 0;
   NodeId node = kInvalidNode;
   FrType type = FrType::kStage;
@@ -120,6 +156,13 @@ class FlightRecorder {
   void AddSink(Sink* sink);
   void RemoveSink(Sink* sink);
 
+  // Rare free-text annotation (nemesis faults, shard moves, config
+  // proposals): interns `text` in the recorder's note table and records a
+  // kNote whose `a` indexes it; the export carries the text in args.detail.
+  // Interning only builds a string the first time a text is seen, so a
+  // constant text is cheap enough for a message path.
+  void Note(TimeNs ts, NodeId node, std::string_view text, uint64_t b = 0, uint32_t c = 0);
+
   // Total events recorded (including those that have rotated out of a ring).
   uint64_t recorded() const {
     uint64_t total = 0;
@@ -139,10 +182,16 @@ class FlightRecorder {
   void set_dump_path(std::string path) { dump_path_ = std::move(path); }
   const std::string& dump_path() const { return dump_path_; }
 
-  // Writes the surviving events of every ring, merged and sorted by
-  // (ts, seq), as deterministic Chrome trace-event JSON. The same run at the
-  // same seed produces byte-identical output (replay-matching: the events
-  // are a pure function of the simulation).
+  // Writes the surviving events of every ring as deterministic Chrome
+  // trace-event JSON, the format Perfetto and chrome://tracing load. Each
+  // node is one process with an "events" thread for protocol instants and
+  // "net thread" / "nic tx" / "app thread" tracks of X spans from kBusy;
+  // process 0 ("cluster") carries the cluster-scope instants, the clients'
+  // busy tracks, and one async span per request built from its stage marks
+  // (balanced even when a ring rotated out the span's start). Emitted
+  // timestamps are non-decreasing. The same run at the same seed produces
+  // byte-identical output (the events are a pure function of the simulation);
+  // otherData.recorded vs .dumped tells whether anything rotated out.
   void WriteDump(std::ostream& out) const;
 
   // Surviving events of one node's ring, oldest first. Test-facing: the
@@ -183,6 +232,7 @@ class FlightRecorder {
   // analyzer.
   static constexpr int kMaxSinks = 10;
   Sink* sinks_[kMaxSinks] = {};
+  std::vector<std::string> notes_;  // kNote texts, indexed by payload a
   std::string repro_;
   std::string dump_path_;
   bool dumped_ = false;
@@ -190,6 +240,16 @@ class FlightRecorder {
 
 // Hot-path accessor: one pointer load + branch when no recorder is installed.
 inline FlightRecorder* FrOf(const Simulator* sim) { return sim->flight_recorder(); }
+
+// Pipeline stage mark for one request; `node` is the acting Raft node
+// (kInvalidNode for client-side stages).
+inline void MarkStage(const Simulator* sim, const RequestId& rid, Stage stage, NodeId node,
+                      TimeNs ts) {
+  if (FlightRecorder* fr = FrOf(sim)) {
+    fr->Record(ts, node, FrType::kStage, static_cast<uint64_t>(rid.client), rid.seq,
+               static_cast<uint32_t>(stage));
+  }
+}
 
 }  // namespace obs
 }  // namespace hovercraft

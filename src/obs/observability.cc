@@ -5,11 +5,7 @@
 namespace hovercraft {
 namespace obs {
 
-Observability::Observability(const Options& options) : options_(options) {
-  if (options_.tracing) {
-    tracer_ = std::make_unique<Tracer>(options_.max_trace_events);
-  }
-}
+Observability::Observability(const Options& options) : options_(options) {}
 
 void Observability::AddSampler(std::string name, std::function<int64_t()> fn) {
   samplers_.push_back(Sampler{std::move(name), std::move(fn)});

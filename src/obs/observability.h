@@ -1,23 +1,22 @@
-// The observability bundle: one Tracer plus one MetricsRegistry, attached to
-// a Simulator so every component that holds a Simulator* can reach them
-// without constructor plumbing.
+// The observability bundle: the MetricsRegistry plus its periodic samplers,
+// attached to a Simulator so every component that holds a Simulator* can
+// reach them without constructor plumbing. Events live in the flight
+// recorder (src/obs/flight_recorder.h), not here.
 //
-// Tracing and sampling are OFF by default and the bundle is absent from the
-// simulator unless explicitly installed; the disabled hot path is a single
-// pointer load and branch, with no allocation and no event recorded (the
-// zero-overhead-when-disabled contract the CI smoke job asserts).
+// Sampling is OFF by default and the bundle is absent from the simulator
+// unless explicitly installed; the disabled hot path is a single pointer load
+// and branch, with no allocation (the zero-overhead-when-disabled contract
+// the CI smoke job asserts).
 #ifndef SRC_OBS_OBSERVABILITY_H_
 #define SRC_OBS_OBSERVABILITY_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/tracer.h"
 #include "src/sim/simulator.h"
 
 namespace hovercraft {
@@ -26,16 +25,12 @@ namespace obs {
 class Observability {
  public:
   struct Options {
-    bool tracing = false;            // record trace events
-    bool sampling = false;           // run the periodic queue-depth samplers
+    bool sampling = false;  // run the periodic queue-depth samplers
     TimeNs sample_interval = Micros(100);
-    size_t max_trace_events = 4'000'000;
   };
 
   explicit Observability(const Options& options);
 
-  // Null when tracing is disabled: call sites guard with TracerOf(sim).
-  Tracer* tracer() { return tracer_.get(); }
   MetricsRegistry& metrics() { return metrics_; }
   const Options& options() const { return options_; }
 
@@ -59,7 +54,6 @@ class Observability {
 
   Options options_;
   MetricsRegistry metrics_;
-  std::unique_ptr<Tracer> tracer_;
   struct Sampler {
     std::string name;
     std::function<int64_t()> fn;
@@ -67,27 +61,8 @@ class Observability {
   std::vector<Sampler> samplers_;
 };
 
-// Hot-path accessors: one pointer load + branch when observability is absent.
+// Hot-path accessor: one pointer load + branch when observability is absent.
 inline Observability* ObsOf(const Simulator* sim) { return sim->observability(); }
-inline Tracer* TracerOf(const Simulator* sim) {
-  Observability* o = ObsOf(sim);
-  return o == nullptr ? nullptr : o->tracer();
-}
-
-// Dual-recording stage mark: the JSON tracer (only when tracing is on) and
-// the always-on flight recorder (whenever one is installed) both see every
-// pipeline stage, so the critical-path analyzer and post-mortem dumps work
-// without a tracer attached.
-inline void MarkStageAll(const Simulator* sim, const RequestId& rid, Stage stage,
-                         NodeId node, TimeNs ts) {
-  if (Tracer* tracer = TracerOf(sim)) {
-    tracer->MarkStage(rid, stage, node, ts);
-  }
-  if (FlightRecorder* fr = sim->flight_recorder()) {
-    fr->Record(ts, node, FrType::kStage, static_cast<uint64_t>(rid.client), rid.seq,
-               static_cast<uint32_t>(stage));
-  }
-}
 
 }  // namespace obs
 }  // namespace hovercraft

@@ -201,6 +201,9 @@ void Watchdog::OnFrEvent(const FrEvent& event) {
     case FrType::kConfig:
     case FrType::kWalFlush:
     case FrType::kViolation:
+    case FrType::kBusy:
+    case FrType::kDrop:
+    case FrType::kNote:
       break;
   }
 }

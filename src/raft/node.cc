@@ -174,11 +174,6 @@ void RaftNode::MaybeClearSuspect() {
   HC_LOG_INFO("node %d: suspect repaired (commit %llu >= floor %llu); campaigning re-enabled",
               options_.id, static_cast<unsigned long long>(commit_idx_),
               static_cast<unsigned long long>(suspect_floor_));
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)), obs::kTidEvents,
-                    "suspect-repaired", sim_->Now(),
-                    "floor " + std::to_string(suspect_floor_));
-  }
   if (auto* fr = obs::FrOf(sim_)) {
     fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
                static_cast<uint64_t>(obs::FrRecovery::kSuspectRepair), commit_idx_);
@@ -364,10 +359,8 @@ void RaftNode::OnHeartbeat() {
         ++stats_.agg_fallbacks;
         HC_LOG_INFO("node %d: aggregator silent; falling back to direct replication",
                     options_.id);
-        if (auto* tracer = obs::TracerOf(sim_)) {
-          tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)),
-                          obs::kTidEvents, "agg-fallback", sim_->Now(),
-                          "term " + std::to_string(current_term_));
+        if (auto* fr = obs::FrOf(sim_)) {
+          fr->Note(sim_->Now(), options_.obs_id(), "agg-fallback", current_term_);
         }
         agg_active_ = false;
         agg_inflight_ = 0;
@@ -423,11 +416,6 @@ void RaftNode::MaybeStepDownWithoutQuorum() {
   ++stats_.stepdowns_check_quorum;
   HC_LOG_INFO("node %d: no quorum contact within election timeout; stepping down",
               options_.id);
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)), obs::kTidEvents,
-                    "stepdown", sim_->Now(),
-                    "check-quorum term " + std::to_string(current_term_));
-  }
   BecomeFollower(current_term_, false);
 }
 
@@ -483,10 +471,6 @@ void RaftNode::StartPreVote() {
   pre_votes_ = 1;  // our own pre-vote
   HC_LOG_INFO("node %d starts pre-vote poll for term %llu", options_.id,
               static_cast<unsigned long long>(pre_vote_term_));
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)), obs::kTidEvents,
-                    "prevote", sim_->Now(), "term " + std::to_string(pre_vote_term_));
-  }
   RecordRole(sim_, options_.obs_id(), pre_vote_term_, obs::FrRole::kPreCandidate, suspect_);
   // Retry the poll on silence. This is the cycle's only RNG draw: a winning
   // poll enters StartElection with this timer still armed and draws nothing,
@@ -528,11 +512,6 @@ void RaftNode::StartElection() {
   leader_hint_ = kInvalidNode;
   HC_LOG_INFO("node %d starts election for term %llu", options_.id,
               static_cast<unsigned long long>(current_term_));
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    // Servers are attached to the fabric first, so HostId == NodeId here.
-    tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)), obs::kTidEvents,
-                    "election", sim_->Now(), "term " + std::to_string(current_term_));
-  }
   RecordRole(sim_, options_.obs_id(), current_term_, obs::FrRole::kCandidate, suspect_);
   if (!timer_covered) {
     ArmElectionTimer();  // retry on split vote
@@ -558,10 +537,6 @@ void RaftNode::BecomeLeader() {
   ++stats_.times_leader;
   HC_LOG_INFO("node %d becomes leader of term %llu", options_.id,
               static_cast<unsigned long long>(current_term_));
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)), obs::kTidEvents,
-                    "leader", sim_->Now(), "term " + std::to_string(current_term_));
-  }
   RecordRole(sim_, options_.obs_id(), current_term_, obs::FrRole::kLeader, suspect_);
 
   for (NodeId p = 0; p < options_.cluster_size; ++p) {
@@ -662,7 +637,7 @@ bool RaftNode::SubmitRequest(std::shared_ptr<const RpcRequest> request, bool all
   ++stats_.entries_appended;
   StorageAppendEntry(idx);
   ScheduleDurability(idx);
-  obs::MarkStageAll(sim_, rid, obs::Stage::kOrdered, options_.obs_id(), sim_->Now());
+  obs::MarkStage(sim_, rid, obs::Stage::kOrdered, options_.obs_id(), sim_->Now());
   if (!options_.assign_repliers) {
     announced_idx_ = idx;
   }
@@ -706,11 +681,6 @@ RaftNode::ReadGrant RaftNode::AcquireReadIndex() {
     // read locally could race a newer leader. Refuse and let the server fall
     // back to the commit path.
     ++stats_.read_index_rejected;
-    if (auto* tracer = obs::TracerOf(sim_)) {
-      tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)), obs::kTidEvents,
-                      "lease-expired", sim_->Now(),
-                      "term " + std::to_string(current_term_));
-    }
     if (auto* fr = obs::FrOf(sim_)) {
       fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kLeaseExpire,
                  stats_.read_index_rejected, 0, static_cast<uint32_t>(current_term_));
@@ -738,12 +708,6 @@ RaftNode::ReadGrant RaftNode::AcquireReadIndex() {
         break;
       }
     }
-  }
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)), obs::kTidEvents,
-                    "read-index", sim_->Now(),
-                    "idx " + std::to_string(grant.read_index) + " replier " +
-                        std::to_string(grant.replier));
   }
   if (auto* fr = obs::FrOf(sim_)) {
     fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kLeaseGrant, grant.read_index,
@@ -813,9 +777,9 @@ bool RaftNode::AppendConfigEntry(MembershipConfigPtr config) {
   ++stats_.config_changes_proposed;
   HC_LOG_INFO("node %d proposes config %s at idx %llu", options_.id,
               log_.At(idx).config->Describe().c_str(), static_cast<unsigned long long>(idx));
-  if (auto* tracer = obs::TracerOf(sim_)) {
-    tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)), obs::kTidEvents,
-                    "config-proposed", sim_->Now(), log_.At(idx).config->Describe());
+  if (auto* fr = obs::FrOf(sim_)) {
+    fr->Note(sim_->Now(), options_.obs_id(),
+             "config-proposed " + log_.At(idx).config->Describe(), idx);
   }
   TrackConfig(idx, log_.At(idx).config);
   // The change replicates point-to-point: the aggregator's quorum register is
@@ -974,8 +938,8 @@ void RaftNode::TryAnnounce() {
     }
     announced_idx_ = idx;
     changed = true;
-    obs::MarkStageAll(sim_, entry.rid, obs::Stage::kDispatched,
-                      options_.obs_node_base + replier, sim_->Now());
+    obs::MarkStage(sim_, entry.rid, obs::Stage::kDispatched,
+                   options_.obs_node_base + replier, sim_->Now());
   }
   if (changed) {
     TrySendAll();
@@ -1325,16 +1289,14 @@ void RaftNode::SetCommit(LogIndex commit) {
   // Every entry in (commit_idx_, commit] is newly committed; those indices
   // sit above the compaction point (base <= applied <= old commit).
   auto* fr = obs::FrOf(sim_);
-  if (obs::TracerOf(sim_) != nullptr || fr != nullptr) {
+  if (fr != nullptr) {
     for (LogIndex idx = commit_idx_ + 1; idx <= commit; ++idx) {
       const LogEntry& e = log_.At(idx);
       if (!e.noop) {
-        obs::MarkStageAll(sim_, e.rid, obs::Stage::kCommitted, options_.obs_id(), sim_->Now());
+        obs::MarkStage(sim_, e.rid, obs::Stage::kCommitted, options_.obs_id(), sim_->Now());
       }
-      if (fr != nullptr) {
-        fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kCommit, idx, e.term,
-                   static_cast<uint32_t>(current_term_));
-      }
+      fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kCommit, idx, e.term,
+                 static_cast<uint32_t>(current_term_));
     }
   }
   commit_idx_ = commit;
@@ -1355,10 +1317,6 @@ void RaftNode::SetCommit(LogIndex commit) {
       lease_floor_ = sim_->Now();
       HC_LOG_INFO("node %d: config %s committed at idx %llu", options_.id,
                   c.second->Describe().c_str(), static_cast<unsigned long long>(c.first));
-      if (auto* tracer = obs::TracerOf(sim_)) {
-        tracer->Instant(obs::TrackOfHost(static_cast<HostId>(options_.id)), obs::kTidEvents,
-                        "config-committed", sim_->Now(), c.second->Describe());
-      }
       if (auto* fr2 = obs::FrOf(sim_)) {
         fr2->Record(sim_->Now(), options_.obs_id(), obs::FrType::kConfig, c.first,
                     c.second->members.size());

@@ -5,7 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
-#include "src/obs/observability.h"
+#include "src/obs/flight_recorder.h"
 #include "src/r2p2/messages.h"
 
 namespace hovercraft {
@@ -44,11 +44,10 @@ void ShardCoordinator::BeginNext() {
     current_ = m;
     phase_ = Phase::kFreezing;
     attempts_in_phase_ = 0;
-    if (auto* tracer = obs::TracerOf(sim())) {
-      tracer->Instant(obs::kClusterPid, obs::kTidEvents, "shard-move-start", sim()->Now(),
-                      "[" + std::to_string(m.lo) + "," + std::to_string(m.hi) + "] g" +
-                          std::to_string(m.source.value) + " -> g" +
-                          std::to_string(m.dest.value));
+    if (auto* fr = obs::FrOf(sim())) {
+      fr->Note(sim()->Now(), kInvalidNode,
+               "shard-move-start [" + std::to_string(m.lo) + "," + std::to_string(m.hi) + "] g" +
+                   std::to_string(m.source.value) + " -> g" + std::to_string(m.dest.value));
     }
     ShardOp op;
     op.kind = ShardOpKind::kFreeze;
@@ -156,11 +155,10 @@ void ShardCoordinator::OnPhaseReply(const Body& reply) {
       // destination, whose merged session table preserves exactly-once for
       // in-flight retransmissions.
       map_->CommitMove(current_.lo, current_.hi, current_.dest);
-      if (auto* tracer = obs::TracerOf(sim())) {
-        tracer->Instant(obs::kClusterPid, obs::kTidEvents, "shard-move-cutover", sim()->Now(),
-                        "[" + std::to_string(current_.lo) + "," +
-                            std::to_string(current_.hi) + "] epoch " +
-                            std::to_string(map_->epoch()));
+      if (auto* fr = obs::FrOf(sim())) {
+        fr->Note(sim()->Now(), kInvalidNode,
+                 "shard-move-cutover [" + std::to_string(current_.lo) + "," +
+                     std::to_string(current_.hi) + "] epoch " + std::to_string(map_->epoch()));
       }
       phase_ = Phase::kGc;
       attempts_in_phase_ = 0;
@@ -189,11 +187,10 @@ void ShardCoordinator::OnPhaseReply(const Body& reply) {
       // now flip the map so clients routed back to the source are accepted.
       map_->AbortMove(current_.lo, current_.hi);
       ++stats_.moves_aborted;
-      if (auto* tracer = obs::TracerOf(sim())) {
-        tracer->Instant(obs::kClusterPid, obs::kTidEvents, "shard-move-aborted", sim()->Now(),
-                        "[" + std::to_string(current_.lo) + "," +
-                            std::to_string(current_.hi) + "] epoch " +
-                            std::to_string(map_->epoch()));
+      if (auto* fr = obs::FrOf(sim())) {
+        fr->Note(sim()->Now(), kInvalidNode,
+                 "shard-move-aborted [" + std::to_string(current_.lo) + "," +
+                     std::to_string(current_.hi) + "] epoch " + std::to_string(map_->epoch()));
       }
       FinishMove();
       return;

@@ -68,9 +68,9 @@ class Simulator {
 
   TimeNs Now() const { return now_; }
 
-  // Optional observability bundle (tracer + metrics). Null by default: the
-  // trace/metric hooks throughout the codebase reduce to one pointer load
-  // and branch when nothing is installed. The simulator does not own it.
+  // Optional observability bundle (metrics + samplers). Null by default: the
+  // metric hooks throughout the codebase reduce to one pointer load and
+  // branch when nothing is installed. The simulator does not own it.
   obs::Observability* observability() const { return observability_; }
   void set_observability(obs::Observability* observability) { observability_ = observability; }
 

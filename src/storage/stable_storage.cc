@@ -164,15 +164,9 @@ bool StableStorage::CorruptEntry(LogIndex idx) {
 
 StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
   ++stats_.recoveries;
-  // Recovery trace instant + flight-recorder event, on the cluster track
-  // (the node's own track may not exist yet at replay time).
-  auto recovery_mark = [this](const char* name, const std::string& detail,
-                              obs::FrRecovery kind, uint64_t arg) {
+  // Recovery milestone as a flight-recorder event.
+  auto recovery_mark = [this](obs::FrRecovery kind, uint64_t arg) {
     Simulator* sim = disk_->sim();
-    if (auto* tracer = obs::TracerOf(sim)) {
-      tracer->Instant(obs::kClusterPid, obs::kTidEvents, name, sim->Now(),
-                      "node " + std::to_string(node_) + " " + detail);
-    }
     if (auto* fr = obs::FrOf(sim)) {
       fr->Record(sim->Now(), node_, obs::FrType::kRecovery,
                  static_cast<uint64_t>(kind), arg);
@@ -280,14 +274,10 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
         if (data_beyond) {
           midstream_break = true;
           ++stats_.corrupt_records;
-          recovery_mark("wal-crc-hole", "framing break inside durable data at offset " +
-                            std::to_string(off),
-                        obs::FrRecovery::kCrcHole, off);
+          recovery_mark(obs::FrRecovery::kCrcHole, off);
         } else {
           ++stats_.torn_truncations;
-          recovery_mark("wal-torn-tail",
-                        "dropped " + std::to_string(bytes.size() - off) + " unsynced bytes",
-                        obs::FrRecovery::kTornTail, bytes.size() - off);
+          recovery_mark(obs::FrRecovery::kTornTail, bytes.size() - off);
         }
         disk_->Truncate(file, off);
         break;
@@ -297,9 +287,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
           rec.entries.empty() ? rec.base_index + 1 : rec.entries.back().idx + 1;
       if (crc != RecordCrc(type, payload)) {
         ++stats_.corrupt_records;
-        recovery_mark("wal-crc-hole",
-                      "CRC-failed record at offset " + std::to_string(off),
-                      obs::FrRecovery::kCrcHole, off);
+        recovery_mark(obs::FrRecovery::kCrcHole, off);
         if (!protocol_aware) {
           // Naive recovery: silently truncate the log at the damage and
           // carry on as if the WAL simply ended here.
@@ -426,12 +414,6 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
   rec.suspect_floor = std::max(durable_tail, rec.base_index);
   if (rec.suspect) {
     ++stats_.suspect_recoveries;
-    if (auto* tracer = obs::TracerOf(disk_->sim())) {
-      tracer->Instant(obs::kClusterPid, obs::kTidEvents, "recovery-suspect",
-                      disk_->sim()->Now(),
-                      "node " + std::to_string(node_) + " floor " +
-                          std::to_string(rec.suspect_floor));
-    }
   }
   stats_.recovered_entries += rec.entries.size();
 

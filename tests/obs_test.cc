@@ -1,7 +1,8 @@
-// Observability contract tests: the Chrome trace JSON is structurally valid,
-// spans balance, timestamps are monotonic, the stage pipeline is covered, the
-// outputs are byte-deterministic, and recording a trace does not perturb the
-// simulation it observes.
+// Observability contract tests: the flight-recorder export (Chrome trace
+// JSON) is structurally valid, request spans balance, timestamps are
+// monotonic, the stage pipeline and the busy tracks are covered, the outputs
+// are byte-deterministic, and recording does not perturb the simulation it
+// observes.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -11,12 +12,16 @@
 #include <vector>
 
 #include "src/chaos/runner.h"
+#include "src/obs/critical_path.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/observability.h"
-#include "src/obs/tracer.h"
 
 namespace hovercraft {
 namespace {
+
+// Ring depth for a whole-run export (what chaos_runner --trace-out uses).
+constexpr size_t kTraceDepth = size_t{1} << 16;
 
 // Minimal structural JSON check: braces/brackets balance outside string
 // literals (escape-aware), the document is one object, and nothing trails it.
@@ -85,6 +90,25 @@ std::vector<double> ExtractTimestamps(const std::string& text) {
   return out;
 }
 
+// The unescaped value of the first string field `key` ("\"repro\":").
+std::string ReadJsonString(const std::string& text, const std::string& key) {
+  size_t pos = text.find(key);
+  if (pos == std::string::npos) return "<missing>";
+  pos += key.size() + 1;  // past the opening quote
+  std::string out;
+  for (; pos < text.size() && text[pos] != '"'; ++pos) {
+    if (text[pos] == '\\') ++pos;  // the escapes under test are \" and \\ only
+    out += text[pos];
+  }
+  return out;
+}
+
+std::string Dump(const obs::FlightRecorder& fr) {
+  std::ostringstream out;
+  fr.WriteDump(out);
+  return out.str();
+}
+
 ChaosRunConfig SmallChaosConfig() {
   ChaosRunConfig config;
   config.mode = ClusterMode::kHovercRaft;
@@ -98,27 +122,65 @@ ChaosRunConfig SmallChaosConfig() {
   return config;
 }
 
-obs::Observability::Options FullObsOptions() {
+obs::Observability::Options SamplingOptions() {
   obs::Observability::Options oo;
-  oo.tracing = true;
   oo.sampling = true;
   return oo;
 }
 
-TEST(TracerTest, CapDropsGenericEventsButKeepsStageMarks) {
-  obs::Tracer tracer(/*max_events=*/2);
-  tracer.Complete(0, 0, "a", 10, 5);
-  tracer.Instant(0, 0, "b", 20);
-  tracer.Instant(0, 0, "c", 30);  // past the cap: dropped
-  EXPECT_EQ(tracer.dropped_events(), 1u);
-  RequestId rid{1, 7};
-  tracer.MarkStage(rid, obs::Stage::kClientSend, kInvalidNode, 40);
-  tracer.MarkStage(rid, obs::Stage::kComplete, kInvalidNode, 50);
-  EXPECT_EQ(tracer.event_count(), 4u);  // 2 generic + 2 stage marks
-  std::ostringstream out;
-  tracer.WriteChromeJson(out);
-  EXPECT_TRUE(JsonStructureValid(out.str()));
-  EXPECT_NE(out.str().find("client_send"), std::string::npos);
+void MarkStage(obs::FlightRecorder& fr, TimeNs ts, NodeId node, uint64_t seq,
+               obs::Stage stage) {
+  fr.Record(ts, node, obs::FrType::kStage, /*client=*/7, seq, static_cast<uint32_t>(stage));
+}
+
+// Every kind and stage below the hand-maintained counts has a real name, and
+// the first value past each count has none: adding a kind or a stage without
+// bumping its count (or its name) fails here.
+TEST(FlightRecorderNamesTest, NameTablesMatchTheCounts) {
+  for (size_t t = 0; t < obs::kFrTypeCount; ++t) {
+    EXPECT_STRNE(obs::FrTypeName(static_cast<obs::FrType>(t)), "?") << "FrType " << t;
+  }
+  EXPECT_STREQ(obs::FrTypeName(static_cast<obs::FrType>(obs::kFrTypeCount)), "?");
+  for (size_t s = 0; s < obs::kStageCount; ++s) {
+    EXPECT_STRNE(obs::StageName(static_cast<obs::Stage>(s)), "?") << "Stage " << s;
+  }
+  EXPECT_STREQ(obs::StageName(static_cast<obs::Stage>(obs::kStageCount)), "?");
+}
+
+// A request whose opening marks rotated out of the ring still yields a
+// balanced span: its first surviving mark opens it, and a span left open at
+// the end of the window closes as "unresolved".
+TEST(FlightRecorderExportTest, SpanWhoseStartRotatedOutStillCloses) {
+  obs::FlightRecorder fr(/*depth=*/2);
+  MarkStage(fr, 10, kInvalidNode, 1, obs::Stage::kClientSend);  // rotates out
+  MarkStage(fr, 20, 0, 1, obs::Stage::kOrdered);
+  MarkStage(fr, 30, kInvalidNode, 2, obs::Stage::kClientSend);
+  MarkStage(fr, 40, kInvalidNode, 1, obs::Stage::kComplete);
+  MarkStage(fr, 50, 0, 3, obs::Stage::kReplicaRx);
+  MarkStage(fr, 60, 0, 3, obs::Stage::kOrdered);  // rotates out rid 1's node mark
+  const std::string dump = Dump(fr);
+  ASSERT_TRUE(JsonStructureValid(dump)) << dump;
+  EXPECT_EQ(CountOccurrences(dump, "\"ph\":\"b\""), 3u) << dump;
+  EXPECT_EQ(CountOccurrences(dump, "\"ph\":\"e\""), 3u) << dump;
+  EXPECT_EQ(CountOccurrences(dump, "\"stage\":\"client_send\""), 1u) << dump;
+  EXPECT_EQ(CountOccurrences(dump, "\"stage\":\"unresolved\""), 2u) << dump;
+  EXPECT_NE(dump.find("\"recorded\":6,\"dumped\":4"), std::string::npos) << dump;
+}
+
+// The repro command and note texts are arbitrary strings: quotes and
+// backslashes in them must not break the document.
+TEST(FlightRecorderExportTest, ReproAndNotesAreEscaped) {
+  obs::FlightRecorder fr(8);
+  const std::string repro = "x \"y\" \\z";
+  fr.set_repro(repro);
+  fr.Note(5, kInvalidNode, "say \"hi\" \\ bye", 42);
+  fr.Note(6, 0, "say \"hi\" \\ bye");  // interned once, recorded twice
+  const std::string dump = Dump(fr);
+  EXPECT_TRUE(JsonStructureValid(dump)) << dump;
+  EXPECT_EQ(ReadJsonString(dump, "\"repro\":"), repro);
+  EXPECT_EQ(ReadJsonString(dump, "\"detail\":"), "say \"hi\" \\ bye");
+  EXPECT_EQ(CountOccurrences(dump, "\"name\":\"note\""), 2u);
+  EXPECT_EQ(CountOccurrences(dump, "\"a\":0,"), 2u);  // both index note 0
 }
 
 TEST(MetricsRegistryTest, DumpHasUniformShapeAndIsDeterministic) {
@@ -139,23 +201,47 @@ TEST(MetricsRegistryTest, DumpHasUniformShapeAndIsDeterministic) {
   }
 }
 
+// One traced chaos run: the recorder is caller-owned at trace depth, so the
+// export covers the whole run; the critical-path analyzer rides along.
+struct TracedRun {
+  std::string trace;
+  std::string metrics;
+  size_t completed_paths = 0;
+  ChaosRunResult result;
+};
+
+TracedRun RunTraced() {
+  obs::Observability bundle(SamplingOptions());
+  obs::FlightRecorder fr(kTraceDepth);
+  obs::CriticalPath critical_path;
+  fr.AddSink(&critical_path);
+  ChaosRunConfig config = SmallChaosConfig();
+  config.obs = &bundle;
+  config.flight_recorder = &fr;
+  TracedRun run;
+  run.result = RunChaosSchedule(config);
+  run.trace = Dump(fr);
+  std::ostringstream m;
+  bundle.metrics().DumpJson(m);
+  run.metrics = m.str();
+  run.completed_paths = critical_path.completed();
+  return run;
+}
+
 // The satellite contract: a 3-node chaos run yields a structurally valid
 // Chrome trace with monotonic timestamps, balanced async begin/end spans and
 // marks for every pipeline stage a healthy request passes through.
 TEST(ObsChaosTest, TraceSchemaIsValid) {
-  obs::Observability bundle(FullObsOptions());
-  ChaosRunConfig config = SmallChaosConfig();
-  config.obs = &bundle;
-  const ChaosRunResult result = RunChaosSchedule(config);
-  EXPECT_TRUE(result.ok()) << result.Describe();
-
-  ASSERT_NE(bundle.tracer(), nullptr);
-  std::ostringstream out;
-  bundle.tracer()->WriteChromeJson(out);
-  const std::string trace = out.str();
+  const TracedRun run = RunTraced();
+  EXPECT_TRUE(run.result.ok()) << run.result.Describe();
+  const std::string& trace = run.trace;
 
   EXPECT_TRUE(JsonStructureValid(trace));
   EXPECT_EQ(trace.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
+  // Nothing rotated out at this depth: the export is the whole run.
+  const std::string recorded = std::to_string(run.result.recorder_events);
+  EXPECT_NE(trace.find("\"recorded\":" + recorded + ",\"dumped\":" + recorded),
+            std::string::npos);
 
   // Async request spans balance: every opened span is closed.
   EXPECT_GT(CountOccurrences(trace, "\"ph\":\"b\""), 0u);
@@ -175,59 +261,63 @@ TEST(ObsChaosTest, TraceSchemaIsValid) {
         << stage;
   }
   // The nemesis annotations share the trace ("flap" kills and restarts nodes).
-  EXPECT_GT(CountOccurrences(trace, "\"name\":\"nemesis\""), 0u);
+  EXPECT_GT(CountOccurrences(trace, "\"detail\":\"nemesis: "), 0u);
 
-  // The breakdown report aggregates at least the total row.
-  const auto rows = bundle.tracer()->BreakdownRows();
-  ASSERT_FALSE(rows.empty());
-  bool any_counted = false;
-  for (const auto& row : rows) {
-    if (row.count > 0) any_counted = true;
-  }
-  EXPECT_TRUE(any_counted);
+  // The stage breakdown comes from the same stream.
+  EXPECT_GT(run.completed_paths, 0u);
 
   // The metrics snapshot carries the per-node counters and sampled depths.
-  std::ostringstream mout;
-  bundle.metrics().DumpJson(mout);
-  const std::string metrics = mout.str();
-  EXPECT_TRUE(JsonStructureValid(metrics));
+  EXPECT_TRUE(JsonStructureValid(run.metrics));
   for (const char* key : {"node0/raft.commit_index", "node0/net_thread.depth",
                           "node0/server.client_requests"}) {
-    EXPECT_NE(metrics.find(key), std::string::npos) << key;
+    EXPECT_NE(run.metrics.find(key), std::string::npos) << key;
   }
+}
+
+// Busy intervals of the modelled resources land as X spans on per-node net,
+// NIC and app tracks (and on per-host client tracks of the cluster process).
+TEST(ObsChaosTest, BusySpansOnNetNicAndAppTracks) {
+  const TracedRun run = RunTraced();
+  const std::string& trace = run.trace;
+  for (const char* resource : {"net thread", "nic tx", "app thread"}) {
+    EXPECT_GT(CountOccurrences(trace, std::string("{\"ph\":\"X\",\"name\":\"") + resource +
+                                          "\",\"cat\":\"busy\",\"pid\":1,"),
+              0u)
+        << resource;
+    EXPECT_GT(CountOccurrences(trace, std::string("\"args\":{\"name\":\"") + resource + "\"}"),
+              0u)
+        << resource << " track is not named";
+  }
+  EXPECT_GT(CountOccurrences(trace, " net thread\"}"), 0u) << "no client busy track";
 }
 
 // Same seed, same config: both output files are byte-identical across runs.
 TEST(ObsChaosTest, OutputsAreByteDeterministic) {
-  std::string traces[2];
-  std::string metrics[2];
-  for (int i = 0; i < 2; ++i) {
-    obs::Observability bundle(FullObsOptions());
-    ChaosRunConfig config = SmallChaosConfig();
-    config.obs = &bundle;
-    RunChaosSchedule(config);
-    std::ostringstream t;
-    bundle.tracer()->WriteChromeJson(t);
-    traces[i] = t.str();
-    std::ostringstream m;
-    bundle.metrics().DumpJson(m);
-    metrics[i] = m.str();
-  }
-  EXPECT_EQ(traces[0], traces[1]);
-  EXPECT_EQ(metrics[0], metrics[1]);
+  const TracedRun a = RunTraced();
+  const TracedRun b = RunTraced();
+  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.metrics, b.metrics);
 }
 
-// Observability is read-only: attaching the bundle must not change a single
-// outcome of the simulation it observes.
+// Recording is read-only: the chaos outcome is the same with the recorder
+// off, at its default depth and at trace depth (with the metrics bundle). Only
+// the watchdog line depends on whether a recorder exists at all.
 TEST(ObsChaosTest, TracingDoesNotPerturbTheRun) {
-  const ChaosRunResult bare = RunChaosSchedule(SmallChaosConfig());
-
-  obs::Observability bundle(FullObsOptions());
-  ChaosRunConfig config = SmallChaosConfig();
-  config.obs = &bundle;
-  const ChaosRunResult traced = RunChaosSchedule(config);
-
-  EXPECT_EQ(bare.Describe(), traced.Describe());
+  auto describe = [](size_t depth) {
+    ChaosRunConfig config = SmallChaosConfig();
+    config.flight_recorder_depth = depth;
+    return RunChaosSchedule(config).Describe();
+  };
+  auto without_watchdog = [](std::string text) {
+    const size_t at = text.find("watchdog: ");
+    return at == std::string::npos ? text : text.erase(at, text.find('\n', at) - at);
+  };
+  const std::string off = describe(0);
+  const std::string standard = describe(obs::FlightRecorder::kDefaultDepth);
+  const std::string traced = RunTraced().result.Describe();
+  EXPECT_EQ(standard, traced);
+  EXPECT_EQ(without_watchdog(off), without_watchdog(standard));
+  EXPECT_NE(off.find("watchdog: off"), std::string::npos);
 }
 
 }  // namespace

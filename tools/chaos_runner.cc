@@ -8,10 +8,12 @@
 //   chaos_runner --schedule=random --seed=7 --mode=hovercraft++ --duration-ms=300
 //   chaos_runner --list-schedules
 //
-// With --trace-out the run records a per-request trace and writes Chrome
-// trace-event JSON (load it in Perfetto / chrome://tracing); --metrics-out
-// dumps the metrics registry (counters + sampled queue depths) as JSON.
-// Both outputs are byte-identical across reruns of the same seed.
+// With --trace-out the run's flight recorder is deep enough to keep every
+// event, and its export — Chrome trace-event JSON, load it in Perfetto /
+// chrome://tracing — is written at the end together with the critical-path
+// tail attribution; --metrics-out dumps the metrics registry (counters +
+// sampled queue depths) as JSON. Both outputs are byte-identical across
+// reruns of the same seed.
 //
 //   chaos_runner --schedule=flap --seed=3 --trace-out=trace.json --metrics-out=metrics.json
 #include <cstdio>
@@ -25,6 +27,8 @@
 #include "src/chaos/nemesis.h"
 #include "src/chaos/runner.h"
 #include "src/common/logging.h"
+#include "src/obs/critical_path.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/observability.h"
 
 namespace hovercraft {
@@ -63,12 +67,13 @@ struct CliOptions {
   bool list_schedules = false;
   bool verbose = false;
   bool help = false;
-  std::string trace_out;    // Chrome trace-event JSON path ("" = no tracing)
+  std::string trace_out;    // recorder export path written after the run ("" = none)
   std::string metrics_out;  // metrics registry JSON path ("" = no dump)
   // Flight recorder + watchdog (docs/observability.md). Both default on;
   // --no-watchdog keeps recording but stops invariant checking, and
   // --flight-recorder-depth=0 turns the recorder (and watchdog) off entirely.
-  size_t flight_recorder_depth = 512;
+  // -1 = unset: 512, or kTraceDepth with --trace-out.
+  int64_t flight_recorder_depth = -1;
   bool no_watchdog = false;
   std::string dump_out;           // flight-recorder dump path on failure
   std::string inject_violation;   // watchdog mutation test code
@@ -77,8 +82,11 @@ struct CliOptions {
   std::vector<ChaosRunConfig::MembershipEvent> add_server_at;
   std::vector<ChaosRunConfig::MembershipEvent> remove_server_at;
   TimeNs sample_interval = Micros(100);
-  uint64_t max_trace_events = 4'000'000;
 };
+
+// Default ring depth under --trace-out: deep enough that a default-sized run
+// rotates nothing out, so the export is the whole run.
+constexpr size_t kTraceDepth = size_t{1} << 16;
 
 void PrintUsage() {
   std::printf(
@@ -126,8 +134,9 @@ void PrintUsage() {
       "  --no-recovery            disable protocol-aware WAL recovery (control: damage\n"
       "                           below the durable frontier is silently truncated\n"
       "                           instead of quarantined + re-fetched from the leader)\n"
-      "  --flight-recorder-depth=N  per-node black-box ring size (default 512; 0 turns\n"
-      "                           the recorder and the watchdog off)\n"
+      "  --flight-recorder-depth=N  per-node black-box ring size (default 512, 65536\n"
+      "                           with --trace-out; 0 turns the recorder and the\n"
+      "                           watchdog off)\n"
       "  --no-watchdog            keep recording but skip online invariant checking\n"
       "  --dump-out=PATH          write the flight-recorder dump (Chrome trace JSON) on\n"
       "                           the first violation / failed verdict (default stderr\n"
@@ -137,10 +146,11 @@ void PrintUsage() {
       "                           FAIL with that code. Codes: dual-leader,\n"
       "                           commit-regression, lease-overlap, double-apply,\n"
       "                           flow-leak\n"
-      "  --trace-out=PATH         write a Chrome trace-event JSON (Perfetto-loadable)\n"
+      "  --trace-out=PATH         after the run, write the flight-recorder export\n"
+      "                           (Chrome trace JSON, Perfetto-loadable) and print the\n"
+      "                           tail attribution\n"
       "  --metrics-out=PATH       write the metrics registry as JSON\n"
       "  --sample-interval-us=N   queue-depth sampling period (default 100)\n"
-      "  --max-trace-events=N     trace event cap (default 4000000)\n"
       "  --list-schedules         print schedule names and exit\n"
       "  --verbose                protocol-level log while the run executes\n");
 }
@@ -249,7 +259,7 @@ bool ParseOptions(int argc, char** argv, CliOptions& opts) {
     } else if (std::strcmp(a, "--no-watchdog") == 0) {
       opts.no_watchdog = true;
     } else if (ParseFlag(a, "--flight-recorder-depth", v)) {
-      opts.flight_recorder_depth = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      opts.flight_recorder_depth = static_cast<int64_t>(std::strtoull(v.c_str(), nullptr, 10));
     } else if (ParseFlag(a, "--dump-out", v)) {
       opts.dump_out = v;
     } else if (ParseFlag(a, "--inject-violation", v)) {
@@ -260,8 +270,6 @@ bool ParseOptions(int argc, char** argv, CliOptions& opts) {
       opts.metrics_out = v;
     } else if (ParseFlag(a, "--sample-interval-us", v)) {
       opts.sample_interval = Micros(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--max-trace-events", v)) {
-      opts.max_trace_events = std::strtoull(v.c_str(), nullptr, 10);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a);
       return false;
@@ -318,7 +326,14 @@ int Run(const CliOptions& opts, const std::string& repro) {
     return 2;
   }
   config.wal_recovery = !opts.no_recovery;
-  config.flight_recorder_depth = opts.flight_recorder_depth;
+  const bool tracing = !opts.trace_out.empty();
+  config.flight_recorder_depth =
+      opts.flight_recorder_depth >= 0 ? static_cast<size_t>(opts.flight_recorder_depth)
+                                      : (tracing ? kTraceDepth : 512);
+  if (tracing && config.flight_recorder_depth == 0) {
+    std::fprintf(stderr, "--trace-out needs the flight recorder on\n");
+    return 2;
+  }
   config.watchdog = !opts.no_watchdog;
   config.dump_path = opts.dump_out;
   config.repro = repro;
@@ -336,7 +351,7 @@ int Run(const CliOptions& opts, const std::string& repro) {
                    opts.inject_violation.c_str());
       return 2;
     }
-    if (opts.flight_recorder_depth == 0) {
+    if (config.flight_recorder_depth == 0) {
       std::fprintf(stderr, "--inject-violation needs the flight recorder on\n");
       return 2;
     }
@@ -360,45 +375,47 @@ int Run(const CliOptions& opts, const std::string& repro) {
       FsyncPolicyName(config.fsync_policy), config.wal_recovery ? 1 : 0,
       config.flight_recorder_depth, config.watchdog ? 1 : 0);
   std::unique_ptr<obs::Observability> observability;
-  const bool want_obs = !opts.trace_out.empty() || !opts.metrics_out.empty();
-  if (want_obs) {
+  if (!opts.metrics_out.empty()) {
     obs::Observability::Options oo;
-    oo.tracing = !opts.trace_out.empty();
-    oo.sampling = !opts.metrics_out.empty();
+    oo.sampling = true;
     oo.sample_interval = opts.sample_interval;
-    oo.max_trace_events = opts.max_trace_events;
     observability = std::make_unique<obs::Observability>(oo);
     config.obs = observability.get();
+  }
+  // --trace-out: the runner records into this recorder, so it outlives the
+  // run for the export, with the critical-path analyzer attached.
+  obs::CriticalPath critical_path;
+  std::unique_ptr<obs::FlightRecorder> recorder;
+  if (tracing) {
+    recorder = std::make_unique<obs::FlightRecorder>(config.flight_recorder_depth);
+    recorder->AddSink(&critical_path);
+    config.flight_recorder = recorder.get();
   }
 
   const ChaosRunResult result = RunChaosSchedule(config);
   std::printf("%s", result.Describe().c_str());
 
+  if (recorder != nullptr) {
+    std::ofstream out(opts.trace_out, std::ios::binary);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", opts.trace_out.c_str());
+      return 2;
+    }
+    recorder->WriteDump(out);
+    std::printf("trace: %llu events recorded (ring depth %zu) -> %s\n",
+                static_cast<unsigned long long>(recorder->recorded()), recorder->depth(),
+                opts.trace_out.c_str());
+    std::printf("%s", critical_path.AttributionTable("").c_str());
+  }
   if (observability != nullptr) {
-    if (auto* tracer = observability->tracer()) {
-      if (!opts.trace_out.empty()) {
-        std::ofstream out(opts.trace_out, std::ios::binary);
-        if (!out) {
-          std::fprintf(stderr, "cannot write %s\n", opts.trace_out.c_str());
-          return 2;
-        }
-        tracer->WriteChromeJson(out);
-        std::printf("trace: %zu events -> %s (dropped %llu)\n", tracer->event_count(),
-                    opts.trace_out.c_str(),
-                    static_cast<unsigned long long>(tracer->dropped_events()));
-      }
-      std::printf("%s", tracer->BreakdownTable().c_str());
+    std::ofstream out(opts.metrics_out, std::ios::binary);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", opts.metrics_out.c_str());
+      return 2;
     }
-    if (!opts.metrics_out.empty()) {
-      std::ofstream out(opts.metrics_out, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", opts.metrics_out.c_str());
-        return 2;
-      }
-      observability->metrics().DumpJson(out);
-      std::printf("metrics: %zu entries -> %s\n", observability->metrics().size(),
-                  opts.metrics_out.c_str());
-    }
+    observability->metrics().DumpJson(out);
+    std::printf("metrics: %zu entries -> %s\n", observability->metrics().size(),
+                opts.metrics_out.c_str());
   }
 
   std::printf("verdict: %s\n", result.ok() ? "OK" : "FAIL");
