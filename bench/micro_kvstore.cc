@@ -1,14 +1,52 @@
 // Microbenchmarks for the kvstore data structures and command codec
 // (google-benchmark). These measure real wall-clock costs of the store the
-// simulator's cost model abstracts.
+// simulator's cost model abstracts, plus the cost of a replica's local
+// snapshot of the YCSB-E store (BM_LocalSnapshot).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <string>
 
 #include "src/app/kvstore/command.h"
 #include "src/app/kvstore/service.h"
 #include "src/app/ycsb.h"
+#include "src/common/check.h"
 #include "src/common/random.h"
+#include "src/core/cluster.h"
+#include "src/loadgen/client.h"
+#include "src/loadgen/workload.h"
+
+// --- counting allocator ------------------------------------------------------
+// Interposed for the whole binary so BM_LocalSnapshot can report heap bytes
+// allocated per snapshot. Not thread-safe; the benchmarks are single-threaded.
+static uint64_t g_alloc_bytes = 0;
+
+// Out of line: once inlined next to a delete-expression, the malloc/free
+// pairing trips -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(size_t size) {
+  g_alloc_bytes += size;
+  void* p = std::malloc(size);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+[[gnu::noinline]] void* operator new[](size_t size) {
+  g_alloc_bytes += size;
+  void* p = std::malloc(size);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace hovercraft {
 namespace {
@@ -124,6 +162,73 @@ void BM_SetMembership(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SetMembership);
+
+// A replica's local snapshot of the YCSB-E store (2000 conversations x 10
+// posts of 1 KB, the fig13 / ycsb-e dataset: about 20 MB). A 3-node cluster
+// runs a light YCSB-E load, so every node persists one snapshot per
+// compaction interval; each iteration simulates one interval. Counters:
+//   ms_per_snapshot           wall time per snapshot (simulation included);
+//   alloc_bytes_per_snapshot  heap bytes allocated per snapshot;
+//   alloc_x_image             the same as a multiple of the snapshot file
+//                             size. One pass allocates the serialized image
+//                             once and the file buffer once: about 2x.
+// The allocation counts are a deterministic function of the seed; CI gates
+// alloc_x_image (docs/performance.md).
+void BM_LocalSnapshot(benchmark::State& state) {
+  const YcsbEConfig ycsb;  // 2000 x 10
+  ClusterConfig config;
+  config.mode = ClusterMode::kHovercRaft;
+  config.nodes = 3;
+  config.seed = 1;
+  config.app_factory = [ycsb]() {
+    auto svc = std::make_unique<KvService>();
+    Rng rng(13);
+    for (const KvCommand& cmd : YcsbEGenerator(ycsb).PreloadCommands(rng)) {
+      svc->Apply(cmd);
+    }
+    return svc;
+  };
+  Cluster cluster(config);
+  HC_CHECK(cluster.WaitForLeader() != kInvalidNode);
+  ClientHost client(
+      &cluster.sim(), config.costs, [&cluster]() { return cluster.ClientTarget(); },
+      std::make_unique<YcsbEWorkload>(ycsb), 2'000, 7);
+  cluster.network().Attach(&client);
+  auto snapshots_saved = [&cluster]() {
+    uint64_t n = 0;
+    for (NodeId node = 0; node < cluster.config().nodes; ++node) {
+      n += cluster.server(node).storage()->stats().snapshots_saved;
+    }
+    return n;
+  };
+
+  const TimeNs interval = config.server_template.compaction_interval;
+  TimeNs now = cluster.sim().Now();
+  client.StartLoad(now, now + interval * static_cast<TimeNs>(state.max_iterations + 2));
+  now += interval;  // warm-up: every node writes its first post-genesis snapshot
+  cluster.sim().RunUntil(now);
+
+  const uint64_t snapshots_before = snapshots_saved();
+  const uint64_t bytes_before = g_alloc_bytes;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    now += interval;
+    cluster.sim().RunUntil(now);
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const uint64_t bytes = g_alloc_bytes - bytes_before;
+  const uint64_t snapshots = snapshots_saved() - snapshots_before;
+  HC_CHECK(snapshots > 0);
+  const double image = static_cast<double>(cluster.server(0).disk()->Size("snapshot"));
+  const double per_snapshot = static_cast<double>(bytes) / static_cast<double>(snapshots);
+  state.counters["snapshots"] = static_cast<double>(snapshots);
+  state.counters["image_bytes"] = image;
+  state.counters["ms_per_snapshot"] = seconds * 1e3 / static_cast<double>(snapshots);
+  state.counters["alloc_bytes_per_snapshot"] = per_snapshot;
+  state.counters["alloc_x_image"] = per_snapshot / image;
+}
+BENCHMARK(BM_LocalSnapshot)->Unit(benchmark::kMillisecond)->Iterations(10);
 
 }  // namespace
 }  // namespace hovercraft

@@ -209,10 +209,13 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
 }
 
 Body KvService::SnapshotState() const {
-  BufferWriter w(4096);
+  // Sized exactly, so even a 20 MB store is serialized into one allocation.
+  const size_t size = 16 + store_.SerializedSize();
+  BufferWriter w(size);
   w.PutU64(applied_);
   w.PutU64(mutation_digest_);
   store_.SerializeTo(w);
+  HC_CHECK_EQ(w.size(), size);
   return MakeBody(w.TakeBytes());
 }
 

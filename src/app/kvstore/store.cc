@@ -402,7 +402,42 @@ Status DeserializeEntry(BufferReader& in, std::string& key, KvStore::Value& valu
   }
 }
 
+// Bytes SerializeEntry appends for one key: mirrors its layout field by
+// field (u32-prefixed strings, u8 tag, u64 element counts).
+size_t SerializedEntrySize(const std::string& key, const KvStore::Value& value) {
+  constexpr size_t kLen = 4;
+  constexpr size_t kCount = 8;
+  size_t n = kLen + key.size() + 1;
+  if (const auto* s = std::get_if<KvStore::StringValue>(&value)) {
+    n += kLen + s->size();
+  } else if (const auto* h = std::get_if<KvStore::HashValue>(&value)) {
+    n += kCount;
+    for (const auto& [field, v] : *h) {
+      n += kLen + field.size() + kLen + v.size();
+    }
+  } else if (const auto* l = std::get_if<KvStore::ListValue>(&value)) {
+    n += kCount;
+    for (const std::string& item : *l) {
+      n += kLen + item.size();
+    }
+  } else if (const auto* set = std::get_if<KvStore::SetValue>(&value)) {
+    n += kCount;
+    for (const std::string& member : *set) {
+      n += kLen + member.size();
+    }
+  }
+  return n;
+}
+
 }  // namespace
+
+size_t KvStore::SerializedSize() const {
+  size_t n = 8;
+  for (const auto& [key, value] : map_) {
+    n += SerializedEntrySize(key, value);
+  }
+  return n;
+}
 
 void KvStore::SerializeTo(BufferWriter& out) const {
   out.PutU64(map_.size());

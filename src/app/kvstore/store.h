@@ -74,8 +74,10 @@ class KvStore {
   uint64_t ContentDigest() const;
 
   // Full-store serialization for snapshot transfers. Deserialize replaces
-  // the current contents.
+  // the current contents. SerializedSize is the exact byte count SerializeTo
+  // appends, so a snapshot buffer can be sized once up front.
   void SerializeTo(BufferWriter& out) const;
+  size_t SerializedSize() const;
   Status DeserializeFrom(BufferReader& in);
 
   // --- Shard-move range handoff (src/shard). The predicate selects keys by

@@ -4,6 +4,7 @@
 #ifndef SRC_COMMON_BUFFER_H_
 #define SRC_COMMON_BUFFER_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -11,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/status.h"
 
 namespace hovercraft {
@@ -37,16 +39,44 @@ class BufferWriter {
     bytes_.insert(bytes_.end(), p, p + s.size());
   }
 
+  // Overwrite bytes already written at `offset` (a header reserved up front
+  // and filled in once the body behind it is known).
+  void PatchU32(size_t offset, uint32_t v) { Patch(offset, v); }
+  void PatchU64(size_t offset, uint64_t v) { Patch(offset, v); }
+
   size_t size() const { return bytes_.size(); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
 
  private:
+  // One capacity check and one copy per integer. The wire format is
+  // little-endian on every host.
   template <typename T>
   void PutLittleEndian(T v) {
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    const size_t offset = bytes_.size();
+    bytes_.resize(offset + sizeof(T));
+    StoreLittleEndian(bytes_.data() + offset, v);
+  }
+
+  template <typename T>
+  void Patch(size_t offset, T v) {
+    HC_CHECK_LE(offset + sizeof(T), bytes_.size());
+    StoreLittleEndian(bytes_.data() + offset, v);
+  }
+
+  template <typename T>
+  static void StoreLittleEndian(uint8_t* dst, T v) {
+    if constexpr (std::endian::native == std::endian::big) {
+      if constexpr (sizeof(T) == 2) {
+        v = __builtin_bswap16(v);
+      } else if constexpr (sizeof(T) == 4) {
+        v = __builtin_bswap32(v);
+      } else {
+        static_assert(sizeof(T) == 8);
+        v = __builtin_bswap64(v);
+      }
     }
+    std::memcpy(dst, &v, sizeof(T));
   }
 
   std::vector<uint8_t> bytes_;
@@ -114,7 +144,8 @@ class BufferReader {
 };
 
 // FNV-1a 64-bit hash; used for request-body hashes (paper section 5) and
-// state-machine digests in tests.
+// state-machine digests in tests. Durable bytes are guarded by CRC-32C
+// instead (src/common/checksum.h).
 inline uint64_t Fnv1aHash(std::span<const uint8_t> data, uint64_t seed = 0xCBF29CE484222325ull) {
   uint64_t h = seed;
   for (uint8_t b : data) {

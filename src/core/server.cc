@@ -11,6 +11,22 @@
 
 namespace hovercraft {
 
+namespace {
+
+// Local snapshot files carry the covering membership config ahead of the
+// wire body, so a recovered node whose whole log was compacted away still
+// knows who its peers are: [u8 has_config]([u64 config_idx][config])?
+void PutSnapshotConfig(const MembershipConfigPtr& config, LogIndex config_idx,
+                       BufferWriter* w) {
+  w->PutU8(config != nullptr ? 1 : 0);
+  if (config != nullptr) {
+    w->PutU64(config_idx);
+    EncodeConfig(*config, w);
+  }
+}
+
+}  // namespace
+
 ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
                                    const ServerConfig& config, std::unique_ptr<StateMachine> app,
                                    uint64_t seed)
@@ -67,8 +83,10 @@ void ReplicatedServer::Wire(std::vector<HostId> node_hosts, HostId aggregator_ho
 void ReplicatedServer::Start() {
   if (raft_ != nullptr) {
     // Genesis snapshot: recovery always finds a durable floor to replay from,
-    // even if the node power-fails before the first compaction.
-    PersistLocalSnapshot();
+    // even if the node power-fails before the first compaction. Nothing has
+    // been applied yet, so the image captured at construction is current.
+    HC_CHECK_EQ(apply_cursor_, 0);
+    PersistLocalSnapshot(genesis_app_state_);
     raft_->Start();
     ArmMaintenanceTimers();
   }
@@ -119,23 +137,17 @@ void ReplicatedServer::Restart() {
   set_failed(false);
 }
 
-void ReplicatedServer::PersistLocalSnapshot() {
-  // Blob layout: [u8 has_config]([u64 config_idx][config])?[wire body] where
+void ReplicatedServer::PersistLocalSnapshot(const Body& app_state) {
+  // One buffer, one copy of the image: [header][config][wire body], where
   // the wire body is CaptureSnapshot()'s [sessions][shard][app bytes]. The
-  // membership config rides along so a recovered node whose whole log was
-  // compacted away still knows who its peers are.
-  RaftNode::Env::SnapshotCapture capture = CaptureSnapshot();
-  const LogIndex idx = capture.last_included;
+  // storage layer fills the header in place.
+  const LogIndex idx = apply_cursor_;
   const Term term = idx == 0 ? 0 : raft_->log().TermAt(idx);
   auto [config_idx, config] = raft_->ConfigCoveringIndex(idx);
-  BufferWriter w;
-  w.PutU8(config != nullptr ? 1 : 0);
-  if (config != nullptr) {
-    w.PutU64(config_idx);
-    EncodeConfig(*config, &w);
-  }
-  w.PutBytes(*capture.state);
-  storage_->SaveSnapshot(idx, term, w.TakeBytes());
+  BufferWriter file = StableStorage::SnapshotWriter();
+  PutSnapshotConfig(config, config_idx, &file);
+  PutSnapshotBody(app_state, &file);
+  storage_->SaveSnapshot(idx, term, std::move(file));
   local_snapshot_idx_ = idx;
 }
 
@@ -146,7 +158,8 @@ void ReplicatedServer::RecoverFromStorage() {
   MembershipConfigPtr snap_config;
   LogIndex snap_config_idx = 0;
   if (rec.has_snapshot) {
-    BufferReader r(rec.snapshot_payload);
+    const Body payload = MakeBody(std::move(rec.snapshot_payload));
+    BufferReader r(payload.bytes());
     uint8_t has_config = 0;
     HC_CHECK(r.GetU8(has_config).ok());
     if (has_config != 0) {
@@ -157,9 +170,7 @@ void ReplicatedServer::RecoverFromStorage() {
     const Status sessions_ok = sessions_.Restore(&r);
     HC_CHECK(sessions_ok.ok());
     HC_CHECK(shard_.Restore(&r).ok());
-    std::vector<uint8_t> app_bytes;
-    HC_CHECK(r.GetBytes(r.remaining(), app_bytes).ok());
-    HC_CHECK(app_->RestoreState(MakeBody(std::move(app_bytes))).ok());
+    HC_CHECK(app_->RestoreState(payload.Slice(r.position(), r.remaining())).ok());
     applied = rec.snapshot_index;
   } else {
     // The snapshot itself was unreadable — fall back to the pristine image.
@@ -231,7 +242,7 @@ void ReplicatedServer::CompactNow() {
     // A covering snapshot must be durable before CompactLog journals the
     // compact record and prunes WAL segments below the new base — a power
     // fail in between must still find a replayable floor.
-    PersistLocalSnapshot();
+    PersistLocalSnapshot(app_->SnapshotState());
   }
   raft_->CompactLog(target);
 }
@@ -816,9 +827,7 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
         HC_CHECK(app_->DropRange(op.lo, op.hi).ok());
         BufferReader r(op.payload->bytes());
         HC_CHECK(sessions_.MergeRange(&r).ok());
-        std::vector<uint8_t> app_bytes;
-        HC_CHECK(r.GetBytes(r.remaining(), app_bytes).ok());
-        HC_CHECK(app_->InstallRange(MakeBody(std::move(app_bytes))).ok());
+        HC_CHECK(app_->InstallRange(op.payload.Slice(r.position(), r.remaining())).ok());
         shard_.Install(op.lo, op.hi);
         ++stats_.shard_installs;
         cost += static_cast<TimeNs>(costs().ae_payload_byte_ns *
@@ -929,18 +938,23 @@ RaftNode::Env::SnapshotCapture ReplicatedServer::CaptureSnapshot() {
   // transfer must keep recognizing retransmits of compacted-away requests.
   // The shard serve state is log-derived the same way and travels too, so a
   // repaired straggler gates exactly like its peers.
-  // Layout: [session table][shard serve state][application state bytes].
   SnapshotCapture capture;
   BufferWriter w;
-  sessions_.Serialize(&w);
-  shard_.Serialize(&w);
-  const Body app_state = app_->SnapshotState();
-  if (app_state != nullptr) {
-    w.PutBytes(*app_state);
-  }
+  PutSnapshotBody(app_->SnapshotState(), &w);
   capture.state = MakeBody(w.TakeBytes());
   capture.last_included = apply_cursor_;
   return capture;
+}
+
+void ReplicatedServer::PutSnapshotBody(const Body& app_state, BufferWriter* w) const {
+  // Layout: [session table][shard serve state][application state bytes].
+  // The small prefix goes first, so appending the image grows the buffer
+  // once, to its exact final size.
+  sessions_.Serialize(w);
+  shard_.Serialize(w);
+  if (app_state != nullptr) {
+    w->PutBytes(*app_state);
+  }
 }
 
 void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included,
@@ -952,10 +966,7 @@ void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included
   HC_CHECK(sessions_ok.ok());
   const Status shard_ok = shard_.Restore(&r);
   HC_CHECK(shard_ok.ok());
-  std::vector<uint8_t> app_bytes;
-  const Status app_ok = r.GetBytes(r.remaining(), app_bytes);
-  HC_CHECK(app_ok.ok());
-  const Status status = app_->RestoreState(MakeBody(std::move(app_bytes)));
+  const Status status = app_->RestoreState(state.Slice(r.position(), r.remaining()));
   HC_CHECK(status.ok());
   ++stats_.snapshots_restored;
   if (last_included > apply_cursor_) {
@@ -965,14 +976,10 @@ void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included
     // Persist the received image before the raft layer journals the covering
     // truncate/compact records: a power fail right after the compact must
     // still find a snapshot at least as new as the new log base.
-    BufferWriter w;
-    w.PutU8(config != nullptr ? 1 : 0);
-    if (config != nullptr) {
-      w.PutU64(config_idx);
-      EncodeConfig(*config, &w);
-    }
-    w.PutBytes(*state);
-    storage_->SaveSnapshot(last_included, included_term, w.TakeBytes());
+    BufferWriter file = StableStorage::SnapshotWriter();
+    PutSnapshotConfig(config, config_idx, &file);
+    file.PutBytes(*state);
+    storage_->SaveSnapshot(last_included, included_term, std::move(file));
     local_snapshot_idx_ = std::max(local_snapshot_idx_, last_included);
   }
 }

@@ -236,9 +236,12 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   void ArmGcTimer();
   void ArmCompactionTimer();
   void CompactNow();
-  // Writes the local snapshot (config + sessions + app state through
-  // apply_cursor_) to the disk; the durable floor WAL replay restarts from.
-  void PersistLocalSnapshot();
+  // Writes the local snapshot (config + sessions + `app_state`, the image
+  // through apply_cursor_) to the disk; the durable floor WAL replay restarts
+  // from.
+  void PersistLocalSnapshot(const Body& app_state);
+  // Appends the snapshot wire body: [sessions][shard][app_state bytes].
+  void PutSnapshotBody(const Body& app_state, BufferWriter* w) const;
   // Post-power-fail recovery: WAL replay + snapshot reload + raft restart.
   void RecoverFromStorage();
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "src/common/buffer.h"
 #include "src/common/check.h"
+#include "src/common/checksum.h"
 #include "src/obs/observability.h"
 
 namespace hovercraft {
@@ -17,7 +19,7 @@ constexpr char kSnapshotFile[] = "snapshot";
 
 uint64_t RecordCrc(uint8_t type, std::span<const uint8_t> payload) {
   const uint8_t t[1] = {type};
-  return Fnv1aHash(payload, Fnv1aHash(std::span<const uint8_t>(t, 1)));
+  return Crc32c(payload, Crc32c(std::span<const uint8_t>(t, 1)));
 }
 
 }  // namespace
@@ -134,16 +136,25 @@ void StableStorage::AppendCompact(LogIndex base_idx, Term base_term) {
   }
 }
 
-void StableStorage::SaveSnapshot(LogIndex idx, Term term, std::vector<uint8_t> payload) {
-  BufferWriter w(28 + payload.size());
-  w.PutU64(idx);
-  w.PutU64(static_cast<uint64_t>(term));
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutBytes(payload);
-  const uint64_t crc = Fnv1aHash(w.bytes());
-  BufferWriter file(8 + w.size());
-  file.PutU64(crc);
-  file.PutBytes(w.bytes());
+BufferWriter StableStorage::SnapshotWriter() {
+  BufferWriter file;
+  file.PutU64(0);  // crc
+  file.PutU64(0);  // idx
+  file.PutU64(0);  // term
+  file.PutU32(0);  // len
+  return file;
+}
+
+void StableStorage::SaveSnapshot(LogIndex idx, Term term, BufferWriter file) {
+  HC_CHECK_GE(file.size(), kSnapshotHeaderBytes);
+  const size_t len = file.size() - kSnapshotHeaderBytes;
+  // The length field is 32 bits: a larger image would frame a file that
+  // Recover rejects, silently turning every restart into a suspect one.
+  HC_CHECK_LE(len, std::numeric_limits<uint32_t>::max());
+  file.PatchU64(8, idx);
+  file.PatchU64(16, static_cast<uint64_t>(term));
+  file.PatchU32(24, static_cast<uint32_t>(len));
+  file.PatchU64(0, Crc32c(std::span<const uint8_t>(file.bytes()).subspan(8)));
   disk_->WriteAndSync(kSnapshotFile, file.TakeBytes());
   ++stats_.snapshots_saved;
 }
@@ -187,7 +198,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
     bool ok = r.GetU64(crc).ok() && r.GetU64(idx).ok() && r.GetU64(term).ok() &&
               r.GetU32(len).ok() && r.remaining() == len;
     if (ok) {
-      ok = crc == Fnv1aHash(std::span<const uint8_t>(raw).subspan(8));
+      ok = crc == Crc32c(std::span<const uint8_t>(raw).subspan(8));
     }
     if (ok) {
       rec.has_snapshot = true;

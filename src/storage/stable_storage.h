@@ -2,13 +2,16 @@
 //
 // Layout (docs/durability.md):
 //   wal-<seq>   segmented append-only record log. Record framing is
-//               [u32 len][u8 type][u64 crc][payload]; the CRC covers the type
-//               byte and the payload. Entry payloads are opaque to this layer
-//               (src/raft/wal_codec.h encodes/decodes them); the storage
-//               layer keeps only the (index, term, replier) envelope it needs
-//               for replay, truncation, and corruption targeting.
+//               [u32 len][u8 type][u64 crc][payload]; the CRC-32C
+//               (src/common/checksum.h, zero-extended into the u64) covers
+//               the type byte and the payload. Entry payloads are opaque to
+//               this layer (src/raft/wal_codec.h encodes/decodes them); the
+//               storage layer keeps only the (index, term, replier) envelope
+//               it needs for replay, truncation, and corruption targeting.
 //   snapshot    the latest local state snapshot (session table + application
-//               state blob), written atomically via WriteAndSync.
+//               state blob), written atomically via WriteAndSync. Framing is
+//               [u64 crc][u64 idx][u64 term][u32 len][payload]; the CRC-32C
+//               covers everything after itself.
 //
 // Durability discipline: records land in the volatile tail; Sync() runs a
 // barrier priced by persist_latency under the configured FsyncPolicy. Hard
@@ -39,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/buffer.h"
 #include "src/common/types.h"
 #include "src/storage/fsync_policy.h"
 #include "src/storage/sim_disk.h"
@@ -109,8 +113,13 @@ class StableStorage {
   // Logical prefix compaction; drops whole WAL segments that fell below the
   // new base. Callers persist a covering snapshot first.
   void AppendCompact(LogIndex base_idx, Term base_term);
-  // Atomically replaces the local snapshot (synced inline).
-  void SaveSnapshot(LogIndex idx, Term term, std::vector<uint8_t> payload);
+  // Local snapshots are framed in place: the caller starts the file with
+  // SnapshotWriter() (header reserved), appends the payload, and SaveSnapshot
+  // fills in the header and checksum and moves the buffer to disk — the image
+  // is never copied. Atomically replaces the local snapshot (synced inline).
+  static constexpr size_t kSnapshotHeaderBytes = 8 + 8 + 8 + 4;  // crc, idx, term, len
+  static BufferWriter SnapshotWriter();
+  void SaveSnapshot(LogIndex idx, Term term, BufferWriter file);
 
   // Durability barrier under the configured policy. Returns true when it
   // completed inline (cb already ran); false when cb runs later, unless the

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/checksum.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -236,6 +237,73 @@ TEST(BufferTest, Fnv1aStableAndSensitive) {
   EXPECT_EQ(Fnv1aHash("abc"), Fnv1aHash("abc"));
   EXPECT_NE(Fnv1aHash("abc"), Fnv1aHash("abd"));
   EXPECT_NE(Fnv1aHash("abc"), Fnv1aHash("abc", 1));
+}
+
+TEST(BufferTest, FixedWidthPutsAreLittleEndian) {
+  BufferWriter w;
+  w.PutU16(0x0102);
+  w.PutU32(0x03040506u);
+  w.PutU64(0x0708090A0B0C0D0Eull);
+  w.PutI64(-2);
+  EXPECT_EQ(w.bytes(), (std::vector<uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0E, 0x0D,
+                                             0x0C, 0x0B, 0x0A, 0x09, 0x08, 0x07, 0xFE, 0xFF,
+                                             0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+}
+
+TEST(BufferTest, PatchOverwritesInPlace) {
+  BufferWriter w;
+  w.PutU64(0);
+  w.PutU32(0);
+  w.PutU8(0x77);
+  w.PatchU64(0, 0x1122334455667788ull);
+  w.PatchU32(8, 0xAABBCCDDu);
+  EXPECT_EQ(w.bytes(), (std::vector<uint8_t>{0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+                                             0xDD, 0xCC, 0xBB, 0xAA, 0x77}));
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32C
+// ---------------------------------------------------------------------------
+
+std::span<const uint8_t> AsBytes(std::string_view s) {
+  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
+TEST(Crc32cTest, KnownAnswer) {
+  // The CRC-32C check value (RFC 3720 appendix B.4 parameters).
+  EXPECT_EQ(Crc32c(AsBytes("123456789")), 0xE3069283u);
+  EXPECT_EQ(Crc32cPortable(AsBytes("123456789")), 0xE3069283u);
+  EXPECT_EQ(Crc32c({}), 0u);
+  // 32 bytes of zeros, RFC 3720 B.4.
+  const std::vector<uint8_t> zeros(32, 0);
+  EXPECT_EQ(Crc32c(zeros), 0x8A9136AAu);
+}
+
+TEST(Crc32cTest, ExtendEqualsOneShot) {
+  const auto data = AsBytes("the quick brown fox jumps over the lazy dog");
+  for (size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(Crc32c(data.subspan(split), Crc32c(data.subspan(0, split))), Crc32c(data))
+        << "split " << split;
+  }
+}
+
+TEST(Crc32cTest, HardwareMatchesPortableAtEveryLengthAndAlignment) {
+  if (!Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "no CRC-32C instruction on this CPU: Crc32c is the portable path";
+  }
+  Rng rng(7);
+  std::vector<uint8_t> buf(4096 + 8);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const auto data = std::span<const uint8_t>(buf).subspan(align, len);
+      const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+      ASSERT_EQ(Crc32c(data, seed), Crc32cPortable(data, seed))
+          << "align " << align << " len " << len;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

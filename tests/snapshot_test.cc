@@ -2,7 +2,9 @@
 // straggler repair after compaction, and full-stack node revival.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/app/kvstore/service.h"
@@ -230,6 +232,66 @@ TEST(SnapshotTest, KvStoreStateSurvivesSnapshotRepair) {
   const auto& leader_store = static_cast<const KvService&>(cluster.server(leader).app()).store();
   EXPECT_GT(victim_store.key_count(), 0u);
   EXPECT_EQ(victim_store.ContentDigest(), leader_store.ContentDigest());
+}
+
+// Start() writes the genesis local snapshot from the image captured at
+// construction instead of serializing the store a second time. A node that
+// power-fails before any compaction recovers from exactly that file, and must
+// land on the same state as a store restored from a fresh serialization.
+TEST(SnapshotTest, GenesisImageReuseRecoversLikeFreshSerialization) {
+  auto preloaded = []() {
+    auto svc = std::make_unique<KvService>();
+    KvCommand cmd;
+    cmd.op = KvOpcode::kRpush;
+    for (int conv = 0; conv < 40; ++conv) {
+      cmd.key = "conv:" + std::to_string(conv);
+      for (int post = 0; post < 5; ++post) {
+        cmd.value = "post-" + std::to_string(conv * 31 + post);
+        svc->Apply(cmd);
+      }
+    }
+    cmd.op = KvOpcode::kHset;
+    cmd.key = "profile";
+    cmd.field = "name";
+    cmd.value = "genesis";
+    svc->Apply(cmd);
+    return svc;
+  };
+  ClusterConfig config;
+  config.mode = ClusterMode::kHovercRaft;
+  config.nodes = 3;
+  config.seed = 303;
+  config.replier_policy = ReplierPolicy::kJbsq;
+  config.app_factory = preloaded;
+  config.stagger_first_election = false;
+  // No compaction during the test: the genesis file is the only snapshot.
+  config.server_template.compaction_interval = Seconds(10);
+  Cluster cluster(config);
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  const NodeId victim = (cluster.LeaderId() + 1) % 3;
+
+  const std::unique_ptr<KvService> fresh = preloaded();
+  const Body fresh_image = fresh->SnapshotState();
+  KvService restored;
+  ASSERT_TRUE(restored.RestoreState(fresh_image).ok());
+  // The file's payload ends with exactly the fresh serialization.
+  const std::vector<uint8_t>& file = cluster.server(victim).disk()->Read("snapshot");
+  ASSERT_GE(file.size(), fresh_image.size());
+  EXPECT_TRUE(std::equal(fresh_image.begin(), fresh_image.end(),
+                         file.end() - static_cast<ptrdiff_t>(fresh_image.size())));
+
+  const TimeNs t0 = cluster.sim().Now();
+  cluster.PowerFailNode(victim);
+  cluster.sim().RunUntil(t0 + Millis(5));
+  cluster.RestartNode(victim);
+  cluster.sim().RunUntil(t0 + Millis(60));
+
+  const auto& st = cluster.server(victim).storage()->stats();
+  EXPECT_EQ(st.recoveries, 1u);
+  EXPECT_EQ(st.suspect_recoveries, 0u);
+  EXPECT_EQ(cluster.server(victim).app().Digest(), restored.Digest());
+  EXPECT_EQ(cluster.server(victim).app().Digest(), fresh->Digest());
+  EXPECT_EQ(cluster.server(victim).app().ApplyCount(), fresh->ApplyCount());
 }
 
 // The dedup state must ride inside InstallSnapshot: a straggler repaired by

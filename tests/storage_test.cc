@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/buffer.h"
+#include "src/common/checksum.h"
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
 #include "src/storage/fsync_policy.h"
@@ -148,6 +150,22 @@ TEST(SimDiskTest, FlipByteOnlyTouchesExistingBytes) {
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> Payload(uint8_t tag) { return std::vector<uint8_t>(8, tag); }
+
+void SaveSnapshot(StableStorage* storage, LogIndex idx, Term term,
+                  const std::vector<uint8_t>& payload) {
+  BufferWriter file = StableStorage::SnapshotWriter();
+  file.PutBytes(payload);
+  storage->SaveSnapshot(idx, term, std::move(file));
+}
+
+// Rewrites `file` with one bit of `original` inverted (bit index counts from
+// the first byte's least significant bit).
+void WriteWithBitFlipped(SimDisk* disk, const std::string& file,
+                         const std::vector<uint8_t>& original, size_t bit) {
+  std::vector<uint8_t> bytes = original;
+  bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  disk->WriteAndSync(file, std::move(bytes));
+}
 
 TEST(StableStorageTest, HardStateAndEntriesRoundTrip) {
   Simulator sim;
@@ -293,7 +311,7 @@ TEST(StableStorageTest, SnapshotRoundTripsAndSurvivesCrash) {
   Simulator sim;
   SimDisk disk(&sim, 1, 500);
   StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
-  storage.SaveSnapshot(12, 2, Payload(7));
+  SaveSnapshot(&storage, 12, 2, Payload(7));
   storage.Crash();  // snapshots are synced inline; the crash loses nothing
 
   StableStorage::Recovery rec = storage.Recover(true);
@@ -308,12 +326,85 @@ TEST(StableStorageTest, DamagedSnapshotMarksRecoverySuspect) {
   Simulator sim;
   SimDisk disk(&sim, 1, 0);
   StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
-  storage.SaveSnapshot(12, 2, Payload(7));
+  SaveSnapshot(&storage, 12, 2, Payload(7));
   ASSERT_TRUE(disk.FlipByte("snapshot", disk.Size("snapshot") - 1));
 
   StableStorage::Recovery rec = storage.Recover(true);
   EXPECT_FALSE(rec.has_snapshot);
   EXPECT_TRUE(rec.suspect);
+}
+
+TEST(StableStorageTest, SnapshotFrameIsFilledInPlace) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  SaveSnapshot(&storage, 0x0102, 3, Payload(9));
+  const std::vector<uint8_t>& file = disk.Read("snapshot");
+  ASSERT_EQ(file.size(), StableStorage::kSnapshotHeaderBytes + 8);
+  BufferReader r(file);
+  uint64_t crc = 0;
+  uint64_t idx = 0;
+  uint64_t term = 0;
+  uint32_t len = 0;
+  ASSERT_TRUE(r.GetU64(crc).ok() && r.GetU64(idx).ok() && r.GetU64(term).ok() &&
+              r.GetU32(len).ok());
+  // CRC-32C over everything after the crc field, zero-extended into the u64.
+  EXPECT_EQ(crc, Crc32c(std::span<const uint8_t>(file).subspan(8)));
+  EXPECT_EQ(idx, 0x0102u);
+  EXPECT_EQ(term, 3u);
+  EXPECT_EQ(len, 8u);
+  EXPECT_EQ(std::vector<uint8_t>(file.begin() + 28, file.end()), Payload(9));
+}
+
+TEST(StableStorageTest, EverySnapshotBitFlipIsDetected) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  {
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+    SaveSnapshot(&storage, 12, 2, std::vector<uint8_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  }
+  const std::vector<uint8_t> original = disk.Read("snapshot");
+  for (size_t bit = 0; bit < original.size() * 8; ++bit) {
+    WriteWithBitFlipped(&disk, "snapshot", original, bit);
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+    StableStorage::Recovery rec = storage.Recover(true);
+    ASSERT_FALSE(rec.has_snapshot) << "bit " << bit;
+    ASSERT_TRUE(rec.suspect) << "bit " << bit;
+  }
+}
+
+TEST(StableStorageTest, EveryEntryRecordBitFlipIsDetected) {
+  // Three entries; every single-bit flip inside the middle record's framing,
+  // CRC or payload must cost it (and, through contiguity, its successor)
+  // and mark the recovery suspect — never replay a silently altered entry.
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  const std::string wal = "wal-00000001";
+  size_t record_begin = 0;
+  size_t record_end = 0;
+  {
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+    storage.AppendEntry(1, 1, 0, Payload(1));
+    record_begin = disk.Size(wal);
+    storage.AppendEntry(2, 1, 0, Payload(2));
+    record_end = disk.Size(wal);
+    storage.AppendEntry(3, 1, 0, Payload(3));
+    storage.Sync(nullptr);
+  }
+  const std::vector<uint8_t> original = disk.Read(wal);
+  {
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+    ASSERT_EQ(storage.Recover(true).entries.size(), 3u);
+  }
+  for (size_t bit = record_begin * 8; bit < record_end * 8; ++bit) {
+    WriteWithBitFlipped(&disk, wal, original, bit);
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+    StableStorage::Recovery rec = storage.Recover(true);
+    ASSERT_EQ(rec.entries.size(), 1u) << "bit " << bit;
+    EXPECT_EQ(rec.entries[0].payload, Payload(1));
+    ASSERT_TRUE(rec.suspect) << "bit " << bit;
+    ASSERT_GE(rec.suspect_floor, 2u) << "bit " << bit;
+  }
 }
 
 TEST(StableStorageTest, SyncPerAppendDoesNotCoalesce) {
