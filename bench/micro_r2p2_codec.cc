@@ -19,7 +19,9 @@
 
 static uint64_t g_allocs = 0;
 
-void* operator new(size_t size) {
+// Out of line: once inlined next to a delete-expression, the malloc/free
+// pairing trips -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(size_t size) {
   ++g_allocs;
   void* p = std::malloc(size);
   if (p == nullptr) {
@@ -27,7 +29,7 @@ void* operator new(size_t size) {
   }
   return p;
 }
-void* operator new[](size_t size) {
+[[gnu::noinline]] void* operator new[](size_t size) {
   ++g_allocs;
   void* p = std::malloc(size);
   if (p == nullptr) {
@@ -35,10 +37,10 @@ void* operator new[](size_t size) {
   }
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace hovercraft {
 namespace {

@@ -32,7 +32,8 @@ class ChaosKvWorkload final : public Workload {
 
   Op Next(Rng& rng) override {
     KvCommand cmd;
-    cmd.key = "k" + std::to_string(rng.NextBelow(static_cast<uint64_t>(config_.keys)));
+    cmd.key = "k";
+    cmd.key += std::to_string(rng.NextBelow(static_cast<uint64_t>(config_.keys)));
     double p = rng.NextDouble();
     if ((p -= config_.get_fraction) < 0) {
       cmd.op = KvOpcode::kGet;
@@ -61,7 +62,11 @@ class ChaosKvWorkload final : public Workload {
 
  private:
   std::string UniqueValue() {
-    return "v" + std::to_string(config_.value_tag) + "." + std::to_string(++counter_);
+    std::string value = "v";
+    value += std::to_string(config_.value_tag);
+    value += '.';
+    value += std::to_string(++counter_);
+    return value;
   }
 
   ChaosKvWorkloadConfig config_;

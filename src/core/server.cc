@@ -137,17 +137,18 @@ void ReplicatedServer::Restart() {
   set_failed(false);
 }
 
-void ReplicatedServer::PersistLocalSnapshot(const Body& app_state) {
-  // One buffer, one copy of the image: [header][config][wire body], where
-  // the wire body is CaptureSnapshot()'s [sessions][shard][app bytes]. The
-  // storage layer fills the header in place.
+void ReplicatedServer::PersistLocalSnapshot(Body app_state) {
+  // The file is [header][config][wire body], where the wire body is
+  // CaptureSnapshot()'s [sessions][shard][app bytes]. Everything up to the
+  // app bytes goes into a small head whose header the storage layer fills in
+  // place; the image itself is shared with the file, never copied.
   const LogIndex idx = apply_cursor_;
   const Term term = idx == 0 ? 0 : raft_->log().TermAt(idx);
   auto [config_idx, config] = raft_->ConfigCoveringIndex(idx);
-  BufferWriter file = StableStorage::SnapshotWriter();
-  PutSnapshotConfig(config, config_idx, &file);
-  PutSnapshotBody(app_state, &file);
-  storage_->SaveSnapshot(idx, term, std::move(file));
+  BufferWriter head = StableStorage::SnapshotWriter();
+  PutSnapshotConfig(config, config_idx, &head);
+  PutSnapshotPrefix(&head);
+  storage_->SaveSnapshot(idx, term, std::move(head), std::move(app_state));
   local_snapshot_idx_ = idx;
 }
 
@@ -158,7 +159,7 @@ void ReplicatedServer::RecoverFromStorage() {
   MembershipConfigPtr snap_config;
   LogIndex snap_config_idx = 0;
   if (rec.has_snapshot) {
-    const Body payload = MakeBody(std::move(rec.snapshot_payload));
+    const Body& payload = rec.snapshot_payload;
     BufferReader r(payload.bytes());
     uint8_t has_config = 0;
     HC_CHECK(r.GetU8(has_config).ok());
@@ -940,21 +941,22 @@ RaftNode::Env::SnapshotCapture ReplicatedServer::CaptureSnapshot() {
   // repaired straggler gates exactly like its peers.
   SnapshotCapture capture;
   BufferWriter w;
-  PutSnapshotBody(app_->SnapshotState(), &w);
+  PutSnapshotPrefix(&w);
+  // The small prefix goes first, so appending the image grows the buffer
+  // once, to its exact final size.
+  const Body app_state = app_->SnapshotState();
+  if (app_state != nullptr) {
+    w.PutBytes(*app_state);
+  }
   capture.state = MakeBody(w.TakeBytes());
   capture.last_included = apply_cursor_;
   return capture;
 }
 
-void ReplicatedServer::PutSnapshotBody(const Body& app_state, BufferWriter* w) const {
+void ReplicatedServer::PutSnapshotPrefix(BufferWriter* w) const {
   // Layout: [session table][shard serve state][application state bytes].
-  // The small prefix goes first, so appending the image grows the buffer
-  // once, to its exact final size.
   sessions_.Serialize(w);
   shard_.Serialize(w);
-  if (app_state != nullptr) {
-    w->PutBytes(*app_state);
-  }
 }
 
 void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included,
@@ -975,11 +977,11 @@ void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included
   if (storage_ != nullptr) {
     // Persist the received image before the raft layer journals the covering
     // truncate/compact records: a power fail right after the compact must
-    // still find a snapshot at least as new as the new log base.
-    BufferWriter file = StableStorage::SnapshotWriter();
-    PutSnapshotConfig(config, config_idx, &file);
-    file.PutBytes(*state);
-    storage_->SaveSnapshot(last_included, included_term, std::move(file));
+    // still find a snapshot at least as new as the new log base. The file
+    // shares the received wire body as its tail.
+    BufferWriter head = StableStorage::SnapshotWriter();
+    PutSnapshotConfig(config, config_idx, &head);
+    storage_->SaveSnapshot(last_included, included_term, std::move(head), state);
     local_snapshot_idx_ = std::max(local_snapshot_idx_, last_included);
   }
 }

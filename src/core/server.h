@@ -238,10 +238,11 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   void CompactNow();
   // Writes the local snapshot (config + sessions + `app_state`, the image
   // through apply_cursor_) to the disk; the durable floor WAL replay restarts
-  // from.
-  void PersistLocalSnapshot(const Body& app_state);
-  // Appends the snapshot wire body: [sessions][shard][app_state bytes].
-  void PutSnapshotBody(const Body& app_state, BufferWriter* w) const;
+  // from. The file shares `app_state` instead of copying it.
+  void PersistLocalSnapshot(Body app_state);
+  // Appends the snapshot wire body's prefix, [sessions][shard]; the app
+  // state bytes follow it.
+  void PutSnapshotPrefix(BufferWriter* w) const;
   // Post-power-fail recovery: WAL replay + snapshot reload + raft restart.
   void RecoverFromStorage();
 

@@ -113,7 +113,10 @@ std::string ShardedCluster::WatchdogSummary() const {
     if (!out.empty()) {
       out += " | ";
     }
-    out += "g" + std::to_string(g) + ": " + watchdogs_[g]->Summary();
+    out += 'g';
+    out += std::to_string(g);
+    out += ": ";
+    out += watchdogs_[g]->Summary();
   }
   return out;
 }

@@ -24,9 +24,29 @@ void SimDisk::RecordFsyncLatency(TimeNs latency) {
   o->metrics().GetHistogram(fsync_metric_).Record(latency);
 }
 
+void SimDisk::File::OwnTail() {
+  if (tail != nullptr) {
+    head.insert(head.end(), tail.begin(), tail.end());
+    tail = nullptr;
+  }
+}
+
+void SimDisk::File::CutTo(size_t len) {
+  if (len >= size()) {
+    return;
+  }
+  if (len > head.size()) {
+    head.insert(head.end(), tail.begin(), tail.begin() + (len - head.size()));
+  } else {
+    head.resize(len);
+  }
+  tail = nullptr;
+}
+
 void SimDisk::Append(const std::string& file, const uint8_t* data, size_t len) {
   File& f = files_[file];
-  f.data.insert(f.data.end(), data, data + len);
+  f.OwnTail();
+  f.head.insert(f.head.end(), data, data + len);
   ++stats_.appends;
   stats_.bytes_written += len;
 }
@@ -37,18 +57,17 @@ void SimDisk::Truncate(const std::string& file, size_t size) {
     return;
   }
   File& f = it->second;
-  if (size < f.data.size()) {
-    f.data.resize(size);
-  }
-  f.synced = std::min(f.synced, f.data.size());
+  f.CutTo(size);
+  f.synced = std::min(f.synced, f.size());
 }
 
-void SimDisk::WriteAndSync(const std::string& file, std::vector<uint8_t> bytes) {
+void SimDisk::WriteAndSync(const std::string& file, std::vector<uint8_t> head, Body tail) {
   File& f = files_[file];
-  stats_.bytes_written += bytes.size();
+  f.head = std::move(head);
+  f.tail = std::move(tail);
+  f.synced = f.size();
+  stats_.bytes_written += f.size();
   ++stats_.appends;
-  f.data = std::move(bytes);
-  f.synced = f.data.size();
 }
 
 void SimDisk::Delete(const std::string& file) { files_.erase(file); }
@@ -104,7 +123,7 @@ void SimDisk::StartNextFlush() {
     flush_running_ = true;
     running_frontier_.clear();
     for (const auto& [name, f] : files_) {
-      running_frontier_[name] = f.data.size();
+      running_frontier_[name] = f.size();
     }
     const TimeNs latency = sync_latency_ + stall_;
     stats_.stall_ns += static_cast<uint64_t>(stall_);
@@ -134,7 +153,7 @@ void SimDisk::FinishFront() {
   for (const auto& [name, size] : running_frontier_) {
     auto it = files_.find(name);
     if (it != files_.end()) {
-      it->second.synced = std::max(it->second.synced, std::min(size, it->second.data.size()));
+      it->second.synced = std::max(it->second.synced, std::min(size, it->second.size()));
     }
   }
   running_frontier_.clear();
@@ -150,7 +169,7 @@ void SimDisk::FinishFront() {
 
 void SimDisk::MarkAllSynced() {
   for (auto& [name, f] : files_) {
-    f.synced = f.data.size();
+    f.synced = f.size();
   }
 }
 
@@ -160,16 +179,16 @@ void SimDisk::Crash() {
   next_crash_torn_ = false;
   for (auto& [name, f] : files_) {
     size_t keep = f.synced;
-    const size_t unsynced = f.data.size() - f.synced;
+    const size_t unsynced = f.size() - f.synced;
     if (torn && unsynced > 0) {
       // A torn write: a strict prefix of the unsynced tail made it to the
       // platter, cutting the final record(s) mid-byte-stream.
       keep += static_cast<size_t>(rng_() % unsynced);
       ++stats_.torn_crashes;
     }
-    stats_.bytes_lost += f.data.size() - keep;
-    f.data.resize(keep);
-    f.synced = f.data.size();
+    stats_.bytes_lost += f.size() - keep;
+    f.CutTo(keep);
+    f.synced = f.size();
   }
   // The process died: pending barriers and their callbacks die with it.
   queue_.clear();
@@ -183,23 +202,31 @@ void SimDisk::Crash() {
 
 bool SimDisk::FlipByte(const std::string& file, size_t offset) {
   auto it = files_.find(file);
-  if (it == files_.end() || offset >= it->second.data.size()) {
+  if (it == files_.end() || offset >= it->second.size()) {
     return false;
   }
-  it->second.data[offset] ^= 0x40;
+  it->second.OwnTail();
+  it->second.head[offset] ^= 0x40;
   ++stats_.flips;
   return true;
 }
 
-const std::vector<uint8_t>& SimDisk::Read(const std::string& file) const {
-  static const std::vector<uint8_t> kEmpty;
+std::vector<uint8_t> SimDisk::Read(const std::string& file) const {
   auto it = files_.find(file);
-  return it == files_.end() ? kEmpty : it->second.data;
+  if (it == files_.end()) {
+    return {};
+  }
+  const File& f = it->second;
+  std::vector<uint8_t> bytes;
+  bytes.reserve(f.size());
+  bytes.insert(bytes.end(), f.head.begin(), f.head.end());
+  bytes.insert(bytes.end(), f.tail.begin(), f.tail.end());
+  return bytes;
 }
 
 size_t SimDisk::Size(const std::string& file) const {
   auto it = files_.find(file);
-  return it == files_.end() ? 0 : it->second.data.size();
+  return it == files_.end() ? 0 : it->second.size();
 }
 
 size_t SimDisk::SyncedSize(const std::string& file) const {

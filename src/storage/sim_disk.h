@@ -14,6 +14,14 @@
 // discarded (torn mode keeps a partial prefix of it — a torn final record)
 // and every pending sync callback dies with the process, so nothing can ack
 // from the grave. FlipByte models media corruption of already-durable bytes.
+//
+// A file is an owned head plus an optional shared tail. WriteAndSync may hand
+// over a large immutable suffix (a snapshot's application image) as a Body,
+// which the file keeps by reference instead of copying. The tail is never
+// written through: every mutation (Append, Truncate, FlipByte, a Crash that
+// cuts into the file) first copies the surviving tail bytes into the head, so
+// injected faults cannot reach the owner's buffer. Sizes, sync frontiers and
+// reads cover both parts; a file's bytes are head followed by tail.
 #ifndef SRC_STORAGE_SIM_DISK_H_
 #define SRC_STORAGE_SIM_DISK_H_
 
@@ -25,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/body.h"
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
 
@@ -56,8 +65,11 @@ class SimDisk {
   // Truncates `file` to `size` bytes (clamping the durable watermark too).
   void Truncate(const std::string& file, size_t size);
   // Atomic replace-and-sync, the simulated write-to-temp + rename idiom used
-  // for snapshot files: after the call the whole content is durable.
-  void WriteAndSync(const std::string& file, std::vector<uint8_t> bytes);
+  // for snapshot files: after the call the whole content, `head` followed by
+  // `tail`, is durable. The tail is kept by reference; it must be heap-backed
+  // (MakeBody), since a pool-backed slice would pin its arrival buffer.
+  void WriteAndSync(const std::string& file, std::vector<uint8_t> head,
+                    Body tail = nullptr);
   void Delete(const std::string& file);
 
   // --- durability -----------------------------------------------------------
@@ -87,7 +99,8 @@ class SimDisk {
 
   // --- reads ----------------------------------------------------------------
   bool Exists(const std::string& file) const { return files_.count(file) != 0; }
-  const std::vector<uint8_t>& Read(const std::string& file) const;
+  // The file's bytes in one flat buffer (a copy); empty when missing.
+  std::vector<uint8_t> Read(const std::string& file) const;
   size_t Size(const std::string& file) const;
   size_t SyncedSize(const std::string& file) const;
   // Sorted names of the files whose name starts with `prefix`.
@@ -104,8 +117,15 @@ class SimDisk {
 
  private:
   struct File {
-    std::vector<uint8_t> data;
-    size_t synced = 0;  // durable watermark: data[0, synced) survives a crash
+    std::vector<uint8_t> head;
+    Body tail;          // shared immutable suffix; null when the file is flat
+    size_t synced = 0;  // durable watermark: bytes [0, synced) survive a crash
+
+    size_t size() const { return head.size() + tail.size(); }
+    // Copy-on-write: moves the tail's bytes into the head.
+    void OwnTail();
+    // Shortens the file to `len` bytes, copying only the kept tail bytes.
+    void CutTo(size_t len);
   };
   // One queued barrier; the covered frontier is captured when the flush
   // starts (group-commit semantics), not when it was requested.

@@ -145,17 +145,18 @@ BufferWriter StableStorage::SnapshotWriter() {
   return file;
 }
 
-void StableStorage::SaveSnapshot(LogIndex idx, Term term, BufferWriter file) {
-  HC_CHECK_GE(file.size(), kSnapshotHeaderBytes);
-  const size_t len = file.size() - kSnapshotHeaderBytes;
+void StableStorage::SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Body image) {
+  HC_CHECK_GE(head.size(), kSnapshotHeaderBytes);
+  const size_t len = head.size() - kSnapshotHeaderBytes + image.size();
   // The length field is 32 bits: a larger image would frame a file that
   // Recover rejects, silently turning every restart into a suspect one.
   HC_CHECK_LE(len, std::numeric_limits<uint32_t>::max());
-  file.PatchU64(8, idx);
-  file.PatchU64(16, static_cast<uint64_t>(term));
-  file.PatchU32(24, static_cast<uint32_t>(len));
-  file.PatchU64(0, Crc32c(std::span<const uint8_t>(file.bytes()).subspan(8)));
-  disk_->WriteAndSync(kSnapshotFile, file.TakeBytes());
+  head.PatchU64(8, idx);
+  head.PatchU64(16, static_cast<uint64_t>(term));
+  head.PatchU32(24, static_cast<uint32_t>(len));
+  const uint32_t head_crc = Crc32c(std::span<const uint8_t>(head.bytes()).subspan(8));
+  head.PatchU64(0, Crc32c(image.bytes(), head_crc));
+  disk_->WriteAndSync(kSnapshotFile, head.TakeBytes(), std::move(image));
   ++stats_.snapshots_saved;
 }
 
@@ -189,8 +190,8 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
 
   // --- snapshot file --------------------------------------------------------
   if (disk_->Exists(kSnapshotFile)) {
-    const std::vector<uint8_t>& raw = disk_->Read(kSnapshotFile);
-    BufferReader r(raw);
+    const Body raw = MakeBody(disk_->Read(kSnapshotFile));
+    BufferReader r(raw.bytes());
     uint64_t crc = 0;
     uint64_t idx = 0;
     uint64_t term = 0;
@@ -198,14 +199,13 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
     bool ok = r.GetU64(crc).ok() && r.GetU64(idx).ok() && r.GetU64(term).ok() &&
               r.GetU32(len).ok() && r.remaining() == len;
     if (ok) {
-      ok = crc == Crc32c(std::span<const uint8_t>(raw).subspan(8));
+      ok = crc == Crc32c(raw.bytes().subspan(8));
     }
     if (ok) {
       rec.has_snapshot = true;
       rec.snapshot_index = idx;
       rec.snapshot_term = term;
-      rec.snapshot_payload.assign(raw.begin() + static_cast<ptrdiff_t>(raw.size() - len),
-                                  raw.end());
+      rec.snapshot_payload = raw.Slice(kSnapshotHeaderBytes, len);
     } else {
       // A damaged snapshot loses durable applied state below the log base;
       // the node must be repaired by an InstallSnapshot from the leader.
@@ -233,7 +233,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
     }
     segments_.push_back(Segment{seq, 0});
     Segment& seg = segments_.back();
-    const std::vector<uint8_t>& bytes = disk_->Read(file);
+    const std::vector<uint8_t> bytes = disk_->Read(file);
     size_t off = 0;
     while (off < bytes.size()) {
       uint32_t len = 0;

@@ -11,7 +11,9 @@
 //   snapshot    the latest local state snapshot (session table + application
 //               state blob), written atomically via WriteAndSync. Framing is
 //               [u64 crc][u64 idx][u64 term][u32 len][payload]; the CRC-32C
-//               covers everything after itself.
+//               covers everything after itself. The file keeps the
+//               application image by reference as its shared tail
+//               (sim_disk.h); the CRC is chained across head and image.
 //
 // Durability discipline: records land in the volatile tail; Sync() runs a
 // barrier priced by persist_latency under the configured FsyncPolicy. Hard
@@ -42,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/body.h"
 #include "src/common/buffer.h"
 #include "src/common/types.h"
 #include "src/storage/fsync_policy.h"
@@ -95,7 +98,7 @@ class StableStorage {
     bool has_snapshot = false;
     LogIndex snapshot_index = 0;
     Term snapshot_term = 0;
-    std::vector<uint8_t> snapshot_payload;
+    Body snapshot_payload;  // the framed payload, a slice of the file image
   };
 
   StableStorage(SimDisk* disk, FsyncPolicy policy, size_t segment_bytes = 256 * 1024)
@@ -113,13 +116,15 @@ class StableStorage {
   // Logical prefix compaction; drops whole WAL segments that fell below the
   // new base. Callers persist a covering snapshot first.
   void AppendCompact(LogIndex base_idx, Term base_term);
-  // Local snapshots are framed in place: the caller starts the file with
-  // SnapshotWriter() (header reserved), appends the payload, and SaveSnapshot
-  // fills in the header and checksum and moves the buffer to disk — the image
-  // is never copied. Atomically replaces the local snapshot (synced inline).
+  // Local snapshots are framed in place: the caller starts the file's head
+  // with SnapshotWriter() (header reserved) and appends the payload's small
+  // prefix; `image`, the payload's bulk, follows it. SaveSnapshot fills in the
+  // header and the CRC, chained over head and image, and hands both to the
+  // disk — the head is moved, the image shared, never copied. Atomically
+  // replaces the local snapshot (synced inline).
   static constexpr size_t kSnapshotHeaderBytes = 8 + 8 + 8 + 4;  // crc, idx, term, len
   static BufferWriter SnapshotWriter();
-  void SaveSnapshot(LogIndex idx, Term term, BufferWriter file);
+  void SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Body image);
 
   // Durability barrier under the configured policy. Returns true when it
   // completed inline (cb already ran); false when cb runs later, unless the

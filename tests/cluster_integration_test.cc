@@ -74,8 +74,8 @@ TEST_P(AllModesTest, ModerateLoadKeepsTailBounded) {
 INSTANTIATE_TEST_SUITE_P(Modes, AllModesTest,
                          ::testing::Values(ClusterMode::kUnreplicated, ClusterMode::kVanillaRaft,
                                            ClusterMode::kHovercRaft, ClusterMode::kHovercRaftPP),
-                         [](const ::testing::TestParamInfo<ClusterMode>& info) {
-                           switch (info.param) {
+                         [](const ::testing::TestParamInfo<ClusterMode>& mode_info) {
+                           switch (mode_info.param) {
                              case ClusterMode::kUnreplicated:
                                return "UnRep";
                              case ClusterMode::kVanillaRaft:
@@ -142,8 +142,8 @@ TEST_P(ReplicatedModesTest, CommitIndexesAgree) {
 INSTANTIATE_TEST_SUITE_P(Modes, ReplicatedModesTest,
                          ::testing::Values(ClusterMode::kVanillaRaft, ClusterMode::kHovercRaft,
                                            ClusterMode::kHovercRaftPP),
-                         [](const ::testing::TestParamInfo<ClusterMode>& info) {
-                           switch (info.param) {
+                         [](const ::testing::TestParamInfo<ClusterMode>& mode_info) {
+                           switch (mode_info.param) {
                              case ClusterMode::kVanillaRaft:
                                return "VanillaRaft";
                              case ClusterMode::kHovercRaft:

@@ -108,9 +108,9 @@ TEST_P(MembershipModesTest, AddServerPromotesSpareToVoter) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, MembershipModesTest,
                          ::testing::Values(ClusterMode::kHovercRaft, ClusterMode::kHovercRaftPP),
-                         [](const ::testing::TestParamInfo<ClusterMode>& info) {
-                           return info.param == ClusterMode::kHovercRaft ? "HovercRaft"
-                                                                         : "HovercRaftPP";
+                         [](const ::testing::TestParamInfo<ClusterMode>& mode_info) {
+                           return mode_info.param == ClusterMode::kHovercRaft ? "HovercRaft"
+                                                                              : "HovercRaftPP";
                          });
 
 // --- remove: follower and leader --------------------------------------------

@@ -187,8 +187,8 @@ TEST_P(KvReplicationTest, StoresConvergeUnderYcsb) {
 INSTANTIATE_TEST_SUITE_P(Modes, KvReplicationTest,
                          ::testing::Values(ClusterMode::kVanillaRaft, ClusterMode::kHovercRaft,
                                            ClusterMode::kHovercRaftPP),
-                         [](const ::testing::TestParamInfo<ClusterMode>& info) {
-                           switch (info.param) {
+                         [](const ::testing::TestParamInfo<ClusterMode>& mode_info) {
+                           switch (mode_info.param) {
                              case ClusterMode::kVanillaRaft:
                                return "VanillaRaft";
                              case ClusterMode::kHovercRaft:

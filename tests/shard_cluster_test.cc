@@ -74,7 +74,8 @@ bool StepUntil(ShardedCluster& sharded, TimeNs deadline, const std::function<boo
 
 std::string KeyInRange(uint32_t lo, uint32_t hi) {
   for (int i = 0;; ++i) {
-    std::string key = "k" + std::to_string(i);
+    std::string key = "k";
+    key += std::to_string(i);
     const uint32_t slot = ShardSlotOf(key);
     if (slot >= lo && slot <= hi) {
       return key;

@@ -4,16 +4,21 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/app/kvstore/service.h"
 #include "src/app/synthetic.h"
+#include "src/app/ycsb.h"
 #include "src/common/buffer.h"
+#include "src/common/checksum.h"
+#include "src/common/random.h"
 #include "src/core/cluster.h"
 #include "src/core/session_table.h"
 #include "src/loadgen/client.h"
 #include "src/loadgen/workload.h"
+#include "src/raft/wal_codec.h"
 
 namespace hovercraft {
 namespace {
@@ -234,39 +239,47 @@ TEST(SnapshotTest, KvStoreStateSurvivesSnapshotRepair) {
   EXPECT_EQ(victim_store.ContentDigest(), leader_store.ContentDigest());
 }
 
+// A small preloaded store, so the genesis image is not trivially empty.
+std::unique_ptr<KvService> PreloadedKvService() {
+  auto svc = std::make_unique<KvService>();
+  KvCommand cmd;
+  cmd.op = KvOpcode::kRpush;
+  for (int conv = 0; conv < 40; ++conv) {
+    cmd.key = "conv:" + std::to_string(conv);
+    for (int post = 0; post < 5; ++post) {
+      cmd.value = "post-" + std::to_string(conv * 31 + post);
+      svc->Apply(cmd);
+    }
+  }
+  cmd.op = KvOpcode::kHset;
+  cmd.key = "profile";
+  cmd.field = "name";
+  cmd.value = "genesis";
+  svc->Apply(cmd);
+  return svc;
+}
+
+// A 3-node cluster over PreloadedKvService whose genesis file stays the only
+// local snapshot for the whole test.
+ClusterConfig GenesisOnlyConfig(uint64_t seed) {
+  ClusterConfig config;
+  config.mode = ClusterMode::kHovercRaft;
+  config.nodes = 3;
+  config.seed = seed;
+  config.replier_policy = ReplierPolicy::kJbsq;
+  config.app_factory = []() { return PreloadedKvService(); };
+  config.stagger_first_election = false;
+  config.server_template.compaction_interval = Seconds(10);
+  return config;
+}
+
 // Start() writes the genesis local snapshot from the image captured at
 // construction instead of serializing the store a second time. A node that
 // power-fails before any compaction recovers from exactly that file, and must
 // land on the same state as a store restored from a fresh serialization.
 TEST(SnapshotTest, GenesisImageReuseRecoversLikeFreshSerialization) {
-  auto preloaded = []() {
-    auto svc = std::make_unique<KvService>();
-    KvCommand cmd;
-    cmd.op = KvOpcode::kRpush;
-    for (int conv = 0; conv < 40; ++conv) {
-      cmd.key = "conv:" + std::to_string(conv);
-      for (int post = 0; post < 5; ++post) {
-        cmd.value = "post-" + std::to_string(conv * 31 + post);
-        svc->Apply(cmd);
-      }
-    }
-    cmd.op = KvOpcode::kHset;
-    cmd.key = "profile";
-    cmd.field = "name";
-    cmd.value = "genesis";
-    svc->Apply(cmd);
-    return svc;
-  };
-  ClusterConfig config;
-  config.mode = ClusterMode::kHovercRaft;
-  config.nodes = 3;
-  config.seed = 303;
-  config.replier_policy = ReplierPolicy::kJbsq;
-  config.app_factory = preloaded;
-  config.stagger_first_election = false;
-  // No compaction during the test: the genesis file is the only snapshot.
-  config.server_template.compaction_interval = Seconds(10);
-  Cluster cluster(config);
+  auto preloaded = PreloadedKvService;
+  Cluster cluster(GenesisOnlyConfig(303));
   ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
   const NodeId victim = (cluster.LeaderId() + 1) % 3;
 
@@ -292,6 +305,140 @@ TEST(SnapshotTest, GenesisImageReuseRecoversLikeFreshSerialization) {
   EXPECT_EQ(cluster.server(victim).app().Digest(), restored.Digest());
   EXPECT_EQ(cluster.server(victim).app().Digest(), fresh->Digest());
   EXPECT_EQ(cluster.server(victim).app().ApplyCount(), fresh->ApplyCount());
+}
+
+// The genesis file shares the image captured at construction with the
+// server. Corrupting the image region of that file must stay on the disk:
+// recovery rejects the file and comes back suspect, the fallback image is
+// intact, and neither the live state nor the peers' copies change.
+TEST(SnapshotTest, CorruptSharedImageOnDiskLeavesMemoryIntact) {
+  Cluster cluster(GenesisOnlyConfig(313));
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  const NodeId victim = (cluster.LeaderId() + 1) % 3;
+  const std::unique_ptr<KvService> fresh = PreloadedKvService();
+  const Body fresh_image = fresh->SnapshotState();
+
+  SimDisk* disk = cluster.server(victim).disk();
+  const size_t image_begin = disk->Size("snapshot") - fresh_image.size();
+  ASSERT_TRUE(disk->FlipByte("snapshot", image_begin + fresh_image.size() / 2));
+  EXPECT_EQ(cluster.server(victim).app().Digest(), fresh->Digest());
+
+  const TimeNs t0 = cluster.sim().Now();
+  cluster.PowerFailNode(victim);
+  cluster.sim().RunUntil(t0 + Millis(5));
+  cluster.RestartNode(victim);
+  // Recovery rejected the file and reloaded the genesis image, which must
+  // still be a fresh serialization's.
+  const auto& st = cluster.server(victim).storage()->stats();
+  EXPECT_EQ(st.recoveries, 1u);
+  EXPECT_EQ(st.suspect_recoveries, 1u);
+  EXPECT_EQ(cluster.server(victim).app().Digest(), fresh->Digest());
+  EXPECT_EQ(cluster.server(victim).app().ApplyCount(), fresh->ApplyCount());
+
+  cluster.sim().RunUntil(t0 + Millis(60));
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(cluster.server(n).app().Digest(), fresh->Digest()) << "node " << n;
+    if (n == victim) {
+      continue;
+    }
+    const std::vector<uint8_t> file = cluster.server(n).disk()->Read("snapshot");
+    ASSERT_GE(file.size(), fresh_image.size());
+    EXPECT_TRUE(std::equal(fresh_image.begin(), fresh_image.end(),
+                           file.end() - static_cast<ptrdiff_t>(fresh_image.size())))
+        << "node " << n;
+    EXPECT_EQ(cluster.server(n).storage()->stats().recoveries, 0u);
+  }
+}
+
+// [has_config]([config_idx][config])? — the config prefix of a snapshot file.
+void PutConfigPrefix(const MembershipConfigPtr& config, LogIndex config_idx, BufferWriter* w) {
+  w->PutU8(config != nullptr ? 1 : 0);
+  if (config != nullptr) {
+    w->PutU64(config_idx);
+    EncodeConfig(*config, w);
+  }
+}
+
+// The reference framing: the whole file built in one flat buffer,
+// [u64 crc][u64 idx][u64 term][u32 len][payload], with the CRC-32C of every
+// byte after the crc field zero-extended into it.
+std::vector<uint8_t> FlatSnapshotFile(LogIndex idx, Term term, std::span<const uint8_t> payload) {
+  BufferWriter file;
+  file.PutU64(0);
+  file.PutU64(idx);
+  file.PutU64(static_cast<uint64_t>(term));
+  file.PutU32(static_cast<uint32_t>(payload.size()));
+  file.PutBytes(payload);
+  file.PatchU64(0, Crc32cPortable(std::span<const uint8_t>(file.bytes()).subspan(8)));
+  return file.TakeBytes();
+}
+
+// Local snapshot files keep the app image by reference and files saved on an
+// InstallSnapshot keep the received wire body by reference; either way the
+// durable bytes must equal the flat framing byte for byte: header, CRC,
+// config, sessions, shard state and image.
+TEST(SnapshotTest, SnapshotFilesMatchFlatFraming) {
+  YcsbEConfig ycsb;
+  ycsb.conversation_count = 60;
+  ycsb.preload_per_conversation = 3;
+  ycsb.field_bytes = 16;
+  ClusterConfig config;
+  config.mode = ClusterMode::kHovercRaftPP;
+  config.nodes = 3;
+  config.seed = 404;
+  config.app_factory = [ycsb]() {
+    auto svc = std::make_unique<KvService>();
+    Rng rng(5);
+    for (const KvCommand& cmd : YcsbEGenerator(ycsb).PreloadCommands(rng)) {
+      svc->Apply(cmd);
+    }
+    return svc;
+  };
+  config.server_template.compaction_interval = Millis(5);
+  Cluster cluster(config);
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  auto client = std::make_unique<ClientHost>(
+      &cluster.sim(), config.costs, [&cluster]() { return cluster.ClientTarget(); },
+      std::make_unique<YcsbEWorkload>(ycsb), 40'000, 17);
+  cluster.network().Attach(client.get());
+  const TimeNs t0 = cluster.sim().Now();
+  client->StartLoad(t0, t0 + Millis(20));
+  // Quiesce, then let a compaction persist the final applied state.
+  cluster.sim().RunUntil(t0 + Millis(40));
+
+  for (NodeId n = 0; n < 3; ++n) {
+    ReplicatedServer& server = cluster.server(n);
+    ASSERT_GT(server.storage()->stats().snapshots_saved, 1u) << "node " << n;
+    ASSERT_GT(server.sessions().client_count(), 0u) << "node " << n;
+    const LogIndex idx = server.raft()->applied_index();
+    const Term term = server.raft()->log().TermAt(idx);
+    const auto [config_idx, membership] = server.raft()->ConfigCoveringIndex(idx);
+    BufferWriter payload;
+    PutConfigPrefix(membership, config_idx, &payload);
+    server.sessions().Serialize(&payload);
+    server.shard_state().Serialize(&payload);
+    payload.PutBytes(*server.app().SnapshotState());
+    EXPECT_EQ(server.disk()->Read("snapshot"), FlatSnapshotFile(idx, term, payload.bytes()))
+        << "node " << n;
+  }
+
+  // InstallSnapshot receive path: the follower persists the leader's wire
+  // body [sessions][shard][image] behind its own header and config.
+  const NodeId leader = cluster.LeaderId();
+  const NodeId follower = (leader + 1) % 3;
+  const auto capture = cluster.server(leader).CaptureSnapshot();
+  const Term term = cluster.server(leader).raft()->log().TermAt(capture.last_included);
+  const auto [config_idx, membership] =
+      cluster.server(leader).raft()->ConfigCoveringIndex(capture.last_included);
+  const uint64_t saved = cluster.server(follower).storage()->stats().snapshots_saved;
+  cluster.server(follower).RestoreSnapshot(capture.state, capture.last_included, term,
+                                           membership, config_idx);
+  EXPECT_EQ(cluster.server(follower).storage()->stats().snapshots_saved, saved + 1);
+  BufferWriter payload;
+  PutConfigPrefix(membership, config_idx, &payload);
+  payload.PutBytes(*capture.state);
+  EXPECT_EQ(cluster.server(follower).disk()->Read("snapshot"),
+            FlatSnapshotFile(capture.last_included, term, payload.bytes()));
 }
 
 // The dedup state must ride inside InstallSnapshot: a straggler repaired by

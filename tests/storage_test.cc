@@ -3,10 +3,13 @@
 // corruption handling (docs/durability.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "src/common/body.h"
 #include "src/common/buffer.h"
 #include "src/common/checksum.h"
 #include "src/common/types.h"
@@ -145,6 +148,87 @@ TEST(SimDiskTest, FlipByteOnlyTouchesExistingBytes) {
   EXPECT_NE(disk.Read("f")[1], 0x10);
 }
 
+// A file written as an owned head plus a shared tail sizes, syncs, reads and
+// counts like the same bytes written flat, and survives a crash untouched.
+TEST(SimDiskTest, SharedTailFileMatchesFlatFile) {
+  Simulator sim;
+  SimDisk shared(&sim, 1, 500);
+  SimDisk flat(&sim, 1, 500);
+  const std::vector<uint8_t> image = {4, 5, 6, 7, 8};
+  shared.WriteAndSync("f", Bytes({1, 2, 3}), MakeBody(image));
+  flat.WriteAndSync("f", Bytes({1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(shared.Size("f"), 8u);
+  EXPECT_EQ(shared.SyncedSize("f"), 8u);
+  EXPECT_EQ(shared.Read("f"), flat.Read("f"));
+  EXPECT_EQ(shared.stats().bytes_written, flat.stats().bytes_written);
+  EXPECT_EQ(shared.stats().appends, flat.stats().appends);
+
+  // A priced barrier captures the whole file in its frontier; the crash
+  // after it keeps every byte of both parts.
+  for (SimDisk* disk : {&shared, &flat}) {
+    Append(disk, "wal", Bytes({9}));
+    disk->Sync(nullptr, /*coalesce=*/true);
+  }
+  sim.RunToCompletion();
+  shared.Crash();
+  flat.Crash();
+  EXPECT_EQ(shared.SyncedSize("f"), flat.SyncedSize("f"));
+  EXPECT_EQ(shared.Read("f"), flat.Read("f"));
+  EXPECT_EQ(shared.stats().bytes_lost, 0u);
+}
+
+// Fault injectors and appends never write through to the tail's owner: each
+// mutation copies the tail into the file first.
+TEST(SimDiskTest, MutationsCopyTheSharedTailFirst) {
+  const std::vector<uint8_t> original = {10, 11, 12, 13, 14, 15};
+  struct Case {
+    const char* name;
+    std::function<void(SimDisk*)> mutate;
+    std::vector<uint8_t> expect;
+  };
+  const std::vector<Case> cases = {
+      {"flip in tail", [](SimDisk* d) { ASSERT_TRUE(d->FlipByte("f", 4)); },
+       Bytes({1, 2, 10, 11, 12 ^ 0x40, 13, 14, 15})},
+      {"flip in head", [](SimDisk* d) { ASSERT_TRUE(d->FlipByte("f", 0)); },
+       Bytes({1 ^ 0x40, 2, 10, 11, 12, 13, 14, 15})},
+      {"truncate into tail", [](SimDisk* d) { d->Truncate("f", 5); },
+       Bytes({1, 2, 10, 11, 12})},
+      {"truncate into head", [](SimDisk* d) { d->Truncate("f", 1); }, Bytes({1})},
+      {"append", [](SimDisk* d) { Append(d, "f", Bytes({99})); },
+       Bytes({1, 2, 10, 11, 12, 13, 14, 15, 99})},
+  };
+  for (const Case& c : cases) {
+    Simulator sim;
+    SimDisk disk(&sim, 1, 0);
+    const Body image = MakeBody(original);
+    disk.WriteAndSync("f", Bytes({1, 2}), image);
+    c.mutate(&disk);
+    EXPECT_EQ(disk.Read("f"), c.expect) << c.name;
+    EXPECT_EQ(disk.Size("f"), c.expect.size()) << c.name;
+    EXPECT_TRUE(image == original) << c.name << ": the owner's buffer changed";
+  }
+}
+
+TEST(SimDiskTest, TornCrashAfterAppendKeepsSyncedSharedPrefix) {
+  const std::vector<uint8_t> original = {10, 11, 12, 13};
+  const std::vector<uint8_t> durable = {1, 2, 10, 11, 12, 13};
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Simulator sim;
+    SimDisk disk(&sim, seed, 0);
+    const Body image = MakeBody(original);
+    disk.WriteAndSync("f", Bytes({1, 2}), image);
+    Append(&disk, "f", Bytes({20, 21, 22, 23}));
+    disk.set_next_crash_torn();
+    disk.Crash();
+    const std::vector<uint8_t> after = disk.Read("f");
+    ASSERT_GE(after.size(), durable.size()) << "seed " << seed;
+    ASSERT_LT(after.size(), durable.size() + 4) << "seed " << seed;
+    EXPECT_TRUE(std::equal(durable.begin(), durable.end(), after.begin())) << "seed " << seed;
+    EXPECT_EQ(disk.SyncedSize("f"), after.size());
+    EXPECT_TRUE(image == original) << "seed " << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // StableStorage
 // ---------------------------------------------------------------------------
@@ -153,9 +237,7 @@ std::vector<uint8_t> Payload(uint8_t tag) { return std::vector<uint8_t>(8, tag);
 
 void SaveSnapshot(StableStorage* storage, LogIndex idx, Term term,
                   const std::vector<uint8_t>& payload) {
-  BufferWriter file = StableStorage::SnapshotWriter();
-  file.PutBytes(payload);
-  storage->SaveSnapshot(idx, term, std::move(file));
+  storage->SaveSnapshot(idx, term, StableStorage::SnapshotWriter(), MakeBody(payload));
 }
 
 // Rewrites `file` with one bit of `original` inverted (bit index counts from

@@ -7,8 +7,8 @@
 //
 //   shard_chaos_runner --seed=3
 //   shard_chaos_runner --seed=5 --kill-leader-mid-move
-//   shard_chaos_runner --groups=4 --duration-ms=80 \
-//       --move-at-us=20000:0:7:1,40000:0:7:2,60000:0:7:0
+//   shard_chaos_runner --groups=4 --duration-ms=80
+//       --move-at-us=20000:0:7:1,40000:0:7:2,60000:0:7:0   (one command line)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
