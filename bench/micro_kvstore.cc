@@ -170,9 +170,10 @@ BENCHMARK(BM_SetMembership);
 //   ms_per_snapshot           wall time per snapshot (simulation included);
 //   alloc_bytes_per_snapshot  heap bytes allocated per snapshot;
 //   alloc_x_image             the same as a multiple of the snapshot file
-//                             size. A snapshot allocates the serialized image
-//                             once; the file shares it and owns only a small
-//                             head: about 1x.
+//                             size. A snapshot allocates the image's parts
+//                             vector and re-serializes only the keys changed
+//                             since the last one; the file shares every part
+//                             and owns only a small head: a few thousandths.
 // The allocation counts are a deterministic function of the seed; CI gates
 // alloc_x_image (docs/performance.md).
 void BM_LocalSnapshot(benchmark::State& state) {

@@ -208,16 +208,16 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
   return reply;
 }
 
-Body KvService::SnapshotState() const {
-  // Sized exactly, so even a 20 MB store is serialized into one allocation.
-  const size_t size = 16 + store_.SerializedSize();
-  BufferWriter w(size);
-  w.PutU64(applied_);
-  w.PutU64(mutation_digest_);
-  store_.SerializeTo(w);
-  HC_CHECK_EQ(w.size(), size);
-  return MakeBody(w.TakeBytes());
+Image KvService::SnapshotImage() const {
+  // [applied][mutation digest] ahead of the store's bytes. The head is fresh
+  // every time; the store reuses the part of every key that did not change.
+  BufferWriter head(24);
+  head.PutU64(applied_);
+  head.PutU64(mutation_digest_);
+  return store_.SerializeImage(std::move(head));
 }
+
+Body KvService::SnapshotState() const { return SnapshotImage().Flatten(); }
 
 Status KvService::RestoreState(const Body& snapshot) {
   if (snapshot == nullptr) {
@@ -241,12 +241,10 @@ Status KvService::RestoreState(const Body& snapshot) {
 }
 
 Body KvService::CaptureRange(uint32_t lo_slot, uint32_t hi_slot) const {
-  BufferWriter w(4096);
-  store_.SerializePartTo(w, [lo_slot, hi_slot](std::string_view key) {
+  return MakeBody(store_.SerializePart([lo_slot, hi_slot](std::string_view key) {
     const uint32_t slot = ShardSlotOf(key);
     return slot >= lo_slot && slot <= hi_slot;
-  });
-  return MakeBody(w.TakeBytes());
+  }));
 }
 
 Status KvService::InstallRange(const Body& range) {

@@ -37,8 +37,12 @@ class KvService final : public StateMachine {
   ExecResult Execute(const RpcRequest& request) override;
   uint64_t Digest() const override { return store_.ContentDigest() ^ mutation_digest_; }
   uint64_t ApplyCount() const override { return applied_; }
+  // The flat bytes of SnapshotImage().
   Body SnapshotState() const override;
   Status RestoreState(const Body& snapshot) override;
+  // [applied][mutation digest] followed by the store's image, which reuses
+  // the cached part of every key unchanged since the last snapshot.
+  Image SnapshotImage() const override;
 
   // Shard-move range handoff: keys are selected by ShardSlotOf(key), the
   // same hash the router uses, so a moved range carries exactly the keys
@@ -48,6 +52,7 @@ class KvService final : public StateMachine {
   Status DropRange(uint32_t lo_slot, uint32_t hi_slot) override;
 
   const KvStore& store() const { return store_; }
+  uint64_t mutation_digest() const { return mutation_digest_; }
   KvStore& store() { return store_; }
 
   // Convenience for direct (non-replicated) use and tests.

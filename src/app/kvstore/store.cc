@@ -4,21 +4,29 @@
 #include <charconv>
 
 #include "src/common/buffer.h"
+#include "src/common/check.h"
+#include "src/common/checksum.h"
 
 namespace hovercraft {
 
 const KvStore::Value* KvStore::Find(std::string_view key) const {
   auto it = map_.find(key);
-  return it == map_.end() ? nullptr : &it->second;
+  return it == map_.end() ? nullptr : &it->second.value;
 }
 
 KvStore::Value* KvStore::Find(std::string_view key) {
   auto it = map_.find(key);
-  return it == map_.end() ? nullptr : &it->second;
+  if (it == map_.end()) {
+    return nullptr;
+  }
+  it->second.part = nullptr;
+  return &it->second.value;
 }
 
 void KvStore::Set(std::string_view key, std::string_view value) {
-  map_[std::string(key)] = StringValue(value);
+  Slot& slot = map_[std::string(key)];
+  slot.value = StringValue(value);
+  slot.part = nullptr;
 }
 
 Result<std::string> KvStore::Get(std::string_view key) const {
@@ -166,7 +174,7 @@ Result<size_t> KvStore::Append(std::string_view key, std::string_view suffix) {
 }
 
 Result<bool> KvStore::Setnx(std::string_view key, std::string_view value) {
-  if (Find(key) != nullptr) {
+  if (Exists(key)) {
     return false;
   }
   map_.emplace(std::string(key), StringValue(value));
@@ -267,7 +275,8 @@ Result<size_t> KvStore::Scard(std::string_view key) const {
 
 uint64_t KvStore::ContentDigest() const {
   uint64_t digest = 0;
-  for (const auto& [key, value] : map_) {
+  for (const auto& [key, slot] : map_) {
+    const Value& value = slot.value;
     uint64_t h = Fnv1aHash(key);
     if (const auto* s = std::get_if<StringValue>(&value)) {
       h = Fnv1aHash(*s, h ^ 1);
@@ -298,6 +307,13 @@ uint64_t KvStore::ContentDigest() const {
 namespace {
 
 enum class ValueTag : uint8_t { kString = 0, kHash = 1, kList = 2, kSet = 3 };
+
+// The smallest encodings, which bound how many elements the remaining bytes
+// can hold: a decoder reserves no more than that, so a forged count fails on
+// the missing bytes instead of on the allocation.
+constexpr size_t kMinMemberBytes = 4;                     // empty string
+constexpr size_t kMinFieldBytes = 2 * kMinMemberBytes;    // field + value
+constexpr size_t kMinEntryBytes = kMinMemberBytes + 1 + kMinMemberBytes;  // key, tag, ""
 
 void SerializeEntry(BufferWriter& out, const std::string& key, const KvStore::Value& value) {
   out.PutString(key);
@@ -349,7 +365,7 @@ Status DeserializeEntry(BufferReader& in, std::string& key, KvStore::Value& valu
         return s;
       }
       KvStore::HashValue h;
-      h.reserve(n);
+      h.reserve(std::min<uint64_t>(n, in.remaining() / kMinFieldBytes));
       for (uint64_t j = 0; j < n; ++j) {
         std::string field;
         std::string v;
@@ -386,7 +402,7 @@ Status DeserializeEntry(BufferReader& in, std::string& key, KvStore::Value& valu
         return s;
       }
       KvStore::SetValue set;
-      set.reserve(n);
+      set.reserve(std::min<uint64_t>(n, in.remaining() / kMinMemberBytes));
       for (uint64_t j = 0; j < n; ++j) {
         std::string member;
         if (Status s = in.GetString(member); !s.ok()) {
@@ -431,19 +447,32 @@ size_t SerializedEntrySize(const std::string& key, const KvStore::Value& value) 
 
 }  // namespace
 
-size_t KvStore::SerializedSize() const {
-  size_t n = 8;
-  for (const auto& [key, value] : map_) {
-    n += SerializedEntrySize(key, value);
-  }
-  return n;
-}
-
 void KvStore::SerializeTo(BufferWriter& out) const {
   out.PutU64(map_.size());
-  for (const auto& [key, value] : map_) {
-    SerializeEntry(out, key, value);
+  for (const auto& [key, slot] : map_) {
+    SerializeEntry(out, key, slot.value);
   }
+}
+
+Image KvStore::SerializeImage(BufferWriter head) const {
+  head.PutU64(map_.size());
+  Image image;
+  image.Reserve(1 + map_.size());
+  const Body head_part = MakeBody(head.TakeBytes());
+  image.Append(head_part, Crc32c(head_part.bytes()));
+  for (const auto& [key, slot] : map_) {
+    if (slot.part == nullptr) {
+      const size_t size = SerializedEntrySize(key, slot.value);
+      BufferWriter w(size);
+      SerializeEntry(w, key, slot.value);
+      HC_CHECK_EQ(w.size(), size);
+      slot.part = MakeBody(w.TakeBytes());
+      // Checksummed now, while the bytes are still in cache.
+      slot.crc = Crc32c(slot.part.bytes());
+    }
+    image.Append(slot.part, slot.crc);
+  }
+  return image;
 }
 
 Status KvStore::DeserializeFrom(BufferReader& in) {
@@ -452,32 +481,35 @@ Status KvStore::DeserializeFrom(BufferReader& in) {
     return s;
   }
   decltype(map_) fresh;
-  fresh.reserve(count);
+  fresh.reserve(std::min<uint64_t>(count, in.remaining() / kMinEntryBytes));
   for (uint64_t i = 0; i < count; ++i) {
     std::string key;
     Value value;
     if (Status s = DeserializeEntry(in, key, value); !s.ok()) {
       return s;
     }
-    fresh.insert_or_assign(std::move(key), std::move(value));
+    fresh.insert_or_assign(std::move(key), Slot(std::move(value)));
   }
   map_ = std::move(fresh);
   return Status::Ok();
 }
 
-void KvStore::SerializePartTo(BufferWriter& out, const KeyPredicate& pred) const {
-  uint64_t matched = 0;
-  for (const auto& [key, value] : map_) {
-    if (pred(key)) {
-      ++matched;
+std::vector<uint8_t> KvStore::SerializePart(const KeyPredicate& pred) const {
+  std::vector<const decltype(map_)::value_type*> matched;
+  size_t size = 8;
+  for (const auto& entry : map_) {
+    if (pred(entry.first)) {
+      matched.push_back(&entry);
+      size += SerializedEntrySize(entry.first, entry.second.value);
     }
   }
-  out.PutU64(matched);
-  for (const auto& [key, value] : map_) {
-    if (pred(key)) {
-      SerializeEntry(out, key, value);
-    }
+  BufferWriter out(size);
+  out.PutU64(matched.size());
+  for (const auto* entry : matched) {
+    SerializeEntry(out, entry->first, entry->second.value);
   }
+  HC_CHECK_EQ(out.size(), size);
+  return out.TakeBytes();
 }
 
 Status KvStore::MergeFrom(BufferReader& in) {
@@ -491,7 +523,7 @@ Status KvStore::MergeFrom(BufferReader& in) {
     if (Status s = DeserializeEntry(in, key, value); !s.ok()) {
       return s;
     }
-    map_.insert_or_assign(std::move(key), std::move(value));
+    map_.insert_or_assign(std::move(key), Slot(std::move(value)));
   }
   return Status::Ok();
 }

@@ -11,10 +11,13 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "src/common/body.h"
 #include "src/common/buffer.h"
+#include "src/common/image.h"
 #include "src/common/status.h"
 
 namespace hovercraft {
@@ -73,19 +76,25 @@ class KvStore {
   // content produce equal digests.
   uint64_t ContentDigest() const;
 
-  // Full-store serialization for snapshot transfers. Deserialize replaces
-  // the current contents. SerializedSize is the exact byte count SerializeTo
-  // appends, so a snapshot buffer can be sized once up front.
+  // The store's snapshot format: the u64 key count, then each key's entry.
+  // SerializeTo writes it afresh, bypassing the part cache SerializeImage
+  // keeps; Deserialize replaces the current contents.
   void SerializeTo(BufferWriter& out) const;
-  size_t SerializedSize() const;
   Status DeserializeFrom(BufferReader& in);
+
+  // The same bytes as `head` followed by SerializeTo's, as an Image: `head`
+  // with the key count appended is the first part, then one part per key in
+  // SerializeTo's order. Each key's part and its CRC are cached and reused by
+  // every later image until the key changes; only keys changed since the
+  // last image are serialized.
+  Image SerializeImage(BufferWriter head) const;
 
   // --- Shard-move range handoff (src/shard). The predicate selects keys by
   // name, keeping the store agnostic of the shard hash. ---
   using KeyPredicate = std::function<bool(std::string_view)>;
   // Serializes only the keys matching `pred`, same wire format as
-  // SerializeTo (so MergeFrom reads either).
-  void SerializePartTo(BufferWriter& out, const KeyPredicate& pred) const;
+  // SerializeTo (so MergeFrom reads either), into an exactly sized buffer.
+  std::vector<uint8_t> SerializePart(const KeyPredicate& pred) const;
   // Inserts the payload's keys into the current contents (replacing on
   // collision), instead of wiping the store like DeserializeFrom.
   Status MergeFrom(BufferReader& in);
@@ -93,7 +102,20 @@ class KvStore {
   size_t EraseIf(const KeyPredicate& pred);
 
  private:
+  // A key's value and its cached SerializeEntry bytes. The part is null
+  // while the key is dirty. Every path that can change the value drops it:
+  // the non-const Find, Set, and whatever replaces or erases the slot.
+  struct Slot {
+    Slot() = default;
+    Slot(Value v) : value(std::move(v)) {}  // NOLINT(google-explicit-constructor)
+
+    Value value;
+    mutable Body part;
+    mutable uint32_t crc = 0;  // Crc32c(part)
+  };
+
   const Value* Find(std::string_view key) const;
+  // Hands out the value for mutation, so it drops the key's cached part.
   Value* Find(std::string_view key);
 
   // Heterogeneous lookup so string_view probes do not allocate.
@@ -106,7 +128,7 @@ class KvStore {
     bool operator()(std::string_view a, std::string_view b) const { return a == b; }
   };
 
-  std::unordered_map<std::string, Value, Hash, Eq> map_;
+  std::unordered_map<std::string, Slot, Hash, Eq> map_;
 };
 
 }  // namespace hovercraft

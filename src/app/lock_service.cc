@@ -1,5 +1,6 @@
 #include "src/app/lock_service.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/buffer.h"
@@ -177,8 +178,12 @@ Status LockService::RestoreState(const Body& snapshot) {
   if (Status s = r.GetU64(count); !s.ok()) {
     return s;
   }
+  // A holder encodes as two u32-prefixed strings and a u64 token, so the
+  // remaining bytes bound the count: a forged one fails on the missing
+  // bytes below instead of on the allocation.
+  constexpr size_t kMinHolderBytes = 4 + 4 + 8;
   decltype(holders_) fresh;
-  fresh.reserve(count);
+  fresh.reserve(std::min<uint64_t>(count, r.remaining() / kMinHolderBytes));
   for (uint64_t i = 0; i < count; ++i) {
     std::string lock;
     Holder holder;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "src/common/image.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/r2p2/messages.h"
@@ -44,6 +45,13 @@ class StateMachine {
   // a fresh instance must reproduce Digest()/ApplyCount() exactly.
   virtual Body SnapshotState() const = 0;
   virtual Status RestoreState(const Body& snapshot) = 0;
+
+  // The SnapshotState() bytes as a rope of shared parts: local snapshots and
+  // compactions persist this, so a snapshot costs only what changed. The
+  // default wraps SnapshotState() as one part; an application that keeps
+  // parts of its image from one snapshot to the next overrides it (KvService
+  // keeps one part per key).
+  virtual Image SnapshotImage() const { return Image::Of(SnapshotState()); }
 
   // --- Shard-move range handoff (src/shard, docs/sharding.md). A live shard
   // move freezes a slot range at the source group, captures exactly that

@@ -13,6 +13,12 @@ namespace {
 
 constexpr uint32_t kCastagnoliReflected = 0x82F63B78u;
 
+// v * x modulo the polynomial, in the reflected bit order of every table
+// here (bit 31 holds x^0).
+constexpr uint32_t TimesX(uint32_t v) {
+  return (v >> 1) ^ (kCastagnoliReflected & (0u - (v & 1u)));
+}
+
 // Slicing-by-8 tables: kTables[0] is the classic byte-at-a-time table;
 // kTables[s][b] advances byte b through s further zero bytes, so eight table
 // lookups fold one 8-byte word.
@@ -25,7 +31,7 @@ constexpr Tables MakeTables() {
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
-      c = (c >> 1) ^ (kCastagnoliReflected & (0u - (c & 1u)));
+      c = TimesX(c);
     }
     tables.t[0][i] = c;
   }
@@ -39,6 +45,79 @@ constexpr Tables MakeTables() {
 }
 
 constexpr Tables kTables = MakeTables();
+
+// kTimesX4[n] = n * x^4 modulo the polynomial, for the four coefficients
+// x^28..x^31 that n holds in its low bits: multiplying by x^4 shifts them out.
+struct TimesX4Table {
+  uint32_t t[16];
+};
+
+constexpr TimesX4Table MakeTimesX4Table() {
+  TimesX4Table table{};
+  for (uint32_t n = 0; n < 16; ++n) {
+    uint32_t v = n;
+    for (int bit = 0; bit < 4; ++bit) {
+      v = TimesX(v);
+    }
+    table.t[n] = v;
+  }
+  return table;
+}
+
+constexpr TimesX4Table kTimesX4 = MakeTimesX4Table();
+
+// Product of two polynomials modulo the Castagnoli polynomial. Horner's rule
+// over the hex digits of `a`, highest degree first: a combine runs once per
+// cached part of every snapshot image.
+constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
+  // times_b[n] = n * b for each 4-coefficient polynomial n (bit 3 holds x^0).
+  uint32_t times_b[16] = {};
+  times_b[8] = b;
+  for (uint32_t bit = 4; bit != 0; bit >>= 1) {
+    times_b[bit] = TimesX(times_b[bit << 1]);
+  }
+  for (uint32_t n = 3; n < 16; ++n) {  // the rest: sums of those four
+    times_b[n] = times_b[n & (n - 1)] ^ times_b[n & (0u - n)];
+  }
+  uint32_t p = 0;
+  for (int shift = 0; shift < 32; shift += 4) {
+    p = (p >> 4) ^ kTimesX4.t[p & 15] ^ times_b[(a >> shift) & 15];
+  }
+  return p;
+}
+
+// kZeroOps.t[j][d] = x^(8 * d * 16^j) modulo the polynomial: the operator
+// that carries a CRC over d * 16^j zero bytes. One factor per nonzero hex
+// digit of a length composes the operator for any length.
+struct ZeroOps {
+  uint32_t t[16][16];
+};
+
+constexpr ZeroOps MakeZeroOps() {
+  ZeroOps ops{};
+  uint32_t step = 1u << 23;  // x^8: one zero byte
+  for (int j = 0; j < 16; ++j) {
+    ops.t[j][0] = 1u << 31;  // x^0
+    for (int d = 1; d < 16; ++d) {
+      ops.t[j][d] = MultModP(ops.t[j][d - 1], step);
+    }
+    step = MultModP(ops.t[j][15], step);  // x^(8 * 16^(j+1))
+  }
+  return ops;
+}
+
+constexpr ZeroOps kZeroOps = MakeZeroOps();
+
+// x^(8 * len) modulo the polynomial.
+uint32_t ZeroBytesOperator(size_t len) {
+  uint32_t op = 1u << 31;
+  for (int j = 0; len != 0; len >>= 4, ++j) {
+    if ((len & 15) != 0) {
+      op = MultModP(kZeroOps.t[j][len & 15], op);
+    }
+  }
+  return op;
+}
 
 inline uint32_t LoadLe32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
@@ -85,6 +164,12 @@ uint32_t Crc32cPortable(std::span<const uint8_t> data, uint32_t crc) {
     c = (c >> 8) ^ t[0][(c ^ *p) & 0xFF];
   }
   return ~c;
+}
+
+uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b, size_t len_b) {
+  // CRC is affine over GF(2): the pre- and post-inversions cancel, so the
+  // CRC of A followed by B is crc_a carried over |B| zero bytes, xor crc_b.
+  return MultModP(ZeroBytesOperator(len_b), crc_a) ^ crc_b;
 }
 
 bool Crc32cHardwareAvailable() {

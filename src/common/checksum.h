@@ -11,6 +11,7 @@
 #ifndef SRC_COMMON_CHECKSUM_H_
 #define SRC_COMMON_CHECKSUM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -25,6 +26,11 @@ bool Crc32cHardwareAvailable();
 // The table-driven path alone: the fallback, and the reference the hardware
 // path is tested against.
 uint32_t Crc32cPortable(std::span<const uint8_t> data, uint32_t crc = 0);
+
+// The CRC-32C of A followed by B, from crc_a = Crc32c(A), crc_b = Crc32c(B)
+// and len_b = |B|, without reading either. Costs O(log len_b): the CRC of a
+// rope of cached parts is combined from the part CRCs (src/common/image.h).
+uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b, size_t len_b);
 
 }  // namespace hovercraft
 

@@ -47,7 +47,7 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
     storage_->set_node(obs_node_id());
     raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this);
     raft_->set_storage(storage_.get());
-    genesis_app_state_ = app_->SnapshotState();
+    genesis_app_state_ = app_->SnapshotImage();
   }
 }
 
@@ -137,11 +137,11 @@ void ReplicatedServer::Restart() {
   set_failed(false);
 }
 
-void ReplicatedServer::PersistLocalSnapshot(Body app_state) {
+void ReplicatedServer::PersistLocalSnapshot(Image app_state) {
   // The file is [header][config][wire body], where the wire body is
   // CaptureSnapshot()'s [sessions][shard][app bytes]. Everything up to the
   // app bytes goes into a small head whose header the storage layer fills in
-  // place; the image itself is shared with the file, never copied.
+  // place; the image's parts are shared with the file, never copied.
   const LogIndex idx = apply_cursor_;
   const Term term = idx == 0 ? 0 : raft_->log().TermAt(idx);
   auto [config_idx, config] = raft_->ConfigCoveringIndex(idx);
@@ -180,7 +180,7 @@ void ReplicatedServer::RecoverFromStorage() {
     // entries) and the leader re-seeds it by state transfer.
     sessions_.Clear();
     InitShardState();
-    HC_CHECK(app_->RestoreState(genesis_app_state_).ok());
+    HC_CHECK(app_->RestoreState(genesis_app_state_.Flatten()).ok());
     if (rec.base_index != 0) {
       rec.entries.clear();
       rec.base_index = 0;
@@ -243,7 +243,7 @@ void ReplicatedServer::CompactNow() {
     // A covering snapshot must be durable before CompactLog journals the
     // compact record and prunes WAL segments below the new base — a power
     // fail in between must still find a replayable floor.
-    PersistLocalSnapshot(app_->SnapshotState());
+    PersistLocalSnapshot(app_->SnapshotImage());
   }
   raft_->CompactLog(target);
 }
@@ -943,12 +943,10 @@ RaftNode::Env::SnapshotCapture ReplicatedServer::CaptureSnapshot() {
   BufferWriter w;
   PutSnapshotPrefix(&w);
   // The small prefix goes first, so appending the image grows the buffer
-  // once, to its exact final size.
-  const Body app_state = app_->SnapshotState();
-  if (app_state != nullptr) {
-    w.PutBytes(*app_state);
-  }
-  capture.state = MakeBody(w.TakeBytes());
+  // once, to its exact final size: the image's one flat copy.
+  std::vector<uint8_t> bytes = w.TakeBytes();
+  app_->SnapshotImage().AppendTo(&bytes);
+  capture.state = MakeBody(std::move(bytes));
   capture.last_included = apply_cursor_;
   return capture;
 }
@@ -978,10 +976,10 @@ void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included
     // Persist the received image before the raft layer journals the covering
     // truncate/compact records: a power fail right after the compact must
     // still find a snapshot at least as new as the new log base. The file
-    // shares the received wire body as its tail.
+    // shares the received wire body as its tail, a one-part image.
     BufferWriter head = StableStorage::SnapshotWriter();
     PutSnapshotConfig(config, config_idx, &head);
-    storage_->SaveSnapshot(last_included, included_term, std::move(head), state);
+    storage_->SaveSnapshot(last_included, included_term, std::move(head), Image::Of(state));
     local_snapshot_idx_ = std::max(local_snapshot_idx_, last_included);
   }
 }

@@ -238,8 +238,8 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   void CompactNow();
   // Writes the local snapshot (config + sessions + `app_state`, the image
   // through apply_cursor_) to the disk; the durable floor WAL replay restarts
-  // from. The file shares `app_state` instead of copying it.
-  void PersistLocalSnapshot(Body app_state);
+  // from. The file shares the parts of `app_state` instead of copying them.
+  void PersistLocalSnapshot(Image app_state);
   // Appends the snapshot wire body's prefix, [sessions][shard]; the app
   // state bytes follow it.
   void PutSnapshotPrefix(BufferWriter* w) const;
@@ -272,8 +272,10 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   LogIndex apply_cursor_ = 0;
 
   // Pristine application image captured at construction: the recovery target
-  // of last resort when the on-disk snapshot itself is unreadable.
-  Body genesis_app_state_;
+  // of last resort when the on-disk snapshot itself is unreadable. It shares
+  // its parts with the application's later images for every part that has
+  // not changed since.
+  Image genesis_app_state_;
   // Last index covered by the on-disk snapshot; compaction skips the write
   // when the apply cursor has not moved past it.
   LogIndex local_snapshot_idx_ = 0;

@@ -25,9 +25,9 @@ void SimDisk::RecordFsyncLatency(TimeNs latency) {
 }
 
 void SimDisk::File::OwnTail() {
-  if (tail != nullptr) {
-    head.insert(head.end(), tail.begin(), tail.end());
-    tail = nullptr;
+  if (!tail.parts().empty()) {
+    tail.AppendTo(&head);
+    tail = Image();
   }
 }
 
@@ -36,11 +36,15 @@ void SimDisk::File::CutTo(size_t len) {
     return;
   }
   if (len > head.size()) {
-    head.insert(head.end(), tail.begin(), tail.begin() + (len - head.size()));
+    head.reserve(len);
+    for (const Image::Part& part : tail.parts()) {
+      const size_t take = std::min(part.bytes.size(), len - head.size());
+      head.insert(head.end(), part.bytes.begin(), part.bytes.begin() + take);
+    }
   } else {
     head.resize(len);
   }
-  tail = nullptr;
+  tail = Image();
 }
 
 void SimDisk::Append(const std::string& file, const uint8_t* data, size_t len) {
@@ -61,7 +65,7 @@ void SimDisk::Truncate(const std::string& file, size_t size) {
   f.synced = std::min(f.synced, f.size());
 }
 
-void SimDisk::WriteAndSync(const std::string& file, std::vector<uint8_t> head, Body tail) {
+void SimDisk::WriteAndSync(const std::string& file, std::vector<uint8_t> head, Image tail) {
   File& f = files_[file];
   f.head = std::move(head);
   f.tail = std::move(tail);
@@ -220,7 +224,7 @@ std::vector<uint8_t> SimDisk::Read(const std::string& file) const {
   std::vector<uint8_t> bytes;
   bytes.reserve(f.size());
   bytes.insert(bytes.end(), f.head.begin(), f.head.end());
-  bytes.insert(bytes.end(), f.tail.begin(), f.tail.end());
+  f.tail.AppendTo(&bytes);
   return bytes;
 }
 

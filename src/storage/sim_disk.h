@@ -16,12 +16,13 @@
 // from the grave. FlipByte models media corruption of already-durable bytes.
 //
 // A file is an owned head plus an optional shared tail. WriteAndSync may hand
-// over a large immutable suffix (a snapshot's application image) as a Body,
-// which the file keeps by reference instead of copying. The tail is never
-// written through: every mutation (Append, Truncate, FlipByte, a Crash that
-// cuts into the file) first copies the surviving tail bytes into the head, so
-// injected faults cannot reach the owner's buffer. Sizes, sync frontiers and
-// reads cover both parts; a file's bytes are head followed by tail.
+// over a large immutable suffix (a snapshot's application image) as an Image,
+// a list of shared parts, which the file keeps by reference instead of
+// copying. The tail is never written through: every mutation (Append,
+// Truncate, FlipByte, a Crash that cuts into the file) first copies the
+// surviving tail bytes into the head, so injected faults cannot reach any
+// part's owner. Sizes, sync frontiers and reads cover both; a file's bytes
+// are the head followed by the tail's parts in order.
 #ifndef SRC_STORAGE_SIM_DISK_H_
 #define SRC_STORAGE_SIM_DISK_H_
 
@@ -33,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "src/common/body.h"
+#include "src/common/image.h"
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
 
@@ -66,10 +67,10 @@ class SimDisk {
   void Truncate(const std::string& file, size_t size);
   // Atomic replace-and-sync, the simulated write-to-temp + rename idiom used
   // for snapshot files: after the call the whole content, `head` followed by
-  // `tail`, is durable. The tail is kept by reference; it must be heap-backed
-  // (MakeBody), since a pool-backed slice would pin its arrival buffer.
-  void WriteAndSync(const std::string& file, std::vector<uint8_t> head,
-                    Body tail = nullptr);
+  // `tail`, is durable. The tail's parts are kept by reference; they must be
+  // heap-backed (MakeBody), since a pool-backed slice would pin its arrival
+  // buffer.
+  void WriteAndSync(const std::string& file, std::vector<uint8_t> head, Image tail = {});
   void Delete(const std::string& file);
 
   // --- durability -----------------------------------------------------------
@@ -118,7 +119,7 @@ class SimDisk {
  private:
   struct File {
     std::vector<uint8_t> head;
-    Body tail;          // shared immutable suffix; null when the file is flat
+    Image tail;         // shared immutable suffix; empty when the file is flat
     size_t synced = 0;  // durable watermark: bytes [0, synced) survive a crash
 
     size_t size() const { return head.size() + tail.size(); }

@@ -145,7 +145,7 @@ BufferWriter StableStorage::SnapshotWriter() {
   return file;
 }
 
-void StableStorage::SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Body image) {
+void StableStorage::SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Image image) {
   HC_CHECK_GE(head.size(), kSnapshotHeaderBytes);
   const size_t len = head.size() - kSnapshotHeaderBytes + image.size();
   // The length field is 32 bits: a larger image would frame a file that
@@ -155,7 +155,7 @@ void StableStorage::SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Bod
   head.PatchU64(16, static_cast<uint64_t>(term));
   head.PatchU32(24, static_cast<uint32_t>(len));
   const uint32_t head_crc = Crc32c(std::span<const uint8_t>(head.bytes()).subspan(8));
-  head.PatchU64(0, Crc32c(image.bytes(), head_crc));
+  head.PatchU64(0, Crc32cCombine(head_crc, image.crc(), image.size()));
   disk_->WriteAndSync(kSnapshotFile, head.TakeBytes(), std::move(image));
   ++stats_.snapshots_saved;
 }

@@ -13,7 +13,8 @@
 //               [u64 crc][u64 idx][u64 term][u32 len][payload]; the CRC-32C
 //               covers everything after itself. The file keeps the
 //               application image by reference as its shared tail
-//               (sim_disk.h); the CRC is chained across head and image.
+//               (sim_disk.h); the CRC is combined from the head's CRC and
+//               the image's, never recomputed over the image.
 //
 // Durability discipline: records land in the volatile tail; Sync() runs a
 // barrier priced by persist_latency under the configured FsyncPolicy. Hard
@@ -46,6 +47,7 @@
 
 #include "src/common/body.h"
 #include "src/common/buffer.h"
+#include "src/common/image.h"
 #include "src/common/types.h"
 #include "src/storage/fsync_policy.h"
 #include "src/storage/sim_disk.h"
@@ -119,12 +121,12 @@ class StableStorage {
   // Local snapshots are framed in place: the caller starts the file's head
   // with SnapshotWriter() (header reserved) and appends the payload's small
   // prefix; `image`, the payload's bulk, follows it. SaveSnapshot fills in the
-  // header and the CRC, chained over head and image, and hands both to the
-  // disk — the head is moved, the image shared, never copied. Atomically
-  // replaces the local snapshot (synced inline).
+  // header and the CRC, combined from the head's CRC and image.crc(), and
+  // hands both to the disk — the head is moved, the image's parts shared,
+  // never copied. Atomically replaces the local snapshot (synced inline).
   static constexpr size_t kSnapshotHeaderBytes = 8 + 8 + 8 + 4;  // crc, idx, term, len
   static BufferWriter SnapshotWriter();
-  void SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Body image);
+  void SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Image image);
 
   // Durability barrier under the configured policy. Returns true when it
   // completed inline (cb already ran); false when cb runs later, unless the

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/common/buffer.h"
 #include "src/common/checksum.h"
+#include "src/common/image.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -304,6 +307,67 @@ TEST(Crc32cTest, HardwareMatchesPortableAtEveryLengthAndAlignment) {
           << "align " << align << " len " << len;
     }
   }
+}
+
+// Combine(Crc(a), Crc(b), |b|) == Crc(a followed by b) at every length
+// 0-4096 of the whole, split at random points, and at the edges.
+TEST(Crc32cTest, CombineEqualsCrcOfConcatenation) {
+  Rng rng(11);
+  std::vector<uint8_t> buf(4096);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const std::span<const uint8_t> all(buf);
+  for (size_t len = 0; len <= all.size(); ++len) {
+    const auto data = all.subspan(0, len);
+    const uint32_t whole = Crc32cPortable(data);
+    for (size_t split : {size_t{0}, len, static_cast<size_t>(rng.NextBelow(len + 1)),
+                         static_cast<size_t>(rng.NextBelow(len + 1))}) {
+      const uint32_t a = Crc32cPortable(data.subspan(0, split));
+      const uint32_t b = Crc32cPortable(data.subspan(split));
+      ASSERT_EQ(Crc32cCombine(a, b, len - split), whole) << "len " << len << " split " << split;
+    }
+  }
+  // Lengths far beyond the buffer: a run of zero bytes has a closed form via
+  // the extend path, so compare against it.
+  const std::vector<uint8_t> zeros(1 << 20, 0);
+  const uint32_t head = Crc32c(AsBytes("head"));
+  EXPECT_EQ(Crc32cCombine(head, Crc32c(zeros), zeros.size()), Crc32c(zeros, head));
+}
+
+TEST(ImageTest, PartsCombineToTheFlatBytes) {
+  Rng rng(12);
+  Image image;
+  std::vector<uint8_t> flat;
+  EXPECT_EQ(image.size(), 0u);
+  EXPECT_EQ(image.crc(), 0u);
+  EXPECT_TRUE(image.Flatten() == flat);
+  for (int i = 0; i < 50; ++i) {
+    std::vector<uint8_t> part(rng.NextBelow(300));
+    for (uint8_t& b : part) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    flat.insert(flat.end(), part.begin(), part.end());
+    const uint32_t crc = Crc32c(part);
+    image.Append(MakeBody(std::move(part)), crc);
+    ASSERT_EQ(image.size(), flat.size());
+    ASSERT_EQ(image.crc(), Crc32cPortable(flat)) << "part " << i;
+  }
+  EXPECT_EQ(image.parts().size(), 50u);
+  EXPECT_TRUE(image.Flatten() == flat);
+  std::vector<uint8_t> out = {7};
+  image.AppendTo(&out);
+  EXPECT_EQ(out.size(), 1 + flat.size());
+  EXPECT_TRUE(std::equal(flat.begin(), flat.end(), out.begin() + 1));
+}
+
+TEST(ImageTest, OnePartImageFlattensWithoutCopy) {
+  const Body body = MakeBody({1, 2, 3, 4});
+  const Image image = Image::Of(body);
+  EXPECT_EQ(image.parts().size(), 1u);
+  EXPECT_EQ(image.crc(), Crc32c(body.bytes()));
+  EXPECT_EQ(image.Flatten().data(), body.data());
+  EXPECT_TRUE(Image::Of(nullptr).parts().empty());
 }
 
 // ---------------------------------------------------------------------------

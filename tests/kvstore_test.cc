@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/app/kvstore/command.h"
 #include "src/app/kvstore/service.h"
 #include "src/app/kvstore/store.h"
+#include "src/common/buffer.h"
+#include "src/common/checksum.h"
+#include "src/common/image.h"
+#include "src/common/random.h"
+#include "src/r2p2/shard.h"
 
 namespace hovercraft {
 namespace {
@@ -432,6 +440,168 @@ TEST(KvServiceExtTest, CounterThroughService) {
   EXPECT_EQ(svc.Apply(exists).values[0], "1");
   exists.key = "nope";
   EXPECT_EQ(svc.Apply(exists).values[0], "0");
+}
+
+// ---------------------------------------------------------------------------
+// Forged snapshot counts
+// ---------------------------------------------------------------------------
+
+// [applied][digest][count] and then `rest`: a snapshot whose key count claims
+// far more entries than its bytes hold.
+Body ForgedKvImage(uint64_t count, const std::vector<uint8_t>& rest = {}) {
+  BufferWriter w;
+  w.PutU64(7);
+  w.PutU64(9);
+  w.PutU64(count);
+  w.PutBytes(rest);
+  return MakeBody(w.TakeBytes());
+}
+
+// A decoder sizes its containers by the bytes left, not by a count it has not
+// checked yet: a forged count is a decode error, not an allocation failure
+// that kills the process.
+TEST(KvServiceTest, ForgedTopLevelCountIsAnError) {
+  for (uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 62, ~uint64_t{0}}) {
+    KvService svc;
+    svc.store().Set("keep", "me");
+    EXPECT_FALSE(svc.RestoreState(ForgedKvImage(count)).ok()) << count;
+    // A failed restore leaves the state as it was.
+    EXPECT_EQ(svc.store().Get("keep").value(), "me");
+  }
+}
+
+TEST(KvServiceTest, ForgedPerValueCountIsAnError) {
+  // One entry: key "k", then a hash or set tag with a forged element count.
+  for (uint8_t tag : {uint8_t{1}, uint8_t{3}}) {
+    for (uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+      BufferWriter entry;
+      entry.PutString("k");
+      entry.PutU8(tag);
+      entry.PutU64(count);
+      entry.PutString("only-one");
+      KvService svc;
+      EXPECT_FALSE(svc.RestoreState(ForgedKvImage(1, entry.bytes())).ok())
+          << "tag " << int{tag} << " count " << count;
+      // The same entry as a shard-move range payload: [u64 count = 1][entry].
+      BufferWriter range;
+      range.PutU64(1);
+      range.PutBytes(entry.bytes());
+      EXPECT_FALSE(svc.InstallRange(MakeBody(range.TakeBytes())).ok()) << "tag " << int{tag};
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cached snapshot image
+// ---------------------------------------------------------------------------
+
+// The reference image, built without the part cache: [applied][mutation
+// digest] followed by a fresh SerializeTo.
+std::vector<uint8_t> FreshImage(const KvService& svc) {
+  BufferWriter w;
+  w.PutU64(svc.ApplyCount());
+  w.PutU64(svc.mutation_digest());
+  svc.store().SerializeTo(w);
+  return w.TakeBytes();
+}
+
+// A random command over a small key pool, so keys are often of another type
+// than the command expects (wrong-type failures) or missing.
+KvCommand RandomCommand(Rng& rng) {
+  static constexpr KvOpcode kOps[] = {
+      KvOpcode::kSet,   KvOpcode::kGet,   KvOpcode::kDel,    KvOpcode::kHset,
+      KvOpcode::kHget,  KvOpcode::kRpush, KvOpcode::kLrange, KvOpcode::kYInsert,
+      KvOpcode::kYScan, KvOpcode::kIncr,  KvOpcode::kAppend, KvOpcode::kSetnx,
+      KvOpcode::kExists, KvOpcode::kHdel, KvOpcode::kLpop,   KvOpcode::kLlen,
+      KvOpcode::kSadd,  KvOpcode::kSrem,  KvOpcode::kSismember, KvOpcode::kScard};
+  KvCommand cmd;
+  cmd.op = kOps[rng.NextBelow(std::size(kOps))];
+  cmd.key = "k" + std::to_string(rng.NextBelow(12));
+  cmd.field = "f" + std::to_string(rng.NextBelow(4));
+  cmd.value = rng.NextBelow(4) == 0 ? std::to_string(rng.NextBelow(100))
+                                    : std::string(rng.NextBelow(40),
+                                                  static_cast<char>('a' + rng.NextBelow(26)));
+  cmd.range_start = 0;
+  cmd.range_stop = -1;
+  cmd.scan_limit = 3;
+  return cmd;
+}
+
+// Every mutating path of the store and the service drops exactly the parts it
+// may change: after any sequence of commands (wrong-type failures included),
+// range drops and installs and restores, each snapshot image equals a fresh
+// serialization, its combined CRC equals the CRC of its flat bytes, and the
+// images taken earlier still hold the bytes they had.
+TEST(KvServiceTest, CachedImageMatchesFreshSerializationUnderRandomOps) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    KvService svc;
+    KvService donor;  // source of installed ranges and restored states
+    uint64_t seq = 0;
+    std::vector<std::pair<Image, std::vector<uint8_t>>> taken;
+    for (int step = 0; step < 400; ++step) {
+      const uint64_t dice = rng.NextBelow(100);
+      if (dice < 70) {
+        const KvCommand cmd = RandomCommand(rng);
+        svc.Execute(MakeKvRequest(cmd, ++seq));
+      } else if (dice < 78) {
+        donor.Execute(MakeKvRequest(RandomCommand(rng), ++seq));
+      } else if (dice < 82) {
+        const auto lo = static_cast<uint32_t>(rng.NextBelow(kShardSlots));
+        const auto hi = static_cast<uint32_t>(lo + rng.NextBelow(kShardSlots - lo));
+        ASSERT_TRUE(svc.DropRange(lo, hi).ok());
+      } else if (dice < 86) {
+        const auto lo = static_cast<uint32_t>(rng.NextBelow(kShardSlots));
+        const auto hi = static_cast<uint32_t>(lo + rng.NextBelow(kShardSlots - lo));
+        ASSERT_TRUE(svc.InstallRange(donor.CaptureRange(lo, hi)).ok());
+      } else if (dice < 88) {
+        // Restore either the donor's state or one of our own earlier images.
+        const Body state = taken.empty() || rng.NextBelow(2) == 0
+                               ? donor.SnapshotState()
+                               : taken[rng.NextBelow(taken.size())].first.Flatten();
+        ASSERT_TRUE(svc.RestoreState(state).ok());
+      } else {
+        const Image image = svc.SnapshotImage();
+        const Body flat = image.Flatten();
+        const std::vector<uint8_t> fresh = FreshImage(svc);
+        ASSERT_TRUE(flat == fresh) << "seed " << seed << " step " << step;
+        ASSERT_EQ(image.size(), fresh.size());
+        ASSERT_EQ(image.crc(), Crc32cPortable(fresh)) << "seed " << seed << " step " << step;
+        ASSERT_EQ(image.parts().size(), 1 + svc.store().key_count());
+        ASSERT_TRUE(svc.SnapshotState() == fresh);
+        taken.emplace_back(image, fresh);
+      }
+    }
+    for (const auto& [image, bytes] : taken) {
+      EXPECT_TRUE(image.Flatten() == bytes) << "seed " << seed << ": a shared part changed";
+    }
+  }
+}
+
+// A second image with nothing changed reuses every key's part (same
+// storage, not a copy); a write re-serializes only the key it touched.
+TEST(KvServiceTest, UnchangedKeysShareTheirParts) {
+  KvService svc;
+  KvCommand cmd;
+  cmd.op = KvOpcode::kRpush;
+  for (int k = 0; k < 5; ++k) {
+    cmd.key = "conv:" + std::to_string(k);
+    cmd.value = "post";
+    svc.Apply(cmd);
+  }
+  const Image first = svc.SnapshotImage();
+  cmd.key = "conv:3";
+  svc.Apply(cmd);
+  const Image second = svc.SnapshotImage();
+  ASSERT_EQ(first.parts().size(), second.parts().size());
+  size_t shared = 0;
+  for (size_t i = 1; i < first.parts().size(); ++i) {
+    if (first.parts()[i].bytes.data() == second.parts()[i].bytes.data()) {
+      ++shared;
+    }
+  }
+  EXPECT_EQ(shared, 4u);
+  EXPECT_TRUE(second.Flatten() == FreshImage(svc));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "src/app/lock_service.h"
+#include "src/common/buffer.h"
 #include "src/core/cluster.h"
 
 namespace hovercraft {
@@ -93,6 +94,30 @@ TEST(LockServiceTest, SnapshotRoundTrip) {
   const LockReply from_a = a.Apply(Cmd(LockOpcode::kAcquire, "L3", "x"));
   const LockReply from_b = b.Apply(Cmd(LockOpcode::kAcquire, "L3", "x"));
   EXPECT_EQ(from_a.fencing_token, from_b.fencing_token);
+}
+
+// A forged holder count, or a forged length inside one holder, is a decode
+// error: the decoder reserves by the bytes left, so it fails on the missing
+// bytes instead of on a huge allocation.
+TEST(LockServiceTest, ForgedCountsAreErrors) {
+  auto forged = [](uint64_t count, uint32_t owner_len) {
+    BufferWriter w;
+    w.PutU64(5);  // next token
+    w.PutU64(3);  // applied
+    w.PutU64(count);
+    w.PutString("L1");
+    w.PutU32(owner_len);
+    w.PutU64(1);
+    return MakeBody(w.TakeBytes());
+  };
+  for (uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 62, ~uint64_t{0}}) {
+    LockService svc;
+    EXPECT_FALSE(svc.RestoreState(forged(count, 0)).ok()) << count;
+  }
+  LockService svc;
+  EXPECT_FALSE(svc.RestoreState(forged(1, 0xFFFFFFFFu)).ok());
+  EXPECT_TRUE(svc.RestoreState(forged(1, 0)).ok());  // the unforged control
+  EXPECT_EQ(svc.held_locks(), 1u);
 }
 
 // Mutual exclusion as a replicated property: two clients race ACQUIRE

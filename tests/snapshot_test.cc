@@ -373,10 +373,28 @@ std::vector<uint8_t> FlatSnapshotFile(LogIndex idx, Term term, std::span<const u
   return file.TakeBytes();
 }
 
-// Local snapshot files keep the app image by reference and files saved on an
-// InstallSnapshot keep the received wire body by reference; either way the
-// durable bytes must equal the flat framing byte for byte: header, CRC,
-// config, sessions, shard state and image.
+// The flat reference for a server's current local snapshot file, built
+// without the kvstore's part cache: the app image is [applied][mutation
+// digest] followed by a fresh KvStore::SerializeTo.
+std::vector<uint8_t> FlatLocalSnapshotFile(const ReplicatedServer& server) {
+  const LogIndex idx = server.raft()->applied_index();
+  const Term term = server.raft()->log().TermAt(idx);
+  const auto [config_idx, membership] = server.raft()->ConfigCoveringIndex(idx);
+  BufferWriter payload;
+  PutConfigPrefix(membership, config_idx, &payload);
+  server.sessions().Serialize(&payload);
+  server.shard_state().Serialize(&payload);
+  const auto& kv = dynamic_cast<const KvService&>(server.app());
+  payload.PutU64(kv.ApplyCount());
+  payload.PutU64(kv.mutation_digest());
+  kv.store().SerializeTo(payload);
+  return FlatSnapshotFile(idx, term, payload.bytes());
+}
+
+// Local snapshot files keep the app image's per-key parts by reference and
+// files saved on an InstallSnapshot keep the received wire body by
+// reference; either way the durable bytes must equal the flat framing byte
+// for byte: header, CRC, config, sessions, shard state and image.
 TEST(SnapshotTest, SnapshotFilesMatchFlatFraming) {
   YcsbEConfig ycsb;
   ycsb.conversation_count = 60;
@@ -410,16 +428,7 @@ TEST(SnapshotTest, SnapshotFilesMatchFlatFraming) {
     ReplicatedServer& server = cluster.server(n);
     ASSERT_GT(server.storage()->stats().snapshots_saved, 1u) << "node " << n;
     ASSERT_GT(server.sessions().client_count(), 0u) << "node " << n;
-    const LogIndex idx = server.raft()->applied_index();
-    const Term term = server.raft()->log().TermAt(idx);
-    const auto [config_idx, membership] = server.raft()->ConfigCoveringIndex(idx);
-    BufferWriter payload;
-    PutConfigPrefix(membership, config_idx, &payload);
-    server.sessions().Serialize(&payload);
-    server.shard_state().Serialize(&payload);
-    payload.PutBytes(*server.app().SnapshotState());
-    EXPECT_EQ(server.disk()->Read("snapshot"), FlatSnapshotFile(idx, term, payload.bytes()))
-        << "node " << n;
+    EXPECT_EQ(server.disk()->Read("snapshot"), FlatLocalSnapshotFile(server)) << "node " << n;
   }
 
   // InstallSnapshot receive path: the follower persists the leader's wire
@@ -439,6 +448,75 @@ TEST(SnapshotTest, SnapshotFilesMatchFlatFraming) {
   payload.PutBytes(*capture.state);
   EXPECT_EQ(cluster.server(follower).disk()->Read("snapshot"),
             FlatSnapshotFile(capture.last_included, term, payload.bytes()));
+}
+
+// A follower power-fails after several YCSB-E compactions, so its snapshot
+// file is an incremental image: the parts of keys no insert touched are the
+// ones built at construction, the rest were re-serialized by later
+// compactions. It restarts from that file, catches up with its peers and
+// lands on their state; the files it writes afterwards still match the flat
+// framing.
+TEST(SnapshotTest, FollowerRecoversFromIncrementalSnapshotFile) {
+  YcsbEConfig ycsb;
+  ycsb.conversation_count = 200;
+  ycsb.preload_per_conversation = 4;
+  ycsb.field_bytes = 64;
+  ClusterConfig config;
+  config.mode = ClusterMode::kHovercRaftPP;
+  config.nodes = 3;
+  config.seed = 505;
+  config.app_factory = [ycsb]() {
+    auto svc = std::make_unique<KvService>();
+    Rng rng(9);
+    for (const KvCommand& cmd : YcsbEGenerator(ycsb).PreloadCommands(rng)) {
+      svc->Apply(cmd);
+    }
+    return svc;
+  };
+  config.server_template.compaction_interval = Millis(5);
+  Cluster cluster(config);
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  auto client = std::make_unique<ClientHost>(
+      &cluster.sim(), config.costs, [&cluster]() { return cluster.ClientTarget(); },
+      std::make_unique<YcsbEWorkload>(ycsb), 40'000, 29);
+  cluster.network().Attach(client.get());
+  const TimeNs t0 = cluster.sim().Now();
+  client->StartLoad(t0, t0 + Millis(60));
+  cluster.sim().RunUntil(t0 + Millis(30));
+
+  const NodeId victim = (cluster.LeaderId() + 1) % 3;
+  ReplicatedServer& server = cluster.server(victim);
+  ASSERT_GE(server.storage()->stats().snapshots_saved, 4u);
+  // The file covers a compaction well past genesis.
+  const std::vector<uint8_t> file = server.disk()->Read("snapshot");
+  BufferReader header(file);
+  uint64_t crc = 0;
+  uint64_t file_idx = 0;
+  ASSERT_TRUE(header.GetU64(crc).ok() && header.GetU64(file_idx).ok());
+  ASSERT_GT(file_idx, 100u);
+
+  cluster.PowerFailNode(victim);
+  cluster.sim().RunUntil(t0 + Millis(35));
+  cluster.RestartNode(victim);
+  EXPECT_GE(server.app().ApplyCount(), 1u);
+  // Load ends at 60 ms; the rest quiesces and lets compactions persist the
+  // final state everywhere.
+  cluster.sim().RunUntil(t0 + Millis(120));
+
+  const auto& st = server.storage()->stats();
+  EXPECT_EQ(st.recoveries, 1u);
+  EXPECT_EQ(st.suspect_recoveries, 0u);
+  const NodeId leader = cluster.LeaderId();
+  ASSERT_NE(leader, kInvalidNode);
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(cluster.server(n).app().Digest(), cluster.server(leader).app().Digest())
+        << "node " << n;
+    EXPECT_EQ(cluster.server(n).app().ApplyCount(), cluster.server(leader).app().ApplyCount())
+        << "node " << n;
+    EXPECT_EQ(cluster.server(n).disk()->Read("snapshot"),
+              FlatLocalSnapshotFile(cluster.server(n)))
+        << "node " << n;
+  }
 }
 
 // The dedup state must ride inside InstallSnapshot: a straggler repaired by

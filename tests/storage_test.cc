@@ -12,6 +12,7 @@
 #include "src/common/body.h"
 #include "src/common/buffer.h"
 #include "src/common/checksum.h"
+#include "src/common/image.h"
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
 #include "src/storage/fsync_policy.h"
@@ -155,7 +156,7 @@ TEST(SimDiskTest, SharedTailFileMatchesFlatFile) {
   SimDisk shared(&sim, 1, 500);
   SimDisk flat(&sim, 1, 500);
   const std::vector<uint8_t> image = {4, 5, 6, 7, 8};
-  shared.WriteAndSync("f", Bytes({1, 2, 3}), MakeBody(image));
+  shared.WriteAndSync("f", Bytes({1, 2, 3}), Image::Of(MakeBody(image)));
   flat.WriteAndSync("f", Bytes({1, 2, 3, 4, 5, 6, 7, 8}));
   EXPECT_EQ(shared.Size("f"), 8u);
   EXPECT_EQ(shared.SyncedSize("f"), 8u);
@@ -201,7 +202,7 @@ TEST(SimDiskTest, MutationsCopyTheSharedTailFirst) {
     Simulator sim;
     SimDisk disk(&sim, 1, 0);
     const Body image = MakeBody(original);
-    disk.WriteAndSync("f", Bytes({1, 2}), image);
+    disk.WriteAndSync("f", Bytes({1, 2}), Image::Of(image));
     c.mutate(&disk);
     EXPECT_EQ(disk.Read("f"), c.expect) << c.name;
     EXPECT_EQ(disk.Size("f"), c.expect.size()) << c.name;
@@ -216,7 +217,7 @@ TEST(SimDiskTest, TornCrashAfterAppendKeepsSyncedSharedPrefix) {
     Simulator sim;
     SimDisk disk(&sim, seed, 0);
     const Body image = MakeBody(original);
-    disk.WriteAndSync("f", Bytes({1, 2}), image);
+    disk.WriteAndSync("f", Bytes({1, 2}), Image::Of(image));
     Append(&disk, "f", Bytes({20, 21, 22, 23}));
     disk.set_next_crash_torn();
     disk.Crash();
@@ -229,6 +230,119 @@ TEST(SimDiskTest, TornCrashAfterAppendKeepsSyncedSharedPrefix) {
   }
 }
 
+// A snapshot-style file whose tail is several parts, each owned elsewhere
+// (as a kvstore's per-key parts are): a 2-byte head, then parts of 3, 1, 4
+// and 2 bytes.
+struct PartedFile {
+  std::vector<std::vector<uint8_t>> originals;
+  std::vector<Body> owners;
+  std::vector<size_t> starts;  // file offset of each part
+  Image tail;
+  std::vector<uint8_t> flat;   // the file's bytes
+
+  PartedFile() : flat({1, 2}) {
+    uint8_t next = 10;
+    for (size_t len : {3, 1, 4, 2}) {
+      std::vector<uint8_t> part;
+      for (size_t i = 0; i < len; ++i) {
+        part.push_back(next++);
+      }
+      starts.push_back(flat.size());
+      flat.insert(flat.end(), part.begin(), part.end());
+      owners.push_back(MakeBody(part));
+      tail.Append(owners.back(), Crc32c(part));
+      originals.push_back(std::move(part));
+    }
+  }
+
+  void Write(SimDisk* disk) const { disk->WriteAndSync("f", Bytes({1, 2}), tail); }
+
+  // Every owner still holds exactly the bytes it handed over.
+  bool OwnersIntact() const {
+    for (size_t k = 0; k < owners.size(); ++k) {
+      if (!(owners[k] == originals[k])) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+TEST(SimDiskTest, MultiPartTailReadsAsTheFlatBytes) {
+  Simulator sim;
+  SimDisk parted(&sim, 1, 0);
+  SimDisk flat(&sim, 1, 0);
+  const PartedFile file;
+  file.Write(&parted);
+  flat.WriteAndSync("f", file.flat);
+  EXPECT_EQ(parted.Read("f"), file.flat);
+  EXPECT_EQ(parted.Size("f"), file.flat.size());
+  EXPECT_EQ(parted.SyncedSize("f"), file.flat.size());
+  EXPECT_EQ(parted.stats().bytes_written, flat.stats().bytes_written);
+  EXPECT_EQ(parted.stats().appends, flat.stats().appends);
+}
+
+// A flip or a truncation landing in any byte, of the head or of part k,
+// mutates only the file: the read shows it, and every part's owner keeps its
+// bytes.
+TEST(SimDiskTest, MultiPartTailFaultsLeaveEveryOwnerIntact) {
+  const size_t size = PartedFile().flat.size();
+  for (size_t offset = 0; offset < size; ++offset) {
+    {
+      Simulator sim;
+      SimDisk disk(&sim, 1, 0);
+      const PartedFile file;
+      file.Write(&disk);
+      ASSERT_TRUE(disk.FlipByte("f", offset));
+      std::vector<uint8_t> expect = file.flat;
+      expect[offset] ^= 0x40;
+      EXPECT_EQ(disk.Read("f"), expect) << "flip at " << offset;
+      EXPECT_EQ(disk.SyncedSize("f"), size) << "flip at " << offset;
+      EXPECT_TRUE(file.OwnersIntact()) << "flip at " << offset;
+    }
+    {
+      Simulator sim;
+      SimDisk disk(&sim, 1, 0);
+      const PartedFile file;
+      file.Write(&disk);
+      disk.Truncate("f", offset);
+      const std::vector<uint8_t> expect(file.flat.begin(),
+                                        file.flat.begin() + static_cast<ptrdiff_t>(offset));
+      EXPECT_EQ(disk.Read("f"), expect) << "truncate at " << offset;
+      EXPECT_EQ(disk.Size("f"), offset);
+      EXPECT_EQ(disk.SyncedSize("f"), offset);
+      EXPECT_TRUE(file.OwnersIntact()) << "truncate at " << offset;
+    }
+  }
+}
+
+// A torn crash whose cut lands inside part k's byte range: the file is cut
+// back to the start of part k, part k is rewritten unsynced, and the crash
+// keeps a strict prefix of it. The durable prefix survives; no owner changes.
+TEST(SimDiskTest, TornCrashInsideAPartLeavesEveryOwnerIntact) {
+  const PartedFile shape;
+  for (size_t k = 0; k < shape.owners.size(); ++k) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      Simulator sim;
+      SimDisk disk(&sim, seed, 0);
+      const PartedFile file;
+      file.Write(&disk);
+      const size_t start = file.starts[k];
+      disk.Truncate("f", start);
+      Append(&disk, "f", file.originals[k]);
+      disk.set_next_crash_torn();
+      disk.Crash();
+      const std::vector<uint8_t> after = disk.Read("f");
+      ASSERT_GE(after.size(), start) << "part " << k << " seed " << seed;
+      ASSERT_LT(after.size(), start + file.originals[k].size()) << "part " << k;
+      EXPECT_TRUE(std::equal(after.begin(), after.end(), file.flat.begin()))
+          << "part " << k << " seed " << seed;
+      EXPECT_EQ(disk.stats().torn_crashes, 1u);
+      EXPECT_TRUE(file.OwnersIntact()) << "part " << k << " seed " << seed;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // StableStorage
 // ---------------------------------------------------------------------------
@@ -237,7 +351,7 @@ std::vector<uint8_t> Payload(uint8_t tag) { return std::vector<uint8_t>(8, tag);
 
 void SaveSnapshot(StableStorage* storage, LogIndex idx, Term term,
                   const std::vector<uint8_t>& payload) {
-  storage->SaveSnapshot(idx, term, StableStorage::SnapshotWriter(), MakeBody(payload));
+  storage->SaveSnapshot(idx, term, StableStorage::SnapshotWriter(), Image::Of(MakeBody(payload)));
 }
 
 // Rewrites `file` with one bit of `original` inverted (bit index counts from
@@ -436,6 +550,30 @@ TEST(StableStorageTest, SnapshotFrameIsFilledInPlace) {
   EXPECT_EQ(term, 3u);
   EXPECT_EQ(len, 8u);
   EXPECT_EQ(std::vector<uint8_t>(file.begin() + 28, file.end()), Payload(9));
+}
+
+// A multi-part image behind a head prefix: the CRC combined from the part
+// CRCs is the CRC of the flat file, and recovery reads the payload back.
+TEST(StableStorageTest, MultiPartImageSnapshotMatchesFlatFraming) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  const PartedFile parted;
+  BufferWriter head = StableStorage::SnapshotWriter();
+  head.PutBytes(Bytes({1, 2}));
+  storage.SaveSnapshot(21, 4, std::move(head), parted.tail);
+  const std::vector<uint8_t> file = disk.Read("snapshot");
+  ASSERT_EQ(file.size(), StableStorage::kSnapshotHeaderBytes + parted.flat.size());
+  BufferReader r(file);
+  uint64_t crc = 0;
+  ASSERT_TRUE(r.GetU64(crc).ok());
+  EXPECT_EQ(crc, Crc32cPortable(std::span<const uint8_t>(file).subspan(8)));
+
+  StableStorage::Recovery rec = storage.Recover(true);
+  ASSERT_TRUE(rec.has_snapshot);
+  EXPECT_FALSE(rec.suspect);
+  EXPECT_EQ(rec.snapshot_index, 21u);
+  EXPECT_EQ(rec.snapshot_payload, parted.flat);
 }
 
 TEST(StableStorageTest, EverySnapshotBitFlipIsDetected) {
