@@ -6,11 +6,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
+#include "bench/counting_allocator.h"  // BM_LocalSnapshot's allocation count
 #include "src/app/kvstore/command.h"
 #include "src/app/kvstore/service.h"
 #include "src/app/ycsb.h"
@@ -19,34 +18,6 @@
 #include "src/core/cluster.h"
 #include "src/loadgen/client.h"
 #include "src/loadgen/workload.h"
-
-// --- counting allocator ------------------------------------------------------
-// Interposed for the whole binary so BM_LocalSnapshot can report heap bytes
-// allocated per snapshot. Not thread-safe; the benchmarks are single-threaded.
-static uint64_t g_alloc_bytes = 0;
-
-// Out of line: once inlined next to a delete-expression, the malloc/free
-// pairing trips -Wmismatched-new-delete.
-[[gnu::noinline]] void* operator new(size_t size) {
-  g_alloc_bytes += size;
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-[[gnu::noinline]] void* operator new[](size_t size) {
-  g_alloc_bytes += size;
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace hovercraft {
 namespace {

@@ -445,17 +445,15 @@ void Nemesis::DiskCorruptionCycle(TimeNs follower_outage, TimeNs leader_outage) 
       continue;
     }
     const RaftLog& log = server.raft()->log();
-    bool corrupted = false;
-    for (LogIndex idx = server.raft()->applied_index(); idx >= log.first_index() && idx > 0;
-         --idx) {
-      const LogEntry& e = log.At(idx);
-      if (!e.noop && !e.read_only && server.storage()->CorruptEntry(idx)) {
-        Log("disk: corrupt entry " + std::to_string(idx) + " on node " + std::to_string(node));
-        corrupted = true;
-        break;
-      }
-    }
-    if (!corrupted) {
+    const LogIndex corrupted = server.storage()->CorruptNewestEntry(
+        log.first_index(), server.raft()->applied_index(), [&log](LogIndex idx) {
+          const LogEntry& e = log.At(idx);
+          return !e.noop && !e.read_only;
+        });
+    if (corrupted != kNoLogIndex) {
+      Log("disk: corrupt entry " + std::to_string(corrupted) + " on node " +
+          std::to_string(node));
+    } else {
       Log("disk: corrupt skipped on node " + std::to_string(node) +
           " (no applied write entry in WAL)");
     }

@@ -1,10 +1,24 @@
 #include "src/raft/log.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "src/common/buffer.h"
 
 namespace hovercraft {
+
+namespace {
+
+constexpr int kRidTagShift = 56;
+constexpr uint64_t kRidIndexMask = (uint64_t{1} << kRidTagShift) - 1;
+// Index 0 is below every first_index(), so this is a dead, non-empty slot.
+constexpr uint64_t kRidTombstone = uint64_t{1} << kRidTagShift;
+constexpr size_t kMinRidSlots = 16;
+
+uint64_t RidHash(const RequestId& rid) { return RequestIdHash()(rid); }
+uint64_t RidTag(uint64_t hash) { return hash & ~kRidIndexMask; }
+
+}  // namespace
 
 uint64_t HashRequestBody(const RpcRequest& request) {
   if (request.body() == nullptr) {
@@ -13,12 +27,58 @@ uint64_t HashRequestBody(const RpcRequest& request) {
   return Fnv1aHash(std::span<const uint8_t>(request.body()->data(), request.body()->size()));
 }
 
+bool RaftLog::RidSlotLive(uint64_t slot) const {
+  return slot != 0 && (slot & kRidIndexMask) >= first_index();
+}
+
+size_t RaftLog::FindRidSlot(const RequestId& rid, uint64_t hash) const {
+  const size_t mask = rid_slots_.size() - 1;
+  for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+    const uint64_t slot = rid_slots_[pos];
+    if (slot == 0 || (RidTag(slot) == RidTag(hash) && RidSlotLive(slot) &&
+                      At(slot & kRidIndexMask).rid == rid)) {
+      return pos;
+    }
+  }
+}
+
+void RaftLog::RehashRids() {
+  std::vector<uint64_t> old;
+  old.swap(rid_slots_);
+  size_t live = 0;
+  for (uint64_t slot : old) {
+    live += RidSlotLive(slot) ? 1 : 0;
+  }
+  size_t capacity = kMinRidSlots;
+  while (capacity < 2 * (live + 1)) {
+    capacity *= 2;
+  }
+  rid_slots_.assign(capacity, 0);
+  rid_slots_used_ = live;
+  for (uint64_t slot : old) {
+    if (RidSlotLive(slot)) {
+      size_t pos = RidHash(At(slot & kRidIndexMask).rid) & (capacity - 1);
+      while (rid_slots_[pos] != 0) {
+        pos = (pos + 1) & (capacity - 1);
+      }
+      rid_slots_[pos] = slot;
+    }
+  }
+}
+
 LogIndex RaftLog::Append(LogEntry entry) {
   entries_.push_back(std::move(entry));
   const LogIndex idx = last_index();
   const LogEntry& e = entries_.back();
   if (!e.noop) {
-    rid_index_[e.rid] = idx;
+    HC_CHECK_LE(idx, kRidIndexMask);
+    if ((rid_slots_used_ + 1) * 4 > rid_slots_.size() * 3) {
+      RehashRids();
+    }
+    const uint64_t hash = RidHash(e.rid);
+    uint64_t& slot = rid_slots_[FindRidSlot(e.rid, hash)];
+    rid_slots_used_ += slot == 0 ? 1 : 0;
+    slot = RidTag(hash) | idx;
   }
   return idx;
 }
@@ -28,9 +88,13 @@ void RaftLog::TruncateFrom(LogIndex idx) {
   while (last_index() >= idx) {
     const LogEntry& e = entries_.back();
     if (!e.noop) {
-      auto it = rid_index_.find(e.rid);
-      if (it != rid_index_.end() && it->second == last_index()) {
-        rid_index_.erase(it);
+      // The latest append of a rid is the one its slot maps to, so the tail
+      // entry's rid maps to the tail, or to nothing once a newer copy was
+      // truncated.
+      uint64_t& slot = rid_slots_[FindRidSlot(e.rid, RidHash(e.rid))];
+      if (slot != 0) {
+        HC_CHECK_EQ(slot & kRidIndexMask, last_index());
+        slot = kRidTombstone;
       }
     }
     entries_.pop_back();
@@ -43,32 +107,29 @@ void RaftLog::CompactPrefix(LogIndex idx) {
   }
   HC_CHECK_LE(idx, last_index());
   base_term_ = TermAt(idx);
-  while (base_index_ < idx) {
-    const LogEntry& e = entries_.front();
-    if (!e.noop) {
-      auto it = rid_index_.find(e.rid);
-      if (it != rid_index_.end() && it->second == base_index_ + 1) {
-        rid_index_.erase(it);
-      }
-    }
-    entries_.pop_front();
-    ++base_index_;
+  // The dropped entries' rid slots die with them (their indices fall below
+  // first_index()); the table shrinks once it is mostly dead.
+  entries_.erase(entries_.begin(), entries_.begin() + static_cast<ptrdiff_t>(idx - base_index_));
+  base_index_ = idx;
+  if (rid_slots_.size() > kMinRidSlots && entries_.size() * 8 < rid_slots_.size()) {
+    RehashRids();
   }
 }
 
 void RaftLog::ResetTo(LogIndex idx, Term term) {
   entries_.clear();
-  rid_index_.clear();
+  rid_slots_ = std::vector<uint64_t>();
+  rid_slots_used_ = 0;
   base_index_ = idx;
   base_term_ = term;
 }
 
 LogIndex RaftLog::FindRequest(const RequestId& rid) const {
-  auto it = rid_index_.find(rid);
-  if (it == rid_index_.end()) {
+  if (rid_slots_.empty()) {
     return kNoLogIndex;
   }
-  return it->second;
+  const uint64_t slot = rid_slots_[FindRidSlot(rid, RidHash(rid))];
+  return slot & kRidIndexMask;
 }
 
 }  // namespace hovercraft

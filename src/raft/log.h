@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <deque>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/types.h"
@@ -98,14 +98,34 @@ class RaftLog {
   void ResetTo(LogIndex idx, Term term);
 
   // Finds the log index holding `rid`, or kNoLogIndex. Used for duplicate
-  // detection and for serving payload recovery.
+  // detection and for serving payload recovery. The latest append of a rid
+  // wins; dropping the entry it maps to (truncation or compaction) forgets
+  // the rid, even when an older copy of it is still in the log.
   LogIndex FindRequest(const RequestId& rid) const;
 
  private:
+  // The rid index is an open-addressing table with linear probing. A slot
+  // holds the mapped LogIndex in its low 56 bits and the top byte of the
+  // rid's hash above them; 0 is an empty slot. The rid itself is read back
+  // from the entry, so the index costs one 8-byte slot per mapping and no
+  // heap node, whatever seqs the clients send. A slot whose index is below
+  // first_index() is dead: compaction forgets its entries' rids without
+  // touching the table, and truncation (whose indices later appends reuse)
+  // overwrites the slot with kRidTombstone. Dead slots go at the next rehash:
+  // an append rehashes before the table passes 3/4 full, dead slots counted,
+  // and a compaction once the log would fit in an eighth of it.
+
+  // The slot mapping `rid`, or the empty slot that ends its probe sequence.
+  size_t FindRidSlot(const RequestId& rid, uint64_t hash) const;
+  bool RidSlotLive(uint64_t slot) const;
+  // Rebuilds the table from its live slots, at most half full.
+  void RehashRids();
+
   LogIndex base_index_ = 0;  // compaction point (0 = nothing compacted)
   Term base_term_ = 0;
   std::deque<LogEntry> entries_;
-  std::unordered_map<RequestId, LogIndex, RequestIdHash> rid_index_;
+  std::vector<uint64_t> rid_slots_;  // power-of-two size, or empty
+  size_t rid_slots_used_ = 0;        // non-empty slots, dead ones included
 };
 
 }  // namespace hovercraft

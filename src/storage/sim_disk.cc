@@ -55,6 +55,10 @@ void SimDisk::Append(const std::string& file, const uint8_t* data, size_t len) {
   stats_.bytes_written += len;
 }
 
+void SimDisk::Reserve(const std::string& file, size_t bytes) {
+  files_[file].head.reserve(bytes);
+}
+
 void SimDisk::Truncate(const std::string& file, size_t size) {
   auto it = files_.find(file);
   if (it == files_.end()) {
@@ -226,6 +230,15 @@ std::vector<uint8_t> SimDisk::Read(const std::string& file) const {
   bytes.insert(bytes.end(), f.head.begin(), f.head.end());
   f.tail.AppendTo(&bytes);
   return bytes;
+}
+
+std::span<const uint8_t> SimDisk::ReadView(const std::string& file) const {
+  auto it = files_.find(file);
+  if (it == files_.end()) {
+    return {};
+  }
+  HC_CHECK_EQ(it->second.tail.size(), 0u);
+  return it->second.head;
 }
 
 size_t SimDisk::Size(const std::string& file) const {

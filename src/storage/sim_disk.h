@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,9 @@ class SimDisk {
 
   // --- writes ---------------------------------------------------------------
   void Append(const std::string& file, const uint8_t* data, size_t len);
+  // Sizes `file`'s buffer to hold `bytes` without regrowing, creating the file
+  // empty when missing. Capacity only: contents and sizes are unchanged.
+  void Reserve(const std::string& file, size_t bytes);
   // Truncates `file` to `size` bytes (clamping the durable watermark too).
   void Truncate(const std::string& file, size_t size);
   // Atomic replace-and-sync, the simulated write-to-temp + rename idiom used
@@ -102,6 +106,9 @@ class SimDisk {
   bool Exists(const std::string& file) const { return files_.count(file) != 0; }
   // The file's bytes in one flat buffer (a copy); empty when missing.
   std::vector<uint8_t> Read(const std::string& file) const;
+  // The bytes of a file written only by Append (never by WriteAndSync), by
+  // reference: valid until the next write to the file; empty when missing.
+  std::span<const uint8_t> ReadView(const std::string& file) const;
   size_t Size(const std::string& file) const;
   size_t SyncedSize(const std::string& file) const;
   // Sorted names of the files whose name starts with `prefix`.

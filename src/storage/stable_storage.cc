@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <map>
+#include <optional>
 #include <utility>
 
 #include "src/common/buffer.h"
@@ -16,28 +18,64 @@ namespace {
 
 constexpr size_t kRecordHeaderBytes = 4 + 1 + 8;  // len, type, crc
 constexpr char kSnapshotFile[] = "snapshot";
+// A segment rotates once it reaches segment_bytes_, so it ends at most one
+// record past that; its buffer is sized for this much overshoot up front.
+constexpr size_t kSegmentHeadroom = 4096;
+// The corruption hook flips the first byte of an entry record's term field:
+// inside the CRC-covered payload, past the index a later scan still reads.
+constexpr size_t kEntryFlipOffset = kRecordHeaderBytes + 8;
 
 uint64_t RecordCrc(uint8_t type, std::span<const uint8_t> payload) {
   const uint8_t t[1] = {type};
   return Crc32c(payload, Crc32c(std::span<const uint8_t>(t, 1)));
 }
 
+// One WAL record: [u32 len][u8 type][u64 crc][payload]. The only parser of
+// the framing; Recover and the corruption hook both walk records with it.
+struct RecordFrame {
+  uint8_t type = 0;
+  uint64_t crc = 0;
+  std::span<const uint8_t> payload;
+
+  size_t size() const { return kRecordHeaderBytes + payload.size(); }
+};
+
+// The record starting at byte `off` (<= bytes.size()) of a segment, or
+// nullopt when the segment ends inside it.
+std::optional<RecordFrame> FrameAt(std::span<const uint8_t> bytes, size_t off) {
+  if (bytes.size() - off < kRecordHeaderBytes) {
+    return std::nullopt;
+  }
+  BufferReader hdr(bytes.subspan(off, kRecordHeaderBytes));
+  uint32_t len = 0;
+  RecordFrame frame;
+  HC_CHECK(hdr.GetU32(len).ok() && hdr.GetU8(frame.type).ok() && hdr.GetU64(frame.crc).ok());
+  if (bytes.size() - off - kRecordHeaderBytes < len) {
+    return std::nullopt;
+  }
+  frame.payload = bytes.subspan(off + kRecordHeaderBytes, len);
+  return frame;
+}
+
 }  // namespace
 
-std::string StableStorage::SegmentName(uint64_t seq) const {
+std::string StableStorage::SegmentName(uint64_t seq) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "wal-%08llu", static_cast<unsigned long long>(seq));
   return buf;
 }
 
+void StableStorage::OpenSegment(uint64_t seq) {
+  segments_.push_back(Segment{seq, 0});
+  open_name_ = SegmentName(seq);
+  disk_->Reserve(open_name_, segment_bytes_ + kSegmentHeadroom);
+}
+
 StableStorage::Segment& StableStorage::WritableSegment() {
   if (segments_.empty()) {
-    segments_.push_back(Segment{1, 0});
-    return segments_.back();
-  }
-  Segment& cur = segments_.back();
-  if (!in_baseline_ && disk_->Size(SegmentName(cur.seq)) >= segment_bytes_) {
-    segments_.push_back(Segment{cur.seq + 1, 0});
+    OpenSegment(1);
+  } else if (!in_baseline_ && disk_->Size(open_name_) >= segment_bytes_) {
+    OpenSegment(segments_.back().seq + 1);
     WriteBaseline();
   }
   return segments_.back();
@@ -63,14 +101,13 @@ void StableStorage::WriteBaseline() {
 }
 
 void StableStorage::AppendRecord(RecordType type, const std::vector<uint8_t>& payload) {
-  Segment& seg = WritableSegment();
-  const std::string file = SegmentName(seg.seq);
+  WritableSegment();
   BufferWriter w(kRecordHeaderBytes + payload.size());
   w.PutU32(static_cast<uint32_t>(payload.size()));
   w.PutU8(static_cast<uint8_t>(type));
   w.PutU64(RecordCrc(static_cast<uint8_t>(type), payload));
   w.PutBytes(payload);
-  disk_->Append(file, w.bytes().data(), w.bytes().size());
+  disk_->Append(open_name_, w.bytes().data(), w.bytes().size());
 }
 
 void StableStorage::PersistHardState(Term term, NodeId voted_for) {
@@ -93,9 +130,7 @@ void StableStorage::AppendEntry(LogIndex idx, Term term, NodeId replier,
   w.PutU64(static_cast<uint64_t>(term));
   w.PutI64(static_cast<int64_t>(replier));
   w.PutBytes(payload);
-  Segment& seg = WritableSegment();  // rotate before capturing the offset
-  const std::string file = SegmentName(seg.seq);
-  entry_locations_[idx] = {file, disk_->Size(file)};
+  Segment& seg = WritableSegment();  // rotate before noting the segment's max
   seg.max_entry_idx = std::max(seg.max_entry_idx, idx);
   AppendRecord(RecordType::kEntry, w.bytes());
   ++stats_.entry_records;
@@ -114,7 +149,6 @@ void StableStorage::AppendTruncate(LogIndex from) {
   w.PutU64(from);
   AppendRecord(RecordType::kTruncate, w.bytes());
   ++stats_.meta_records;
-  entry_locations_.erase(entry_locations_.lower_bound(from), entry_locations_.end());
 }
 
 void StableStorage::AppendCompact(LogIndex base_idx, Term base_term) {
@@ -125,7 +159,6 @@ void StableStorage::AppendCompact(LogIndex base_idx, Term base_term) {
   w.PutU64(base_term);
   AppendRecord(RecordType::kCompact, w.bytes());
   ++stats_.meta_records;
-  entry_locations_.erase(entry_locations_.begin(), entry_locations_.upper_bound(base_idx));
   // Drop the longest prefix of segments made obsolete by the new base. Only
   // a prefix is safe: a later segment's truncate/announce records may refer
   // to entries stored in any earlier retained segment.
@@ -165,13 +198,81 @@ bool StableStorage::Sync(std::function<void()> cb) {
   return disk_->Sync(std::move(cb), coalesce);
 }
 
-bool StableStorage::CorruptEntry(LogIndex idx) {
-  auto it = entry_locations_.find(idx);
-  if (it == entry_locations_.end()) {
-    return false;
+LogIndex StableStorage::CorruptNewestEntry(LogIndex lo, LogIndex hi,
+                                           const std::function<bool(LogIndex)>& eligible) {
+  if (lo > hi) {
+    return kNoLogIndex;
   }
-  // First payload byte of the record: inside the CRC-covered region.
-  return disk_->FlipByte(it->second.first, it->second.second + kRecordHeaderBytes);
+  // Replays the retained records' effect on [lo, hi]: an entry record above
+  // the base locates its index, and a later truncate at or below the index,
+  // a compaction past it or the last recovery's cut drops the location.
+  // Only framing and indices are read, never CRCs, so an entry this hook
+  // already flipped is still found (the flip avoids the index).
+  struct Location {
+    size_t segment = 0;  // position in segments_
+    size_t offset = 0;
+  };
+  std::map<LogIndex, Location> live;
+  LogIndex base = 0;
+  bool cut_pending = recovered_seq_ != 0;
+  auto apply_cut = [&] {
+    live.erase(live.upper_bound(recovered_tail_), live.end());
+    cut_pending = false;
+  };
+  for (size_t si = 0; si < segments_.size(); ++si) {
+    const uint64_t seq = segments_[si].seq;
+    if (cut_pending && seq > recovered_seq_) {
+      apply_cut();
+    }
+    const std::span<const uint8_t> bytes = disk_->ReadView(SegmentName(seq));
+    for (size_t off = 0;;) {
+      if (cut_pending && seq == recovered_seq_ && off >= recovered_end_) {
+        apply_cut();
+      }
+      const std::optional<RecordFrame> frame = FrameAt(bytes, off);
+      if (!frame) {
+        break;
+      }
+      BufferReader r(frame->payload);
+      uint64_t v = 0;
+      if (r.GetU64(v).ok()) {
+        switch (static_cast<RecordType>(frame->type)) {
+          case RecordType::kEntry:
+            if (v > base && v >= lo && v <= hi) {
+              live[v] = Location{si, off};
+            }
+            break;
+          case RecordType::kTruncate:
+            live.erase(live.lower_bound(v), live.end());
+            break;
+          case RecordType::kCompact:
+            if (v > base) {
+              base = v;
+              live.erase(live.begin(), live.upper_bound(base));
+            }
+            break;
+          default:
+            break;
+        }
+      }
+      off += frame->size();
+    }
+  }
+  if (cut_pending) {
+    apply_cut();
+  }
+  for (auto it = live.rbegin(); it != live.rend(); ++it) {
+    const Location& at = it->second;
+    if (eligible(it->first) &&
+        disk_->FlipByte(SegmentName(segments_[at.segment].seq), at.offset + kEntryFlipOffset)) {
+      return it->first;
+    }
+  }
+  return kNoLogIndex;
+}
+
+bool StableStorage::CorruptEntry(LogIndex idx) {
+  return CorruptNewestEntry(idx, idx, [](LogIndex) { return true; }) != kNoLogIndex;
 }
 
 StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
@@ -186,7 +287,6 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
   };
   Recovery rec;
   segments_.clear();
-  entry_locations_.clear();
 
   // --- snapshot file --------------------------------------------------------
   if (disk_->Exists(kSnapshotFile)) {
@@ -236,16 +336,8 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
     const std::vector<uint8_t> bytes = disk_->Read(file);
     size_t off = 0;
     while (off < bytes.size()) {
-      uint32_t len = 0;
-      uint8_t type = 0;
-      uint64_t crc = 0;
-      bool framed = bytes.size() - off >= kRecordHeaderBytes;
-      if (framed) {
-        BufferReader hdr(std::span<const uint8_t>(bytes).subspan(off, kRecordHeaderBytes));
-        HC_CHECK(hdr.GetU32(len).ok() && hdr.GetU8(type).ok() && hdr.GetU64(crc).ok());
-        framed = bytes.size() - off - kRecordHeaderBytes >= len;
-      }
-      if (!framed) {
+      const std::optional<RecordFrame> frame = FrameAt(bytes, off);
+      if (!frame) {
         // The byte stream ends mid-record. At the physical tail of the WAL
         // this is a torn write (unsynced, hence unacked): truncate it. A
         // CRC-valid record beyond the break — found by resyncing on the next
@@ -256,28 +348,19 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
         if (protocol_aware) {
           size_t probe = off + 1;
           while (probe + kRecordHeaderBytes <= bytes.size()) {
-            BufferReader phdr(
-                std::span<const uint8_t>(bytes).subspan(probe, kRecordHeaderBytes));
-            uint32_t plen = 0;
-            uint8_t ptype = 0;
-            uint64_t pcrc = 0;
-            HC_CHECK(phdr.GetU32(plen).ok() && phdr.GetU8(ptype).ok() && phdr.GetU64(pcrc).ok());
-            if (ptype >= 1 && ptype <= 5 &&
-                plen <= bytes.size() - probe - kRecordHeaderBytes) {
-              const auto ppayload =
-                  std::span<const uint8_t>(bytes).subspan(probe + kRecordHeaderBytes, plen);
-              if (pcrc == RecordCrc(ptype, ppayload)) {
-                data_beyond = true;
-                if (static_cast<RecordType>(ptype) == RecordType::kEntry) {
-                  BufferReader pr(ppayload);
-                  uint64_t pidx = 0;
-                  if (pr.GetU64(pidx).ok()) {
-                    durable_tail = std::max<LogIndex>(durable_tail, pidx);
-                  }
+            const std::optional<RecordFrame> found = FrameAt(bytes, probe);
+            if (found && found->type >= 1 && found->type <= 5 &&
+                found->crc == RecordCrc(found->type, found->payload)) {
+              data_beyond = true;
+              if (static_cast<RecordType>(found->type) == RecordType::kEntry) {
+                BufferReader pr(found->payload);
+                uint64_t pidx = 0;
+                if (pr.GetU64(pidx).ok()) {
+                  durable_tail = std::max<LogIndex>(durable_tail, pidx);
                 }
-                probe += kRecordHeaderBytes + plen;  // re-framed: walk records
-                continue;
               }
+              probe += found->size();  // re-framed: walk records
+              continue;
             }
             ++probe;
           }
@@ -293,10 +376,10 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
         disk_->Truncate(file, off);
         break;
       }
-      const auto payload = std::span<const uint8_t>(bytes).subspan(off + kRecordHeaderBytes, len);
+      const std::span<const uint8_t> payload = frame->payload;
       const LogIndex next_expected =
           rec.entries.empty() ? rec.base_index + 1 : rec.entries.back().idx + 1;
-      if (crc != RecordCrc(type, payload)) {
+      if (frame->crc != RecordCrc(frame->type, payload)) {
         ++stats_.corrupt_records;
         recovery_mark(obs::FrRecovery::kCrcHole, off);
         if (!protocol_aware) {
@@ -310,11 +393,11 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
           hole = true;
           hole_idx = next_expected;
         }
-        off += kRecordHeaderBytes + len;
+        off += frame->size();
         continue;
       }
       BufferReader r(payload);
-      switch (static_cast<RecordType>(type)) {
+      switch (static_cast<RecordType>(frame->type)) {
         case RecordType::kHardState: {
           uint64_t term = 0;
           int64_t vote = 0;
@@ -340,7 +423,6 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
               e.replier = static_cast<NodeId>(replier);
               e.payload.assign(payload.begin() + 24, payload.end());
               rec.entries.push_back(std::move(e));
-              entry_locations_[idx] = {file, off};
               seg.max_entry_idx = std::max(seg.max_entry_idx, idx);
               if (hole && idx <= hole_idx) {
                 hole = false;  // a later overwrite re-covered the damage
@@ -368,7 +450,6 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
             while (!rec.entries.empty() && rec.entries.back().idx >= static_cast<LogIndex>(from)) {
               rec.entries.pop_back();
             }
-            entry_locations_.erase(entry_locations_.lower_bound(from), entry_locations_.end());
           }
           break;
         }
@@ -378,11 +459,11 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
           if (r.GetU64(bidx).ok() && r.GetU64(bterm).ok() && bidx > rec.base_index) {
             rec.base_index = bidx;
             rec.base_term = static_cast<Term>(bterm);
-            while (!rec.entries.empty() && rec.entries.front().idx <= rec.base_index) {
-              rec.entries.erase(rec.entries.begin());
-            }
-            entry_locations_.erase(entry_locations_.begin(),
-                                   entry_locations_.upper_bound(bidx));
+            rec.entries.erase(rec.entries.begin(),
+                              std::find_if(rec.entries.begin(), rec.entries.end(),
+                                           [&rec](const RecoveredEntry& e) {
+                                             return e.idx > rec.base_index;
+                                           }));
             if (hole && hole_idx <= rec.base_index) {
               hole = false;  // the damage fell below a durable snapshot
             }
@@ -390,7 +471,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
           break;
         }
       }
-      off += kRecordHeaderBytes + len;
+      off += frame->size();
     }
   }
 
@@ -420,16 +501,22 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
     }
     ++expected;
   }
-  const LogIndex kept_tail = rec.entries.empty() ? rec.base_index : rec.entries.back().idx;
-  entry_locations_.erase(entry_locations_.upper_bound(kept_tail), entry_locations_.end());
   rec.suspect_floor = std::max(durable_tail, rec.base_index);
   if (rec.suspect) {
     ++stats_.suspect_recoveries;
   }
   stats_.recovered_entries += rec.entries.size();
 
-  if (segments_.empty()) {
-    segments_.push_back(Segment{1, 0});
+  // Re-open the last retained segment for appending; with none, the first
+  // append opens segment 1. Entry records the replay left behind the kept
+  // tail stay on disk, cut off by recovered_* (see CorruptNewestEntry).
+  recovered_seq_ = 0;
+  if (!segments_.empty()) {
+    open_name_ = SegmentName(segments_.back().seq);
+    disk_->Reserve(open_name_, segment_bytes_ + kSegmentHeadroom);
+    recovered_seq_ = segments_.back().seq;
+    recovered_end_ = disk_->Size(open_name_);
+    recovered_tail_ = rec.entries.empty() ? rec.base_index : rec.entries.back().idx;
   }
   term_ = rec.term;
   voted_for_ = rec.voted_for;

@@ -6,8 +6,10 @@
 //               (src/common/checksum.h, zero-extended into the u64) covers
 //               the type byte and the payload. Entry payloads are opaque to
 //               this layer (src/raft/wal_codec.h encodes/decodes them); the
-//               storage layer keeps only the (index, term, replier) envelope
+//               storage layer reads only the (index, term, replier) envelope
 //               it needs for replay, truncation, and corruption targeting.
+//               It keeps no per-entry index in memory: corruption targeting
+//               scans the retained segments (CorruptNewestEntry).
 //   snapshot    the latest local state snapshot (session table + application
 //               state blob), written atomically via WriteAndSync. Framing is
 //               [u64 crc][u64 idx][u64 term][u32 len][payload]; the CRC-32C
@@ -40,7 +42,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -135,7 +136,14 @@ class StableStorage {
 
   // --- fault hooks ----------------------------------------------------------
   void Crash() { disk_->Crash(); }
-  // Flips a byte inside the newest WAL record for `idx` (CRC-detectable).
+  // Flips a byte (CRC-detectable) inside the WAL record of the newest index
+  // in [lo, hi] that passes `eligible` and still has a live entry record:
+  // the newest one for that index that no later truncate or compact record
+  // invalidated. Returns that index, or kNoLogIndex when there is none. One
+  // scan of the retained segments: a fault hook, off the data path.
+  LogIndex CorruptNewestEntry(LogIndex lo, LogIndex hi,
+                              const std::function<bool(LogIndex)>& eligible);
+  // CorruptNewestEntry for `idx` alone; false when it has no live record.
   bool CorruptEntry(LogIndex idx);
 
   // --- recovery -------------------------------------------------------------
@@ -156,7 +164,9 @@ class StableStorage {
     LogIndex max_entry_idx = 0;
   };
 
-  std::string SegmentName(uint64_t seq) const;
+  static std::string SegmentName(uint64_t seq);
+  // Makes `seq` the open segment and sizes its buffer for a whole segment.
+  void OpenSegment(uint64_t seq);
   // Returns the current segment, rotating (with a fresh baseline) first when
   // it outgrew segment_bytes_.
   Segment& WritableSegment();
@@ -169,6 +179,7 @@ class StableStorage {
   NodeId node_ = kInvalidNode;
 
   std::vector<Segment> segments_;
+  std::string open_name_;  // SegmentName(segments_.back().seq)
   // Mirrors of the latest persisted values, used for rotation baselines.
   Term term_ = 0;
   NodeId voted_for_ = kInvalidNode;
@@ -176,9 +187,13 @@ class StableStorage {
   Term base_term_ = 0;
   bool in_baseline_ = false;
 
-  // idx -> (file, record offset) of the newest entry record; corruption
-  // targeting only. Pruned by compaction.
-  std::map<LogIndex, std::pair<std::string, size_t>> entry_locations_;
+  // The last Recover's cut: it kept entries up to recovered_tail_, and the
+  // WAL then ended at byte recovered_end_ of segment recovered_seq_. Records
+  // before that point for a later index are stale, exactly as if a truncate
+  // record sat there; CorruptNewestEntry applies it. recovered_seq_ 0: no recovery.
+  uint64_t recovered_seq_ = 0;
+  size_t recovered_end_ = 0;
+  LogIndex recovered_tail_ = 0;
 
   StorageStats stats_;
 };

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <unordered_map>
+#include <vector>
 
 #include "src/raft/log.h"
 
@@ -126,6 +131,196 @@ TEST(RaftLogTest, NoopEntriesHaveNoRid) {
   log.Append(Noop(1));
   EXPECT_EQ(log.At(1).request, nullptr);
   EXPECT_TRUE(log.At(1).noop);
+}
+
+TEST(RaftLogTest, TruncatingNewerDuplicateForgetsRid) {
+  // A retransmitted rid can be ordered twice (the allow_duplicate path). The
+  // latest append wins, and dropping it forgets the rid even though the older
+  // copy is still in the log: a lookup then reports "not ordered".
+  RaftLog log;
+  log.Append(MakeEntry(1, 3, 7));
+  log.Append(MakeEntry(1, 3, 8));
+  log.Append(MakeEntry(2, 3, 7));
+  EXPECT_EQ(log.FindRequest(RequestId{3, 7}), 3u);
+  log.TruncateFrom(3);
+  EXPECT_EQ(log.At(1).rid, (RequestId{3, 7}));
+  EXPECT_EQ(log.FindRequest(RequestId{3, 7}), kNoLogIndex);
+  EXPECT_EQ(log.FindRequest(RequestId{3, 8}), 2u);
+  // Compacting the older copy is then a no-op for the index.
+  log.CompactPrefix(1);
+  EXPECT_EQ(log.FindRequest(RequestId{3, 7}), kNoLogIndex);
+  EXPECT_EQ(log.FindRequest(RequestId{3, 8}), 2u);
+}
+
+TEST(RaftLogTest, FarSeqsAreFoundAndForgotten) {
+  // Seqs far apart, up to the top of the range, are tracked exactly like
+  // dense ones.
+  RaftLog log;
+  const uint64_t far = uint64_t{1} << 63;
+  log.Append(MakeEntry(1, 2, 5));
+  log.Append(MakeEntry(1, 2, far));
+  log.Append(MakeEntry(1, 2, UINT64_MAX));
+  log.Append(MakeEntry(1, 2, 6));
+  log.Append(MakeEntry(1, 2, 0));
+  EXPECT_EQ(log.FindRequest(RequestId{2, 5}), 1u);
+  EXPECT_EQ(log.FindRequest(RequestId{2, far}), 2u);
+  EXPECT_EQ(log.FindRequest(RequestId{2, UINT64_MAX}), 3u);
+  EXPECT_EQ(log.FindRequest(RequestId{2, 6}), 4u);
+  EXPECT_EQ(log.FindRequest(RequestId{2, 0}), 5u);
+  EXPECT_EQ(log.FindRequest(RequestId{2, far + 1}), kNoLogIndex);
+  log.CompactPrefix(2);
+  EXPECT_EQ(log.FindRequest(RequestId{2, far}), kNoLogIndex);
+  EXPECT_EQ(log.FindRequest(RequestId{2, UINT64_MAX}), 3u);
+  log.TruncateFrom(4);
+  EXPECT_EQ(log.FindRequest(RequestId{2, 6}), kNoLogIndex);
+  EXPECT_EQ(log.FindRequest(RequestId{2, UINT64_MAX}), 3u);
+  log.ResetTo(10, 1);
+  EXPECT_EQ(log.FindRequest(RequestId{2, UINT64_MAX}), kNoLogIndex);
+}
+
+TEST(RaftLogTest, ReappendAfterRehashesReplacesTheMapping) {
+  // Rid 4/200 is mapped early; two hundred appends later (the rid index has
+  // been rebuilt several times on the way) a re-append of it must replace
+  // that mapping, so dropping the re-append forgets the rid.
+  RaftLog log;
+  for (uint64_t seq = 1; seq <= 4; ++seq) {
+    log.Append(MakeEntry(1, 4, seq));
+  }
+  log.Append(MakeEntry(1, 4, 200));  // idx 5
+  for (uint64_t seq = 5; seq <= 199; ++seq) {
+    log.Append(MakeEntry(1, 4, seq));
+  }
+  log.Append(MakeEntry(1, 4, 201));
+  EXPECT_EQ(log.FindRequest(RequestId{4, 200}), 5u);
+  EXPECT_EQ(log.FindRequest(RequestId{4, 201}), log.last_index());
+  const LogIndex again = log.Append(MakeEntry(2, 4, 200));
+  EXPECT_EQ(log.FindRequest(RequestId{4, 200}), again);
+  log.TruncateFrom(again);
+  EXPECT_EQ(log.FindRequest(RequestId{4, 200}), kNoLogIndex);
+  EXPECT_EQ(log.FindRequest(RequestId{4, 199}), again - 2);
+}
+
+// Reference model: the rid index as a plain hash map, with the log's
+// documented rules (latest append wins; dropping the mapped index forgets
+// the rid; ResetTo forgets everything).
+class RidModel {
+ public:
+  void Appended(const LogEntry& e, LogIndex idx) {
+    if (!e.noop) {
+      map_[e.rid] = idx;
+    }
+  }
+  void Dropped(const LogEntry& e, LogIndex idx) {
+    auto it = e.noop ? map_.end() : map_.find(e.rid);
+    if (it != map_.end() && it->second == idx) {
+      map_.erase(it);
+    } else if (it != map_.end()) {
+      ++superseded_drops_;  // an older copy of a rid that was ordered again
+    }
+  }
+  void Clear() { map_.clear(); }
+  LogIndex Find(const RequestId& rid) const {
+    auto it = map_.find(rid);
+    return it == map_.end() ? kNoLogIndex : it->second;
+  }
+  const std::unordered_map<RequestId, LogIndex, RequestIdHash>& map() const { return map_; }
+  int superseded_drops() const { return superseded_drops_; }
+
+ private:
+  std::unordered_map<RequestId, LogIndex, RequestIdHash> map_;
+  int superseded_drops_ = 0;
+};
+
+TEST(RaftLogTest, FindRequestMatchesHashMapModel) {
+  constexpr int kClients = 8;
+  constexpr int kOps = 30'000;
+  std::mt19937_64 rng(20201);
+  RaftLog log;
+  RidModel model;
+  std::vector<uint64_t> next_seq(kClients, 1);
+  std::vector<RequestId> history;  // every rid ever appended
+  Term term = 1;
+  int compactions = 0;
+
+  auto check = [&](int op) {
+    for (const auto& [rid, idx] : model.map()) {
+      ASSERT_EQ(log.FindRequest(rid), idx) << "op " << op << " rid " << rid.client << "/"
+                                           << rid.seq;
+    }
+    for (int i = 0; i < 16 && !history.empty(); ++i) {
+      const RequestId rid = history[rng() % history.size()];
+      ASSERT_EQ(log.FindRequest(rid), model.Find(rid))
+          << "op " << op << " rid " << rid.client << "/" << rid.seq;
+    }
+    const RequestId never{static_cast<HostId>(rng() % kClients), next_seq[0] + 1'000'000};
+    ASSERT_EQ(log.FindRequest(never), model.Find(never)) << "op " << op;
+  };
+
+  for (int op = 0; op < kOps; ++op) {
+    const uint64_t dice = rng() % 10'000;
+    if (dice < 8'000 || log.size() < 8) {
+      LogEntry e;
+      const auto c = static_cast<HostId>(rng() % kClients);
+      const uint64_t kind = rng() % 100;
+      if (kind < 5) {
+        e = Noop(term);
+      } else if (kind < 10 && !history.empty()) {
+        // A duplicate: a recent rid ordered again (allow_duplicate).
+        const RequestId rid =
+            history[history.size() - 1 - rng() % std::min<size_t>(history.size(), 64)];
+        e = MakeEntry(term, rid.client, rid.seq);
+      } else if (kind < 20 && next_seq[c] > 1) {
+        // A retransmit after failover: an older seq ordered late.
+        e = MakeEntry(term, c, next_seq[c] - 1 - rng() % std::min<uint64_t>(next_seq[c] - 1, 40));
+      } else if (kind < 22) {
+        e = MakeEntry(term, c, (uint64_t{1} << 63) - rng() % 4);
+      } else {
+        if (rng() % 10 == 0) {
+          next_seq[c] += rng() % 5;  // a lost request leaves a hole
+        } else if (rng() % 200 == 0) {
+          next_seq[c] += 100 + rng() % 200;  // a long run of lost requests
+        }
+        e = MakeEntry(term, c, next_seq[c]++);
+      }
+      const LogIndex idx = log.Append(e);
+      model.Appended(log.At(idx), idx);
+      if (!e.noop) {
+        history.push_back(e.rid);
+      }
+    } else if (dice < 9'000) {
+      // Conflict resolution: usually a short suffix, sometimes a long one.
+      const uint64_t drop = rng() % 50 == 0 ? rng() % (log.size() / 4) : rng() % 8;
+      const LogIndex from = log.last_index() + 1 - std::min<uint64_t>(drop, log.size());
+      for (LogIndex i = log.last_index(); i >= from; --i) {
+        model.Dropped(log.At(i), i);
+      }
+      log.TruncateFrom(from);
+      ++term;
+    } else if (dice < 9'995) {
+      if (log.size() < 300) {
+        continue;
+      }
+      ++compactions;
+      // Usually up to half the log; sometimes all but a few entries, which
+      // shrinks the rid index.
+      const LogIndex upto = rng() % 4 == 0 ? log.last_index() - rng() % 4
+                                           : log.first_index() + rng() % (log.size() / 2);
+      for (LogIndex i = log.first_index(); i <= upto; ++i) {
+        model.Dropped(log.At(i), i);
+      }
+      log.CompactPrefix(upto);
+    } else {
+      // A snapshot past the tail, or one behind it whose indices the next
+      // appends reuse.
+      model.Clear();
+      log.ResetTo(log.first_index() - 1 + rng() % (log.size() + 10), term);
+    }
+    check(op);
+  }
+  // The sequence reached the cases it is meant to cover.
+  EXPECT_GT(history.size(), 10'000u);
+  EXPECT_GT(compactions, 50);
+  EXPECT_GT(model.superseded_drops(), 100);
 }
 
 }  // namespace

@@ -6,7 +6,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <random>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/body.h"
@@ -77,6 +81,17 @@ TEST(SimDiskTest, CrashKeepsSyncedPrefix) {
   Append(&disk, "f", Bytes({3, 4, 5}));
   disk.Crash();
   EXPECT_EQ(disk.Read("f"), Bytes({1, 2}));
+}
+
+TEST(SimDiskTest, ReadViewSeesTheAppendedBytesInPlace) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  EXPECT_TRUE(disk.ReadView("f").empty());
+  Append(&disk, "f", Bytes({1, 2, 3}));
+  const std::span<const uint8_t> view = disk.ReadView("f");
+  EXPECT_EQ(std::vector<uint8_t>(view.begin(), view.end()), disk.Read("f"));
+  ASSERT_TRUE(disk.FlipByte("f", 1));
+  EXPECT_EQ(view[1], 2 ^ 0x40);  // no copy: the view reads the file itself
 }
 
 TEST(SimDiskTest, TornCrashKeepsStrictPrefixOfUnsyncedTail) {
@@ -625,6 +640,259 @@ TEST(StableStorageTest, EveryEntryRecordBitFlipIsDetected) {
     ASSERT_TRUE(rec.suspect) << "bit " << bit;
     ASSERT_GE(rec.suspect_floor, 2u) << "bit " << bit;
   }
+}
+
+// --- corruption targeting ---------------------------------------------------
+
+// Every WAL segment's bytes, by name.
+std::map<std::string, std::vector<uint8_t>> WalImage(const SimDisk& disk) {
+  std::map<std::string, std::vector<uint8_t>> image;
+  for (const std::string& file : disk.List("wal-")) {
+    image[file] = disk.Read(file);
+  }
+  return image;
+}
+
+// The (file, offset) of every byte that differs between two WAL images of
+// the same files.
+std::vector<std::pair<std::string, size_t>> WalDiff(
+    const std::map<std::string, std::vector<uint8_t>>& before,
+    const std::map<std::string, std::vector<uint8_t>>& after) {
+  std::vector<std::pair<std::string, size_t>> diff;
+  for (const auto& [file, bytes] : after) {
+    const std::vector<uint8_t>& old = before.at(file);
+    EXPECT_EQ(old.size(), bytes.size()) << file;
+    for (size_t i = 0; i < std::min(old.size(), bytes.size()); ++i) {
+      if (old[i] != bytes[i]) {
+        diff.emplace_back(file, i);
+      }
+    }
+  }
+  return diff;
+}
+
+// Where an entry record landed: [begin, end) of the newest WAL segment.
+struct RecordSpan {
+  std::string file;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+RecordSpan AppendAndLocate(StableStorage* storage, SimDisk* disk, LogIndex idx, Term term,
+                           const std::vector<uint8_t>& payload) {
+  storage->AppendEntry(idx, term, 0, payload);
+  RecordSpan span;
+  span.file = disk->List("wal-").back();
+  span.end = disk->Size(span.file);
+  span.begin = span.end - (13 + 24 + payload.size());  // header + envelope + payload
+  return span;
+}
+
+// Payloads big enough that a 512-byte segment holds only a few records.
+std::vector<uint8_t> BigPayload(LogIndex idx) {
+  return std::vector<uint8_t>(64, static_cast<uint8_t>(idx));
+}
+
+// Runs CorruptEntry(idx) and returns where the flipped byte landed.
+std::vector<std::pair<std::string, size_t>> CorruptAndDiff(StableStorage* storage,
+                                                           const SimDisk& disk, LogIndex idx,
+                                                           bool* corrupted) {
+  const auto before = WalImage(disk);
+  *corrupted = storage->CorruptEntry(idx);
+  return WalDiff(before, WalImage(disk));
+}
+
+bool Within(const std::pair<std::string, size_t>& at, const RecordSpan& span) {
+  return at.first == span.file && at.second >= span.begin && at.second < span.end;
+}
+
+TEST(StableStorageTest, CorruptEntryTargetsTheReappendedRecord) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit, /*segment_bytes=*/512);
+  for (LogIndex i = 1; i <= 12; ++i) {
+    AppendAndLocate(&storage, &disk, i, 1, BigPayload(i));
+  }
+  storage.AppendTruncate(10);
+  const RecordSpan newer = AppendAndLocate(&storage, &disk, 10, 2, BigPayload(99));
+  bool corrupted = false;
+  const auto diff = CorruptAndDiff(&storage, disk, 10, &corrupted);
+  ASSERT_TRUE(corrupted);
+  ASSERT_EQ(diff.size(), 1u);
+  EXPECT_TRUE(Within(diff[0], newer)) << diff[0].first << "@" << diff[0].second;
+  // Truncated and never re-appended: nothing to target.
+  const auto none = CorruptAndDiff(&storage, disk, 11, &corrupted);
+  EXPECT_FALSE(corrupted);
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(StableStorageTest, CorruptEntryIgnoresIndicesBelowTheCompaction) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit, /*segment_bytes=*/512);
+  for (LogIndex i = 1; i <= 12; ++i) {
+    AppendAndLocate(&storage, &disk, i, 1, BigPayload(i));
+  }
+  // Entries 1-6 fill the first segment, 7-11 the second. Compacting at 8
+  // drops the first segment but keeps records 7 and 8 on disk.
+  storage.AppendCompact(8, 1);
+  ASSERT_EQ(storage.stats().segments_dropped, 1u);
+  EXPECT_FALSE(storage.CorruptEntry(8));
+  EXPECT_FALSE(storage.CorruptEntry(7));
+  EXPECT_FALSE(storage.CorruptEntry(3));
+  EXPECT_EQ(disk.stats().flips, 0u);
+  EXPECT_TRUE(storage.CorruptEntry(9));
+  EXPECT_EQ(disk.stats().flips, 1u);
+}
+
+TEST(StableStorageTest, CorruptEntryFindsRecordsInEarlierSegments) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit, /*segment_bytes=*/512);
+  const RecordSpan first = AppendAndLocate(&storage, &disk, 1, 1, BigPayload(1));
+  for (LogIndex i = 2; i <= 20; ++i) {
+    AppendAndLocate(&storage, &disk, i, 1, BigPayload(i));
+  }
+  ASSERT_GE(disk.List("wal-").size(), 3u);
+  ASSERT_EQ(first.file, disk.List("wal-").front());
+  bool corrupted = false;
+  const auto diff = CorruptAndDiff(&storage, disk, 1, &corrupted);
+  ASSERT_TRUE(corrupted);
+  ASSERT_EQ(diff.size(), 1u);
+  EXPECT_TRUE(Within(diff[0], first));
+  // The flip is CRC-detectable: replay cuts the log at entry 1.
+  storage.Sync(nullptr);
+  StableStorage::Recovery rec = storage.Recover(true);
+  EXPECT_TRUE(rec.entries.empty());
+  EXPECT_TRUE(rec.suspect);
+}
+
+TEST(StableStorageTest, CorruptEntryTargetsRecoveredEntries) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit, /*segment_bytes=*/512);
+  std::vector<RecordSpan> spans(1);  // spans[i]: entry i's record
+  for (LogIndex i = 1; i <= 16; ++i) {
+    spans.push_back(AppendAndLocate(&storage, &disk, i, 1, BigPayload(i)));
+  }
+  storage.Sync(nullptr);
+  ASSERT_EQ(storage.Recover(true).entries.size(), 16u);
+
+  // A clean recovery leaves every entry targetable where it was written.
+  bool corrupted = false;
+  auto diff = CorruptAndDiff(&storage, disk, 12, &corrupted);
+  ASSERT_TRUE(corrupted);
+  ASSERT_EQ(diff.size(), 1u);
+  EXPECT_TRUE(Within(diff[0], spans[12]));
+
+  // The damage cuts the next recovery at entry 12. Entries 13-16 are still on
+  // disk but are no longer part of the log, so they are not targets, while
+  // the kept prefix is.
+  StableStorage::Recovery rec = storage.Recover(true);
+  ASSERT_EQ(rec.entries.size(), 11u);
+  EXPECT_TRUE(rec.suspect);
+  EXPECT_FALSE(storage.CorruptEntry(13));
+  EXPECT_FALSE(storage.CorruptEntry(16));
+  diff = CorruptAndDiff(&storage, disk, 11, &corrupted);
+  ASSERT_TRUE(corrupted);
+  ASSERT_EQ(diff.size(), 1u);
+  EXPECT_TRUE(Within(diff[0], spans[11]));
+  ASSERT_TRUE(storage.CorruptEntry(11));  // flip it back
+
+  // Re-fed entries are written anew and targeted there.
+  for (LogIndex i = 12; i <= 14; ++i) {
+    spans[i] = AppendAndLocate(&storage, &disk, i, 2, BigPayload(i + 50));
+  }
+  diff = CorruptAndDiff(&storage, disk, 13, &corrupted);
+  ASSERT_TRUE(corrupted);
+  ASSERT_EQ(diff.size(), 1u);
+  EXPECT_TRUE(Within(diff[0], spans[13]));
+  EXPECT_FALSE(storage.CorruptEntry(15));
+}
+
+TEST(StableStorageTest, CorruptEntryMatchesLocationModel) {
+  // A seeded history of appends, truncations, compactions and clean
+  // recoveries over rotating segments. A model keeps the location of the
+  // newest live record per index; CorruptEntry must flip a byte of exactly
+  // that record, and report false exactly when the model has none, and
+  // CorruptNewestEntry must pick the newest eligible modelled index of its
+  // range. Each flip is undone by a second CorruptEntry of the same index.
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit, /*segment_bytes=*/512);
+  std::mt19937_64 rng(77);
+  std::map<LogIndex, RecordSpan> model;
+  LogIndex base = 0;
+  LogIndex tail = 0;
+  Term term = 1;
+  int ranged_hits = 0;
+  for (int op = 0; op < 600; ++op) {
+    const uint64_t dice = rng() % 100;
+    if (dice < 60) {
+      ++tail;
+      model[tail] = AppendAndLocate(&storage, &disk, tail, term, BigPayload(tail));
+    } else if (dice < 70 && tail > base) {
+      const LogIndex from = tail - rng() % std::min<LogIndex>(tail - base, 4);
+      storage.AppendTruncate(from);
+      model.erase(model.lower_bound(from), model.end());
+      tail = from - 1;
+      ++term;
+    } else if (dice < 78 && tail > base + 4) {
+      base += 1 + rng() % (tail - base - 2);
+      storage.AppendCompact(base, term);
+      model.erase(model.begin(), model.upper_bound(base));
+    } else if (dice < 80) {
+      storage.Sync(nullptr);
+      StableStorage::Recovery rec = storage.Recover(true);
+      ASSERT_FALSE(rec.suspect) << "op " << op;
+      ASSERT_EQ(rec.entries.size(), tail - base) << "op " << op;
+    } else if (dice < 90) {
+      // The nemesis form: the newest eligible index of a range in one scan.
+      const LogIndex lo = base + 1 + rng() % (tail - base + 2);
+      const LogIndex hi = lo + rng() % (tail - base + 2);
+      const uint64_t modulus = 1 + rng() % 3;
+      auto eligible = [modulus](LogIndex i) { return i % modulus == 0; };
+      LogIndex expect = kNoLogIndex;
+      for (auto it = model.upper_bound(hi); it != model.begin();) {
+        --it;
+        if (it->first < lo) {
+          break;
+        }
+        if (eligible(it->first)) {
+          expect = it->first;
+          break;
+        }
+      }
+      const auto pristine = WalImage(disk);
+      const LogIndex hit = storage.CorruptNewestEntry(lo, hi, eligible);
+      ASSERT_EQ(hit, expect) << "op " << op << " range " << lo << "-" << hi;
+      const auto diff = WalDiff(pristine, WalImage(disk));
+      if (hit == kNoLogIndex) {
+        ASSERT_TRUE(diff.empty()) << "op " << op;
+      } else {
+        ASSERT_EQ(diff.size(), 1u) << "op " << op;
+        ASSERT_TRUE(Within(diff[0], model[hit])) << "op " << op << " idx " << hit;
+        ASSERT_TRUE(storage.CorruptEntry(hit));  // undone
+        ++ranged_hits;
+      }
+    } else {
+      const LogIndex idx = base + 1 + rng() % (tail - base + 3);  // a few past the tail too
+      const auto pristine = WalImage(disk);
+      bool corrupted = false;
+      const auto diff = CorruptAndDiff(&storage, disk, idx, &corrupted);
+      auto it = model.find(idx);
+      ASSERT_EQ(corrupted, it != model.end()) << "op " << op << " idx " << idx;
+      if (corrupted) {
+        ASSERT_EQ(diff.size(), 1u) << "op " << op;
+        ASSERT_TRUE(Within(diff[0], it->second)) << "op " << op << " idx " << idx;
+        ASSERT_TRUE(storage.CorruptEntry(idx));  // the same record again: undone
+        ASSERT_TRUE(WalImage(disk) == pristine) << "op " << op;
+      }
+    }
+  }
+  EXPECT_GT(disk.List("wal-").size(), 1u);
+  EXPECT_GT(storage.stats().segments_dropped, 0u);
+  EXPECT_GT(ranged_hits, 10);
 }
 
 TEST(StableStorageTest, SyncPerAppendDoesNotCoalesce) {
