@@ -7,13 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "src/app/synthetic.h"
+#include "src/common/flags.h"
 #include "src/core/cluster.h"
 #include "src/loadgen/experiment.h"
 #include "src/loadgen/workload.h"
@@ -73,30 +72,20 @@ inline void PrintCurvePoint(const char* system, const LoadMetrics& m) {
 //                           plus per-node counters under "<system>/r<rps>/"
 //   --sample-interval-us=N  queue-depth sampling period (default 100)
 //
-// Without flags no Observability is allocated, so the simulation runs on the
-// disabled fast path and the bench output is unchanged. Any other argument
-// prints the supported flags and exits 2 before anything is simulated. For a
-// Chrome trace of one run use tools/chaos_runner --trace-out.
+// A bench with flags of its own declares them in a Flags table and hands it
+// over; BenchIo adds the two above and parses the lot. Without flags no
+// Observability is allocated, so the simulation runs on the disabled fast
+// path and the bench output is unchanged. Any other argument prints the
+// usage and exits 2 before anything is simulated. For a Chrome trace of one
+// run use tools/chaos_runner --trace-out.
 class BenchIo {
  public:
-  BenchIo(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      const char* a = argv[i];
-      std::string v;
-      if (TakeFlag(a, "--metrics-out", v)) {
-        metrics_out_ = v;
-      } else if (TakeFlag(a, "--sample-interval-us", v)) {
-        sample_interval_ = Micros(std::atoll(v.c_str()));
-      } else {
-        std::fprintf(stderr,
-                     "unknown flag %s\n"
-                     "supported flags:\n"
-                     "  --metrics-out=PATH      write the metrics registry as JSON\n"
-                     "  --sample-interval-us=N  queue-depth sampling period (default 100)\n",
-                     a);
-        std::exit(2);
-      }
-    }
+  BenchIo(int argc, char** argv) : BenchIo(argc, argv, Flags(ProgramName(argv[0]))) {}
+  BenchIo(int argc, char** argv, Flags flags) {
+    flags.Add("--metrics-out=PATH", &metrics_out_, "write the metrics registry as JSON");
+    flags.AddDuration("--sample-interval-us=N", &sample_interval_, Micros(1),
+                      "queue-depth sampling period (default 100)");
+    flags.ParseOrExit(argc, argv);
     if (!metrics_out_.empty()) {
       obs::Observability::Options oo;
       oo.sampling = true;
@@ -244,13 +233,9 @@ class BenchIo {
   }
 
  private:
-  static bool TakeFlag(const char* arg, const char* name, std::string& out) {
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-      out = arg + len + 1;
-      return true;
-    }
-    return false;
+  static std::string ProgramName(const char* argv0) {
+    const std::string path = argv0;
+    return path.substr(path.rfind('/') + 1);
   }
 
   std::string metrics_out_;

@@ -1,6 +1,8 @@
 // Counting global allocator for single-threaded benchmarks. It replaces the
 // global operator new/delete of the whole binary, so include it from exactly
 // one translation unit per benchmark binary.
+//   g_alloc_calls  allocations, cumulative: the steady-state zero-allocation
+//                  gates read its change across a region;
 //   g_alloc_bytes  bytes requested, cumulative: what a region allocates;
 //   g_live_bytes   usable bytes of the blocks still allocated: the change
 //                  across a region is the heap it retained, allocator
@@ -14,6 +16,7 @@
 #include <cstdlib>
 #include <new>
 
+static uint64_t g_alloc_calls = 0;
 static uint64_t g_alloc_bytes = 0;
 static uint64_t g_live_bytes = 0;
 
@@ -24,6 +27,7 @@ inline void* Allocate(size_t size) {
   if (p == nullptr) {
     throw std::bad_alloc();
   }
+  ++g_alloc_calls;
   g_alloc_bytes += size;
   g_live_bytes += malloc_usable_size(p);
   return p;

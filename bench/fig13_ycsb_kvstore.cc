@@ -5,9 +5,8 @@
 // The paper reports 4x over unreplicated at 7 nodes, the Amdahl bound given
 // the INSERT/SCAN cost ratio.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -79,18 +78,10 @@ void Run(benchutil::BenchIo& io, double zipf_theta) {
 }  // namespace hovercraft
 
 int main(int argc, char** argv) {
-  // Strip --zipf-theta=X (key skew; YCSB's 0.99 by default) before handing
-  // the common observability flags to BenchIo.
   double zipf_theta = 0.99;
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--zipf-theta=", 13) == 0) {
-      zipf_theta = std::atof(argv[i] + 13);
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  hovercraft::benchutil::BenchIo io(static_cast<int>(rest.size()), rest.data());
+  hovercraft::Flags flags("fig13_ycsb_kvstore");
+  flags.Add("--zipf-theta=X", &zipf_theta, "key skew (default 0.99, YCSB's)");
+  hovercraft::benchutil::BenchIo io(argc, argv, std::move(flags));
   hovercraft::Run(io, zipf_theta);
   return io.Finish();
 }

@@ -1,58 +1,26 @@
 // Zero-copy wire path microbench + acceptance gate (ISSUE 9).
 //
-// Drives the pooled tier of the R2P2 codec — gather Fragment into slab-pooled
-// frames, bitmap reassembly, zero-copy view decode — through steady-state
-// loops and *counts heap allocations per operation* with an interposed
-// global operator new. The whole point of the slab/arena discipline is that
+// Drives the R2P2 codec — gather Fragment into slab-pooled frames, bitmap
+// reassembly, zero-copy view decode — through steady-state loops and *counts
+// heap allocations per operation* with the interposed global operator new
+// of bench/counting_allocator.h. The whole point of the slab/arena discipline is that
 // the steady state allocates nothing, so this bench is a gate, not a report:
 //
 //   - allocations/op must be exactly 0 for every pooled scenario;
 //   - the buffer pool must balance to 0 outstanding buffers at teardown;
 //   - ns/op and bytes/sec are recorded for the perf-smoke regression check.
 //
-// The legacy copying tier runs alongside as the baseline (informational:
-// speedup_pct_vs_legacy). With --metrics-out=..., gauges land under
-// "micro_wire_path/<scenario>/...".
+// With --metrics-out=..., gauges land under "micro_wire_path/<scenario>/...".
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/counting_allocator.h"
 #include "src/common/check.h"
 #include "src/r2p2/serdes.h"
-
-// --- counting allocator ------------------------------------------------------
-// Interposed for the whole binary: every heap allocation anywhere in the
-// process is visible to the gate. Not thread-safe; the bench is single-
-// threaded by construction.
-static uint64_t g_allocs = 0;
-
-// Out of line: once inlined next to a delete-expression, the malloc/free
-// pairing trips -Wmismatched-new-delete.
-[[gnu::noinline]] void* operator new(size_t size) {
-  ++g_allocs;
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-[[gnu::noinline]] void* operator new[](size_t size) {
-  ++g_allocs;
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace hovercraft {
 namespace {
@@ -87,13 +55,13 @@ ScenarioResult RunScenario(int64_t payload_bytes, Fn&& fn) {
   for (uint64_t i = 0; i < kWarmupOps; ++i) {
     fn();
   }
-  const uint64_t allocs_before = g_allocs;
+  const uint64_t allocs_before = g_alloc_calls;
   const auto t0 = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < kMeasureOps; ++i) {
     fn();
   }
   const auto t1 = std::chrono::steady_clock::now();
-  r.allocs = g_allocs - allocs_before;
+  r.allocs = g_alloc_calls - allocs_before;
   const double seconds = std::chrono::duration<double>(t1 - t0).count();
   r.ns_per_op = seconds * 1e9 / static_cast<double>(kMeasureOps);
   r.bytes_per_sec =
@@ -196,35 +164,6 @@ int main(int argc, char** argv) {
                            }),
                /*gate_zero_alloc=*/true);
       }
-
-      // Legacy copying tier for the same round trip (informational baseline).
-      const ScenarioResult legacy = RunScenario(24, [&]() {
-        auto packets = SerializeRequest(small_req, kMtu);
-        Reassembler r;
-        for (const auto& pkt : packets) {
-          auto done = r.Feed(pkt, 0);
-          HC_CHECK(done.ok());
-        }
-        auto decoded = DecodeR2p2Message(r.TakeCompleted());
-        HC_CHECK(decoded.ok());
-      });
-      Report(io, "rtt_small_legacy", legacy, /*gate_zero_alloc=*/false);
-
-      const ScenarioResult pooled_again = RunScenario(24, [&]() {
-        Reassembler r2(&pool);
-        SerializeRequestInto(pool, small_req, kMtu, frames);
-        for (const BufRef& f : frames) {
-          auto done = r2.Feed(f, 0);
-          HC_CHECK(done.ok());
-        }
-        frames.clear();
-        auto view = DecodeR2p2View(r2.TakeCompleted());
-        HC_CHECK(view.ok());
-      });
-      const int64_t speedup_pct =
-          static_cast<int64_t>(100.0 * legacy.ns_per_op / pooled_again.ns_per_op);
-      std::printf("legacy/pooled round trip: %lld%%\n", static_cast<long long>(speedup_pct));
-      io.RecordGauge("micro_wire_path/rtt_small/speedup_pct_vs_legacy", speedup_pct);
     }
 
     // Pool leak gate: every frame and body ref has been dropped.

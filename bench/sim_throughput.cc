@@ -25,17 +25,15 @@
 //   sim_throughput/<shape>/heap/...             same, for the reference core
 //   sim_throughput/<shape>/speedup_pct          100 * heap_ps / wheel_ps
 //
-// Flags (in addition to the standard BenchIo set):
-//   --events=N   scheduled events per shape per core (default 1,000,000)
-//   --seed=S     workload seed (default 42; CI pins this)
+// Beyond the standard BenchIo set it takes --events=N and --seed=S (see
+// `sim_throughput --help`).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -245,19 +243,10 @@ void Run(benchutil::BenchIo& io, uint64_t seed, int64_t events) {
 int main(int argc, char** argv) {
   int64_t events = 1'000'000;
   uint64_t seed = 42;
-  // Strip this bench's own flags before handing the rest to BenchIo.
-  std::vector<char*> pass;
-  pass.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--events=", 9) == 0) {
-      events = std::atoll(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = static_cast<uint64_t>(std::atoll(argv[i] + 7));
-    } else {
-      pass.push_back(argv[i]);
-    }
-  }
-  hovercraft::benchutil::BenchIo io(static_cast<int>(pass.size()), pass.data());
+  hovercraft::Flags flags("sim_throughput");
+  flags.Add("--events=N", &events, "scheduled events per shape per core (default 1000000)");
+  flags.Add("--seed=S", &seed, "workload seed (default 42; CI pins this)");
+  hovercraft::benchutil::BenchIo io(argc, argv, std::move(flags));
   hovercraft::Run(io, seed, events);
   return io.Finish();
 }

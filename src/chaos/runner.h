@@ -16,6 +16,7 @@
 
 #include "src/chaos/linearizability.h"
 #include "src/common/types.h"
+#include "src/loadgen/experiment.h"
 #include "src/storage/fsync_policy.h"
 
 namespace hovercraft {
@@ -104,10 +105,6 @@ struct ChaosRunConfig {
   // management plane, which retries until the change commits. Composable
   // with any schedule — including one of the churn-* schedules, though
   // mixing the two makes the event log harder to read.
-  struct MembershipEvent {
-    TimeNs at = 0;
-    NodeId node = kInvalidNode;
-  };
   std::vector<MembershipEvent> add_server_at;
   std::vector<MembershipEvent> remove_server_at;
 

@@ -16,6 +16,31 @@ const char* ClusterModeName(ClusterMode mode) {
   return "unknown";
 }
 
+const char* ClusterModeFlag(ClusterMode mode) {
+  switch (mode) {
+    case ClusterMode::kUnreplicated:
+      return "unrep";
+    case ClusterMode::kVanillaRaft:
+      return "vanilla";
+    case ClusterMode::kHovercRaft:
+      return "hovercraft";
+    case ClusterMode::kHovercRaftPP:
+      return "hovercraft++";
+  }
+  return "unknown";
+}
+
+bool ParseClusterMode(std::string_view flag, ClusterMode* mode) {
+  for (ClusterMode m : {ClusterMode::kUnreplicated, ClusterMode::kVanillaRaft,
+                        ClusterMode::kHovercRaft, ClusterMode::kHovercRaftPP}) {
+    if (flag == ClusterModeFlag(m)) {
+      *mode = m;
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* ReplierPolicyName(ReplierPolicy policy) {
   switch (policy) {
     case ReplierPolicy::kLeaderOnly:

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 namespace hovercraft {
 
@@ -54,6 +55,10 @@ enum class ClusterMode {
 };
 
 const char* ClusterModeName(ClusterMode mode);
+// The command-line spelling, one of unrep|vanilla|hovercraft|hovercraft++,
+// and its inverse (false for any other string).
+const char* ClusterModeFlag(ClusterMode mode);
+bool ParseClusterMode(std::string_view flag, ClusterMode* mode);
 
 // Replier selection policy for load-balanced replies (paper sections 3.3/3.6).
 enum class ReplierPolicy {

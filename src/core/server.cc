@@ -13,6 +13,11 @@ namespace hovercraft {
 
 namespace {
 
+// Unordered-set garbage collection (paper section 5): every kGcInterval,
+// drop unordered requests older than kUnorderedTtl.
+constexpr TimeNs kGcInterval = Millis(10);
+constexpr TimeNs kUnorderedTtl = Millis(50);
+
 // Local snapshot files carry the covering membership config ahead of the
 // wire body, so a recovered node whose whole log was compacted away still
 // knows who its peers are: [u8 has_config]([u64 config_idx][config])?
@@ -199,7 +204,7 @@ void ReplicatedServer::RecoverFromStorage() {
 void ReplicatedServer::ArmMaintenanceTimers() {
   // Each chain re-arms only itself, and arming cancels the previous handle:
   // the GC chain used to re-enter this function and start a *fresh*
-  // compaction chain every gc_interval (on top of the compaction chain
+  // compaction chain every kGcInterval (on top of the compaction chain
   // re-arming itself), so compaction chains multiplied over the run — and
   // Restart() stacked yet another pair on top of the survivors.
   ArmGcTimer();
@@ -208,12 +213,12 @@ void ReplicatedServer::ArmMaintenanceTimers() {
 
 void ReplicatedServer::ArmGcTimer() {
   sim()->Cancel(gc_timer_);
-  gc_timer_ = sim()->After(config_.gc_interval, [this]() {
+  gc_timer_ = sim()->After(kGcInterval, [this]() {
     gc_timer_ = kInvalidEvent;
     if (failed()) {
       return;
     }
-    stats_.unordered_gc += unordered_.GarbageCollect(sim()->Now(), config_.unordered_ttl);
+    stats_.unordered_gc += unordered_.GarbageCollect(sim()->Now(), kUnorderedTtl);
     ArmGcTimer();
   });
 }

@@ -36,9 +36,6 @@ namespace hovercraft {
 struct ServerConfig {
   ClusterMode mode = ClusterMode::kUnreplicated;
   RaftOptions raft;  // unused for kUnreplicated
-  // Unordered-set garbage collection (paper section 5).
-  TimeNs unordered_ttl = Millis(50);
-  TimeNs gc_interval = Millis(10);
   // Log prefix compaction cadence (memory bound for long runs).
   TimeNs compaction_interval = Millis(20);
   // How far a straggler may lag before compaction proceeds without it and

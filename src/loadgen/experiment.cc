@@ -4,11 +4,23 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/obs/observability.h"
 #include "src/stats/histogram.h"
 
 namespace hovercraft {
+
+bool ParseMembershipEvent(std::string_view item, MembershipEvent* out) {
+  std::string_view fields[2];
+  int64_t at_us = 0;
+  if (!SplitFields(item, ':', fields) || !ParseNumber(fields[0], &at_us) ||
+      !ParseNumber(fields[1], &out->node) || out->node < 0) {
+    return false;
+  }
+  out->at = Micros(at_us);
+  return true;
+}
 
 LoadMetrics RunLoadPoint(const ExperimentConfig& config, double rate_rps) {
   HC_CHECK(config.workload_factory != nullptr);

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -13,6 +14,18 @@
 #include "src/loadgen/workload.h"
 
 namespace hovercraft {
+
+// A scripted AddServer/RemoveServer of `node`, `at` after the start of load;
+// proposed through the cluster's management plane, which retries until the
+// change commits (ExperimentConfig and ChaosRunConfig both take them).
+struct MembershipEvent {
+  TimeNs at = 0;
+  NodeId node = kInvalidNode;
+};
+
+// "T:N" — node N, T microseconds in: one item of the --add-server-at-us /
+// --remove-server-at-us flags.
+bool ParseMembershipEvent(std::string_view item, MembershipEvent* out);
 
 struct ExperimentConfig {
   ClusterConfig cluster;
@@ -31,10 +44,6 @@ struct ExperimentConfig {
   // of warmup): AddServer/RemoveServer proposed through the cluster's
   // management plane, which retries until the change commits. The cluster
   // needs spare_nodes > 0 for adds to have a server to draw on.
-  struct MembershipEvent {
-    TimeNs at = 0;
-    NodeId node = kInvalidNode;
-  };
   std::vector<MembershipEvent> add_server_at;
   std::vector<MembershipEvent> remove_server_at;
 };

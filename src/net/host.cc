@@ -69,7 +69,7 @@ void Host::EnqueueBatched(Addr dst, MessagePtr msg, TimeNs extra_cpu) {
   batch.msgs.push_back(std::move(msg));
   batch.bytes += slot;
   batch.extra_cpu += extra_cpu;
-  if (static_cast<int32_t>(batch.msgs.size()) >= costs_.tx_batch_max_msgs) {
+  if (static_cast<int32_t>(batch.msgs.size()) >= CostModel::kTxBatchMaxMsgs) {
     FlushBatch(dst);
     return;
   }

@@ -8,31 +8,6 @@
 
 namespace hovercraft {
 
-std::vector<WirePacket> Fragment(const WireHeader& base, std::span<const uint8_t> body,
-                                 size_t mtu_payload) {
-  HC_CHECK_GT(mtu_payload, 0u);
-  const size_t count = std::max<size_t>(1, (body.size() + mtu_payload - 1) / mtu_payload);
-  HC_CHECK_LE(count, 0xFFFFu);
-  std::vector<WirePacket> packets;
-  packets.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const size_t begin = i * mtu_payload;
-    const size_t len = std::min(mtu_payload, body.size() - std::min(begin, body.size()));
-    WireHeader h = base;
-    h.packet_id = static_cast<uint16_t>(i);
-    h.first = (i == 0);
-    h.last = (i == count - 1);
-    h.packet_count = static_cast<uint16_t>(count);
-    WirePacket pkt(kWireHeaderBytes + len);
-    EncodeWireHeader(h, pkt);
-    if (len > 0) {
-      std::copy_n(body.data() + begin, len, pkt.data() + kWireHeaderBytes);
-    }
-    packets.push_back(std::move(pkt));
-  }
-  return packets;
-}
-
 void Fragment(BufPool& pool, const WireHeader& base, std::span<const uint8_t> ext,
               std::span<const uint8_t> body, size_t mtu_payload, std::vector<BufRef>& out) {
   HC_CHECK_GT(mtu_payload, 0u);

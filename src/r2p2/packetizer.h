@@ -28,20 +28,12 @@
 
 namespace hovercraft {
 
-// One wire packet in the legacy copying representation: 16-byte header
-// followed by a payload slice. Kept for conformance tests; the zero-copy
-// path hands around pooled BufRef frames instead.
-using WirePacket = std::vector<uint8_t>;
-
-// Splits `body` into packets of at most `mtu_payload` payload bytes each.
-// A zero-length body still yields one (FIRST|LAST) packet.
-std::vector<WirePacket> Fragment(const WireHeader& base, std::span<const uint8_t> body,
-                                 size_t mtu_payload);
-
-// Zero-copy form: writes header + payload in place into pooled frames drawn
-// from `pool`, appending to `out` (cleared first; its capacity is reused, so
-// steady state allocates nothing). The payload is the concatenation of `ext`
-// and `body` — serdes uses the extension span for the request prefix without
+// Splits a payload into frames of at most `mtu_payload` payload bytes each,
+// writing header + payload in place into pooled frames drawn from `pool` and
+// appending them to `out` (cleared first; its capacity is reused, so steady
+// state allocates nothing). A zero-length payload still yields one
+// (FIRST|LAST) frame. The payload is the concatenation of `ext` and `body` —
+// serdes uses the extension span for the request prefix without
 // materializing an intermediate buffer.
 void Fragment(BufPool& pool, const WireHeader& base, std::span<const uint8_t> ext,
               std::span<const uint8_t> body, size_t mtu_payload, std::vector<BufRef>& out);
@@ -67,9 +59,10 @@ class Reassembler {
     Body body;          // refcounted slice of the assembled buffer
   };
 
-  // Feeds one packet. Returns a Complete message when the last missing
-  // fragment arrives, kOk-with-nothing (nullopt-like empty result signalled
-  // via has_value) otherwise, or an error for malformed input.
+  // Feeds one packet given as raw bytes — the entry point for bytes from
+  // outside the pool, which the wire fuzzers drive. Returns true when the
+  // last missing fragment arrives (TakeCompleted then yields the message),
+  // false otherwise, or an error for malformed input.
   Result<bool> Feed(std::span<const uint8_t> packet, TimeNs now);
   // Zero-copy variant: a single-fragment frame completes as a slice of
   // `frame` itself, with no memcpy.

@@ -11,13 +11,6 @@ namespace {
 // real R2P2) and src_port (next 16 bits) so moderate wraps stay unambiguous.
 constexpr uint64_t kSeqLowMask = 0xFFFFull;
 
-std::vector<WirePacket> SerializeBody(const WireHeader& header, const Body& body,
-                                      size_t mtu_payload) {
-  const std::span<const uint8_t> bytes =
-      body == nullptr ? std::span<const uint8_t>() : body->bytes();
-  return Fragment(header, bytes, mtu_payload);
-}
-
 void EncodeRequestExtension(const RpcRequest& request,
                             uint8_t (&ext)[kRequestExtensionBytes]) {
   for (size_t i = 0; i < 4; ++i) {
@@ -48,45 +41,6 @@ RequestId RequestIdFromHeader(const WireHeader& header) {
   rid.client = static_cast<HostId>(header.src_ip);
   rid.seq = (static_cast<uint64_t>(header.src_port) << 16) | header.req_id;
   return rid;
-}
-
-std::vector<WirePacket> SerializeRequest(const RpcRequest& request, size_t mtu_payload) {
-  const WireHeader h = HeaderForRequest(request.rid(), request.policy(), WireType::kRequest);
-  // Requests carry a fixed extension ahead of the application body: the
-  // attempt counter and the client's acknowledged-sequence watermark (the
-  // retransmission / session-GC fields, see RpcRequest). Symmetric with the
-  // strip in DecodeR2p2View.
-  std::vector<uint8_t> framed(kRequestExtensionBytes);
-  for (size_t i = 0; i < 4; ++i) {
-    framed[i] = static_cast<uint8_t>(request.attempt() >> (8 * i));
-  }
-  for (size_t i = 0; i < 8; ++i) {
-    framed[4 + i] = static_cast<uint8_t>(request.ack_watermark() >> (8 * i));
-  }
-  for (size_t i = 0; i < 4; ++i) {
-    framed[12 + i] = static_cast<uint8_t>(request.shard_slot() >> (8 * i));
-  }
-  if (request.body() != nullptr) {
-    framed.insert(framed.end(), request.body()->begin(), request.body()->end());
-  }
-  return Fragment(h, framed, mtu_payload);
-}
-
-std::vector<WirePacket> SerializeResponse(const RpcResponse& response, size_t mtu_payload) {
-  const WireHeader h =
-      HeaderForRequest(response.rid(), R2p2Policy::kUnrestricted, WireType::kResponse);
-  return SerializeBody(h, response.body(), mtu_payload);
-}
-
-std::vector<WirePacket> SerializeFeedback(const FeedbackMsg& feedback) {
-  const WireHeader h =
-      HeaderForRequest(feedback.rid(), R2p2Policy::kUnrestricted, WireType::kFeedback);
-  return SerializeBody(h, nullptr, kWireHeaderBytes);
-}
-
-std::vector<WirePacket> SerializeNack(const NackMsg& nack) {
-  const WireHeader h = HeaderForRequest(nack.rid(), R2p2Policy::kUnrestricted, WireType::kNack);
-  return SerializeBody(h, nullptr, kWireHeaderBytes);
 }
 
 void SerializeRequestInto(BufPool& pool, const RpcRequest& request, size_t mtu_payload,
@@ -165,28 +119,6 @@ Result<R2p2MessageView> DecodeR2p2View(const Reassembler::Complete& complete) {
       return out;
     default:
       return InvalidArgumentError("unsupported wire type for R2P2 decode");
-  }
-}
-
-Result<DecodedR2p2Message> DecodeR2p2Message(const Reassembler::Complete& complete) {
-  Result<R2p2MessageView> view = DecodeR2p2View(complete);
-  if (!view.ok()) {
-    return view.status();
-  }
-  const R2p2MessageView& v = view.value();
-  DecodedR2p2Message out;
-  out.type = v.type;
-  out.rid = v.rid;
-  switch (v.type) {
-    case WireType::kRequest:
-      out.request = std::make_shared<RpcRequest>(v.rid, v.policy, v.body, v.attempt,
-                                                 v.ack_watermark, v.shard_slot);
-      return out;
-    case WireType::kResponse:
-      out.response = std::make_shared<RpcResponse>(v.rid, v.body);
-      return out;
-    default:
-      return out;
   }
 }
 

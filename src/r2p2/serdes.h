@@ -6,16 +6,13 @@
 // but conformance tests and microbenches exercise it end-to-end so the wire
 // format stays honest.
 //
-// Two API tiers:
-//  - the pooled/zero-copy tier (SerializeInto / DecodeR2p2View) writes frames
-//    in place into slab-pooled buffers and decodes bodies as refcounted
-//    slices of the arrival buffer — allocation-free in steady state;
-//  - the legacy vector tier is kept as the copying conformance reference
-//    (the two are asserted byte-identical by serdes_test).
+// Serialize*Into writes frames in place into slab-pooled buffers, and
+// DecodeR2p2View decodes bodies as refcounted slices of the arrival buffer —
+// allocation-free in steady state. serdes_test pins the bytes with golden
+// vectors.
 #ifndef SRC_R2P2_SERDES_H_
 #define SRC_R2P2_SERDES_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/common/buf_pool.h"
@@ -41,17 +38,10 @@ RequestId RequestIdFromHeader(const WireHeader& header);
 // rides as the first bytes of the fragmented payload.
 constexpr size_t kRequestExtensionBytes = 16;
 
-// Fragments a client request / response / control message into wire packets
-// (legacy copying tier).
-std::vector<WirePacket> SerializeRequest(const RpcRequest& request, size_t mtu_payload);
-std::vector<WirePacket> SerializeResponse(const RpcResponse& response, size_t mtu_payload);
-std::vector<WirePacket> SerializeFeedback(const FeedbackMsg& feedback);
-std::vector<WirePacket> SerializeNack(const NackMsg& nack);
-
-// Zero-copy tier: header + extension + payload are written in place into
-// pooled frames appended to `out` (cleared first, capacity reused). The
-// request extension is gathered into the frame directly — no intermediate
-// buffer is built.
+// Fragments a client request / response / control message: header +
+// extension + payload are written in place into pooled frames appended to
+// `out` (cleared first, capacity reused). The request extension is gathered
+// into the frame directly — no intermediate buffer is built.
 void SerializeRequestInto(BufPool& pool, const RpcRequest& request, size_t mtu_payload,
                           std::vector<BufRef>& out);
 void SerializeResponseInto(BufPool& pool, const RpcResponse& response, size_t mtu_payload,
@@ -74,17 +64,6 @@ struct R2p2MessageView {
 };
 
 Result<R2p2MessageView> DecodeR2p2View(const Reassembler::Complete& complete);
-
-// Reassembled message -> typed object (legacy tier; allocates the typed
-// wrapper but the body stays a zero-copy slice).
-struct DecodedR2p2Message {
-  WireType type = WireType::kRequest;
-  std::shared_ptr<RpcRequest> request;    // kRequest
-  std::shared_ptr<RpcResponse> response;  // kResponse
-  RequestId rid;                          // all types
-};
-
-Result<DecodedR2p2Message> DecodeR2p2Message(const Reassembler::Complete& complete);
 
 }  // namespace hovercraft
 

@@ -580,18 +580,18 @@ void RaftNode::BecomeLeader() {
   election_timer_ = kInvalidEvent;
   ArmHeartbeatTimer();
 
-  if (options_.leader_noop) {
-    LogEntry noop;
-    noop.term = current_term_;
-    noop.noop = true;
-    noop.replier = options_.id;
-    const LogIndex idx = log_.Append(std::move(noop));
-    ++stats_.entries_appended;
-    StorageAppendEntry(idx);
-    ScheduleDurability(idx);
-    if (!options_.assign_repliers) {
-      announced_idx_ = idx;
-    }
+  // Append a no-op entry, so entries from previous terms commit promptly
+  // (Raft section 8 requirement).
+  LogEntry noop;
+  noop.term = current_term_;
+  noop.noop = true;
+  noop.replier = options_.id;
+  const LogIndex idx = log_.Append(std::move(noop));
+  ++stats_.entries_appended;
+  StorageAppendEntry(idx);
+  ScheduleDurability(idx);
+  if (!options_.assign_repliers) {
+    announced_idx_ = idx;
   }
 
   env_->OnLeadershipChanged(true);

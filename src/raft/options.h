@@ -57,10 +57,6 @@ struct RaftOptions {
   // in-network aggregator (section 4).
   bool use_aggregator = false;
 
-  // Append a no-op entry on winning an election, so entries from previous
-  // terms commit promptly (Raft section 8 requirement).
-  bool leader_noop = true;
-
   // Compaction retention: CompactLog always keeps at least this many of the
   // newest entries so a fresh leader can repair lagging followers.
   LogIndex log_retention_entries = 4096;

@@ -58,7 +58,7 @@ struct CostModel {
   // into one physical frame: the sender queues them per link and flushes on a
   // doorbell (an event at the end of the current simulated instant when the
   // delay is 0, or after the bounded delay below), when the batch reaches
-  // tx_batch_max_msgs, or when one more message would overflow the MTU
+  // kTxBatchMaxMsgs, or when one more message would overflow the MTU
   // payload. The receiver pays the per-frame RX cost once for the whole
   // batch. Off by default: batching changes event interleavings, so pinned
   // trace expectations are recorded unbatched and the ablation flips this.
@@ -67,7 +67,7 @@ struct CostModel {
   // 0 still coalesces everything sent within the same simulated instant.
   TimeNs tx_batch_delay_ns = 0;
   // Cap on logical messages per batch frame.
-  int32_t tx_batch_max_msgs = 32;
+  static constexpr int32_t kTxBatchMaxMsgs = 32;
   // Only messages at most this large are eligible (large messages fill
   // frames on their own; batching them would only add latency).
   int32_t tx_batch_small_bytes = 512;

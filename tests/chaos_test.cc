@@ -29,19 +29,6 @@ ChaosRunConfig BaseConfig(ClusterMode mode, const std::string& schedule, uint64_
   return config;
 }
 
-const char* ModeName(ClusterMode mode) {
-  switch (mode) {
-    case ClusterMode::kVanillaRaft:
-      return "vanilla";
-    case ClusterMode::kHovercRaft:
-      return "hovercraft";
-    case ClusterMode::kHovercRaftPP:
-      return "hovercraft++";
-    default:
-      return "?";
-  }
-}
-
 // Every scripted schedule plus the randomized one, in every replicated mode,
 // each with its own seed: 27 distinct (schedule, seed, mode) cases covering
 // symmetric/asymmetric partitions, delay, reorder, flaps, and crash+restart
@@ -61,7 +48,7 @@ TEST(ChaosTest, AllSchedulesAllModes) {
     for (ClusterMode mode : modes) {
       const uint64_t seed = 1 + (case_index % 5);
       ++case_index;
-      SCOPED_TRACE("schedule=" + schedule + " mode=" + ModeName(mode) +
+      SCOPED_TRACE("schedule=" + schedule + " mode=" + ClusterModeFlag(mode) +
                    " seed=" + std::to_string(seed));
       const ChaosRunResult result = RunChaosSchedule(BaseConfig(mode, schedule, seed));
       EXPECT_TRUE(result.ok()) << result.Describe();
@@ -236,7 +223,7 @@ TEST(ChaosTest, ExactlyOnceUnderReplyFaults) {
     for (ClusterMode mode : modes) {
       const uint64_t seed = 1 + (case_index % 5);
       ++case_index;
-      SCOPED_TRACE("schedule=" + schedule + " mode=" + ModeName(mode) +
+      SCOPED_TRACE("schedule=" + schedule + " mode=" + ClusterModeFlag(mode) +
                    " seed=" + std::to_string(seed));
       ChaosRunConfig config = BaseConfig(mode, schedule, seed);
       config.retry_enabled = true;
@@ -298,7 +285,7 @@ TEST(ChaosTest, MembershipChurnStaysLinearizable) {
     for (ClusterMode mode : modes) {
       const uint64_t seed = 1 + (case_index % 4);
       ++case_index;
-      SCOPED_TRACE("schedule=" + schedule + " mode=" + ModeName(mode) +
+      SCOPED_TRACE("schedule=" + schedule + " mode=" + ClusterModeFlag(mode) +
                    " seed=" + std::to_string(seed));
       ChaosRunConfig config = BaseConfig(mode, schedule, seed);
       config.spare_nodes = 2;
@@ -518,7 +505,7 @@ TEST(ChaosTest, HardenedClusterShrugsOffAllAttacks) {
     for (ClusterMode mode : modes) {
       const uint64_t seed = 1 + (case_index % 5);
       ++case_index;
-      SCOPED_TRACE("schedule=" + schedule + " mode=" + ModeName(mode) +
+      SCOPED_TRACE("schedule=" + schedule + " mode=" + ClusterModeFlag(mode) +
                    " seed=" + std::to_string(seed));
       ChaosRunConfig config = BaseConfig(mode, schedule, seed);
       config.retry_enabled = true;
@@ -536,7 +523,7 @@ TEST(ChaosTest, HardenedClusterShrugsOffAllAttacks) {
 TEST(ChaosTest, CrashRestartConverges) {
   for (ClusterMode mode :
        {ClusterMode::kVanillaRaft, ClusterMode::kHovercRaft, ClusterMode::kHovercRaftPP}) {
-    SCOPED_TRACE(ModeName(mode));
+    SCOPED_TRACE(ClusterModeFlag(mode));
     const ChaosRunResult result = RunChaosSchedule(BaseConfig(mode, "crash-leader", 4));
     EXPECT_TRUE(result.ok()) << result.Describe();
     EXPECT_TRUE(result.digests_converged) << result.Describe();

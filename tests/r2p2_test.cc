@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/common/buf_pool.h"
 #include "src/common/random.h"
 #include "src/r2p2/messages.h"
 #include "src/r2p2/packetizer.h"
@@ -95,13 +96,22 @@ std::vector<uint8_t> PatternBody(size_t n) {
   return body;
 }
 
+// Fragments `body` into pooled frames drawn from `pool`.
+std::vector<BufRef> Frames(BufPool& pool, const WireHeader& h, std::span<const uint8_t> body,
+                           size_t mtu_payload) {
+  std::vector<BufRef> frames;
+  Fragment(pool, h, body, mtu_payload, frames);
+  return frames;
+}
+
 TEST(PacketizerTest, SinglePacketMessage) {
+  BufPool pool;
   WireHeader h = SampleHeader();
   const std::vector<uint8_t> body = PatternBody(100);
-  auto packets = Fragment(h, body, 1436);
+  auto packets = Frames(pool, h, body, 1436);
   ASSERT_EQ(packets.size(), 1u);
 
-  Reassembler r;
+  Reassembler r(&pool);
   Result<bool> done = r.Feed(packets[0], 0);
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done.value());
@@ -111,9 +121,10 @@ TEST(PacketizerTest, SinglePacketMessage) {
 }
 
 TEST(PacketizerTest, EmptyBodyStillOnePacket) {
-  auto packets = Fragment(SampleHeader(), {}, 1436);
+  BufPool pool;
+  auto packets = Frames(pool, SampleHeader(), {}, 1436);
   ASSERT_EQ(packets.size(), 1u);
-  Result<WireHeader> h = DecodeWireHeader(packets[0]);
+  Result<WireHeader> h = DecodeWireHeader(packets[0].bytes());
   ASSERT_TRUE(h.ok());
   EXPECT_TRUE(h.value().first);
   EXPECT_TRUE(h.value().last);
@@ -121,11 +132,12 @@ TEST(PacketizerTest, EmptyBodyStillOnePacket) {
 }
 
 TEST(PacketizerTest, MultiPacketRoundTripInOrder) {
+  BufPool pool;
   const std::vector<uint8_t> body = PatternBody(6000);
-  auto packets = Fragment(SampleHeader(), body, 1436);
+  auto packets = Frames(pool, SampleHeader(), body, 1436);
   EXPECT_EQ(packets.size(), 5u);
 
-  Reassembler r;
+  Reassembler r(&pool);
   for (size_t i = 0; i < packets.size(); ++i) {
     Result<bool> done = r.Feed(packets[i], 0);
     ASSERT_TRUE(done.ok());
@@ -136,11 +148,12 @@ TEST(PacketizerTest, MultiPacketRoundTripInOrder) {
 }
 
 TEST(PacketizerTest, OutOfOrderReassembly) {
+  BufPool pool;
   const std::vector<uint8_t> body = PatternBody(4000);
-  auto packets = Fragment(SampleHeader(), body, 1436);
+  auto packets = Frames(pool, SampleHeader(), body, 1436);
   ASSERT_EQ(packets.size(), 3u);
 
-  Reassembler r;
+  Reassembler r(&pool);
   ASSERT_TRUE(r.Feed(packets[2], 0).ok());
   ASSERT_TRUE(r.Feed(packets[0], 0).ok());
   Result<bool> done = r.Feed(packets[1], 0);
@@ -150,10 +163,11 @@ TEST(PacketizerTest, OutOfOrderReassembly) {
 }
 
 TEST(PacketizerTest, DuplicateFragmentsIgnored) {
+  BufPool pool;
   const std::vector<uint8_t> body = PatternBody(3000);
-  auto packets = Fragment(SampleHeader(), body, 1436);
+  auto packets = Frames(pool, SampleHeader(), body, 1436);
 
-  Reassembler r;
+  Reassembler r(&pool);
   ASSERT_TRUE(r.Feed(packets[0], 0).ok());
   ASSERT_TRUE(r.Feed(packets[0], 0).ok());  // dup
   ASSERT_TRUE(r.Feed(packets[1], 0).ok());
@@ -164,16 +178,17 @@ TEST(PacketizerTest, DuplicateFragmentsIgnored) {
 }
 
 TEST(PacketizerTest, InterleavedMessagesFromDifferentSenders) {
+  BufPool pool;
   const std::vector<uint8_t> body_a = PatternBody(3000);
   WireHeader ha = SampleHeader();
   ha.src_port = 1;
   WireHeader hb = SampleHeader();
   hb.src_port = 2;
-  auto pa = Fragment(ha, body_a, 1436);
+  auto pa = Frames(pool, ha, body_a, 1436);
   const std::vector<uint8_t> body_b = PatternBody(2000);
-  auto pb = Fragment(hb, body_b, 1436);
+  auto pb = Frames(pool, hb, body_b, 1436);
 
-  Reassembler r;
+  Reassembler r(&pool);
   ASSERT_TRUE(r.Feed(pa[0], 0).ok());
   ASSERT_TRUE(r.Feed(pb[0], 0).ok());
   ASSERT_TRUE(r.Feed(pa[1], 0).ok());
@@ -188,10 +203,11 @@ TEST(PacketizerTest, InterleavedMessagesFromDifferentSenders) {
 }
 
 TEST(PacketizerTest, GarbageCollectDropsStale) {
+  BufPool pool;
   const std::vector<uint8_t> body = PatternBody(3000);
-  auto packets = Fragment(SampleHeader(), body, 1436);
+  auto packets = Frames(pool, SampleHeader(), body, 1436);
 
-  Reassembler r;
+  Reassembler r(&pool);
   ASSERT_TRUE(r.Feed(packets[0], /*now=*/0).ok());
   EXPECT_EQ(r.pending(), 1u);
   EXPECT_EQ(r.GarbageCollect(Millis(10), Millis(50)), 0u);
@@ -200,10 +216,11 @@ TEST(PacketizerTest, GarbageCollectDropsStale) {
 }
 
 TEST(PacketizerTest, RejectsFragmentIndexBeyondCount) {
+  BufPool pool;
   const std::vector<uint8_t> body = PatternBody(3000);
-  auto packets = Fragment(SampleHeader(), body, 1436);
+  auto packets = Frames(pool, SampleHeader(), body, 1436);
   // Corrupt packet 1's packet_id to an out-of-range index.
-  Reassembler r;
+  Reassembler r(&pool);
   ASSERT_TRUE(r.Feed(packets[0], 0).ok());
   WireHeader bad = SampleHeader();
   bad.first = false;
@@ -218,11 +235,12 @@ TEST(PacketizerTest, RejectsFragmentIndexBeyondCount) {
 // before FIRST must not count toward completion — otherwise a message can
 // "complete" with real fragments absent, leaking recycled pool memory.
 TEST(PacketizerTest, RejectsPreFirstFragmentBeyondDeclaredCount) {
+  BufPool pool;
   const std::vector<uint8_t> body = PatternBody(44);  // 6 fragments at mtu 8
-  auto packets = Fragment(SampleHeader(), body, 8);
+  auto packets = Frames(pool, SampleHeader(), body, 8);
   ASSERT_EQ(packets.size(), 6u);
 
-  Reassembler r;
+  Reassembler r(&pool);
   ASSERT_TRUE(r.Feed(packets[5], 0).ok());  // LAST(5) before FIRST
   // Bogus fragments 7 and 8: in-range checks are impossible until FIRST.
   for (uint16_t id : {uint16_t{7}, uint16_t{8}}) {
@@ -244,7 +262,7 @@ TEST(PacketizerTest, RejectsPreFirstFragmentBeyondDeclaredCount) {
   ASSERT_TRUE(done.ok());
   EXPECT_FALSE(done.value());
   // A clean retransmission round still reassembles correctly.
-  Reassembler clean;
+  Reassembler clean(&pool);
   for (size_t i = 0; i < packets.size(); ++i) {
     Result<bool> fed = clean.Feed(packets[i], 0);
     ASSERT_TRUE(fed.ok());
@@ -279,14 +297,15 @@ TEST(PacketizerTest, RejectsPreFirstLastAtWrongIndex) {
 // buffered under the same key, so fragments of an earlier multi-fragment
 // attempt cannot later combine with retransmits into a duplicate completion.
 TEST(PacketizerTest, SingleFragmentSupersedesStalePartial) {
+  BufPool pool;
   const std::vector<uint8_t> multi_body = PatternBody(3000);
-  auto multi = Fragment(SampleHeader(), multi_body, 1436);
+  auto multi = Frames(pool, SampleHeader(), multi_body, 1436);
   ASSERT_EQ(multi.size(), 3u);
   const std::vector<uint8_t> single_body = PatternBody(80);
-  auto single = Fragment(SampleHeader(), single_body, 1436);
+  auto single = Frames(pool, SampleHeader(), single_body, 1436);
   ASSERT_EQ(single.size(), 1u);
 
-  Reassembler r;
+  Reassembler r(&pool);
   ASSERT_TRUE(r.Feed(multi[0], 0).ok());
   EXPECT_EQ(r.pending(), 1u);
   Result<bool> done = r.Feed(single[0], 0);

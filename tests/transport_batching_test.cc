@@ -187,7 +187,7 @@ TEST(TransportBatchingTest, FullBatchFlushesWithoutWaiting) {
   f.net.Attach(&a);
   f.net.Attach(&b);
 
-  const int32_t cap = f.costs.tx_batch_max_msgs;
+  const int32_t cap = CostModel::kTxBatchMaxMsgs;
   f.sim.At(0, [&]() {
     for (int32_t i = 0; i < cap; ++i) {
       a.Send(b.id(), SmallRequest(a.id(), static_cast<uint64_t>(i) + 1));

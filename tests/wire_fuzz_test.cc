@@ -1,6 +1,7 @@
 // Wire-path fuzzing: adversarial packet streams — truncated, duplicated,
 // reordered, bit-flipped, cross-spliced and pure-garbage frames — driven
-// through Fragment -> Reassembler -> DecodeR2p2Message. The properties:
+// through the raw-bytes Reassembler::Feed -> DecodeR2p2View. The streams are
+// cut from pooled frames written by Serialize*Into. The properties:
 //
 //  1. no crash / no UB (the CI sanitizer job runs this under asan+ubsan);
 //  2. every Feed returns cleanly (ok or a typed error, never a CHECK);
@@ -32,33 +33,48 @@ std::vector<uint8_t> PatternBytes(size_t n, uint8_t salt) {
   return bytes;
 }
 
-// Serialize a random message into legacy wire packets.
-std::vector<WirePacket> RandomMessagePackets(Rng& rng) {
+// One packet of a mutable raw-byte stream.
+using Packet = std::vector<uint8_t>;
+
+// Copies pooled frames out into raw packets the mutator can edit freely.
+std::vector<Packet> ToPackets(const std::vector<BufRef>& frames) {
+  std::vector<Packet> packets;
+  for (const BufRef& frame : frames) {
+    packets.emplace_back(frame.bytes().begin(), frame.bytes().end());
+  }
+  return packets;
+}
+
+// Serialize a random message into raw wire packets.
+std::vector<Packet> RandomMessagePackets(BufPool& pool, Rng& rng) {
   const uint64_t seq = rng.NextBelow(1u << 20);
   const HostId client = static_cast<HostId>(rng.NextBelow(64));
   const size_t body_len = rng.NextBelow(6000);
+  std::vector<BufRef> frames;
   if (rng.NextBelow(2) == 0) {
     RpcRequest req(RequestId{client, seq},
                    static_cast<R2p2Policy>(rng.NextBelow(3)),
                    MakeBody(PatternBytes(body_len, static_cast<uint8_t>(seq))),
                    /*attempt=*/static_cast<uint32_t>(1 + rng.NextBelow(4)),
                    /*ack_watermark=*/rng.NextBelow(1u << 30));
-    return SerializeRequest(req, kMtu);
+    SerializeRequestInto(pool, req, kMtu, frames);
+    return ToPackets(frames);
   }
   RpcResponse resp(RequestId{client, seq},
                    MakeBody(PatternBytes(body_len, static_cast<uint8_t>(seq + 1))));
-  return SerializeResponse(resp, kMtu);
+  SerializeResponseInto(pool, resp, kMtu, frames);
+  return ToPackets(frames);
 }
 
 // Mutate a packet stream in place: truncate / duplicate / drop / bit-flip /
 // shuffle, several rounds.
-void Mutate(std::vector<WirePacket>& packets, Rng& rng) {
+void Mutate(std::vector<Packet>& packets, Rng& rng) {
   const size_t rounds = 1 + rng.NextBelow(4);
   for (size_t r = 0; r < rounds && !packets.empty(); ++r) {
     const size_t which = rng.NextBelow(packets.size());
     switch (rng.NextBelow(5)) {
       case 0: {  // truncate (possibly below the header size)
-        WirePacket& p = packets[which];
+        Packet& p = packets[which];
         p.resize(rng.NextBelow(p.size() + 1));
         break;
       }
@@ -69,7 +85,7 @@ void Mutate(std::vector<WirePacket>& packets, Rng& rng) {
         packets.erase(packets.begin() + static_cast<ptrdiff_t>(which));
         break;
       case 3: {  // bit-flip
-        WirePacket& p = packets[which];
+        Packet& p = packets[which];
         if (!p.empty()) {
           const size_t byte = rng.NextBelow(p.size());
           p[byte] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
@@ -87,35 +103,35 @@ void Mutate(std::vector<WirePacket>& packets, Rng& rng) {
 
 // Round-trip stability: a decoded message re-serializes and re-decodes to an
 // identical message (property 3).
-void ExpectRoundTripStable(BufPool& pool, const DecodedR2p2Message& decoded) {
-  std::vector<WirePacket> packets;
-  if (decoded.type == WireType::kRequest && decoded.request != nullptr) {
-    packets = SerializeRequest(*decoded.request, kMtu);
-  } else if (decoded.type == WireType::kResponse && decoded.response != nullptr) {
-    packets = SerializeResponse(*decoded.response, kMtu);
+void ExpectRoundTripStable(BufPool& pool, const R2p2MessageView& decoded) {
+  std::vector<BufRef> frames;
+  if (decoded.type == WireType::kRequest) {
+    SerializeRequestInto(pool,
+                         RpcRequest(decoded.rid, decoded.policy, decoded.body, decoded.attempt,
+                                    decoded.ack_watermark, decoded.shard_slot),
+                         kMtu, frames);
+  } else if (decoded.type == WireType::kResponse) {
+    SerializeResponseInto(pool, RpcResponse(decoded.rid, decoded.body), kMtu, frames);
   } else {
     return;  // FEEDBACK/NACK carry identity only; nothing more to check
   }
   Reassembler reassembler(&pool);
   bool completed = false;
-  for (const WirePacket& p : packets) {
-    Result<bool> fed = reassembler.Feed(p, 0);
+  for (const BufRef& frame : frames) {
+    Result<bool> fed = reassembler.Feed(frame, 0);
     ASSERT_TRUE(fed.ok()) << "re-encoded message failed to reassemble";
     completed = fed.value();
   }
   ASSERT_TRUE(completed);
-  Result<DecodedR2p2Message> again = DecodeR2p2Message(reassembler.TakeCompleted());
+  Result<R2p2MessageView> again = DecodeR2p2View(reassembler.TakeCompleted());
   ASSERT_TRUE(again.ok()) << "re-encoded message failed to decode";
   ASSERT_EQ(again.value().type, decoded.type);
   ASSERT_EQ(again.value().rid, decoded.rid);
-  if (decoded.type == WireType::kRequest) {
-    ASSERT_EQ(again.value().request->policy(), decoded.request->policy());
-    ASSERT_EQ(again.value().request->attempt(), decoded.request->attempt());
-    ASSERT_EQ(again.value().request->ack_watermark(), decoded.request->ack_watermark());
-    ASSERT_EQ(*again.value().request->body(), *decoded.request->body());
-  } else {
-    ASSERT_EQ(*again.value().response->body(), *decoded.response->body());
-  }
+  ASSERT_EQ(again.value().policy, decoded.policy);
+  ASSERT_EQ(again.value().attempt, decoded.attempt);
+  ASSERT_EQ(again.value().ack_watermark, decoded.ack_watermark);
+  ASSERT_EQ(again.value().shard_slot, decoded.shard_slot);
+  ASSERT_TRUE(again.value().body == decoded.body);
 }
 
 TEST(WireFuzzTest, MutatedStreamsNeverBreakTheReassembler) {
@@ -127,14 +143,14 @@ TEST(WireFuzzTest, MutatedStreamsNeverBreakTheReassembler) {
 
     // One or two messages' packets, mutated, possibly interleaved (fragments
     // of different messages cross-talking through the same reassembler).
-    std::vector<WirePacket> packets = RandomMessagePackets(rng);
+    std::vector<Packet> packets = RandomMessagePackets(pool, rng);
     if (rng.NextBelow(3) == 0) {
-      std::vector<WirePacket> other = RandomMessagePackets(rng);
+      std::vector<Packet> other = RandomMessagePackets(pool, rng);
       packets.insert(packets.end(), other.begin(), other.end());
     }
     Mutate(packets, rng);
 
-    for (const WirePacket& p : packets) {
+    for (const Packet& p : packets) {
       Result<bool> result = reassembler.Feed(p, static_cast<TimeNs>(fed));
       ++fed;
       if (!result.ok()) {
@@ -143,7 +159,7 @@ TEST(WireFuzzTest, MutatedStreamsNeverBreakTheReassembler) {
       }
       if (result.value()) {
         ++completed;
-        Result<DecodedR2p2Message> decoded = DecodeR2p2Message(reassembler.TakeCompleted());
+        Result<R2p2MessageView> decoded = DecodeR2p2View(reassembler.TakeCompleted());
         if (decoded.ok()) {
           ++decode_ok;
           ExpectRoundTripStable(pool, decoded.value());
@@ -173,7 +189,7 @@ TEST(WireFuzzTest, PureGarbageIsRejectedOrInert) {
     Reassembler reassembler(&pool);
     for (uint64_t seed = 1; seed <= 200; ++seed) {
       Rng rng(0xBAD00000 + seed);
-      WirePacket garbage(rng.NextBelow(3 * kMtu));
+      Packet garbage(rng.NextBelow(3 * kMtu));
       for (uint8_t& b : garbage) {
         b = static_cast<uint8_t>(rng.NextBelow(256));
       }
@@ -181,7 +197,7 @@ TEST(WireFuzzTest, PureGarbageIsRejectedOrInert) {
       if (result.ok() && result.value()) {
         // Random bytes that passed magic/version/flag validation: still must
         // decode cleanly or error out, never crash.
-        Result<DecodedR2p2Message> decoded = DecodeR2p2Message(reassembler.TakeCompleted());
+        Result<R2p2MessageView> decoded = DecodeR2p2View(reassembler.TakeCompleted());
         if (decoded.ok()) {
           ExpectRoundTripStable(pool, decoded.value());
         }
@@ -194,8 +210,8 @@ TEST(WireFuzzTest, PureGarbageIsRejectedOrInert) {
 }
 
 TEST(WireFuzzTest, PooledFramePathSurvivesMutation) {
-  // Same properties through the zero-copy tier: pooled frames from the
-  // gather Fragment, mutated in place via writable(), fed as BufRefs.
+  // Same properties through the zero-copy entry point: pooled frames from
+  // the gather Fragment, mutated in place via writable(), fed as BufRefs.
   BufPool pool;
   uint64_t completed = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
@@ -220,7 +236,7 @@ TEST(WireFuzzTest, PooledFramePathSurvivesMutation) {
       }
       if (result.value()) {
         ++completed;
-        Result<DecodedR2p2Message> decoded = DecodeR2p2Message(reassembler.TakeCompleted());
+        Result<R2p2MessageView> decoded = DecodeR2p2View(reassembler.TakeCompleted());
         if (decoded.ok()) {
           ExpectRoundTripStable(pool, decoded.value());
         }

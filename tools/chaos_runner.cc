@@ -17,8 +17,6 @@
 //
 //   chaos_runner --schedule=flap --seed=3 --trace-out=trace.json --metrics-out=metrics.json
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -26,6 +24,7 @@
 
 #include "src/chaos/nemesis.h"
 #include "src/chaos/runner.h"
+#include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/flight_recorder.h"
@@ -66,7 +65,6 @@ struct CliOptions {
   uint32_t retry_max_attempts = 0;
   bool list_schedules = false;
   bool verbose = false;
-  bool help = false;
   std::string trace_out;    // recorder export path written after the run ("" = none)
   std::string metrics_out;  // metrics registry JSON path ("" = no dump)
   // Flight recorder + watchdog (docs/observability.md). Both default on;
@@ -79,8 +77,8 @@ struct CliOptions {
   std::string inject_violation;   // watchdog mutation test code
   // Scripted membership events, parsed from --add-server-at-us /
   // --remove-server-at-us ("TIME_US:NODE[,TIME_US:NODE...]").
-  std::vector<ChaosRunConfig::MembershipEvent> add_server_at;
-  std::vector<ChaosRunConfig::MembershipEvent> remove_server_at;
+  std::vector<MembershipEvent> add_server_at;
+  std::vector<MembershipEvent> remove_server_at;
   TimeNs sample_interval = Micros(100);
 };
 
@@ -88,194 +86,95 @@ struct CliOptions {
 // rotates nothing out, so the export is the whole run.
 constexpr size_t kTraceDepth = size_t{1} << 16;
 
-void PrintUsage() {
-  std::printf(
-      "usage: chaos_runner [flags]\n"
-      "  --schedule=NAME          fault schedule (default random); see --list-schedules\n"
-      "  --attack=NAME            alias for --schedule, reads better for the adversarial\n"
-      "                           schedules (rejoin-storm, forged-vote, timer-skew,\n"
-      "                           stale-read-probe)\n"
-      "  --seed=S                 replay seed (default 1)\n"
-      "  --mode=vanilla|hovercraft|hovercraft++   (default hovercraft)\n"
-      "  --nodes=N                cluster size (default 3)\n"
-      "  --spares=N               extra servers outside the initial config (default 0);\n"
-      "                           the churn-* schedules and --add-server-at-us draw on them\n"
-      "  --add-server-at-us=T:N   propose AddServer(node N) T microseconds into the load\n"
-      "                           window (repeatable; also takes a comma-separated list)\n"
-      "  --remove-server-at-us=T:N  same for RemoveServer; deterministic under --seed\n"
-      "  --clients=N              load generators (default 2)\n"
-      "  --rate=RPS               per-client offered load (default 4000)\n"
-      "  --keys=K                 hot keyspace size (default 8)\n"
-      "  --duration-ms=M          fault + load window (default 150)\n"
-      "  --settle-ms=M            quiet period before checks (default 100)\n"
-      "  --flow-control=N         middlebox in-flight cap (0 = off)\n"
-      "  --max-states=N           linearizability search budget (default 4000000)\n"
-      "  --retries                enable client retransmission with backoff\n"
-      "  --retry-backoff-us=N     initial retry backoff in microseconds (default 500)\n"
-      "  --retry-max-attempts=N   abandon after N transmissions (0 = give-up timer only)\n"
-      "  --no-dedup               disable the server session table (demonstrates\n"
-      "                           the double-apply anomaly under --retries)\n"
-      "  --no-prevote             disable the PreVote phase (control runs: rejoin-storm\n"
-      "                           and timer-skew then depose the leader)\n"
-      "  --no-check-quorum        disable CheckQuorum + leader stickiness (control runs:\n"
-      "                           forged-vote then deposes the leader)\n"
-      "  --read-index             serve read-only ops through ReadIndex leases instead\n"
-      "                           of the replicated log\n"
-      "  --read-lease-timeout-us=N  override the lease window (0 = election_timeout_min);\n"
-      "                           large values model clock skew and yield stale reads\n"
-      "  --disk-fault=NAME        alias for --schedule, reads better for the disk-fault\n"
-      "                           schedules (disk-power-fail, disk-torn-write,\n"
-      "                           disk-corrupt-entry, disk-fsync-stall)\n"
-      "  --persist-latency-us=N   fsync cost per durability barrier (default 500 for the\n"
-      "                           disk-* schedules, 0 otherwise)\n"
-      "  --fsync-policy=NAME      group-commit (default) | sync-per-append |\n"
-      "                           ack-before-sync (control: acks outrun the disk, so a\n"
-      "                           power fail loses acknowledged writes)\n"
-      "  --no-recovery            disable protocol-aware WAL recovery (control: damage\n"
-      "                           below the durable frontier is silently truncated\n"
-      "                           instead of quarantined + re-fetched from the leader)\n"
-      "  --flight-recorder-depth=N  per-node black-box ring size (default 512, 65536\n"
-      "                           with --trace-out; 0 turns the recorder and the\n"
-      "                           watchdog off)\n"
-      "  --no-watchdog            keep recording but skip online invariant checking\n"
-      "  --dump-out=PATH          write the flight-recorder dump (Chrome trace JSON) on\n"
-      "                           the first violation / failed verdict (default stderr\n"
-      "                           summary only)\n"
-      "  --inject-violation=CODE  watchdog mutation test: mid-run, inject a synthetic\n"
-      "                           event stream violating one invariant; the run must\n"
-      "                           FAIL with that code. Codes: dual-leader,\n"
-      "                           commit-regression, lease-overlap, double-apply,\n"
-      "                           flow-leak\n"
-      "  --trace-out=PATH         after the run, write the flight-recorder export\n"
-      "                           (Chrome trace JSON, Perfetto-loadable) and print the\n"
-      "                           tail attribution\n"
-      "  --metrics-out=PATH       write the metrics registry as JSON\n"
-      "  --sample-interval-us=N   queue-depth sampling period (default 100)\n"
-      "  --list-schedules         print schedule names and exit\n"
-      "  --verbose                protocol-level log while the run executes\n");
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string& out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-// "500:3,1000:4" — membership events as microsecond-offset:node pairs.
-bool ParseMembershipEvents(const std::string& value,
-                           std::vector<ChaosRunConfig::MembershipEvent>& out) {
-  size_t pos = 0;
-  while (pos < value.size()) {
-    const size_t comma = value.find(',', pos);
-    const std::string item =
-        value.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    const size_t colon = item.find(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= item.size()) {
-      return false;
-    }
-    ChaosRunConfig::MembershipEvent ev;
-    ev.at = Micros(std::atoll(item.substr(0, colon).c_str()));
-    ev.node = static_cast<NodeId>(std::atoi(item.substr(colon + 1).c_str()));
-    out.push_back(ev);
-    pos = comma == std::string::npos ? value.size() : comma + 1;
-  }
-  return true;
-}
-
-bool ParseOptions(int argc, char** argv, CliOptions& opts) {
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    const char* a = argv[i];
-    if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
-      opts.help = true;
-    } else if (std::strcmp(a, "--list-schedules") == 0) {
-      opts.list_schedules = true;
-    } else if (std::strcmp(a, "--verbose") == 0) {
-      opts.verbose = true;
-    } else if (std::strcmp(a, "--retries") == 0) {
-      opts.retries = true;
-    } else if (std::strcmp(a, "--no-dedup") == 0) {
-      opts.no_dedup = true;
-    } else if (std::strcmp(a, "--no-prevote") == 0) {
-      opts.no_prevote = true;
-    } else if (std::strcmp(a, "--no-check-quorum") == 0) {
-      opts.no_check_quorum = true;
-    } else if (std::strcmp(a, "--read-index") == 0) {
-      opts.read_index = true;
-    } else if (ParseFlag(a, "--read-lease-timeout-us", v)) {
-      opts.read_lease_timeout = Micros(std::atoll(v.c_str()));
-    } else if (std::strcmp(a, "--no-recovery") == 0) {
-      opts.no_recovery = true;
-    } else if (ParseFlag(a, "--attack", v)) {
-      opts.schedule = v;
-    } else if (ParseFlag(a, "--disk-fault", v)) {
-      opts.schedule = v;
-    } else if (ParseFlag(a, "--persist-latency-us", v)) {
-      opts.persist_latency = Micros(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--fsync-policy", v)) {
-      opts.fsync_policy = v;
-    } else if (ParseFlag(a, "--retry-backoff-us", v)) {
-      opts.retry_backoff = Micros(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--retry-max-attempts", v)) {
-      opts.retry_max_attempts = static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-    } else if (ParseFlag(a, "--mode", v)) {
-      opts.mode = v;
-    } else if (ParseFlag(a, "--schedule", v)) {
-      opts.schedule = v;
-    } else if (ParseFlag(a, "--seed", v)) {
-      opts.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--nodes", v)) {
-      opts.nodes = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--spares", v)) {
-      opts.spares = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--add-server-at-us", v)) {
-      if (!ParseMembershipEvents(v, opts.add_server_at)) {
-        std::fprintf(stderr, "bad --add-server-at-us=%s (want TIME_US:NODE[,...])\n", v.c_str());
-        return false;
-      }
-    } else if (ParseFlag(a, "--remove-server-at-us", v)) {
-      if (!ParseMembershipEvents(v, opts.remove_server_at)) {
-        std::fprintf(stderr, "bad --remove-server-at-us=%s (want TIME_US:NODE[,...])\n",
-                     v.c_str());
-        return false;
-      }
-    } else if (ParseFlag(a, "--clients", v)) {
-      opts.clients = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--rate", v)) {
-      opts.rate = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--keys", v)) {
-      opts.keys = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--duration-ms", v)) {
-      opts.duration = Millis(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--settle-ms", v)) {
-      opts.settle = Millis(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--flow-control", v)) {
-      opts.flow_control = std::atoll(v.c_str());
-    } else if (ParseFlag(a, "--max-states", v)) {
-      opts.max_states = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (std::strcmp(a, "--no-watchdog") == 0) {
-      opts.no_watchdog = true;
-    } else if (ParseFlag(a, "--flight-recorder-depth", v)) {
-      opts.flight_recorder_depth = static_cast<int64_t>(std::strtoull(v.c_str(), nullptr, 10));
-    } else if (ParseFlag(a, "--dump-out", v)) {
-      opts.dump_out = v;
-    } else if (ParseFlag(a, "--inject-violation", v)) {
-      opts.inject_violation = v;
-    } else if (ParseFlag(a, "--trace-out", v)) {
-      opts.trace_out = v;
-    } else if (ParseFlag(a, "--metrics-out", v)) {
-      opts.metrics_out = v;
-    } else if (ParseFlag(a, "--sample-interval-us", v)) {
-      opts.sample_interval = Micros(std::atoll(v.c_str()));
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a);
-      return false;
-    }
-  }
-  return true;
+// Every flag, declared once; the usage text is generated from this table.
+void DeclareFlags(Flags& flags, CliOptions& opts) {
+  flags.Add("--schedule=NAME", &opts.schedule,
+            "fault schedule (default random); see --list-schedules");
+  flags.Add("--attack=NAME", &opts.schedule,
+            "alias for --schedule, reads better for the adversarial\n"
+            "schedules (rejoin-storm, forged-vote, timer-skew,\n"
+            "stale-read-probe)");
+  flags.Add("--seed=S", &opts.seed, "replay seed (default 1)");
+  flags.Add("--mode=vanilla|hovercraft|hovercraft++", &opts.mode, "(default hovercraft)");
+  flags.Add("--nodes=N", &opts.nodes, "cluster size (default 3)");
+  flags.Add("--spares=N", &opts.spares,
+            "extra servers outside the initial config (default 0);\n"
+            "the churn-* schedules and --add-server-at-us draw on them");
+  flags.AddList("--add-server-at-us=T:N", &opts.add_server_at, ParseMembershipEvent,
+                "propose AddServer(node N) T microseconds into the load\n"
+                "window (repeatable; also takes a comma-separated list)");
+  flags.AddList("--remove-server-at-us=T:N", &opts.remove_server_at, ParseMembershipEvent,
+                "same for RemoveServer; deterministic under --seed");
+  flags.Add("--clients=N", &opts.clients, "load generators (default 2)");
+  flags.Add("--rate=RPS", &opts.rate, "per-client offered load (default 4000)");
+  flags.Add("--keys=K", &opts.keys, "hot keyspace size (default 8)");
+  flags.AddDuration("--duration-ms=M", &opts.duration, Millis(1),
+                    "fault + load window (default 150)");
+  flags.AddDuration("--settle-ms=M", &opts.settle, Millis(1),
+                    "quiet period before checks (default 100)");
+  flags.Add("--flow-control=N", &opts.flow_control, "middlebox in-flight cap (0 = off)");
+  flags.Add("--max-states=N", &opts.max_states,
+            "linearizability search budget (default 4000000)");
+  flags.Add("--retries", &opts.retries, "enable client retransmission with backoff");
+  flags.AddDuration("--retry-backoff-us=N", &opts.retry_backoff, Micros(1),
+                    "initial retry backoff in microseconds (default 500)");
+  flags.Add("--retry-max-attempts=N", &opts.retry_max_attempts,
+            "abandon after N transmissions (0 = give-up timer only)");
+  flags.Add("--no-dedup", &opts.no_dedup,
+            "disable the server session table (demonstrates\n"
+            "the double-apply anomaly under --retries)");
+  flags.Add("--no-prevote", &opts.no_prevote,
+            "disable the PreVote phase (control runs: rejoin-storm\n"
+            "and timer-skew then depose the leader)");
+  flags.Add("--no-check-quorum", &opts.no_check_quorum,
+            "disable CheckQuorum + leader stickiness (control runs:\n"
+            "forged-vote then deposes the leader)");
+  flags.Add("--read-index", &opts.read_index,
+            "serve read-only ops through ReadIndex leases instead\n"
+            "of the replicated log");
+  flags.AddDuration("--read-lease-timeout-us=N", &opts.read_lease_timeout, Micros(1),
+                    "override the lease window (0 = election_timeout_min);\n"
+                    "large values model clock skew and yield stale reads");
+  flags.Add("--disk-fault=NAME", &opts.schedule,
+            "alias for --schedule, reads better for the disk-fault\n"
+            "schedules (disk-power-fail, disk-torn-write,\n"
+            "disk-corrupt-entry, disk-fsync-stall)");
+  flags.AddDuration("--persist-latency-us=N", &opts.persist_latency, Micros(1),
+                    "fsync cost per durability barrier (default 500 for the\n"
+                    "disk-* schedules, 0 otherwise)");
+  flags.Add("--fsync-policy=NAME", &opts.fsync_policy,
+            "group-commit (default) | sync-per-append |\n"
+            "ack-before-sync (control: acks outrun the disk, so a\n"
+            "power fail loses acknowledged writes)");
+  flags.Add("--no-recovery", &opts.no_recovery,
+            "disable protocol-aware WAL recovery (control: damage\n"
+            "below the durable frontier is silently truncated\n"
+            "instead of quarantined + re-fetched from the leader)");
+  flags.Add("--flight-recorder-depth=N", &opts.flight_recorder_depth,
+            "per-node black-box ring size (default 512, 65536\n"
+            "with --trace-out; 0 turns the recorder and the\n"
+            "watchdog off)");
+  flags.Add("--no-watchdog", &opts.no_watchdog,
+            "keep recording but skip online invariant checking");
+  flags.Add("--dump-out=PATH", &opts.dump_out,
+            "write the flight-recorder dump (Chrome trace JSON) on\n"
+            "the first violation / failed verdict (default stderr\n"
+            "summary only)");
+  flags.Add("--inject-violation=CODE", &opts.inject_violation,
+            "watchdog mutation test: mid-run, inject a synthetic\n"
+            "event stream violating one invariant; the run must\n"
+            "FAIL with that code. Codes: dual-leader,\n"
+            "commit-regression, lease-overlap, double-apply,\n"
+            "flow-leak");
+  flags.Add("--trace-out=PATH", &opts.trace_out,
+            "after the run, write the flight-recorder export\n"
+            "(Chrome trace JSON, Perfetto-loadable) and print the\n"
+            "tail attribution");
+  flags.Add("--metrics-out=PATH", &opts.metrics_out, "write the metrics registry as JSON");
+  flags.AddDuration("--sample-interval-us=N", &opts.sample_interval, Micros(1),
+                    "queue-depth sampling period (default 100)");
+  flags.Add("--list-schedules", &opts.list_schedules, "print schedule names and exit");
+  flags.Add("--verbose", &opts.verbose, "protocol-level log while the run executes");
 }
 
 int Run(const CliOptions& opts, const std::string& repro) {
@@ -283,13 +182,8 @@ int Run(const CliOptions& opts, const std::string& repro) {
     SetLogLevel(LogLevel::kInfo);
   }
   ChaosRunConfig config;
-  if (opts.mode == "vanilla") {
-    config.mode = ClusterMode::kVanillaRaft;
-  } else if (opts.mode == "hovercraft") {
-    config.mode = ClusterMode::kHovercRaft;
-  } else if (opts.mode == "hovercraft++") {
-    config.mode = ClusterMode::kHovercRaftPP;
-  } else {
+  if (!ParseClusterMode(opts.mode, &config.mode) ||
+      config.mode == ClusterMode::kUnreplicated) {
     std::fprintf(stderr, "bad --mode=%s (chaos needs a replicated mode)\n", opts.mode.c_str());
     return 2;
   }
@@ -427,14 +321,9 @@ int Run(const CliOptions& opts, const std::string& repro) {
 
 int main(int argc, char** argv) {
   hovercraft::CliOptions opts;
-  if (!hovercraft::ParseOptions(argc, argv, opts)) {
-    hovercraft::PrintUsage();
-    return 2;
-  }
-  if (opts.help) {
-    hovercraft::PrintUsage();
-    return 0;
-  }
+  hovercraft::Flags flags("chaos_runner");
+  hovercraft::DeclareFlags(flags, opts);
+  flags.ParseOrExit(argc, argv);
   if (opts.list_schedules) {
     for (const std::string& name : hovercraft::Nemesis::ScheduleNames()) {
       std::printf("%s\n", name.c_str());

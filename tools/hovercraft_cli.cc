@@ -11,14 +11,13 @@
 //   hovercraft_cli --mode=hovercraft++ --nodes=3 --workload=ycsbe --slo-search
 //   hovercraft_cli --mode=unrep --rate=800000 --service-us=1
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/app/kvstore/service.h"
 #include "src/app/ycsb.h"
+#include "src/common/flags.h"
 #include "src/loadgen/experiment.h"
 #include "src/loadgen/workload.h"
 
@@ -31,8 +30,8 @@ struct CliOptions {
   int32_t spares = 0;
   // Scripted membership events ("TIME_US:NODE[,TIME_US:NODE...]"), offset
   // from load start; deterministic under --seed.
-  std::vector<ExperimentConfig::MembershipEvent> add_server_at;
-  std::vector<ExperimentConfig::MembershipEvent> remove_server_at;
+  std::vector<MembershipEvent> add_server_at;
+  std::vector<MembershipEvent> remove_server_at;
   std::string workload = "synthetic";
   double rate = 100e3;
   bool slo_search = false;
@@ -53,147 +52,50 @@ struct CliOptions {
   bool no_prevote = false;
   bool no_check_quorum = false;
   bool read_index = false;
-  bool help = false;
 };
 
-void PrintUsage() {
-  std::printf(
-      "usage: hovercraft_cli [flags]\n"
-      "  --mode=unrep|vanilla|hovercraft|hovercraft++   (default hovercraft++)\n"
-      "  --nodes=N                cluster size (default 3)\n"
-      "  --spares=N               extra servers outside the initial config (default 0)\n"
-      "  --add-server-at-us=T:N   propose AddServer(node N) T microseconds after load\n"
-      "                           start (repeatable / comma-separated list)\n"
-      "  --remove-server-at-us=T:N  same for RemoveServer\n"
-      "  --workload=synthetic|ycsbe\n"
-      "  --rate=RPS               offered load (default 100000)\n"
-      "  --slo-search             find max throughput under --slo-us instead\n"
-      "  --slo-us=U               tail SLO for the search (default 500)\n"
-      "  --request-bytes=B --reply-bytes=B (synthetic)\n"
-      "  --service-us=U           synthetic service time (default 1)\n"
-      "  --bimodal-ratio=R        10%% of requests take R x the base time\n"
-      "  --read-only=F            read-only fraction 0..1 (default 0)\n"
-      "  --policy=jbsq|random|leader\n"
-      "  --bounded-queue=B        replier queue bound (default 128)\n"
-      "  --flow-control=N         middlebox in-flight cap (0 = off)\n"
-      "  --warmup-ms=M --measure-ms=M\n"
-      "  --clients=N --seed=S\n"
-      "  --no-prevote             disable the PreVote phase\n"
-      "  --no-check-quorum        disable CheckQuorum + leader stickiness\n"
-      "  --read-index             serve the --read-only fraction through ReadIndex\n"
-      "                           leases instead of the replicated log\n");
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string& out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-// "500:3,1000:4" — membership events as microsecond-offset:node pairs.
-bool ParseMembershipEvents(const std::string& value,
-                           std::vector<ExperimentConfig::MembershipEvent>& out) {
-  size_t pos = 0;
-  while (pos < value.size()) {
-    const size_t comma = value.find(',', pos);
-    const std::string item =
-        value.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    const size_t colon = item.find(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= item.size()) {
-      return false;
-    }
-    ExperimentConfig::MembershipEvent ev;
-    ev.at = Micros(std::atoll(item.substr(0, colon).c_str()));
-    ev.node = static_cast<NodeId>(std::atoi(item.substr(colon + 1).c_str()));
-    out.push_back(ev);
-    pos = comma == std::string::npos ? value.size() : comma + 1;
-  }
-  return true;
-}
-
-bool ParseOptions(int argc, char** argv, CliOptions& opts) {
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    const char* a = argv[i];
-    if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
-      opts.help = true;
-    } else if (ParseFlag(a, "--mode", v)) {
-      opts.mode = v;
-    } else if (ParseFlag(a, "--nodes", v)) {
-      opts.nodes = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--spares", v)) {
-      opts.spares = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--add-server-at-us", v)) {
-      if (!ParseMembershipEvents(v, opts.add_server_at)) {
-        std::fprintf(stderr, "bad --add-server-at-us=%s (want TIME_US:NODE[,...])\n", v.c_str());
-        return false;
-      }
-    } else if (ParseFlag(a, "--remove-server-at-us", v)) {
-      if (!ParseMembershipEvents(v, opts.remove_server_at)) {
-        std::fprintf(stderr, "bad --remove-server-at-us=%s (want TIME_US:NODE[,...])\n",
-                     v.c_str());
-        return false;
-      }
-    } else if (ParseFlag(a, "--workload", v)) {
-      opts.workload = v;
-    } else if (ParseFlag(a, "--rate", v)) {
-      opts.rate = std::atof(v.c_str());
-    } else if (std::strcmp(a, "--slo-search") == 0) {
-      opts.slo_search = true;
-    } else if (ParseFlag(a, "--slo-us", v)) {
-      opts.slo = Micros(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--request-bytes", v)) {
-      opts.request_bytes = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--reply-bytes", v)) {
-      opts.reply_bytes = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--service-us", v)) {
-      opts.service = Micros(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--bimodal-ratio", v)) {
-      opts.bimodal_ratio = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--read-only", v)) {
-      opts.read_only = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--policy", v)) {
-      opts.policy = v;
-    } else if (ParseFlag(a, "--bounded-queue", v)) {
-      opts.bounded_queue = std::atoll(v.c_str());
-    } else if (ParseFlag(a, "--flow-control", v)) {
-      opts.flow_control = std::atoll(v.c_str());
-    } else if (ParseFlag(a, "--warmup-ms", v)) {
-      opts.warmup = Millis(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--measure-ms", v)) {
-      opts.measure = Millis(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--clients", v)) {
-      opts.clients = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--seed", v)) {
-      opts.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (std::strcmp(a, "--no-prevote") == 0) {
-      opts.no_prevote = true;
-    } else if (std::strcmp(a, "--no-check-quorum") == 0) {
-      opts.no_check_quorum = true;
-    } else if (std::strcmp(a, "--read-index") == 0) {
-      opts.read_index = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a);
-      return false;
-    }
-  }
-  return true;
+// Every flag, declared once; the usage text is generated from this table.
+void DeclareFlags(Flags& flags, CliOptions& opts) {
+  flags.Add("--mode=unrep|vanilla|hovercraft|hovercraft++", &opts.mode, "(default hovercraft++)");
+  flags.Add("--nodes=N", &opts.nodes, "cluster size (default 3)");
+  flags.Add("--spares=N", &opts.spares,
+            "extra servers outside the initial config (default 0)");
+  flags.AddList("--add-server-at-us=T:N", &opts.add_server_at, ParseMembershipEvent,
+                "propose AddServer(node N) T microseconds after load\n"
+                "start (repeatable / comma-separated list)");
+  flags.AddList("--remove-server-at-us=T:N", &opts.remove_server_at, ParseMembershipEvent,
+                "same for RemoveServer");
+  flags.Add("--workload=synthetic|ycsbe", &opts.workload, "(default synthetic)");
+  flags.Add("--rate=RPS", &opts.rate, "offered load (default 100000)");
+  flags.Add("--slo-search", &opts.slo_search, "find max throughput under --slo-us instead");
+  flags.AddDuration("--slo-us=U", &opts.slo, Micros(1),
+                    "tail SLO for the search (default 500)");
+  flags.Add("--request-bytes=B", &opts.request_bytes, "synthetic request size (default 24)");
+  flags.Add("--reply-bytes=B", &opts.reply_bytes, "synthetic reply size (default 8)");
+  flags.AddDuration("--service-us=U", &opts.service, Micros(1),
+                    "synthetic service time (default 1)");
+  flags.Add("--bimodal-ratio=R", &opts.bimodal_ratio,
+            "10% of requests take R x the base time");
+  flags.Add("--read-only=F", &opts.read_only, "read-only fraction 0..1 (default 0)");
+  flags.Add("--policy=jbsq|random|leader", &opts.policy, "(default jbsq)");
+  flags.Add("--bounded-queue=B", &opts.bounded_queue, "replier queue bound (default 128)");
+  flags.Add("--flow-control=N", &opts.flow_control, "middlebox in-flight cap (0 = off)");
+  flags.AddDuration("--warmup-ms=M", &opts.warmup, Millis(1), "warmup window (default 100)");
+  flags.AddDuration("--measure-ms=M", &opts.measure, Millis(1),
+                    "measurement window (default 300)");
+  flags.Add("--clients=N", &opts.clients, "load generators (default 8)");
+  flags.Add("--seed=S", &opts.seed, "cluster and workload seed (default 42)");
+  flags.Add("--no-prevote", &opts.no_prevote, "disable the PreVote phase");
+  flags.Add("--no-check-quorum", &opts.no_check_quorum,
+            "disable CheckQuorum + leader stickiness");
+  flags.Add("--read-index", &opts.read_index,
+            "serve the --read-only fraction through ReadIndex\n"
+            "leases instead of the replicated log");
 }
 
 int Run(const CliOptions& opts) {
   ClusterMode mode;
-  if (opts.mode == "unrep") {
-    mode = ClusterMode::kUnreplicated;
-  } else if (opts.mode == "vanilla") {
-    mode = ClusterMode::kVanillaRaft;
-  } else if (opts.mode == "hovercraft") {
-    mode = ClusterMode::kHovercRaft;
-  } else if (opts.mode == "hovercraft++") {
-    mode = ClusterMode::kHovercRaftPP;
-  } else {
+  if (!ParseClusterMode(opts.mode, &mode)) {
     std::fprintf(stderr, "bad --mode=%s\n", opts.mode.c_str());
     return 2;
   }
@@ -290,13 +192,8 @@ int Run(const CliOptions& opts) {
 
 int main(int argc, char** argv) {
   hovercraft::CliOptions opts;
-  if (!hovercraft::ParseOptions(argc, argv, opts)) {
-    hovercraft::PrintUsage();
-    return 2;
-  }
-  if (opts.help) {
-    hovercraft::PrintUsage();
-    return 0;
-  }
+  hovercraft::Flags flags("hovercraft_cli");
+  hovercraft::DeclareFlags(flags, opts);
+  flags.ParseOrExit(argc, argv);
   return hovercraft::Run(opts);
 }

@@ -10,11 +10,11 @@
 //   shard_chaos_runner --groups=4 --duration-ms=80
 //       --move-at-us=20000:0:7:1,40000:0:7:2,60000:0:7:0   (one command line)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/shard/shard_chaos.h"
 
@@ -36,103 +36,47 @@ struct CliOptions {
   std::vector<ShardChaosConfig::MoveEvent> moves;
   std::string dump_out;
   bool verbose = false;
-  bool help = false;
 };
 
-void PrintUsage() {
-  std::printf(
-      "usage: shard_chaos_runner [flags]\n"
-      "  --seed=S                 replay seed (default 1)\n"
-      "  --groups=N               consensus groups on the shared fabric (default 2)\n"
-      "  --nodes-per-group=N      replicas per group (default 3)\n"
-      "  --clients=N              load generators (default 4)\n"
-      "  --rate=RPS               per-client offered load (default 20000)\n"
-      "  --keys=K                 hot keyspace size (default 16)\n"
-      "  --duration-ms=M          load + move window (default 120)\n"
-      "  --settle-ms=M            quiet period before checks (default 80)\n"
-      "  --flow-control=N         per-group admission cap (0 = off)\n"
-      "  --max-states=N           linearizability search budget (default 4000000)\n"
-      "  --kill-leader-mid-move   crash the source group's leader 1 ms into the\n"
-      "                           first move, restart it 20 ms later\n"
-      "  --move-at-us=T:LO:HI:D   move slots [LO,HI] to group D, T microseconds\n"
-      "                           into the load window (comma-separated list;\n"
-      "                           default: group 0's range to group 1 and back)\n"
-      "  --dump-out=PATH          flight-recorder dump (Chrome trace JSON) on a\n"
-      "                           failed verdict\n"
-      "  --verbose                protocol-level log while the run executes\n");
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string& out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    out = arg + len + 1;
-    return true;
+// "20000:0:7:1" — microsecond-offset:lo:hi:dest, one --move-at-us item.
+bool ParseMove(std::string_view item, ShardChaosConfig::MoveEvent* ev) {
+  std::string_view fields[4];
+  int64_t at_us = 0;
+  if (!SplitFields(item, ':', fields) || !ParseNumber(fields[0], &at_us) ||
+      !ParseNumber(fields[1], &ev->lo) || !ParseNumber(fields[2], &ev->hi) ||
+      !ParseNumber(fields[3], &ev->dest)) {
+    return false;
   }
-  return false;
-}
-
-// "20000:0:7:1,40000:0:7:2" — microsecond-offset:lo:hi:dest tuples.
-bool ParseMoves(const std::string& value, std::vector<ShardChaosConfig::MoveEvent>& out) {
-  size_t pos = 0;
-  while (pos < value.size()) {
-    const size_t comma = value.find(',', pos);
-    const std::string item =
-        value.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    ShardChaosConfig::MoveEvent ev;
-    if (std::sscanf(item.c_str(), "%lld:%u:%u:%d", reinterpret_cast<long long*>(&ev.at), &ev.lo,
-                    &ev.hi, &ev.dest) != 4) {
-      return false;
-    }
-    ev.at = Micros(ev.at);
-    out.push_back(ev);
-    pos = comma == std::string::npos ? value.size() : comma + 1;
-  }
+  ev->at = Micros(at_us);
   return true;
 }
 
-bool ParseOptions(int argc, char** argv, CliOptions& opts) {
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    const char* a = argv[i];
-    if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
-      opts.help = true;
-    } else if (std::strcmp(a, "--verbose") == 0) {
-      opts.verbose = true;
-    } else if (std::strcmp(a, "--kill-leader-mid-move") == 0) {
-      opts.kill_leader_mid_move = true;
-    } else if (ParseFlag(a, "--seed", v)) {
-      opts.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--groups", v)) {
-      opts.groups = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--nodes-per-group", v)) {
-      opts.nodes_per_group = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--clients", v)) {
-      opts.clients = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--rate", v)) {
-      opts.rate = std::atof(v.c_str());
-    } else if (ParseFlag(a, "--keys", v)) {
-      opts.keys = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--duration-ms", v)) {
-      opts.duration = Millis(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--settle-ms", v)) {
-      opts.settle = Millis(std::atoll(v.c_str()));
-    } else if (ParseFlag(a, "--flow-control", v)) {
-      opts.flow_control = std::atoll(v.c_str());
-    } else if (ParseFlag(a, "--max-states", v)) {
-      opts.max_states = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--move-at-us", v)) {
-      if (!ParseMoves(v, opts.moves)) {
-        std::fprintf(stderr, "bad --move-at-us=%s (want TIME_US:LO:HI:DEST[,...])\n", v.c_str());
-        return false;
-      }
-    } else if (ParseFlag(a, "--dump-out", v)) {
-      opts.dump_out = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a);
-      return false;
-    }
-  }
-  return true;
+// Every flag, declared once; the usage text is generated from this table.
+void DeclareFlags(Flags& flags, CliOptions& opts) {
+  flags.Add("--seed=S", &opts.seed, "replay seed (default 1)");
+  flags.Add("--groups=N", &opts.groups, "consensus groups on the shared fabric (default 2)");
+  flags.Add("--nodes-per-group=N", &opts.nodes_per_group, "replicas per group (default 3)");
+  flags.Add("--clients=N", &opts.clients, "load generators (default 4)");
+  flags.Add("--rate=RPS", &opts.rate, "per-client offered load (default 20000)");
+  flags.Add("--keys=K", &opts.keys, "hot keyspace size (default 16)");
+  flags.AddDuration("--duration-ms=M", &opts.duration, Millis(1),
+                    "load + move window (default 120)");
+  flags.AddDuration("--settle-ms=M", &opts.settle, Millis(1),
+                    "quiet period before checks (default 80)");
+  flags.Add("--flow-control=N", &opts.flow_control, "per-group admission cap (0 = off)");
+  flags.Add("--max-states=N", &opts.max_states,
+            "linearizability search budget (default 4000000)");
+  flags.Add("--kill-leader-mid-move", &opts.kill_leader_mid_move,
+            "crash the source group's leader 1 ms into the\n"
+            "first move, restart it 20 ms later");
+  flags.AddList("--move-at-us=T:LO:HI:D", &opts.moves, ParseMove,
+                "move slots [LO,HI] to group D, T microseconds\n"
+                "into the load window (comma-separated list;\n"
+                "default: group 0's range to group 1 and back)");
+  flags.Add("--dump-out=PATH", &opts.dump_out,
+            "flight-recorder dump (Chrome trace JSON) on a\n"
+            "failed verdict");
+  flags.Add("--verbose", &opts.verbose, "protocol-level log while the run executes");
 }
 
 }  // namespace
@@ -140,14 +84,9 @@ bool ParseOptions(int argc, char** argv, CliOptions& opts) {
 
 int main(int argc, char** argv) {
   hovercraft::CliOptions opts;
-  if (!hovercraft::ParseOptions(argc, argv, opts)) {
-    hovercraft::PrintUsage();
-    return 2;
-  }
-  if (opts.help) {
-    hovercraft::PrintUsage();
-    return 0;
-  }
+  hovercraft::Flags flags("shard_chaos_runner");
+  hovercraft::DeclareFlags(flags, opts);
+  flags.ParseOrExit(argc, argv);
   if (opts.verbose) {
     hovercraft::SetLogLevel(hovercraft::LogLevel::kInfo);
   }

@@ -11,21 +11,12 @@
 // Defaults reproduce the Figure 7 grid (4 systems x 8 offered rates, S=1us,
 // 24B/8B, N=3, reply load balancing off) across `--seeds` consecutive seeds.
 //
-// Usage:
+// Usage (`sweep --help` lists every flag):
 //   tools/sweep -j $(nproc) --seeds=5 --metrics-out=sweep.json
 //   tools/sweep --verify -j 2 --seeds=2 --rates=20000,50000 --modes=hovercraft++
 //
-// Flags:
-//   -j N, --jobs=N     worker threads (default 1)
-//   --seeds=N          consecutive seeds per grid point (default 3)
-//   --seed=BASE        first seed (default 42, the benches' pinned seed)
-//   --rates=a,b,...    offered rates in rps (default: the fig7 list)
-//   --modes=a,b,...    subset of vanilla,hovercraft,hovercraft++,unrep
-//   --warmup-ms=N      per-point warmup window (default 80)
-//   --measure-ms=N     per-point measurement window (default 200)
-//   --metrics-out=PATH merged metrics JSON
-//   --verify           run the grid with --jobs and again serially; fail
-//                      unless the merged outputs are byte-identical
+// Exit status: 0 on success, 1 if --verify finds the outputs differ, 2 on a
+// bad command line or an unwritable --metrics-out.
 //
 // Merged metric names:
 //   <system>/s<seed>/r<rps>/load.*|latency.*   per-point summary (the same
@@ -36,8 +27,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -46,6 +35,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/loadgen/experiment.h"
 #include "src/obs/metrics.h"
@@ -53,25 +43,13 @@
 namespace hovercraft {
 namespace {
 
-struct SystemDef {
-  const char* name;
-  const char* flag;  // --modes= token
-  ClusterMode mode;
-};
-
-constexpr SystemDef kSystems[] = {
-    {"VanillaRaft", "vanilla", ClusterMode::kVanillaRaft},
-    {"HovercRaft", "hovercraft", ClusterMode::kHovercRaft},
-    {"HovercRaft++", "hovercraft++", ClusterMode::kHovercRaftPP},
-    {"UnRep", "unrep", ClusterMode::kUnreplicated},
-};
-
 struct Options {
-  int jobs = 1;
-  int seeds = 3;
+  int32_t jobs = 1;
+  int32_t seeds = 3;
   uint64_t base_seed = 42;
   std::vector<double> rates = {50e3, 200e3, 400e3, 600e3, 800e3, 900e3, 950e3, 1000e3};
-  std::vector<SystemDef> systems;
+  std::vector<ClusterMode> systems = {ClusterMode::kVanillaRaft, ClusterMode::kHovercRaft,
+                                      ClusterMode::kHovercRaftPP, ClusterMode::kUnreplicated};
   int64_t warmup_ms = 80;
   int64_t measure_ms = 200;
   std::string metrics_out;
@@ -81,14 +59,14 @@ struct Options {
 // One cell of the sweep grid. Tasks are generated — and always recorded — in
 // (system, rate, seed) order; workers may execute them in any order.
 struct Task {
-  SystemDef system;
+  ClusterMode system;
   double rate;
   uint64_t seed;
 };
 
 std::vector<Task> BuildGrid(const Options& opt) {
   std::vector<Task> grid;
-  for (const SystemDef& system : opt.systems) {
+  for (ClusterMode system : opt.systems) {
     for (double rate : opt.rates) {
       for (int s = 0; s < opt.seeds; ++s) {
         grid.push_back(Task{system, rate, opt.base_seed + static_cast<uint64_t>(s)});
@@ -104,7 +82,7 @@ LoadMetrics RunTask(const Task& task, const Options& opt) {
   workload.reply_bytes = 8;
   workload.service_time = std::make_shared<FixedDistribution>(Micros(1));
   ExperimentConfig config = benchutil::MakeSyntheticExperiment(
-      task.system.mode, 3, workload, ReplierPolicy::kLeaderOnly, 128, task.seed);
+      task.system, 3, workload, ReplierPolicy::kLeaderOnly, 128, task.seed);
   config.warmup = Millis(opt.warmup_ms);
   config.measure = Millis(opt.measure_ms);
   return RunLoadPoint(config, task.rate);
@@ -142,7 +120,7 @@ std::vector<LoadMetrics> RunGrid(const std::vector<Task>& grid, const Options& o
 
 std::string PointScope(const Task& task) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s/s%llu/r%lld/", task.system.name,
+  std::snprintf(buf, sizeof(buf), "%s/s%llu/r%lld/", ClusterModeName(task.system),
                 static_cast<unsigned long long>(task.seed),
                 static_cast<long long>(std::llround(task.rate)));
   return buf;
@@ -183,7 +161,7 @@ void Merge(const std::vector<Task>& grid, const std::vector<LoadMetrics>& result
       lost += m.lost;
     }
     char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s/r%lld/agg/", grid[base].system.name,
+    std::snprintf(buf, sizeof(buf), "%s/r%lld/agg/", ClusterModeName(grid[base].system),
                   static_cast<long long>(std::llround(grid[base].rate)));
     const std::string scope = buf;
     reg.SetGauge(scope + "seeds", static_cast<int64_t>(seeds));
@@ -204,78 +182,27 @@ std::string RunAndMerge(const std::vector<Task>& grid, const Options& opt, int j
   return out.str();
 }
 
-bool SplitCsv(const std::string& csv, std::vector<std::string>& out) {
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-  }
-  return !out.empty();
-}
-
 int Main(int argc, char** argv) {
   Options opt;
-  std::vector<std::string> mode_flags;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "-j") == 0 && i + 1 < argc) {
-      opt.jobs = std::atoi(argv[++i]);
-    } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      opt.jobs = std::atoi(a + 7);
-    } else if (std::strncmp(a, "--seeds=", 8) == 0) {
-      opt.seeds = std::atoi(a + 8);
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      opt.base_seed = static_cast<uint64_t>(std::atoll(a + 7));
-    } else if (std::strncmp(a, "--rates=", 8) == 0) {
-      std::vector<std::string> items;
-      if (!SplitCsv(a + 8, items)) {
-        std::fprintf(stderr, "error: empty --rates list\n");
-        return 1;
-      }
-      opt.rates.clear();
-      for (const std::string& r : items) {
-        opt.rates.push_back(std::atof(r.c_str()));
-      }
-    } else if (std::strncmp(a, "--modes=", 8) == 0) {
-      if (!SplitCsv(a + 8, mode_flags)) {
-        std::fprintf(stderr, "error: empty --modes list\n");
-        return 1;
-      }
-    } else if (std::strncmp(a, "--warmup-ms=", 12) == 0) {
-      opt.warmup_ms = std::atoll(a + 12);
-    } else if (std::strncmp(a, "--measure-ms=", 13) == 0) {
-      opt.measure_ms = std::atoll(a + 13);
-    } else if (std::strncmp(a, "--metrics-out=", 14) == 0) {
-      opt.metrics_out = a + 14;
-    } else if (std::strcmp(a, "--verify") == 0) {
-      opt.verify = true;
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", a);
-      return 1;
-    }
-  }
+  Flags flags("sweep");
+  flags.Add("-j N", &opt.jobs, "worker threads (default 1)");
+  flags.Add("--jobs=N", &opt.jobs, "same as -j");
+  flags.Add("--seeds=N", &opt.seeds, "consecutive seeds per grid point (default 3)");
+  flags.Add("--seed=BASE", &opt.base_seed, "first seed (default 42, the benches' pinned seed)");
+  flags.AddList("--rates=RPS,...", &opt.rates, ParseNumber<double>,
+                "offered rates in rps (default: the fig7 list)");
+  flags.AddList("--modes=MODE,...", &opt.systems, ParseClusterMode,
+                "subset of vanilla,hovercraft,hovercraft++,unrep");
+  flags.Add("--warmup-ms=N", &opt.warmup_ms, "per-point warmup window (default 80)");
+  flags.Add("--measure-ms=N", &opt.measure_ms, "per-point measurement window (default 200)");
+  flags.Add("--metrics-out=PATH", &opt.metrics_out, "merged metrics JSON");
+  flags.Add("--verify", &opt.verify,
+            "run the grid with --jobs and again serially; fail\n"
+            "unless the merged outputs are byte-identical");
+  flags.ParseOrExit(argc, argv);
   if (opt.jobs < 1 || opt.seeds < 1) {
     std::fprintf(stderr, "error: --jobs and --seeds must be >= 1\n");
-    return 1;
-  }
-  if (mode_flags.empty()) {
-    opt.systems.assign(std::begin(kSystems), std::end(kSystems));
-  } else {
-    for (const std::string& flag : mode_flags) {
-      const SystemDef* found = nullptr;
-      for (const SystemDef& system : kSystems) {
-        if (flag == system.flag) {
-          found = &system;
-        }
-      }
-      if (found == nullptr) {
-        std::fprintf(stderr, "error: unknown mode %s\n", flag.c_str());
-        return 1;
-      }
-      opt.systems.push_back(*found);
-    }
+    return 2;
   }
 
   // Workers only run simulations and write their own result slot, but the
