@@ -108,12 +108,13 @@ class BenchIo {
   // exports. No-ops when observability is off.
   void Attach(ExperimentConfig* config, const std::string& scope) {
     if (obs_ == nullptr) return;
-    config->cluster.obs = obs_.get();
+    config->fabric.obs = obs_.get();
     config->cluster.obs_scope = scope;
   }
+  // For a hand-built cluster: the scope only; the bundle goes on its fabric
+  // (FabricConfig{.obs = io.obs()}).
   void Attach(ClusterConfig* config, const std::string& scope) {
     if (obs_ == nullptr) return;
-    config->obs = obs_.get();
     config->obs_scope = scope;
   }
 

@@ -1,10 +1,16 @@
-// One chaos run, end to end: build a cluster, drive a KV workload from
-// open-loop clients while the nemesis injects faults, settle, then check.
+// One chaos run, end to end: build a deployment, drive a KV workload from
+// open-loop clients while the nemesis injects faults (or, sharded, while the
+// coordinator moves slot ranges between groups), settle, then check.
 //
-// Shared by tests/chaos_test.cc and tools/chaos_runner so a failing seed
-// from CI replays identically from the command line:
+// Shared by the chaos tests and tools/chaos_runner so a failing seed from CI
+// replays identically from the command line:
 //
 //   chaos_runner --schedule=partition-leader --seed=42 --mode=hovercraft
+//   chaos_runner --groups=2 --seed=5 --kill-leader-mid-move
+//
+// Pass criteria (ok()): every group ends with a live leader and converged
+// replica digests, the client history is linearizable and the check
+// conclusive, no server ever double-applied, and the watchdog stayed silent.
 #ifndef SRC_CHAOS_RUNNER_H_
 #define SRC_CHAOS_RUNNER_H_
 
@@ -12,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/chaos/linearizability.h"
@@ -24,14 +31,34 @@ namespace hovercraft {
 class StateMachine;
 
 namespace obs {
+class CriticalPath;
+class FlightRecorder;
 class Observability;
 }  // namespace obs
+
+// A scripted shard move: slots [lo, hi] to group `dest`, `at` after the start
+// of the load window.
+struct ShardMove {
+  TimeNs at = 0;
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  int32_t dest = 0;
+};
+
+// "T:LO:HI:D" — T microseconds in: one item of the --move-at-us flag.
+bool ParseShardMove(std::string_view item, ShardMove* out);
 
 struct ChaosRunConfig {
   ClusterMode mode = ClusterMode::kHovercRaft;
   std::string schedule = "random";
   uint64_t seed = 1;
 
+  // Consensus groups. Above 1 the run is sharded (src/shard): `groups`
+  // groups of `nodes` replicas share one fabric, every op resolves its owner
+  // through the shard map, and the coordinator runs the move script below.
+  // A sharded run takes the "none" schedule, a multicast mode, no spares and
+  // no membership events or injected violations (see Check()).
+  int32_t groups = 1;
   int32_t nodes = 3;
   // Extra servers built but outside the initial config; the churn schedules
   // and the scripted membership events below draw on them (see
@@ -62,10 +89,12 @@ struct ChaosRunConfig {
 
   // Client retransmission (exactly-once stress). Disabled by default: the
   // legacy schedules run fire-and-forget clients; the reply-facing schedules
-  // need retries to make progress at all.
+  // need retries to make progress at all. Sharded runs always retry: a
+  // request caught by a freeze window chases the moving range via
+  // wrong-shard redirects, and past the redirect cap the backoff timer
+  // re-resolves the route until the cutover lands.
   bool retry_enabled = false;
   TimeNs retry_initial_backoff = Micros(500);
-  TimeNs retry_max_backoff = Millis(4);
   uint32_t retry_max_attempts = 0;  // 0 = bounded by give_up only
   // Server-side session dedup. Turning it off with retries on demonstrates
   // the double-apply anomaly (ServerStats::double_applies, and typically a
@@ -108,24 +137,38 @@ struct ChaosRunConfig {
   std::vector<MembershipEvent> add_server_at;
   std::vector<MembershipEvent> remove_server_at;
 
+  // Sharded runs: scripted moves, offset from the start of the load window.
+  // Empty = the there-and-back default: group 0's whole initial range to
+  // group 1 a third of the way in and back at two thirds, so install and GC
+  // both run in both directions while every affected key stays contended.
+  std::vector<ShardMove> moves;
+  // Kill the first move's source-group leader 1 ms after the move starts and
+  // restart it 20 ms later: freeze, failover and flow-ledger reconcile all
+  // overlap.
+  bool kill_leader_mid_move = false;
+
   // Optional observability bundle (metrics + samplers). Non-owning; when
   // set, the run samples queue depths into it and exports the cluster
   // counters at the end.
   obs::Observability* obs = nullptr;
 
-  // Always-on flight recorder: per-node ring depth (0 disables recording and
-  // with it the watchdog). Independent of `obs`. Nemesis faults are recorded
-  // as notes.
+  // Always-on flight recorder: per-node ring depth of the run's fabric (0
+  // disables recording and with it the watchdog). Independent of `obs`.
+  // Nemesis faults are recorded as notes.
   size_t flight_recorder_depth = 512;
-  // Caller-owned recorder (non-owning) to record into instead of building
-  // one of flight_recorder_depth, so the caller can attach its own sinks and
-  // export the events after the run.
-  obs::FlightRecorder* flight_recorder = nullptr;
   // Online invariant watchdog over the recorder stream (docs/observability.md
   // has the invariant catalog). On by default: every defended chaos run is
   // expected to be violation-free, and a violation fails ok(). Controls that
-  // intentionally break an invariant keep it on and assert it fires.
+  // intentionally break an invariant keep it on and assert it fires. A
+  // sharded run checks each group with its own node-filtered watchdog.
   bool watchdog = true;
+  // Unsharded runs: critical-path analyzer (non-owning) attached to the
+  // recorder for the run.
+  obs::CriticalPath* critical_path = nullptr;
+  // Called once at the end of the run, before the deployment is torn down,
+  // with the fabric's recorder (not called when recording is off): how a
+  // caller exports the run's events.
+  std::function<void(const obs::FlightRecorder&)> inspect_recorder;
   // Mutation testing: at the midpoint of the load window, inject a synthetic
   // event stream that violates exactly one invariant, proving the watchdog
   // detects it. Codes: dual-leader, commit-regression, lease-overlap,
@@ -135,17 +178,27 @@ struct ChaosRunConfig {
   // ("" = stderr summary only) and the repro command printed with it.
   std::string dump_path;
   std::string repro;
+
+  // Sharded-run defaults: a hotter load (4 clients x 20 kRPS over 16 keys,
+  // 8 outstanding each) over a shorter window, no nemesis, JBSQ queues of
+  // 128 as in ShardedClusterConfig.
+  static ChaosRunConfig Sharded(int32_t groups);
+  // Empty when the run is well-formed, else what is wrong with it.
+  std::string Check() const;
 };
 
 struct ChaosRunResult {
-  // Liveness after the window + settle (the nemesis healed everything).
+  int32_t groups = 1;
+  // Liveness after the window + settle (the nemesis healed everything): every
+  // group has a live leader.
   bool leader_alive = false;
-  // All live members of the *final committed config* applied the same state
-  // (order-sensitive digest match). Removed nodes and unused spares are
-  // excluded: a retired replica legitimately stops applying.
+  // Within every group, all live members of the *final committed config*
+  // applied the same state (order-sensitive digest match). Removed nodes and
+  // unused spares are excluded: a retired replica legitimately stops
+  // applying.
   bool digests_converged = false;
-  // The committed member set at the end of the run, for asserting that
-  // scripted/churned config changes actually landed.
+  // The committed member set at the end of an unsharded run, for asserting
+  // that scripted/churned config changes actually landed.
   std::vector<NodeId> final_members;
   LogIndex final_config_idx = 0;
 
@@ -190,6 +243,16 @@ struct ChaosRunResult {
   // committed-data-loss anomaly itself. Zero in every defended run; the
   // unsafe controls drive it (see RaftStats::committed_overwritten).
   uint64_t committed_overwritten = 0;
+  // Sharded runs: the coordinator's move accounting and the map epoch at the
+  // end, client-side wrong-shard redirect resends and the NACK(wrong_shard)
+  // count of every gate (middleboxes + servers).
+  uint64_t moves_started = 0;
+  uint64_t moves_completed = 0;
+  uint64_t moves_failed = 0;
+  uint64_t final_epoch = 0;
+  uint64_t capture_bytes = 0;
+  uint64_t redirects = 0;
+  uint64_t wrong_shard_nacks = 0;
   std::vector<std::string> nemesis_events;
   // Per node: "node 2: term=5 leader alive digest=..." — final state, for
   // diagnosing a failed run.
@@ -207,7 +270,7 @@ struct ChaosRunResult {
 
   bool ok() const {
     return leader_alive && digests_converged && linearizability.linearizable &&
-           linearizability.conclusive() && watchdog_ok;
+           linearizability.conclusive() && watchdog_ok && double_applies == 0;
   }
   // Multi-line report for test failure messages.
   std::string Describe() const;

@@ -6,7 +6,6 @@
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/obs/critical_path.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/observability.h"
 #include "src/obs/watchdog.h"
 
@@ -14,41 +13,31 @@ namespace hovercraft {
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
-      owned_sim_(config.external_sim == nullptr ? std::make_unique<Simulator>() : nullptr),
-      sim_(config.external_sim != nullptr ? config.external_sim : owned_sim_.get()),
-      owned_net_(config.external_net == nullptr
-                     ? std::make_unique<Network>(sim_, config_.costs,
-                                                 config.seed ^ 0xFEEDFACE12345678ull)
-                     : nullptr),
-      net_(config.external_net != nullptr ? config.external_net : owned_net_.get()) {
+      owned_fabric_(std::make_unique<Fabric>(config.costs, config.seed)),
+      fabric_(owned_fabric_.get()) {
+  Build();
+}
+
+Cluster::Cluster(Fabric& fabric, const ClusterConfig& config)
+    : config_(config), fabric_(&fabric) {
+  Build();
+}
+
+void Cluster::Build() {
   HC_CHECK(config_.app_factory != nullptr);
   HC_CHECK_GT(config_.nodes, 0);
-  // Borrowing and owning must not be mixed: a borrowed fabric without a
-  // borrowed clock (or vice versa) would split the deployment in two.
-  HC_CHECK((config_.external_sim == nullptr) == (config_.external_net == nullptr));
-  if (!borrowed()) {
-    if (config_.obs != nullptr) {
-      sim_->set_observability(config_.obs);
-    }
-    // Flight recorder: attached before any server is built so the very first
-    // role transition is already on record. An external recorder (shared by a
-    // harness across clusters) wins over the owned default; depth 0 opts out.
-    if (config_.flight_recorder != nullptr) {
-      active_recorder_ = config_.flight_recorder;
-    } else if (config_.flight_recorder_depth > 0) {
-      owned_recorder_ = std::make_unique<obs::FlightRecorder>(config_.flight_recorder_depth);
-      active_recorder_ = owned_recorder_.get();
-    }
-    if (active_recorder_ != nullptr) {
-      sim_->set_flight_recorder(active_recorder_);
-      if (config_.watchdog != nullptr) {
-        active_recorder_->AddSink(config_.watchdog);
-      }
-      if (config_.critical_path != nullptr) {
-        active_recorder_->AddSink(config_.critical_path);
-      }
-    }
+  // A sharded group shares its fabric with other groups. Its obs-node range
+  // is [base, base + nodes] — the last id is its flow-control middlebox — so
+  // its watchdog only sees this group's events.
+  const bool sharded = config_.server_template.sharded;
+  const NodeId obs_base = config_.raft.obs_node_base;
+  if (sharded && config_.watchdog != nullptr) {
+    config_.watchdog->set_node_filter(obs_base, obs_base + config_.nodes + 1);
   }
+  // Sinks go on before any server is built so the very first role
+  // transition is already checked.
+  fabric_->AttachSink(config_.watchdog);
+  fabric_->AttachSink(config_.critical_path);
   const bool replicated = config_.mode != ClusterMode::kUnreplicated;
   HC_CHECK_GE(config_.spare_nodes, 0);
   // Spares are built and started like members but start outside the voter
@@ -91,10 +80,10 @@ Cluster::Cluster(const ClusterConfig& config)
       sc.raft.election_timeout_min = Millis(1);
       sc.raft.election_timeout_max = Millis(2);
     }
-    auto server = std::make_unique<ReplicatedServer>(sim_, config_.costs, sc,
+    auto server = std::make_unique<ReplicatedServer>(&sim(), config_.costs, sc,
                                                      config_.app_factory(),
                                                      config_.seed + 0x1000u + static_cast<uint64_t>(n));
-    server_hosts_.push_back(net_->Attach(server.get()));
+    server_hosts_.push_back(network().Attach(server.get()));
     servers_.push_back(std::move(server));
   }
 
@@ -105,11 +94,11 @@ Cluster::Cluster(const ClusterConfig& config)
     // Multicast groups span the *members*, not the spares: a spare joins the
     // replication group only when its config change commits.
     std::vector<HostId> member_hosts(server_hosts_.begin(), server_hosts_.begin() + members);
-    group_all_ = net_->CreateMulticastGroup(member_hosts);
+    group_all_ = network().CreateMulticastGroup(member_hosts);
 
     if (config_.mode == ClusterMode::kHovercRaftPP) {
-      aggregator_ = std::make_unique<Aggregator>(sim_, config_.costs, nodes);
-      aggregator_host = net_->Attach(aggregator_.get());
+      aggregator_ = std::make_unique<Aggregator>(&sim(), config_.costs, nodes);
+      aggregator_host = network().Attach(aggregator_.get());
       for (NodeId n = 0; n < nodes; ++n) {
         std::vector<HostId> group;
         for (NodeId m = 0; m < members; ++m) {
@@ -117,14 +106,19 @@ Cluster::Cluster(const ClusterConfig& config)
             group.push_back(server_hosts_[static_cast<size_t>(m)]);
           }
         }
-        groups_excluding_.push_back(net_->CreateMulticastGroup(std::move(group)));
+        groups_excluding_.push_back(network().CreateMulticastGroup(std::move(group)));
       }
       aggregator_->Configure(server_hosts_, group_all_, groups_excluding_, members_);
     }
 
-    flow_control_ = std::make_unique<FlowControl>(sim_, config_.costs, group_all_,
+    flow_control_ = std::make_unique<FlowControl>(&sim(), config_.costs, group_all_,
                                                   config_.flow_control_threshold);
-    flow_control_host = net_->Attach(flow_control_.get());
+    flow_control_host = network().Attach(flow_control_.get());
+    if (sharded) {
+      // The middlebox records its flow-ledger events as the group's extra
+      // pseudo-node so the group's filtered watchdog still balances them.
+      flow_control_->set_obs_node(obs_base + config_.nodes);
+    }
   }
 
   for (NodeId n = 0; n < nodes; ++n) {
@@ -137,7 +131,7 @@ Cluster::Cluster(const ClusterConfig& config)
   for (NodeId n = 0; n < nodes; ++n) {
     servers_[static_cast<size_t>(n)]->Start();
   }
-  if (config_.obs != nullptr && !borrowed()) {
+  if (fabric_->obs() != nullptr) {
     InstallObservability();
   }
 }
@@ -145,24 +139,15 @@ Cluster::Cluster(const ClusterConfig& config)
 Cluster::~Cluster() {
   // The samplers close over this cluster's servers and middleboxes; drop
   // them before the sampled objects die.
-  if (config_.obs != nullptr && !borrowed()) {
-    config_.obs->ClearSamplers();
+  if (fabric_->obs() != nullptr) {
+    fabric_->obs()->ClearSamplers();
   }
-  // Detach the (non-owning) sinks before the recorder — or the recorder's
-  // owner, for an external one — goes away.
-  if (active_recorder_ != nullptr) {
-    if (config_.watchdog != nullptr) {
-      active_recorder_->RemoveSink(config_.watchdog);
-    }
-    if (config_.critical_path != nullptr) {
-      active_recorder_->RemoveSink(config_.critical_path);
-    }
-    sim_->set_flight_recorder(nullptr);
-  }
+  fabric_->DetachSink(config_.watchdog);
+  fabric_->DetachSink(config_.critical_path);
 }
 
 void Cluster::InstallObservability() {
-  obs::Observability* o = config_.obs;
+  obs::Observability* o = fabric_->obs();
   // Queue-depth samplers: read-only probes over the simulated resources.
   // Scheduling them consumes event ids but never reorders same-time work
   // relative to each other, so simulation outcomes are unchanged.
@@ -314,9 +299,9 @@ void Cluster::ExportMetrics(obs::MetricsRegistry* metrics) {
     metrics->SetGauge(prefix + "net_thread.busy_ns", s.net_thread().total_busy());
     metrics->SetGauge(prefix + "app_thread.busy_ns", s.app_thread().total_busy());
   }
-  metrics->SetCounter(scope + "fabric/delivered_msgs", net_->delivered_msgs());
-  metrics->SetCounter(scope + "fabric/dropped_msgs", net_->dropped_msgs());
-  metrics->SetCounter(scope + "fabric/dropped_by_fault", net_->dropped_by_fault());
+  metrics->SetCounter(scope + "fabric/delivered_msgs", network().delivered_msgs());
+  metrics->SetCounter(scope + "fabric/dropped_msgs", network().dropped_msgs());
+  metrics->SetCounter(scope + "fabric/dropped_by_fault", network().dropped_by_fault());
   if (flow_control_ != nullptr) {
     metrics->SetCounter(scope + "flow_control/forwarded", flow_control_->forwarded());
     metrics->SetCounter(scope + "flow_control/nacked", flow_control_->nacked());
@@ -352,8 +337,8 @@ NodeId Cluster::WaitForLeader(TimeNs deadline) {
   if (config_.mode == ClusterMode::kUnreplicated) {
     return 0;
   }
-  while (LeaderId() == kInvalidNode && sim_->Now() < deadline) {
-    if (!sim_->Step()) {
+  while (LeaderId() == kInvalidNode && sim().Now() < deadline) {
+    if (!sim().Step()) {
       break;
     }
   }
@@ -458,7 +443,7 @@ void Cluster::TryConfigChange(NodeId node, bool add, int32_t attempts_left) {
     HC_LOG_WARN("cluster: giving up on %s of node %d", add ? "AddServer" : "RemoveServer", node);
     return;
   }
-  sim_->After(Millis(1), [this, node, add, attempts_left]() {
+  sim().After(Millis(1), [this, node, add, attempts_left]() {
     TryConfigChange(node, add, attempts_left - 1);
   });
 }
@@ -481,7 +466,7 @@ void Cluster::ApplyCommittedConfig(NodeId self, const MembershipConfig& config, 
     for (NodeId m : config.members) {
       member_hosts.push_back(server_hosts_[static_cast<size_t>(m)]);
     }
-    net_->SetGroupMembers(group_all_, member_hosts);
+    network().SetGroupMembers(group_all_, member_hosts);
   }
   for (size_t n = 0; n < groups_excluding_.size(); ++n) {
     std::vector<HostId> group;
@@ -490,7 +475,7 @@ void Cluster::ApplyCommittedConfig(NodeId self, const MembershipConfig& config, 
         group.push_back(server_hosts_[static_cast<size_t>(m)]);
       }
     }
-    net_->SetGroupMembers(groups_excluding_[n], std::move(group));
+    network().SetGroupMembers(groups_excluding_[n], std::move(group));
   }
 
   // 2. Aggregator: install the new voter set and epoch (flushes registers).
@@ -509,7 +494,7 @@ void Cluster::ApplyCommittedConfig(NodeId self, const MembershipConfig& config, 
     }
     ReplicatedServer* s = servers_[static_cast<size_t>(removed)].get();
     if (s->raft() != nullptr && !s->raft()->retired()) {
-      sim_->After(0, [s]() {
+      sim().After(0, [s]() {
         if (!s->failed() && s->raft() != nullptr) {
           s->raft()->Retire();
         }

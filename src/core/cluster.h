@@ -1,7 +1,8 @@
 // Builds and owns a complete simulated deployment: N server hosts running one
 // of the four cluster modes, the client-side middleboxes (flow control,
-// aggregator) the mode needs, and the multicast groups. The benches,
-// examples and integration tests all start from here.
+// aggregator) the mode needs, and the multicast groups, all on one Fabric
+// (src/core/fabric.h). The benches, examples and integration tests all start
+// from here.
 #ifndef SRC_CORE_CLUSTER_H_
 #define SRC_CORE_CLUSTER_H_
 
@@ -13,6 +14,7 @@
 #include "src/app/state_machine.h"
 #include "src/common/types.h"
 #include "src/core/aggregator.h"
+#include "src/core/fabric.h"
 #include "src/core/flow_control.h"
 #include "src/core/server.h"
 #include "src/net/network.h"
@@ -23,9 +25,7 @@ namespace hovercraft {
 
 namespace obs {
 class CriticalPath;
-class FlightRecorder;
 class MetricsRegistry;
-class Observability;
 class Watchdog;
 }  // namespace obs
 
@@ -58,52 +58,34 @@ struct ClusterConfig {
   // real contention).
   bool stagger_first_election = true;
 
-  // Sharded composition (src/shard): borrow an external simulator and
-  // network instead of owning them, so N groups share one fabric and one
-  // virtual clock. Both non-owning and set together (or neither); they must
-  // outlive the cluster. A borrowing cluster never touches simulator-level
-  // singletons — observability, flight recorder and sinks are the sharded
-  // harness's job — so `obs`, `flight_recorder*` and `watchdog` below are
-  // ignored in this mode.
-  Simulator* external_sim = nullptr;
-  Network* external_net = nullptr;
-
-  // Observability bundle (metrics + samplers). Non-owning; null leaves every
-  // metric hook disabled. The cluster attaches it to its simulator and
-  // registers queue-depth samplers for its resources (removed again in the
-  // destructor).
-  obs::Observability* obs = nullptr;
-  // Prefix for metric names in ExportMetrics, e.g. "hovercraft/r80000/";
-  // lets several load points share one registry without colliding.
+  // Prefix for metric names in ExportMetrics and the queue-depth samplers,
+  // e.g. "hovercraft/r80000/"; lets several load points share one registry
+  // without colliding.
   std::string obs_scope;
 
-  // Always-on flight recorder: the cluster owns a FlightRecorder with this
-  // many slots per node and attaches it to its simulator, independent of the
-  // obs bundle above — post-mortem dumps work without it. 0 disables
-  // recording entirely (the one-branch hot-path check still runs, but finds
-  // no recorder).
-  size_t flight_recorder_depth = 512;
-  // External recorder override (non-owning). When set, the cluster attaches
-  // this instead of building its own; flight_recorder_depth is ignored.
-  // Lets a harness share one recorder (and its sinks) across clusters.
-  obs::FlightRecorder* flight_recorder = nullptr;
-  // Optional online sinks (non-owning), attached to whichever recorder is
-  // active and detached in the destructor. The watchdog checks cross-node
-  // safety invariants on every event; the critical-path analyzer accumulates
-  // per-stage tail attribution.
+  // Optional online sinks (non-owning), attached to the fabric's recorder for
+  // the cluster's lifetime. The watchdog checks cross-node safety invariants
+  // on every event; the critical-path analyzer accumulates per-stage tail
+  // attribution. A sharded group (server_template.sharded) filters its
+  // watchdog to the group's own obs-node range, so per-group watchdogs can
+  // share one recorder.
   obs::Watchdog* watchdog = nullptr;
   obs::CriticalPath* critical_path = nullptr;
 };
 
 class Cluster {
  public:
+  // Standalone: builds and owns a default Fabric (network seeded from
+  // config.seed, default recorder depth, no observability bundle).
   explicit Cluster(const ClusterConfig& config);
+  // On a shared fabric, which must outlive the cluster.
+  Cluster(Fabric& fabric, const ClusterConfig& config);
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  Simulator& sim() { return *sim_; }
-  Network& network() { return *net_; }
+  Simulator& sim() { return fabric_->sim(); }
+  Network& network() { return fabric_->network(); }
   const ClusterConfig& config() const { return config_; }
 
   // Runs the simulator until a leader exists (replicated modes). Returns the
@@ -189,8 +171,11 @@ class Cluster {
   void ExportMetrics(obs::MetricsRegistry* metrics);
 
  private:
-  // Registers the periodic queue-depth samplers on config_.obs (called from
-  // the constructor when an obs bundle is present).
+  // Builds the servers, middleboxes and multicast groups on fabric_ and
+  // attaches the configured sinks (both constructors end here).
+  void Build();
+  // Registers the periodic queue-depth samplers on the fabric's obs bundle
+  // (called from Build when there is one).
   void InstallObservability();
   // Proposes add/remove to the leader, retrying every 1ms until the active
   // config reflects the goal (a change may already be in flight, or no
@@ -202,24 +187,11 @@ class Cluster {
   // Idempotent per config index — every replica reports the same commit.
   void ApplyCommittedConfig(NodeId self, const MembershipConfig& config, LogIndex idx);
 
-  // True when this cluster borrowed its simulator/network (sharded
-  // composition) rather than owning them.
-  bool borrowed() const { return config_.external_sim != nullptr; }
-
   ClusterConfig config_;
-  // Owned when the config does not borrow an external one; sim_/net_ point
-  // at whichever is active so the rest of the class is agnostic.
-  std::unique_ptr<Simulator> owned_sim_;
-  Simulator* sim_;
-  // Default flight recorder, built when no external one is supplied and
-  // flight_recorder_depth > 0. Declared before net_/servers_ so it outlives
-  // every host that records into it.
-  std::unique_ptr<obs::FlightRecorder> owned_recorder_;
-  // Whichever recorder (owned or external) the sinks were attached to; the
-  // destructor detaches them from here.
-  obs::FlightRecorder* active_recorder_ = nullptr;
-  std::unique_ptr<Network> owned_net_;
-  Network* net_;
+  // Set only by the standalone constructor; fabric_ points at whichever
+  // fabric the cluster runs on. Declared before servers_ so it outlives them.
+  std::unique_ptr<Fabric> owned_fabric_;
+  Fabric* fabric_;
   std::vector<std::unique_ptr<ReplicatedServer>> servers_;
   std::vector<HostId> server_hosts_;
   std::unique_ptr<Aggregator> aggregator_;

@@ -1,0 +1,69 @@
+// The shared substrate of a simulated deployment: one virtual clock, one
+// switched network, the always-on flight recorder and the optional
+// observability bundle.
+//
+// Every Cluster runs on exactly one Fabric: a standalone Cluster builds its
+// own, while a ShardedCluster's groups and a chaos run's cluster share one.
+// The Fabric wires the recorder and the bundle into its simulator and is the
+// one place recorder sinks are attached and detached, so the lifetime order
+// (recorder before hosts, sinks detached before they die) lives here once.
+#ifndef SRC_CORE_FABRIC_H_
+#define SRC_CORE_FABRIC_H_
+
+#include <cstdint>
+#include <memory>
+
+#include "src/net/network.h"
+#include "src/obs/flight_recorder.h"
+#include "src/sim/cost_model.h"
+#include "src/sim/simulator.h"
+
+namespace hovercraft {
+
+namespace obs {
+class Observability;
+}  // namespace obs
+
+struct FabricConfig {
+  // Always-on flight recorder: slots per node ring. 0 disables recording
+  // entirely (the one-branch hot-path check still runs, but finds no
+  // recorder), and with it every sink.
+  size_t flight_recorder_depth = obs::FlightRecorder::kDefaultDepth;
+  // Observability bundle (metrics + samplers). Non-owning and must outlive
+  // the fabric; null leaves every metric hook disabled. Clusters on this
+  // fabric register their queue-depth samplers on it.
+  obs::Observability* obs = nullptr;
+};
+
+class Fabric {
+ public:
+  // The network's loss/fault RNG is seeded `seed ^ 0xFEEDFACE12345678`.
+  Fabric(const CostModel& costs, uint64_t seed, const FabricConfig& config = {});
+  ~Fabric();
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
+
+  Simulator& sim() { return sim_; }
+  Network& network() { return net_; }
+  // Null when flight_recorder_depth is 0.
+  obs::FlightRecorder* recorder() { return recorder_.get(); }
+  obs::Observability* obs() const { return obs_; }
+
+  // Subscribes a passive sink to the recorder until DetachSink. Both are
+  // no-ops without a recorder or with a null sink.
+  void AttachSink(obs::FlightRecorder::Sink* sink);
+  void DetachSink(obs::FlightRecorder::Sink* sink);
+
+ private:
+  Simulator sim_;
+  // The network keeps a reference: the fabric's own copy outlives it.
+  const CostModel costs_;
+  // Declared before the network so it outlives every host that records.
+  std::unique_ptr<obs::FlightRecorder> recorder_;
+  Network net_;
+  obs::Observability* obs_;
+};
+
+}  // namespace hovercraft
+
+#endif  // SRC_CORE_FABRIC_H_

@@ -26,7 +26,8 @@ LoadMetrics RunLoadPoint(const ExperimentConfig& config, double rate_rps) {
   HC_CHECK(config.workload_factory != nullptr);
   HC_CHECK_GT(rate_rps, 0.0);
 
-  Cluster cluster(config.cluster);
+  Fabric fabric(config.cluster.costs, config.cluster.seed, config.fabric);
+  Cluster cluster(fabric, config.cluster);
   const NodeId leader = cluster.WaitForLeader();
   if (config.cluster.mode != ClusterMode::kUnreplicated) {
     HC_CHECK_NE(leader, kInvalidNode);
@@ -43,7 +44,7 @@ LoadMetrics RunLoadPoint(const ExperimentConfig& config, double rate_rps) {
     clients.push_back(std::move(client));
   }
 
-  obs::Observability* o = config.cluster.obs;
+  obs::Observability* o = fabric.obs();
   const TimeNs t0 = cluster.sim().Now();
   const TimeNs window_start = t0 + config.warmup;
   const TimeNs window_end = window_start + config.measure;

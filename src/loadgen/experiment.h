@@ -29,6 +29,9 @@ bool ParseMembershipEvent(std::string_view item, MembershipEvent* out);
 
 struct ExperimentConfig {
   ClusterConfig cluster;
+  // The run's fabric (recorder depth, observability bundle); its network is
+  // seeded from cluster.seed.
+  FabricConfig fabric;
   std::function<std::unique_ptr<Workload>()> workload_factory;
   // Offered load is split evenly over this many client machines so client
   // NICs/CPU never bottleneck the system under test.

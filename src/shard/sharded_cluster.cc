@@ -10,9 +10,7 @@
 namespace hovercraft {
 
 ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
-    : config_(config),
-      net_(&sim_, config_.costs, config_.seed ^ 0xFEEDFACE12345678ull),
-      map_(config_.groups) {
+    : config_(config), fabric_(config_.costs, config_.seed, config_), map_(config_.groups) {
   HC_CHECK(config_.app_factory != nullptr);
   HC_CHECK_GT(config_.groups, 0);
   HC_CHECK_GT(config_.nodes_per_group, 0);
@@ -20,53 +18,33 @@ ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
   // modes are the ones that have them.
   HC_CHECK(config_.mode == ClusterMode::kHovercRaft ||
            config_.mode == ClusterMode::kHovercRaftPP);
-
-  if (config_.flight_recorder_depth > 0) {
-    recorder_ = std::make_unique<obs::FlightRecorder>(config_.flight_recorder_depth);
-    sim_.set_flight_recorder(recorder_.get());
-    if (config_.watchdog) {
-      for (int32_t g = 0; g < config_.groups; ++g) {
-        auto wd = std::make_unique<obs::Watchdog>(recorder_.get());
-        const NodeId base = ObsBaseOf(GroupId{g});
-        wd->set_node_filter(base, base + ObsStride());
-        recorder_->AddSink(wd.get());
-        watchdogs_.push_back(std::move(wd));
-      }
-    }
-  }
+  // The obs stride leaves no room for spares, and the per-group watchdogs
+  // below are the only sinks a group attaches.
+  HC_CHECK(config_.spare_nodes == 0 && config_.watchdog == nullptr &&
+           config_.critical_path == nullptr);
 
   for (int32_t g = 0; g < config_.groups; ++g) {
     const GroupId gid{g};
-    ClusterConfig cc;
-    cc.mode = config_.mode;
+    ClusterConfig cc = config_;
     cc.nodes = config_.nodes_per_group;
-    cc.app_factory = config_.app_factory;
-    cc.replier_policy = config_.replier_policy;
-    cc.bounded_queue_depth = config_.bounded_queue_depth;
-    cc.flow_control_threshold = config_.flow_control_threshold;
-    cc.costs = config_.costs;
-    cc.raft = config_.raft;
     cc.raft.obs_node_base = ObsBaseOf(gid);
-    cc.server_template = config_.server_template;
     cc.server_template.sharded = true;
     cc.server_template.shard_owned_slots = map_.SlotsOf(gid);
     // Group-local seed, derived from the group id alone: group 0's stream is
     // independent of how many groups exist (determinism contract).
     cc.seed = config_.seed ^ (0x9E3779B97F4A7C15ull * static_cast<uint64_t>(g + 1));
-    cc.stagger_first_election = config_.stagger_first_election;
     cc.obs_scope = config_.obs_scope + "shard" + std::to_string(g) + ".";
-    cc.external_sim = &sim_;
-    cc.external_net = &net_;
+    if (fabric_.recorder() != nullptr) {
+      watchdogs_.push_back(std::make_unique<obs::Watchdog>(fabric_.recorder()));
+      cc.watchdog = watchdogs_.back().get();
+    }
 
-    auto cluster = std::make_unique<Cluster>(cc);
+    auto cluster = std::make_unique<Cluster>(fabric_, cc);
     FlowControl* fc = cluster->flow_control();
     HC_CHECK(fc != nullptr);
     fc->set_shard_gate([this, gid](uint32_t slot) -> uint64_t {
       return map_.ServesAt(gid, slot) ? 0 : map_.epoch();
     });
-    // The middlebox records its flow-ledger events as the group's extra
-    // pseudo-node so the group's node-filtered watchdog still balances them.
-    fc->set_obs_node(ObsBaseOf(gid) + config_.nodes_per_group);
     groups_.push_back(std::move(cluster));
     if (config_.per_group_hook) {
       config_.per_group_hook(gid, *groups_.back());
@@ -81,19 +59,12 @@ ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
     ep.group = cluster->RetryTarget();
     endpoints.push_back(ep);
   }
-  coordinator_ =
-      std::make_unique<ShardCoordinator>(&sim_, config_.costs, &map_, std::move(endpoints));
-  net_.Attach(coordinator_.get());
+  coordinator_ = std::make_unique<ShardCoordinator>(&sim(), config_.costs, &map_,
+                                                    std::move(endpoints));
+  network().Attach(coordinator_.get());
 }
 
-ShardedCluster::~ShardedCluster() {
-  if (recorder_ != nullptr) {
-    for (auto& wd : watchdogs_) {
-      recorder_->RemoveSink(wd.get());
-    }
-    sim_.set_flight_recorder(nullptr);
-  }
-}
+ShardedCluster::~ShardedCluster() = default;
 
 bool ShardedCluster::AllWatchdogsOk() const {
   for (const auto& wd : watchdogs_) {
@@ -130,8 +101,8 @@ bool ShardedCluster::WaitForAllLeaders(TimeNs deadline) {
     }
     return true;
   };
-  while (!all_elected() && sim_.Now() < deadline) {
-    if (!sim_.Step()) {
+  while (!all_elected() && sim().Now() < deadline) {
+    if (!sim().Step()) {
       break;
     }
   }

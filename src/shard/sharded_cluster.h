@@ -1,12 +1,12 @@
 // Multi-Raft sharding: N independent HovercRaft consensus groups composed
 // over ONE simulated fabric and one virtual clock (docs/sharding.md).
 //
-// Each group is an ordinary Cluster built in borrowed mode (it shares the
-// ShardedCluster's Simulator and Network instead of owning its own), with its
-// own Raft instance, session tables, flow-control ledger, aggregator epoch
-// and metrics namespace ("shard<g>."). Group identity is a first-class
-// GroupId; nothing about a group's internals knows its global position except
-// through two narrow seams:
+// Each group is an ordinary Cluster on the ShardedCluster's one Fabric (shared
+// clock, network and flight recorder), built from one ClusterConfig template,
+// with its own Raft instance, session tables, flow-control ledger, aggregator
+// epoch, node-filtered watchdog and metrics namespace ("shard<g>."). Group
+// identity is a first-class GroupId; nothing about a group's internals knows
+// its global position except through two narrow seams:
 //   - the obs-node base: group g's nodes record flight-recorder/metrics
 //     events as obs ids [g*stride, g*stride+nodes), with one extra pseudo-
 //     node per group for its flow-control middlebox, so per-group watchdogs
@@ -42,31 +42,17 @@ class MetricsRegistry;
 class Watchdog;
 }  // namespace obs
 
-struct ShardedClusterConfig {
+// The ClusterConfig base is the template every group is built from; the
+// FabricConfig base configures the one fabric the groups share. Group g gets
+// nodes_per_group replicas (the template's `nodes` is not read), its own
+// seed (derived from `seed` and g), obs base, owned slots and the metrics
+// scope "<obs_scope>shard<g>.". The sharded cluster attaches one watchdog
+// per group itself, so the template carries no sinks and no spares.
+struct ShardedClusterConfig : ClusterConfig, FabricConfig {
+  ShardedClusterConfig() { replier_policy = ReplierPolicy::kJbsq; }
+
   int32_t groups = 2;
   int32_t nodes_per_group = 3;
-  ClusterMode mode = ClusterMode::kHovercRaft;  // must be a multicast mode
-  std::function<std::unique_ptr<StateMachine>()> app_factory;
-
-  ReplierPolicy replier_policy = ReplierPolicy::kJbsq;
-  int64_t bounded_queue_depth = 128;
-  // Per-group admission threshold; <= 0 disables the cap.
-  int64_t flow_control_threshold = 0;
-
-  CostModel costs;
-  RaftOptions raft;
-  ServerConfig server_template;
-  uint64_t seed = 1;
-  bool stagger_first_election = true;
-
-  // Shared always-on flight recorder depth (0 disables recording and the
-  // watchdogs). One per-group watchdog is attached as a sink, node-filtered
-  // to the group's obs range.
-  size_t flight_recorder_depth = 512;
-  bool watchdog = true;
-
-  // Prefix for ExportMetrics; each group appends "shard<g>." to it.
-  std::string obs_scope;
 
   // Invoked right after each group's cluster is built, in group order. Attach
   // group-local clients here: host ids are allocated in attach order, so a
@@ -82,8 +68,9 @@ class ShardedCluster {
   ShardedCluster(const ShardedCluster&) = delete;
   ShardedCluster& operator=(const ShardedCluster&) = delete;
 
-  Simulator& sim() { return sim_; }
-  Network& network() { return net_; }
+  Fabric& fabric() { return fabric_; }
+  Simulator& sim() { return fabric_.sim(); }
+  Network& network() { return fabric_.network(); }
   const ShardedClusterConfig& config() const { return config_; }
 
   int32_t group_count() const { return config_.groups; }
@@ -94,14 +81,12 @@ class ShardedCluster {
   const ShardMap& shard_map() const { return map_; }
   ShardCoordinator& coordinator() { return *coordinator_; }
 
-  // Obs-node numbering: stride per group (nodes + 1 middlebox pseudo-node).
+  // Obs-node numbering: a sharded Cluster records under [base, base + nodes]
+  // (its nodes, then its middlebox pseudo-node), so the stride is nodes + 1.
   int32_t ObsStride() const { return config_.nodes_per_group + 1; }
   NodeId ObsBaseOf(GroupId g) const { return g.value * ObsStride(); }
 
-  obs::FlightRecorder* flight_recorder() { return recorder_.get(); }
-  obs::Watchdog* group_watchdog(GroupId g) {
-    return watchdogs_.empty() ? nullptr : watchdogs_[static_cast<size_t>(g.value)].get();
-  }
+  obs::FlightRecorder* flight_recorder() { return fabric_.recorder(); }
   bool AllWatchdogsOk() const;
   std::string WatchdogSummary() const;
 
@@ -132,10 +117,10 @@ class ShardedCluster {
 
  private:
   ShardedClusterConfig config_;
-  Simulator sim_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
+  Fabric fabric_;
+  // One per group when the fabric records, attached by the group's cluster.
+  // Declared before groups_ so each outlives the cluster that detaches it.
   std::vector<std::unique_ptr<obs::Watchdog>> watchdogs_;
-  Network net_;
   ShardMap map_;
   std::vector<std::unique_ptr<Cluster>> groups_;
   std::unique_ptr<ShardCoordinator> coordinator_;

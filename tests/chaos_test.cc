@@ -251,6 +251,8 @@ TEST(ChaosTest, RetriesWithoutDedupDoubleApply) {
   EXPECT_GT(result.retransmits, 0u) << result.Describe();
   EXPECT_GT(result.double_applies, 0u) << result.Describe();
   EXPECT_TRUE(result.digests_converged) << result.Describe();
+  // A double apply fails the verdict on its own.
+  EXPECT_FALSE(result.ok()) << result.Describe();
 }
 
 // Retry-enabled randomized chaos: the CI sweep runs more seeds of exactly

@@ -201,8 +201,9 @@ TEST(MetricsRegistryTest, DumpHasUniformShapeAndIsDeterministic) {
   }
 }
 
-// One traced chaos run: the recorder is caller-owned at trace depth, so the
-// export covers the whole run; the critical-path analyzer rides along.
+// One traced chaos run: the recorder runs at trace depth, so the export
+// taken at the end of the run covers all of it; the critical-path analyzer
+// rides along.
 struct TracedRun {
   std::string trace;
   std::string metrics;
@@ -212,15 +213,14 @@ struct TracedRun {
 
 TracedRun RunTraced() {
   obs::Observability bundle(SamplingOptions());
-  obs::FlightRecorder fr(kTraceDepth);
   obs::CriticalPath critical_path;
-  fr.AddSink(&critical_path);
   ChaosRunConfig config = SmallChaosConfig();
   config.obs = &bundle;
-  config.flight_recorder = &fr;
+  config.flight_recorder_depth = kTraceDepth;
+  config.critical_path = &critical_path;
   TracedRun run;
+  config.inspect_recorder = [&run](const obs::FlightRecorder& fr) { run.trace = Dump(fr); };
   run.result = RunChaosSchedule(config);
-  run.trace = Dump(fr);
   std::ostringstream m;
   bundle.metrics().DumpJson(m);
   run.metrics = m.str();

@@ -1,7 +1,8 @@
 // Shard-move-under-load chaos: the Wing & Gong linearizability checker runs
 // over a client history that spans live range moves (and optionally a source-
-// leader crash mid-move). See src/shard/shard_chaos.h for the pass criteria.
-#include "src/shard/shard_chaos.h"
+// leader crash mid-move). Sharded runs go through the one chaos runner; see
+// src/chaos/runner.h for the pass criteria.
+#include "src/chaos/runner.h"
 
 #include <gtest/gtest.h>
 
@@ -10,9 +11,9 @@ namespace {
 
 // Default there-and-back schedule at the issue's 80 kRPS aggregate.
 TEST(ShardChaosTest, MoveThereAndBackUnderLoadIsLinearizable) {
-  ShardChaosConfig config;
+  ChaosRunConfig config = ChaosRunConfig::Sharded(2);
   config.seed = 3;
-  const ShardChaosResult result = RunShardChaos(config);
+  const ChaosRunResult result = RunChaosSchedule(config);
   EXPECT_TRUE(result.ok()) << result.Describe();
   EXPECT_EQ(result.moves_started, 2u);
   EXPECT_EQ(result.moves_completed, 2u);
@@ -27,30 +28,54 @@ TEST(ShardChaosTest, MoveThereAndBackUnderLoadIsLinearizable) {
 }
 
 TEST(ShardChaosTest, SourceLeaderCrashMidMoveStillLinearizable) {
-  ShardChaosConfig config;
+  ChaosRunConfig config = ChaosRunConfig::Sharded(2);
   config.seed = 5;
   config.kill_leader_mid_move = true;
-  const ShardChaosResult result = RunShardChaos(config);
+  const ChaosRunResult result = RunChaosSchedule(config);
   EXPECT_TRUE(result.ok()) << result.Describe();
   EXPECT_EQ(result.moves_completed, 2u);
   EXPECT_EQ(result.double_applies, 0u);
 }
 
 TEST(ShardChaosTest, FourGroupsWithScriptedMoves) {
-  ShardChaosConfig config;
+  ChaosRunConfig config = ChaosRunConfig::Sharded(4);
   config.seed = 9;
-  config.groups = 4;
   config.clients = 4;
   config.duration = Millis(80);
   // Rotate one range around three groups.
-  ShardChaosConfig::MoveEvent a{Millis(20), 0, 7, 1};
-  ShardChaosConfig::MoveEvent b{Millis(40), 0, 7, 2};
-  ShardChaosConfig::MoveEvent c{Millis(60), 0, 7, 0};
+  ShardMove a{Millis(20), 0, 7, 1};
+  ShardMove b{Millis(40), 0, 7, 2};
+  ShardMove c{Millis(60), 0, 7, 0};
   config.moves = {a, b, c};
-  const ShardChaosResult result = RunShardChaos(config);
+  const ChaosRunResult result = RunChaosSchedule(config);
   EXPECT_TRUE(result.ok()) << result.Describe();
   EXPECT_EQ(result.moves_completed, 3u);
   EXPECT_EQ(result.final_epoch, 4u);
+}
+
+// A sharded run takes no nemesis, needs a multicast mode and has no use for
+// spares or membership events; an unsharded run takes no shard moves.
+TEST(ShardChaosTest, CheckRejectsWhatShardedRunsDoNotSupport) {
+  EXPECT_EQ(ChaosRunConfig::Sharded(2).Check(), "");
+  EXPECT_EQ(ChaosRunConfig{}.Check(), "");
+  auto rejected = [](auto mutate) {
+    ChaosRunConfig config = ChaosRunConfig::Sharded(2);
+    mutate(config);
+    return !config.Check().empty();
+  };
+  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.schedule = "random"; }));
+  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.mode = ClusterMode::kVanillaRaft; }));
+  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.spare_nodes = 1; }));
+  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.add_server_at = {{Millis(1), 3}}; }));
+  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.inject_violation = "dual-leader"; }));
+  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.watchdog = false; }));
+  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.groups = 0; }));
+  ChaosRunConfig unsharded;
+  unsharded.kill_leader_mid_move = true;
+  EXPECT_FALSE(unsharded.Check().empty());
+  unsharded = ChaosRunConfig{};
+  unsharded.inject_violation = "no-such-code";
+  EXPECT_FALSE(unsharded.Check().empty());
 }
 
 }  // namespace
