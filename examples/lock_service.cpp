@@ -26,7 +26,7 @@ class Worker final : public Host {
   void Start() { TryAcquire(); }
 
   void HandleMessage(HostId /*src*/, const MessagePtr& msg) override {
-    const auto* resp = dynamic_cast<const RpcResponse*>(msg.get());
+    const auto* resp = As<RpcResponse>(*msg);
     if (resp == nullptr) {
       return;
     }

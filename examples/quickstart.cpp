@@ -34,7 +34,7 @@ class DemoClient final : public Host {
   }
 
   void HandleMessage(HostId /*src*/, const MessagePtr& msg) override {
-    const auto* resp = dynamic_cast<const RpcResponse*>(msg.get());
+    const auto* resp = As<RpcResponse>(*msg);
     if (resp == nullptr) {
       return;
     }

@@ -87,26 +87,28 @@ void Aggregator::Flush(Term term) {
 }
 
 void Aggregator::HandleMessage(HostId src, const MessagePtr& msg) {
-  if (const auto* vote = dynamic_cast<const AggVoteReq*>(msg.get())) {
-    // Post-election handshake: flush on a new term and confirm liveness.
-    if (vote->term() > term_) {
-      Flush(vote->term());
+  switch (msg->kind()) {
+    case MessageKind::kAggVoteReq: {
+      // Post-election handshake: flush on a new term and confirm liveness.
+      const auto& vote = static_cast<const AggVoteReq&>(*msg);
+      if (vote.term() > term_) {
+        Flush(vote.term());
+      }
+      leader_ = NodeOfHost(src);
+      // Echo our installed epoch: if it differs from the leader's committed
+      // config the leader ignores the reply and re-probes later.
+      Send(src, std::make_shared<AggVoteRep>(vote.term(), epoch_));
+      break;
     }
-    leader_ = NodeOfHost(src);
-    // Echo our installed epoch: if it differs from the leader's committed
-    // config the leader ignores the reply and re-probes later.
-    Send(src, std::make_shared<AggVoteRep>(vote->term(), epoch_));
-    return;
+    case MessageKind::kAeReq:
+      OnLeaderAppend(src, static_cast<const AppendEntriesReq&>(*msg));
+      break;
+    case MessageKind::kAeRep:
+      OnFollowerReply(src, static_cast<const AppendEntriesRep&>(*msg));
+      break;
+    default:
+      HC_LOG_WARN("aggregator: unexpected message %s", msg->Name());
   }
-  if (const auto* ae = dynamic_cast<const AppendEntriesReq*>(msg.get())) {
-    OnLeaderAppend(src, *ae);
-    return;
-  }
-  if (const auto* rep = dynamic_cast<const AppendEntriesRep*>(msg.get())) {
-    OnFollowerReply(src, *rep);
-    return;
-  }
-  HC_LOG_WARN("aggregator: unexpected message %s", msg->Name());
 }
 
 void Aggregator::OnLeaderAppend(HostId src, const AppendEntriesReq& req) {

@@ -213,11 +213,16 @@ void Cluster::ExportMetrics(obs::MetricsRegistry* metrics) {
     metrics->SetCounter(prefix + "net.rx_batches", net.rx_batches);
     metrics->SetCounter(prefix + "net.tx_wire_bytes", net.tx_wire_bytes);
     metrics->SetCounter(prefix + "net.rx_wire_bytes", net.rx_wire_bytes);
-    for (const auto& [type, bytes] : net.tx_wire_bytes_by_type) {
-      metrics->SetCounter(prefix + "net.bytes_on_wire.tx." + type, bytes);
-    }
-    for (const auto& [type, bytes] : net.rx_wire_bytes_by_type) {
-      metrics->SetCounter(prefix + "net.bytes_on_wire.rx." + type, bytes);
+    // Per-kind wire bytes; a kind that never crossed this host's link has no
+    // key (every frame that did cost at least its framing, so > 0).
+    for (size_t k = 0; k < kMessageKindCount; ++k) {
+      const char* name = MessageKindName(static_cast<MessageKind>(k));
+      if (net.tx_wire_bytes_by_kind[k] > 0) {
+        metrics->SetCounter(prefix + "net.bytes_on_wire.tx." + name, net.tx_wire_bytes_by_kind[k]);
+      }
+      if (net.rx_wire_bytes_by_kind[k] > 0) {
+        metrics->SetCounter(prefix + "net.bytes_on_wire.rx." + name, net.rx_wire_bytes_by_kind[k]);
+      }
     }
     const ServerStats& st = s.server_stats();
     metrics->SetCounter(prefix + "server.client_requests", st.client_requests);

@@ -37,10 +37,6 @@ class FlowControl final : public Host {
 
   void HandleMessage(HostId src, const MessagePtr& msg) override;
 
-  // Rewrites the replication target group (dynamic membership). New
-  // admissions multicast to the new member set; open slots are untouched.
-  void SetGroup(Addr group) { group_ = group; }
-
   // Sharding (src/shard): consulted BEFORE admission for data slots. Returns
   // 0 when this group serves the slot per the authoritative ShardMap, else
   // the map's current epoch — the request is answered with a

@@ -258,33 +258,34 @@ void ReplicatedServer::CompactNow() {
 // ---------------------------------------------------------------------------
 
 TimeNs ReplicatedServer::ProtocolCpu(const Message& msg) const {
-  if (const auto* ae = dynamic_cast<const AppendEntriesReq*>(&msg)) {
-    // Marshalling: fixed cost + per-entry bookkeeping + a copy of everything
-    // beyond the fixed header (entry metadata and, in VanillaRaft mode, the
-    // embedded request payloads).
-    const int32_t marshalled = ae->PayloadBytes() - kAeFixedBytes;
-    return costs().ae_fixed_ns +
-           costs().raft_entry_ns * static_cast<TimeNs>(ae->entries().size()) +
-           static_cast<TimeNs>(costs().ae_payload_byte_ns * marshalled);
+  switch (msg.kind()) {
+    case MessageKind::kAeReq: {
+      // Marshalling: fixed cost + per-entry bookkeeping + a copy of everything
+      // beyond the fixed header (entry metadata and, in VanillaRaft mode, the
+      // embedded request payloads).
+      const auto& ae = static_cast<const AppendEntriesReq&>(msg);
+      const int32_t marshalled = ae.PayloadBytes() - kAeFixedBytes;
+      return costs().ae_fixed_ns +
+             costs().raft_entry_ns * static_cast<TimeNs>(ae.entries().size()) +
+             static_cast<TimeNs>(costs().ae_payload_byte_ns * marshalled);
+    }
+    case MessageKind::kAeRep:
+      return costs().raft_entry_ns;
+    case MessageKind::kAggCommit:
+      return costs().ae_fixed_ns;
+    case MessageKind::kSnapshotReq:
+      // Serializing / installing a state image costs a copy of its bytes.
+      return costs().ae_fixed_ns +
+             static_cast<TimeNs>(costs().ae_payload_byte_ns * msg.PayloadBytes());
+    default:
+      return 0;
   }
-  if (dynamic_cast<const AppendEntriesRep*>(&msg) != nullptr) {
-    return costs().raft_entry_ns;
-  }
-  if (dynamic_cast<const AggCommitMsg*>(&msg) != nullptr) {
-    return costs().ae_fixed_ns;
-  }
-  if (const auto* snap = dynamic_cast<const InstallSnapshotReq*>(&msg)) {
-    // Serializing / installing a state image costs a copy of its bytes.
-    return costs().ae_fixed_ns +
-           static_cast<TimeNs>(costs().ae_payload_byte_ns * snap->PayloadBytes());
-  }
-  return 0;
 }
 
 void ReplicatedServer::HandleMessage(HostId src, const MessagePtr& msg) {
-  if (auto req = std::dynamic_pointer_cast<const RpcRequest>(msg)) {
+  if (msg->kind() == MessageKind::kRequest) {
     ++stats_.client_requests;
-    OnClientRequest(std::move(req));
+    OnClientRequest(std::static_pointer_cast<const RpcRequest>(msg));
     return;
   }
   if (raft_ == nullptr) {
@@ -296,32 +297,49 @@ void ReplicatedServer::HandleMessage(HostId src, const MessagePtr& msg) {
     // Protocol processing beyond raw packet handling stays on the net thread.
     net_thread().Submit(extra, nullptr);
   }
-  if (const auto* ae = dynamic_cast<const AppendEntriesReq*>(msg.get())) {
-    raft_->OnAppendEntries(*ae, /*via_aggregator=*/src == aggregator_host_);
-  } else if (const auto* rep = dynamic_cast<const AppendEntriesRep*>(msg.get())) {
-    raft_->OnAppendEntriesRep(*rep);
-  } else if (const auto* vote = dynamic_cast<const RequestVoteReq*>(msg.get())) {
-    raft_->OnRequestVote(*vote);
-  } else if (const auto* vrep = dynamic_cast<const RequestVoteRep*>(msg.get())) {
-    raft_->OnRequestVoteRep(*vrep);
-  } else if (const auto* agg = dynamic_cast<const AggCommitMsg*>(msg.get())) {
-    raft_->OnAggCommit(*agg);
-  } else if (const auto* avr = dynamic_cast<const AggVoteRep*>(msg.get())) {
-    raft_->OnAggVoteRep(*avr);
-  } else if (const auto* rreq = dynamic_cast<const RecoveryReq*>(msg.get())) {
-    raft_->OnRecoveryReq(*rreq);
-  } else if (const auto* rrep = dynamic_cast<const RecoveryRep*>(msg.get())) {
-    raft_->OnRecoveryRep(*rrep);
-  } else if (const auto* snap = dynamic_cast<const InstallSnapshotReq*>(msg.get())) {
-    raft_->OnInstallSnapshot(*snap);
-  } else if (const auto* srep = dynamic_cast<const InstallSnapshotRep*>(msg.get())) {
-    raft_->OnInstallSnapshotRep(*srep);
-  } else if (const auto* grant = dynamic_cast<const ReadIndexGrantMsg*>(msg.get())) {
-    OnReadIndexGrant(*grant);
-  } else if (const auto* fcr = dynamic_cast<const FcReconcileReq*>(msg.get())) {
-    OnFcReconcile(src, *fcr);
-  } else {
-    HC_LOG_WARN("server %d: unexpected message %s", node_id(), msg->Name());
+  const Message& m = *msg;
+  switch (m.kind()) {
+    case MessageKind::kAeReq:
+      raft_->OnAppendEntries(static_cast<const AppendEntriesReq&>(m),
+                             /*via_aggregator=*/src == aggregator_host_);
+      break;
+    case MessageKind::kAeRep:
+      raft_->OnAppendEntriesRep(static_cast<const AppendEntriesRep&>(m));
+      break;
+    case MessageKind::kVoteReq:
+    case MessageKind::kPreVoteReq:
+      raft_->OnRequestVote(static_cast<const RequestVoteReq&>(m));
+      break;
+    case MessageKind::kVoteRep:
+    case MessageKind::kPreVoteRep:
+      raft_->OnRequestVoteRep(static_cast<const RequestVoteRep&>(m));
+      break;
+    case MessageKind::kAggCommit:
+      raft_->OnAggCommit(static_cast<const AggCommitMsg&>(m));
+      break;
+    case MessageKind::kAggVoteRep:
+      raft_->OnAggVoteRep(static_cast<const AggVoteRep&>(m));
+      break;
+    case MessageKind::kRecoveryReq:
+      raft_->OnRecoveryReq(static_cast<const RecoveryReq&>(m));
+      break;
+    case MessageKind::kRecoveryRep:
+      raft_->OnRecoveryRep(static_cast<const RecoveryRep&>(m));
+      break;
+    case MessageKind::kSnapshotReq:
+      raft_->OnInstallSnapshot(static_cast<const InstallSnapshotReq&>(m));
+      break;
+    case MessageKind::kSnapshotRep:
+      raft_->OnInstallSnapshotRep(static_cast<const InstallSnapshotRep&>(m));
+      break;
+    case MessageKind::kReadIndexGrant:
+      OnReadIndexGrant(static_cast<const ReadIndexGrantMsg&>(m));
+      break;
+    case MessageKind::kFcReconcileReq:
+      OnFcReconcile(src, static_cast<const FcReconcileReq&>(m));
+      break;
+    default:
+      HC_LOG_WARN("server %d: unexpected message %s", node_id(), m.Name());
   }
 }
 

@@ -189,7 +189,7 @@ void ClientHost::ResolveForAck(uint64_t seq) {
 }
 
 void ClientHost::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
-  if (const auto* resp = dynamic_cast<const RpcResponse*>(msg.get())) {
+  if (const auto* resp = As<RpcResponse>(*msg)) {
     const uint64_t seq = resp->rid().seq;
     auto it = outstanding_.find(seq);
     if (it != outstanding_.end()) {
@@ -243,7 +243,7 @@ void ClientHost::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
     }
     return;  // duplicate reply (already completed) — suppressed
   }
-  if (const auto* wrong = dynamic_cast<const WrongShardNack*>(msg.get())) {
+  if (const auto* wrong = As<WrongShardNack>(*msg)) {
     auto it = outstanding_.find(wrong->rid().seq);
     if (it == outstanding_.end() || shard_route_ == nullptr) {
       return;  // already resolved, abandoned, or not a sharded client
@@ -279,7 +279,7 @@ void ClientHost::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
     ArmRetryTimer(wrong->rid().seq, pending.attempts);
     return;
   }
-  if (const auto* nack = dynamic_cast<const NackMsg*>(msg.get())) {
+  if (const auto* nack = As<NackMsg>(*msg)) {
     auto it = outstanding_.find(nack->rid().seq);
     if (it == outstanding_.end()) {
       return;

@@ -1,7 +1,7 @@
 #include "src/net/host.h"
 
+#include <array>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -9,6 +9,25 @@
 #include "src/net/network.h"
 
 namespace hovercraft {
+namespace {
+
+// Adds one physical frame's wire bytes to the per-kind totals: each batch
+// member is charged its payload plus sub-header under its own kind, and the
+// rest of the frame (the framing) under the frame's kind — kBatch for a batch
+// — so the per-kind sums telescope to the wire-byte totals exactly.
+void AttributeWireBytes(const Message& frame, int64_t wire_bytes,
+                        std::array<uint64_t, kMessageKindCount>& by_kind) {
+  if (const auto* batch = As<BatchMsg>(frame)) {
+    for (const MessagePtr& m : batch->messages()) {
+      const int64_t slot = m->PayloadBytes() + BatchMsg::kPerMessageHeaderBytes;
+      by_kind[KindIndex(m->kind())] += static_cast<uint64_t>(slot);
+      wire_bytes -= slot;
+    }
+  }
+  by_kind[KindIndex(frame.kind())] += static_cast<uint64_t>(wire_bytes);
+}
+
+}  // namespace
 
 Host::Host(Simulator* sim, const CostModel& costs, Kind kind)
     : sim_(sim), costs_(costs), kind_(kind), net_thread_(sim), nic_tx_(sim) {
@@ -43,10 +62,9 @@ void Host::Send(Addr dst, MessagePtr msg, TimeNs extra_cpu) {
   counters_.tx_msgs++;
   counters_.tx_frames += static_cast<uint64_t>(costs_.FramesFor(bytes));
   counters_.tx_payload_bytes += static_cast<uint64_t>(bytes);
-  counters_.tx_by_type[msg->Name()]++;
 
   if (costs_.tx_batching) {
-    if (bytes <= costs_.tx_batch_small_bytes) {
+    if (bytes <= CostModel::kTxBatchSmallBytes) {
       EnqueueBatched(dst, std::move(msg), extra_cpu);
       return;
     }
@@ -109,22 +127,12 @@ void Host::FlushBatch(Addr dst) {
 void Host::TransmitPacket(Packet packet, TimeNs extra_cpu) {
   const int32_t bytes = packet.msg->PayloadBytes();
   counters_.tx_physical_frames += static_cast<uint64_t>(costs_.FramesFor(bytes));
-  counters_.tx_wire_bytes += static_cast<uint64_t>(costs_.WireBytesFor(bytes));
-  if (const auto* batch = dynamic_cast<const BatchMsg*>(packet.msg.get())) {
+  const int64_t wire_bytes = costs_.WireBytesFor(bytes);
+  counters_.tx_wire_bytes += static_cast<uint64_t>(wire_bytes);
+  if (packet.msg->kind() == MessageKind::kBatch) {
     counters_.tx_batches++;
-    int64_t member_bytes = 0;
-    for (const MessagePtr& m : batch->messages()) {
-      const int64_t slot = m->PayloadBytes() + BatchMsg::kPerMessageHeaderBytes;
-      counters_.tx_wire_bytes_by_type[m->Name()] += static_cast<uint64_t>(slot);
-      member_bytes += slot;
-    }
-    // Frame-level overhead of the batch itself, so per-type sums telescope.
-    counters_.tx_wire_bytes_by_type["BATCH"] +=
-        static_cast<uint64_t>(costs_.WireBytesFor(bytes) - member_bytes);
-  } else {
-    counters_.tx_wire_bytes_by_type[packet.msg->Name()] +=
-        static_cast<uint64_t>(costs_.WireBytesFor(bytes));
   }
+  AttributeWireBytes(*packet.msg, wire_bytes, counters_.tx_wire_bytes_by_kind);
 
   if (kind_ == Kind::kDevice) {
     // Line-rate device: no CPU queueing; the pipeline latency is paid on the
@@ -158,45 +166,30 @@ void Host::Receive(HostId src, MessagePtr msg) {
   }
   const int32_t bytes = msg->PayloadBytes();
   counters_.rx_physical_frames += static_cast<uint64_t>(costs_.FramesFor(bytes));
-  counters_.rx_wire_bytes += static_cast<uint64_t>(costs_.WireBytesFor(bytes));
-  const auto* batch = dynamic_cast<const BatchMsg*>(msg.get());
-  if (batch != nullptr) {
-    counters_.rx_batches++;
-    int64_t member_bytes = 0;
-    for (const MessagePtr& m : batch->messages()) {
-      const int32_t b = m->PayloadBytes();
-      counters_.rx_msgs++;
-      counters_.rx_frames += static_cast<uint64_t>(costs_.FramesFor(b));
-      counters_.rx_payload_bytes += static_cast<uint64_t>(b);
-      counters_.rx_by_type[m->Name()]++;
-      const int64_t slot = b + BatchMsg::kPerMessageHeaderBytes;
-      counters_.rx_wire_bytes_by_type[m->Name()] += static_cast<uint64_t>(slot);
-      member_bytes += slot;
-    }
-    counters_.rx_wire_bytes_by_type["BATCH"] +=
-        static_cast<uint64_t>(costs_.WireBytesFor(bytes) - member_bytes);
-  } else {
+  const int64_t wire_bytes = costs_.WireBytesFor(bytes);
+  counters_.rx_wire_bytes += static_cast<uint64_t>(wire_bytes);
+  AttributeWireBytes(*msg, wire_bytes, counters_.rx_wire_bytes_by_kind);
+  const auto count_logical = [this](const Message& m) {
+    const int32_t b = m.PayloadBytes();
     counters_.rx_msgs++;
-    counters_.rx_frames += static_cast<uint64_t>(costs_.FramesFor(bytes));
-    counters_.rx_payload_bytes += static_cast<uint64_t>(bytes);
-    counters_.rx_by_type[msg->Name()]++;
-    counters_.rx_wire_bytes_by_type[msg->Name()] +=
-        static_cast<uint64_t>(costs_.WireBytesFor(bytes));
+    counters_.rx_frames += static_cast<uint64_t>(costs_.FramesFor(b));
+    counters_.rx_payload_bytes += static_cast<uint64_t>(b);
+  };
+  if (const auto* batch = As<BatchMsg>(*msg)) {
+    counters_.rx_batches++;
+    for (const MessagePtr& m : batch->messages()) {
+      count_logical(*m);
+    }
+  } else {
+    count_logical(*msg);
   }
 
   if (kind_ == Kind::kDevice) {
     // Fixed pipeline latency, unbounded parallelism (the ASIC runs at line
     // rate regardless of message rate).
     sim_->After(costs_.aggregator_latency_ns, [this, src, msg = std::move(msg)]() {
-      if (failed_) {
-        return;
-      }
-      if (const auto* b = dynamic_cast<const BatchMsg*>(msg.get())) {
-        for (const MessagePtr& m : b->messages()) {
-          HandleMessage(src, m);
-        }
-      } else {
-        HandleMessage(src, msg);
+      if (!failed_) {
+        DeliverFrame(src, msg);
       }
     });
     return;
@@ -205,17 +198,20 @@ void Host::Receive(HostId src, MessagePtr msg) {
   // One RxCpu charge for the whole frame — the batch's per-frame saving —
   // then the members dispatch in queue order within the same event.
   net_thread_.Submit(costs_.RxCpu(bytes), [this, src, msg = std::move(msg)]() {
-    if (failed_) {
-      return;
-    }
-    if (const auto* b = dynamic_cast<const BatchMsg*>(msg.get())) {
-      for (const MessagePtr& m : b->messages()) {
-        HandleMessage(src, m);
-      }
-    } else {
-      HandleMessage(src, msg);
+    if (!failed_) {
+      DeliverFrame(src, msg);
     }
   });
+}
+
+void Host::DeliverFrame(HostId src, const MessagePtr& msg) {
+  if (const auto* batch = As<BatchMsg>(*msg)) {
+    for (const MessagePtr& m : batch->messages()) {
+      HandleMessage(src, m);
+    }
+  } else {
+    HandleMessage(src, msg);
+  }
 }
 
 }  // namespace hovercraft

@@ -9,8 +9,8 @@
 #define SRC_NET_HOST_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -25,14 +25,14 @@ namespace hovercraft {
 
 class Network;
 
-// Logical counters (tx_msgs/rx_msgs, *_frames, *_by_type) count the typed
-// protocol messages the endpoints exchange; a coalesced BatchMsg contributes
-// its members, never itself. Physical counters (*_physical_frames,
-// *_batches, *_wire_bytes*) count what actually crosses the link: a batch is
-// one frame, wire bytes include per-frame framing and per-member sub-headers,
-// and the batch's own overhead is attributed to the pseudo-type "BATCH" so
-// the per-type wire-byte sums telescope to the totals exactly. With batching
-// off, physical frames == logical frames.
+// Logical counters (tx_msgs/rx_msgs, *_frames, *_payload_bytes) count the
+// typed protocol messages the endpoints exchange; a coalesced BatchMsg
+// contributes its members, never itself. Physical counters
+// (*_physical_frames, *_batches, *_wire_bytes*) count what actually crosses
+// the link: a batch is one frame, wire bytes include per-frame framing and
+// per-member sub-headers, and the batch's own overhead is attributed to the
+// kBatch slot so the per-kind wire-byte sums telescope to the totals exactly.
+// With batching off, physical frames == logical frames.
 struct NetCounters {
   uint64_t tx_msgs = 0;
   uint64_t rx_msgs = 0;
@@ -46,10 +46,9 @@ struct NetCounters {
   uint64_t rx_batches = 0;
   uint64_t tx_wire_bytes = 0;
   uint64_t rx_wire_bytes = 0;
-  std::unordered_map<std::string, uint64_t> tx_by_type;
-  std::unordered_map<std::string, uint64_t> rx_by_type;
-  std::unordered_map<std::string, uint64_t> tx_wire_bytes_by_type;
-  std::unordered_map<std::string, uint64_t> rx_wire_bytes_by_type;
+  // Wire bytes per MessageKind, indexed by KindIndex().
+  std::array<uint64_t, kMessageKindCount> tx_wire_bytes_by_kind{};
+  std::array<uint64_t, kMessageKindCount> rx_wire_bytes_by_kind{};
 
   void Clear() { *this = NetCounters(); }
 };
@@ -128,6 +127,9 @@ class Host {
     EventId flush_event = kInvalidEvent;
   };
 
+  // Hands a received frame to HandleMessage: a batch member by member, in
+  // queue order.
+  void DeliverFrame(HostId src, const MessagePtr& msg);
   void EnqueueBatched(Addr dst, MessagePtr msg, TimeNs extra_cpu);
   void FlushBatch(Addr dst);
   // Physical transmission: charges TX CPU + NIC serialization (servers) or

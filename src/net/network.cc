@@ -123,7 +123,7 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
   // BatchMsg counts as its member count, so the fabric totals are invariant
   // under batching. A multicast message suppressed for k of its destinations
   // still adds k to dropped_msgs_.
-  const BatchMsg* batch = dynamic_cast<const BatchMsg*>(packet.msg.get());
+  const BatchMsg* batch = As<BatchMsg>(*packet.msg);
   const uint64_t logical = batch != nullptr
                                ? static_cast<uint64_t>(batch->messages().size())
                                : 1;
@@ -165,7 +165,7 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
       return;
     }
   }
-  const BatchMsg* surviving_batch = dynamic_cast<const BatchMsg*>(to_deliver.get());
+  const BatchMsg* surviving_batch = As<BatchMsg>(*to_deliver);
   const uint64_t delivering =
       surviving_batch != nullptr
           ? static_cast<uint64_t>(surviving_batch->messages().size())

@@ -30,39 +30,32 @@ std::string FormatDouble(double v) {
 std::string NodeScope(NodeId node) { return "node" + std::to_string(node) + "/"; }
 
 void MetricsRegistry::AddCounter(const std::string& name, uint64_t delta) {
-  std::string storage;
-  counters_[Key(name, storage)] += delta;
+  counters_[name] += delta;
 }
 
 void MetricsRegistry::SetCounter(const std::string& name, uint64_t value) {
-  std::string storage;
-  counters_[Key(name, storage)] = value;
+  counters_[name] = value;
 }
 
 uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
-  std::string storage;
-  auto it = counters_.find(Key(name, storage));
+  auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
 void MetricsRegistry::SetGauge(const std::string& name, int64_t value) {
-  std::string storage;
-  gauges_[Key(name, storage)] = value;
+  gauges_[name] = value;
 }
 
 Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
-  std::string storage;
-  const std::string& key = Key(name, storage);
-  auto it = histograms_.find(key);
+  auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(key, Histogram()).first;
+    it = histograms_.emplace(name, Histogram()).first;
   }
   return it->second;
 }
 
 void MetricsRegistry::Sample(const std::string& name, TimeNs t, int64_t value) {
-  std::string storage;
-  series_[Key(name, storage)].emplace_back(t, value);
+  series_[name].emplace_back(t, value);
 }
 
 void MetricsRegistry::Clear() {

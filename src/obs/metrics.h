@@ -24,16 +24,6 @@ std::string NodeScope(NodeId node);
 
 class MetricsRegistry {
  public:
-  // Optional instance prefix, prepended to every name passed through the
-  // public API ("shard0." + "node3/raft.commit_lag"). Lets several
-  // otherwise-identical component instances (e.g. consensus groups sharing
-  // one fabric, src/shard) share a registry without their raft.*/net.*
-  // counters aliasing. Reads honor the prefix too, so CounterValue("x")
-  // under prefix "shard1." reads "shard1.x". Empty (the default) keeps the
-  // historic global namespace byte-for-byte.
-  void set_instance_prefix(std::string prefix) { instance_prefix_ = std::move(prefix); }
-  const std::string& instance_prefix() const { return instance_prefix_; }
-
   // Counters: monotonic uint64 totals (message counts, drops, dedup hits...).
   void AddCounter(const std::string& name, uint64_t delta);
   void SetCounter(const std::string& name, uint64_t value);
@@ -62,17 +52,6 @@ class MetricsRegistry {
   void Clear();
 
  private:
-  // Applies the instance prefix; the no-prefix case must stay allocation-free
-  // relative to the historic path (returns the caller's string by reference).
-  const std::string& Key(const std::string& name, std::string& storage) const {
-    if (instance_prefix_.empty()) {
-      return name;
-    }
-    storage = instance_prefix_ + name;
-    return storage;
-  }
-
-  std::string instance_prefix_;
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, int64_t> gauges_;
   std::map<std::string, Histogram> histograms_;

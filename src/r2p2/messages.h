@@ -40,6 +40,7 @@ constexpr uint32_t kNoShardSlot = 0xFFFFFFFFu;
 
 class RpcRequest final : public Message {
  public:
+  static constexpr MessageKind kKind = MessageKind::kRequest;
   // `attempt` counts transmissions of this rid (1 = original send); clients
   // bump it on every retransmission so servers can tell a retry from a fresh
   // request. `ack_watermark` is the client's acknowledged-sequence floor:
@@ -49,7 +50,8 @@ class RpcRequest final : public Message {
   // for sharded deployments (kNoShardSlot = unsharded, never gated).
   RpcRequest(RequestId rid, R2p2Policy policy, Body body, uint32_t attempt = 1,
              uint64_t ack_watermark = 0, uint32_t shard_slot = kNoShardSlot)
-      : rid_(rid),
+      : Message(kKind),
+        rid_(rid),
         policy_(policy),
         body_(std::move(body)),
         attempt_(attempt),
@@ -57,7 +59,6 @@ class RpcRequest final : public Message {
         shard_slot_(shard_slot) {}
 
   int32_t PayloadBytes() const override { return BodySize(body_); }
-  const char* Name() const override { return "REQUEST"; }
 
   const RequestId& rid() const { return rid_; }
   R2p2Policy policy() const { return policy_; }
@@ -79,10 +80,10 @@ class RpcRequest final : public Message {
 
 class RpcResponse final : public Message {
  public:
-  RpcResponse(RequestId rid, Body body) : rid_(rid), body_(std::move(body)) {}
+  static constexpr MessageKind kKind = MessageKind::kResponse;
+  RpcResponse(RequestId rid, Body body) : Message(kKind), rid_(rid), body_(std::move(body)) {}
 
   int32_t PayloadBytes() const override { return BodySize(body_); }
-  const char* Name() const override { return "RESPONSE"; }
 
   const RequestId& rid() const { return rid_; }
   const Body& body() const { return body_; }
@@ -96,10 +97,10 @@ class RpcResponse final : public Message {
 // (paper section 6.3).
 class FeedbackMsg final : public Message {
  public:
-  explicit FeedbackMsg(RequestId rid) : rid_(rid) {}
+  static constexpr MessageKind kKind = MessageKind::kFeedback;
+  explicit FeedbackMsg(RequestId rid) : Message(kKind), rid_(rid) {}
 
   int32_t PayloadBytes() const override { return 16; }
-  const char* Name() const override { return "FEEDBACK"; }
 
   const RequestId& rid() const { return rid_; }
 
@@ -110,10 +111,10 @@ class FeedbackMsg final : public Message {
 // Sent by the flow-control middlebox when the in-flight cap is reached.
 class NackMsg final : public Message {
  public:
-  explicit NackMsg(RequestId rid) : rid_(rid) {}
+  static constexpr MessageKind kKind = MessageKind::kNack;
+  explicit NackMsg(RequestId rid) : Message(kKind), rid_(rid) {}
 
   int32_t PayloadBytes() const override { return 16; }
-  const char* Name() const override { return "NACK"; }
 
   const RequestId& rid() const { return rid_; }
 
@@ -129,10 +130,10 @@ class NackMsg final : public Message {
 // path); clients refetch on any wrong-shard NACK, so the hint is advisory.
 class WrongShardNack final : public Message {
  public:
-  WrongShardNack(RequestId rid, uint64_t epoch) : rid_(rid), epoch_(epoch) {}
+  static constexpr MessageKind kKind = MessageKind::kWrongShardNack;
+  WrongShardNack(RequestId rid, uint64_t epoch) : Message(kKind), rid_(rid), epoch_(epoch) {}
 
   int32_t PayloadBytes() const override { return 24; }
-  const char* Name() const override { return "NACK_WRONG_SHARD"; }
 
   const RequestId& rid() const { return rid_; }
   uint64_t epoch() const { return epoch_; }
@@ -151,10 +152,10 @@ class WrongShardNack final : public Message {
 // New leader -> middlebox: "reconcile your ledger against my state".
 class FcLeaderChangeMsg final : public Message {
  public:
-  explicit FcLeaderChangeMsg(HostId leader) : leader_(leader) {}
+  static constexpr MessageKind kKind = MessageKind::kFcLeader;
+  explicit FcLeaderChangeMsg(HostId leader) : Message(kKind), leader_(leader) {}
 
   int32_t PayloadBytes() const override { return 16; }
-  const char* Name() const override { return "FC_LEADER"; }
 
   HostId leader() const { return leader_; }
 
@@ -165,12 +166,12 @@ class FcLeaderChangeMsg final : public Message {
 // Middlebox -> leader: the rids of all still-open admission slots.
 class FcReconcileReq final : public Message {
  public:
-  explicit FcReconcileReq(std::vector<RequestId> rids) : rids_(std::move(rids)) {}
+  static constexpr MessageKind kKind = MessageKind::kFcReconcileReq;
+  explicit FcReconcileReq(std::vector<RequestId> rids) : Message(kKind), rids_(std::move(rids)) {}
 
   int32_t PayloadBytes() const override {
     return 16 + 16 * static_cast<int32_t>(rids_.size());
   }
-  const char* Name() const override { return "FC_RECONCILE_REQ"; }
 
   const std::vector<RequestId>& rids() const { return rids_; }
 
@@ -187,13 +188,13 @@ enum class FcSlotState : uint8_t {
 
 class FcReconcileRep final : public Message {
  public:
+  static constexpr MessageKind kKind = MessageKind::kFcReconcileRep;
   FcReconcileRep(std::vector<RequestId> rids, std::vector<FcSlotState> states)
-      : rids_(std::move(rids)), states_(std::move(states)) {}
+      : Message(kKind), rids_(std::move(rids)), states_(std::move(states)) {}
 
   int32_t PayloadBytes() const override {
     return 16 + 17 * static_cast<int32_t>(rids_.size());
   }
-  const char* Name() const override { return "FC_RECONCILE_REP"; }
 
   const std::vector<RequestId>& rids() const { return rids_; }
   const std::vector<FcSlotState>& states() const { return states_; }

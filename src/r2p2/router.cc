@@ -53,7 +53,7 @@ void R2p2Router::Dispatch(const MessagePtr& msg, int32_t server) {
 }
 
 void R2p2Router::HandleMessage(HostId src, const MessagePtr& msg) {
-  if (const auto* req = dynamic_cast<const RpcRequest*>(msg.get())) {
+  if (const auto* req = As<RpcRequest>(*msg)) {
     if (shard_gate_ && IsDataSlot(req->shard_slot())) {
       const uint64_t epoch = shard_gate_(req->shard_slot());
       if (epoch != 0) {
@@ -74,7 +74,7 @@ void R2p2Router::HandleMessage(HostId src, const MessagePtr& msg) {
     Dispatch(msg, server);
     return;
   }
-  if (dynamic_cast<const FeedbackMsg*>(msg.get()) != nullptr) {
+  if (msg->kind() == MessageKind::kFeedback) {
     // A server finished one request; its slot frees and, under JBSQ, the
     // oldest centrally-held request binds to it.
     for (size_t s = 0; s < servers_.size(); ++s) {

@@ -86,9 +86,11 @@ struct WireEntry {
 
 class AppendEntriesReq final : public Message {
  public:
+  static constexpr MessageKind kKind = MessageKind::kAeReq;
   AppendEntriesReq(Term term, NodeId leader, LogIndex prev_idx, Term prev_term,
                    LogIndex leader_commit, std::vector<WireEntry> entries)
-      : term_(term),
+      : Message(kKind),
+        term_(term),
         leader_(leader),
         prev_idx_(prev_idx),
         prev_term_(prev_term),
@@ -101,7 +103,6 @@ class AppendEntriesReq final : public Message {
   }
 
   int32_t PayloadBytes() const override { return payload_bytes_; }
-  const char* Name() const override { return "AE_REQ"; }
 
   Term term() const { return term_; }
   NodeId leader() const { return leader_; }
@@ -122,9 +123,11 @@ class AppendEntriesReq final : public Message {
 
 class AppendEntriesRep final : public Message {
  public:
+  static constexpr MessageKind kKind = MessageKind::kAeRep;
   AppendEntriesRep(NodeId from, Term term, bool success, LogIndex match, LogIndex applied,
                    LogIndex last_hint, bool waiting_recovery, LogIndex commit = 0)
-      : from_(from),
+      : Message(kKind),
+        from_(from),
         term_(term),
         success_(success),
         match_(match),
@@ -134,7 +137,6 @@ class AppendEntriesRep final : public Message {
         commit_(commit) {}
 
   int32_t PayloadBytes() const override { return kAeReplyBytes; }
-  const char* Name() const override { return "AE_REP"; }
 
   NodeId from() const { return from_; }
   Term term() const { return term_; }
@@ -166,27 +168,25 @@ class RequestVoteReq final : public Message {
   // handling it must never mutate the receiver's term or vote.
   RequestVoteReq(Term term, NodeId candidate, LogIndex last_idx, Term last_term,
                  bool pre_vote = false)
-      : term_(term),
+      : Message(pre_vote ? MessageKind::kPreVoteReq : MessageKind::kVoteReq),
+        term_(term),
         candidate_(candidate),
         last_idx_(last_idx),
-        last_term_(last_term),
-        pre_vote_(pre_vote) {}
+        last_term_(last_term) {}
 
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return pre_vote_ ? "PREVOTE_REQ" : "VOTE_REQ"; }
 
   Term term() const { return term_; }
   NodeId candidate() const { return candidate_; }
   LogIndex last_idx() const { return last_idx_; }
   Term last_term() const { return last_term_; }
-  bool pre_vote() const { return pre_vote_; }
+  bool pre_vote() const { return kind() == MessageKind::kPreVoteReq; }
 
  private:
   Term term_;
   NodeId candidate_;
   LogIndex last_idx_;
   Term last_term_;
-  bool pre_vote_;
 };
 
 class RequestVoteRep final : public Message {
@@ -194,21 +194,22 @@ class RequestVoteRep final : public Message {
   // Pre-vote replies echo the candidate's proposed term (not the voter's
   // current term) so the pre-candidate can match them to its poll round.
   RequestVoteRep(NodeId from, Term term, bool granted, bool pre_vote = false)
-      : from_(from), term_(term), granted_(granted), pre_vote_(pre_vote) {}
+      : Message(pre_vote ? MessageKind::kPreVoteRep : MessageKind::kVoteRep),
+        from_(from),
+        term_(term),
+        granted_(granted) {}
 
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return pre_vote_ ? "PREVOTE_REP" : "VOTE_REP"; }
 
   NodeId from() const { return from_; }
   Term term() const { return term_; }
   bool granted() const { return granted_; }
-  bool pre_vote() const { return pre_vote_; }
+  bool pre_vote() const { return kind() == MessageKind::kPreVoteRep; }
 
  private:
   NodeId from_;
   Term term_;
   bool granted_;
-  bool pre_vote_;
 };
 
 // Leader-to-replier grant of a linearizable read (ReadIndex, dissertation
@@ -218,11 +219,11 @@ class RequestVoteRep final : public Message {
 // client multicast (unordered store); only metadata crosses the wire here.
 class ReadIndexGrantMsg final : public Message {
  public:
+  static constexpr MessageKind kKind = MessageKind::kReadIndexGrant;
   ReadIndexGrantMsg(NodeId from, Term term, LogIndex read_index, RequestId rid)
-      : from_(from), term_(term), read_index_(read_index), rid_(rid) {}
+      : Message(kKind), from_(from), term_(term), read_index_(read_index), rid_(rid) {}
 
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return "READ_INDEX_GRANT"; }
 
   NodeId from() const { return from_; }
   Term term() const { return term_; }
@@ -241,13 +242,13 @@ class ReadIndexGrantMsg final : public Message {
 // leader can run JBSQ without seeing individual append_entries replies.
 class AggCommitMsg final : public Message {
  public:
+  static constexpr MessageKind kKind = MessageKind::kAggCommit;
   AggCommitMsg(Term term, LogIndex commit, std::vector<LogIndex> applied, LogIndex epoch = 0)
-      : term_(term), commit_(commit), applied_(std::move(applied)), epoch_(epoch) {}
+      : Message(kKind), term_(term), commit_(commit), applied_(std::move(applied)), epoch_(epoch) {}
 
   int32_t PayloadBytes() const override {
     return kAggCommitFixedBytes + kAggCommitPerNodeBytes * static_cast<int32_t>(applied_.size());
   }
-  const char* Name() const override { return "AGG_COMMIT"; }
 
   Term term() const { return term_; }
   LogIndex commit() const { return commit_; }
@@ -270,9 +271,9 @@ class AggCommitMsg final : public Message {
 // the vote_request's term flushes aggregator soft state.
 class AggVoteReq final : public Message {
  public:
-  explicit AggVoteReq(Term term, LogIndex epoch = 0) : term_(term), epoch_(epoch) {}
+  static constexpr MessageKind kKind = MessageKind::kAggVoteReq;
+  explicit AggVoteReq(Term term, LogIndex epoch = 0) : Message(kKind), term_(term), epoch_(epoch) {}
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return "AGG_VOTE_REQ"; }
   Term term() const { return term_; }
   // The leader's committed config epoch; a probe whose epoch trails the
   // aggregator's installed config is answered with the aggregator's epoch so
@@ -286,9 +287,9 @@ class AggVoteReq final : public Message {
 
 class AggVoteRep final : public Message {
  public:
-  explicit AggVoteRep(Term term, LogIndex epoch = 0) : term_(term), epoch_(epoch) {}
+  static constexpr MessageKind kKind = MessageKind::kAggVoteRep;
+  explicit AggVoteRep(Term term, LogIndex epoch = 0) : Message(kKind), term_(term), epoch_(epoch) {}
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return "AGG_VOTE_REP"; }
   Term term() const { return term_; }
   LogIndex epoch() const { return epoch_; }
 
@@ -305,9 +306,11 @@ constexpr int32_t kSnapshotFixedBytes = 40;
 // the paper, which never runs long enough to compact).
 class InstallSnapshotReq final : public Message {
  public:
+  static constexpr MessageKind kKind = MessageKind::kSnapshotReq;
   InstallSnapshotReq(Term term, NodeId leader, LogIndex last_included, Term included_term,
                      Body state, MembershipConfigPtr config = nullptr, LogIndex config_idx = 0)
-      : term_(term),
+      : Message(kKind),
+        term_(term),
         leader_(leader),
         last_included_(last_included),
         included_term_(included_term),
@@ -318,7 +321,6 @@ class InstallSnapshotReq final : public Message {
   int32_t PayloadBytes() const override {
     return kSnapshotFixedBytes + BodySize(state_) + ConfigWireBytes(config_);
   }
-  const char* Name() const override { return "SNAPSHOT_REQ"; }
 
   Term term() const { return term_; }
   NodeId leader() const { return leader_; }
@@ -343,11 +345,11 @@ class InstallSnapshotReq final : public Message {
 
 class InstallSnapshotRep final : public Message {
  public:
+  static constexpr MessageKind kKind = MessageKind::kSnapshotRep;
   InstallSnapshotRep(NodeId from, Term term, LogIndex last_included)
-      : from_(from), term_(term), last_included_(last_included) {}
+      : Message(kKind), from_(from), term_(term), last_included_(last_included) {}
 
   int32_t PayloadBytes() const override { return kSnapshotFixedBytes; }
-  const char* Name() const override { return "SNAPSHOT_REP"; }
 
   NodeId from() const { return from_; }
   Term term() const { return term_; }
@@ -363,10 +365,10 @@ class InstallSnapshotRep final : public Message {
 // (paper section 5, recovery_request).
 class RecoveryReq final : public Message {
  public:
-  RecoveryReq(NodeId from, RequestId rid) : from_(from), rid_(rid) {}
+  static constexpr MessageKind kKind = MessageKind::kRecoveryReq;
+  RecoveryReq(NodeId from, RequestId rid) : Message(kKind), from_(from), rid_(rid) {}
 
   int32_t PayloadBytes() const override { return kRecoveryReqBytes; }
-  const char* Name() const override { return "RECOVERY_REQ"; }
 
   NodeId from() const { return from_; }
   const RequestId& rid() const { return rid_; }
@@ -378,13 +380,13 @@ class RecoveryReq final : public Message {
 
 class RecoveryRep final : public Message {
  public:
+  static constexpr MessageKind kKind = MessageKind::kRecoveryRep;
   RecoveryRep(RequestId rid, std::shared_ptr<const RpcRequest> request)
-      : rid_(rid), request_(std::move(request)) {}
+      : Message(kKind), rid_(rid), request_(std::move(request)) {}
 
   int32_t PayloadBytes() const override {
     return kRecoveryRepFixedBytes + (request_ ? request_->PayloadBytes() : 0);
   }
-  const char* Name() const override { return "RECOVERY_REP"; }
 
   const RequestId& rid() const { return rid_; }
   bool found() const { return request_ != nullptr; }

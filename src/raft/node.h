@@ -264,7 +264,6 @@ class RaftNode {
   NodeId leader_hint() const { return leader_hint_; }
   LogIndex commit_index() const { return commit_idx_; }
   LogIndex applied_index() const { return applied_idx_; }
-  LogIndex announced_index() const { return announced_idx_; }
   // Highest log index known durable in the local WAL (== last_index with no
   // storage attached). The leader's own quorum contribution is capped here.
   LogIndex durable_index() const {
@@ -284,7 +283,6 @@ class RaftNode {
   // The active (latest appended) config; effective immediately per the
   // dissertation's single-server change rule.
   const MembershipConfig& active_config() const { return *configs_.back().second; }
-  MembershipConfigPtr active_config_ptr() const { return configs_.back().second; }
   LogIndex active_config_idx() const { return configs_.back().first; }
   LogIndex committed_config_idx() const { return committed_config_idx_; }
   bool ConfigChangeInFlight() const { return active_config_idx() > commit_idx_; }

@@ -99,7 +99,7 @@ void ShardCoordinator::RetryCtlOrFail() {
 }
 
 void ShardCoordinator::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
-  if (const auto* resp = dynamic_cast<const RpcResponse*>(msg.get())) {
+  if (const auto* resp = As<RpcResponse>(*msg)) {
     if (phase_ == Phase::kIdle || resp->rid().seq != inflight_seq_) {
       return;  // late reply from a superseded (retried) control rid
     }
@@ -112,7 +112,7 @@ void ShardCoordinator::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
     OnPhaseReply(resp->body());
     return;
   }
-  if (const auto* nack = dynamic_cast<const NackMsg*>(msg.get())) {
+  if (const auto* nack = As<NackMsg>(*msg)) {
     if (phase_ == Phase::kIdle || nack->rid().seq != inflight_seq_) {
       return;
     }
@@ -128,7 +128,7 @@ void ShardCoordinator::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
   }
   // WrongShardNack cannot happen (control ops are never slot-gated); anything
   // else is unexpected.
-  if (dynamic_cast<const WrongShardNack*>(msg.get()) == nullptr) {
+  if (msg->kind() != MessageKind::kWrongShardNack) {
     HC_LOG_WARN("shard coordinator: unexpected message %s", msg->Name());
   }
 }

@@ -70,7 +70,7 @@ struct CostModel {
   static constexpr int32_t kTxBatchMaxMsgs = 32;
   // Only messages at most this large are eligible (large messages fill
   // frames on their own; batching them would only add latency).
-  int32_t tx_batch_small_bytes = 512;
+  static constexpr int32_t kTxBatchSmallBytes = 512;
 
   // Derived helpers -----------------------------------------------------
   int32_t FramesFor(int32_t payload_bytes) const {

@@ -48,7 +48,6 @@ class Timeseries {
   }
 
   TimeNs bin_width() const { return bin_width_; }
-  size_t bin_count() const { return bins_.size(); }
 
  private:
   struct Bin {

@@ -151,7 +151,6 @@ class StableStorage {
   Recovery Recover(bool protocol_aware);
 
   FsyncPolicy policy() const { return policy_; }
-  void set_policy(FsyncPolicy p) { policy_ = p; }
   // Names the owning node so recovery trace instants and flight-recorder
   // events carry the right scope.
   void set_node(NodeId node) { node_ = node; }

@@ -171,7 +171,8 @@ TEST(NetworkTest, CountersTrackTraffic) {
   EXPECT_EQ(b.counters().rx_msgs, 1u);
   EXPECT_EQ(b.counters().tx_msgs, 1u);
   EXPECT_EQ(a.counters().tx_payload_bytes, 512u);
-  EXPECT_EQ(a.counters().tx_by_type.at("REQUEST"), 1u);
+  EXPECT_EQ(a.counters().tx_wire_bytes_by_kind[KindIndex(MessageKind::kRequest)],
+            static_cast<uint64_t>(f.costs.WireBytesFor(512)));
 }
 
 TEST(NetworkTest, DeviceHostForwardsWithFixedLatency) {

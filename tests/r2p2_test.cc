@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/buf_pool.h"
@@ -8,6 +12,7 @@
 #include "src/r2p2/packetizer.h"
 #include "src/r2p2/request_id.h"
 #include "src/r2p2/wire.h"
+#include "src/raft/messages.h"
 
 namespace hovercraft {
 namespace {
@@ -332,7 +337,70 @@ TEST(MessagesTest, RequestCarriesMetadata) {
   EXPECT_TRUE(req.read_only());
   EXPECT_EQ(req.rid().client, 3);
   EXPECT_EQ(req.rid().seq, 99u);
-  EXPECT_STREQ(req.Name(), "REQUEST");
+}
+
+// The closed message set: one message of every kind, each reporting the name
+// the exported net.bytes_on_wire.{tx,rx}.<NAME> metrics have always used.
+TEST(MessagesTest, EveryKindKeepsItsExportedName) {
+  const Body body = MakeBody(std::vector<uint8_t>(8));
+  const RequestId rid{1, 2};
+  const auto req = std::make_shared<RpcRequest>(rid, R2p2Policy::kReplicatedReq, body);
+  const auto feedback = std::make_shared<FeedbackMsg>(rid);
+  const std::vector<std::pair<MessagePtr, std::string>> cases = {
+      {req, "REQUEST"},
+      {std::make_shared<RpcResponse>(rid, body), "RESPONSE"},
+      {feedback, "FEEDBACK"},
+      {std::make_shared<NackMsg>(rid), "NACK"},
+      {std::make_shared<WrongShardNack>(rid, 3), "NACK_WRONG_SHARD"},
+      {std::make_shared<FcLeaderChangeMsg>(0), "FC_LEADER"},
+      {std::make_shared<FcReconcileReq>(std::vector<RequestId>{rid}), "FC_RECONCILE_REQ"},
+      {std::make_shared<FcReconcileRep>(std::vector<RequestId>{rid},
+                                        std::vector<FcSlotState>{FcSlotState::kPending}),
+       "FC_RECONCILE_REP"},
+      {std::make_shared<AppendEntriesReq>(1, 0, 0, 0, 0, std::vector<WireEntry>{}), "AE_REQ"},
+      {std::make_shared<AppendEntriesRep>(1, 1, true, 0, 0, 0, false), "AE_REP"},
+      {std::make_shared<RequestVoteReq>(1, 0, 0, 0), "VOTE_REQ"},
+      {std::make_shared<RequestVoteReq>(1, 0, 0, 0, /*pre_vote=*/true), "PREVOTE_REQ"},
+      {std::make_shared<RequestVoteRep>(1, 1, true), "VOTE_REP"},
+      {std::make_shared<RequestVoteRep>(1, 1, true, /*pre_vote=*/true), "PREVOTE_REP"},
+      {std::make_shared<ReadIndexGrantMsg>(0, 1, 5, rid), "READ_INDEX_GRANT"},
+      {std::make_shared<AggCommitMsg>(1, 5, std::vector<LogIndex>{5, 5, 5}), "AGG_COMMIT"},
+      {std::make_shared<AggVoteReq>(1), "AGG_VOTE_REQ"},
+      {std::make_shared<AggVoteRep>(1), "AGG_VOTE_REP"},
+      {std::make_shared<InstallSnapshotReq>(1, 0, 5, 1, body), "SNAPSHOT_REQ"},
+      {std::make_shared<InstallSnapshotRep>(1, 1, 5), "SNAPSHOT_REP"},
+      {std::make_shared<RecoveryReq>(1, rid), "RECOVERY_REQ"},
+      {std::make_shared<RecoveryRep>(rid, req), "RECOVERY_REP"},
+      {std::make_shared<BatchMsg>(std::vector<MessagePtr>{req, feedback}), "BATCH"},
+  };
+  ASSERT_EQ(cases.size(), kMessageKindCount);
+  std::set<std::string> names;
+  std::set<MessageKind> kinds;
+  for (const auto& [msg, name] : cases) {
+    EXPECT_EQ(msg->Name(), name);
+    EXPECT_EQ(MessageKindName(msg->kind()), name);
+    names.insert(msg->Name());
+    kinds.insert(msg->kind());
+  }
+  EXPECT_EQ(names.size(), kMessageKindCount);
+  EXPECT_EQ(kinds.size(), kMessageKindCount);
+}
+
+TEST(MessagesTest, VoteKindCarriesThePreVoteFlag) {
+  EXPECT_FALSE(RequestVoteReq(1, 0, 0, 0).pre_vote());
+  EXPECT_TRUE(RequestVoteReq(1, 0, 0, 0, /*pre_vote=*/true).pre_vote());
+  EXPECT_FALSE(RequestVoteRep(1, 1, true).pre_vote());
+  EXPECT_TRUE(RequestVoteRep(1, 1, true, /*pre_vote=*/true).pre_vote());
+  EXPECT_EQ(RequestVoteRep(1, 1, true, /*pre_vote=*/true).kind(), MessageKind::kPreVoteRep);
+}
+
+TEST(MessagesTest, AsDowncastsOnlyItsOwnKind) {
+  const RpcRequest req(RequestId{1, 2}, R2p2Policy::kReplicatedReq, nullptr);
+  const FeedbackMsg fb(RequestId{1, 2});
+  EXPECT_EQ(As<RpcRequest>(req), &req);
+  EXPECT_EQ(As<RpcResponse>(req), nullptr);
+  EXPECT_EQ(As<FeedbackMsg>(fb), &fb);
+  EXPECT_EQ(As<NackMsg>(fb), nullptr);
 }
 
 TEST(MessagesTest, ResponseAndControlSizes) {

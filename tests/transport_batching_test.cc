@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "src/net/host.h"
 #include "src/net/network.h"
 #include "src/net/packet.h"
+#include "src/obs/observability.h"
 #include "src/r2p2/messages.h"
 
 namespace hovercraft {
@@ -98,19 +100,21 @@ TEST(TransportBatchingTest, WireByteAttributionTelescopes) {
   });
   f.sim.RunToCompletion();
 
-  // Per-type wire bytes (members + the BATCH framing share) sum exactly to
+  // Per-kind wire bytes (members + the BATCH framing share) sum exactly to
   // the total wire bytes, on both ends.
   uint64_t tx_sum = 0;
-  for (const auto& [type, bytes] : a.counters().tx_wire_bytes_by_type) {
+  for (const uint64_t bytes : a.counters().tx_wire_bytes_by_kind) {
     tx_sum += bytes;
   }
   EXPECT_EQ(tx_sum, a.counters().tx_wire_bytes);
-  EXPECT_GT(a.counters().tx_wire_bytes_by_type.at("BATCH"), 0u);
+  EXPECT_GT(a.counters().tx_wire_bytes_by_kind[KindIndex(MessageKind::kBatch)], 0u);
   uint64_t rx_sum = 0;
-  for (const auto& [type, bytes] : b.counters().rx_wire_bytes_by_type) {
+  for (const uint64_t bytes : b.counters().rx_wire_bytes_by_kind) {
     rx_sum += bytes;
   }
   EXPECT_EQ(rx_sum, b.counters().rx_wire_bytes);
+  EXPECT_EQ(b.counters().rx_wire_bytes_by_kind[KindIndex(MessageKind::kBatch)],
+            a.counters().tx_wire_bytes_by_kind[KindIndex(MessageKind::kBatch)]);
   EXPECT_EQ(b.counters().rx_wire_bytes, a.counters().tx_wire_bytes);
 }
 
@@ -138,8 +142,8 @@ TEST(TransportBatchingTest, LargeMessagesBypassTheQueue) {
   f.net.Attach(&b);
 
   f.sim.At(0, [&]() {
-    a.Send(b.id(), SmallRequest(a.id(), 1, f.costs.tx_batch_small_bytes + 1));
-    a.Send(b.id(), SmallRequest(a.id(), 2, f.costs.tx_batch_small_bytes + 1));
+    a.Send(b.id(), SmallRequest(a.id(), 1, CostModel::kTxBatchSmallBytes + 1));
+    a.Send(b.id(), SmallRequest(a.id(), 2, CostModel::kTxBatchSmallBytes + 1));
   });
   f.sim.RunToCompletion();
 
@@ -162,7 +166,7 @@ TEST(TransportBatchingTest, UnbatchedSendFlushesQueuedSmallMessagesFirst) {
   f.sim.At(0, [&]() {
     a.Send(b.id(), SmallRequest(a.id(), 1));
     a.Send(b.id(), SmallRequest(a.id(), 2));
-    a.Send(b.id(), SmallRequest(a.id(), 3, f.costs.tx_batch_small_bytes + 1));
+    a.Send(b.id(), SmallRequest(a.id(), 3, CostModel::kTxBatchSmallBytes + 1));
   });
   f.sim.RunToCompletion();
 
@@ -369,6 +373,39 @@ TEST(TransportBatchingTest, BatchedRunsReplayIdentically) {
   EXPECT_EQ(first.retransmits, second.retransmits);
   EXPECT_EQ(first.dropped_by_fault, second.dropped_by_fault);
   EXPECT_EQ(first.recorder_events, second.recorder_events);
+}
+
+// Cluster::ExportMetrics emits net.bytes_on_wire.{tx,rx}.<NAME> only for
+// kinds that crossed a host's link, so no exported key is zero — and a
+// batched run exports the BATCH framing share under its historic name.
+TEST(TransportBatchingTest, ExportedWireBytesByKindAreNonZero) {
+  obs::Observability bundle(obs::Observability::Options{});
+  ChaosRunConfig config;
+  config.mode = ClusterMode::kHovercRaftPP;
+  config.schedule = "crash-leader";
+  config.seed = 11;
+  config.duration = Millis(60);
+  config.settle = Millis(60);
+  config.tx_batching = true;
+  config.obs = &bundle;
+  EXPECT_TRUE(RunChaosSchedule(config).ok());
+
+  std::ostringstream json;
+  bundle.metrics().DumpJson(json);
+  std::istringstream lines(json.str());
+  int keys = 0;
+  bool batch_seen = false;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("net.bytes_on_wire.") == std::string::npos) {
+      continue;
+    }
+    ++keys;
+    batch_seen |= line.find(".BATCH\"") != std::string::npos;
+    const std::string value = line.substr(line.rfind(' ') + 1);
+    EXPECT_NE(std::stoull(value), 0u) << line;
+  }
+  EXPECT_GT(keys, 0);
+  EXPECT_TRUE(batch_seen);
 }
 
 }  // namespace
