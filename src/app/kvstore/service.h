@@ -40,8 +40,9 @@ class KvService final : public StateMachine {
   // The flat bytes of SnapshotImage().
   Body SnapshotState() const override;
   Status RestoreState(const Body& snapshot) override;
-  // [applied][mutation digest] followed by the store's image, which reuses
-  // the cached part of every key unchanged since the last snapshot.
+  // [applied][mutation digest] followed by the store's image, which shares
+  // the part of every key unchanged since the last snapshot and leaves every
+  // key held only as its part.
   Image SnapshotImage() const override;
 
   // Shard-move range handoff: keys are selected by ShardSlotOf(key), the

@@ -2,43 +2,122 @@
 
 #include <algorithm>
 #include <charconv>
+#include <type_traits>
 
 #include "src/common/buffer.h"
 #include "src/common/check.h"
 #include "src/common/checksum.h"
 
 namespace hovercraft {
+namespace {
 
-const KvStore::Value* KvStore::Find(std::string_view key) const {
+// An entry's tag byte, which is also its value's variant index.
+enum ValueTag : uint8_t { kString = 0, kHash = 1, kList = 2, kSet = 3 };
+static_assert(std::is_same_v<std::variant_alternative_t<kString, KvStore::Value>,
+                             KvStore::StringValue>);
+static_assert(std::is_same_v<std::variant_alternative_t<kHash, KvStore::Value>,
+                             KvStore::HashValue>);
+static_assert(std::is_same_v<std::variant_alternative_t<kList, KvStore::Value>,
+                             KvStore::ListValue>);
+static_assert(std::is_same_v<std::variant_alternative_t<kSet, KvStore::Value>,
+                             KvStore::SetValue>);
+
+// A clean key's entry, read in place: past the key, the tag, an aggregate's
+// element count, then its u32-prefixed strings one at a time. The bytes
+// came from SerializeEntry, so a malformed part is a bug, not bad input.
+class EntryReader {
+ public:
+  explicit EntryReader(const Body& part) : in_(part.bytes()) {
+    Next();  // the key
+    HC_CHECK(in_.GetU8(tag_).ok());
+    if (tag_ != kString) {
+      HC_CHECK(in_.GetU64(count_).ok());
+    }
+  }
+
+  uint8_t tag() const { return tag_; }
+  uint64_t count() const { return count_; }
+
+  // The next string: a string value, or an aggregate's next element (a
+  // hash's field and its value are two).
+  std::string_view Next() {
+    std::string_view s;
+    HC_CHECK(in_.GetStringView(s).ok());
+    return s;
+  }
+  void Skip(uint64_t strings) {
+    for (uint64_t i = 0; i < strings; ++i) {
+      Next();
+    }
+  }
+
+ private:
+  BufferReader in_;
+  uint8_t tag_ = 0;
+  uint64_t count_ = 0;
+};
+
+}  // namespace
+
+size_t KvStore::Slot::type() const { return clean() ? EntryReader(part).tag() : value.index(); }
+
+const KvStore::Slot* KvStore::Find(std::string_view key) const {
   auto it = map_.find(key);
-  return it == map_.end() ? nullptr : &it->second.value;
+  return it == map_.end() ? nullptr : &it->second;
 }
 
-KvStore::Value* KvStore::Find(std::string_view key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    return nullptr;
+bool KvStore::IsEncodedOnly(std::string_view key) const {
+  const Slot* slot = Find(key);
+  return slot != nullptr && slot->clean() && slot->value == Value{};
+}
+
+std::vector<std::string> KvStore::ListSlice(const Slot& slot, size_t first, size_t count) {
+  std::vector<std::string> out;
+  out.reserve(count);
+  if (slot.clean()) {
+    EntryReader r(slot.part);
+    r.Skip(first);
+    for (size_t i = 0; i < count; ++i) {
+      out.emplace_back(r.Next());
+    }
+  } else {
+    const auto& l = std::get<ListValue>(slot.value);
+    const auto begin = l.begin() + static_cast<ptrdiff_t>(first);
+    out.assign(begin, begin + static_cast<ptrdiff_t>(count));
   }
-  it->second.part = nullptr;
-  return &it->second.value;
+  return out;
+}
+
+size_t KvStore::ElementCount(const Slot& slot) {
+  if (slot.clean()) {
+    return EntryReader(slot.part).count();
+  }
+  return std::visit([](const auto& v) { return v.size(); }, slot.value);
 }
 
 void KvStore::Set(std::string_view key, std::string_view value) {
-  Slot& slot = map_[std::string(key)];
-  slot.value = StringValue(value);
-  slot.part = nullptr;
+  auto it = map_.find(key);
+  if (it == map_.end()) {
+    map_.emplace(std::string(key), StringValue(value));
+    return;
+  }
+  // Overwritten, so a clean key is not decoded first.
+  it->second.value.emplace<StringValue>(value);
+  it->second.part = nullptr;
 }
 
 Result<std::string> KvStore::Get(std::string_view key) const {
-  const Value* v = Find(key);
-  if (v == nullptr) {
+  const Slot* slot = Find(key);
+  if (slot == nullptr) {
     return NotFoundError("no such key");
   }
-  const auto* s = std::get_if<StringValue>(v);
-  if (s == nullptr) {
+  if (slot->type() != kString) {
     return FailedPreconditionError("wrong type");
   }
-  return *s;
+  if (slot->clean()) {
+    return std::string(EntryReader(slot->part).Next());
+  }
+  return std::get<StringValue>(slot->value);
 }
 
 bool KvStore::Del(std::string_view key) {
@@ -51,7 +130,7 @@ bool KvStore::Del(std::string_view key) {
 }
 
 Status KvStore::Hset(std::string_view key, std::string_view field, std::string_view value) {
-  Value* v = Find(key);
+  Value* v = Mutable(key);
   if (v == nullptr) {
     HashValue h;
     h.emplace(std::string(field), std::string(value));
@@ -67,23 +146,24 @@ Status KvStore::Hset(std::string_view key, std::string_view field, std::string_v
 }
 
 Result<std::string> KvStore::Hget(std::string_view key, std::string_view field) const {
-  const Value* v = Find(key);
-  if (v == nullptr) {
+  const Slot* slot = Find(key);
+  if (slot == nullptr) {
     return NotFoundError("no such key");
   }
-  const auto* h = std::get_if<HashValue>(v);
-  if (h == nullptr) {
+  if (slot->type() != kHash) {
     return FailedPreconditionError("wrong type");
   }
-  auto it = h->find(std::string(field));
-  if (it == h->end()) {
+  Value temp;
+  const auto& h = std::get<HashValue>(Decoded(*slot, temp));
+  auto it = h.find(std::string(field));
+  if (it == h.end()) {
     return NotFoundError("no such field");
   }
   return it->second;
 }
 
 Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
-  Value* v = Find(key);
+  Value* v = Mutable(key);
   if (v == nullptr) {
     ListValue l;
     l.emplace_back(value);
@@ -100,47 +180,39 @@ Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
 
 Result<std::vector<std::string>> KvStore::Lrange(std::string_view key, int32_t start,
                                                  int32_t stop) const {
-  const Value* v = Find(key);
-  if (v == nullptr) {
+  const Slot* slot = Find(key);
+  if (slot == nullptr) {
     return NotFoundError("no such key");
   }
-  const auto* l = std::get_if<ListValue>(v);
-  if (l == nullptr) {
+  if (slot->type() != kList) {
     return Result<std::vector<std::string>>(FailedPreconditionError("wrong type"));
   }
-  const int64_t n = static_cast<int64_t>(l->size());
+  const auto n = static_cast<int64_t>(ElementCount(*slot));
   int64_t a = start < 0 ? n + start : start;
   int64_t b = stop < 0 ? n + stop : stop;
   a = std::clamp<int64_t>(a, 0, n);
   b = std::clamp<int64_t>(b, -1, n - 1);
-  std::vector<std::string> out;
-  for (int64_t i = a; i <= b; ++i) {
-    out.push_back((*l)[static_cast<size_t>(i)]);
-  }
-  return out;
+  const int64_t count = std::max<int64_t>(b - a + 1, 0);
+  return ListSlice(*slot, static_cast<size_t>(a), static_cast<size_t>(count));
 }
 
 Result<std::vector<std::string>> KvStore::ScanTail(std::string_view key, int32_t limit) const {
-  const Value* v = Find(key);
-  if (v == nullptr) {
+  const Slot* slot = Find(key);
+  if (slot == nullptr) {
     return NotFoundError("no such key");
   }
-  const auto* l = std::get_if<ListValue>(v);
-  if (l == nullptr) {
+  if (slot->type() != kList) {
     return Result<std::vector<std::string>>(FailedPreconditionError("wrong type"));
   }
-  const size_t count = std::min<size_t>(static_cast<size_t>(std::max(limit, 0)), l->size());
-  std::vector<std::string> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    out.push_back((*l)[l->size() - 1 - i]);  // newest first
-  }
+  const size_t n = ElementCount(*slot);
+  const size_t count = std::min<size_t>(static_cast<size_t>(std::max(limit, 0)), n);
+  std::vector<std::string> out = ListSlice(*slot, n - count, count);
+  std::reverse(out.begin(), out.end());  // newest first
   return out;
 }
 
-
 Result<int64_t> KvStore::Incr(std::string_view key) {
-  Value* v = Find(key);
+  Value* v = Mutable(key);
   if (v == nullptr) {
     map_.emplace(std::string(key), StringValue("1"));
     return int64_t{1};
@@ -160,7 +232,7 @@ Result<int64_t> KvStore::Incr(std::string_view key) {
 }
 
 Result<size_t> KvStore::Append(std::string_view key, std::string_view suffix) {
-  Value* v = Find(key);
+  Value* v = Mutable(key);
   if (v == nullptr) {
     map_.emplace(std::string(key), StringValue(suffix));
     return suffix.size();
@@ -182,7 +254,7 @@ Result<bool> KvStore::Setnx(std::string_view key, std::string_view value) {
 }
 
 Result<bool> KvStore::Hdel(std::string_view key, std::string_view field) {
-  Value* v = Find(key);
+  Value* v = Mutable(key);
   if (v == nullptr) {
     return NotFoundError("no such key");
   }
@@ -194,7 +266,7 @@ Result<bool> KvStore::Hdel(std::string_view key, std::string_view field) {
 }
 
 Result<std::string> KvStore::Lpop(std::string_view key) {
-  Value* v = Find(key);
+  Value* v = Mutable(key);
   if (v == nullptr) {
     return NotFoundError("no such key");
   }
@@ -211,19 +283,18 @@ Result<std::string> KvStore::Lpop(std::string_view key) {
 }
 
 Result<size_t> KvStore::Llen(std::string_view key) const {
-  const Value* v = Find(key);
-  if (v == nullptr) {
+  const Slot* slot = Find(key);
+  if (slot == nullptr) {
     return size_t{0};
   }
-  const auto* l = std::get_if<ListValue>(v);
-  if (l == nullptr) {
+  if (slot->type() != kList) {
     return Result<size_t>(FailedPreconditionError("wrong type"));
   }
-  return l->size();
+  return ElementCount(*slot);
 }
 
 Result<bool> KvStore::Sadd(std::string_view key, std::string_view member) {
-  Value* v = Find(key);
+  Value* v = Mutable(key);
   if (v == nullptr) {
     SetValue set;
     set.emplace(member);
@@ -238,7 +309,7 @@ Result<bool> KvStore::Sadd(std::string_view key, std::string_view member) {
 }
 
 Result<bool> KvStore::Srem(std::string_view key, std::string_view member) {
-  Value* v = Find(key);
+  Value* v = Mutable(key);
   if (v == nullptr) {
     return NotFoundError("no such key");
   }
@@ -250,33 +321,33 @@ Result<bool> KvStore::Srem(std::string_view key, std::string_view member) {
 }
 
 Result<bool> KvStore::Sismember(std::string_view key, std::string_view member) const {
-  const Value* v = Find(key);
-  if (v == nullptr) {
+  const Slot* slot = Find(key);
+  if (slot == nullptr) {
     return false;
   }
-  const auto* set = std::get_if<SetValue>(v);
-  if (set == nullptr) {
+  if (slot->type() != kSet) {
     return Result<bool>(FailedPreconditionError("wrong type"));
   }
-  return set->count(std::string(member)) > 0;
+  Value temp;
+  return std::get<SetValue>(Decoded(*slot, temp)).count(std::string(member)) > 0;
 }
 
 Result<size_t> KvStore::Scard(std::string_view key) const {
-  const Value* v = Find(key);
-  if (v == nullptr) {
+  const Slot* slot = Find(key);
+  if (slot == nullptr) {
     return size_t{0};
   }
-  const auto* set = std::get_if<SetValue>(v);
-  if (set == nullptr) {
+  if (slot->type() != kSet) {
     return Result<size_t>(FailedPreconditionError("wrong type"));
   }
-  return set->size();
+  return ElementCount(*slot);
 }
 
 uint64_t KvStore::ContentDigest() const {
   uint64_t digest = 0;
   for (const auto& [key, slot] : map_) {
-    const Value& value = slot.value;
+    Value temp;
+    const Value& value = Decoded(slot, temp);
     uint64_t h = Fnv1aHash(key);
     if (const auto* s = std::get_if<StringValue>(&value)) {
       h = Fnv1aHash(*s, h ^ 1);
@@ -306,8 +377,6 @@ uint64_t KvStore::ContentDigest() const {
 
 namespace {
 
-enum class ValueTag : uint8_t { kString = 0, kHash = 1, kList = 2, kSet = 3 };
-
 // The smallest encodings, which bound how many elements the remaining bytes
 // can hold: a decoder reserves no more than that, so a forged count fails on
 // the missing bytes instead of on the allocation.
@@ -317,24 +386,21 @@ constexpr size_t kMinEntryBytes = kMinMemberBytes + 1 + kMinMemberBytes;  // key
 
 void SerializeEntry(BufferWriter& out, const std::string& key, const KvStore::Value& value) {
   out.PutString(key);
+  out.PutU8(static_cast<uint8_t>(value.index()));
   if (const auto* s = std::get_if<KvStore::StringValue>(&value)) {
-    out.PutU8(static_cast<uint8_t>(ValueTag::kString));
     out.PutString(*s);
   } else if (const auto* h = std::get_if<KvStore::HashValue>(&value)) {
-    out.PutU8(static_cast<uint8_t>(ValueTag::kHash));
     out.PutU64(h->size());
     for (const auto& [field, v] : *h) {
       out.PutString(field);
       out.PutString(v);
     }
   } else if (const auto* l = std::get_if<KvStore::ListValue>(&value)) {
-    out.PutU8(static_cast<uint8_t>(ValueTag::kList));
     out.PutU64(l->size());
     for (const std::string& item : *l) {
       out.PutString(item);
     }
   } else if (const auto* set = std::get_if<KvStore::SetValue>(&value)) {
-    out.PutU8(static_cast<uint8_t>(ValueTag::kSet));
     out.PutU64(set->size());
     for (const std::string& member : *set) {
       out.PutString(member);
@@ -342,16 +408,14 @@ void SerializeEntry(BufferWriter& out, const std::string& key, const KvStore::Va
   }
 }
 
-Status DeserializeEntry(BufferReader& in, std::string& key, KvStore::Value& value) {
+// An entry's tag and value, after its key.
+Status DeserializeValue(BufferReader& in, KvStore::Value& value) {
   uint8_t tag = 0;
-  if (Status s = in.GetString(key); !s.ok()) {
-    return s;
-  }
   if (Status s = in.GetU8(tag); !s.ok()) {
     return s;
   }
-  switch (static_cast<ValueTag>(tag)) {
-    case ValueTag::kString: {
+  switch (tag) {
+    case kString: {
       std::string v;
       if (Status s = in.GetString(v); !s.ok()) {
         return s;
@@ -359,7 +423,7 @@ Status DeserializeEntry(BufferReader& in, std::string& key, KvStore::Value& valu
       value = std::move(v);
       return Status::Ok();
     }
-    case ValueTag::kHash: {
+    case kHash: {
       uint64_t n = 0;
       if (Status s = in.GetU64(n); !s.ok()) {
         return s;
@@ -380,7 +444,7 @@ Status DeserializeEntry(BufferReader& in, std::string& key, KvStore::Value& valu
       value = std::move(h);
       return Status::Ok();
     }
-    case ValueTag::kList: {
+    case kList: {
       uint64_t n = 0;
       if (Status s = in.GetU64(n); !s.ok()) {
         return s;
@@ -396,7 +460,7 @@ Status DeserializeEntry(BufferReader& in, std::string& key, KvStore::Value& valu
       value = std::move(l);
       return Status::Ok();
     }
-    case ValueTag::kSet: {
+    case kSet: {
       uint64_t n = 0;
       if (Status s = in.GetU64(n); !s.ok()) {
         return s;
@@ -416,6 +480,23 @@ Status DeserializeEntry(BufferReader& in, std::string& key, KvStore::Value& valu
     default:
       return InvalidArgumentError("unknown kv value tag");
   }
+}
+
+Status DeserializeEntry(BufferReader& in, std::string& key, KvStore::Value& value) {
+  if (Status s = in.GetString(key); !s.ok()) {
+    return s;
+  }
+  return DeserializeValue(in, value);
+}
+
+// A clean key's value, decoded from its part (which SerializeEntry wrote).
+KvStore::Value DecodePart(const Body& part) {
+  BufferReader in(part.bytes());
+  std::string_view key;
+  HC_CHECK(in.GetStringView(key).ok());
+  KvStore::Value value;
+  HC_CHECK(DeserializeValue(in, value).ok());
+  return value;
 }
 
 // Bytes SerializeEntry appends for one key: mirrors its layout field by
@@ -447,10 +528,43 @@ size_t SerializedEntrySize(const std::string& key, const KvStore::Value& value) 
 
 }  // namespace
 
+size_t KvStore::Slot::EncodedSize(const std::string& key) const {
+  return clean() ? part.size() : SerializedEntrySize(key, value);
+}
+
+void KvStore::Slot::EncodeTo(BufferWriter& out, const std::string& key) const {
+  if (clean()) {
+    out.PutBytes(part.bytes());
+  } else {
+    SerializeEntry(out, key, value);
+  }
+}
+
+KvStore::Value* KvStore::Mutable(std::string_view key) {
+  auto it = map_.find(key);
+  if (it == map_.end()) {
+    return nullptr;
+  }
+  Slot& slot = it->second;
+  if (slot.clean()) {
+    slot.value = DecodePart(slot.part);
+    slot.part = nullptr;
+  }
+  return &slot.value;
+}
+
+const KvStore::Value& KvStore::Decoded(const Slot& slot, Value& temp) {
+  if (!slot.clean()) {
+    return slot.value;
+  }
+  temp = DecodePart(slot.part);
+  return temp;
+}
+
 void KvStore::SerializeTo(BufferWriter& out) const {
   out.PutU64(map_.size());
   for (const auto& [key, slot] : map_) {
-    SerializeEntry(out, key, slot.value);
+    slot.EncodeTo(out, key);
   }
 }
 
@@ -461,7 +575,7 @@ Image KvStore::SerializeImage(BufferWriter head) const {
   const Body head_part = MakeBody(head.TakeBytes());
   image.Append(head_part, Crc32c(head_part.bytes()));
   for (const auto& [key, slot] : map_) {
-    if (slot.part == nullptr) {
+    if (!slot.clean()) {
       const size_t size = SerializedEntrySize(key, slot.value);
       BufferWriter w(size);
       SerializeEntry(w, key, slot.value);
@@ -469,6 +583,7 @@ Image KvStore::SerializeImage(BufferWriter head) const {
       slot.part = MakeBody(w.TakeBytes());
       // Checksummed now, while the bytes are still in cache.
       slot.crc = Crc32c(slot.part.bytes());
+      slot.value = Value{};  // the part is now the key's only copy
     }
     image.Append(slot.part, slot.crc);
   }
@@ -500,13 +615,13 @@ std::vector<uint8_t> KvStore::SerializePart(const KeyPredicate& pred) const {
   for (const auto& entry : map_) {
     if (pred(entry.first)) {
       matched.push_back(&entry);
-      size += SerializedEntrySize(entry.first, entry.second.value);
+      size += entry.second.EncodedSize(entry.first);
     }
   }
   BufferWriter out(size);
   out.PutU64(matched.size());
   for (const auto* entry : matched) {
-    SerializeEntry(out, entry->first, entry->second.value);
+    entry->second.EncodeTo(out, entry->first);
   }
   HC_CHECK_EQ(out.size(), size);
   return out.TakeBytes();

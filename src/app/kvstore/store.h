@@ -71,22 +71,27 @@ class KvStore {
 
   size_t key_count() const { return map_.size(); }
   bool Exists(std::string_view key) const { return Find(key) != nullptr; }
+  // Whether `key` is held only as its encoded entry, with no decoded copy:
+  // true from the image that encoded it until its next write.
+  bool IsEncodedOnly(std::string_view key) const;
 
   // Order-insensitive digest over all keys and values; replicas with equal
   // content produce equal digests.
   uint64_t ContentDigest() const;
 
   // The store's snapshot format: the u64 key count, then each key's entry.
-  // SerializeTo writes it afresh, bypassing the part cache SerializeImage
-  // keeps; Deserialize replaces the current contents.
+  // SerializeTo writes it in one buffer: a clean key's part verbatim, a
+  // dirty key encoded on the spot (neither changes representation).
+  // DeserializeFrom replaces the current contents with decoded keys.
   void SerializeTo(BufferWriter& out) const;
   Status DeserializeFrom(BufferReader& in);
 
   // The same bytes as `head` followed by SerializeTo's, as an Image: `head`
   // with the key count appended is the first part, then one part per key in
-  // SerializeTo's order. Each key's part and its CRC are cached and reused by
-  // every later image until the key changes; only keys changed since the
-  // last image are serialized.
+  // SerializeTo's order. Each dirty key is encoded and checksummed and its
+  // decoded value freed, which leaves it clean; a clean key's part is shared
+  // as is. So only keys written since the last image are serialized, and
+  // every image shares the parts of the keys that did not change.
   Image SerializeImage(BufferWriter head) const;
 
   // --- Shard-move range handoff (src/shard). The predicate selects keys by
@@ -102,21 +107,44 @@ class KvStore {
   size_t EraseIf(const KeyPredicate& pred);
 
  private:
-  // A key's value and its cached SerializeEntry bytes. The part is null
-  // while the key is dirty. Every path that can change the value drops it:
-  // the non-const Find, Set, and whatever replaces or erases the slot.
+  // A key's contents, held in exactly one representation. A dirty key
+  // (written since the last image) holds its decoded value and a null part.
+  // A clean key holds only its SerializeEntry bytes and their CRC, and an
+  // empty value. SerializeImage makes every key clean. A write leaves its
+  // key dirty: Mutable() decodes a clean key once and drops its part, Set
+  // overwrites the value, and the other paths replace or erase the slot.
+  // Reads answer from either representation without converting it. The
+  // list reads, Get and the size reads read a clean key's part in place;
+  // Hget, Sismember and ContentDigest decode it into a temporary they drop.
   struct Slot {
     Slot() = default;
     Slot(Value v) : value(std::move(v)) {}  // NOLINT(google-explicit-constructor)
 
-    Value value;
+    bool clean() const { return part != nullptr; }
+    // The value's variant index, from either representation.
+    size_t type() const;
+    // The key's SerializeEntry bytes: a clean key's part, verbatim.
+    size_t EncodedSize(const std::string& key) const;
+    void EncodeTo(BufferWriter& out, const std::string& key) const;
+
+    // Logically const: SerializeImage trades one representation for the
+    // other without changing the contents.
+    mutable Value value;
     mutable Body part;
     mutable uint32_t crc = 0;  // Crc32c(part)
   };
 
-  const Value* Find(std::string_view key) const;
-  // Hands out the value for mutation, so it drops the key's cached part.
-  Value* Find(std::string_view key);
+  const Slot* Find(std::string_view key) const;
+  // The key's decoded value for mutation: a clean key is decoded and its
+  // part dropped.
+  Value* Mutable(std::string_view key);
+  // The slot's decoded value without converting the slot: a dirty slot's
+  // own, or a clean slot's part decoded into `temp`.
+  static const Value& Decoded(const Slot& slot, Value& temp);
+  // Elements [first, first + count) of a list slot, in order.
+  static std::vector<std::string> ListSlice(const Slot& slot, size_t first, size_t count);
+  // Elements of an aggregate slot (hash fields, list items, set members).
+  static size_t ElementCount(const Slot& slot);
 
   // Heterogeneous lookup so string_view probes do not allocate.
   struct Hash {

@@ -17,6 +17,23 @@
 
 namespace hovercraft {
 
+// The wire format is little-endian on every host: a fixed-width integer is
+// copied as is on a little-endian host and byte-swapped on a big-endian one
+// (the swap is its own inverse, so it serves both directions).
+template <typename T>
+constexpr T LittleEndian(T v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(T) == 2) {
+      v = __builtin_bswap16(v);
+    } else if constexpr (sizeof(T) == 4) {
+      v = __builtin_bswap32(v);
+    } else if constexpr (sizeof(T) == 8) {
+      v = __builtin_bswap64(v);
+    }
+  }
+  return v;
+}
+
 class BufferWriter {
  public:
   BufferWriter() = default;
@@ -49,8 +66,7 @@ class BufferWriter {
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
 
  private:
-  // One capacity check and one copy per integer. The wire format is
-  // little-endian on every host.
+  // One capacity check and one copy per integer.
   template <typename T>
   void PutLittleEndian(T v) {
     const size_t offset = bytes_.size();
@@ -66,16 +82,7 @@ class BufferWriter {
 
   template <typename T>
   static void StoreLittleEndian(uint8_t* dst, T v) {
-    if constexpr (std::endian::native == std::endian::big) {
-      if constexpr (sizeof(T) == 2) {
-        v = __builtin_bswap16(v);
-      } else if constexpr (sizeof(T) == 4) {
-        v = __builtin_bswap32(v);
-      } else {
-        static_assert(sizeof(T) == 8);
-        v = __builtin_bswap64(v);
-      }
-    }
+    v = LittleEndian(v);
     std::memcpy(dst, &v, sizeof(T));
   }
 
@@ -108,6 +115,16 @@ class BufferReader {
   }
 
   Status GetString(std::string& out) {
+    std::string_view view;
+    if (Status s = GetStringView(view); !s.ok()) {
+      return s;
+    }
+    out.assign(view);
+    return Status::Ok();
+  }
+
+  // GetString without the copy: `out` views the reader's bytes.
+  Status GetStringView(std::string_view& out) {
     uint32_t len = 0;
     if (Status s = GetU32(len); !s.ok()) {
       return s;
@@ -115,7 +132,7 @@ class BufferReader {
     if (remaining() < len) {
       return OutOfRangeError("string length exceeds buffer");
     }
-    out.assign(reinterpret_cast<const char*>(data_.data() + pos_), len);
+    out = std::string_view(reinterpret_cast<const char*>(data_.data() + pos_), len);
     pos_ += len;
     return Status::Ok();
   }
@@ -131,11 +148,9 @@ class BufferReader {
       return OutOfRangeError("buffer underrun");
     }
     T v = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(data_[pos_ + i]) << (8 * i);
-    }
+    std::memcpy(&v, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
-    out = v;
+    out = LittleEndian(v);
     return Status::Ok();
   }
 

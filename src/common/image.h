@@ -1,10 +1,11 @@
 // Image: an immutable byte sequence held as a rope of shared parts, each a
 // heap-backed Body with its CRC-32C. The application's snapshot image is one
-// (src/app/state_machine.h): KvStore keeps one part per key and reuses it
-// until the key changes, so the genesis image, the snapshot file and the next
-// compaction share every unchanged key instead of copying it. The storage
-// layer keeps an image by reference as a snapshot file's tail
-// (src/storage/sim_disk.h).
+// (src/app/state_machine.h): KvStore encodes each key into one part when an
+// image is taken and from then on holds the key only as that part, answering
+// reads from it, until the key is written. The genesis image, the snapshot
+// file, the next compaction and the store itself thus share one copy of
+// every unchanged key. The storage layer keeps an image by reference as a
+// snapshot file's tail (src/storage/sim_disk.h).
 //
 // The image's CRC is the CRC-32C of its flat bytes, combined from the part
 // CRCs as parts are appended (Crc32cCombine), so it never reads the bytes.

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -495,8 +497,10 @@ TEST(KvServiceTest, ForgedPerValueCountIsAnError) {
 // Cached snapshot image
 // ---------------------------------------------------------------------------
 
-// The reference image, built without the part cache: [applied][mutation
-// digest] followed by a fresh SerializeTo.
+// The reference image as one flat buffer: [applied][mutation digest]
+// followed by SerializeTo. SerializeTo copies a clean key's part verbatim, so
+// this checks the image's framing, sizes and CRCs, not the encoder; the
+// restore-and-compare against a shadow service checks the contents.
 std::vector<uint8_t> FreshImage(const KvService& svc) {
   BufferWriter w;
   w.PutU64(svc.ApplyCount());
@@ -529,37 +533,47 @@ KvCommand RandomCommand(Rng& rng) {
 
 // Every mutating path of the store and the service drops exactly the parts it
 // may change: after any sequence of commands (wrong-type failures included),
-// range drops and installs and restores, each snapshot image equals a fresh
+// range drops and installs and restores, each snapshot image equals a flat
 // serialization, its combined CRC equals the CRC of its flat bytes, and the
-// images taken earlier still hold the bytes they had.
+// images taken earlier still hold the bytes they had. A shadow service takes
+// the same steps and never images, so its keys stay decoded: every reply
+// matches the shadow's, and every image restores to the shadow's state.
 TEST(KvServiceTest, CachedImageMatchesFreshSerializationUnderRandomOps) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     KvService svc;
+    KvService shadow;
     KvService donor;  // source of installed ranges and restored states
     uint64_t seq = 0;
     std::vector<std::pair<Image, std::vector<uint8_t>>> taken;
     for (int step = 0; step < 400; ++step) {
       const uint64_t dice = rng.NextBelow(100);
       if (dice < 70) {
-        const KvCommand cmd = RandomCommand(rng);
-        svc.Execute(MakeKvRequest(cmd, ++seq));
+        const RpcRequest request = MakeKvRequest(RandomCommand(rng), ++seq);
+        const ExecResult got = svc.Execute(request);
+        const ExecResult want = shadow.Execute(request);
+        ASSERT_TRUE(got.reply == want.reply) << "seed " << seed << " step " << step;
+        ASSERT_EQ(got.service_time, want.service_time);
       } else if (dice < 78) {
         donor.Execute(MakeKvRequest(RandomCommand(rng), ++seq));
       } else if (dice < 82) {
         const auto lo = static_cast<uint32_t>(rng.NextBelow(kShardSlots));
         const auto hi = static_cast<uint32_t>(lo + rng.NextBelow(kShardSlots - lo));
         ASSERT_TRUE(svc.DropRange(lo, hi).ok());
+        ASSERT_TRUE(shadow.DropRange(lo, hi).ok());
       } else if (dice < 86) {
         const auto lo = static_cast<uint32_t>(rng.NextBelow(kShardSlots));
         const auto hi = static_cast<uint32_t>(lo + rng.NextBelow(kShardSlots - lo));
-        ASSERT_TRUE(svc.InstallRange(donor.CaptureRange(lo, hi)).ok());
+        const Body range = donor.CaptureRange(lo, hi);
+        ASSERT_TRUE(svc.InstallRange(range).ok());
+        ASSERT_TRUE(shadow.InstallRange(range).ok());
       } else if (dice < 88) {
         // Restore either the donor's state or one of our own earlier images.
         const Body state = taken.empty() || rng.NextBelow(2) == 0
                                ? donor.SnapshotState()
                                : taken[rng.NextBelow(taken.size())].first.Flatten();
         ASSERT_TRUE(svc.RestoreState(state).ok());
+        ASSERT_TRUE(shadow.RestoreState(state).ok());
       } else {
         const Image image = svc.SnapshotImage();
         const Body flat = image.Flatten();
@@ -569,6 +583,11 @@ TEST(KvServiceTest, CachedImageMatchesFreshSerializationUnderRandomOps) {
         ASSERT_EQ(image.crc(), Crc32cPortable(fresh)) << "seed " << seed << " step " << step;
         ASSERT_EQ(image.parts().size(), 1 + svc.store().key_count());
         ASSERT_TRUE(svc.SnapshotState() == fresh);
+        KvService restored;
+        ASSERT_TRUE(restored.RestoreState(flat).ok());
+        ASSERT_EQ(restored.Digest(), shadow.Digest()) << "seed " << seed << " step " << step;
+        ASSERT_EQ(restored.ApplyCount(), shadow.ApplyCount());
+        ASSERT_EQ(svc.Digest(), shadow.Digest());
         taken.emplace_back(image, fresh);
       }
     }
@@ -578,8 +597,109 @@ TEST(KvServiceTest, CachedImageMatchesFreshSerializationUnderRandomOps) {
   }
 }
 
+// One key of each value type (two strings: one is a counter).
+constexpr const char* kTypedKeys[] = {"str", "num", "hash", "list", "set"};
+
+void LoadEveryType(KvStore& store) {
+  store.Set("str", "value");
+  store.Set("num", "41");
+  ASSERT_TRUE(store.Hset("hash", "f1", "a").ok());
+  ASSERT_TRUE(store.Hset("hash", "f2", "bb").ok());
+  for (const char* post : {"p1", "p2", "p3", "p4"}) {
+    ASSERT_TRUE(store.Rpush("list", post).ok());
+  }
+  for (const char* member : {"m1", "m2", "m3"}) {
+    ASSERT_TRUE(store.Sadd("set", member).ok());
+  }
+}
+
+// Every read command against every typed key and a missing one, with fields
+// and members that exist and that do not, and list ranges in and out of
+// bounds.
+std::vector<KvCommand> EveryRead() {
+  std::vector<KvCommand> reads;
+  std::vector<std::string> keys(std::begin(kTypedKeys), std::end(kTypedKeys));
+  keys.emplace_back("missing");
+  for (const std::string& key : keys) {
+    KvCommand cmd;
+    cmd.key = key;
+    for (KvOpcode op : {KvOpcode::kGet, KvOpcode::kExists, KvOpcode::kLlen, KvOpcode::kScard}) {
+      cmd.op = op;
+      reads.push_back(cmd);
+    }
+    for (const char* field : {"f2", "nope"}) {
+      cmd.op = KvOpcode::kHget;
+      cmd.field = field;
+      reads.push_back(cmd);
+    }
+    for (const char* member : {"m2", "nope"}) {
+      cmd.op = KvOpcode::kSismember;
+      cmd.value = member;
+      reads.push_back(cmd);
+    }
+    for (auto [start, stop] : {std::pair{0, -1}, {1, 2}, {-2, -1}, {3, 1}, {5, 9}, {-100, 100}}) {
+      cmd.op = KvOpcode::kLrange;
+      cmd.range_start = start;
+      cmd.range_stop = stop;
+      reads.push_back(cmd);
+    }
+    for (int32_t limit : {-1, 0, 2, 4, 10}) {
+      cmd.op = KvOpcode::kYScan;
+      cmd.scan_limit = limit;
+      reads.push_back(cmd);
+    }
+  }
+  return reads;
+}
+
+// An image's part for each key, by the key its entry starts with.
+std::unordered_map<std::string, const uint8_t*> PartsByKey(const Image& image) {
+  std::unordered_map<std::string, const uint8_t*> parts;
+  for (size_t i = 1; i < image.parts().size(); ++i) {
+    const Body& part = image.parts()[i].bytes;
+    BufferReader r(part.bytes());
+    std::string key;
+    EXPECT_TRUE(r.GetString(key).ok());
+    parts[key] = part.data();
+  }
+  return parts;
+}
+
+// An image leaves each key of every type held only as its part, and a clean
+// key answers every read (wrong type and missing key included) exactly as a
+// decoded one: same status, values and cost, and the same content digest.
+TEST(KvServiceTest, CleanKeysAnswerReadsLikeDecodedKeys) {
+  KvService decoded;
+  KvService clean;
+  LoadEveryType(decoded.store());
+  LoadEveryType(clean.store());
+  clean.SnapshotImage();
+  for (const char* key : kTypedKeys) {
+    EXPECT_TRUE(clean.store().IsEncodedOnly(key)) << key;
+    EXPECT_FALSE(decoded.store().IsEncodedOnly(key)) << key;
+  }
+  EXPECT_FALSE(clean.store().IsEncodedOnly("missing"));
+  EXPECT_EQ(clean.store().ContentDigest(), decoded.store().ContentDigest());
+  EXPECT_EQ(clean.Digest(), decoded.Digest());
+
+  for (const KvCommand& read : EveryRead()) {
+    TimeNs want_cost = 0;
+    TimeNs got_cost = 0;
+    const KvReply want = decoded.Apply(read, &want_cost);
+    const KvReply got = clean.Apply(read, &got_cost);
+    const std::string what = "op " + std::to_string(static_cast<int>(read.op)) + " on " + read.key;
+    EXPECT_EQ(got.status, want.status) << what;
+    EXPECT_EQ(got.values, want.values) << what;
+    EXPECT_EQ(got_cost, want_cost) << what;
+  }
+  for (const char* key : kTypedKeys) {
+    EXPECT_TRUE(clean.store().IsEncodedOnly(key)) << key << " was decoded by a read";
+  }
+}
+
 // A second image with nothing changed reuses every key's part (same
-// storage, not a copy); a write re-serializes only the key it touched.
+// storage, not a copy), reads included; a write re-serializes only the key
+// it touched.
 TEST(KvServiceTest, UnchangedKeysShareTheirParts) {
   KvService svc;
   KvCommand cmd;
@@ -602,6 +722,50 @@ TEST(KvServiceTest, UnchangedKeysShareTheirParts) {
   }
   EXPECT_EQ(shared, 4u);
   EXPECT_TRUE(second.Flatten() == FreshImage(svc));
+
+  // Each value type: every read leaves all parts shared; one write to a key
+  // decodes it and re-encodes only that key.
+  KvService typed;
+  LoadEveryType(typed.store());
+  // Holding the last image keeps its parts allocated, so a re-encoded key's
+  // new part cannot land at the address of the part it replaced.
+  Image held = typed.SnapshotImage();
+  std::unordered_map<std::string, const uint8_t*> parts = PartsByKey(held);
+  for (const char* key : kTypedKeys) {
+    const uint64_t digest = typed.Digest();
+    for (const KvCommand& read : EveryRead()) {
+      typed.Apply(read);
+    }
+    EXPECT_EQ(PartsByKey(typed.SnapshotImage()), parts) << "a read re-encoded a key";
+    EXPECT_EQ(typed.Digest(), digest);
+
+    KvCommand write;
+    write.key = key;
+    write.field = "f3";
+    write.value = "new";
+    const std::string_view k = key;
+    write.op = k == "str"    ? KvOpcode::kSet  // overwrites without decoding
+               : k == "num"  ? KvOpcode::kIncr
+               : k == "hash" ? KvOpcode::kHset
+               : k == "list" ? KvOpcode::kRpush
+                             : KvOpcode::kSadd;
+    ASSERT_EQ(typed.Apply(write).status, KvReplyStatus::kOk) << key;
+    EXPECT_FALSE(typed.store().IsEncodedOnly(key));
+    Image next_image = typed.SnapshotImage();
+    const std::unordered_map<std::string, const uint8_t*> next = PartsByKey(next_image);
+    EXPECT_TRUE(typed.store().IsEncodedOnly(key));
+    ASSERT_EQ(next.size(), parts.size());
+    for (const char* other : kTypedKeys) {
+      EXPECT_EQ(next.at(other) != parts.at(other), other == k)
+          << "wrote " << key << ", checked " << other;
+    }
+    parts = next;
+    held = std::move(next_image);
+    KvService decoded;  // the same contents, never imaged
+    ASSERT_TRUE(decoded.RestoreState(typed.SnapshotState()).ok());
+    EXPECT_FALSE(decoded.store().IsEncodedOnly(key));
+    EXPECT_EQ(decoded.Digest(), typed.Digest());
+  }
 }
 
 }  // namespace

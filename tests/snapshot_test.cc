@@ -373,9 +373,9 @@ std::vector<uint8_t> FlatSnapshotFile(LogIndex idx, Term term, std::span<const u
   return file.TakeBytes();
 }
 
-// The flat reference for a server's current local snapshot file, built
-// without the kvstore's part cache: the app image is [applied][mutation
-// digest] followed by a fresh KvStore::SerializeTo.
+// The flat reference for a server's current local snapshot file, built in
+// one buffer rather than as the image's rope of parts: the app image is
+// [applied][mutation digest] followed by KvStore::SerializeTo.
 std::vector<uint8_t> FlatLocalSnapshotFile(const ReplicatedServer& server) {
   const LogIndex idx = server.raft()->applied_index();
   const Term term = server.raft()->log().TermAt(idx);
@@ -424,12 +424,35 @@ TEST(SnapshotTest, SnapshotFilesMatchFlatFraming) {
   // Quiesce, then let a compaction persist the final applied state.
   cluster.sim().RunUntil(t0 + Millis(40));
 
+  // The flat reference copies each clean key's part, so it pins the framing,
+  // not the contents. The contents are checked by restoring each file's app
+  // image, its tail, into a fresh service: it must decode, match the live
+  // node's digest and apply count, and agree with every peer's file.
+  std::vector<uint64_t> file_digests;
   for (NodeId n = 0; n < 3; ++n) {
     ReplicatedServer& server = cluster.server(n);
     ASSERT_GT(server.storage()->stats().snapshots_saved, 1u) << "node " << n;
     ASSERT_GT(server.sessions().client_count(), 0u) << "node " << n;
-    EXPECT_EQ(server.disk()->Read("snapshot"), FlatLocalSnapshotFile(server)) << "node " << n;
+    const std::vector<uint8_t> file = server.disk()->Read("snapshot");
+    EXPECT_EQ(file, FlatLocalSnapshotFile(server)) << "node " << n;
+
+    const auto& kv = dynamic_cast<const KvService&>(server.app());
+    BufferWriter store_bytes;
+    kv.store().SerializeTo(store_bytes);
+    const size_t image_size = 16 + store_bytes.size();  // [applied][mutation digest][store]
+    ASSERT_GE(file.size(), image_size);
+    KvService restored;
+    ASSERT_TRUE(restored
+                    .RestoreState(MakeBody(std::vector<uint8_t>(
+                        file.end() - static_cast<ptrdiff_t>(image_size), file.end())))
+                    .ok())
+        << "node " << n;
+    EXPECT_EQ(restored.Digest(), kv.Digest()) << "node " << n;
+    EXPECT_EQ(restored.ApplyCount(), kv.ApplyCount()) << "node " << n;
+    file_digests.push_back(restored.Digest());
   }
+  EXPECT_EQ(file_digests[1], file_digests[0]);
+  EXPECT_EQ(file_digests[2], file_digests[0]);
 
   // InstallSnapshot receive path: the follower persists the leader's wire
   // body [sessions][shard][image] behind its own header and config.
