@@ -1,8 +1,9 @@
 // Microbenchmarks for the kvstore data structures and command codec
 // (google-benchmark). These measure real wall-clock costs of the store the
 // simulator's cost model abstracts, plus the cost of a replica's local
-// snapshot of the YCSB-E store (BM_LocalSnapshot) and the heap that store
-// retains (BM_StoreResidentBytes).
+// snapshot of the YCSB-E store (BM_LocalSnapshot), the heap that store
+// retains (BM_StoreResidentBytes) and the heap its preload allocates
+// (BM_Preload).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -220,9 +221,17 @@ BENCHMARK(BM_LocalSnapshot)->Unit(benchmark::kMillisecond)->Iterations(10);
 //   resident_x_image  the ratio, gated in CI (docs/performance.md).
 // Live bytes are a deterministic function of the code and the seed.
 void BM_StoreResidentBytes(benchmark::State& state) {
+  // Materialized before the measured region, which then holds only the store.
   const std::vector<KvCommand> preload = [] {
+    const YcsbEConfig ycsb;
     Rng rng(13);
-    return YcsbEGenerator(YcsbEConfig{}).PreloadCommands(rng);
+    std::vector<KvCommand> commands;
+    commands.reserve(ycsb.conversation_count *
+                     static_cast<size_t>(ycsb.preload_per_conversation));
+    for (const KvCommand& cmd : YcsbEGenerator(ycsb).PreloadCommands(rng)) {
+      commands.push_back(cmd);
+    }
+    return commands;
   }();
   double image = 0;
   double resident = 0;
@@ -240,6 +249,34 @@ void BM_StoreResidentBytes(benchmark::State& state) {
   state.counters["resident_x_image"] = resident / image;
 }
 BENCHMARK(BM_StoreResidentBytes)->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// Heap allocated to preload one YCSB-E store (2000 conversations x 10 posts
+// of 1 KB), as a multiple of the heap that store retains. The preload
+// streams its commands through one reused KvCommand, so it allocates about
+// what the store keeps. Counters:
+//   alloc_bytes       bytes requested while generating and applying;
+//   resident_bytes    g_live_bytes the store retains afterwards;
+//   alloc_x_resident  the ratio, gated in CI (docs/performance.md).
+// Both are a deterministic function of the code and the seed.
+void BM_Preload(benchmark::State& state) {
+  double allocated = 0;
+  double resident = 0;
+  for (auto _ : state) {
+    const uint64_t bytes_before = g_alloc_bytes;
+    const uint64_t live_before = g_live_bytes;
+    auto svc = std::make_unique<KvService>();
+    Rng rng(13);
+    for (const KvCommand& cmd : YcsbEGenerator(YcsbEConfig{}).PreloadCommands(rng)) {
+      svc->Apply(cmd);
+    }
+    allocated = static_cast<double>(g_alloc_bytes - bytes_before);
+    resident = static_cast<double>(g_live_bytes - live_before);
+  }
+  state.counters["alloc_bytes"] = allocated;
+  state.counters["resident_bytes"] = resident;
+  state.counters["alloc_x_resident"] = allocated / resident;
+}
+BENCHMARK(BM_Preload)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 }  // namespace
 }  // namespace hovercraft

@@ -1,16 +1,71 @@
 #include "src/app/ycsb.h"
 
-#include <utility>
+#include <cstring>
+#include <ranges>
 
 #include "src/common/check.h"
 
 namespace hovercraft {
 
+static_assert(std::ranges::input_range<YcsbEPreload>);
+
+YcsbRecordTemplate::YcsbRecordTemplate(int32_t fields, int32_t field_bytes)
+    : field_bytes_(static_cast<size_t>(field_bytes)) {
+  HC_CHECK_GT(fields, 0);
+  HC_CHECK_GT(field_bytes, 0);
+  for (int32_t f = 0; f < fields; ++f) {
+    bytes_ += "field";
+    bytes_ += std::to_string(f);
+    bytes_ += '=';
+    field_offsets_.push_back(bytes_.size());
+    bytes_.append(field_bytes_, ' ');
+    bytes_ += ';';
+  }
+}
+
+void YcsbRecordTemplate::Fill(Rng& rng, std::string& record) const {
+  // Content does not matter for the workload; one draw per field keeps
+  // generation cheap.
+  for (const size_t offset : field_offsets_) {
+    const char fill = static_cast<char>('a' + rng.NextBelow(26));
+    std::memset(record.data() + offset, fill, field_bytes_);
+  }
+}
+
+YcsbEPreload::YcsbEPreload(const YcsbEConfig& config, const YcsbRecordTemplate& record,
+                           Rng& rng)
+    : conversations_(config.conversation_count),
+      per_conversation_(config.preload_per_conversation),
+      record_(record),
+      rng_(&rng),
+      conversation_(per_conversation_ > 0 ? 0 : conversations_) {}
+
+YcsbEPreload::Iterator YcsbEPreload::begin() {
+  if (conversation_ != conversations_) {
+    command_.op = KvOpcode::kYInsert;
+    command_.key = YcsbEGenerator::ConversationKey(0);
+    command_.value = record_.bytes();
+    record_.Fill(*rng_, command_.value);
+  }
+  return Iterator(this);
+}
+
+void YcsbEPreload::Advance() {
+  if (++post_ == per_conversation_) {
+    post_ = 0;
+    if (++conversation_ == conversations_) {
+      return;
+    }
+    command_.key = YcsbEGenerator::ConversationKey(conversation_);
+  }
+  record_.Fill(*rng_, command_.value);
+}
+
 YcsbEGenerator::YcsbEGenerator(const YcsbEConfig& config)
-    : config_(config), zipf_(config.conversation_count, config.zipf_theta) {
+    : config_(config),
+      zipf_(config.conversation_count, config.zipf_theta),
+      record_(config.record_fields, config.field_bytes) {
   HC_CHECK_GT(config.conversation_count, 0u);
-  HC_CHECK_GT(config.record_fields, 0);
-  HC_CHECK_GT(config.field_bytes, 0);
 }
 
 std::string YcsbEGenerator::ConversationKey(uint64_t id) {
@@ -18,19 +73,8 @@ std::string YcsbEGenerator::ConversationKey(uint64_t id) {
 }
 
 std::string YcsbEGenerator::MakeRecord(Rng& rng) const {
-  // field0=<bytes>;field1=<bytes>;... Content does not matter for the
-  // workload; fill each field from one RNG draw to keep generation cheap.
-  std::string record;
-  record.reserve(static_cast<size_t>(config_.record_fields) *
-                 (static_cast<size_t>(config_.field_bytes) + 8));
-  for (int32_t f = 0; f < config_.record_fields; ++f) {
-    record += "field";
-    record += std::to_string(f);
-    record += '=';
-    const char fill = static_cast<char>('a' + rng.NextBelow(26));
-    record.append(static_cast<size_t>(config_.field_bytes), fill);
-    record += ';';
-  }
+  std::string record = record_.bytes();
+  record_.Fill(rng, record);
   return record;
 }
 
@@ -47,20 +91,8 @@ KvCommand YcsbEGenerator::Next(Rng& rng) const {
   return cmd;
 }
 
-std::vector<KvCommand> YcsbEGenerator::PreloadCommands(Rng& rng) const {
-  std::vector<KvCommand> out;
-  out.reserve(config_.conversation_count *
-              static_cast<size_t>(config_.preload_per_conversation));
-  for (uint64_t c = 0; c < config_.conversation_count; ++c) {
-    for (int32_t i = 0; i < config_.preload_per_conversation; ++i) {
-      KvCommand cmd;
-      cmd.op = KvOpcode::kYInsert;
-      cmd.key = ConversationKey(c);
-      cmd.value = MakeRecord(rng);
-      out.push_back(std::move(cmd));
-    }
-  }
-  return out;
+YcsbEPreload YcsbEGenerator::PreloadCommands(Rng& rng) const {
+  return YcsbEPreload(config_, record_, rng);
 }
 
 }  // namespace hovercraft

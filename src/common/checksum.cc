@@ -125,12 +125,62 @@ inline uint32_t LoadLe32(const uint8_t* p) {
 }
 
 #if defined(__x86_64__)
+// The hardware path runs three crc32 chains over adjacent 256-byte lanes of
+// each 768-byte block, so three instructions are in flight at once, then
+// merges them with the lane operator x^(8 * 256) (kZeroOps.t[2][1]).
+constexpr size_t kLaneBytes = 256;
+constexpr size_t kLanedBlockBytes = 3 * kLaneBytes;
+
+// kLaneShift.t[k][b] = (b << 8k) * x^(8 * 256) modulo the polynomial: a
+// product is linear in its operand, so four lookups carry a lane's CRC state
+// over the 256 bytes of the next lane.
+struct LaneShift {
+  uint32_t t[4][256];
+};
+
+constexpr LaneShift MakeLaneShift() {
+  LaneShift shift{};
+  for (int k = 0; k < 4; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      shift.t[k][b] = MultModP(kZeroOps.t[2][1], b << (8 * k));
+    }
+  }
+  return shift;
+}
+
+constexpr LaneShift kLaneShift = MakeLaneShift();
+
+inline uint32_t ShiftOneLane(uint32_t c) {
+  return kLaneShift.t[0][c & 0xFF] ^ kLaneShift.t[1][(c >> 8) & 0xFF] ^
+         kLaneShift.t[2][(c >> 16) & 0xFF] ^ kLaneShift.t[3][c >> 24];
+}
+
 __attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const uint8_t* p, size_t n,
                                                        uint32_t crc) {
   uint32_t c = ~crc;
   while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0) {
     c = _mm_crc32_u8(c, *p++);
     --n;
+  }
+  // The raw crc32 state is linear: the state after lanes a, b, c from state
+  // s is ((s over a) * x^2048 xor (0 over b)) * x^2048 xor (0 over c).
+  for (; n >= kLanedBlockBytes; p += kLanedBlockBytes, n -= kLanedBlockBytes) {
+    uint64_t a = c;
+    uint64_t b = 0;
+    uint64_t d = 0;
+    for (size_t i = 0; i < kLaneBytes; i += 8) {
+      uint64_t wa = 0;
+      uint64_t wb = 0;
+      uint64_t wd = 0;
+      std::memcpy(&wa, p + i, sizeof(wa));
+      std::memcpy(&wb, p + kLaneBytes + i, sizeof(wb));
+      std::memcpy(&wd, p + 2 * kLaneBytes + i, sizeof(wd));
+      a = _mm_crc32_u64(a, wa);
+      b = _mm_crc32_u64(b, wb);
+      d = _mm_crc32_u64(d, wd);
+    }
+    c = ShiftOneLane(ShiftOneLane(static_cast<uint32_t>(a)) ^ static_cast<uint32_t>(b)) ^
+        static_cast<uint32_t>(d);
   }
   uint64_t c64 = c;
   for (; n >= 8; p += 8, n -= 8) {

@@ -15,22 +15,6 @@ uint64_t ShardKeyHash(std::string_view key) {
   return h;
 }
 
-const char* ShardOpKindName(ShardOpKind kind) {
-  switch (kind) {
-    case ShardOpKind::kFreeze:
-      return "FREEZE";
-    case ShardOpKind::kInstall:
-      return "INSTALL";
-    case ShardOpKind::kGc:
-      return "GC";
-    case ShardOpKind::kUnfreeze:
-      return "UNFREEZE";
-    case ShardOpKind::kUninstall:
-      return "UNINSTALL";
-  }
-  return "?";
-}
-
 uint64_t ShardCtlKeyOf(uint64_t move_id, ShardOpKind kind) {
   // Step ordinals within one move; the two abort ops share the top ordinal
   // (they target different groups) so an abort fences every parked op of its

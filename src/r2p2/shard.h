@@ -72,8 +72,6 @@ enum class ShardOpKind : uint8_t {
   kUninstall = 4,
 };
 
-const char* ShardOpKindName(ShardOpKind kind);
-
 struct ShardOp {
   ShardOpKind kind = ShardOpKind::kFreeze;
   // Fencing tag: which move (coordinator-issued, strictly increasing) this op

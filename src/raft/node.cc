@@ -23,18 +23,6 @@ void RecordRole(Simulator* sim, NodeId node, Term term, obs::FrRole role, bool s
 
 }  // namespace
 
-const char* RaftRoleName(RaftRole role) {
-  switch (role) {
-    case RaftRole::kFollower:
-      return "follower";
-    case RaftRole::kCandidate:
-      return "candidate";
-    case RaftRole::kLeader:
-      return "leader";
-  }
-  return "unknown";
-}
-
 RaftNode::RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, Env* env)
     : sim_(sim),
       options_(options),

@@ -35,8 +35,6 @@ namespace hovercraft {
 
 enum class RaftRole { kFollower, kCandidate, kLeader };
 
-const char* RaftRoleName(RaftRole role);
-
 struct RaftStats {
   uint64_t elections_started = 0;
   uint64_t times_leader = 0;

@@ -2,9 +2,11 @@
 
 #include <set>
 
+#include "src/app/kvstore/service.h"
 #include "src/app/state_machine.h"
 #include "src/app/synthetic.h"
 #include "src/app/ycsb.h"
+#include "src/common/buffer.h"
 #include "src/common/random.h"
 
 namespace hovercraft {
@@ -150,14 +152,50 @@ TEST(YcsbTest, PreloadCoversAllConversations) {
   config.preload_per_conversation = 3;
   YcsbEGenerator gen(config);
   Rng rng(9);
-  const auto commands = gen.PreloadCommands(rng);
-  EXPECT_EQ(commands.size(), 60u);
+  size_t commands = 0;
   std::set<std::string> keys;
-  for (const KvCommand& cmd : commands) {
+  for (const KvCommand& cmd : gen.PreloadCommands(rng)) {
     EXPECT_EQ(cmd.op, KvOpcode::kYInsert);
     keys.insert(cmd.key);
+    ++commands;
   }
+  EXPECT_EQ(commands, 60u);
   EXPECT_EQ(keys.size(), 20u);
+}
+
+// Golden values: the content of a preloaded store and the RNG state after
+// the preload. Every replica and every seeded run depends on both.
+TEST(YcsbTest, PreloadMatchesGoldenStoreAndRngState) {
+  YcsbEConfig config;
+  config.conversation_count = 64;
+  config.preload_per_conversation = 5;
+  Rng rng(21);
+  KvService svc;
+  size_t commands = 0;
+  for (const KvCommand& cmd : YcsbEGenerator(config).PreloadCommands(rng)) {
+    svc.Apply(cmd);
+    ++commands;
+  }
+  EXPECT_EQ(commands, 320u);
+  EXPECT_EQ(svc.store().ContentDigest(), 0x0a7d3e5d8d6a1174ull);
+  EXPECT_EQ(rng.Next(), 0xb6a355595a066551ull);
+}
+
+TEST(YcsbTest, MakeRecordMatchesGolden) {
+  YcsbEConfig config;
+  config.record_fields = 12;  // two-digit field names
+  config.field_bytes = 3;
+  YcsbEGenerator gen(config);
+  Rng rng(22);
+  EXPECT_EQ(gen.MakeRecord(rng),
+            "field0=zzz;field1=ddd;field2=ccc;field3=ddd;field4=aaa;field5=iii;field6=ddd;"
+            "field7=nnn;field8=ppp;field9=lll;field10=yyy;field11=ppp;");
+  EXPECT_EQ(gen.MakeRecord(rng),
+            "field0=ggg;field1=ddd;field2=ddd;field3=bbb;field4=kkk;field5=kkk;field6=mmm;"
+            "field7=rrr;field8=nnn;field9=xxx;field10=nnn;field11=www;");
+  const std::string record = YcsbEGenerator(YcsbEConfig{}).MakeRecord(rng);
+  EXPECT_EQ(record.size(), 1080u);
+  EXPECT_EQ(Fnv1aHash(record), 0xaf84c2be3e0462a2ull);
 }
 
 }  // namespace

@@ -290,17 +290,37 @@ TEST(Crc32cTest, ExtendEqualsOneShot) {
   }
 }
 
+// Every length 0-4096 at 8 alignments, then up to 64 KB: the hardware path
+// checksums 768-byte blocks in three 256-byte lanes merged by a shift table,
+// so every length around each block boundary (k * 768 - 1, k * 768 and
+// k * 768 + 1..8, which the alignment prelude moves across the boundary) and
+// random lengths between.
 TEST(Crc32cTest, HardwareMatchesPortableAtEveryLengthAndAlignment) {
   if (!Crc32cHardwareAvailable()) {
     GTEST_SKIP() << "no CRC-32C instruction on this CPU: Crc32c is the portable path";
   }
+  constexpr size_t kBlock = 768;
+  constexpr size_t kMaxLen = 64 * 1024;
   Rng rng(7);
-  std::vector<uint8_t> buf(4096 + 8);
+  std::vector<uint8_t> buf(kMaxLen + 8);
   for (uint8_t& b : buf) {
     b = static_cast<uint8_t>(rng.Next());
   }
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 4096; ++len) {
+    lengths.push_back(len);
+  }
+  for (size_t k = 6; k * kBlock + 8 <= kMaxLen; ++k) {
+    for (size_t len = k * kBlock - 1; len <= k * kBlock + 8; ++len) {
+      lengths.push_back(len);
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(4096 + rng.NextBelow(kMaxLen - 4096));
+  }
+  lengths.push_back(kMaxLen);
   for (size_t align = 0; align < 8; ++align) {
-    for (size_t len = 0; len <= 4096; ++len) {
+    for (const size_t len : lengths) {
       const auto data = std::span<const uint8_t>(buf).subspan(align, len);
       const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
       ASSERT_EQ(Crc32c(data, seed), Crc32cPortable(data, seed))
