@@ -1,7 +1,7 @@
-// Heap a replica retains per log entry between two compactions
-// (google-benchmark). Its own binary because the counting allocator replaces
-// operator new/delete for the whole program; the timing cases in
-// micro_raft_log keep the plain allocator.
+// Heap a replica retains per log entry between two compactions, and heap
+// allocations per request on a fig7-shaped run (google-benchmark). Its own
+// binary because the counting allocator replaces operator new/delete for the
+// whole program; the timing cases in micro_raft_log keep the plain allocator.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -9,6 +9,11 @@
 #include <vector>
 
 #include "bench/counting_allocator.h"
+#include "src/app/synthetic.h"
+#include "src/common/check.h"
+#include "src/core/cluster.h"
+#include "src/loadgen/client.h"
+#include "src/loadgen/workload.h"
 #include "src/raft/log.h"
 #include "src/raft/wal_codec.h"
 #include "src/sim/simulator.h"
@@ -53,8 +58,8 @@ void BM_RetainedBytesPerEntry(benchmark::State& state) {
       e.replier = 0;
       e.rid = RequestId{c, next_seq[static_cast<size_t>(c)]};
       next_seq[static_cast<size_t>(c)] += stride;
-      e.request = std::make_shared<RpcRequest>(e.rid, R2p2Policy::kReplicatedReq,
-                                               MakeBody(std::vector<uint8_t>(24)));
+      e.request = MakeMessage<RpcRequest>(e.rid, R2p2Policy::kReplicatedReq,
+                                          MakeBody(std::vector<uint8_t>(24)));
       e.body_hash = HashRequestBody(*e.request);
       log->Append(std::move(e));
     }
@@ -73,6 +78,51 @@ void BM_RetainedBytesPerEntry(benchmark::State& state) {
   state.counters["bytes_per_entry"] = (log_bytes + wal_bytes) / kEntries;
 }
 BENCHMARK(BM_RetainedBytesPerEntry)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// Heap allocations (operator new calls) per completed request on the Figure 7
+// write path: HovercRaft, 3 nodes, 24-byte writes with 8-byte replies, the
+// leader replying, no TX batching, one open-loop client at 300 kRPS. Counted
+// over 20 ms of simulated load after a 10 ms warm-up, so start-up (the
+// election, first table and pool growth) stays out. The count is a
+// deterministic function of the code and the pinned seeds; run the case alone
+// (--benchmark_filter) since pool chunks left by an earlier case in the same
+// process would be reused. CI gates allocs_per_req (docs/performance.md
+// section 12).
+void BM_AllocsPerRequest(benchmark::State& state) {
+  double allocs_per_req = 0;
+  double alloc_bytes_per_req = 0;
+  for (auto _ : state) {
+    ClusterConfig config;
+    config.mode = ClusterMode::kHovercRaft;
+    config.nodes = 3;
+    config.seed = 7;
+    config.app_factory = []() { return std::make_unique<SyntheticService>(); };
+    Cluster cluster(config);
+    HC_CHECK_NE(cluster.WaitForLeader(), kInvalidNode);
+    SyntheticWorkloadConfig wc;
+    wc.request_bytes = 24;
+    wc.reply_bytes = 8;
+    wc.service_time = std::make_shared<FixedDistribution>(Micros(1));
+    ClientHost client(&cluster.sim(), cluster.config().costs,
+                      [&cluster]() { return cluster.ClientTarget(); },
+                      std::make_unique<SyntheticWorkload>(wc), 300'000, 11);
+    cluster.network().Attach(&client);
+    const TimeNs t0 = cluster.sim().Now();
+    client.StartLoad(t0, t0 + Millis(30));
+    cluster.sim().RunUntil(t0 + Millis(10));
+    const uint64_t calls_before = g_alloc_calls;
+    const uint64_t bytes_before = g_alloc_bytes;
+    const uint64_t completed_before = client.total_completed();
+    cluster.sim().RunUntil(t0 + Millis(30));
+    const auto completed = static_cast<double>(client.total_completed() - completed_before);
+    HC_CHECK_GT(completed, 0.0);
+    allocs_per_req = static_cast<double>(g_alloc_calls - calls_before) / completed;
+    alloc_bytes_per_req = static_cast<double>(g_alloc_bytes - bytes_before) / completed;
+  }
+  state.counters["allocs_per_req"] = allocs_per_req;
+  state.counters["alloc_bytes_per_req"] = alloc_bytes_per_req;
+}
+BENCHMARK(BM_AllocsPerRequest)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 }  // namespace
 }  // namespace hovercraft

@@ -45,7 +45,7 @@ Body EncodeKvCommand(const KvCommand& cmd) {
     case KvOpcode::kScard:
       break;
   }
-  return MakeBody(w.TakeBytes());
+  return w.TakeBody();
 }
 
 Result<KvCommand> DecodeKvCommand(const Body& body) {
@@ -130,7 +130,7 @@ Body EncodeKvReply(const KvReply& reply) {
   for (const std::string& v : reply.values) {
     w.PutString(v);
   }
-  return MakeBody(w.TakeBytes());
+  return w.TakeBody();
 }
 
 Result<KvReply> DecodeKvReply(const Body& body) {

@@ -241,10 +241,10 @@ Status KvService::RestoreState(const Body& snapshot) {
 }
 
 Body KvService::CaptureRange(uint32_t lo_slot, uint32_t hi_slot) const {
-  return MakeBody(store_.SerializePart([lo_slot, hi_slot](std::string_view key) {
+  return store_.SerializePart([lo_slot, hi_slot](std::string_view key) {
     const uint32_t slot = ShardSlotOf(key);
     return slot >= lo_slot && slot <= hi_slot;
-  }));
+  });
 }
 
 Status KvService::InstallRange(const Body& range) {

@@ -572,7 +572,7 @@ Image KvStore::SerializeImage(BufferWriter head) const {
   head.PutU64(map_.size());
   Image image;
   image.Reserve(1 + map_.size());
-  const Body head_part = MakeBody(head.TakeBytes());
+  const Body head_part = head.TakeBody();
   image.Append(head_part, Crc32c(head_part.bytes()));
   for (const auto& [key, slot] : map_) {
     if (!slot.clean()) {
@@ -580,7 +580,7 @@ Image KvStore::SerializeImage(BufferWriter head) const {
       BufferWriter w(size);
       SerializeEntry(w, key, slot.value);
       HC_CHECK_EQ(w.size(), size);
-      slot.part = MakeBody(w.TakeBytes());
+      slot.part = w.TakeBody();
       // Checksummed now, while the bytes are still in cache.
       slot.crc = Crc32c(slot.part.bytes());
       slot.value = Value{};  // the part is now the key's only copy
@@ -609,7 +609,7 @@ Status KvStore::DeserializeFrom(BufferReader& in) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> KvStore::SerializePart(const KeyPredicate& pred) const {
+Body KvStore::SerializePart(const KeyPredicate& pred) const {
   std::vector<const decltype(map_)::value_type*> matched;
   size_t size = 8;
   for (const auto& entry : map_) {
@@ -624,7 +624,7 @@ std::vector<uint8_t> KvStore::SerializePart(const KeyPredicate& pred) const {
     entry->second.EncodeTo(out, entry->first);
   }
   HC_CHECK_EQ(out.size(), size);
-  return out.TakeBytes();
+  return out.TakeBody();
 }
 
 Status KvStore::MergeFrom(BufferReader& in) {

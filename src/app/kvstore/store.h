@@ -99,7 +99,7 @@ class KvStore {
   using KeyPredicate = std::function<bool(std::string_view)>;
   // Serializes only the keys matching `pred`, same wire format as
   // SerializeTo (so MergeFrom reads either), into an exactly sized buffer.
-  std::vector<uint8_t> SerializePart(const KeyPredicate& pred) const;
+  Body SerializePart(const KeyPredicate& pred) const;
   // Inserts the payload's keys into the current contents (replacing on
   // collision), instead of wiping the store like DeserializeFrom.
   Status MergeFrom(BufferReader& in);

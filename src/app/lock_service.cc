@@ -13,7 +13,7 @@ Body EncodeLockCommand(const LockCommand& cmd) {
   w.PutU8(static_cast<uint8_t>(cmd.op));
   w.PutString(cmd.lock);
   w.PutString(cmd.owner);
-  return MakeBody(w.TakeBytes());
+  return w.TakeBody();
 }
 
 Result<LockCommand> DecodeLockCommand(const Body& body) {
@@ -47,7 +47,7 @@ Body EncodeLockReply(const LockReply& reply) {
   w.PutU8(static_cast<uint8_t>(reply.status));
   w.PutString(reply.holder);
   w.PutU64(reply.fencing_token);
-  return MakeBody(w.TakeBytes());
+  return w.TakeBody();
 }
 
 Result<LockReply> DecodeLockReply(const Body& body) {
@@ -158,7 +158,7 @@ Body LockService::SnapshotState() const {
     w.PutString(holder.owner);
     w.PutU64(holder.token);
   }
-  return MakeBody(w.TakeBytes());
+  return w.TakeBody();
 }
 
 Status LockService::RestoreState(const Body& snapshot) {

@@ -12,9 +12,8 @@ Body EncodeSyntheticOp(const SyntheticOp& op, int32_t total_bytes) {
   BufferWriter w(static_cast<size_t>(size));
   w.PutI64(op.service_time);
   w.PutU32(static_cast<uint32_t>(op.reply_bytes));
-  std::vector<uint8_t> bytes = w.TakeBytes();
-  bytes.resize(static_cast<size_t>(size), 0);
-  return MakeBody(std::move(bytes));
+  w.PutZeros(static_cast<size_t>(size) - w.size());
+  return w.TakeBody();
 }
 
 Result<SyntheticOp> DecodeSyntheticOp(const Body& body) {
@@ -54,7 +53,7 @@ Body SyntheticService::SnapshotState() const {
   BufferWriter w(16);
   w.PutU64(applied_);
   w.PutU64(digest_);
-  return MakeBody(w.TakeBytes());
+  return w.TakeBody();
 }
 
 Status SyntheticService::RestoreState(const Body& snapshot) {

@@ -31,18 +31,34 @@ class BufPool;
 
 namespace internal {
 
+// The refcount header every block a Body can reference starts with: a
+// pooled buffer (BufCtrl below) or a heap body block (src/common/body.h).
+struct RefHeader {
+  static constexpr uint32_t kPooledBuffer = 0xFFFFFFFFu;
+
+  uint32_t refs = 0;
+  // Payload capacity of a heap body block; kPooledBuffer for a BufCtrl.
+  uint32_t heap_bytes = kPooledBuffer;
+};
+
 // Header placed immediately before the payload bytes of every pooled buffer.
 struct BufCtrl {
-  BufPool* pool = nullptr;
-  BufCtrl* next_free = nullptr;
-  uint32_t refs = 0;
+  RefHeader head;  // first, so a Body can hold a BufCtrl as a RefHeader*
   int32_t size_class = 0;  // -1 = jumbo (heap-backed, not recycled)
   uint32_t capacity = 0;
   uint32_t len = 0;  // bytes the producer wrote (frame/body length)
+  union {
+    BufPool* pool = nullptr;  // while handed out
+    BufCtrl* next_free;       // while on the free list
+  };
 
   uint8_t* bytes() { return reinterpret_cast<uint8_t*>(this + 1); }
   const uint8_t* bytes() const { return reinterpret_cast<const uint8_t*>(this + 1); }
 };
+static_assert(offsetof(BufCtrl, head) == 0);
+
+// Drops one reference to a pooled buffer, recycling it on the last.
+inline void ReleaseBuffer(BufCtrl* ctrl);
 
 }  // namespace internal
 
@@ -54,7 +70,7 @@ class BufRef {
   ~BufRef() { Release(); }
   BufRef(const BufRef& other) : ctrl_(other.ctrl_) {
     if (ctrl_ != nullptr) {
-      ++ctrl_->refs;
+      ++ctrl_->head.refs;
     }
   }
   BufRef(BufRef&& other) noexcept : ctrl_(other.ctrl_) { other.ctrl_ = nullptr; }
@@ -63,7 +79,7 @@ class BufRef {
       Release();
       ctrl_ = other.ctrl_;
       if (ctrl_ != nullptr) {
-        ++ctrl_->refs;
+        ++ctrl_->head.refs;
       }
     }
     return *this;
@@ -88,7 +104,7 @@ class BufRef {
     HC_CHECK_LE(n, ctrl_->capacity);
     ctrl_->len = n;
   }
-  uint32_t refcount() const { return ctrl_ == nullptr ? 0 : ctrl_->refs; }
+  uint32_t refcount() const { return ctrl_ == nullptr ? 0 : ctrl_->head.refs; }
 
   std::span<const uint8_t> bytes() const { return {data(), size()}; }
   std::span<uint8_t> writable() { return {data(), capacity()}; }
@@ -97,6 +113,7 @@ class BufRef {
 
  private:
   friend class BufPool;
+  friend class Body;
   explicit BufRef(internal::BufCtrl* ctrl) : ctrl_(ctrl) {}
   inline void Release();
 
@@ -133,7 +150,7 @@ class BufPool {
       ctrl->next_free = nullptr;
     }
     ctrl->pool = this;
-    ctrl->refs = 1;
+    ctrl->head.refs = 1;
     ctrl->len = 0;
     ++outstanding_;
     ++allocated_;
@@ -149,7 +166,7 @@ class BufPool {
   uint64_t slab_refills() const { return slab_refills_; }
 
  private:
-  friend class BufRef;
+  friend void internal::ReleaseBuffer(internal::BufCtrl* ctrl);
 
   static constexpr int32_t kMinClassLog2 = 8;   // 256 B
   static constexpr int32_t kMaxClassLog2 = 17;  // 128 KiB
@@ -202,15 +219,18 @@ class BufPool {
   uint64_t slab_refills_ = 0;
 };
 
+inline void internal::ReleaseBuffer(BufCtrl* ctrl) {
+  HC_CHECK_GT(ctrl->head.refs, 0u);
+  if (--ctrl->head.refs == 0) {
+    ctrl->pool->Recycle(ctrl);
+  }
+}
+
 inline void BufRef::Release() {
-  if (ctrl_ == nullptr) {
-    return;
+  if (ctrl_ != nullptr) {
+    internal::ReleaseBuffer(ctrl_);
+    ctrl_ = nullptr;
   }
-  HC_CHECK_GT(ctrl_->refs, 0u);
-  if (--ctrl_->refs == 0) {
-    ctrl_->pool->Recycle(ctrl_);
-  }
-  ctrl_ = nullptr;
 }
 
 }  // namespace hovercraft

@@ -4,14 +4,17 @@
 #ifndef SRC_COMMON_BUFFER_H_
 #define SRC_COMMON_BUFFER_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/common/body.h"
 #include "src/common/check.h"
 #include "src/common/status.h"
 
@@ -34,26 +37,55 @@ constexpr T LittleEndian(T v) {
   return v;
 }
 
+// Writes into one growable heap body block, so a finished buffer becomes a
+// Body without a copy (TakeBody); TakeBytes copies it out as a vector.
 class BufferWriter {
  public:
   BufferWriter() = default;
-  explicit BufferWriter(size_t reserve) { bytes_.reserve(reserve); }
+  explicit BufferWriter(size_t reserve) { Reserve(reserve); }
+  BufferWriter(BufferWriter&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+  BufferWriter& operator=(BufferWriter&& other) noexcept {
+    if (this != &other) {
+      Free();
+      block_ = std::exchange(other.block_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
+  BufferWriter(const BufferWriter&) = delete;
+  BufferWriter& operator=(const BufferWriter&) = delete;
+  ~BufferWriter() { Free(); }
 
-  void PutU8(uint8_t v) { bytes_.push_back(v); }
+  // Grows the capacity to at least `capacity` bytes.
+  void Reserve(size_t capacity) {
+    if (capacity > this->capacity()) {
+      Regrow(capacity);
+    }
+  }
+
+  void PutU8(uint8_t v) { *Extend(1) = v; }
   void PutU16(uint16_t v) { PutLittleEndian(v); }
   void PutU32(uint32_t v) { PutLittleEndian(v); }
   void PutU64(uint64_t v) { PutLittleEndian(v); }
   void PutI64(int64_t v) { PutLittleEndian(static_cast<uint64_t>(v)); }
 
   void PutBytes(std::span<const uint8_t> data) {
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
+    if (!data.empty()) {
+      std::memcpy(Extend(data.size()), data.data(), data.size());
+    }
+  }
+
+  void PutZeros(size_t count) {
+    if (count != 0) {
+      std::memset(Extend(count), 0, count);
+    }
   }
 
   // Length-prefixed (u32) string.
   void PutString(std::string_view s) {
     PutU32(static_cast<uint32_t>(s.size()));
-    const auto* p = reinterpret_cast<const uint8_t*>(s.data());
-    bytes_.insert(bytes_.end(), p, p + s.size());
+    PutBytes({reinterpret_cast<const uint8_t*>(s.data()), s.size()});
   }
 
   // Overwrite bytes already written at `offset` (a header reserved up front
@@ -61,23 +93,66 @@ class BufferWriter {
   void PatchU32(size_t offset, uint32_t v) { Patch(offset, v); }
   void PatchU64(size_t offset, uint64_t v) { Patch(offset, v); }
 
-  size_t size() const { return bytes_.size(); }
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
+  size_t size() const { return size_; }
+  size_t capacity() const { return block_ == nullptr ? 0 : block_->heap_bytes; }
+  std::span<const uint8_t> bytes() const { return {data(), size_}; }
+
+  // The written bytes as a Body, without a copy; the writer is left empty.
+  Body TakeBody() {
+    if (block_ == nullptr) {
+      return Body::Empty();
+    }
+    return Body::Adopt(std::exchange(block_, nullptr), std::exchange(size_, 0));
+  }
+  // The written bytes copied into a vector; the writer is left empty.
+  std::vector<uint8_t> TakeBytes() {
+    std::vector<uint8_t> out(data(), data() + size_);
+    Free();
+    return out;
+  }
 
  private:
+  static constexpr size_t kMinGrowBytes = 64;
+
+  const uint8_t* data() const {
+    return block_ == nullptr ? nullptr : internal::HeapBytes(block_);
+  }
+
+  // Room for `count` more bytes; returns where they go.
+  uint8_t* Extend(size_t count) {
+    if (size_ + count > capacity()) {
+      Regrow(std::max({size_ + count, 2 * capacity(), kMinGrowBytes}));
+    }
+    uint8_t* at = internal::HeapBytes(block_) + size_;
+    size_ += count;
+    return at;
+  }
+
+  void Regrow(size_t capacity) {
+    internal::RefHeader* grown = internal::NewHeapBlock(capacity);
+    if (size_ != 0) {
+      std::memcpy(internal::HeapBytes(grown), internal::HeapBytes(block_), size_);
+    }
+    Free();
+    block_ = grown;
+  }
+
+  void Free() {
+    if (block_ != nullptr) {
+      internal::FreeHeapBlock(std::exchange(block_, nullptr));
+    }
+  }
+
   // One capacity check and one copy per integer.
   template <typename T>
   void PutLittleEndian(T v) {
-    const size_t offset = bytes_.size();
-    bytes_.resize(offset + sizeof(T));
-    StoreLittleEndian(bytes_.data() + offset, v);
+    StoreLittleEndian(Extend(sizeof(T)), v);
   }
 
   template <typename T>
   void Patch(size_t offset, T v) {
-    HC_CHECK_LE(offset + sizeof(T), bytes_.size());
-    StoreLittleEndian(bytes_.data() + offset, v);
+    HC_CHECK_LE(offset + sizeof(T), size_);
+    StoreLittleEndian(internal::HeapBytes(block_) + offset, v);
   }
 
   template <typename T>
@@ -86,7 +161,8 @@ class BufferWriter {
     std::memcpy(dst, &v, sizeof(T));
   }
 
-  std::vector<uint8_t> bytes_;
+  internal::RefHeader* block_ = nullptr;  // capacity in block_->heap_bytes
+  size_t size_ = 0;
 };
 
 class BufferReader {
@@ -104,12 +180,12 @@ class BufferReader {
     return s;
   }
 
-  Status GetBytes(size_t count, std::vector<uint8_t>& out) {
+  // `out` views the next `count` bytes of the reader's buffer.
+  Status GetBytes(size_t count, std::span<const uint8_t>& out) {
     if (remaining() < count) {
       return OutOfRangeError("buffer underrun");
     }
-    out.assign(data_.begin() + static_cast<ptrdiff_t>(pos_),
-               data_.begin() + static_cast<ptrdiff_t>(pos_ + count));
+    out = data_.subspan(pos_, count);
     pos_ += count;
     return Status::Ok();
   }

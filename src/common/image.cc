@@ -21,10 +21,10 @@ void Image::Append(Body bytes, uint32_t crc) {
   parts_.push_back(Part{std::move(bytes), crc});
 }
 
-void Image::AppendTo(std::vector<uint8_t>* out) const {
-  out->reserve(out->size() + size_);
+void Image::AppendTo(BufferWriter* out) const {
+  out->Reserve(out->size() + size_);
   for (const Part& part : parts_) {
-    out->insert(out->end(), part.bytes.begin(), part.bytes.end());
+    out->PutBytes(part.bytes.bytes());
   }
 }
 
@@ -32,9 +32,9 @@ Body Image::Flatten() const {
   if (parts_.size() == 1) {
     return parts_.front().bytes;
   }
-  std::vector<uint8_t> flat;
+  BufferWriter flat;
   AppendTo(&flat);
-  return MakeBody(std::move(flat));
+  return flat.TakeBody();
 }
 
 }  // namespace hovercraft

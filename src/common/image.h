@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/body.h"
+#include "src/common/buffer.h"
 
 namespace hovercraft {
 
@@ -43,7 +44,7 @@ class Image {
   uint32_t crc() const { return crc_; }
 
   // Appends the flat bytes to `out`, growing it once.
-  void AppendTo(std::vector<uint8_t>* out) const;
+  void AppendTo(BufferWriter* out) const;
   // The flat bytes as one Body. A one-part image returns its part, uncopied.
   Body Flatten() const;
 

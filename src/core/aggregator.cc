@@ -97,7 +97,7 @@ void Aggregator::HandleMessage(HostId src, const MessagePtr& msg) {
       leader_ = NodeOfHost(src);
       // Echo our installed epoch: if it differs from the leader's committed
       // config the leader ignores the reply and re-probes later.
-      Send(src, std::make_shared<AggVoteRep>(vote.term(), epoch_));
+      Send(src, MakeMessage<AggVoteRep>(vote.term(), epoch_));
       break;
     }
     case MessageKind::kAeReq:
@@ -136,7 +136,7 @@ void Aggregator::OnLeaderAppend(HostId src, const AppendEntriesReq& req) {
   // excludes the leader.
   ++stats_.ae_forwarded;
   Send(groups_excluding_[static_cast<size_t>(leader)],
-       std::make_shared<AppendEntriesReq>(req));
+       MakeMessage<AppendEntriesReq>(req));
 }
 
 void Aggregator::OnFollowerReply(HostId src, const AppendEntriesRep& rep) {
@@ -192,7 +192,7 @@ void Aggregator::OnFollowerReply(HostId src, const AppendEntriesRep& rep) {
 
 void Aggregator::SendAggCommit() {
   ++stats_.commits_sent;
-  Send(group_all_, std::make_shared<AggCommitMsg>(term_, commit_, completed_, epoch_));
+  Send(group_all_, MakeMessage<AggCommitMsg>(term_, commit_, completed_, epoch_));
 }
 
 }  // namespace hovercraft

@@ -25,7 +25,7 @@ void FlowControl::HandleMessage(HostId src, const MessagePtr& msg) {
         const uint64_t epoch = shard_gate_(req.shard_slot());
         if (epoch != 0) {
           ++wrong_shard_nacked_;
-          Send(src, std::make_shared<WrongShardNack>(req.rid(), epoch));
+          Send(src, MakeMessage<WrongShardNack>(req.rid(), epoch));
           return;
         }
       }
@@ -33,7 +33,7 @@ void FlowControl::HandleMessage(HostId src, const MessagePtr& msg) {
         ++nacked_;
         obs::MarkStage(sim(), req.rid(), obs::Stage::kNacked, kInvalidNode, sim()->Now());
         RecordFlowOp(obs::FrFlowOp::kNack);
-        Send(src, std::make_shared<NackMsg>(req.rid()));
+        Send(src, MakeMessage<NackMsg>(req.rid()));
         return;
       }
       // Admission is per rid: a retransmitted attempt re-uses its slot instead
@@ -130,7 +130,7 @@ void FlowControl::SendReconcileQuery() {
     return;  // converged
   }
   ++reconcile_rounds_;
-  Send(leader_, std::make_shared<FcReconcileReq>(reconcile_pending_));
+  Send(leader_, MakeMessage<FcReconcileReq>(reconcile_pending_));
 }
 
 }  // namespace hovercraft

@@ -390,7 +390,7 @@ void ReplicatedServer::OnClientRequest(std::shared_ptr<const RpcRequest> request
   if (config_.sharded && raft_->IsLeader() && IsDataSlot(request->shard_slot()) &&
       !shard_.Serves(request->shard_slot())) {
     ++stats_.wrong_shard_nacks;
-    Send(request->rid().client, std::make_shared<WrongShardNack>(request->rid(), 0));
+    Send(request->rid().client, MakeMessage<WrongShardNack>(request->rid(), 0));
     // A first attempt was admitted by this group's middlebox but will never
     // be ordered here — repay its slot now (the redirected resend bypasses
     // admission, so nothing else will). Repay is rid-keyed and idempotent at
@@ -398,7 +398,7 @@ void ReplicatedServer::OnClientRequest(std::shared_ptr<const RpcRequest> request
     // close the slot.
     if (!request->is_retransmit() && flow_control_host_ != kInvalidHost) {
       ++stats_.feedback_sent;
-      Send(flow_control_host_, std::make_shared<FeedbackMsg>(request->rid()));
+      Send(flow_control_host_, MakeMessage<FeedbackMsg>(request->rid()));
     }
     return;
   }
@@ -463,7 +463,7 @@ bool ReplicatedServer::TryServeReadIndex(const std::shared_ptr<const RpcRequest>
   // middlebox and owe nothing — the same rule as everywhere else.
   if (!request->is_retransmit() && flow_control_host_ != kInvalidHost) {
     ++stats_.feedback_sent;
-    Send(flow_control_host_, std::make_shared<FeedbackMsg>(request->rid()));
+    Send(flow_control_host_, MakeMessage<FeedbackMsg>(request->rid()));
   }
   obs::MarkStage(sim(), request->rid(), obs::Stage::kReadGranted, obs_node_id(), sim()->Now());
   if (grant.replier == node_id()) {
@@ -478,8 +478,8 @@ bool ReplicatedServer::TryServeReadIndex(const std::shared_ptr<const RpcRequest>
   }
   ++stats_.read_index_forwarded;
   SendToPeer(grant.replier,
-             std::make_shared<ReadIndexGrantMsg>(node_id(), raft_->term(), grant.read_index,
-                                                 request->rid()));
+             MakeMessage<ReadIndexGrantMsg>(node_id(), raft_->term(), grant.read_index,
+                                            request->rid()));
   return true;
 }
 
@@ -573,7 +573,7 @@ void ReplicatedServer::OnFcReconcile(HostId src, const FcReconcileReq& req) {
       states.push_back(FcSlotState::kUnknown);
     }
   }
-  Send(src, std::make_shared<FcReconcileRep>(req.rids(), std::move(states)));
+  Send(src, MakeMessage<FcReconcileRep>(req.rids(), std::move(states)));
 }
 
 void ReplicatedServer::ExecuteUnreplicated(const std::shared_ptr<const RpcRequest>& request) {
@@ -677,11 +677,11 @@ void ReplicatedServer::ScheduleApply(LogIndex idx) {
         return;
       }
       if (reply_here) {
-        Send(rid.client, std::make_shared<WrongShardNack>(rid, 0));
+        Send(rid.client, MakeMessage<WrongShardNack>(rid, 0));
       }
       if (reject_feedback && flow_control_host_ != kInvalidHost) {
         ++stats_.feedback_sent;
-        Send(flow_control_host_, std::make_shared<FeedbackMsg>(rid));
+        Send(flow_control_host_, MakeMessage<FeedbackMsg>(rid));
       }
     });
     return;
@@ -761,17 +761,18 @@ void ReplicatedServer::ScheduleApply(LogIndex idx) {
   RecordBusy(obs::FrResource::kApp, app_thread_, result.service_time);
   // Ownership rule: the reply Body is moved into the completion callback
   // (never copied); SendReply takes its own reference only when the reply
-  // actually leaves this host. This capture set is the simulator's inline
-  // budget worst case (Simulator::kInlineCallbackBytes) — growing it pushes
-  // the hottest apply-path event onto the heap fallback.
-  app_thread_.Submit(result.service_time,
-                     [this, idx, rid, reply_here, send_feedback,
-                      body = std::move(result.reply)]() {
-                       raft_->OnApplied(idx);
-                       if (reply_here) {
-                         SendReply(rid, body, send_feedback);
-                       }
-                     });
+  // actually leaves this host. This capture set fills the simulator's inline
+  // budget (Simulator::kInlineCallbackBytes) exactly: the rid is captured as
+  // its two fields so the client id and the two flags share one word.
+  auto done = [this, idx, seq = rid.seq, client = rid.client, reply_here, send_feedback,
+               body = std::move(result.reply)]() {
+    raft_->OnApplied(idx);
+    if (reply_here) {
+      SendReply(RequestId{client, seq}, body, send_feedback);
+    }
+  };
+  static_assert(Simulator::Callback::kFits<decltype(done)>);
+  app_thread_.Submit(result.service_time, std::move(done));
 }
 
 void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
@@ -808,7 +809,7 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
     const Body app_range = app_->CaptureRange(op.lo, op.hi);
     HC_CHECK(app_range != nullptr);
     w.PutBytes(*app_range);
-    return MakeBody(w.TakeBytes());
+    return w.TakeBody();
   };
   // Move-id fence: the coordinator retries each phase under fresh rids, so an
   // abandoned attempt parked in a follower's unordered store is NOT in the
@@ -915,10 +916,10 @@ void ReplicatedServer::SendReply(const RequestId& rid, Body body, bool send_feed
   obs::MarkStage(sim(), rid, obs::Stage::kReplySent, obs_node_id(), sim()->Now());
   // R2P2 lets the reply's source differ from the request's destination — the
   // mechanism enabling reply load balancing (paper section 3.3).
-  Send(rid.client, std::make_shared<RpcResponse>(rid, std::move(body)));
+  Send(rid.client, MakeMessage<RpcResponse>(rid, std::move(body)));
   if (send_feedback && flow_control_host_ != kInvalidHost) {
     ++stats_.feedback_sent;
-    Send(flow_control_host_, std::make_shared<FeedbackMsg>(rid));
+    Send(flow_control_host_, MakeMessage<FeedbackMsg>(rid));
   }
 }
 
@@ -967,9 +968,8 @@ RaftNode::Env::SnapshotCapture ReplicatedServer::CaptureSnapshot() {
   PutSnapshotPrefix(&w);
   // The small prefix goes first, so appending the image grows the buffer
   // once, to its exact final size: the image's one flat copy.
-  std::vector<uint8_t> bytes = w.TakeBytes();
-  app_->SnapshotImage().AppendTo(&bytes);
-  capture.state = MakeBody(std::move(bytes));
+  app_->SnapshotImage().AppendTo(&w);
+  capture.state = w.TakeBody();
   capture.last_included = apply_cursor_;
   return capture;
 }
@@ -1015,7 +1015,7 @@ void ReplicatedServer::OnLeadershipChanged(bool is_leader) {
     // reconcile admission slots orphaned by the failover (DESIGN.md §5c):
     // slots whose designated replier died with the old regime never see
     // FEEDBACK and would otherwise pin the admission window shut.
-    Send(flow_control_host_, std::make_shared<FcLeaderChangeMsg>(id()));
+    Send(flow_control_host_, MakeMessage<FcLeaderChangeMsg>(id()));
   }
 }
 

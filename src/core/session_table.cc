@@ -1,5 +1,6 @@
 #include "src/core/session_table.h"
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -103,11 +104,11 @@ Status SessionTable::Restore(BufferReader* r) {
       if (Status s = r->GetU32(len); !s.ok()) {
         return s;
       }
-      std::vector<uint8_t> bytes;
+      std::span<const uint8_t> bytes;
       if (Status s = r->GetBytes(len, bytes); !s.ok()) {
         return s;
       }
-      session.replies[seq] = Cached{MakeBody(std::move(bytes)), slot};
+      session.replies[seq] = Cached{Body::CopyOf(bytes), slot};
     }
     restored[static_cast<HostId>(client)] = std::move(session);
   }
@@ -173,7 +174,7 @@ Status SessionTable::MergeRange(BufferReader* r) {
       if (Status s = r->GetU32(len); !s.ok()) {
         return s;
       }
-      std::vector<uint8_t> bytes;
+      std::span<const uint8_t> bytes;
       if (Status s = r->GetBytes(len, bytes); !s.ok()) {
         return s;
       }
@@ -181,7 +182,7 @@ Status SessionTable::MergeRange(BufferReader* r) {
       if (seq <= session.ack_watermark || session.replies.count(seq) > 0) {
         continue;  // locally resolved or locally recorded — local state wins
       }
-      session.replies[seq] = Cached{MakeBody(std::move(bytes)), slot};
+      session.replies[seq] = Cached{Body::CopyOf(bytes), slot};
     }
   }
   return Status::Ok();

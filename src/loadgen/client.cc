@@ -98,8 +98,8 @@ void ClientHost::SendOne() {
   pending.shard_slot = op.shard_slot;
   pending.unrestricted = unrestricted;
   const Addr dst = ResolveTarget(pending);
-  auto request = std::make_shared<RpcRequest>(rid, policy, pending.body, /*attempt=*/1,
-                                              ack_floor_, pending.shard_slot);
+  auto request = MakeMessage<RpcRequest>(rid, policy, pending.body, /*attempt=*/1,
+                                         ack_floor_, pending.shard_slot);
   outstanding_.emplace(seq, std::move(pending));
   ++total_sent_;
   if (InWindow(now)) {
@@ -151,9 +151,9 @@ void ClientHost::ArmRetryTimer(uint64_t seq, uint32_t attempt) {
     ++total_retransmits_;
     const RequestId rid{id(), seq};
     obs::MarkStage(sim(), rid, obs::Stage::kRetransmit, kInvalidNode, now);
-    auto request = std::make_shared<RpcRequest>(rid, pending.policy, pending.body,
-                                                pending.attempts, ack_floor_,
-                                                pending.shard_slot);
+    auto request = MakeMessage<RpcRequest>(rid, pending.policy, pending.body,
+                                           pending.attempts, ack_floor_,
+                                           pending.shard_slot);
     Send(ResolveTarget(pending), std::move(request));
     ArmRetryTimer(seq, pending.attempts);
   });
@@ -267,9 +267,9 @@ void ClientHost::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
     // owner. Still the same logical invocation: no observer event, and the
     // bumped attempt count marks the resend a retransmit server-side.
     const RequestId rid{id(), wrong->rid().seq};
-    auto request = std::make_shared<RpcRequest>(rid, pending.policy, pending.body,
-                                                pending.attempts, ack_floor_,
-                                                pending.shard_slot);
+    auto request = MakeMessage<RpcRequest>(rid, pending.policy, pending.body,
+                                           pending.attempts, ack_floor_,
+                                           pending.shard_slot);
     Send(ResolveTarget(pending), std::move(request));
     // Always armed, even with the retry policy disabled: a redirected request
     // has no other resend path, and past the immediate-redirect cap the

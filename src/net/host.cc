@@ -120,7 +120,7 @@ void Host::FlushBatch(Addr dst) {
   // A lone message goes out unwrapped — the sub-header tax is only paid when
   // there is actual company.
   MessagePtr out = msgs.size() == 1 ? std::move(msgs[0])
-                                    : std::make_shared<BatchMsg>(std::move(msgs));
+                                    : MakeMessage<BatchMsg>(std::move(msgs));
   TransmitPacket(Packet{id_, dst, std::move(out)}, extra_cpu);
 }
 
@@ -145,19 +145,21 @@ void Host::TransmitPacket(Packet packet, TimeNs extra_cpu) {
   // Ownership rule: the packet's MessagePtr reference is moved down the TX
   // pipeline — net thread, then NIC, then fabric — never copied. The lambdas
   // are mutable solely to allow that handoff.
-  net_thread_.Submit(costs_.TxCpu(bytes) + extra_cpu,
-                     [this, packet = std::move(packet), bytes]() mutable {
+  auto build = [this, packet = std::move(packet), bytes]() mutable {
     if (failed_) {
       return;
     }
     RecordBusy(obs::FrResource::kNic, nic_tx_, costs_.SerializationDelay(bytes));
-    nic_tx_.Submit(costs_.SerializationDelay(bytes),
-                   [this, packet = std::move(packet)]() mutable {
-                     if (!failed_) {
-                       network_->Transmit(std::move(packet));
-                     }
-                   });
-  });
+    auto serialize = [this, packet = std::move(packet)]() mutable {
+      if (!failed_) {
+        network_->Transmit(std::move(packet));
+      }
+    };
+    static_assert(Simulator::Callback::kFits<decltype(serialize)>);
+    nic_tx_.Submit(costs_.SerializationDelay(bytes), std::move(serialize));
+  };
+  static_assert(Simulator::Callback::kFits<decltype(build)>);
+  net_thread_.Submit(costs_.TxCpu(bytes) + extra_cpu, std::move(build));
 }
 
 void Host::Receive(HostId src, MessagePtr msg) {
@@ -197,11 +199,13 @@ void Host::Receive(HostId src, MessagePtr msg) {
   RecordBusy(obs::FrResource::kNet, net_thread_, costs_.RxCpu(bytes));
   // One RxCpu charge for the whole frame — the batch's per-frame saving —
   // then the members dispatch in queue order within the same event.
-  net_thread_.Submit(costs_.RxCpu(bytes), [this, src, msg = std::move(msg)]() {
+  auto deliver = [this, src, msg = std::move(msg)]() {
     if (!failed_) {
       DeliverFrame(src, msg);
     }
-  });
+  };
+  static_assert(Simulator::Callback::kFits<decltype(deliver)>);
+  net_thread_.Submit(costs_.RxCpu(bytes), std::move(deliver));
 }
 
 void Host::DeliverFrame(HostId src, const MessagePtr& msg) {

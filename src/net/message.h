@@ -18,8 +18,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "src/common/slab_pool.h"
 
 namespace hovercraft {
 
@@ -91,6 +94,16 @@ class Message {
 };
 
 using MessagePtr = std::shared_ptr<const Message>;
+
+// Builds a message. The shared_ptr's control block and the message share one
+// block from the per-thread SlabPool (src/common/slab_pool.h), so a message
+// costs no general-purpose allocation. The handle stays a std::shared_ptr,
+// which code outside src/ builds with std::make_shared as well.
+template <typename T, typename... Args>
+std::shared_ptr<T> MakeMessage(Args&&... args) {
+  static_assert(std::is_base_of_v<Message, T>, "MakeMessage builds messages");
+  return std::allocate_shared<T>(SlabAllocator<T>(), std::forward<Args>(args)...);
+}
 
 // Checked downcast for single-kind classes (those that declare kKind):
 // `msg` as a T, or nullptr when it is of another kind.

@@ -157,7 +157,7 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
       if (kept.size() != batch->messages().size()) {
         to_deliver = kept.size() == 1
                          ? std::move(kept[0])
-                         : std::make_shared<BatchMsg>(std::move(kept));
+                         : MakeMessage<BatchMsg>(std::move(kept));
       }
     } else if (drop_filter_(packet, dst)) {
       ++dropped_msgs_;

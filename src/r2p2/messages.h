@@ -51,12 +51,12 @@ class RpcRequest final : public Message {
   RpcRequest(RequestId rid, R2p2Policy policy, Body body, uint32_t attempt = 1,
              uint64_t ack_watermark = 0, uint32_t shard_slot = kNoShardSlot)
       : Message(kKind),
-        rid_(rid),
         policy_(policy),
+        rid_(rid),
         body_(std::move(body)),
         attempt_(attempt),
-        ack_watermark_(ack_watermark),
-        shard_slot_(shard_slot) {}
+        shard_slot_(shard_slot),
+        ack_watermark_(ack_watermark) {}
 
   int32_t PayloadBytes() const override { return BodySize(body_); }
 
@@ -70,13 +70,15 @@ class RpcRequest final : public Message {
   uint32_t shard_slot() const { return shard_slot_; }
 
  private:
-  RequestId rid_;
+  // Ordered for packing: the policy byte shares a word with the kind tag.
   R2p2Policy policy_;
+  RequestId rid_;
   Body body_;
   uint32_t attempt_;
-  uint64_t ack_watermark_;
   uint32_t shard_slot_;
+  uint64_t ack_watermark_;
 };
+static_assert(sizeof(RpcRequest) <= 72, "a request and its control block fill 88 pool bytes");
 
 class RpcResponse final : public Message {
  public:

@@ -58,7 +58,7 @@ void R2p2Router::HandleMessage(HostId src, const MessagePtr& msg) {
       const uint64_t epoch = shard_gate_(req->shard_slot());
       if (epoch != 0) {
         ++stats_.wrong_shard_nacked;
-        Send(src, std::make_shared<WrongShardNack>(req->rid(), epoch));
+        Send(src, MakeMessage<WrongShardNack>(req->rid(), epoch));
         return;
       }
     }

@@ -1,7 +1,7 @@
 #include "src/r2p2/shard.h"
 
+#include <span>
 #include <utility>
-#include <vector>
 
 namespace hovercraft {
 
@@ -50,7 +50,7 @@ Body EncodeShardOp(const ShardOp& op) {
     w.PutU32(static_cast<uint32_t>(op.payload->size()));
     w.PutBytes(op.payload->bytes());
   }
-  return MakeBody(w.TakeBytes());
+  return w.TakeBody();
 }
 
 Status DecodeShardOp(const Body& body, ShardOp* out) {
@@ -81,12 +81,15 @@ Status DecodeShardOp(const Body& body, ShardOp* out) {
   if (Status s = r.GetU32(payload_len); !s.ok()) {
     return s;
   }
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
   if (Status s = r.GetBytes(payload_len, payload); !s.ok()) {
     return s;
   }
   out->kind = static_cast<ShardOpKind>(kind);
-  out->payload = payload_len == 0 ? Body(nullptr) : MakeBody(std::move(payload));
+  // The payload (a range capture, possibly large) shares the op's storage.
+  out->payload = payload_len == 0
+                     ? Body(nullptr)
+                     : body.Slice(static_cast<size_t>(payload.data() - body.data()), payload_len);
   if (!r.AtEnd()) {
     return InvalidArgumentError("trailing bytes after shard op");
   }

@@ -15,7 +15,6 @@
 #include "src/common/types.h"
 #include "src/r2p2/messages.h"
 #include "src/r2p2/request_id.h"
-#include "src/raft/membership.h"
 
 namespace hovercraft {
 
@@ -35,11 +34,11 @@ struct LogEntry {
   // apply path so reply-cache GC is deterministic across replicas.
   uint64_t ack_watermark = 0;
   std::shared_ptr<const RpcRequest> request;  // null only for noop entries
-  // Membership-change entries are noops that additionally carry the new
-  // cluster config; the config takes effect as soon as the entry is appended
-  // (dissertation section 4.1). Null for ordinary entries.
-  MembershipConfigPtr config;
 };
+// Eight entries per 512-byte deque node. The membership config a rare noop
+// entry carries is not stored here but in RaftNode's config list
+// (RaftNode::ConfigAt).
+static_assert(sizeof(LogEntry) <= 64, "eight entries per 512-byte deque node");
 
 // Canonical body hash for log entries.
 uint64_t HashRequestBody(const RpcRequest& request);

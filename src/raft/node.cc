@@ -1,6 +1,7 @@
 #include "src/raft/node.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/common/check.h"
@@ -109,12 +110,12 @@ void RaftNode::PersistHardState() {
   storage_->PersistHardState(current_term_, voted_for_);
 }
 
-void RaftNode::StorageAppendEntry(LogIndex idx) {
+void RaftNode::StorageAppendEntry(LogIndex idx, const MembershipConfig* config) {
   if (storage_ == nullptr) {
     return;
   }
   const LogEntry& e = log_.At(idx);
-  storage_->AppendEntry(idx, e.term, e.replier, EncodeWalEntry(e));
+  storage_->AppendEntry(idx, e.term, e.replier, EncodeWalEntry(e, config));
 }
 
 void RaftNode::ScheduleDurability(LogIndex tail) {
@@ -193,18 +194,28 @@ void RaftNode::RestartFromRecovery(const StableStorage::Recovery& rec, LogIndex 
                                     : options_.cluster_size;
     configs_.emplace_back(LogIndex{0}, MakeInitialConfig(initial_voters));
   }
+  std::vector<std::pair<LogIndex, MembershipConfigPtr>> below_base;
   for (const StableStorage::RecoveredEntry& re : rec.entries) {
     LogEntry entry;
     entry.term = re.term;
     entry.replier = re.replier;
-    const bool ok = DecodeWalEntry(re.payload, &entry);
+    MembershipConfigPtr config;
+    const bool ok = DecodeWalEntry(re.payload, &entry, &config);
     HC_CHECK(ok);  // the record passed its CRC; the payload must parse
     const LogIndex idx = log_.Append(std::move(entry));
     HC_CHECK_EQ(idx, re.idx);
-    if (log_.At(idx).config != nullptr && idx > configs_.back().first) {
-      configs_.emplace_back(idx, log_.At(idx).config);
+    if (config != nullptr && idx > configs_.back().first) {
+      configs_.emplace_back(idx, std::move(config));
+    } else if (config != nullptr && idx < configs_.front().first) {
+      below_base.emplace_back(idx, std::move(config));
     }
   }
+  // Config entries the recovered log still holds below the snapshot's config
+  // are superseded by it, but ConfigAt must still answer for them: a leader
+  // ships them to a follower lagging that far.
+  const LogIndex base_config_idx = configs_.front().first;
+  configs_.insert(configs_.begin(), std::make_move_iterator(below_base.begin()),
+                  std::make_move_iterator(below_base.end()));
   role_ = RaftRole::kFollower;
   leader_hint_ = kInvalidNode;
   votes_ = 0;
@@ -216,7 +227,7 @@ void RaftNode::RestartFromRecovery(const StableStorage::Recovery& rec, LogIndex 
   applied_idx_ = std::min(applied, log_.last_index());
   commit_idx_ = applied_idx_;
   announced_idx_ = log_.last_index();
-  committed_config_idx_ = configs_.front().first;
+  committed_config_idx_ = base_config_idx;
   pending_ae_.reset();
   recovery_inflight_.clear();
   suspect_ = rec.suspect;
@@ -327,7 +338,7 @@ void RaftNode::OnHeartbeat() {
       // The aggregator may have (re)appeared; re-probe it. While a config
       // change is in flight the fan-in stays point-to-point: a quorum counted
       // under the wrong voter set must never advance the commit index.
-      env_->SendToAggregator(std::make_shared<AggVoteReq>(current_term_, committed_config_idx_));
+      env_->SendToAggregator(MakeMessage<AggVoteReq>(current_term_, committed_config_idx_));
     }
   }
   if (options_.check_quorum || options_.read_index) {
@@ -389,9 +400,9 @@ void RaftNode::SendQuorumProbe(NodeId peer) {
   const LogIndex prev = std::max(st.match_idx, log_.first_index() - 1);
   ++stats_.ae_sent;
   env_->SendToPeer(peer,
-                   std::make_shared<AppendEntriesReq>(current_term_, options_.id, prev,
-                                                      log_.TermAt(prev), commit_idx_,
-                                                      std::vector<WireEntry>{}));
+                   MakeMessage<AppendEntriesReq>(current_term_, options_.id, prev,
+                                                 log_.TermAt(prev), commit_idx_,
+                                                 std::vector<WireEntry>{}));
 }
 
 void RaftNode::MaybeStepDownWithoutQuorum() {
@@ -468,8 +479,8 @@ void RaftNode::StartPreVote() {
     StartElection();  // single-voter group
     return;
   }
-  auto req = std::make_shared<RequestVoteReq>(pre_vote_term_, options_.id, log_.last_index(),
-                                              log_.last_term(), /*pre_vote=*/true);
+  auto req = MakeMessage<RequestVoteReq>(pre_vote_term_, options_.id, log_.last_index(),
+                                         log_.last_term(), /*pre_vote=*/true);
   for (NodeId p : active_config().voters) {
     if (p != options_.id) {
       env_->SendToPeer(p, req);
@@ -508,8 +519,8 @@ void RaftNode::StartElection() {
     BecomeLeader();
     return;
   }
-  auto req = std::make_shared<RequestVoteReq>(current_term_, options_.id, log_.last_index(),
-                                              log_.last_term());
+  auto req = MakeMessage<RequestVoteReq>(current_term_, options_.id, log_.last_index(),
+                                         log_.last_term());
   for (NodeId p : active_config().voters) {
     if (p != options_.id) {
       env_->SendToPeer(p, req);
@@ -587,7 +598,7 @@ void RaftNode::BecomeLeader() {
   env_->DrainUnorderedIntoLog();
 
   if (options_.use_aggregator && !ConfigChangeInFlight()) {
-    env_->SendToAggregator(std::make_shared<AggVoteReq>(current_term_, committed_config_idx_));
+    env_->SendToAggregator(MakeMessage<AggVoteReq>(current_term_, committed_config_idx_));
   }
 
   TryAnnounce();
@@ -757,19 +768,18 @@ bool RaftNode::AppendConfigEntry(MembershipConfigPtr config) {
   entry.term = current_term_;
   entry.noop = true;  // configs are no-ops on the apply path
   entry.replier = options_.id;
-  entry.config = std::move(config);
   const LogIndex idx = log_.Append(std::move(entry));
   ++stats_.entries_appended;
-  StorageAppendEntry(idx);
+  StorageAppendEntry(idx, config.get());
   ScheduleDurability(idx);
   ++stats_.config_changes_proposed;
   HC_LOG_INFO("node %d proposes config %s at idx %llu", options_.id,
-              log_.At(idx).config->Describe().c_str(), static_cast<unsigned long long>(idx));
+              config->Describe().c_str(), static_cast<unsigned long long>(idx));
   if (auto* fr = obs::FrOf(sim_)) {
     fr->Note(sim_->Now(), options_.obs_id(),
-             "config-proposed " + log_.At(idx).config->Describe(), idx);
+             "config-proposed " + config->Describe(), idx);
   }
-  TrackConfig(idx, log_.At(idx).config);
+  TrackConfig(idx, std::move(config));
   // The change replicates point-to-point: the aggregator's quorum register is
   // still sized to the old voter set, and an AGG_COMMIT computed under it
   // must not commit entries at or beyond the config boundary. The heartbeat
@@ -794,6 +804,13 @@ void RaftNode::TrackConfig(LogIndex idx, MembershipConfigPtr config) {
   HC_CHECK_GT(idx, configs_.back().first);
   configs_.emplace_back(idx, std::move(config));
   ReconcileRoleWithConfig();
+}
+
+const MembershipConfigPtr& RaftNode::ConfigAt(LogIndex idx) const {
+  static const MembershipConfigPtr kNone;
+  const auto it = std::lower_bound(configs_.begin(), configs_.end(), idx,
+                                   [](const auto& c, LogIndex i) { return c.first < i; });
+  return it != configs_.end() && it->first == idx ? it->second : kNone;
 }
 
 void RaftNode::RollbackConfigsAbove(LogIndex idx) {
@@ -961,7 +978,7 @@ std::vector<WireEntry> RaftNode::CollectEntries(LogIndex from, LogIndex to) cons
     w.rid = e.rid;
     w.body_hash = e.body_hash;
     w.ack_watermark = e.ack_watermark;
-    w.config = e.config;
+    w.config = ConfigAt(idx);
     if (!options_.metadata_only) {
       // VanillaRaft ships the request payload inside append_entries.
       w.request = e.request;
@@ -1033,7 +1050,7 @@ void RaftNode::MaybeSendAppend(NodeId peer, bool heartbeat) {
     return;
   }
   const LogIndex prev = st.next_idx - 1;
-  auto msg = std::make_shared<AppendEntriesReq>(
+  auto msg = MakeMessage<AppendEntriesReq>(
       current_term_, options_.id, prev, log_.TermAt(prev), commit_idx_,
       has_entries ? CollectEntries(st.next_idx, end) : std::vector<WireEntry>{});
   ++st.inflight;
@@ -1079,7 +1096,7 @@ void RaftNode::MaybeSendAggAppend(bool heartbeat) {
     return;
   }
   const LogIndex prev = agg_next_idx_ - 1;
-  auto msg = std::make_shared<AppendEntriesReq>(
+  auto msg = MakeMessage<AppendEntriesReq>(
       current_term_, options_.id, prev, log_.TermAt(prev), commit_idx_,
       has_entries ? CollectEntries(agg_next_idx_, end) : std::vector<WireEntry>{});
   ++agg_inflight_;
@@ -1122,7 +1139,7 @@ void RaftNode::SendSnapshot(NodeId peer) {
   // the construction-time initial config (every node already has that), which
   // keeps the wire image of static-membership runs unchanged.
   auto [snap_config_idx, snap_config] = ConfigCoveringIndex(capture.last_included);
-  env_->SendToPeer(peer, std::make_shared<InstallSnapshotReq>(
+  env_->SendToPeer(peer, MakeMessage<InstallSnapshotReq>(
                              current_term_, options_.id, capture.last_included,
                              log_.TermAt(capture.last_included), std::move(capture.state),
                              std::move(snap_config), snap_config_idx));
@@ -1130,7 +1147,7 @@ void RaftNode::SendSnapshot(NodeId peer) {
 
 void RaftNode::OnInstallSnapshot(const InstallSnapshotReq& req) {
   if (req.term() < current_term_) {
-    env_->SendToPeer(req.leader(), std::make_shared<InstallSnapshotRep>(
+    env_->SendToPeer(req.leader(), MakeMessage<InstallSnapshotRep>(
                                        options_.id, current_term_, LogIndex{0}));
     return;
   }
@@ -1202,7 +1219,7 @@ void RaftNode::OnInstallSnapshot(const InstallSnapshotReq& req) {
       ReconcileRoleWithConfig();
     }
   }
-  env_->SendToPeer(req.leader(), std::make_shared<InstallSnapshotRep>(
+  env_->SendToPeer(req.leader(), MakeMessage<InstallSnapshotRep>(
                                      options_.id, current_term_, req.last_included()));
 }
 
@@ -1344,9 +1361,9 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
   ++stats_.ae_received;
   if (req.term() < current_term_) {
     env_->SendToPeer(req.leader(),
-                     std::make_shared<AppendEntriesRep>(options_.id, current_term_, false,
-                                                        LogIndex{0}, applied_idx_,
-                                                        log_.last_index(), false, commit_idx_));
+                     MakeMessage<AppendEntriesRep>(options_.id, current_term_, false,
+                                                   LogIndex{0}, applied_idx_,
+                                                   log_.last_index(), false, commit_idx_));
     return;
   }
   if (req.term() > current_term_ || role_ != RaftRole::kFollower) {
@@ -1364,17 +1381,17 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
   const LogIndex base = log_.first_index() - 1;
   if (prev > log_.last_index()) {
     env_->SendToPeer(req.leader(),
-                     std::make_shared<AppendEntriesRep>(options_.id, current_term_, false,
-                                                        LogIndex{0}, applied_idx_,
-                                                        log_.last_index(), false, commit_idx_));
+                     MakeMessage<AppendEntriesRep>(options_.id, current_term_, false,
+                                                   LogIndex{0}, applied_idx_,
+                                                   log_.last_index(), false, commit_idx_));
     return;
   }
   if (prev >= base && log_.TermAt(prev) != prev_term) {
     const LogIndex hint = std::min(log_.last_index(), prev - 1);
     env_->SendToPeer(req.leader(),
-                     std::make_shared<AppendEntriesRep>(options_.id, current_term_, false,
-                                                        LogIndex{0}, applied_idx_, hint, false,
-                                                        commit_idx_));
+                     MakeMessage<AppendEntriesRep>(options_.id, current_term_, false,
+                                                   LogIndex{0}, applied_idx_, hint, false,
+                                                   commit_idx_));
     return;
   }
 
@@ -1391,9 +1408,9 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
     SetCommit(new_commit);
   }
 
-  auto rep = std::make_shared<AppendEntriesRep>(options_.id, current_term_, true, outcome.match,
-                                                applied_idx_, log_.last_index(),
-                                                outcome.waiting_recovery, commit_idx_);
+  auto rep = MakeMessage<AppendEntriesRep>(options_.id, current_term_, true, outcome.match,
+                                           applied_idx_, log_.last_index(),
+                                           outcome.waiting_recovery, commit_idx_);
   // Durability: the acknowledged entries must hit the local WAL first. The
   // flush device completes barriers in order, so deferred replies stay FIFO
   // and the leader's match index remains monotone.
@@ -1405,26 +1422,29 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
       // acknowledged entry. The fence drops it when the process crashed (or
       // the term moved on) in the persist window — a killed node never acks
       // from the grave; the leader simply retransmits after the restart.
+      // The acknowledged tail is the reply's match index, so the capture
+      // carries it once and stays within the inline callback budget.
       const uint64_t epoch = restart_epoch_;
       const Term term = current_term_;
-      const LogIndex tail = outcome.match;
-      const Term tail_term = log_.TermAt(tail);
-      const bool inline_done = storage_->Sync(
-          [this, rep, via_aggregator, reply_leader, epoch, term, tail, tail_term]() {
-            if (halted_ || epoch != restart_epoch_ || term != current_term_) {
-              ++stats_.acks_dropped_crash;
-              return;
-            }
-            if (tail > durable_index_ && tail <= log_.last_index() &&
-                (tail < log_.first_index() || log_.TermAt(tail) == tail_term)) {
-              durable_index_ = tail;
-            }
-            if (via_aggregator) {
-              env_->SendToAggregator(rep);
-            } else {
-              env_->SendToPeer(reply_leader, rep);
-            }
-          });
+      const Term tail_term = log_.TermAt(outcome.match);
+      auto ack = [this, rep, epoch, term, tail_term, reply_leader, via_aggregator]() {
+        if (halted_ || epoch != restart_epoch_ || term != current_term_) {
+          ++stats_.acks_dropped_crash;
+          return;
+        }
+        const LogIndex tail = rep->match();
+        if (tail > durable_index_ && tail <= log_.last_index() &&
+            (tail < log_.first_index() || log_.TermAt(tail) == tail_term)) {
+          durable_index_ = tail;
+        }
+        if (via_aggregator) {
+          env_->SendToAggregator(rep);
+        } else {
+          env_->SendToPeer(reply_leader, rep);
+        }
+      };
+      static_assert(Simulator::Callback::kFits<decltype(ack)>);
+      const bool inline_done = storage_->Sync(std::move(ack));
       if (!inline_done) {
         ++stats_.acks_deferred_persist;
       }
@@ -1522,7 +1542,6 @@ RaftNode::AppendOutcome RaftNode::AppendResolvedEntries(const AppendEntriesReq& 
     entry.rid = w.rid;
     entry.body_hash = w.body_hash;
     entry.ack_watermark = w.ack_watermark;
-    entry.config = w.config;
     if (!w.noop) {
       if (w.carries_payload) {
         HC_CHECK(w.request != nullptr);
@@ -1549,7 +1568,7 @@ RaftNode::AppendOutcome RaftNode::AppendResolvedEntries(const AppendEntriesReq& 
     }
     log_.Append(std::move(entry));
     ++stats_.entries_appended;
-    StorageAppendEntry(idx);
+    StorageAppendEntry(idx, w.config.get());
     outcome.match = idx;
     if (w.config != nullptr) {
       // Effective on append (dissertation section 4.1): quorum and role
@@ -1571,7 +1590,7 @@ void RaftNode::RequestRecovery(const RequestId& rid) {
     return;
   }
   ++stats_.recoveries_requested;
-  env_->SendToPeer(leader_hint_, std::make_shared<RecoveryReq>(options_.id, rid));
+  env_->SendToPeer(leader_hint_, MakeMessage<RecoveryReq>(options_.id, rid));
 }
 
 void RaftNode::OnRecoveryReq(const RecoveryReq& req) {
@@ -1585,7 +1604,7 @@ void RaftNode::OnRecoveryReq(const RecoveryReq& req) {
   if (payload != nullptr) {
     ++stats_.recoveries_served;
   }
-  env_->SendToPeer(req.from(), std::make_shared<RecoveryRep>(req.rid(), std::move(payload)));
+  env_->SendToPeer(req.from(), MakeMessage<RecoveryRep>(req.rid(), std::move(payload)));
 }
 
 void RaftNode::OnRecoveryRep(const RecoveryRep& rep) {
@@ -1709,7 +1728,7 @@ void RaftNode::OnRequestVote(const RequestVoteReq& req) {
     } else {
       ++stats_.prevote_rejected;
     }
-    env_->SendToPeer(req.candidate(), std::make_shared<RequestVoteRep>(
+    env_->SendToPeer(req.candidate(), MakeMessage<RequestVoteRep>(
                                           options_.id, req.term(), poll_granted,
                                           /*pre_vote=*/true));
     return;
@@ -1742,7 +1761,7 @@ void RaftNode::OnRequestVote(const RequestVoteReq& req) {
     }
   }
   env_->SendToPeer(req.candidate(),
-                   std::make_shared<RequestVoteRep>(options_.id, current_term_, granted));
+                   MakeMessage<RequestVoteRep>(options_.id, current_term_, granted));
 }
 
 void RaftNode::OnRequestVoteRep(const RequestVoteRep& rep) {

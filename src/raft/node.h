@@ -283,6 +283,11 @@ class RaftNode {
   const MembershipConfig& active_config() const { return *configs_.back().second; }
   LogIndex active_config_idx() const { return configs_.back().first; }
   LogIndex committed_config_idx() const { return committed_config_idx_; }
+  // The membership config the log entry at `idx` carries; null for ordinary
+  // entries. Membership-change entries are noops that additionally carry the
+  // new cluster config, effective as soon as they are appended
+  // (dissertation section 4.1).
+  const MembershipConfigPtr& ConfigAt(LogIndex idx) const;
   bool ConfigChangeInFlight() const { return active_config_idx() > commit_idx_; }
   // Latest membership config at or below `idx` plus the log index it was
   // appended at. Returns {0, nullptr} while only the construction-time initial
@@ -362,8 +367,9 @@ class RaftNode {
   bool IsReplicationTarget(LogIndex idx) const;
 
   // -- durable storage internals (no-ops with storage_ == nullptr) --
-  // Mirrors the freshly appended entry at `idx` into the WAL.
-  void StorageAppendEntry(LogIndex idx);
+  // Mirrors the freshly appended entry at `idx`, and the membership `config`
+  // it carries (null for most entries), into the WAL.
+  void StorageAppendEntry(LogIndex idx, const MembershipConfig* config = nullptr);
   // Persists term/vote when either changed since the last persist.
   void PersistHardState();
   // Schedules an fsync covering the log through `tail`; the completion
@@ -461,7 +467,9 @@ class RaftNode {
 
   // Membership state. `configs_` holds the initial config (index 0) plus
   // every config entry still in the log and not yet compacted below the
-  // committed one; the back is the active config. With static membership it
+  // committed one, in index order; the back is the active config. After a
+  // restart it starts with the config entries the recovered log holds below
+  // the snapshot's config, which the snapshot's config supersedes. With static membership it
   // stays a single element and every guard below degenerates to the
   // pre-membership behaviour (committed_config_idx_ == 0).
   std::vector<std::pair<LogIndex, MembershipConfigPtr>> configs_;

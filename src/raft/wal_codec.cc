@@ -52,13 +52,13 @@ MembershipConfigPtr DecodeConfig(BufferReader* r) {
   return MakeMembershipConfig(std::move(voters), std::move(learners));
 }
 
-std::vector<uint8_t> EncodeWalEntry(const LogEntry& entry) {
+Body EncodeWalEntry(const LogEntry& entry, const MembershipConfig* config) {
   BufferWriter w(64);
   uint8_t flags = 0;
   if (entry.request != nullptr) {
     flags |= kHasRequest;
   }
-  if (entry.config != nullptr) {
+  if (config != nullptr) {
     flags |= kHasConfig;
   }
   if (entry.noop) {
@@ -85,13 +85,13 @@ std::vector<uint8_t> EncodeWalEntry(const LogEntry& entry) {
       w.PutU32(0);
     }
   }
-  if (entry.config != nullptr) {
-    EncodeConfig(*entry.config, &w);
+  if (config != nullptr) {
+    EncodeConfig(*config, &w);
   }
-  return w.TakeBytes();
+  return w.TakeBody();
 }
 
-bool DecodeWalEntry(std::span<const uint8_t> bytes, LogEntry* out) {
+bool DecodeWalEntry(std::span<const uint8_t> bytes, LogEntry* out, MembershipConfigPtr* config) {
   BufferReader r(bytes);
   uint8_t flags = 0;
   int64_t client = 0;
@@ -112,17 +112,17 @@ bool DecodeWalEntry(std::span<const uint8_t> bytes, LogEntry* out) {
         !r.GetU32(shard_slot).ok() || !r.GetU32(body_len).ok() || r.remaining() < body_len) {
       return false;
     }
-    std::vector<uint8_t> body;
+    std::span<const uint8_t> body;
     if (!r.GetBytes(body_len, body).ok()) {
       return false;
     }
-    out->request =
-        std::make_shared<RpcRequest>(out->rid, static_cast<R2p2Policy>(policy),
-                                     MakeBody(std::move(body)), attempt, ack, shard_slot);
+    out->request = MakeMessage<RpcRequest>(out->rid, static_cast<R2p2Policy>(policy),
+                                           Body::CopyOf(body), attempt, ack, shard_slot);
   }
+  *config = nullptr;
   if ((flags & kHasConfig) != 0) {
-    out->config = DecodeConfig(&r);
-    if (out->config == nullptr) {
+    *config = DecodeConfig(&r);
+    if (*config == nullptr) {
       return false;
     }
   }

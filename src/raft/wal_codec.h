@@ -7,7 +7,6 @@
 #define SRC_RAFT_WAL_CODEC_H_
 
 #include <span>
-#include <vector>
 
 #include "src/common/buffer.h"
 #include "src/raft/log.h"
@@ -15,13 +14,15 @@
 
 namespace hovercraft {
 
-// Serializes everything of `entry` except term and replier.
-std::vector<uint8_t> EncodeWalEntry(const LogEntry& entry);
+// Serializes everything of `entry` except term and replier, plus the
+// membership `config` it carries (RaftNode::ConfigAt; null for most entries).
+Body EncodeWalEntry(const LogEntry& entry, const MembershipConfig* config = nullptr);
 
-// Inverse of EncodeWalEntry; leaves out->term and out->replier untouched.
-// Returns false on a malformed payload (recovery treats that like a CRC
-// failure at a higher layer — it should not happen for CRC-valid records).
-bool DecodeWalEntry(std::span<const uint8_t> bytes, LogEntry* out);
+// Inverse of EncodeWalEntry; leaves out->term and out->replier untouched and
+// sets *config to the entry's config (null when it carries none). Returns
+// false on a malformed payload (recovery treats that like a CRC failure at a
+// higher layer — it should not happen for CRC-valid records).
+bool DecodeWalEntry(std::span<const uint8_t> bytes, LogEntry* out, MembershipConfigPtr* config);
 
 // Membership config codec, shared with the server snapshot blob.
 void EncodeConfig(const MembershipConfig& config, BufferWriter* w);

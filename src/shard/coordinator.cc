@@ -70,9 +70,9 @@ void ShardCoordinator::SendCtl(GroupId group, ShardOp op) {
   ++attempts_in_phase_;
   ++stats_.ctl_sent;
   const RequestId rid{id(), seq};
-  auto request = std::make_shared<RpcRequest>(rid, R2p2Policy::kReplicatedReq,
-                                              EncodeShardOp(inflight_op_), /*attempt=*/1,
-                                              ack_floor_, kShardCtlSlot);
+  auto request = MakeMessage<RpcRequest>(rid, R2p2Policy::kReplicatedReq,
+                                         EncodeShardOp(inflight_op_), /*attempt=*/1,
+                                         ack_floor_, kShardCtlSlot);
   Send(groups_[static_cast<size_t>(group.value)].ingress, std::move(request));
   sim()->Cancel(retry_timer_);
   retry_timer_ = sim()->After(kCtlRetryInterval, [this]() {

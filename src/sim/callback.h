@@ -2,9 +2,13 @@
 //
 // The simulator schedules millions of events per wall second; the dominant
 // cost of the old core was one heap allocation per scheduled std::function.
-// InlineFunction stores the callable inline when it fits (every hot-path
-// lambda in src/net, src/raft, src/core and src/loadgen does) and only falls
-// back to a heap-allocating std::function wrapper for oversized captures.
+// InlineFunction stores the callable inline when it fits and only falls back
+// to a heap-allocating std::function wrapper for oversized captures. The
+// fallback is silent, so the hot sites pin their lambdas with
+// `static_assert(Simulator::Callback::kFits<decltype(fn)>)`: the TX and RX
+// pipeline steps in Host, the apply completion in ReplicatedServer and the
+// persisted AppendEntries reply in RaftNode. A capture that grows past the
+// buffer then fails to compile instead of allocating on every request.
 #ifndef SRC_SIM_CALLBACK_H_
 #define SRC_SIM_CALLBACK_H_
 
@@ -19,6 +23,11 @@ namespace hovercraft {
 template <size_t kBytes>
 class InlineFunction {
  public:
+  // Whether a callable of type F is stored inline, without the fallback.
+  template <typename F>
+  static constexpr bool kFits = sizeof(std::decay_t<F>) <= kBytes &&
+                                alignof(std::decay_t<F>) <= alignof(std::max_align_t);
+
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT: implicit, mirrors std::function
 
@@ -28,7 +37,7 @@ class InlineFunction {
                                  std::is_invocable_v<D&>,
                              int> = 0>
   InlineFunction(F&& fn) {  // NOLINT: implicit, mirrors std::function
-    if constexpr (sizeof(D) <= kBytes && alignof(D) <= alignof(std::max_align_t)) {
+    if constexpr (kFits<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
       ops_ = &kOps<D>;
     } else {

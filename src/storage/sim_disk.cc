@@ -26,7 +26,10 @@ void SimDisk::RecordFsyncLatency(TimeNs latency) {
 
 void SimDisk::File::OwnTail() {
   if (!tail.parts().empty()) {
-    tail.AppendTo(&head);
+    head.reserve(size());
+    for (const Image::Part& part : tail.parts()) {
+      head.insert(head.end(), part.bytes.begin(), part.bytes.end());
+    }
     tail = Image();
   }
 }
@@ -219,17 +222,16 @@ bool SimDisk::FlipByte(const std::string& file, size_t offset) {
   return true;
 }
 
-std::vector<uint8_t> SimDisk::Read(const std::string& file) const {
+Body SimDisk::ReadBody(const std::string& file) const {
   auto it = files_.find(file);
   if (it == files_.end()) {
-    return {};
+    return Body::CopyOf({});
   }
   const File& f = it->second;
-  std::vector<uint8_t> bytes;
-  bytes.reserve(f.size());
-  bytes.insert(bytes.end(), f.head.begin(), f.head.end());
+  BufferWriter bytes(f.size());
+  bytes.PutBytes(f.head);
   f.tail.AppendTo(&bytes);
-  return bytes;
+  return bytes.TakeBody();
 }
 
 std::span<const uint8_t> SimDisk::ReadView(const std::string& file) const {

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <random>
 #include <span>
@@ -55,7 +54,8 @@ struct SimDiskStats {
 
 class SimDisk {
  public:
-  using SyncCallback = std::function<void()>;
+  // Inline storage: a barrier callback costs no allocation.
+  using SyncCallback = Simulator::Callback;
 
   SimDisk(Simulator* sim, uint64_t seed, TimeNs sync_latency)
       : sim_(sim), rng_(seed), sync_latency_(sync_latency) {}
@@ -72,8 +72,8 @@ class SimDisk {
   // Atomic replace-and-sync, the simulated write-to-temp + rename idiom used
   // for snapshot files: after the call the whole content, `head` followed by
   // `tail`, is durable. The tail's parts are kept by reference; they must be
-  // heap-backed (MakeBody), since a pool-backed slice would pin its arrival
-  // buffer.
+  // heap blocks (BufferWriter::TakeBody, MakeBody), since a
+  // slice of a pooled arrival buffer would pin that buffer.
   void WriteAndSync(const std::string& file, std::vector<uint8_t> head, Image tail = {});
   void Delete(const std::string& file);
 
@@ -105,7 +105,7 @@ class SimDisk {
   // --- reads ----------------------------------------------------------------
   bool Exists(const std::string& file) const { return files_.count(file) != 0; }
   // The file's bytes in one flat buffer (a copy); empty when missing.
-  std::vector<uint8_t> Read(const std::string& file) const;
+  Body ReadBody(const std::string& file) const;
   // The bytes of a file written only by Append (never by WriteAndSync), by
   // reference: valid until the next write to the file; empty when missing.
   std::span<const uint8_t> ReadView(const std::string& file) const;

@@ -100,7 +100,7 @@ void StableStorage::WriteBaseline() {
   in_baseline_ = false;
 }
 
-void StableStorage::AppendRecord(RecordType type, const std::vector<uint8_t>& payload) {
+void StableStorage::AppendRecord(RecordType type, std::span<const uint8_t> payload) {
   WritableSegment();
   BufferWriter w(kRecordHeaderBytes + payload.size());
   w.PutU32(static_cast<uint32_t>(payload.size()));
@@ -193,7 +193,7 @@ void StableStorage::SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Ima
   ++stats_.snapshots_saved;
 }
 
-bool StableStorage::Sync(std::function<void()> cb) {
+bool StableStorage::Sync(Simulator::Callback cb) {
   const bool coalesce = policy_ != FsyncPolicy::kSyncPerAppend;
   return disk_->Sync(std::move(cb), coalesce);
 }
@@ -290,7 +290,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
 
   // --- snapshot file --------------------------------------------------------
   if (disk_->Exists(kSnapshotFile)) {
-    const Body raw = MakeBody(disk_->Read(kSnapshotFile));
+    const Body raw = disk_->ReadBody(kSnapshotFile);
     BufferReader r(raw.bytes());
     uint64_t crc = 0;
     uint64_t idx = 0;
@@ -333,7 +333,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
     }
     segments_.push_back(Segment{seq, 0});
     Segment& seg = segments_.back();
-    const std::vector<uint8_t> bytes = disk_->Read(file);
+    const Body bytes = disk_->ReadBody(file);
     size_t off = 0;
     while (off < bytes.size()) {
       const std::optional<RecordFrame> frame = FrameAt(bytes, off);

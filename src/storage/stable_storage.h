@@ -123,8 +123,9 @@ class StableStorage {
   // with SnapshotWriter() (header reserved) and appends the payload's small
   // prefix; `image`, the payload's bulk, follows it. SaveSnapshot fills in the
   // header and the CRC, combined from the head's CRC and image.crc(), and
-  // hands both to the disk — the head is moved, the image's parts shared,
-  // never copied. Atomically replaces the local snapshot (synced inline).
+  // hands both to the disk — the head (the small prefix) copied into the
+  // file, the image's parts shared, never copied. Atomically replaces the
+  // local snapshot (synced inline).
   static constexpr size_t kSnapshotHeaderBytes = 8 + 8 + 8 + 4;  // crc, idx, term, len
   static BufferWriter SnapshotWriter();
   void SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Image image);
@@ -132,7 +133,7 @@ class StableStorage {
   // Durability barrier under the configured policy. Returns true when it
   // completed inline (cb already ran); false when cb runs later, unless the
   // process crashes first — a crash drops pending barriers entirely.
-  bool Sync(std::function<void()> cb);
+  bool Sync(Simulator::Callback cb);
 
   // --- fault hooks ----------------------------------------------------------
   void Crash() { disk_->Crash(); }
@@ -169,7 +170,7 @@ class StableStorage {
   // Returns the current segment, rotating (with a fresh baseline) first when
   // it outgrew segment_bytes_.
   Segment& WritableSegment();
-  void AppendRecord(RecordType type, const std::vector<uint8_t>& payload);
+  void AppendRecord(RecordType type, std::span<const uint8_t> payload);
   void WriteBaseline();
 
   SimDisk* disk_;

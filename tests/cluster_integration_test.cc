@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/app/synthetic.h"
+#include "src/common/slab_pool.h"
 #include "src/core/cluster.h"
 #include "src/loadgen/client.h"
 #include "src/loadgen/experiment.h"
@@ -316,6 +317,33 @@ TEST(HovercraftTest, LeaderMessageCountsMatchTable1Shape) {
   EXPECT_NEAR(hpp5_tx, hpp3_tx, 0.5);
   // And the ++ leader handles far fewer messages than the vanilla leader.
   EXPECT_LT(hpp5_rx + hpp5_tx, van5_rx + van5_tx);
+}
+
+// --- message pool -------------------------------------------------------------
+
+// Destroying a deployment mid-run, with requests, appends, replies and sync
+// callbacks still queued, hands every pooled message and body block back.
+TEST(MessagePoolTest, ClusterTeardownMidRunReturnsEveryBlock) {
+  const size_t before = SlabPool::Outstanding();
+  {
+    Cluster cluster(BaseConfig(ClusterMode::kHovercRaftPP, 3, 5));
+    ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+    SyntheticWorkloadConfig wc;
+    wc.request_bytes = 24;
+    wc.reply_bytes = 8;
+    wc.service_time = std::make_shared<FixedDistribution>(Micros(1));
+    ClientHost client(&cluster.sim(), cluster.config().costs,
+                      [&cluster]() { return cluster.ClientTarget(); },
+                      std::make_unique<SyntheticWorkload>(wc), 200'000, 3);
+    cluster.network().Attach(&client);
+    const TimeNs t0 = cluster.sim().Now();
+    client.StartLoad(t0, t0 + Millis(10));
+    cluster.sim().RunUntil(t0 + Millis(5));
+    EXPECT_GT(client.total_completed(), 100u);
+    EXPECT_GT(client.total_sent(), client.total_completed());  // some still in flight
+    EXPECT_GT(SlabPool::Outstanding(), before);
+  }
+  EXPECT_EQ(SlabPool::Outstanding(), before);
 }
 
 }  // namespace

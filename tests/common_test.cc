@@ -2,16 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
 #include <set>
 #include <span>
+#include <thread>
 #include <vector>
 
+#include "src/common/body.h"
+#include "src/common/buf_pool.h"
 #include "src/common/buffer.h"
 #include "src/common/checksum.h"
 #include "src/common/image.h"
 #include "src/common/random.h"
+#include "src/common/slab_pool.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
+#include "src/sim/simulator.h"
 
 namespace hovercraft {
 namespace {
@@ -248,7 +254,7 @@ TEST(BufferTest, FixedWidthPutsAreLittleEndian) {
   w.PutU32(0x03040506u);
   w.PutU64(0x0708090A0B0C0D0Eull);
   w.PutI64(-2);
-  EXPECT_EQ(w.bytes(), (std::vector<uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0E, 0x0D,
+  EXPECT_EQ(w.TakeBytes(), (std::vector<uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0E, 0x0D,
                                              0x0C, 0x0B, 0x0A, 0x09, 0x08, 0x07, 0xFE, 0xFF,
                                              0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
 }
@@ -260,7 +266,7 @@ TEST(BufferTest, PatchOverwritesInPlace) {
   w.PutU8(0x77);
   w.PatchU64(0, 0x1122334455667788ull);
   w.PatchU32(8, 0xAABBCCDDu);
-  EXPECT_EQ(w.bytes(), (std::vector<uint8_t>{0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+  EXPECT_EQ(w.TakeBytes(), (std::vector<uint8_t>{0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
                                              0xDD, 0xCC, 0xBB, 0xAA, 0x77}));
 }
 
@@ -375,10 +381,11 @@ TEST(ImageTest, PartsCombineToTheFlatBytes) {
   }
   EXPECT_EQ(image.parts().size(), 50u);
   EXPECT_TRUE(image.Flatten() == flat);
-  std::vector<uint8_t> out = {7};
+  BufferWriter out;
+  out.PutU8(7);
   image.AppendTo(&out);
   EXPECT_EQ(out.size(), 1 + flat.size());
-  EXPECT_TRUE(std::equal(flat.begin(), flat.end(), out.begin() + 1));
+  EXPECT_TRUE(std::equal(flat.begin(), flat.end(), out.bytes().begin() + 1));
 }
 
 TEST(ImageTest, OnePartImageFlattensWithoutCopy) {
@@ -393,6 +400,169 @@ TEST(ImageTest, OnePartImageFlattensWithoutCopy) {
 // ---------------------------------------------------------------------------
 // Types
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// Body, BufferWriter::TakeBody and SlabPool
+// ---------------------------------------------------------------------------
+
+TEST(BodyTest, NullStaysDistinctFromEmpty) {
+  const Body null;
+  const Body empty = Body::CopyOf({});
+  const Body empty_copy = MakeBody(std::vector<uint8_t>{});
+  EXPECT_TRUE(null == nullptr);
+  EXPECT_FALSE(static_cast<bool>(null));
+  EXPECT_FALSE(empty == nullptr);
+  EXPECT_TRUE(static_cast<bool>(empty));
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_FALSE(null == empty);
+  EXPECT_TRUE(empty == empty_copy);
+  EXPECT_TRUE(null == Body(nullptr));
+  BufferWriter unused;
+  EXPECT_FALSE(unused.TakeBody() == nullptr);  // an empty writer yields an empty body
+}
+
+TEST(BodyTest, SliceSharesStorage) {
+  const size_t before = SlabPool::Outstanding();
+  Body body = MakeBody(std::vector<uint8_t>{1, 2, 3, 4, 5});
+  const Body slice = body.Slice(1, 3);
+  EXPECT_EQ(slice.data(), body.data() + 1);
+  EXPECT_EQ(SlabPool::Outstanding(), before + 1);  // no second block
+  body = Body();  // the slice alone keeps the block
+  EXPECT_TRUE(slice == (std::vector<uint8_t>{2, 3, 4}));
+}
+
+TEST(BodyTest, EqualityComparesBytes) {
+  const Body a = MakeBody(std::vector<uint8_t>{7, 8});
+  const Body b = MakeBody(std::vector<uint8_t>{7, 8});
+  const Body c = MakeBody(std::vector<uint8_t>{7, 9});
+  EXPECT_TRUE(a == b);
+  EXPECT_FALSE(a == c);
+  EXPECT_FALSE(a == a.Slice(0, 1));
+  EXPECT_TRUE(a == (std::vector<uint8_t>{7, 8}));
+  EXPECT_FALSE(Body() == (std::vector<uint8_t>{}));
+}
+
+TEST(BodyTest, PooledSlicePinsItsArrivalBuffer) {
+  BufPool pool;  // its destructor fails fatally on a leaked reference
+  {
+    BufRef frame = pool.Allocate(64);
+    for (uint32_t i = 0; i < 10; ++i) {
+      frame.data()[i] = static_cast<uint8_t>(i);
+    }
+    frame.set_size(10);
+    Body body = Body::FromBuffer(frame, 2, 4);
+    EXPECT_EQ(frame.refcount(), 2u);
+    frame.reset();
+    EXPECT_EQ(pool.outstanding(), 1u);  // the slice alone keeps the frame
+    EXPECT_TRUE(body == (std::vector<uint8_t>{2, 3, 4, 5}));
+    const Body copy = body.Slice(1, 2);
+    body = Body();
+    EXPECT_EQ(pool.outstanding(), 1u);
+    EXPECT_TRUE(copy == (std::vector<uint8_t>{3, 4}));
+  }
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(BodyTest, HeapBlockIsFreedWithItsLastReference) {
+  const size_t before = SlabPool::Outstanding();
+  {
+    Body small = MakeBody(std::vector<uint8_t>(24, 1));
+    const Body copy = small;
+    EXPECT_EQ(SlabPool::Outstanding(), before + 1);  // header and bytes in one block
+    small = Body();
+    EXPECT_EQ(SlabPool::Outstanding(), before + 1);
+    // A body too large for the pool is one operator-new block; ASan reports
+    // it if the last reference fails to free it.
+    const Body large = MakeBody(std::vector<uint8_t>(SlabPool::kMaxBlockBytes * 4));
+    EXPECT_EQ(SlabPool::Outstanding(), before + 1);
+  }
+  EXPECT_EQ(SlabPool::Outstanding(), before);
+}
+
+TEST(BodyTest, WriterFinishesIntoABodyWithoutACopy) {
+  BufferWriter w(16);
+  w.PutU64(0x0102030405060708ull);
+  w.PutZeros(3);
+  const uint8_t* written = w.bytes().data();
+  const Body body = w.TakeBody();
+  EXPECT_EQ(body.data(), written);
+  EXPECT_EQ(body.size(), 11u);
+  EXPECT_EQ(body[0], 0x08);
+  EXPECT_EQ(body[10], 0);
+  EXPECT_EQ(w.size(), 0u);
+  w.PutU8(1);  // the writer is reusable
+  EXPECT_TRUE(w.TakeBody() == (std::vector<uint8_t>{1}));
+}
+
+TEST(SlabPoolTest, ReusesBlocksWithinASizeClass) {
+  const size_t before = SlabPool::Outstanding();
+  void* a = SlabPool::Allocate(40);
+  void* b = SlabPool::Allocate(48);
+  EXPECT_EQ(SlabPool::Outstanding(), before + 2);
+  SlabPool::Free(a, 40);
+  void* c = SlabPool::Allocate(33);
+  SlabPool::Free(c, 33);
+  void* d = SlabPool::Allocate(48);
+  if constexpr (SlabPool::kPooled) {  // sanitizer builds bypass the free lists
+    EXPECT_EQ(c, a);  // 33..40 bytes share a class
+    EXPECT_NE(d, a);  // another class keeps its own list
+  }
+  SlabPool::Free(b, 48);
+  EXPECT_EQ(SlabPool::Outstanding(), before + 1);
+  SlabPool::Free(d, 48);
+  EXPECT_EQ(SlabPool::Outstanding(), before);
+}
+
+TEST(SlabPoolTest, ThreadsNeverShareAList) {
+  // Like `sweep -j2`: each thread runs its own Simulator, whose events
+  // allocate and free pooled blocks.
+  constexpr int kBlocks = 200;
+  auto run = [](std::vector<void*>* freed, size_t* outstanding_after) {
+    Simulator sim;
+    std::vector<void*> held;
+    for (int i = 0; i < kBlocks; ++i) {
+      sim.After(i, [&held]() { held.push_back(SlabPool::Allocate(64)); });
+    }
+    sim.After(kBlocks, [&]() {
+      for (void* p : held) {
+        SlabPool::Free(p, 64);
+      }
+    });
+    sim.RunUntil(kBlocks + 1);
+    *freed = held;
+    *outstanding_after = SlabPool::Outstanding();
+  };
+  std::vector<void*> first;
+  std::vector<void*> second;
+  size_t first_outstanding = 1;
+  size_t second_outstanding = 1;
+  const size_t main_before = SlabPool::Outstanding();
+  std::latch first_done(1);
+  std::latch second_done(1);
+  // The first thread stays alive, its blocks on its free list, while the
+  // second allocates: a shared list would hand the second thread those
+  // blocks.
+  std::thread a([&]() {
+    run(&first, &first_outstanding);
+    first_done.count_down();
+    second_done.wait();
+  });
+  std::thread b([&]() {
+    first_done.wait();
+    run(&second, &second_outstanding);
+    second_done.count_down();
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(first_outstanding, 0u);
+  EXPECT_EQ(second_outstanding, 0u);
+  EXPECT_EQ(SlabPool::Outstanding(), main_before);
+  const std::set<void*> first_set(first.begin(), first.end());
+  ASSERT_EQ(first_set.size(), static_cast<size_t>(kBlocks));
+  for (void* p : second) {
+    EXPECT_EQ(first_set.count(p), 0u);
+  }
+}
 
 TEST(TypesTest, TimeHelpers) {
   EXPECT_EQ(Micros(3), 3000);

@@ -450,7 +450,7 @@ TEST(KvServiceExtTest, CounterThroughService) {
 
 // [applied][digest][count] and then `rest`: a snapshot whose key count claims
 // far more entries than its bytes hold.
-Body ForgedKvImage(uint64_t count, const std::vector<uint8_t>& rest = {}) {
+Body ForgedKvImage(uint64_t count, std::span<const uint8_t> rest = {}) {
   BufferWriter w;
   w.PutU64(7);
   w.PutU64(9);

@@ -234,6 +234,60 @@ TEST(MembershipTest, SnapshotCarriesConfigToFreshLearner) {
   EXPECT_EQ(cluster.server(3).app().Digest(), cluster.server(final_leader).app().Digest());
 }
 
+// --- configs across a power-fail restart -------------------------------------
+
+// A restarted node's recovered log can still hold a config entry below the
+// config its local snapshot carries. The node must go on answering ConfigAt
+// for that entry like every other replica: a leader ships it, config
+// included, to a follower lagging that far.
+TEST(MembershipTest, RestartKeepsConfigEntriesBelowTheSnapshotConfig) {
+  ClusterConfig config = BaseConfig(ClusterMode::kHovercRaft, 3, 2, 67);
+  config.stagger_first_election = false;
+  // Local snapshots every 5 ms, while the log (and so the WAL) keeps
+  // everything.
+  config.server_template.compaction_interval = Millis(5);
+  config.raft.log_retention_entries = 1'000'000;
+  Cluster cluster(config);
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  auto client = MakeClient(cluster, 30'000, 23);
+
+  const TimeNs t0 = cluster.sim().Now();
+  client->StartLoad(t0, t0 + Millis(300));
+  cluster.sim().RunUntil(t0 + Millis(20));
+  cluster.AddServer(3);
+  cluster.sim().RunUntil(t0 + Millis(100));
+  const LogIndex first = cluster.server(cluster.LeaderId()).raft()->committed_config_idx();
+  cluster.AddServer(4);
+  cluster.sim().RunUntil(t0 + Millis(180));
+  const NodeId leader = cluster.LeaderId();
+  const LogIndex second = cluster.server(leader).raft()->committed_config_idx();
+  ASSERT_GT(first, 0u);
+  ASSERT_GT(second, first);
+
+  const NodeId victim = (leader + 1) % 3;
+  cluster.PowerFailNode(victim);
+  cluster.sim().RunUntil(t0 + Millis(190));
+  cluster.RestartNode(victim);
+  const RaftNode& restarted = *cluster.server(victim).raft();
+  // Recovery took the second config from the snapshot, the first from the log.
+  EXPECT_EQ(restarted.committed_config_idx(), second);
+  ASSERT_LE(restarted.log().first_index(), first);
+  const RaftNode& reference = *cluster.server(leader).raft();
+  for (const LogIndex idx : {first, second}) {
+    ASSERT_NE(restarted.ConfigAt(idx), nullptr) << "idx " << idx;
+    ASSERT_NE(reference.ConfigAt(idx), nullptr) << "idx " << idx;
+    EXPECT_EQ(restarted.ConfigAt(idx)->voters, reference.ConfigAt(idx)->voters) << "idx " << idx;
+    EXPECT_EQ(restarted.ConfigAt(idx)->learners, reference.ConfigAt(idx)->learners)
+        << "idx " << idx;
+  }
+  EXPECT_EQ(restarted.ConfigAt(first + 1), nullptr);
+  EXPECT_TRUE(restarted.active_config().IsVoter(4));
+
+  cluster.sim().RunUntil(t0 + Millis(400));
+  EXPECT_EQ(cluster.server(victim).app().Digest(),
+            cluster.server(cluster.LeaderId()).app().Digest());
+}
+
 // --- flow-control ledger convergence across a config change -------------------
 
 TEST(MembershipTest, LedgerStaysConvergedAcrossReconfiguration) {

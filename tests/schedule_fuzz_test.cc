@@ -342,10 +342,12 @@ class FuzzHarness {
             EXPECT_EQ(ea.noop, eb.noop) << "idx " << idx;
             EXPECT_EQ(ea.rid, eb.rid) << "idx " << idx;
             // Config entries must agree too: same position, same membership.
-            EXPECT_EQ(ea.config != nullptr, eb.config != nullptr) << "idx " << idx;
-            if (ea.config != nullptr && eb.config != nullptr) {
-              EXPECT_EQ(ea.config->voters, eb.config->voters) << "idx " << idx;
-              EXPECT_EQ(ea.config->learners, eb.config->learners) << "idx " << idx;
+            const MembershipConfigPtr& ca = nodes_[a]->ConfigAt(idx);
+            const MembershipConfigPtr& cb = nodes_[b]->ConfigAt(idx);
+            EXPECT_EQ(ca != nullptr, cb != nullptr) << "idx " << idx;
+            if (ca != nullptr && cb != nullptr) {
+              EXPECT_EQ(ca->voters, cb->voters) << "idx " << idx;
+              EXPECT_EQ(ca->learners, cb->learners) << "idx " << idx;
             }
             matched_suffix = true;
           } else {

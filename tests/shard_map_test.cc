@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "src/common/buffer.h"
+#include "src/r2p2/shard.h"
+
 namespace hovercraft {
 namespace {
 
@@ -192,6 +198,119 @@ TEST(ShardMapTest, ShardSlotOfIsStableAndInRange) {
     EXPECT_LT(slot, kShardSlots);
     EXPECT_EQ(slot, ShardSlotOf(key));
   }
+}
+
+// Wire layout of an op: kind u8 @0, move_id u64 @1, lo u32 @9, hi u32 @13,
+// payload_len u32 @17, payload @21.
+ShardOp InstallOp() {
+  ShardOp op;
+  op.kind = ShardOpKind::kInstall;
+  op.move_id = 42;
+  op.lo = 3;
+  op.hi = 9;
+  op.payload = MakeBody(std::vector<uint8_t>{1, 2, 3});
+  return op;
+}
+
+std::vector<uint8_t> EncodedBytes(const ShardOp& op) {
+  const Body body = EncodeShardOp(op);
+  return std::vector<uint8_t>(body.begin(), body.end());
+}
+
+void PatchU32At(std::vector<uint8_t>& bytes, size_t offset, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(ShardOpCodecTest, PayloadSharesTheEncodedOpsStorage) {
+  const Body encoded = EncodeShardOp(InstallOp());
+  ShardOp out;
+  ASSERT_TRUE(DecodeShardOp(encoded, &out).ok());
+  EXPECT_EQ(out.payload, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(out.payload.data(), encoded.data() + 21);
+}
+
+TEST(ShardOpCodecTest, RejectsNullBodyAndBadKind) {
+  ShardOp out;
+  EXPECT_EQ(DecodeShardOp(Body(), &out).code(), StatusCode::kInvalidArgument);
+  std::vector<uint8_t> bytes = EncodedBytes(InstallOp());
+  bytes[0] = static_cast<uint8_t>(ShardOpKind::kUninstall) + 1;
+  EXPECT_EQ(DecodeShardOp(MakeBody(bytes), &out).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ShardOpCodecTest, RejectsBadSlotRanges) {
+  ShardOp out;
+  std::vector<uint8_t> inverted = EncodedBytes(InstallOp());
+  PatchU32At(inverted, 9, 10);  // lo 10 > hi 9
+  EXPECT_EQ(DecodeShardOp(MakeBody(inverted), &out).code(), StatusCode::kInvalidArgument);
+  std::vector<uint8_t> past_end = EncodedBytes(InstallOp());
+  PatchU32At(past_end, 13, kShardSlots);  // hi outside the keyspace
+  EXPECT_EQ(DecodeShardOp(MakeBody(past_end), &out).code(), StatusCode::kInvalidArgument);
+  std::vector<uint8_t> ctl = EncodedBytes(InstallOp());
+  PatchU32At(ctl, 13, kShardCtlSlot);
+  EXPECT_EQ(DecodeShardOp(MakeBody(ctl), &out).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ShardOpCodecTest, RejectsTruncationAtEveryField) {
+  const Body encoded = EncodeShardOp(InstallOp());
+  ASSERT_EQ(encoded.size(), 24u);
+  ShardOp out;
+  // Every proper prefix cuts some field short: kind, move_id, lo, hi, the
+  // payload length or the payload.
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    EXPECT_EQ(DecodeShardOp(encoded.Slice(0, len), &out).code(), StatusCode::kOutOfRange)
+        << "prefix of " << len << " bytes";
+  }
+  // A payload length that claims more bytes than follow.
+  std::vector<uint8_t> overlong = EncodedBytes(InstallOp());
+  PatchU32At(overlong, 17, 4);
+  EXPECT_EQ(DecodeShardOp(MakeBody(overlong), &out).code(), StatusCode::kOutOfRange);
+}
+
+TEST(ShardOpCodecTest, RejectsTrailingBytes) {
+  for (const ShardOp& op : {InstallOp(), ShardOp{}}) {
+    std::vector<uint8_t> bytes = EncodedBytes(op);
+    bytes.push_back(0);
+    ShardOp out;
+    EXPECT_EQ(DecodeShardOp(MakeBody(bytes), &out).code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// [watermark u64][frozen count u32][frozen slots][dropped count u32][dropped slots]
+TEST(ShardServeStateTest, RestoreRejectsSlotCountsAboveTheKeyspace) {
+  ShardServeState state;
+  state.Freeze(1, 2);
+  ASSERT_TRUE(state.AdvanceCtlWatermark(5));
+  for (const bool frozen_side : {true, false}) {
+    BufferWriter w;
+    w.PutU64(9);
+    w.PutU32(frozen_side ? kShardSlots + 1 : 0);
+    if (!frozen_side) {
+      w.PutU32(kShardSlots + 1);
+    }
+    for (uint32_t i = 0; i <= kShardSlots; ++i) {
+      w.PutU32(i % kShardSlots);
+    }
+    BufferReader r(w.bytes());
+    EXPECT_EQ(state.Restore(&r).code(), StatusCode::kInvalidArgument) << frozen_side;
+    // A rejected restore leaves the state as it was.
+    EXPECT_EQ(state.ctl_watermark(), 5u);
+    EXPECT_EQ(state.frozen(), (std::set<uint32_t>{1, 2}));
+  }
+  // Exactly kShardSlots of each is accepted.
+  BufferWriter w;
+  w.PutU64(9);
+  for (int side = 0; side < 2; ++side) {
+    w.PutU32(kShardSlots);
+    for (uint32_t i = 0; i < kShardSlots; ++i) {
+      w.PutU32(i);
+    }
+  }
+  BufferReader r(w.bytes());
+  ASSERT_TRUE(state.Restore(&r).ok());
+  EXPECT_EQ(state.frozen().size(), kShardSlots);
+  EXPECT_EQ(state.dropped().size(), kShardSlots);
 }
 
 }  // namespace

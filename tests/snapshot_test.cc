@@ -126,7 +126,7 @@ TEST(SnapshotTest, SessionTableSerializeRoundTrip) {
   // stay comparable after a restore.
   BufferWriter w2;
   b.Serialize(&w2);
-  EXPECT_EQ(w2.bytes(), bytes);
+  EXPECT_EQ(w2.TakeBytes(), bytes);
 
   // Truncated/garbage input is rejected, not crashed on.
   SessionTable c;
@@ -288,7 +288,7 @@ TEST(SnapshotTest, GenesisImageReuseRecoversLikeFreshSerialization) {
   KvService restored;
   ASSERT_TRUE(restored.RestoreState(fresh_image).ok());
   // The file's payload ends with exactly the fresh serialization.
-  const std::vector<uint8_t>& file = cluster.server(victim).disk()->Read("snapshot");
+  const Body file = cluster.server(victim).disk()->ReadBody("snapshot");
   ASSERT_GE(file.size(), fresh_image.size());
   EXPECT_TRUE(std::equal(fresh_image.begin(), fresh_image.end(),
                          file.end() - static_cast<ptrdiff_t>(fresh_image.size())));
@@ -341,7 +341,7 @@ TEST(SnapshotTest, CorruptSharedImageOnDiskLeavesMemoryIntact) {
     if (n == victim) {
       continue;
     }
-    const std::vector<uint8_t> file = cluster.server(n).disk()->Read("snapshot");
+    const Body file = cluster.server(n).disk()->ReadBody("snapshot");
     ASSERT_GE(file.size(), fresh_image.size());
     EXPECT_TRUE(std::equal(fresh_image.begin(), fresh_image.end(),
                            file.end() - static_cast<ptrdiff_t>(fresh_image.size())))
@@ -433,7 +433,7 @@ TEST(SnapshotTest, SnapshotFilesMatchFlatFraming) {
     ReplicatedServer& server = cluster.server(n);
     ASSERT_GT(server.storage()->stats().snapshots_saved, 1u) << "node " << n;
     ASSERT_GT(server.sessions().client_count(), 0u) << "node " << n;
-    const std::vector<uint8_t> file = server.disk()->Read("snapshot");
+    const Body file = server.disk()->ReadBody("snapshot");
     EXPECT_EQ(file, FlatLocalSnapshotFile(server)) << "node " << n;
 
     const auto& kv = dynamic_cast<const KvService&>(server.app());
@@ -469,7 +469,7 @@ TEST(SnapshotTest, SnapshotFilesMatchFlatFraming) {
   BufferWriter payload;
   PutConfigPrefix(membership, config_idx, &payload);
   payload.PutBytes(*capture.state);
-  EXPECT_EQ(cluster.server(follower).disk()->Read("snapshot"),
+  EXPECT_EQ(cluster.server(follower).disk()->ReadBody("snapshot"),
             FlatSnapshotFile(capture.last_included, term, payload.bytes()));
 }
 
@@ -511,7 +511,7 @@ TEST(SnapshotTest, FollowerRecoversFromIncrementalSnapshotFile) {
   ReplicatedServer& server = cluster.server(victim);
   ASSERT_GE(server.storage()->stats().snapshots_saved, 4u);
   // The file covers a compaction well past genesis.
-  const std::vector<uint8_t> file = server.disk()->Read("snapshot");
+  const Body file = server.disk()->ReadBody("snapshot");
   BufferReader header(file);
   uint64_t crc = 0;
   uint64_t file_idx = 0;
@@ -536,7 +536,7 @@ TEST(SnapshotTest, FollowerRecoversFromIncrementalSnapshotFile) {
         << "node " << n;
     EXPECT_EQ(cluster.server(n).app().ApplyCount(), cluster.server(leader).app().ApplyCount())
         << "node " << n;
-    EXPECT_EQ(cluster.server(n).disk()->Read("snapshot"),
+    EXPECT_EQ(cluster.server(n).disk()->ReadBody("snapshot"),
               FlatLocalSnapshotFile(cluster.server(n)))
         << "node " << n;
   }

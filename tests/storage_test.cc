@@ -80,7 +80,7 @@ TEST(SimDiskTest, CrashKeepsSyncedPrefix) {
   disk.SyncNow();
   Append(&disk, "f", Bytes({3, 4, 5}));
   disk.Crash();
-  EXPECT_EQ(disk.Read("f"), Bytes({1, 2}));
+  EXPECT_EQ(disk.ReadBody("f"), Bytes({1, 2}));
 }
 
 TEST(SimDiskTest, ReadViewSeesTheAppendedBytesInPlace) {
@@ -89,7 +89,7 @@ TEST(SimDiskTest, ReadViewSeesTheAppendedBytesInPlace) {
   EXPECT_TRUE(disk.ReadView("f").empty());
   Append(&disk, "f", Bytes({1, 2, 3}));
   const std::span<const uint8_t> view = disk.ReadView("f");
-  EXPECT_EQ(std::vector<uint8_t>(view.begin(), view.end()), disk.Read("f"));
+  EXPECT_EQ(std::vector<uint8_t>(view.begin(), view.end()), disk.ReadBody("f"));
   ASSERT_TRUE(disk.FlipByte("f", 1));
   EXPECT_EQ(view[1], 2 ^ 0x40);  // no copy: the view reads the file itself
 }
@@ -106,8 +106,8 @@ TEST(SimDiskTest, TornCrashKeepsStrictPrefixOfUnsyncedTail) {
   // unsynced tail does.
   ASSERT_GE(disk.Size("f"), 2u);
   ASSERT_LT(disk.Size("f"), 6u);
-  EXPECT_EQ(disk.Read("f")[0], 1);
-  EXPECT_EQ(disk.Read("f")[1], 2);
+  EXPECT_EQ(disk.ReadBody("f")[0], 1);
+  EXPECT_EQ(disk.ReadBody("f")[1], 2);
 }
 
 // Regression: a barrier requested while a flush is already in flight must NOT
@@ -161,7 +161,7 @@ TEST(SimDiskTest, FlipByteOnlyTouchesExistingBytes) {
   EXPECT_FALSE(disk.FlipByte("missing", 0));
   EXPECT_FALSE(disk.FlipByte("f", 2));
   EXPECT_TRUE(disk.FlipByte("f", 1));
-  EXPECT_NE(disk.Read("f")[1], 0x10);
+  EXPECT_NE(disk.ReadBody("f")[1], 0x10);
 }
 
 // A file written as an owned head plus a shared tail sizes, syncs, reads and
@@ -175,7 +175,7 @@ TEST(SimDiskTest, SharedTailFileMatchesFlatFile) {
   flat.WriteAndSync("f", Bytes({1, 2, 3, 4, 5, 6, 7, 8}));
   EXPECT_EQ(shared.Size("f"), 8u);
   EXPECT_EQ(shared.SyncedSize("f"), 8u);
-  EXPECT_EQ(shared.Read("f"), flat.Read("f"));
+  EXPECT_EQ(shared.ReadBody("f"), flat.ReadBody("f"));
   EXPECT_EQ(shared.stats().bytes_written, flat.stats().bytes_written);
   EXPECT_EQ(shared.stats().appends, flat.stats().appends);
 
@@ -189,7 +189,7 @@ TEST(SimDiskTest, SharedTailFileMatchesFlatFile) {
   shared.Crash();
   flat.Crash();
   EXPECT_EQ(shared.SyncedSize("f"), flat.SyncedSize("f"));
-  EXPECT_EQ(shared.Read("f"), flat.Read("f"));
+  EXPECT_EQ(shared.ReadBody("f"), flat.ReadBody("f"));
   EXPECT_EQ(shared.stats().bytes_lost, 0u);
 }
 
@@ -219,7 +219,7 @@ TEST(SimDiskTest, MutationsCopyTheSharedTailFirst) {
     const Body image = MakeBody(original);
     disk.WriteAndSync("f", Bytes({1, 2}), Image::Of(image));
     c.mutate(&disk);
-    EXPECT_EQ(disk.Read("f"), c.expect) << c.name;
+    EXPECT_EQ(disk.ReadBody("f"), c.expect) << c.name;
     EXPECT_EQ(disk.Size("f"), c.expect.size()) << c.name;
     EXPECT_TRUE(image == original) << c.name << ": the owner's buffer changed";
   }
@@ -236,7 +236,7 @@ TEST(SimDiskTest, TornCrashAfterAppendKeepsSyncedSharedPrefix) {
     Append(&disk, "f", Bytes({20, 21, 22, 23}));
     disk.set_next_crash_torn();
     disk.Crash();
-    const std::vector<uint8_t> after = disk.Read("f");
+    const Body after = disk.ReadBody("f");
     ASSERT_GE(after.size(), durable.size()) << "seed " << seed;
     ASSERT_LT(after.size(), durable.size() + 4) << "seed " << seed;
     EXPECT_TRUE(std::equal(durable.begin(), durable.end(), after.begin())) << "seed " << seed;
@@ -290,7 +290,7 @@ TEST(SimDiskTest, MultiPartTailReadsAsTheFlatBytes) {
   const PartedFile file;
   file.Write(&parted);
   flat.WriteAndSync("f", file.flat);
-  EXPECT_EQ(parted.Read("f"), file.flat);
+  EXPECT_EQ(parted.ReadBody("f"), file.flat);
   EXPECT_EQ(parted.Size("f"), file.flat.size());
   EXPECT_EQ(parted.SyncedSize("f"), file.flat.size());
   EXPECT_EQ(parted.stats().bytes_written, flat.stats().bytes_written);
@@ -311,7 +311,7 @@ TEST(SimDiskTest, MultiPartTailFaultsLeaveEveryOwnerIntact) {
       ASSERT_TRUE(disk.FlipByte("f", offset));
       std::vector<uint8_t> expect = file.flat;
       expect[offset] ^= 0x40;
-      EXPECT_EQ(disk.Read("f"), expect) << "flip at " << offset;
+      EXPECT_EQ(disk.ReadBody("f"), expect) << "flip at " << offset;
       EXPECT_EQ(disk.SyncedSize("f"), size) << "flip at " << offset;
       EXPECT_TRUE(file.OwnersIntact()) << "flip at " << offset;
     }
@@ -323,7 +323,7 @@ TEST(SimDiskTest, MultiPartTailFaultsLeaveEveryOwnerIntact) {
       disk.Truncate("f", offset);
       const std::vector<uint8_t> expect(file.flat.begin(),
                                         file.flat.begin() + static_cast<ptrdiff_t>(offset));
-      EXPECT_EQ(disk.Read("f"), expect) << "truncate at " << offset;
+      EXPECT_EQ(disk.ReadBody("f"), expect) << "truncate at " << offset;
       EXPECT_EQ(disk.Size("f"), offset);
       EXPECT_EQ(disk.SyncedSize("f"), offset);
       EXPECT_TRUE(file.OwnersIntact()) << "truncate at " << offset;
@@ -347,7 +347,7 @@ TEST(SimDiskTest, TornCrashInsideAPartLeavesEveryOwnerIntact) {
       Append(&disk, "f", file.originals[k]);
       disk.set_next_crash_torn();
       disk.Crash();
-      const std::vector<uint8_t> after = disk.Read("f");
+      const Body after = disk.ReadBody("f");
       ASSERT_GE(after.size(), start) << "part " << k << " seed " << seed;
       ASSERT_LT(after.size(), start + file.originals[k].size()) << "part " << k;
       EXPECT_TRUE(std::equal(after.begin(), after.end(), file.flat.begin()))
@@ -372,8 +372,8 @@ void SaveSnapshot(StableStorage* storage, LogIndex idx, Term term,
 // Rewrites `file` with one bit of `original` inverted (bit index counts from
 // the first byte's least significant bit).
 void WriteWithBitFlipped(SimDisk* disk, const std::string& file,
-                         const std::vector<uint8_t>& original, size_t bit) {
-  std::vector<uint8_t> bytes = original;
+                         const Body& original, size_t bit) {
+  std::vector<uint8_t> bytes(original.begin(), original.end());
   bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
   disk->WriteAndSync(file, std::move(bytes));
 }
@@ -550,7 +550,7 @@ TEST(StableStorageTest, SnapshotFrameIsFilledInPlace) {
   SimDisk disk(&sim, 1, 0);
   StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
   SaveSnapshot(&storage, 0x0102, 3, Payload(9));
-  const std::vector<uint8_t>& file = disk.Read("snapshot");
+  const Body file = disk.ReadBody("snapshot");
   ASSERT_EQ(file.size(), StableStorage::kSnapshotHeaderBytes + 8);
   BufferReader r(file);
   uint64_t crc = 0;
@@ -577,7 +577,7 @@ TEST(StableStorageTest, MultiPartImageSnapshotMatchesFlatFraming) {
   BufferWriter head = StableStorage::SnapshotWriter();
   head.PutBytes(Bytes({1, 2}));
   storage.SaveSnapshot(21, 4, std::move(head), parted.tail);
-  const std::vector<uint8_t> file = disk.Read("snapshot");
+  const Body file = disk.ReadBody("snapshot");
   ASSERT_EQ(file.size(), StableStorage::kSnapshotHeaderBytes + parted.flat.size());
   BufferReader r(file);
   uint64_t crc = 0;
@@ -598,7 +598,7 @@ TEST(StableStorageTest, EverySnapshotBitFlipIsDetected) {
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
     SaveSnapshot(&storage, 12, 2, std::vector<uint8_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
   }
-  const std::vector<uint8_t> original = disk.Read("snapshot");
+  const Body original = disk.ReadBody("snapshot");
   for (size_t bit = 0; bit < original.size() * 8; ++bit) {
     WriteWithBitFlipped(&disk, "snapshot", original, bit);
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
@@ -626,7 +626,7 @@ TEST(StableStorageTest, EveryEntryRecordBitFlipIsDetected) {
     storage.AppendEntry(3, 1, 0, Payload(3));
     storage.Sync(nullptr);
   }
-  const std::vector<uint8_t> original = disk.Read(wal);
+  const Body original = disk.ReadBody(wal);
   {
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
     ASSERT_EQ(storage.Recover(true).entries.size(), 3u);
@@ -645,10 +645,10 @@ TEST(StableStorageTest, EveryEntryRecordBitFlipIsDetected) {
 // --- corruption targeting ---------------------------------------------------
 
 // Every WAL segment's bytes, by name.
-std::map<std::string, std::vector<uint8_t>> WalImage(const SimDisk& disk) {
-  std::map<std::string, std::vector<uint8_t>> image;
+std::map<std::string, Body> WalImage(const SimDisk& disk) {
+  std::map<std::string, Body> image;
   for (const std::string& file : disk.List("wal-")) {
-    image[file] = disk.Read(file);
+    image[file] = disk.ReadBody(file);
   }
   return image;
 }
@@ -656,11 +656,11 @@ std::map<std::string, std::vector<uint8_t>> WalImage(const SimDisk& disk) {
 // The (file, offset) of every byte that differs between two WAL images of
 // the same files.
 std::vector<std::pair<std::string, size_t>> WalDiff(
-    const std::map<std::string, std::vector<uint8_t>>& before,
-    const std::map<std::string, std::vector<uint8_t>>& after) {
+    const std::map<std::string, Body>& before,
+    const std::map<std::string, Body>& after) {
   std::vector<std::pair<std::string, size_t>> diff;
   for (const auto& [file, bytes] : after) {
-    const std::vector<uint8_t>& old = before.at(file);
+    const Body& old = before.at(file);
     EXPECT_EQ(old.size(), bytes.size()) << file;
     for (size_t i = 0; i < std::min(old.size(), bytes.size()); ++i) {
       if (old[i] != bytes[i]) {

@@ -47,7 +47,7 @@ struct WalImage {
 };
 
 // Record boundaries of a segment, from the framing alone.
-std::vector<size_t> RecordBoundaries(const std::vector<uint8_t>& bytes) {
+std::vector<size_t> RecordBoundaries(const Body& bytes) {
   std::vector<size_t> cuts = {0};
   size_t off = 0;
   while (off + 13 <= bytes.size()) {
@@ -67,7 +67,7 @@ std::vector<size_t> RecordBoundaries(const std::vector<uint8_t>& bytes) {
 TEST(WalFuzzTest, CrashAtEveryRecordBoundaryYieldsExactPrefix) {
   const int kEntries = 12;
   WalImage ref(kEntries);
-  const std::vector<uint8_t> image = ref.disk.Read(ref.segment);
+  const Body image = ref.disk.ReadBody(ref.segment);
   const std::vector<size_t> cuts = RecordBoundaries(image);
   // hard-state record + kEntries entry records
   ASSERT_EQ(cuts.size(), static_cast<size_t>(kEntries) + 2);
@@ -95,7 +95,7 @@ TEST(WalFuzzTest, CrashAtEveryRecordBoundaryYieldsExactPrefix) {
 TEST(WalFuzzTest, CrashMidRecordTruncatesTornTail) {
   const int kEntries = 6;
   WalImage ref(kEntries);
-  const std::vector<uint8_t> image = ref.disk.Read(ref.segment);
+  const Body image = ref.disk.ReadBody(ref.segment);
   const std::vector<size_t> cuts = RecordBoundaries(image);
 
   // Cut one byte into every record, and one byte before every record's end.
@@ -139,7 +139,7 @@ TEST(WalFuzzTest, CrashMidRecordTruncatesTornTail) {
 TEST(WalFuzzTest, BitFlipsNeverYieldWrongEntriesOnlyMissingOnes) {
   const int kEntries = 8;
   WalImage ref(kEntries);
-  const std::vector<uint8_t> image = ref.disk.Read(ref.segment);
+  const Body image = ref.disk.ReadBody(ref.segment);
 
   // A flip inside the *final* record's length field turns it into a framing
   // break at the physical end of the WAL — indistinguishable, by content
@@ -155,7 +155,7 @@ TEST(WalFuzzTest, BitFlipsNeverYieldWrongEntriesOnlyMissingOnes) {
     Simulator sim;
     SimDisk disk(&sim, 1, 0);
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
-    disk.WriteAndSync(ref.segment, image);
+    disk.WriteAndSync(ref.segment, std::vector<uint8_t>(image.begin(), image.end()));
     const size_t offset = rng.NextBelow(image.size());
     const bool tail_len_flip = offset >= last_record && offset < last_record + 4;
     ASSERT_TRUE(disk.FlipByte(ref.segment, offset));
@@ -208,7 +208,7 @@ TEST(WalFuzzTest, RecoveryIsByteDeterministic) {
 
   ASSERT_EQ(a.List("wal-"), b.List("wal-"));
   for (const std::string& f : a.List("wal-")) {
-    EXPECT_EQ(a.Read(f), b.Read(f)) << f;
+    EXPECT_EQ(a.ReadBody(f), b.ReadBody(f)) << f;
   }
   ASSERT_EQ(ra.entries.size(), rb.entries.size());
   EXPECT_EQ(ra.base_index, rb.base_index);
