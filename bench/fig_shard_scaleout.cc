@@ -42,7 +42,7 @@ constexpr double kScaleoutGate = 2.5;        // 4 groups vs 1 group
 double RunPoint(benchutil::BenchIo& io, int32_t groups) {
   ShardedClusterConfig cfg;
   cfg.groups = groups;
-  cfg.nodes_per_group = kNodesPerGroup;
+  cfg.nodes = kNodesPerGroup;
   cfg.mode = ClusterMode::kHovercRaft;
   cfg.app_factory = []() { return std::make_unique<SyntheticService>(); };
   cfg.replier_policy = ReplierPolicy::kJbsq;

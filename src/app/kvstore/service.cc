@@ -10,18 +10,18 @@ namespace hovercraft {
 
 KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
   KvReply reply;
-  TimeNs cost = costs_.base_ns;
+  TimeNs cost = kBaseNs;
   switch (cmd.op) {
     case KvOpcode::kSet: {
       store_.Set(cmd.key, cmd.value);
-      cost += static_cast<TimeNs>(costs_.write_byte_ns *
+      cost += static_cast<TimeNs>(kWriteByteNs *
                                   static_cast<double>(cmd.key.size() + cmd.value.size()));
       break;
     }
     case KvOpcode::kGet: {
       Result<std::string> r = store_.Get(cmd.key);
       if (r.ok()) {
-        cost += static_cast<TimeNs>(costs_.read_byte_ns * static_cast<double>(r.value().size()));
+        cost += static_cast<TimeNs>(kReadByteNs * static_cast<double>(r.value().size()));
         reply.values.push_back(r.TakeValue());
       } else {
         reply.status = r.status().code() == StatusCode::kNotFound ? KvReplyStatus::kNotFound
@@ -40,7 +40,7 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
       if (!s.ok()) {
         reply.status = KvReplyStatus::kWrongType;
       } else {
-        cost += static_cast<TimeNs>(costs_.write_byte_ns *
+        cost += static_cast<TimeNs>(kWriteByteNs *
                                     static_cast<double>(cmd.field.size() + cmd.value.size()));
       }
       break;
@@ -48,7 +48,7 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
     case KvOpcode::kHget: {
       Result<std::string> r = store_.Hget(cmd.key, cmd.field);
       if (r.ok()) {
-        cost += static_cast<TimeNs>(costs_.read_byte_ns * static_cast<double>(r.value().size()));
+        cost += static_cast<TimeNs>(kReadByteNs * static_cast<double>(r.value().size()));
         reply.values.push_back(r.TakeValue());
       } else {
         reply.status = r.status().code() == StatusCode::kNotFound ? KvReplyStatus::kNotFound
@@ -62,7 +62,7 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
       if (!r.ok()) {
         reply.status = KvReplyStatus::kWrongType;
       } else {
-        cost += static_cast<TimeNs>(costs_.write_byte_ns * static_cast<double>(cmd.value.size()));
+        cost += static_cast<TimeNs>(kWriteByteNs * static_cast<double>(cmd.value.size()));
         reply.values.push_back(std::to_string(r.value()));
       }
       break;
@@ -81,7 +81,7 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
       if (!r.ok()) {
         reply.status = KvReplyStatus::kWrongType;
       } else {
-        cost += static_cast<TimeNs>(costs_.write_byte_ns * static_cast<double>(cmd.value.size()));
+        cost += static_cast<TimeNs>(kWriteByteNs * static_cast<double>(cmd.value.size()));
         reply.values.push_back(std::to_string(r.value()));
       }
       break;
@@ -89,7 +89,7 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
     case KvOpcode::kSetnx: {
       Result<bool> r = store_.Setnx(cmd.key, cmd.value);
       if (r.value()) {
-        cost += static_cast<TimeNs>(costs_.write_byte_ns *
+        cost += static_cast<TimeNs>(kWriteByteNs *
                                     static_cast<double>(cmd.key.size() + cmd.value.size()));
       }
       reply.values.push_back(r.value() ? "1" : "0");
@@ -115,7 +115,7 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
         reply.status = r.status().code() == StatusCode::kNotFound ? KvReplyStatus::kNotFound
                                                                   : KvReplyStatus::kWrongType;
       } else {
-        cost += static_cast<TimeNs>(costs_.read_byte_ns * static_cast<double>(r.value().size()));
+        cost += static_cast<TimeNs>(kReadByteNs * static_cast<double>(r.value().size()));
         reply.values.push_back(r.TakeValue());
       }
       break;
@@ -135,8 +135,7 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
         reply.status = KvReplyStatus::kWrongType;
       } else {
         if (r.value()) {
-          cost += static_cast<TimeNs>(costs_.write_byte_ns *
-                                      static_cast<double>(cmd.value.size()));
+          cost += static_cast<TimeNs>(kWriteByteNs * static_cast<double>(cmd.value.size()));
         }
         reply.values.push_back(r.value() ? "1" : "0");
       }
@@ -177,8 +176,8 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
                                                                   : KvReplyStatus::kWrongType;
       } else {
         for (std::string& v : r.value()) {
-          cost += costs_.scan_record_ns +
-                  static_cast<TimeNs>(costs_.read_byte_ns * static_cast<double>(v.size()));
+          cost += kScanRecordNs +
+                  static_cast<TimeNs>(kReadByteNs * static_cast<double>(v.size()));
           reply.values.push_back(std::move(v));
         }
       }
@@ -191,11 +190,11 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
         reply.status = r.status().code() == StatusCode::kNotFound ? KvReplyStatus::kNotFound
                                                                   : KvReplyStatus::kWrongType;
         // Scans over missing threads still pay the probe.
-        cost += costs_.scan_record_ns;
+        cost += kScanRecordNs;
       } else {
         for (std::string& v : r.value()) {
-          cost += costs_.scan_record_ns +
-                  static_cast<TimeNs>(costs_.read_byte_ns * static_cast<double>(v.size()));
+          cost += kScanRecordNs +
+                  static_cast<TimeNs>(kReadByteNs * static_cast<double>(v.size()));
           reply.values.push_back(std::move(v));
         }
       }

@@ -19,20 +19,17 @@
 
 namespace hovercraft {
 
-struct KvCostModel {
-  // Fixed dispatch cost per command (parse, lookup, reply build).
-  TimeNs base_ns = Micros(2);
-  // Per byte written into the store (allocation + copy + index update).
-  double write_byte_ns = 65.0;
-  // Per byte read out of the store into the reply.
-  double read_byte_ns = 1.0;
-  // Per record visited by a scan (pointer chase + serialization setup).
-  TimeNs scan_record_ns = 1'500;
-};
-
 class KvService final : public StateMachine {
  public:
-  explicit KvService(KvCostModel costs = KvCostModel{}) : costs_(costs) {}
+  // Virtual CPU cost model (docs/CALIBRATION.md).
+  // Fixed dispatch cost per command (parse, lookup, reply build).
+  static constexpr TimeNs kBaseNs = Micros(2);
+  // Per byte written into the store (allocation + copy + index update).
+  static constexpr double kWriteByteNs = 65.0;
+  // Per byte read out of the store into the reply.
+  static constexpr double kReadByteNs = 1.0;
+  // Per record visited by a scan (pointer chase + serialization setup).
+  static constexpr TimeNs kScanRecordNs = 1'500;
 
   ExecResult Execute(const RpcRequest& request) override;
   uint64_t Digest() const override { return store_.ContentDigest() ^ mutation_digest_; }
@@ -60,7 +57,6 @@ class KvService final : public StateMachine {
   KvReply Apply(const KvCommand& cmd, TimeNs* cost_out = nullptr);
 
  private:
-  KvCostModel costs_;
   KvStore store_;
   uint64_t applied_ = 0;
   uint64_t mutation_digest_ = 0xCBF29CE484222325ull;

@@ -134,9 +134,8 @@ ExecResult LockService::Execute(const RpcRequest& request) {
     ++applied_;
   }
   const TimeNs cost =
-      costs_.base_ns + static_cast<TimeNs>(costs_.name_byte_ns *
-                                           static_cast<double>(cmd.value().lock.size() +
-                                                               cmd.value().owner.size()));
+      kBaseNs + static_cast<TimeNs>(kNameByteNs * static_cast<double>(cmd.value().lock.size() +
+                                                                       cmd.value().owner.size()));
   return ExecResult{cost, EncodeLockReply(reply)};
 }
 

@@ -58,13 +58,10 @@ Result<LockReply> DecodeLockReply(const Body& body);
 
 class LockService final : public StateMachine {
  public:
-  struct Costs {
-    TimeNs base_ns = 500;            // map probe + reply build
-    double name_byte_ns = 2.0;       // hashing/compares over names
-  };
-
-  LockService() : LockService(Costs{}) {}
-  explicit LockService(Costs costs) : costs_(costs) {}
+  // Virtual CPU cost: a map probe + reply build, plus hashing and compares
+  // over the lock and owner names.
+  static constexpr TimeNs kBaseNs = 500;
+  static constexpr double kNameByteNs = 2.0;
 
   ExecResult Execute(const RpcRequest& request) override;
   uint64_t Digest() const override;
@@ -83,7 +80,6 @@ class LockService final : public StateMachine {
     uint64_t token;
   };
 
-  Costs costs_;
   std::unordered_map<std::string, Holder> holders_;
   uint64_t next_token_ = 1;
   uint64_t applied_ = 0;

@@ -87,6 +87,17 @@ bool ParseShardMove(std::string_view item, ShardMove* out) {
   return true;
 }
 
+ChaosRunConfig::ChaosRunConfig() {
+  cluster.replier_policy = ReplierPolicy::kJbsq;
+  cluster.bounded_queue_depth = 64;
+  // The stagger shortcut gives node 0 a permanently shorter election timeout.
+  // Without pre-vote, a healed-but-stale node 0 then livelocks elections:
+  // its 1-2 ms timer bumps the term faster than the 5-10 ms peers can elect.
+  // Chaos runs need the symmetric timeouts real deployments would have.
+  cluster.stagger_first_election = false;
+  cluster.app_factory = []() { return std::make_unique<KvService>(); };
+}
+
 ChaosRunConfig ChaosRunConfig::Sharded(int32_t groups) {
   ChaosRunConfig config;
   config.groups = groups;
@@ -97,7 +108,7 @@ ChaosRunConfig ChaosRunConfig::Sharded(int32_t groups) {
   config.outstanding_limit = 8;
   config.duration = Millis(120);
   config.settle = Millis(80);
-  config.bounded_queue_depth = 128;
+  config.cluster.bounded_queue_depth = 128;
   return config;
 }
 
@@ -113,7 +124,7 @@ std::string ChaosRunConfig::Check() const {
              "' (want dual-leader | commit-regression | lease-overlap | double-apply | "
              "flow-leak)";
     }
-    if (flight_recorder_depth == 0) {
+    if (fabric.flight_recorder_depth == 0) {
       return "inject_violation needs the flight recorder on";
     }
   }
@@ -123,10 +134,10 @@ std::string ChaosRunConfig::Check() const {
   if (groups == 1) {
     return moves.empty() && !kill_leader_mid_move ? "" : "shard moves need groups > 1";
   }
-  if ((mode != ClusterMode::kHovercRaft && mode != ClusterMode::kHovercRaftPP) ||
-      schedule != "none" || spare_nodes != 0 || !add_server_at.empty() ||
-      !remove_server_at.empty() || !inject_violation.empty() || critical_path != nullptr ||
-      !watchdog) {
+  if ((cluster.mode != ClusterMode::kHovercRaft && cluster.mode != ClusterMode::kHovercRaftPP) ||
+      schedule != "none" || cluster.spare_nodes != 0 || !add_server_at.empty() ||
+      !remove_server_at.empty() || !inject_violation.empty() ||
+      cluster.critical_path != nullptr || !watchdog) {
     return "a sharded run (groups > 1) needs a multicast mode and schedule none, takes no "
            "spares, membership events, injected violation or critical-path sink, and keeps "
            "its watchdogs on";
@@ -318,8 +329,8 @@ ChaosRunResult Drive(const ChaosRunConfig& config, const Deployment& d) {
     InjectViolation(&sim, flight_recorder, config.inject_violation, t0 + config.duration / 2);
   }
 
-  if (config.obs != nullptr) {
-    config.obs->StartSampling(&sim, t0 + config.duration + config.settle);
+  if (config.fabric.obs != nullptr) {
+    config.fabric.obs->StartSampling(&sim, t0 + config.duration + config.settle);
   }
 
   for (auto& client : clients) {
@@ -327,11 +338,11 @@ ChaosRunResult Drive(const ChaosRunConfig& config, const Deployment& d) {
   }
   sim.RunUntil(t0 + config.duration + config.settle);
 
-  if (config.obs != nullptr) {
+  if (config.fabric.obs != nullptr) {
     if (d.sharded != nullptr) {
-      d.sharded->ExportMetrics(&config.obs->metrics());
+      d.sharded->ExportMetrics(&config.fabric.obs->metrics());
     } else {
-      home.ExportMetrics(&config.obs->metrics());
+      home.ExportMetrics(&config.fabric.obs->metrics());
     }
   }
 
@@ -452,42 +463,14 @@ ChaosRunResult DriveAndInspect(const ChaosRunConfig& config, const Deployment& d
 
 ChaosRunResult RunChaosSchedule(const ChaosRunConfig& config) {
   HC_CHECK(config.Check().empty());  // Check() says what is wrong
-  ClusterConfig cc;
-  cc.mode = config.mode;
-  cc.nodes = config.nodes;
-  cc.spare_nodes = config.spare_nodes;
+  ClusterConfig cc = config.cluster;
   cc.seed = config.seed;
-  cc.replier_policy = ReplierPolicy::kJbsq;
-  cc.bounded_queue_depth = config.bounded_queue_depth;
-  cc.flow_control_threshold = config.flow_control_threshold;
-  cc.app_factory = config.app_factory
-                       ? config.app_factory
-                       : []() { return std::make_unique<KvService>(); };
-  cc.server_template.dedup_enabled = config.dedup_enabled;
-  cc.costs.tx_batching = config.tx_batching;
-  cc.costs.tx_batch_delay_ns = config.tx_batch_delay_ns;
-  cc.raft.pre_vote = config.pre_vote;
-  cc.raft.check_quorum = config.check_quorum;
-  cc.raft.read_index = config.read_index;
-  cc.raft.read_lease_timeout = config.read_lease_timeout;
-  cc.raft.persist_latency = config.persist_latency;
-  cc.server_template.fsync_policy = config.fsync_policy;
-  cc.server_template.wal_recovery = config.wal_recovery;
-  // The stagger shortcut gives node 0 a permanently shorter election timeout.
-  // Without pre-vote, a healed-but-stale node 0 then livelocks elections:
-  // its 1-2 ms timer bumps the term faster than the 5-10 ms peers can elect.
-  // Chaos runs need the symmetric timeouts real deployments would have.
-  cc.stagger_first_election = false;
-  FabricConfig fc;
-  fc.flight_recorder_depth = config.flight_recorder_depth;
-  fc.obs = config.obs;
 
   if (config.groups > 1) {
     ShardedClusterConfig sc;
     static_cast<ClusterConfig&>(sc) = cc;
-    static_cast<FabricConfig&>(sc) = fc;
+    static_cast<FabricConfig&>(sc) = config.fabric;
     sc.groups = config.groups;
-    sc.nodes_per_group = config.nodes;
     ShardedCluster sharded(sc);
     Deployment d{sharded.fabric(), {}, &sharded};
     for (int32_t g = 0; g < config.groups; ++g) {
@@ -502,7 +485,7 @@ ChaosRunResult RunChaosSchedule(const ChaosRunConfig& config) {
 
   // The run's own fabric, so the recorder carries this run's repro command
   // from the first event and the watchdog can dump it on a violation.
-  Fabric fabric(cc.costs, cc.seed, fc);
+  Fabric fabric(cc.costs, cc.seed, config.fabric);
   std::unique_ptr<obs::Watchdog> watchdog;
   if (obs::FlightRecorder* fr = fabric.recorder(); fr != nullptr) {
     fr->set_repro(config.repro);
@@ -512,7 +495,6 @@ ChaosRunResult RunChaosSchedule(const ChaosRunConfig& config) {
     }
   }
   cc.watchdog = watchdog.get();
-  cc.critical_path = config.critical_path;
   Cluster cluster(fabric, cc);
   return DriveAndInspect(config, Deployment{fabric, {&cluster}, nullptr});
 }

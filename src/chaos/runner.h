@@ -16,24 +16,20 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/chaos/linearizability.h"
 #include "src/common/types.h"
+#include "src/core/cluster.h"
+#include "src/core/fabric.h"
 #include "src/loadgen/experiment.h"
-#include "src/storage/fsync_policy.h"
 
 namespace hovercraft {
 
-class StateMachine;
-
 namespace obs {
-class CriticalPath;
 class FlightRecorder;
-class Observability;
 }  // namespace obs
 
 // A scripted shard move: slots [lo, hi] to group `dest`, `at` after the start
@@ -49,21 +45,49 @@ struct ShardMove {
 bool ParseShardMove(std::string_view item, ShardMove* out);
 
 struct ChaosRunConfig {
-  ClusterMode mode = ClusterMode::kHovercRaft;
+  // The chaos defaults on top of ClusterConfig's: JBSQ repliers with queues
+  // of 64, symmetric election timeouts (stagger_first_election off) and a
+  // KvService per node.
+  ChaosRunConfig();
+
+  // The deployment: one group, or in a sharded run the template of every
+  // group (src/shard/sharded_cluster.h). Its seed is replaced by `seed`
+  // below and its watchdog set by the run; everything else is used as set:
+  //  - costs.tx_batching / tx_batch_delay_ns: batching must be verdict-
+  //    invariant; the transport-batching tests run every schedule batched
+  //    and not and require identical chaos outcomes;
+  //  - server_template.dedup_enabled: off with retries on demonstrates the
+  //    double-apply anomaly (ServerStats::double_applies, and typically a
+  //    linearizability violation);
+  //  - raft.pre_vote / check_quorum / read_index / read_lease_timeout
+  //    (docs/hardening.md): the attack schedules run with the relevant
+  //    defense off as the control (the attack visibly succeeds) and on as
+  //    the proof (no disruption, no stale read);
+  //  - raft.persist_latency, server_template.fsync_policy / wal_recovery
+  //    (docs/durability.md): the disk-* schedules run the defaults as the
+  //    defended proof and kAckBeforeSync or wal_recovery=false as the control
+  //    whose violations show the fault genuinely bites;
+  //  - spare_nodes: servers outside the initial config that the churn
+  //    schedules and the scripted membership events below draw on;
+  //  - app_factory: tests plant a deliberately broken state machine here to
+  //    prove the checker catches it;
+  //  - critical_path (unsharded runs): attached to the recorder for the run.
+  ClusterConfig cluster;
+  // The run's fabric. The recorder depth (0 disables recording and with it
+  // the watchdog) is independent of `obs`; when `obs` is set the run samples
+  // queue depths into it and exports the cluster counters at the end.
+  // Nemesis faults are recorded as notes.
+  FabricConfig fabric;
+
   std::string schedule = "random";
   uint64_t seed = 1;
 
   // Consensus groups. Above 1 the run is sharded (src/shard): `groups`
-  // groups of `nodes` replicas share one fabric, every op resolves its owner
-  // through the shard map, and the coordinator runs the move script below.
-  // A sharded run takes the "none" schedule, a multicast mode, no spares and
-  // no membership events or injected violations (see Check()).
+  // groups of cluster.nodes replicas share one fabric, every op resolves its
+  // owner through the shard map, and the coordinator runs the move script
+  // below. A sharded run takes the "none" schedule, a multicast mode, no
+  // spares and no membership events or injected violations (see Check()).
   int32_t groups = 1;
-  int32_t nodes = 3;
-  // Extra servers built but outside the initial config; the churn schedules
-  // and the scripted membership events below draw on them (see
-  // ClusterConfig::spare_nodes).
-  int32_t spare_nodes = 0;
   int32_t clients = 2;
   double rate_rps_per_client = 4'000;
   int32_t keys = 8;
@@ -76,17 +100,6 @@ struct ChaosRunConfig {
   TimeNs duration = Millis(150);  // nemesis + load window
   TimeNs settle = Millis(100);    // quiet period before the final checks
 
-  // <= 0 disables the flow-control cap (HovercRaft modes only).
-  int64_t flow_control_threshold = 0;
-  int64_t bounded_queue_depth = 64;
-
-  // eRPC-style transport batching (CostModel::tx_batching), forwarded into
-  // the cluster's cost model. Batching must be verdict-invariant: the
-  // transport-batching tests run every schedule twice — batched and not —
-  // and require identical chaos outcomes.
-  bool tx_batching = false;
-  TimeNs tx_batch_delay_ns = 0;
-
   // Client retransmission (exactly-once stress). Disabled by default: the
   // legacy schedules run fire-and-forget clients; the reply-facing schedules
   // need retries to make progress at all. Sharded runs always retry: a
@@ -96,36 +109,6 @@ struct ChaosRunConfig {
   bool retry_enabled = false;
   TimeNs retry_initial_backoff = Micros(500);
   uint32_t retry_max_attempts = 0;  // 0 = bounded by give_up only
-  // Server-side session dedup. Turning it off with retries on demonstrates
-  // the double-apply anomaly (ServerStats::double_applies, and typically a
-  // linearizability violation).
-  bool dedup_enabled = true;
-
-  // Adversarial hardening toggles (docs/hardening.md), forwarded into every
-  // node's RaftOptions. The attack schedules ("rejoin-storm", "forged-vote",
-  // "timer-skew", "stale-read-probe") are meant to run twice: the relevant
-  // defense off as the control (the attack visibly succeeds) and on as the
-  // proof (no disruption, no stale read).
-  bool pre_vote = true;
-  bool check_quorum = true;
-  bool read_index = false;
-  // 0 keeps the strict election_timeout_min lease; widening it past the
-  // election timeout models lease clock skew (the stale-read control).
-  TimeNs read_lease_timeout = 0;
-
-  // Durability knobs (docs/durability.md), forwarded into every node's disk
-  // and storage layer. The disk-* schedules run paired: defaults as the
-  // defended proof (zero violations), fsync_policy=kAckBeforeSync (for the
-  // power-fail/torn/stall faults) or wal_recovery=false (for corruption) as
-  // the control whose violations show the fault genuinely bites.
-  TimeNs persist_latency = 0;
-  FsyncPolicy fsync_policy = FsyncPolicy::kGroupCommit;
-  bool wal_recovery = true;
-
-  // Override the replicated application; defaults to a KvService per node.
-  // Exists so tests can plant a deliberately broken state machine and prove
-  // the checker catches it.
-  std::function<std::unique_ptr<StateMachine>()> app_factory;
 
   uint64_t checker_max_states = 4'000'000;
 
@@ -147,24 +130,12 @@ struct ChaosRunConfig {
   // overlap.
   bool kill_leader_mid_move = false;
 
-  // Optional observability bundle (metrics + samplers). Non-owning; when
-  // set, the run samples queue depths into it and exports the cluster
-  // counters at the end.
-  obs::Observability* obs = nullptr;
-
-  // Always-on flight recorder: per-node ring depth of the run's fabric (0
-  // disables recording and with it the watchdog). Independent of `obs`.
-  // Nemesis faults are recorded as notes.
-  size_t flight_recorder_depth = 512;
   // Online invariant watchdog over the recorder stream (docs/observability.md
   // has the invariant catalog). On by default: every defended chaos run is
   // expected to be violation-free, and a violation fails ok(). Controls that
   // intentionally break an invariant keep it on and assert it fires. A
   // sharded run checks each group with its own node-filtered watchdog.
   bool watchdog = true;
-  // Unsharded runs: critical-path analyzer (non-owning) attached to the
-  // recorder for the run.
-  obs::CriticalPath* critical_path = nullptr;
   // Called once at the end of the run, before the deployment is torn down,
   // with the fabric's recorder (not called when recording is off): how a
   // caller exports the run's events.

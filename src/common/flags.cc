@@ -58,6 +58,15 @@ void Flags::Add(std::string_view spec, bool* target, std::string_view help) {
   HC_CHECK(!flags_.back().takes_value);  // a boolean's spec has no METAVAR
 }
 
+void Flags::AddNegated(std::string_view spec, bool* target, std::string_view help) {
+  HC_CHECK(spec.starts_with("--no-"));
+  AddFlag(spec, help, false, [target](std::string_view) {
+    *target = false;
+    return true;
+  });
+  HC_CHECK(!flags_.back().takes_value);
+}
+
 void Flags::Add(std::string_view spec, std::string* target, std::string_view help) {
   AddFlag(spec, help, false, [target](std::string_view v) {
     *target = v;

@@ -7,14 +7,16 @@
 //   Flags flags("chaos_runner");
 //   flags.Add("--seed=S", &opts.seed, "replay seed (default 1)");
 //   flags.Add("--retries", &opts.retries, "enable client retransmission");
+//   flags.AddNegated("--no-dedup", &config.dedup_enabled, "disable dedup");
 //   flags.AddDuration("--duration-ms=M", &opts.duration, Millis(1), "load window");
 //   flags.ParseOrExit(argc, argv);
 //
 // Spec forms: "--name=METAVAR" takes its value after '='; a bare "--name"
-// is a boolean (present = true); "-x METAVAR" is a short flag whose value is
-// the next argument (sweep's `-j N`). A numeric value must be consumed in
-// full — "3x", "abc" or an out-of-range number is an error naming the flag,
-// never a silent 0. `--help` / `-h` are built in.
+// is a boolean (present = true; AddNegated's "--no-name" = false); "-x
+// METAVAR" is a short flag whose value is the next argument (sweep's
+// `-j N`). A numeric value must be consumed in full — "3x", "abc" or an
+// out-of-range number is an error naming the flag, never a silent 0.
+// `--help` / `-h` are built in.
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_
 
@@ -55,6 +57,8 @@ class Flags {
   explicit Flags(std::string program) : program_(std::move(program)) {}
 
   void Add(std::string_view spec, bool* target, std::string_view help);
+  // A bare "--no-x" switch that clears `target`, for settings that default on.
+  void AddNegated(std::string_view spec, bool* target, std::string_view help);
   void Add(std::string_view spec, std::string* target, std::string_view help);
   template <typename T>
     requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)

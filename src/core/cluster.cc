@@ -192,6 +192,13 @@ void Cluster::InstallObservability() {
   }
 }
 
+// ExportMetrics exports every counter of these structs: a new field fails to
+// compile here until it is added to the list below.
+static_assert(sizeof(ServerStats) == 26 * sizeof(uint64_t));
+static_assert(sizeof(RaftStats) == 29 * sizeof(uint64_t));
+static_assert(sizeof(StorageStats) == 9 * sizeof(uint64_t));
+static_assert(sizeof(SimDiskStats) == 9 * sizeof(uint64_t));
+
 void Cluster::ExportMetrics(obs::MetricsRegistry* metrics) {
   HC_CHECK(metrics != nullptr);
   const std::string& scope = config_.obs_scope;
@@ -230,6 +237,7 @@ void Cluster::ExportMetrics(obs::MetricsRegistry* metrics) {
     metrics->SetCounter(prefix + "server.ops_executed", st.ops_executed);
     metrics->SetCounter(prefix + "server.ro_skipped", st.ro_skipped);
     metrics->SetCounter(prefix + "server.feedback_sent", st.feedback_sent);
+    metrics->SetCounter(prefix + "server.unrestricted_served", st.unrestricted_served);
     metrics->SetCounter(prefix + "server.dedup_hits", st.dedup_hits);
     metrics->SetCounter(prefix + "server.dedup_replies", st.dedup_replies);
     metrics->SetCounter(prefix + "server.double_applies", st.double_applies);
@@ -242,6 +250,14 @@ void Cluster::ExportMetrics(obs::MetricsRegistry* metrics) {
     metrics->SetCounter(prefix + "server.read_index_remote", st.read_index_remote);
     metrics->SetCounter(prefix + "server.read_index_queued", st.read_index_queued);
     metrics->SetCounter(prefix + "server.read_index_dropped", st.read_index_dropped);
+    metrics->SetCounter(prefix + "server.wrong_shard_nacks", st.wrong_shard_nacks);
+    metrics->SetCounter(prefix + "server.wrong_shard_rejects", st.wrong_shard_rejects);
+    metrics->SetCounter(prefix + "server.shard_freezes", st.shard_freezes);
+    metrics->SetCounter(prefix + "server.shard_installs", st.shard_installs);
+    metrics->SetCounter(prefix + "server.shard_gcs", st.shard_gcs);
+    metrics->SetCounter(prefix + "server.shard_unfreezes", st.shard_unfreezes);
+    metrics->SetCounter(prefix + "server.shard_uninstalls", st.shard_uninstalls);
+    metrics->SetCounter(prefix + "server.shard_ctl_stale", st.shard_ctl_stale);
     if (s.raft() != nullptr) {
       const RaftStats& rs = s.raft()->stats();
       metrics->SetCounter(prefix + "raft.elections_started", rs.elections_started);
@@ -272,6 +288,8 @@ void Cluster::ExportMetrics(obs::MetricsRegistry* metrics) {
       metrics->SetCounter(prefix + "raft.campaigns_blocked_suspect",
                           rs.campaigns_blocked_suspect);
       metrics->SetCounter(prefix + "raft.suspect_repaired", rs.suspect_repaired);
+      metrics->SetCounter(prefix + "raft.match_regressions", rs.match_regressions);
+      metrics->SetCounter(prefix + "raft.committed_overwritten", rs.committed_overwritten);
       metrics->SetGauge(prefix + "raft.commit_index",
                         static_cast<int64_t>(s.raft()->commit_index()));
       metrics->SetGauge(prefix + "raft.applied_index",

@@ -50,8 +50,7 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
     disk_->set_node(obs_node_id());
     storage_ = std::make_unique<StableStorage>(disk_.get(), config_.fsync_policy);
     storage_->set_node(obs_node_id());
-    raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this);
-    raft_->set_storage(storage_.get());
+    raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this, storage_.get());
     genesis_app_state_ = app_->SnapshotImage();
   }
 }
@@ -265,18 +264,18 @@ TimeNs ReplicatedServer::ProtocolCpu(const Message& msg) const {
       // embedded request payloads).
       const auto& ae = static_cast<const AppendEntriesReq&>(msg);
       const int32_t marshalled = ae.PayloadBytes() - kAeFixedBytes;
-      return costs().ae_fixed_ns +
-             costs().raft_entry_ns * static_cast<TimeNs>(ae.entries().size()) +
-             static_cast<TimeNs>(costs().ae_payload_byte_ns * marshalled);
+      return CostModel::kAeFixedNs +
+             CostModel::kRaftEntryNs * static_cast<TimeNs>(ae.entries().size()) +
+             static_cast<TimeNs>(CostModel::kAePayloadByteNs * marshalled);
     }
     case MessageKind::kAeRep:
-      return costs().raft_entry_ns;
+      return CostModel::kRaftEntryNs;
     case MessageKind::kAggCommit:
-      return costs().ae_fixed_ns;
+      return CostModel::kAeFixedNs;
     case MessageKind::kSnapshotReq:
       // Serializing / installing a state image costs a copy of its bytes.
-      return costs().ae_fixed_ns +
-             static_cast<TimeNs>(costs().ae_payload_byte_ns * msg.PayloadBytes());
+      return CostModel::kAeFixedNs +
+             static_cast<TimeNs>(CostModel::kAePayloadByteNs * msg.PayloadBytes());
     default:
       return 0;
   }
@@ -796,7 +795,7 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
   HC_CHECK(decoded.ok());
   const bool reply_here = (entry.replier == self);
   Body reply;
-  TimeNs cost = costs().ae_fixed_ns;
+  TimeNs cost = CostModel::kAeFixedNs;
   // The designated replier's capture is not replicated state (every replica
   // could produce the identical bytes) — it travels to the coordinator in the
   // reply and reaches the destination group inside the install entry. While
@@ -828,7 +827,7 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
     // ignored by the coordinator's sequence check.
     if (reply_here && op.kind == ShardOpKind::kFreeze) {
       reply = build_capture();
-      cost += static_cast<TimeNs>(costs().ae_payload_byte_ns *
+      cost += static_cast<TimeNs>(CostModel::kAePayloadByteNs *
                                   static_cast<double>(reply->size()));
     }
   } else {
@@ -838,7 +837,7 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
         ++stats_.shard_freezes;
         if (reply_here) {
           reply = build_capture();
-          cost += static_cast<TimeNs>(costs().ae_payload_byte_ns *
+          cost += static_cast<TimeNs>(CostModel::kAePayloadByteNs *
                                       static_cast<double>(reply->size()));
         }
         break;
@@ -855,7 +854,7 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
         HC_CHECK(app_->InstallRange(op.payload.Slice(r.position(), r.remaining())).ok());
         shard_.Install(op.lo, op.hi);
         ++stats_.shard_installs;
-        cost += static_cast<TimeNs>(costs().ae_payload_byte_ns *
+        cost += static_cast<TimeNs>(CostModel::kAePayloadByteNs *
                                     static_cast<double>(op.payload->size()));
         break;
       }

@@ -81,7 +81,7 @@ void Host::EnqueueBatched(Addr dst, MessagePtr msg, TimeNs extra_cpu) {
   const int64_t slot = msg->PayloadBytes() + BatchMsg::kPerMessageHeaderBytes;
   // A batch frame never exceeds one MTU payload: flush what is queued before
   // a message that would overflow it.
-  if (!batch.msgs.empty() && batch.bytes + slot > costs_.mtu_payload_bytes) {
+  if (!batch.msgs.empty() && batch.bytes + slot > CostModel::kMtuPayloadBytes) {
     FlushBatch(dst);
   }
   batch.msgs.push_back(std::move(msg));
@@ -189,7 +189,7 @@ void Host::Receive(HostId src, MessagePtr msg) {
   if (kind_ == Kind::kDevice) {
     // Fixed pipeline latency, unbounded parallelism (the ASIC runs at line
     // rate regardless of message rate).
-    sim_->After(costs_.aggregator_latency_ns, [this, src, msg = std::move(msg)]() {
+    sim_->After(CostModel::kAggregatorLatencyNs, [this, src, msg = std::move(msg)]() {
       if (!failed_) {
         DeliverFrame(src, msg);
       }

@@ -102,7 +102,8 @@ void Network::Transmit(Packet packet) {
   // Ownership rule: the packet (and its MessagePtr reference) is moved into
   // the switch-hop event; per-destination references are only taken at
   // DeliverCopy fan-out.
-  const TimeNs at_switch = sim_->Now() + costs_.link_propagation_ns + costs_.switch_latency_ns;
+  const TimeNs at_switch =
+      sim_->Now() + CostModel::kLinkPropagationNs + CostModel::kSwitchLatencyNs;
   sim_->At(at_switch, [this, packet = std::move(packet)]() {
     if (IsMulticastAddr(packet.dst)) {
       for (HostId member : GroupMembers(packet.dst)) {
@@ -183,7 +184,7 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
     }
   }
   delivered_msgs_ += delivering;
-  TimeNs delay = costs_.link_propagation_ns;
+  TimeNs delay = CostModel::kLinkPropagationNs;
   if (!link_delay_.empty()) {
     auto it = link_delay_.find(LinkKey(packet.src, dst));
     if (it != link_delay_.end()) {

@@ -24,16 +24,19 @@ void RecordRole(Simulator* sim, NodeId node, Term term, obs::FrRole role, bool s
 
 }  // namespace
 
-RaftNode::RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, Env* env)
+RaftNode::RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, Env* env,
+                   StableStorage* storage)
     : sim_(sim),
       options_(options),
       env_(env),
       rng_(seed),
+      storage_(storage),
       peers_(static_cast<size_t>(options.cluster_size)),
       scheduler_(options.cluster_size, options.id, options.replier_policy,
                  options.bounded_queue_depth, seed ^ 0x5EED5EED5EED5EEDull) {
   HC_CHECK(sim != nullptr);
   HC_CHECK(env != nullptr);
+  HC_CHECK(storage != nullptr);
   HC_CHECK_GE(options.id, 0);
   HC_CHECK_LT(options.id, options.cluster_size);
   // cluster_size is the node universe; the initial voter set may be a prefix
@@ -99,9 +102,6 @@ bool RaftNode::CanCampaign() const {
 // ---------------------------------------------------------------------------
 
 void RaftNode::PersistHardState() {
-  if (storage_ == nullptr) {
-    return;
-  }
   if (current_term_ == persisted_term_ && voted_for_ == persisted_vote_) {
     return;
   }
@@ -111,15 +111,12 @@ void RaftNode::PersistHardState() {
 }
 
 void RaftNode::StorageAppendEntry(LogIndex idx, const MembershipConfig* config) {
-  if (storage_ == nullptr) {
-    return;
-  }
   const LogEntry& e = log_.At(idx);
   storage_->AppendEntry(idx, e.term, e.replier, EncodeWalEntry(e, config));
 }
 
 void RaftNode::ScheduleDurability(LogIndex tail) {
-  if (storage_ == nullptr || tail <= durable_index_) {
+  if (tail <= durable_index_) {
     return;
   }
   // The completion fence: the callback is only meaningful while the process
@@ -175,7 +172,6 @@ void RaftNode::MaybeClearSuspect() {
 void RaftNode::RestartFromRecovery(const StableStorage::Recovery& rec, LogIndex applied,
                                    MembershipConfigPtr snap_config,
                                    LogIndex snap_config_idx) {
-  HC_CHECK(storage_ != nullptr);
   ++restart_epoch_;
   current_term_ = rec.term;
   voted_for_ = rec.voted_for;
@@ -409,7 +405,7 @@ void RaftNode::MaybeStepDownWithoutQuorum() {
   if (role_ != RaftRole::kLeader) {
     return;
   }
-  if (QuorumContactedWithin(CheckQuorumWindow())) {
+  if (QuorumContactedSince(sim_->Now() - CheckQuorumWindow())) {
     return;
   }
   ++stats_.stepdowns_check_quorum;
@@ -418,8 +414,7 @@ void RaftNode::MaybeStepDownWithoutQuorum() {
   BecomeFollower(current_term_, false);
 }
 
-bool RaftNode::QuorumContactedWithin(TimeNs window) const {
-  const TimeNs floor = sim_->Now() - window;
+bool RaftNode::QuorumContactedSince(TimeNs floor) const {
   int32_t contacted = 0;
   for (NodeId p : active_config().voters) {
     if (p == options_.id) {
@@ -663,19 +658,7 @@ RaftNode::ReadGrant RaftNode::AcquireReadIndex() {
   // a quorum counted under an older voter set or term proves nothing.
   const TimeNs window = options_.read_lease_timeout > 0 ? options_.read_lease_timeout
                                                         : options_.election_timeout_min;
-  const TimeNs floor = std::max(sim_->Now() - window, lease_floor_);
-  int32_t contacted = 0;
-  for (NodeId p : active_config().voters) {
-    if (p == options_.id) {
-      ++contacted;
-      continue;
-    }
-    const PeerState& st = peers_[static_cast<size_t>(p)];
-    if (st.last_response > 0 && st.last_response >= floor) {
-      ++contacted;
-    }
-  }
-  if (contacted < active_config().majority()) {
+  if (!QuorumContactedSince(std::max(sim_->Now() - window, lease_floor_))) {
     // The lease lapsed: no quorum contact inside the window, so serving the
     // read locally could race a newer leader. Refuse and let the server fall
     // back to the commit path.
@@ -921,9 +904,7 @@ void RaftNode::TryAnnounce() {
     LogEntry& entry = log_.At(idx);
     if (entry.noop) {
       entry.replier = options_.id;
-      if (storage_ != nullptr) {
-        storage_->AppendAnnounce(idx, entry.replier);
-      }
+      storage_->AppendAnnounce(idx, entry.replier);
       announced_idx_ = idx;
       changed = true;
       continue;
@@ -935,12 +916,10 @@ void RaftNode::TryAnnounce() {
       break;
     }
     entry.replier = replier;
-    if (storage_ != nullptr) {
-      // Record the assignment so a restarted leader keeps it immutable; the
-      // record rides on the next data barrier (an unsynced loss is benign —
-      // the entries themselves replicate with the replier field).
-      storage_->AppendAnnounce(idx, replier);
-    }
+    // Record the assignment so a restarted leader keeps it immutable; the
+    // record rides on the next data barrier (an unsynced loss is benign —
+    // the entries themselves replicate with the replier field).
+    storage_->AppendAnnounce(idx, replier);
     announced_idx_ = idx;
     changed = true;
     obs::MarkStage(sim_, entry.rid, obs::Stage::kDispatched,
@@ -1174,23 +1153,21 @@ void RaftNode::OnInstallSnapshot(const InstallSnapshotReq& req) {
     }
     env_->RestoreSnapshot(req.state(), req.last_included(), req.included_term(), req.config(),
                           req.config_idx());
-    if (storage_ != nullptr) {
-      // The server persisted the received snapshot in RestoreSnapshot; now
-      // the WAL can drop (or cut) everything the snapshot covers. The state
-      // transfer is also what repairs a suspect node whose own history was
-      // damaged beyond the log.
-      if (!kept_suffix) {
-        storage_->AppendTruncate(req.last_included() + 1);
-      }
-      storage_->AppendCompact(req.last_included(), req.included_term());
-      const LogIndex durable_before = durable_index_;
-      durable_index_ =
-          std::min(std::max(durable_index_, req.last_included()), log_.last_index());
-      if (durable_index_ < durable_before) {
-        if (auto* fr = obs::FrOf(sim_)) {
-          fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
-                     static_cast<uint64_t>(obs::FrRecovery::kTruncate), durable_index_);
-        }
+    // The server persisted the received snapshot in RestoreSnapshot; now
+    // the WAL can drop (or cut) everything the snapshot covers. The state
+    // transfer is also what repairs a suspect node whose own history was
+    // damaged beyond the log.
+    if (!kept_suffix) {
+      storage_->AppendTruncate(req.last_included() + 1);
+    }
+    storage_->AppendCompact(req.last_included(), req.included_term());
+    const LogIndex durable_before = durable_index_;
+    durable_index_ =
+        std::min(std::max(durable_index_, req.last_included()), log_.last_index());
+    if (durable_index_ < durable_before) {
+      if (auto* fr = obs::FrOf(sim_)) {
+        fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
+                   static_cast<uint64_t>(obs::FrRecovery::kTruncate), durable_index_);
       }
     }
     commit_idx_ = req.last_included();
@@ -1265,9 +1242,7 @@ void RaftNode::AdvanceCommitFromMatches() {
   // Under kAckBeforeSync (the chaos control) the cap is deliberately absent —
   // that IS the unsafe semantics the control exists to demonstrate.
   const LogIndex self_match =
-      (storage_ != nullptr && storage_->policy() != FsyncPolicy::kAckBeforeSync)
-          ? durable_index_
-          : log_.last_index();
+      storage_->policy() != FsyncPolicy::kAckBeforeSync ? durable_index_ : log_.last_index();
   std::vector<LogIndex> matches;
   matches.reserve(cfg.voters.size());
   for (NodeId p : cfg.voters) {
@@ -1415,66 +1390,44 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
   // flush device completes barriers in order, so deferred replies stay FIFO
   // and the leader's match index remains monotone.
   const NodeId reply_leader = req.leader();
-  if (storage_ != nullptr) {
-    const bool unsafe_ack = storage_->policy() == FsyncPolicy::kAckBeforeSync;
-    if (!unsafe_ack && outcome.match > durable_index_) {
-      // Sync-before-ack: withhold the reply until the barrier covers every
-      // acknowledged entry. The fence drops it when the process crashed (or
-      // the term moved on) in the persist window — a killed node never acks
-      // from the grave; the leader simply retransmits after the restart.
-      // The acknowledged tail is the reply's match index, so the capture
-      // carries it once and stays within the inline callback budget.
-      const uint64_t epoch = restart_epoch_;
-      const Term term = current_term_;
-      const Term tail_term = log_.TermAt(outcome.match);
-      auto ack = [this, rep, epoch, term, tail_term, reply_leader, via_aggregator]() {
-        if (halted_ || epoch != restart_epoch_ || term != current_term_) {
-          ++stats_.acks_dropped_crash;
-          return;
-        }
-        const LogIndex tail = rep->match();
-        if (tail > durable_index_ && tail <= log_.last_index() &&
-            (tail < log_.first_index() || log_.TermAt(tail) == tail_term)) {
-          durable_index_ = tail;
-        }
-        if (via_aggregator) {
-          env_->SendToAggregator(rep);
-        } else {
-          env_->SendToPeer(reply_leader, rep);
-        }
-      };
-      static_assert(Simulator::Callback::kFits<decltype(ack)>);
-      const bool inline_done = storage_->Sync(std::move(ack));
-      if (!inline_done) {
-        ++stats_.acks_deferred_persist;
-      }
-      return;
-    }
-    if (unsafe_ack && outcome.match > durable_index_) {
-      // The unsafe chaos control: ack immediately, flush lazily. A power
-      // failure in the window un-commits entries the leader already counted.
-      ScheduleDurability(outcome.match);
-    }
-  } else if (options_.persist_latency > 0 && !req.entries().empty()) {
-    // Storage-less harnesses keep the flat persist-delay model, now fenced on
-    // the restart epoch and term so a node killed (or deposed) inside the
-    // persist window never acknowledges from the grave.
+  const bool unsafe_ack = storage_->policy() == FsyncPolicy::kAckBeforeSync;
+  if (!unsafe_ack && outcome.match > durable_index_) {
+    // Sync-before-ack: withhold the reply until the barrier covers every
+    // acknowledged entry. The fence drops it when the process crashed (or
+    // the term moved on) in the persist window — a killed node never acks
+    // from the grave; the leader simply retransmits after the restart.
+    // The acknowledged tail is the reply's match index, so the capture
+    // carries it once and stays within the inline callback budget.
     const uint64_t epoch = restart_epoch_;
     const Term term = current_term_;
-    ++stats_.acks_deferred_persist;
-    sim_->After(options_.persist_latency,
-                [this, rep = std::move(rep), via_aggregator, reply_leader, epoch, term]() {
-                  if (halted_ || epoch != restart_epoch_ || term != current_term_) {
-                    ++stats_.acks_dropped_crash;
-                    return;
-                  }
-                  if (via_aggregator) {
-                    env_->SendToAggregator(rep);
-                  } else {
-                    env_->SendToPeer(reply_leader, rep);
-                  }
-                });
+    const Term tail_term = log_.TermAt(outcome.match);
+    auto ack = [this, rep, epoch, term, tail_term, reply_leader, via_aggregator]() {
+      if (halted_ || epoch != restart_epoch_ || term != current_term_) {
+        ++stats_.acks_dropped_crash;
+        return;
+      }
+      const LogIndex tail = rep->match();
+      if (tail > durable_index_ && tail <= log_.last_index() &&
+          (tail < log_.first_index() || log_.TermAt(tail) == tail_term)) {
+        durable_index_ = tail;
+      }
+      if (via_aggregator) {
+        env_->SendToAggregator(rep);
+      } else {
+        env_->SendToPeer(reply_leader, rep);
+      }
+    };
+    static_assert(Simulator::Callback::kFits<decltype(ack)>);
+    const bool inline_done = storage_->Sync(std::move(ack));
+    if (!inline_done) {
+      ++stats_.acks_deferred_persist;
+    }
     return;
+  }
+  if (unsafe_ack && outcome.match > durable_index_) {
+    // The unsafe chaos control: ack immediately, flush lazily. A power
+    // failure in the window un-commits entries the leader already counted.
+    ScheduleDurability(outcome.match);
   }
   if (via_aggregator) {
     env_->SendToAggregator(std::move(rep));
@@ -1523,13 +1476,11 @@ RaftNode::AppendOutcome RaftNode::AppendResolvedEntries(const AppendEntriesReq& 
       }
       RollbackConfigsAbove(idx);
       log_.TruncateFrom(idx);
-      if (storage_ != nullptr) {
-        storage_->AppendTruncate(idx);
-        durable_index_ = std::min(durable_index_, idx - 1);
-        if (auto* fr = obs::FrOf(sim_)) {
-          fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
-                     static_cast<uint64_t>(obs::FrRecovery::kTruncate), durable_index_);
-        }
+      storage_->AppendTruncate(idx);
+      durable_index_ = std::min(durable_index_, idx - 1);
+      if (auto* fr = obs::FrOf(sim_)) {
+        fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
+                   static_cast<uint64_t>(obs::FrRecovery::kTruncate), durable_index_);
       }
     }
     HC_CHECK_EQ(idx, log_.last_index() + 1);
@@ -1705,7 +1656,7 @@ void RaftNode::OnRequestVote(const RequestVoteReq& req) {
     return;
   }
   const bool self_leading =
-      role_ == RaftRole::kLeader && QuorumContactedWithin(CheckQuorumWindow());
+      role_ == RaftRole::kLeader && QuorumContactedSince(sim_->Now() - CheckQuorumWindow());
   // A suspect replica (recovery cut its durable log below entries it may have
   // acknowledged — see RestartFromRecovery) must not endorse a candidate whose
   // log ends below its suspect floor: electing such a leader could overwrite
@@ -1913,12 +1864,10 @@ void RaftNode::CompactLog(LogIndex idx) {
   if (safe >= log_.first_index()) {
     const Term safe_term = log_.TermAt(safe);
     log_.CompactPrefix(safe);
-    if (storage_ != nullptr) {
-      // The hosting server saved a covering snapshot before calling us, so
-      // dropping whole WAL segments below the new base is recoverable.
-      storage_->AppendCompact(safe, safe_term);
-      durable_index_ = std::max(durable_index_, safe);
-    }
+    // The hosting server saved a covering snapshot before calling us, so
+    // dropping whole WAL segments below the new base is recoverable.
+    storage_->AppendCompact(safe, safe_term);
+    durable_index_ = std::max(durable_index_, safe);
   }
 }
 

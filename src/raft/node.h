@@ -127,14 +127,13 @@ class RaftNode {
     }
   };
 
-  RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, Env* env);
-
-  // Attaches durable storage. Call before Start(); null (the default) keeps
-  // the pre-durability in-memory behaviour for lightweight test harnesses.
-  // Every subsequent term/vote/log mutation is mirrored into the WAL, and
-  // follower acks are withheld until the acknowledged entries are durable
-  // (unless the policy is kAckBeforeSync — the unsafe chaos control).
-  void set_storage(StableStorage* storage) { storage_ = storage; }
+  // `storage` (non-null, outliving the node) is the node's write-ahead log:
+  // every term/vote/log mutation is mirrored into it, and follower acks are
+  // withheld until the acknowledged entries are durable (unless the policy is
+  // kAckBeforeSync — the unsafe chaos control). On a SimDisk with zero sync
+  // latency every barrier completes inline.
+  RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, Env* env,
+           StableStorage* storage);
 
   // Arms the election timer. Call once after construction.
   void Start();
@@ -189,9 +188,9 @@ class RaftNode {
   ReadGrant AcquireReadIndex();
 
   // True while a quorum of the active config's voters (self included) has
-  // responded within `window` ending now. CheckQuorum and the read lease are
-  // both defined in terms of this predicate.
-  bool QuorumContactedWithin(TimeNs window) const;
+  // responded at or after `floor`. CheckQuorum and the read lease are both
+  // defined in terms of this predicate; they differ only in the floor.
+  bool QuorumContactedSince(TimeNs floor) const;
 
   // The CheckQuorum evaluation window. Never tighter than a few heartbeat
   // round-trips: the quiet-stream optimization makes follower replies arrive
@@ -262,11 +261,9 @@ class RaftNode {
   NodeId leader_hint() const { return leader_hint_; }
   LogIndex commit_index() const { return commit_idx_; }
   LogIndex applied_index() const { return applied_idx_; }
-  // Highest log index known durable in the local WAL (== last_index with no
-  // storage attached). The leader's own quorum contribution is capped here.
-  LogIndex durable_index() const {
-    return storage_ == nullptr ? log_.last_index() : durable_index_;
-  }
+  // Highest log index known durable in the local WAL. The leader's own
+  // quorum contribution is capped here.
+  LogIndex durable_index() const { return durable_index_; }
   bool suspect() const { return suspect_; }
   LogIndex suspect_floor() const { return suspect_floor_; }
   const RaftLog& log() const { return log_; }
@@ -366,7 +363,7 @@ class RaftNode {
 
   bool IsReplicationTarget(LogIndex idx) const;
 
-  // -- durable storage internals (no-ops with storage_ == nullptr) --
+  // -- durable storage internals --
   // Mirrors the freshly appended entry at `idx`, and the membership `config`
   // it carries (null for most entries), into the WAL.
   void StorageAppendEntry(LogIndex idx, const MembershipConfig* config = nullptr);
@@ -400,10 +397,8 @@ class RaftNode {
   Env* env_;
   Rng rng_;
 
-  // Persistent state. With storage_ attached every mutation is mirrored into
-  // the WAL and survives exactly as far as the fsync discipline allows; with
-  // no storage it is kept in memory only (the pre-durability fail-stop model
-  // still used by lightweight unit-test harnesses).
+  // Persistent state. Every mutation is mirrored into the WAL (storage_) and
+  // survives exactly as far as the fsync discipline allows.
   Term current_term_ = 0;
   NodeId voted_for_ = kInvalidNode;
   RaftLog log_;
@@ -412,7 +407,7 @@ class RaftNode {
   // deferred persist callback: a callback captured under an older epoch (the
   // process crashed and recovered in between) must not ack or advance
   // durability.
-  StableStorage* storage_ = nullptr;
+  StableStorage* storage_;
   LogIndex durable_index_ = 0;
   uint64_t restart_epoch_ = 0;
   Term persisted_term_ = 0;

@@ -13,7 +13,7 @@ ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
     : config_(config), fabric_(config_.costs, config_.seed, config_), map_(config_.groups) {
   HC_CHECK(config_.app_factory != nullptr);
   HC_CHECK_GT(config_.groups, 0);
-  HC_CHECK_GT(config_.nodes_per_group, 0);
+  HC_CHECK_GT(config_.nodes, 0);
   // Sharding routes through per-group admission middleboxes; the multicast
   // modes are the ones that have them.
   HC_CHECK(config_.mode == ClusterMode::kHovercRaft ||
@@ -26,7 +26,6 @@ ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
   for (int32_t g = 0; g < config_.groups; ++g) {
     const GroupId gid{g};
     ClusterConfig cc = config_;
-    cc.nodes = config_.nodes_per_group;
     cc.raft.obs_node_base = ObsBaseOf(gid);
     cc.server_template.sharded = true;
     cc.server_template.shard_owned_slots = map_.SlotsOf(gid);

@@ -44,15 +44,14 @@ class Watchdog;
 
 // The ClusterConfig base is the template every group is built from; the
 // FabricConfig base configures the one fabric the groups share. Group g gets
-// nodes_per_group replicas (the template's `nodes` is not read), its own
-// seed (derived from `seed` and g), obs base, owned slots and the metrics
-// scope "<obs_scope>shard<g>.". The sharded cluster attaches one watchdog
-// per group itself, so the template carries no sinks and no spares.
+// the template's `nodes` replicas, its own seed (derived from `seed` and g),
+// obs base, owned slots and the metrics scope "<obs_scope>shard<g>.". The
+// sharded cluster attaches one watchdog per group itself, so the template
+// carries no sinks and no spares.
 struct ShardedClusterConfig : ClusterConfig, FabricConfig {
   ShardedClusterConfig() { replier_policy = ReplierPolicy::kJbsq; }
 
   int32_t groups = 2;
-  int32_t nodes_per_group = 3;
 
   // Invoked right after each group's cluster is built, in group order. Attach
   // group-local clients here: host ids are allocated in attach order, so a
@@ -83,7 +82,7 @@ class ShardedCluster {
 
   // Obs-node numbering: a sharded Cluster records under [base, base + nodes]
   // (its nodes, then its middlebox pseudo-node), so the stride is nodes + 1.
-  int32_t ObsStride() const { return config_.nodes_per_group + 1; }
+  int32_t ObsStride() const { return config_.nodes + 1; }
   NodeId ObsBaseOf(GroupId g) const { return g.value * ObsStride(); }
 
   obs::FlightRecorder* flight_recorder() { return fabric_.recorder(); }

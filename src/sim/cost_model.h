@@ -21,37 +21,37 @@ namespace hovercraft {
 struct CostModel {
   // ---- Fabric ----
   // Link bandwidth in bits per second (10 GbE).
-  int64_t link_bandwidth_bps = 10'000'000'000;
+  static constexpr int64_t kLinkBandwidthBps = 10'000'000'000;
   // One-way host <-> switch propagation (cable + PHY + PCI/DMA), per hop.
-  TimeNs link_propagation_ns = 700;
+  static constexpr TimeNs kLinkPropagationNs = 700;
   // Cut-through switch forwarding latency.
-  TimeNs switch_latency_ns = 350;
+  static constexpr TimeNs kSwitchLatencyNs = 350;
   // Additional pipeline latency for packets that traverse the in-network
   // aggregator (it hangs off the main switch on its own link).
-  TimeNs aggregator_latency_ns = 450;
+  static constexpr TimeNs kAggregatorLatencyNs = 450;
   // Ethernet MTU and the per-frame overhead (Ethernet + IP + UDP + R2P2).
-  int32_t mtu_payload_bytes = 1436;  // 1500 - 64 framing
-  int32_t frame_overhead_bytes = 64;
+  static constexpr int32_t kMtuPayloadBytes = 1436;  // 1500 - 64 framing
+  static constexpr int32_t kFrameOverheadBytes = 64;
 
   // ---- Net-thread CPU (DPDK-style polling thread) ----
   // Fixed cost to receive / transmit one frame (descriptor handling, header
   // parse/build).
-  TimeNs per_frame_rx_ns = 110;
-  TimeNs per_frame_tx_ns = 110;
+  static constexpr TimeNs kPerFrameRxNs = 110;
+  static constexpr TimeNs kPerFrameTxNs = 110;
   // Receive-side cost per payload byte (parse/touch the arriving bytes).
-  double per_byte_rx_ns = 0.5;
+  static constexpr double kPerByteRxNs = 0.5;
   // Transmit-side cost per payload byte. DPDK transmission is zero-copy
   // (descriptors point at the app buffer), so this is cheap — large replies
   // are NIC-bound, not CPU-bound (Figure 10).
-  double per_byte_tx_ns = 0.25;
+  static constexpr double kPerByteTxNs = 0.25;
   // Raft bookkeeping per log entry appended or acked.
-  TimeNs raft_entry_ns = 60;
+  static constexpr TimeNs kRaftEntryNs = 60;
   // Fixed cost to build or parse one append_entries message.
-  TimeNs ae_fixed_ns = 140;
+  static constexpr TimeNs kAeFixedNs = 140;
   // Marshalling cost per append_entries payload byte: the leader copies the
   // embedded client requests into the message and followers copy them out —
   // the CPU tax on VanillaRaft's full-payload replication (Figure 8).
-  double ae_payload_byte_ns = 0.9;
+  static constexpr double kAePayloadByteNs = 0.9;
 
   // ---- eRPC-style transport batching (off by default) ----
   // When enabled, small messages headed to the same destination are coalesced
@@ -73,32 +73,32 @@ struct CostModel {
   static constexpr int32_t kTxBatchSmallBytes = 512;
 
   // Derived helpers -----------------------------------------------------
-  int32_t FramesFor(int32_t payload_bytes) const {
+  static int32_t FramesFor(int32_t payload_bytes) {
     if (payload_bytes <= 0) {
       return 1;
     }
-    return (payload_bytes + mtu_payload_bytes - 1) / mtu_payload_bytes;
+    return (payload_bytes + kMtuPayloadBytes - 1) / kMtuPayloadBytes;
   }
 
-  int64_t WireBytesFor(int32_t payload_bytes) const {
+  static int64_t WireBytesFor(int32_t payload_bytes) {
     return static_cast<int64_t>(payload_bytes) +
-           static_cast<int64_t>(FramesFor(payload_bytes)) * frame_overhead_bytes;
+           static_cast<int64_t>(FramesFor(payload_bytes)) * kFrameOverheadBytes;
   }
 
   // Time the NIC needs to put a message on the wire.
-  TimeNs SerializationDelay(int32_t payload_bytes) const {
+  static TimeNs SerializationDelay(int32_t payload_bytes) {
     const int64_t bits = WireBytesFor(payload_bytes) * 8;
-    return bits * kNanosPerSec / link_bandwidth_bps;
+    return bits * kNanosPerSec / kLinkBandwidthBps;
   }
 
   // Net-thread CPU to receive / transmit a message of `payload_bytes`.
-  TimeNs RxCpu(int32_t payload_bytes) const {
-    return per_frame_rx_ns * FramesFor(payload_bytes) +
-           static_cast<TimeNs>(per_byte_rx_ns * payload_bytes);
+  static TimeNs RxCpu(int32_t payload_bytes) {
+    return kPerFrameRxNs * FramesFor(payload_bytes) +
+           static_cast<TimeNs>(kPerByteRxNs * payload_bytes);
   }
-  TimeNs TxCpu(int32_t payload_bytes) const {
-    return per_frame_tx_ns * FramesFor(payload_bytes) +
-           static_cast<TimeNs>(per_byte_tx_ns * payload_bytes);
+  static TimeNs TxCpu(int32_t payload_bytes) {
+    return kPerFrameTxNs * FramesFor(payload_bytes) +
+           static_cast<TimeNs>(kPerByteTxNs * payload_bytes);
   }
 };
 

@@ -23,10 +23,26 @@ namespace {
 
 ChaosRunConfig BaseConfig(ClusterMode mode, const std::string& schedule, uint64_t seed) {
   ChaosRunConfig config;
-  config.mode = mode;
+  config.cluster.mode = mode;
   config.schedule = schedule;
   config.seed = seed;
   return config;
+}
+
+// What a default chaos run deploys on top of ClusterConfig's defaults.
+TEST(ChaosTest, DefaultConfigCarriesTheChaosDeployment) {
+  const ChaosRunConfig config;
+  EXPECT_EQ(config.cluster.replier_policy, ReplierPolicy::kJbsq);
+  EXPECT_EQ(config.cluster.bounded_queue_depth, 64);
+  EXPECT_FALSE(config.cluster.stagger_first_election);
+  ASSERT_TRUE(config.cluster.app_factory);
+  const std::unique_ptr<StateMachine> app = config.cluster.app_factory();
+  EXPECT_NE(dynamic_cast<KvService*>(app.get()), nullptr);
+  // The sharded defaults keep them, with queues of 128.
+  const ChaosRunConfig sharded = ChaosRunConfig::Sharded(2);
+  EXPECT_EQ(sharded.cluster.replier_policy, ReplierPolicy::kJbsq);
+  EXPECT_EQ(sharded.cluster.bounded_queue_depth, 128);
+  EXPECT_FALSE(sharded.cluster.stagger_first_election);
 }
 
 // Every scripted schedule plus the randomized one, in every replicated mode,
@@ -144,7 +160,7 @@ class StaleReadKvService final : public StateMachine {
 
 TEST(ChaosTest, CheckerRejectsStaleReads) {
   ChaosRunConfig config = BaseConfig(ClusterMode::kHovercRaft, "none", 5);
-  config.app_factory = []() { return std::make_unique<StaleReadKvService>(); };
+  config.cluster.app_factory = []() { return std::make_unique<StaleReadKvService>(); };
   // One nearly-sequential client on a tiny keyspace: a read that follows a
   // completed write on the same key must observe it, so a one-write-stale
   // read cannot be explained by any linearization.
@@ -245,7 +261,7 @@ TEST(ChaosTest, ExactlyOnceUnderReplyFaults) {
 TEST(ChaosTest, RetriesWithoutDedupDoubleApply) {
   ChaosRunConfig config = BaseConfig(ClusterMode::kHovercRaft, "drop-replies", 3);
   config.retry_enabled = true;
-  config.dedup_enabled = false;
+  config.cluster.server_template.dedup_enabled = false;
   config.give_up = Millis(100);
   const ChaosRunResult result = RunChaosSchedule(config);
   EXPECT_GT(result.retransmits, 0u) << result.Describe();
@@ -290,7 +306,7 @@ TEST(ChaosTest, MembershipChurnStaysLinearizable) {
       SCOPED_TRACE("schedule=" + schedule + " mode=" + ClusterModeFlag(mode) +
                    " seed=" + std::to_string(seed));
       ChaosRunConfig config = BaseConfig(mode, schedule, seed);
-      config.spare_nodes = 2;
+      config.cluster.spare_nodes = 2;
       // Leadership moves (and with it the replier set); clients must retry
       // across the churn to keep completing.
       config.retry_enabled = true;
@@ -310,7 +326,7 @@ TEST(ChaosTest, MembershipChurnStaysLinearizable) {
 // --add-server-at-us), checked end to end.
 TEST(ChaosTest, ScriptedMembershipEventsUnderPartition) {
   ChaosRunConfig config = BaseConfig(ClusterMode::kHovercRaftPP, "partition-halves", 2);
-  config.spare_nodes = 1;
+  config.cluster.spare_nodes = 1;
   config.retry_enabled = true;
   config.give_up = Millis(100);
   // The partition windows sit at [w/8, w/2] and [5w/8, 7w/8] of the 150ms
@@ -328,7 +344,7 @@ TEST(ChaosTest, ScriptedMembershipEventsUnderPartition) {
 // Churn runs replay deterministically, like every other schedule.
 TEST(ChaosTest, ChurnRunsAreDeterministic) {
   ChaosRunConfig config = BaseConfig(ClusterMode::kHovercRaftPP, "churn-cycle", 7);
-  config.spare_nodes = 2;
+  config.cluster.spare_nodes = 2;
   config.retry_enabled = true;
   const ChaosRunResult a = RunChaosSchedule(config);
   const ChaosRunResult b = RunChaosSchedule(config);
@@ -351,7 +367,7 @@ TEST(ChaosTest, ChurnRunsAreDeterministic) {
 // turns that into a leader deposition. PreVote holds the term still.
 TEST(ChaosTest, RejoinStormNeutralizedByPreVote) {
   ChaosRunConfig control = BaseConfig(ClusterMode::kHovercRaft, "rejoin-storm", 2);
-  control.pre_vote = false;
+  control.cluster.raft.pre_vote = false;
   control.retry_enabled = true;
   control.give_up = Millis(100);
   const ChaosRunResult attacked = RunChaosSchedule(control);
@@ -361,7 +377,7 @@ TEST(ChaosTest, RejoinStormNeutralizedByPreVote) {
   EXPECT_TRUE(attacked.linearizability.linearizable) << attacked.Describe();
 
   ChaosRunConfig defended = control;
-  defended.pre_vote = true;
+  defended.cluster.raft.pre_vote = true;
   const ChaosRunResult hardened = RunChaosSchedule(defended);
   EXPECT_TRUE(hardened.ok()) << hardened.Describe();
   EXPECT_EQ(hardened.leader_disruptions, 0u) << hardened.Describe();
@@ -375,7 +391,7 @@ TEST(ChaosTest, RejoinStormNeutralizedByPreVote) {
 // deposition.
 TEST(ChaosTest, ForgedVotesNeutralizedByStickiness) {
   ChaosRunConfig control = BaseConfig(ClusterMode::kHovercRaft, "forged-vote", 3);
-  control.check_quorum = false;
+  control.cluster.raft.check_quorum = false;
   control.retry_enabled = true;
   control.give_up = Millis(100);
   const ChaosRunResult attacked = RunChaosSchedule(control);
@@ -384,7 +400,7 @@ TEST(ChaosTest, ForgedVotesNeutralizedByStickiness) {
   EXPECT_TRUE(attacked.linearizability.linearizable) << attacked.Describe();
 
   ChaosRunConfig defended = control;
-  defended.check_quorum = true;
+  defended.cluster.raft.check_quorum = true;
   const ChaosRunResult hardened = RunChaosSchedule(defended);
   EXPECT_TRUE(hardened.ok()) << hardened.Describe();
   EXPECT_EQ(hardened.leader_disruptions, 0u) << hardened.Describe();
@@ -397,7 +413,7 @@ TEST(ChaosTest, ForgedVotesNeutralizedByStickiness) {
 // poll; without it each firing is a real term bump the cluster must absorb.
 TEST(ChaosTest, TimerSkewNeutralizedByPreVote) {
   ChaosRunConfig control = BaseConfig(ClusterMode::kHovercRaft, "timer-skew", 4);
-  control.pre_vote = false;
+  control.cluster.raft.pre_vote = false;
   control.retry_enabled = true;
   control.give_up = Millis(100);
   const ChaosRunResult attacked = RunChaosSchedule(control);
@@ -405,7 +421,7 @@ TEST(ChaosTest, TimerSkewNeutralizedByPreVote) {
   EXPECT_TRUE(attacked.linearizability.linearizable) << attacked.Describe();
 
   ChaosRunConfig defended = control;
-  defended.pre_vote = true;
+  defended.cluster.raft.pre_vote = true;
   const ChaosRunResult hardened = RunChaosSchedule(defended);
   EXPECT_TRUE(hardened.ok()) << hardened.Describe();
   EXPECT_EQ(hardened.leader_disruptions, 0u) << hardened.Describe();
@@ -419,9 +435,9 @@ TEST(ChaosTest, TimerSkewNeutralizedByPreVote) {
 // the other defenses on) every history stays linearizable.
 TEST(ChaosTest, StaleReadsCaughtThenPreventedByLease) {
   ChaosRunConfig control = BaseConfig(ClusterMode::kHovercRaft, "stale-read-probe", 2);
-  control.read_index = true;
-  control.read_lease_timeout = Seconds(10);  // "clock skew": evidence never ages
-  control.check_quorum = false;              // the stale leader never steps down
+  control.cluster.raft.read_index = true;
+  control.cluster.raft.read_lease_timeout = Seconds(10);  // "clock skew": evidence never ages
+  control.cluster.raft.check_quorum = false;              // the stale leader never steps down
   control.retry_enabled = true;
   control.give_up = Millis(100);
   control.keys = 4;  // hot keyspace: reads race the new leader's writes
@@ -433,8 +449,8 @@ TEST(ChaosTest, StaleReadsCaughtThenPreventedByLease) {
   EXPECT_TRUE(attacked.linearizability.conclusive());
 
   ChaosRunConfig defended = control;
-  defended.read_lease_timeout = 0;  // strict election_timeout_min lease
-  defended.check_quorum = true;
+  defended.cluster.raft.read_lease_timeout = 0;  // strict election_timeout_min lease
+  defended.cluster.raft.check_quorum = true;
   const ChaosRunResult hardened = RunChaosSchedule(defended);
   EXPECT_TRUE(hardened.ok()) << hardened.Describe();
   EXPECT_GT(hardened.read_index_served, 0u) << hardened.Describe();
@@ -447,7 +463,7 @@ TEST(ChaosTest, ReadIndexLinearizableAcrossLeaderFailover) {
   for (const uint64_t seed : {1, 2, 3}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ChaosRunConfig config = BaseConfig(ClusterMode::kHovercRaft, "crash-leader", seed);
-    config.read_index = true;
+    config.cluster.raft.read_index = true;
     config.retry_enabled = true;
     config.give_up = Millis(100);
     const ChaosRunResult result = RunChaosSchedule(config);
@@ -464,7 +480,7 @@ TEST(ChaosTest, ReadIndexLinearizableAcrossLeaderFailover) {
 TEST(ChaosTest, ReadIndexAppendsNothingForReads) {
   ChaosRunConfig base = BaseConfig(ClusterMode::kHovercRaft, "none", 6);
   ChaosRunConfig leased = base;
-  leased.read_index = true;
+  leased.cluster.raft.read_index = true;
   const ChaosRunResult ordered = RunChaosSchedule(base);
   const ChaosRunResult fast = RunChaosSchedule(leased);
   ASSERT_TRUE(ordered.ok()) << ordered.Describe();
@@ -482,7 +498,7 @@ TEST(ChaosTest, ReadIndexAppendsNothingForReads) {
 // the property that makes a CI failure reproducible from the command line.
 TEST(ChaosTest, AttackRunsAreDeterministic) {
   ChaosRunConfig config = BaseConfig(ClusterMode::kHovercRaft, "rejoin-storm", 5);
-  config.pre_vote = false;
+  config.cluster.raft.pre_vote = false;
   const ChaosRunResult a = RunChaosSchedule(config);
   const ChaosRunResult b = RunChaosSchedule(config);
   EXPECT_EQ(a.nemesis_events, b.nemesis_events);

@@ -19,13 +19,13 @@ namespace {
 
 ChaosRunConfig DiskConfig(const std::string& schedule, uint64_t seed) {
   ChaosRunConfig config;
-  config.mode = ClusterMode::kHovercRaft;
+  config.cluster.mode = ClusterMode::kHovercRaft;
   config.schedule = schedule;
   config.seed = seed;
   config.retry_enabled = true;
   // A nonzero fsync window, or there is nothing for a power cut to lose
   // (same default the chaos_runner CLI applies to disk-* schedules).
-  config.persist_latency = Micros(500);
+  config.cluster.raft.persist_latency = Micros(500);
   return config;
 }
 
@@ -97,7 +97,7 @@ TEST(DiskChaosTest, AckBeforeSyncControlViolatesUnderPowerLoss) {
   for (const auto& [schedule, seed] : cases) {
     SCOPED_TRACE("schedule=" + schedule + " seed=" + std::to_string(seed));
     ChaosRunConfig config = DiskConfig(schedule, seed);
-    config.fsync_policy = FsyncPolicy::kAckBeforeSync;
+    config.cluster.server_template.fsync_policy = FsyncPolicy::kAckBeforeSync;
     const ChaosRunResult result = RunChaosSchedule(config);
     EXPECT_FALSE(result.ok()) << "unsafe ack policy went undetected\n" << result.Describe();
   }
@@ -111,7 +111,7 @@ TEST(DiskChaosTest, NaiveRecoveryControlLosesCommittedEntries) {
   for (const uint64_t seed : {1u, 2u, 4u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ChaosRunConfig config = DiskConfig("disk-corrupt-entry", seed);
-    config.wal_recovery = false;
+    config.cluster.server_template.wal_recovery = false;
     const ChaosRunResult result = RunChaosSchedule(config);
     EXPECT_FALSE(result.ok()) << "naive recovery went undetected\n" << result.Describe();
   }

@@ -113,6 +113,23 @@ TEST_F(FlagsTest, BareBooleansTakeNoValue) {
   EXPECT_NE(flags_.error().find("--retries"), std::string::npos) << flags_.error();
 }
 
+// "--no-x" clears a setting that defaults on; left out, the default stands.
+TEST_F(FlagsTest, NegatedSwitchClearsItsTargetAndOmittingItKeepsTheDefault) {
+  bool dedup = true;
+  bool watchdog = true;
+  Flags flags("prog");
+  flags.AddNegated("--no-dedup", &dedup, "disable dedup");
+  flags.AddNegated("--no-watchdog", &watchdog, "skip the watchdog");
+  ASSERT_EQ(Parse(flags, {"--no-dedup"}), Flags::Outcome::kOk) << flags.error();
+  EXPECT_FALSE(dedup);
+  EXPECT_TRUE(watchdog);
+  EXPECT_EQ(Parse(flags, {"--no-watchdog=1"}), Flags::Outcome::kError);
+  EXPECT_NE(flags.error().find("--no-watchdog"), std::string::npos) << flags.error();
+  EXPECT_TRUE(watchdog);
+  EXPECT_NE(flags.Usage().find("  --no-dedup               disable dedup\n"), std::string::npos)
+      << flags.Usage();
+}
+
 TEST_F(FlagsTest, ValueFlagWithoutAValueIsAnError) {
   EXPECT_EQ(Parse(flags_, {"--seed"}), Flags::Outcome::kError);
   EXPECT_NE(flags_.error().find("--seed"), std::string::npos) << flags_.error();

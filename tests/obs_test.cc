@@ -111,10 +111,10 @@ std::string Dump(const obs::FlightRecorder& fr) {
 
 ChaosRunConfig SmallChaosConfig() {
   ChaosRunConfig config;
-  config.mode = ClusterMode::kHovercRaft;
+  config.cluster.mode = ClusterMode::kHovercRaft;
   config.schedule = "flap";
   config.seed = 3;
-  config.nodes = 3;
+  config.cluster.nodes = 3;
   config.clients = 2;
   config.rate_rps_per_client = 2'000;
   config.duration = Millis(60);
@@ -215,9 +215,9 @@ TracedRun RunTraced() {
   obs::Observability bundle(SamplingOptions());
   obs::CriticalPath critical_path;
   ChaosRunConfig config = SmallChaosConfig();
-  config.obs = &bundle;
-  config.flight_recorder_depth = kTraceDepth;
-  config.critical_path = &critical_path;
+  config.fabric.obs = &bundle;
+  config.fabric.flight_recorder_depth = kTraceDepth;
+  config.cluster.critical_path = &critical_path;
   TracedRun run;
   config.inspect_recorder = [&run](const obs::FlightRecorder& fr) { run.trace = Dump(fr); };
   run.result = RunChaosSchedule(config);
@@ -305,7 +305,7 @@ TEST(ObsChaosTest, OutputsAreByteDeterministic) {
 TEST(ObsChaosTest, TracingDoesNotPerturbTheRun) {
   auto describe = [](size_t depth) {
     ChaosRunConfig config = SmallChaosConfig();
-    config.flight_recorder_depth = depth;
+    config.fabric.flight_recorder_depth = depth;
     return RunChaosSchedule(config).Describe();
   };
   auto without_watchdog = [](std::string text) {

@@ -12,6 +12,8 @@
 #include "src/common/buffer.h"
 #include "src/raft/node.h"
 #include "src/sim/simulator.h"
+#include "src/storage/sim_disk.h"
+#include "src/storage/stable_storage.h"
 
 namespace hovercraft {
 namespace {
@@ -99,8 +101,12 @@ class MiniHarness {
       opts.election_timeout_min = Millis(5) + Millis(5) * i;
       opts.election_timeout_max = opts.election_timeout_min + Millis(2);
       envs_.push_back(std::make_unique<MiniEnv>(this, i));
+      // A zero-latency disk: every barrier completes inline, with no events.
+      disks_.push_back(std::make_unique<SimDisk>(&sim, static_cast<uint64_t>(i), 0));
+      storages_.push_back(
+          std::make_unique<StableStorage>(disks_.back().get(), FsyncPolicy::kGroupCommit));
       nodes_.push_back(std::make_unique<RaftNode>(&sim, 100 + static_cast<uint64_t>(i), opts,
-                                                  envs_.back().get()));
+                                                  envs_.back().get(), storages_.back().get()));
     }
   }
 
@@ -178,6 +184,8 @@ class MiniHarness {
 
  private:
   std::vector<std::unique_ptr<MiniEnv>> envs_;
+  std::vector<std::unique_ptr<SimDisk>> disks_;
+  std::vector<std::unique_ptr<StableStorage>> storages_;
   std::vector<std::unique_ptr<RaftNode>> nodes_;
   std::unordered_map<NodeId, bool> down_;
 

@@ -22,6 +22,8 @@
 #include "src/common/buffer.h"
 #include "src/raft/node.h"
 #include "src/sim/simulator.h"
+#include "src/storage/sim_disk.h"
+#include "src/storage/stable_storage.h"
 
 namespace hovercraft {
 namespace {
@@ -108,9 +110,13 @@ class FuzzHarness {
       opts.election_timeout_max = Millis(12);
       opts.heartbeat_interval = Millis(1);
       envs_.push_back(std::make_unique<FuzzEnv>(this, i));
+      // A zero-latency disk: every barrier completes inline, with no events.
+      disks_.push_back(std::make_unique<SimDisk>(&sim_, static_cast<uint64_t>(i), 0));
+      storages_.push_back(
+          std::make_unique<StableStorage>(disks_.back().get(), FsyncPolicy::kGroupCommit));
       nodes_.push_back(
           std::make_unique<RaftNode>(&sim_, seed * 31 + static_cast<uint64_t>(i), opts,
-                                     envs_.back().get()));
+                                     envs_.back().get(), storages_.back().get()));
       down_.push_back(false);
     }
     for (auto& node : nodes_) {
@@ -388,6 +394,8 @@ class FuzzHarness {
   double drop_probability_;
   TimeNs max_delay_;
   std::vector<std::unique_ptr<FuzzEnv>> envs_;
+  std::vector<std::unique_ptr<SimDisk>> disks_;
+  std::vector<std::unique_ptr<StableStorage>> storages_;
   std::vector<std::unique_ptr<RaftNode>> nodes_;
   std::vector<bool> down_;
   std::map<Term, NodeId> leader_of_term_;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace hovercraft {
 namespace {
 
@@ -53,6 +55,24 @@ TEST(ShardChaosTest, FourGroupsWithScriptedMoves) {
   EXPECT_EQ(result.final_epoch, 4u);
 }
 
+// Every group of a sharded run has cluster.nodes replicas.
+TEST(ShardChaosTest, GroupsHaveClusterNodesReplicas) {
+  ChaosRunConfig config = ChaosRunConfig::Sharded(2);
+  config.cluster.nodes = 5;
+  config.seed = 3;
+  config.duration = Millis(60);
+  config.settle = Millis(60);
+  const ChaosRunResult result = RunChaosSchedule(config);
+  EXPECT_TRUE(result.ok()) << result.Describe();
+  int32_t per_group[2] = {0, 0};
+  for (const std::string& state : result.node_states) {
+    ASSERT_TRUE(state.starts_with("g0 node ") || state.starts_with("g1 node ")) << state;
+    ++per_group[state[1] - '0'];
+  }
+  EXPECT_EQ(per_group[0], 5);
+  EXPECT_EQ(per_group[1], 5);
+}
+
 // A sharded run takes no nemesis, needs a multicast mode and has no use for
 // spares or membership events; an unsharded run takes no shard moves.
 TEST(ShardChaosTest, CheckRejectsWhatShardedRunsDoNotSupport) {
@@ -64,8 +84,8 @@ TEST(ShardChaosTest, CheckRejectsWhatShardedRunsDoNotSupport) {
     return !config.Check().empty();
   };
   EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.schedule = "random"; }));
-  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.mode = ClusterMode::kVanillaRaft; }));
-  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.spare_nodes = 1; }));
+  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.cluster.mode = ClusterMode::kVanillaRaft; }));
+  EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.cluster.spare_nodes = 1; }));
   EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.add_server_at = {{Millis(1), 3}}; }));
   EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.inject_violation = "dual-leader"; }));
   EXPECT_TRUE(rejected([](ChaosRunConfig& c) { c.watchdog = false; }));

@@ -28,7 +28,7 @@ namespace {
 ShardedClusterConfig BaseConfig(int32_t groups) {
   ShardedClusterConfig cfg;
   cfg.groups = groups;
-  cfg.nodes_per_group = 3;
+  cfg.nodes = 3;
   cfg.seed = 11;
   return cfg;
 }

@@ -37,7 +37,7 @@ bool SameEvent(const obs::FrEvent& x, const obs::FrEvent& y) {
 Group0Trace RunOnce(int32_t groups) {
   ShardedClusterConfig cfg;
   cfg.groups = groups;
-  cfg.nodes_per_group = 3;
+  cfg.nodes = 3;
   cfg.app_factory = []() { return std::make_unique<SyntheticService>(); };
   cfg.seed = 42;
   cfg.flight_recorder_depth = 8192;  // deep enough that nothing is evicted
@@ -76,7 +76,7 @@ Group0Trace RunOnce(int32_t groups) {
   Group0Trace trace;
   Cluster& g0 = sharded.group(GroupId{0});
   EXPECT_NE(g0.LeaderId(), kInvalidNode);
-  for (NodeId obs = 0; obs <= cfg.nodes_per_group; ++obs) {
+  for (NodeId obs = 0; obs <= cfg.nodes; ++obs) {
     trace.node_events.push_back(sharded.flight_recorder()->NodeEvents(obs));
   }
   trace.digest = g0.server(0).app().Digest();

@@ -153,15 +153,15 @@ TEST(SimDeterminismTest, ExportMetricsReplayIsByteIdentical) {
     oo.sampling = true;
     obs::Observability bundle(oo);
     ChaosRunConfig config;
-    config.mode = ClusterMode::kHovercRaftPP;
+    config.cluster.mode = ClusterMode::kHovercRaftPP;
     config.schedule = "random";
     config.seed = 17;
-    config.nodes = 3;
+    config.cluster.nodes = 3;
     config.clients = 2;
     config.rate_rps_per_client = 2'000;
     config.duration = Millis(60);
     config.settle = Millis(60);
-    config.obs = &bundle;
+    config.fabric.obs = &bundle;
     RunChaosSchedule(config);
     std::ostringstream out;
     bundle.metrics().DumpJson(out);

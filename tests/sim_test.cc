@@ -374,9 +374,9 @@ TEST(CostModelTest, FramesForSizes) {
   CostModel cm;
   EXPECT_EQ(cm.FramesFor(0), 1);
   EXPECT_EQ(cm.FramesFor(1), 1);
-  EXPECT_EQ(cm.FramesFor(cm.mtu_payload_bytes), 1);
-  EXPECT_EQ(cm.FramesFor(cm.mtu_payload_bytes + 1), 2);
-  EXPECT_EQ(cm.FramesFor(6000), (6000 + cm.mtu_payload_bytes - 1) / cm.mtu_payload_bytes);
+  EXPECT_EQ(cm.FramesFor(cm.kMtuPayloadBytes), 1);
+  EXPECT_EQ(cm.FramesFor(cm.kMtuPayloadBytes + 1), 2);
+  EXPECT_EQ(cm.FramesFor(6000), (6000 + cm.kMtuPayloadBytes - 1) / cm.kMtuPayloadBytes);
 }
 
 TEST(CostModelTest, SerializationMatchesLinkRate) {
@@ -394,7 +394,7 @@ TEST(CostModelTest, CpuScalesWithSize) {
   EXPECT_GT(cm.RxCpu(512), cm.RxCpu(24));
   EXPECT_GT(cm.TxCpu(6000), cm.TxCpu(512));
   // Multi-frame messages pay per-frame cost.
-  EXPECT_GE(cm.RxCpu(cm.mtu_payload_bytes * 3), 3 * cm.per_frame_rx_ns);
+  EXPECT_GE(cm.RxCpu(cm.kMtuPayloadBytes * 3), 3 * cm.kPerFrameRxNs);
 }
 
 }  // namespace

@@ -324,14 +324,14 @@ TEST(TransportBatchingTest, ChaosVerdictsAreBatchingInvariant) {
   uint64_t seed = 7101;
   for (const std::string& schedule : schedules) {
     ChaosRunConfig config;
-    config.mode = ClusterMode::kHovercRaft;
+    config.cluster.mode = ClusterMode::kHovercRaft;
     config.schedule = schedule;
     config.seed = seed++;
     config.retry_enabled = true;
 
     ChaosRunConfig batched = config;
-    batched.tx_batching = true;
-    batched.tx_batch_delay_ns = 2'000;
+    batched.cluster.costs.tx_batching = true;
+    batched.cluster.costs.tx_batch_delay_ns = 2'000;
 
     const ChaosRunResult base = RunChaosSchedule(config);
     const ChaosRunResult with_batching = RunChaosSchedule(batched);
@@ -356,12 +356,12 @@ TEST(TransportBatchingTest, ChaosVerdictsAreBatchingInvariant) {
 // iteration would diverge here.
 TEST(TransportBatchingTest, BatchedRunsReplayIdentically) {
   ChaosRunConfig config;
-  config.mode = ClusterMode::kHovercRaft;
+  config.cluster.mode = ClusterMode::kHovercRaft;
   config.schedule = "random";
   config.seed = 4242;
   config.retry_enabled = true;
-  config.tx_batching = true;
-  config.tx_batch_delay_ns = 2'000;
+  config.cluster.costs.tx_batching = true;
+  config.cluster.costs.tx_batch_delay_ns = 2'000;
 
   const ChaosRunResult first = RunChaosSchedule(config);
   const ChaosRunResult second = RunChaosSchedule(config);
@@ -381,13 +381,13 @@ TEST(TransportBatchingTest, BatchedRunsReplayIdentically) {
 TEST(TransportBatchingTest, ExportedWireBytesByKindAreNonZero) {
   obs::Observability bundle(obs::Observability::Options{});
   ChaosRunConfig config;
-  config.mode = ClusterMode::kHovercRaftPP;
+  config.cluster.mode = ClusterMode::kHovercRaftPP;
   config.schedule = "crash-leader";
   config.seed = 11;
   config.duration = Millis(60);
   config.settle = Millis(60);
-  config.tx_batching = true;
-  config.obs = &bundle;
+  config.cluster.costs.tx_batching = true;
+  config.fabric.obs = &bundle;
   EXPECT_TRUE(RunChaosSchedule(config).ok());
 
   std::ostringstream json;

@@ -156,7 +156,7 @@ TEST(WatchdogMutationTest, SuspectNodeCampaigning) {
 
 ChaosRunConfig BaseConfig(ClusterMode mode, const std::string& schedule, uint64_t seed) {
   ChaosRunConfig config;
-  config.mode = mode;
+  config.cluster.mode = mode;
   config.schedule = schedule;
   config.seed = seed;
   return config;
@@ -209,7 +209,7 @@ TEST(WatchdogChaosTest, CleanChaosRunIsSilent) {
 TEST(WatchdogChaosTest, RecorderAndWatchdogDoNotPerturbTheRun) {
   ChaosRunConfig on = BaseConfig(ClusterMode::kHovercRaft, "random", 11);
   ChaosRunConfig off = on;
-  off.flight_recorder_depth = 0;  // recorder (and therefore watchdog) absent
+  off.fabric.flight_recorder_depth = 0;  // recorder (and therefore watchdog) absent
   const ChaosRunResult a = RunChaosSchedule(on);
   const ChaosRunResult b = RunChaosSchedule(off);
   EXPECT_GT(a.recorder_events, 0u);

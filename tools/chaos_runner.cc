@@ -43,17 +43,10 @@
 namespace hovercraft {
 namespace {
 
-// Tool-only knobs. Every other flag writes its ChaosRunConfig field directly.
+// Tool-only knobs, and the settings parsed from a name or defaulted after
+// parsing. Every other flag writes its ChaosRunConfig field directly.
 struct CliOptions {
   std::string mode = "hovercraft";
-  // The --no-* switches turn off what defaults on: the session table, the
-  // hardening defenses (docs/hardening.md; the control runs re-open the
-  // attack surface with them), WAL recovery and the watchdog.
-  bool no_dedup = false;
-  bool no_prevote = false;
-  bool no_check_quorum = false;
-  bool no_recovery = false;
-  bool no_watchdog = false;
   std::string fsync_policy = "group-commit";
   // -1 = unset: 500us for the disk-* schedules (so an unsynced window exists
   // to lose), 0 otherwise.
@@ -87,8 +80,8 @@ void DeclareFlags(Flags& flags, CliOptions& opts, ChaosRunConfig& config) {
             "consensus groups; above 1 the run is sharded: groups\n"
             "share one fabric and slot ranges move between them\n"
             "(default 1)");
-  flags.Add("--nodes=N", &config.nodes, "cluster size, per group (default 3)");
-  flags.Add("--spares=N", &config.spare_nodes,
+  flags.Add("--nodes=N", &config.cluster.nodes, "cluster size, per group (default 3)");
+  flags.Add("--spares=N", &config.cluster.spare_nodes,
             "extra servers outside the initial config (default 0);\n"
             "the churn-* schedules and --add-server-at-us draw on them");
   flags.AddList("--add-server-at-us=T:N", &config.add_server_at, ParseMembershipEvent,
@@ -113,7 +106,7 @@ void DeclareFlags(Flags& flags, CliOptions& opts, ChaosRunConfig& config) {
   flags.Add("--kill-leader-mid-move", &config.kill_leader_mid_move,
             "sharded runs: crash the source group's leader 1 ms\n"
             "into the first move, restart it 20 ms later");
-  flags.Add("--flow-control=N", &config.flow_control_threshold,
+  flags.Add("--flow-control=N", &config.cluster.flow_control_threshold,
             "middlebox in-flight cap (0 = off)");
   flags.Add("--max-states=N", &config.checker_max_states,
             "linearizability search budget (default 4000000)");
@@ -124,19 +117,23 @@ void DeclareFlags(Flags& flags, CliOptions& opts, ChaosRunConfig& config) {
                     "initial retry backoff in microseconds (default 500)");
   flags.Add("--retry-max-attempts=N", &config.retry_max_attempts,
             "abandon after N transmissions (0 = give-up timer only)");
-  flags.Add("--no-dedup", &opts.no_dedup,
-            "disable the server session table (demonstrates\n"
-            "the double-apply anomaly under --retries)");
-  flags.Add("--no-prevote", &opts.no_prevote,
-            "disable the PreVote phase (control runs: rejoin-storm\n"
-            "and timer-skew then depose the leader)");
-  flags.Add("--no-check-quorum", &opts.no_check_quorum,
-            "disable CheckQuorum + leader stickiness (control runs:\n"
-            "forged-vote then deposes the leader)");
-  flags.Add("--read-index", &config.read_index,
+  // The --no-* switches turn off what defaults on: the session table, the
+  // hardening defenses (docs/hardening.md; the control runs re-open the
+  // attack surface with them), WAL recovery and the watchdog.
+  flags.AddNegated("--no-dedup", &config.cluster.server_template.dedup_enabled,
+                   "disable the server session table (demonstrates\n"
+                   "the double-apply anomaly under --retries)");
+  flags.AddNegated("--no-prevote", &config.cluster.raft.pre_vote,
+                   "disable the PreVote phase (control runs: rejoin-storm\n"
+                   "and timer-skew then depose the leader)");
+  flags.AddNegated("--no-check-quorum", &config.cluster.raft.check_quorum,
+                   "disable CheckQuorum + leader stickiness (control runs:\n"
+                   "forged-vote then deposes the leader)");
+  flags.Add("--read-index", &config.cluster.raft.read_index,
             "serve read-only ops through ReadIndex leases instead\n"
             "of the replicated log");
-  flags.AddDuration("--read-lease-timeout-us=N", &config.read_lease_timeout, Micros(1),
+  flags.AddDuration("--read-lease-timeout-us=N", &config.cluster.raft.read_lease_timeout,
+                    Micros(1),
                     "override the lease window (0 = election_timeout_min);\n"
                     "large values model clock skew and yield stale reads");
   flags.Add("--disk-fault=NAME", &config.schedule,
@@ -150,16 +147,16 @@ void DeclareFlags(Flags& flags, CliOptions& opts, ChaosRunConfig& config) {
             "group-commit (default) | sync-per-append |\n"
             "ack-before-sync (control: acks outrun the disk, so a\n"
             "power fail loses acknowledged writes)");
-  flags.Add("--no-recovery", &opts.no_recovery,
-            "disable protocol-aware WAL recovery (control: damage\n"
-            "below the durable frontier is silently truncated\n"
-            "instead of quarantined + re-fetched from the leader)");
+  flags.AddNegated("--no-recovery", &config.cluster.server_template.wal_recovery,
+                   "disable protocol-aware WAL recovery (control: damage\n"
+                   "below the durable frontier is silently truncated\n"
+                   "instead of quarantined + re-fetched from the leader)");
   flags.Add("--flight-recorder-depth=N", &opts.flight_recorder_depth,
             "per-node black-box ring size (default 512, 65536\n"
             "with --trace-out; 0 turns the recorder and the\n"
             "watchdog off)");
-  flags.Add("--no-watchdog", &opts.no_watchdog,
-            "keep recording but skip online invariant checking");
+  flags.AddNegated("--no-watchdog", &config.watchdog,
+                   "keep recording but skip online invariant checking");
   flags.Add("--dump-out=PATH", &config.dump_path,
             "write the flight-recorder dump (Chrome trace JSON) on\n"
             "the first violation / failed verdict (default stderr\n"
@@ -185,35 +182,30 @@ int Run(const CliOptions& opts, ChaosRunConfig config) {
   if (opts.verbose) {
     SetLogLevel(LogLevel::kInfo);
   }
-  if (!ParseClusterMode(opts.mode, &config.mode) ||
-      config.mode == ClusterMode::kUnreplicated) {
+  if (!ParseClusterMode(opts.mode, &config.cluster.mode) ||
+      config.cluster.mode == ClusterMode::kUnreplicated) {
     std::fprintf(stderr, "bad --mode=%s (chaos needs a replicated mode)\n", opts.mode.c_str());
     return 2;
   }
-  if (!ParseFsyncPolicy(opts.fsync_policy, &config.fsync_policy)) {
+  if (!ParseFsyncPolicy(opts.fsync_policy, &config.cluster.server_template.fsync_policy)) {
     std::fprintf(stderr,
                  "bad --fsync-policy=%s (want group-commit | sync-per-append | "
                  "ack-before-sync)\n",
                  opts.fsync_policy.c_str());
     return 2;
   }
-  config.dedup_enabled = !opts.no_dedup;
-  config.pre_vote = !opts.no_prevote;
-  config.check_quorum = !opts.no_check_quorum;
-  config.wal_recovery = !opts.no_recovery;
-  config.watchdog = !opts.no_watchdog;
   const bool tracing = !opts.trace_out.empty();
-  config.flight_recorder_depth =
+  config.fabric.flight_recorder_depth =
       opts.flight_recorder_depth >= 0 ? static_cast<size_t>(opts.flight_recorder_depth)
                                       : (tracing ? kTraceDepth : 512);
-  if (tracing && config.flight_recorder_depth == 0) {
+  if (tracing && config.fabric.flight_recorder_depth == 0) {
     std::fprintf(stderr, "--trace-out needs the flight recorder on\n");
     return 2;
   }
   // The disk-* schedules need a nonzero fsync window or there is nothing to
   // lose; elsewhere the default stays at the paper's persist_latency=0.
   const bool disk_schedule = config.schedule.rfind("disk-", 0) == 0;
-  config.persist_latency =
+  config.cluster.raft.persist_latency =
       opts.persist_latency >= 0 ? opts.persist_latency : (disk_schedule ? Micros(500) : 0);
 
   // --trace-out: the critical-path analyzer rides along, and the recorder's
@@ -223,7 +215,7 @@ int Run(const CliOptions& opts, ChaosRunConfig config) {
   uint64_t trace_events = 0;
   size_t trace_depth = 0;
   if (tracing) {
-    config.critical_path = &critical_path;
+    config.cluster.critical_path = &critical_path;
     config.inspect_recorder = [&](const obs::FlightRecorder& recorder) {
       std::ostringstream out;
       recorder.WriteDump(out);
@@ -238,17 +230,18 @@ int Run(const CliOptions& opts, ChaosRunConfig config) {
   }
 
   const bool sharded = config.groups > 1;
+  const ClusterConfig& cc = config.cluster;
   std::printf(
       "chaos_runner: mode=%s schedule=%s seed=%llu nodes=%d duration=%lldms retries=%d dedup=%d "
       "prevote=%d check_quorum=%d read_index=%d persist_us=%lld fsync=%s recovery=%d "
       "fr_depth=%zu watchdog=%d",
       opts.mode.c_str(), config.schedule.c_str(), static_cast<unsigned long long>(config.seed),
-      config.nodes, static_cast<long long>(config.duration / 1'000'000),
-      config.retry_enabled || sharded ? 1 : 0, config.dedup_enabled ? 1 : 0,
-      config.pre_vote ? 1 : 0, config.check_quorum ? 1 : 0, config.read_index ? 1 : 0,
-      static_cast<long long>(config.persist_latency / 1'000),
-      FsyncPolicyName(config.fsync_policy), config.wal_recovery ? 1 : 0,
-      config.flight_recorder_depth, config.watchdog ? 1 : 0);
+      cc.nodes, static_cast<long long>(config.duration / 1'000'000),
+      config.retry_enabled || sharded ? 1 : 0, cc.server_template.dedup_enabled ? 1 : 0,
+      cc.raft.pre_vote ? 1 : 0, cc.raft.check_quorum ? 1 : 0, cc.raft.read_index ? 1 : 0,
+      static_cast<long long>(cc.raft.persist_latency / 1'000),
+      FsyncPolicyName(cc.server_template.fsync_policy), cc.server_template.wal_recovery ? 1 : 0,
+      config.fabric.flight_recorder_depth, config.watchdog ? 1 : 0);
   if (sharded) {
     std::printf(" groups=%d clients=%d rate=%.0f keys=%d moves=%zu kill_leader=%d",
                 config.groups, config.clients, config.rate_rps_per_client, config.keys,
@@ -261,7 +254,7 @@ int Run(const CliOptions& opts, ChaosRunConfig config) {
     oo.sampling = true;
     oo.sample_interval = opts.sample_interval;
     observability = std::make_unique<obs::Observability>(oo);
-    config.obs = observability.get();
+    config.fabric.obs = observability.get();
   }
   const ChaosRunResult result = RunChaosSchedule(config);
   std::printf("%s", result.Describe().c_str());

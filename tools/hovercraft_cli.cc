@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "src/app/kvstore/service.h"
 #include "src/app/ycsb.h"
@@ -24,14 +24,10 @@
 namespace hovercraft {
 namespace {
 
+// The workload's knobs, and the settings parsed from a name or written to two
+// fields. Every other flag writes its ExperimentConfig field directly.
 struct CliOptions {
   std::string mode = "hovercraft++";
-  int32_t nodes = 3;
-  int32_t spares = 0;
-  // Scripted membership events ("TIME_US:NODE[,TIME_US:NODE...]"), offset
-  // from load start; deterministic under --seed.
-  std::vector<MembershipEvent> add_server_at;
-  std::vector<MembershipEvent> remove_server_at;
   std::string workload = "synthetic";
   double rate = 100e3;
   bool slo_search = false;
@@ -42,28 +38,19 @@ struct CliOptions {
   double read_only = 0.0;
   double bimodal_ratio = 0.0;  // >1 enables the bimodal distribution
   std::string policy = "jbsq";
-  int64_t bounded_queue = 128;
-  int64_t flow_control = 0;
-  TimeNs warmup = Millis(100);
-  TimeNs measure = Millis(300);
-  uint64_t seed = 42;
-  int32_t clients = 8;
-  // Adversarial-hardening toggles (docs/hardening.md); defenses default on.
-  bool no_prevote = false;
-  bool no_check_quorum = false;
-  bool read_index = false;
+  uint64_t seed = 42;  // the cluster's and the workload's
 };
 
 // Every flag, declared once; the usage text is generated from this table.
-void DeclareFlags(Flags& flags, CliOptions& opts) {
+void DeclareFlags(Flags& flags, CliOptions& opts, ExperimentConfig& config) {
   flags.Add("--mode=unrep|vanilla|hovercraft|hovercraft++", &opts.mode, "(default hovercraft++)");
-  flags.Add("--nodes=N", &opts.nodes, "cluster size (default 3)");
-  flags.Add("--spares=N", &opts.spares,
+  flags.Add("--nodes=N", &config.cluster.nodes, "cluster size (default 3)");
+  flags.Add("--spares=N", &config.cluster.spare_nodes,
             "extra servers outside the initial config (default 0)");
-  flags.AddList("--add-server-at-us=T:N", &opts.add_server_at, ParseMembershipEvent,
+  flags.AddList("--add-server-at-us=T:N", &config.add_server_at, ParseMembershipEvent,
                 "propose AddServer(node N) T microseconds after load\n"
                 "start (repeatable / comma-separated list)");
-  flags.AddList("--remove-server-at-us=T:N", &opts.remove_server_at, ParseMembershipEvent,
+  flags.AddList("--remove-server-at-us=T:N", &config.remove_server_at, ParseMembershipEvent,
                 "same for RemoveServer");
   flags.Add("--workload=synthetic|ycsbe", &opts.workload, "(default synthetic)");
   flags.Add("--rate=RPS", &opts.rate, "offered load (default 100000)");
@@ -78,29 +65,31 @@ void DeclareFlags(Flags& flags, CliOptions& opts) {
             "10% of requests take R x the base time");
   flags.Add("--read-only=F", &opts.read_only, "read-only fraction 0..1 (default 0)");
   flags.Add("--policy=jbsq|random|leader", &opts.policy, "(default jbsq)");
-  flags.Add("--bounded-queue=B", &opts.bounded_queue, "replier queue bound (default 128)");
-  flags.Add("--flow-control=N", &opts.flow_control, "middlebox in-flight cap (0 = off)");
-  flags.AddDuration("--warmup-ms=M", &opts.warmup, Millis(1), "warmup window (default 100)");
-  flags.AddDuration("--measure-ms=M", &opts.measure, Millis(1),
+  flags.Add("--bounded-queue=B", &config.cluster.bounded_queue_depth,
+            "replier queue bound (default 128)");
+  flags.Add("--flow-control=N", &config.cluster.flow_control_threshold,
+            "middlebox in-flight cap (0 = off)");
+  flags.AddDuration("--warmup-ms=M", &config.warmup, Millis(1), "warmup window (default 100)");
+  flags.AddDuration("--measure-ms=M", &config.measure, Millis(1),
                     "measurement window (default 300)");
-  flags.Add("--clients=N", &opts.clients, "load generators (default 8)");
+  flags.Add("--clients=N", &config.client_count, "load generators (default 8)");
   flags.Add("--seed=S", &opts.seed, "cluster and workload seed (default 42)");
-  flags.Add("--no-prevote", &opts.no_prevote, "disable the PreVote phase");
-  flags.Add("--no-check-quorum", &opts.no_check_quorum,
-            "disable CheckQuorum + leader stickiness");
-  flags.Add("--read-index", &opts.read_index,
+  // Adversarial hardening (docs/hardening.md); the defenses default on.
+  flags.AddNegated("--no-prevote", &config.cluster.raft.pre_vote, "disable the PreVote phase");
+  flags.AddNegated("--no-check-quorum", &config.cluster.raft.check_quorum,
+                   "disable CheckQuorum + leader stickiness");
+  flags.Add("--read-index", &config.cluster.raft.read_index,
             "serve the --read-only fraction through ReadIndex\n"
             "leases instead of the replicated log");
 }
 
-int Run(const CliOptions& opts) {
-  ClusterMode mode;
-  if (!ParseClusterMode(opts.mode, &mode)) {
+int Run(const CliOptions& opts, ExperimentConfig config) {
+  if (!ParseClusterMode(opts.mode, &config.cluster.mode)) {
     std::fprintf(stderr, "bad --mode=%s\n", opts.mode.c_str());
     return 2;
   }
 
-  ReplierPolicy policy;
+  ReplierPolicy& policy = config.cluster.replier_policy;
   if (opts.policy == "jbsq") {
     policy = ReplierPolicy::kJbsq;
   } else if (opts.policy == "random") {
@@ -111,23 +100,7 @@ int Run(const CliOptions& opts) {
     std::fprintf(stderr, "bad --policy=%s\n", opts.policy.c_str());
     return 2;
   }
-
-  ExperimentConfig config;
-  config.cluster.mode = mode;
-  config.cluster.nodes = opts.nodes;
-  config.cluster.spare_nodes = opts.spares;
-  config.add_server_at = opts.add_server_at;
-  config.remove_server_at = opts.remove_server_at;
-  config.cluster.replier_policy = policy;
-  config.cluster.bounded_queue_depth = opts.bounded_queue;
-  config.cluster.flow_control_threshold = opts.flow_control;
   config.cluster.seed = opts.seed;
-  config.cluster.raft.pre_vote = !opts.no_prevote;
-  config.cluster.raft.check_quorum = !opts.no_check_quorum;
-  config.cluster.raft.read_index = opts.read_index;
-  config.client_count = opts.clients;
-  config.warmup = opts.warmup;
-  config.measure = opts.measure;
   config.seed = opts.seed;
 
   if (opts.workload == "synthetic") {
@@ -162,9 +135,9 @@ int Run(const CliOptions& opts) {
 
   std::printf("# mode=%s nodes=%d workload=%s policy=%s seed=%llu prevote=%d check_quorum=%d"
               " read_index=%d\n",
-              opts.mode.c_str(), opts.nodes, opts.workload.c_str(), opts.policy.c_str(),
-              static_cast<unsigned long long>(opts.seed), opts.no_prevote ? 0 : 1,
-              opts.no_check_quorum ? 0 : 1, opts.read_index ? 1 : 0);
+              opts.mode.c_str(), config.cluster.nodes, opts.workload.c_str(), opts.policy.c_str(),
+              static_cast<unsigned long long>(opts.seed), config.cluster.raft.pre_vote ? 1 : 0,
+              config.cluster.raft.check_quorum ? 1 : 0, config.cluster.raft.read_index ? 1 : 0);
 
   if (opts.slo_search) {
     const SloResult r =
@@ -192,8 +165,12 @@ int Run(const CliOptions& opts) {
 
 int main(int argc, char** argv) {
   hovercraft::CliOptions opts;
+  hovercraft::ExperimentConfig config;
+  // The CLI's own windows; every other default is ExperimentConfig's.
+  config.warmup = hovercraft::Millis(100);
+  config.measure = hovercraft::Millis(300);
   hovercraft::Flags flags("hovercraft_cli");
-  hovercraft::DeclareFlags(flags, opts);
+  hovercraft::DeclareFlags(flags, opts, config);
   flags.ParseOrExit(argc, argv);
-  return hovercraft::Run(opts);
+  return hovercraft::Run(opts, std::move(config));
 }
