@@ -2,8 +2,8 @@
 // (google-benchmark). These measure real wall-clock costs of the store the
 // simulator's cost model abstracts, plus the cost of a replica's local
 // snapshot of the YCSB-E store (BM_LocalSnapshot), the heap that store
-// retains (BM_StoreResidentBytes) and the heap its preload allocates
-// (BM_Preload).
+// retains (BM_StoreResidentBytes), the heap a 3-replica cluster of it retains
+// (BM_ClusterResidentBytes) and the heap its preload allocates (BM_Preload).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -249,6 +249,44 @@ void BM_StoreResidentBytes(benchmark::State& state) {
   state.counters["resident_x_image"] = resident / image;
 }
 BENCHMARK(BM_StoreResidentBytes)->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// Heap a 3-replica YCSB-E cluster (the BM_LocalSnapshot dataset) retains
+// once every replica has taken its genesis image, as a multiple of one
+// image. Replicas hold the same state, and the fabric's index of published
+// parts lets them hold one copy of each key between them: the cluster is
+// about one image plus three key indexes, where a copy per replica is 3x.
+// Counters:
+//   image_bytes       one replica's genesis image size;
+//   resident_bytes    g_live_bytes the cluster retains, allocator rounding
+//                     included;
+//   resident_x_image  the ratio, gated in CI (docs/performance.md).
+// Live bytes are a deterministic function of the code and the seed.
+void BM_ClusterResidentBytes(benchmark::State& state) {
+  double image = 0;
+  double resident = 0;
+  for (auto _ : state) {
+    const uint64_t live_before = g_live_bytes;
+    ClusterConfig config;
+    config.mode = ClusterMode::kHovercRaft;
+    config.nodes = 3;
+    config.seed = 1;
+    config.app_factory = []() {
+      auto svc = std::make_unique<KvService>();
+      Rng rng(13);
+      for (const KvCommand& cmd : YcsbEGenerator(YcsbEConfig{}).PreloadCommands(rng)) {
+        svc->Apply(cmd);
+      }
+      return svc;
+    };
+    auto cluster = std::make_unique<Cluster>(config);
+    resident = static_cast<double>(g_live_bytes - live_before);
+    image = static_cast<double>(cluster->server(0).app().SnapshotImage().size());
+  }
+  state.counters["image_bytes"] = image;
+  state.counters["resident_bytes"] = resident;
+  state.counters["resident_x_image"] = resident / image;
+}
+BENCHMARK(BM_ClusterResidentBytes)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // Heap allocated to preload one YCSB-E store (2000 conversations x 10 posts
 // of 1 KB), as a multiple of the heap that store retains. The preload

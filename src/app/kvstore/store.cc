@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <type_traits>
 
 #include "src/common/buffer.h"
@@ -384,7 +385,10 @@ constexpr size_t kMinMemberBytes = 4;                     // empty string
 constexpr size_t kMinFieldBytes = 2 * kMinMemberBytes;    // field + value
 constexpr size_t kMinEntryBytes = kMinMemberBytes + 1 + kMinMemberBytes;  // key, tag, ""
 
-void SerializeEntry(BufferWriter& out, const std::string& key, const KvStore::Value& value) {
+// Writes one key's entry to `out`: a BufferWriter, or an EntryMatcher that
+// compares the same bytes against a published part.
+template <typename Out>
+void SerializeEntry(Out& out, const std::string& key, const KvStore::Value& value) {
   out.PutString(key);
   out.PutU8(static_cast<uint8_t>(value.index()));
   if (const auto* s = std::get_if<KvStore::StringValue>(&value)) {
@@ -407,6 +411,39 @@ void SerializeEntry(BufferWriter& out, const std::string& key, const KvStore::Va
     }
   }
 }
+
+// Compares the bytes SerializeEntry writes against a part in place, field by
+// field: no allocation and no CRC pass.
+class EntryMatcher {
+ public:
+  explicit EntryMatcher(const Body& part) : pos_(part.begin()), end_(part.end()) {}
+
+  void PutU8(uint8_t v) { Match(&v, sizeof(v)); }
+  void PutU64(uint64_t v) {
+    v = LittleEndian(v);
+    Match(&v, sizeof(v));
+  }
+  void PutString(std::string_view s) {
+    const uint32_t len = LittleEndian(static_cast<uint32_t>(s.size()));
+    Match(&len, sizeof(len));
+    Match(s.data(), s.size());
+  }
+
+  // Whether the part held exactly the bytes put, and nothing after them.
+  bool matched() const { return ok_ && pos_ == end_; }
+
+ private:
+  void Match(const void* bytes, size_t n) {
+    ok_ = ok_ && static_cast<size_t>(end_ - pos_) >= n && std::memcmp(pos_, bytes, n) == 0;
+    if (ok_) {
+      pos_ += n;
+    }
+  }
+
+  const uint8_t* pos_;
+  const uint8_t* end_;
+  bool ok_ = true;
+};
 
 // An entry's tag and value, after its key.
 Status DeserializeValue(BufferReader& in, KvStore::Value& value) {
@@ -526,6 +563,13 @@ size_t SerializedEntrySize(const std::string& key, const KvStore::Value& value) 
   return n;
 }
 
+// Whether `part` holds exactly the bytes SerializeEntry writes for the key.
+bool Matches(const Body& part, const std::string& key, const KvStore::Value& value) {
+  EntryMatcher matcher(part);
+  SerializeEntry(matcher, key, value);
+  return matcher.matched();
+}
+
 }  // namespace
 
 size_t KvStore::Slot::EncodedSize(const std::string& key) const {
@@ -577,12 +621,25 @@ Image KvStore::SerializeImage(BufferWriter head) const {
   for (const auto& [key, slot] : map_) {
     if (!slot.clean()) {
       const size_t size = SerializedEntrySize(key, slot.value);
-      BufferWriter w(size);
-      SerializeEntry(w, key, slot.value);
-      HC_CHECK_EQ(w.size(), size);
-      slot.part = w.TakeBody();
-      // Checksummed now, while the bytes are still in cache.
-      slot.crc = Crc32c(slot.part.bytes());
+      const Image::Part* published = shared_ != nullptr ? shared_->Find(key) : nullptr;
+      // The size check rules out the usual stale part, a list before its
+      // latest append, without walking it.
+      if (published != nullptr && published->bytes.size() == size &&
+          Matches(published->bytes, key, slot.value)) {
+        // Another replica encoded these very bytes: hold its part.
+        slot.part = published->bytes;
+        slot.crc = published->crc;
+      } else {
+        BufferWriter w(size);
+        SerializeEntry(w, key, slot.value);
+        HC_CHECK_EQ(w.size(), size);
+        slot.part = w.TakeBody();
+        // Checksummed now, while the bytes are still in cache.
+        slot.crc = Crc32c(slot.part.bytes());
+        if (shared_ != nullptr) {
+          shared_->Publish(key, Image::Part{slot.part, slot.crc});
+        }
+      }
       slot.value = Value{};  // the part is now the key's only copy
     }
     image.Append(slot.part, slot.crc);

@@ -92,7 +92,16 @@ class KvStore {
   // decoded value freed, which leaves it clean; a clean key's part is shared
   // as is. So only keys written since the last image are serialized, and
   // every image shares the parts of the keys that did not change.
+  //
+  // With a shared index (ShareParts), the deployment shares one copy of
+  // every unchanged key: a dirty key whose name the index maps to a part
+  // holding exactly the bytes it would encode adopts that part and its CRC,
+  // compared in place with no allocation and no CRC pass; any other dirty
+  // key is encoded as above and published.
   Image SerializeImage(BufferWriter head) const;
+  // The deployment's index of published parts; null (the default) shares
+  // nothing. It must outlive the store's next image.
+  void ShareParts(ImagePartIndex* index) { shared_ = index; }
 
   // --- Shard-move range handoff (src/shard). The predicate selects keys by
   // name, keeping the store agnostic of the shard hash. ---
@@ -157,6 +166,7 @@ class KvStore {
   };
 
   std::unordered_map<std::string, Slot, Hash, Eq> map_;
+  ImagePartIndex* shared_ = nullptr;
 };
 
 }  // namespace hovercraft

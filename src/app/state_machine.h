@@ -53,6 +53,16 @@ class StateMachine {
   // keeps one part per key).
   virtual Image SnapshotImage() const { return Image::Of(SnapshotState()); }
 
+  // Hands the application its deployment's index of published image parts
+  // (src/common/image.h; null for none), once, before the genesis image is
+  // taken. Replicas hold identical state, so an application that images its
+  // state in named parts may adopt a part another replica published when it
+  // holds exactly the bytes it would encode, and publish the parts it does
+  // encode; its images stay byte for byte what they would be without the
+  // index. The default shares nothing (KvService forwards it to its
+  // KvStore).
+  virtual void ShareImageParts(ImagePartIndex* index) { (void)index; }
+
   // --- Shard-move range handoff (src/shard, docs/sharding.md). A live shard
   // move freezes a slot range at the source group, captures exactly that
   // range, installs it at the destination, and finally drops it from the

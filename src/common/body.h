@@ -114,6 +114,9 @@ class Body {
   const uint8_t* end() const { return data_ + size_; }
   uint8_t operator[](size_t i) const { return data_[i]; }
   std::span<const uint8_t> bytes() const { return {data_, size_}; }
+  // References to the block, this one included; 0 for a blockless body
+  // (null or empty).
+  uint32_t refcount() const { return block_ == nullptr ? 0 : block_->refs; }
 
   // Narrower sub-slice sharing the same storage (no copy).
   Body Slice(size_t offset, size_t count) const {

@@ -1,5 +1,6 @@
 #include "src/common/image.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/checksum.h"
@@ -25,6 +26,31 @@ void Image::AppendTo(BufferWriter* out) const {
   out->Reserve(out->size() + size_);
   for (const Part& part : parts_) {
     out->PutBytes(part.bytes.bytes());
+  }
+}
+
+const Image::Part* ImagePartIndex::Find(std::string_view name) {
+  auto it = parts_.find(name);
+  if (it == parts_.end()) {
+    return nullptr;
+  }
+  if (Orphaned(it->second)) {
+    parts_.erase(it);
+    return nullptr;
+  }
+  return &it->second;
+}
+
+void ImagePartIndex::Publish(std::string_view name, const Image::Part& part) {
+  auto it = parts_.find(name);
+  if (it != parts_.end()) {
+    it->second = part;
+    return;
+  }
+  parts_.emplace(std::string(name), part);
+  if (parts_.size() >= sweep_at_) {
+    std::erase_if(parts_, [](const auto& entry) { return Orphaned(entry.second); });
+    sweep_at_ = std::max(kMinSweepAt, 2 * parts_.size());
   }
 }
 

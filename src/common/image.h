@@ -7,6 +7,10 @@
 // every unchanged key. The storage layer keeps an image by reference as a
 // snapshot file's tail (src/storage/sim_disk.h).
 //
+// Replicas of one deployment share parts too, through the deployment's
+// ImagePartIndex (below): the deployment shares one copy of every unchanged
+// key, however many replicas hold it.
+//
 // The image's CRC is the CRC-32C of its flat bytes, combined from the part
 // CRCs as parts are appended (Crc32cCombine), so it never reads the bytes.
 #ifndef SRC_COMMON_IMAGE_H_
@@ -14,6 +18,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/body.h"
@@ -52,6 +60,41 @@ class Image {
   std::vector<Part> parts_;
   size_t size_ = 0;
   uint32_t crc_ = 0;
+};
+
+// The image parts a deployment has published, by name (a kvstore key). The
+// Fabric owns one (src/core/fabric.h). Replicas encode the same state to the
+// same bytes, so a replica about to encode a part looks its name up first
+// and, when the published part holds exactly the bytes it would write,
+// adopts that part and its CRC instead of holding its own copy. Sharing
+// happens only on exact byte equality, so no image byte or CRC changes.
+//
+// The index holds its entries weakly in effect: an entry that only the index
+// still references is dropped at the next Find or Publish of its name, and
+// by a sweep whenever the index has doubled since the last one.
+class ImagePartIndex {
+ public:
+  // The part last published under `name`, or null when there is none or
+  // nothing outside the index holds it any more.
+  const Image::Part* Find(std::string_view name);
+  // Makes `part` the one published under `name`. Parts are immutable.
+  void Publish(std::string_view name, const Image::Part& part);
+  size_t size() const { return parts_.size(); }
+
+ private:
+  static constexpr size_t kMinSweepAt = 64;
+
+  // Whether only the index still references `part`.
+  static bool Orphaned(const Image::Part& part) { return part.bytes.refcount() <= 1; }
+
+  // Heterogeneous lookup so string_view probes do not allocate.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+
+  std::unordered_map<std::string, Image::Part, Hash, std::equal_to<>> parts_;
+  size_t sweep_at_ = kMinSweepAt;
 };
 
 }  // namespace hovercraft

@@ -80,9 +80,9 @@ void Cluster::Build() {
       sc.raft.election_timeout_min = Millis(1);
       sc.raft.election_timeout_max = Millis(2);
     }
-    auto server = std::make_unique<ReplicatedServer>(&sim(), config_.costs, sc,
-                                                     config_.app_factory(),
-                                                     config_.seed + 0x1000u + static_cast<uint64_t>(n));
+    auto server = std::make_unique<ReplicatedServer>(
+        &sim(), config_.costs, sc, config_.app_factory(),
+        config_.seed + 0x1000u + static_cast<uint64_t>(n), &fabric_->image_parts());
     server_hosts_.push_back(network().Attach(server.get()));
     servers_.push_back(std::move(server));
   }

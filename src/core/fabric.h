@@ -1,6 +1,6 @@
 // The shared substrate of a simulated deployment: one virtual clock, one
-// switched network, the always-on flight recorder and the optional
-// observability bundle.
+// switched network, the always-on flight recorder, the optional
+// observability bundle and the index of image parts the replicas share.
 //
 // Every Cluster runs on exactly one Fabric: a standalone Cluster builds its
 // own, while a ShardedCluster's groups and a chaos run's cluster share one.
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "src/common/image.h"
 #include "src/net/network.h"
 #include "src/obs/flight_recorder.h"
 #include "src/sim/cost_model.h"
@@ -48,6 +49,11 @@ class Fabric {
   // Null when flight_recorder_depth is 0.
   obs::FlightRecorder* recorder() { return recorder_.get(); }
   obs::Observability* obs() const { return obs_; }
+  // The image parts the deployment's replicas have published: replicas hold
+  // the same state, so each unchanged key is held once per deployment, not
+  // once per replica (StateMachine::ShareImageParts). It dies with the
+  // fabric, so no two deployments (sweep -j runs one per thread) share it.
+  ImagePartIndex& image_parts() { return image_parts_; }
 
   // Subscribes a passive sink to the recorder until DetachSink. Both are
   // no-ops without a recorder or with a null sink.
@@ -62,6 +68,7 @@ class Fabric {
   std::unique_ptr<obs::FlightRecorder> recorder_;
   Network net_;
   obs::Observability* obs_;
+  ImagePartIndex image_parts_;
 };
 
 }  // namespace hovercraft

@@ -5,6 +5,7 @@
 #include <latch>
 #include <set>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -395,6 +396,37 @@ TEST(ImageTest, OnePartImageFlattensWithoutCopy) {
   EXPECT_EQ(image.crc(), Crc32c(body.bytes()));
   EXPECT_EQ(image.Flatten().data(), body.data());
   EXPECT_TRUE(Image::Of(nullptr).parts().empty());
+}
+
+// The index holds its parts weakly in effect: a part nothing else references
+// is gone at the next Find of its name, or at the sweep when the index
+// doubles, while a part a holder keeps stays published.
+TEST(ImagePartIndexTest, DropsPartsOnlyTheIndexHolds) {
+  ImagePartIndex index;
+  Body held = MakeBody({1, 2, 3});
+  index.Publish("held", Image::Part{held, 7});
+  index.Publish("orphan", Image::Part{MakeBody({4, 5}), 9});
+  EXPECT_EQ(held.refcount(), 2u);
+  ASSERT_NE(index.Find("held"), nullptr);
+  EXPECT_EQ(index.Find("held")->bytes.data(), held.data());
+  EXPECT_EQ(index.Find("held")->crc, 7u);
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_EQ(index.Find("orphan"), nullptr);
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.Find("missing"), nullptr);
+
+  // A re-publish replaces the part: the old one is released.
+  Body newer = MakeBody({1, 2, 4});
+  index.Publish("held", Image::Part{newer, 8});
+  EXPECT_EQ(held.refcount(), 1u);
+  EXPECT_EQ(index.Find("held")->bytes.data(), newer.data());
+
+  // Orphans nobody looks up again go at the sweep once the index doubles.
+  for (int i = 0; i < 1'000; ++i) {
+    index.Publish("orphan:" + std::to_string(i), Image::Part{MakeBody({1}), 0});
+  }
+  EXPECT_LT(index.size(), 200u);
+  EXPECT_NE(index.Find("held"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

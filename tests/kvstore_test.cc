@@ -15,6 +15,7 @@
 #include "src/common/checksum.h"
 #include "src/common/image.h"
 #include "src/common/random.h"
+#include "src/common/slab_pool.h"
 #include "src/r2p2/shard.h"
 
 namespace hovercraft {
@@ -766,6 +767,124 @@ TEST(KvServiceTest, UnchangedKeysShareTheirParts) {
     EXPECT_FALSE(decoded.store().IsEncodedOnly(key));
     EXPECT_EQ(decoded.Digest(), typed.Digest());
   }
+}
+
+// Two replicas on one index of published parts (the deployment's
+// ImagePartIndex): an identical value adopts the part the other published,
+// with no allocation, and a value that differs by one byte of a string, a
+// hash field, a list item or a set member never does. The one-byte edits
+// keep each entry's length, so only the byte compare can tell them apart.
+TEST(KvStoreTest, SharedIndexAdoptsOnlyIdenticalParts) {
+  using Edit = void (*)(KvStore&);
+  const std::pair<const char*, Edit> kEdits[] = {
+      {nullptr, [](KvStore&) {}},
+      {"str", [](KvStore& s) { s.Set("str", "valuf"); }},
+      {"num", [](KvStore& s) { s.Set("num", "42"); }},
+      {"hash", [](KvStore& s) { ASSERT_TRUE(s.Hset("hash", "f2", "bc").ok()); }},
+      {"hash",
+       [](KvStore& s) {
+         ASSERT_TRUE(s.Hdel("hash", "f2").ok());
+         ASSERT_TRUE(s.Hset("hash", "f3", "bb").ok());
+       }},
+      {"list",
+       [](KvStore& s) {
+         s.Del("list");
+         for (const char* post : {"p1", "p2", "q3", "p4"}) {
+           ASSERT_TRUE(s.Rpush("list", post).ok());
+         }
+       }},
+      {"set",
+       [](KvStore& s) {
+         ASSERT_TRUE(s.Srem("set", "m2").ok());
+         ASSERT_TRUE(s.Sadd("set", "n2").ok());
+       }},
+  };
+  for (const auto& [edited, edit] : kEdits) {
+    const std::string what = edited == nullptr ? "no edit" : edited;
+    ImagePartIndex index;
+    KvStore first;
+    KvStore second;
+    first.ShareParts(&index);
+    second.ShareParts(&index);
+    LoadEveryType(first);
+    LoadEveryType(second);
+    edit(second);
+    const Image published = first.SerializeImage(BufferWriter());
+    // Every key is clean now, so this image allocates only its head.
+    size_t before = SlabPool::Outstanding();
+    const Image reimaged = first.SerializeImage(BufferWriter());
+    const size_t head_blocks = SlabPool::Outstanding() - before;
+    before = SlabPool::Outstanding();
+    const Image adopted = second.SerializeImage(BufferWriter());
+    const size_t blocks = SlabPool::Outstanding() - before;
+
+    const auto mine = PartsByKey(adopted);
+    const auto theirs = PartsByKey(published);
+    for (const char* key : kTypedKeys) {
+      const bool same = edited == nullptr || std::string_view(key) != edited;
+      EXPECT_EQ(mine.at(key) == theirs.at(key), same) << what << ", key " << key;
+    }
+    // Adopting allocates nothing: only the edited key's own part is new.
+    EXPECT_EQ(blocks, head_blocks + (edited == nullptr ? 0 : 1)) << what;
+    // The image is byte for byte the second store's own serialization.
+    BufferWriter flat;
+    second.SerializeTo(flat);
+    const std::vector<uint8_t> own = flat.TakeBytes();
+    EXPECT_TRUE(adopted.Flatten() == own) << what;
+    EXPECT_EQ(adopted.crc(), Crc32cPortable(own)) << what;
+    KvStore restored;
+    BufferReader in(own);
+    ASSERT_TRUE(restored.DeserializeFrom(in).ok());
+    EXPECT_EQ(second.ContentDigest(), restored.ContentDigest()) << what;
+    EXPECT_EQ(second.ContentDigest() == first.ContentDigest(), edited == nullptr) << what;
+  }
+}
+
+// Replicas sharing parts stay independent: a write to one decodes its own
+// copy, so the other's reads, digest and next image do not change.
+TEST(KvServiceTest, WriteToOneReplicaLeavesTheSharingReplicaUnchanged) {
+  ImagePartIndex index;
+  KvService writer;
+  KvService reader;
+  writer.ShareImageParts(&index);
+  reader.ShareImageParts(&index);
+  LoadEveryType(writer.store());
+  LoadEveryType(reader.store());
+  writer.SnapshotImage();
+  const Image shared = reader.SnapshotImage();
+  ASSERT_EQ(PartsByKey(shared), PartsByKey(writer.SnapshotImage()));
+  const std::vector<uint8_t> shared_bytes = FreshImage(reader);
+  const uint64_t digest = reader.Digest();
+  std::vector<KvReply> replies;
+  for (const KvCommand& read : EveryRead()) {
+    replies.push_back(reader.Apply(read));
+  }
+
+  for (const char* key : kTypedKeys) {
+    KvCommand write;
+    write.key = key;
+    write.field = "f2";
+    write.value = "VALUE";  // "str" keeps its length
+    const std::string_view k = key;
+    write.op = k == "str"    ? KvOpcode::kSet
+               : k == "num"  ? KvOpcode::kIncr
+               : k == "hash" ? KvOpcode::kHset
+               : k == "list" ? KvOpcode::kRpush
+                             : KvOpcode::kSadd;
+    ASSERT_EQ(writer.Apply(write).status, KvReplyStatus::kOk) << key;
+    writer.SnapshotImage();  // publishes the written key's new part
+    EXPECT_EQ(reader.Digest(), digest) << "after writing " << key;
+    size_t i = 0;
+    for (const KvCommand& read : EveryRead()) {
+      const KvReply reply = reader.Apply(read);
+      EXPECT_EQ(reply.status, replies[i].status) << "after writing " << key;
+      EXPECT_EQ(reply.values, replies[i].values) << "after writing " << key;
+      ++i;
+    }
+    EXPECT_TRUE(reader.SnapshotImage().Flatten() == shared_bytes) << "after writing " << key;
+    EXPECT_TRUE(shared.Flatten() == shared_bytes) << "after writing " << key;
+  }
+  EXPECT_NE(writer.Digest(), digest);
 }
 
 }  // namespace

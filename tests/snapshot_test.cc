@@ -542,6 +542,144 @@ TEST(SnapshotTest, FollowerRecoversFromIncrementalSnapshotFile) {
   }
 }
 
+// A 3-node HovercRaft++ cluster over a small preloaded YCSB-E store that
+// compacts every 5 ms.
+ClusterConfig SmallYcsbConfig(uint64_t seed) {
+  YcsbEConfig ycsb;
+  ycsb.conversation_count = 200;
+  ycsb.preload_per_conversation = 4;
+  ycsb.field_bytes = 64;
+  ClusterConfig config;
+  config.mode = ClusterMode::kHovercRaftPP;
+  config.nodes = 3;
+  config.seed = seed;
+  config.stagger_first_election = false;
+  config.app_factory = [ycsb]() {
+    auto svc = std::make_unique<KvService>();
+    Rng rng(9);
+    for (const KvCommand& cmd : YcsbEGenerator(ycsb).PreloadCommands(rng)) {
+      svc->Apply(cmd);
+    }
+    return svc;
+  };
+  config.server_template.compaction_interval = Millis(5);
+  return config;
+}
+
+std::unique_ptr<ClientHost> AttachYcsbClient(Cluster& cluster, uint64_t seed) {
+  YcsbEConfig ycsb;
+  ycsb.conversation_count = 200;
+  ycsb.field_bytes = 64;
+  auto client = std::make_unique<ClientHost>(
+      &cluster.sim(), cluster.config().costs, [&cluster]() { return cluster.ClientTarget(); },
+      std::make_unique<YcsbEWorkload>(ycsb), 40'000, seed);
+  cluster.network().Attach(client.get());
+  return client;
+}
+
+const KvStore& StoreOf(Cluster& cluster, NodeId n) {
+  return static_cast<const KvService&>(cluster.server(n).app()).store();
+}
+
+// The replicas' genesis images share one part per key through the fabric's
+// index, and so do their snapshot files. Flipping a byte of one node's file
+// copies its shared tail first: that node's recovery rejects the file, while
+// another node power-failed after it recovers cleanly from its own file,
+// with every shared part intact.
+TEST(SnapshotTest, CorruptSnapshotOnOneNodeLeavesSharedPartsIntact) {
+  const ClusterConfig config = SmallYcsbConfig(606);
+  Fabric fabric(config.costs, config.seed);
+  Cluster cluster(fabric, config);
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  const size_t keys = StoreOf(cluster, 0).key_count();
+  ASSERT_GT(keys, 100u);
+  EXPECT_EQ(fabric.image_parts().size(), keys);
+  const Image image0 = cluster.server(0).app().SnapshotImage();
+  const Body bytes0 = image0.Flatten();  // a flat copy of the shared parts
+  for (NodeId n = 1; n < 3; ++n) {
+    const Image image = cluster.server(n).app().SnapshotImage();
+    ASSERT_EQ(image.parts().size(), image0.parts().size());
+    for (size_t i = 1; i < image.parts().size(); ++i) {  // part 0 is the head
+      ASSERT_EQ(image.parts()[i].bytes.data(), image0.parts()[i].bytes.data())
+          << "node " << n << " part " << i;
+    }
+  }
+
+  const NodeId leader = cluster.LeaderId();
+  const NodeId victim = (leader + 1) % 3;
+  const NodeId other = (leader + 2) % 3;
+  SimDisk* disk = cluster.server(victim).disk();
+  const size_t image_begin = disk->Size("snapshot") - image0.size();
+  ASSERT_TRUE(disk->FlipByte("snapshot", image_begin + image0.size() / 2));
+  EXPECT_TRUE(image0.Flatten() == bytes0);
+
+  const TimeNs t0 = cluster.sim().Now();
+  cluster.PowerFailNode(victim);
+  cluster.sim().RunUntil(t0 + Millis(2));
+  cluster.RestartNode(victim);
+  EXPECT_EQ(cluster.server(victim).storage()->stats().suspect_recoveries, 1u);
+  cluster.sim().RunUntil(t0 + Millis(10));
+  cluster.PowerFailNode(other);
+  cluster.sim().RunUntil(t0 + Millis(12));
+  cluster.RestartNode(other);
+  const auto& st = cluster.server(other).storage()->stats();
+  EXPECT_EQ(st.recoveries, 1u);
+  EXPECT_EQ(st.suspect_recoveries, 0u);
+  EXPECT_EQ(st.corrupt_records, 0u);
+  EXPECT_FALSE(cluster.server(other).raft()->suspect());
+
+  cluster.sim().RunUntil(t0 + Millis(60));
+  EXPECT_TRUE(image0.Flatten() == bytes0);
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(cluster.server(n).app().Digest(), cluster.server(leader).app().Digest())
+        << "node " << n;
+  }
+}
+
+// The unreadable-snapshot fallback with a compacted log: a node whose
+// snapshot file is damaged after compactions cannot replay its WAL tail (its
+// base is past genesis), so it comes back suspect from the genesis image,
+// the one its peers share, with an empty log, and the leader re-seeds it by
+// InstallSnapshot to the leader's state.
+TEST(SnapshotTest, UnreadableSnapshotAfterCompactionFallsBackToGenesis) {
+  ClusterConfig config = SmallYcsbConfig(707);
+  config.raft.log_retention_entries = 64;
+  Fabric fabric(config.costs, config.seed);
+  Cluster cluster(fabric, config);
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  const std::unique_ptr<StateMachine> genesis = config.app_factory();
+  auto client = AttachYcsbClient(cluster, 31);
+  const TimeNs t0 = cluster.sim().Now();
+  client->StartLoad(t0, t0 + Millis(40));
+  cluster.sim().RunUntil(t0 + Millis(30));
+
+  const NodeId leader = cluster.LeaderId();
+  const NodeId victim = (leader + 1) % 3;
+  ReplicatedServer& server = cluster.server(victim);
+  ASSERT_GE(server.storage()->stats().snapshots_saved, 3u);
+  ASSERT_GT(server.raft()->log().first_index(), 1u);
+  ASSERT_NE(server.app().Digest(), genesis->Digest());
+  SimDisk* disk = server.disk();
+  ASSERT_TRUE(disk->FlipByte("snapshot", disk->Size("snapshot") / 2));
+
+  cluster.PowerFailNode(victim);
+  cluster.sim().RunUntil(t0 + Millis(32));
+  cluster.RestartNode(victim);
+  EXPECT_EQ(server.storage()->stats().suspect_recoveries, 1u);
+  EXPECT_TRUE(server.raft()->suspect());
+  EXPECT_EQ(server.raft()->log().last_index(), 0u);
+  EXPECT_EQ(server.app().Digest(), genesis->Digest());
+  EXPECT_EQ(server.app().ApplyCount(), genesis->ApplyCount());
+
+  cluster.sim().RunUntil(t0 + Millis(120));
+  ASSERT_EQ(cluster.LeaderId(), leader);
+  EXPECT_GE(server.raft()->stats().snapshots_installed, 1u);
+  EXPECT_FALSE(server.raft()->suspect());
+  EXPECT_EQ(server.raft()->commit_index(), cluster.server(leader).raft()->commit_index());
+  EXPECT_EQ(server.app().Digest(), cluster.server(leader).app().Digest());
+  EXPECT_EQ(server.app().ApplyCount(), cluster.server(leader).app().ApplyCount());
+}
+
 // The dedup state must ride inside InstallSnapshot: a straggler repaired by
 // state transfer rebuilds the same session table as the leader, so a
 // retransmission arriving after the repair is still recognized as executed.
