@@ -6,7 +6,10 @@
 //   g_alloc_bytes  bytes requested, cumulative: what a region allocates;
 //   g_live_bytes   usable bytes of the blocks still allocated: the change
 //                  across a region is the heap it retained, allocator
-//                  rounding included.
+//                  rounding included;
+//   g_peak_live_bytes  the high-water mark of g_live_bytes: reset it to
+//                  g_live_bytes before a region, and its change across the
+//                  region is the most heap the region held at once.
 #ifndef BENCH_COUNTING_ALLOCATOR_H_
 #define BENCH_COUNTING_ALLOCATOR_H_
 
@@ -19,6 +22,7 @@
 static uint64_t g_alloc_calls = 0;
 static uint64_t g_alloc_bytes = 0;
 static uint64_t g_live_bytes = 0;
+static uint64_t g_peak_live_bytes = 0;
 
 namespace counting_allocator {
 
@@ -30,6 +34,9 @@ inline void* Allocate(size_t size) {
   ++g_alloc_calls;
   g_alloc_bytes += size;
   g_live_bytes += malloc_usable_size(p);
+  if (g_live_bytes > g_peak_live_bytes) {
+    g_peak_live_bytes = g_live_bytes;
+  }
   return p;
 }
 

@@ -41,7 +41,6 @@ class KvService final : public StateMachine {
   // the part of every key unchanged since the last snapshot and leaves every
   // key held only as its part.
   Image SnapshotImage() const override;
-  void ShareImageParts(ImagePartIndex* index) override { store_.ShareParts(index); }
 
   // Shard-move range handoff: keys are selected by ShardSlotOf(key), the
   // same hash the router uses, so a moved range carries exactly the keys

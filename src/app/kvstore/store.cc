@@ -97,6 +97,7 @@ size_t KvStore::ElementCount(const Slot& slot) {
 }
 
 void KvStore::Set(std::string_view key, std::string_view value) {
+  const Written written{this, key};
   auto it = map_.find(key);
   if (it == map_.end()) {
     map_.emplace(std::string(key), StringValue(value));
@@ -131,6 +132,7 @@ bool KvStore::Del(std::string_view key) {
 }
 
 Status KvStore::Hset(std::string_view key, std::string_view field, std::string_view value) {
+  const Written written{this, key};
   Value* v = Mutable(key);
   if (v == nullptr) {
     HashValue h;
@@ -164,6 +166,7 @@ Result<std::string> KvStore::Hget(std::string_view key, std::string_view field) 
 }
 
 Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
+  const Written written{this, key};
   Value* v = Mutable(key);
   if (v == nullptr) {
     ListValue l;
@@ -213,6 +216,7 @@ Result<std::vector<std::string>> KvStore::ScanTail(std::string_view key, int32_t
 }
 
 Result<int64_t> KvStore::Incr(std::string_view key) {
+  const Written written{this, key};
   Value* v = Mutable(key);
   if (v == nullptr) {
     map_.emplace(std::string(key), StringValue("1"));
@@ -233,6 +237,7 @@ Result<int64_t> KvStore::Incr(std::string_view key) {
 }
 
 Result<size_t> KvStore::Append(std::string_view key, std::string_view suffix) {
+  const Written written{this, key};
   Value* v = Mutable(key);
   if (v == nullptr) {
     map_.emplace(std::string(key), StringValue(suffix));
@@ -247,6 +252,7 @@ Result<size_t> KvStore::Append(std::string_view key, std::string_view suffix) {
 }
 
 Result<bool> KvStore::Setnx(std::string_view key, std::string_view value) {
+  const Written written{this, key};
   if (Exists(key)) {
     return false;
   }
@@ -255,6 +261,7 @@ Result<bool> KvStore::Setnx(std::string_view key, std::string_view value) {
 }
 
 Result<bool> KvStore::Hdel(std::string_view key, std::string_view field) {
+  const Written written{this, key};
   Value* v = Mutable(key);
   if (v == nullptr) {
     return NotFoundError("no such key");
@@ -267,6 +274,7 @@ Result<bool> KvStore::Hdel(std::string_view key, std::string_view field) {
 }
 
 Result<std::string> KvStore::Lpop(std::string_view key) {
+  const Written written{this, key};
   Value* v = Mutable(key);
   if (v == nullptr) {
     return NotFoundError("no such key");
@@ -295,6 +303,7 @@ Result<size_t> KvStore::Llen(std::string_view key) const {
 }
 
 Result<bool> KvStore::Sadd(std::string_view key, std::string_view member) {
+  const Written written{this, key};
   Value* v = Mutable(key);
   if (v == nullptr) {
     SetValue set;
@@ -310,6 +319,7 @@ Result<bool> KvStore::Sadd(std::string_view key, std::string_view member) {
 }
 
 Result<bool> KvStore::Srem(std::string_view key, std::string_view member) {
+  const Written written{this, key};
   Value* v = Mutable(key);
   if (v == nullptr) {
     return NotFoundError("no such key");
@@ -612,33 +622,52 @@ void KvStore::SerializeTo(BufferWriter& out) const {
   }
 }
 
+bool KvStore::AdoptPublished(const std::string& key, const Slot& slot) const {
+  const Image::Part* published = shared_ != nullptr ? shared_->Find(key) : nullptr;
+  // The size check rules out the usual stale part, a list before its latest
+  // append, without comparing its bytes.
+  if (published == nullptr || published->bytes.size() != SerializedEntrySize(key, slot.value) ||
+      !Matches(published->bytes, key, slot.value)) {
+    return false;
+  }
+  // Another replica encoded these very bytes: hold its part, as the key's
+  // only copy.
+  slot.part = published->bytes;
+  slot.crc = published->crc;
+  slot.value = Value{};
+  return true;
+}
+
+void KvStore::AdoptBeforeFirstImage(std::string_view key) {
+  // After the first image a key stays dirty until the next one: adopting
+  // then would make its next write decode the whole value again.
+  if (shared_ == nullptr || imaged_) {
+    return;
+  }
+  auto it = map_.find(key);
+  if (it != map_.end() && !it->second.clean()) {
+    AdoptPublished(it->first, it->second);
+  }
+}
+
 Image KvStore::SerializeImage(BufferWriter head) const {
+  imaged_ = true;
   head.PutU64(map_.size());
   Image image;
   image.Reserve(1 + map_.size());
   const Body head_part = head.TakeBody();
   image.Append(head_part, Crc32c(head_part.bytes()));
   for (const auto& [key, slot] : map_) {
-    if (!slot.clean()) {
+    if (!slot.clean() && !AdoptPublished(key, slot)) {
       const size_t size = SerializedEntrySize(key, slot.value);
-      const Image::Part* published = shared_ != nullptr ? shared_->Find(key) : nullptr;
-      // The size check rules out the usual stale part, a list before its
-      // latest append, without walking it.
-      if (published != nullptr && published->bytes.size() == size &&
-          Matches(published->bytes, key, slot.value)) {
-        // Another replica encoded these very bytes: hold its part.
-        slot.part = published->bytes;
-        slot.crc = published->crc;
-      } else {
-        BufferWriter w(size);
-        SerializeEntry(w, key, slot.value);
-        HC_CHECK_EQ(w.size(), size);
-        slot.part = w.TakeBody();
-        // Checksummed now, while the bytes are still in cache.
-        slot.crc = Crc32c(slot.part.bytes());
-        if (shared_ != nullptr) {
-          shared_->Publish(key, Image::Part{slot.part, slot.crc});
-        }
+      BufferWriter w(size);
+      SerializeEntry(w, key, slot.value);
+      HC_CHECK_EQ(w.size(), size);
+      slot.part = w.TakeBody();
+      // Checksummed now, while the bytes are still in cache.
+      slot.crc = Crc32c(slot.part.bytes());
+      if (shared_ != nullptr) {
+        shared_->Publish(key, Image::Part{slot.part, slot.crc});
       }
       slot.value = Value{};  // the part is now the key's only copy
     }

@@ -93,15 +93,16 @@ class KvStore {
   // as is. So only keys written since the last image are serialized, and
   // every image shares the parts of the keys that did not change.
   //
-  // With a shared index (ShareParts), the deployment shares one copy of
-  // every unchanged key: a dirty key whose name the index maps to a part
-  // holding exactly the bytes it would encode adopts that part and its CRC,
-  // compared in place with no allocation and no CRC pass; any other dirty
-  // key is encoded as above and published.
+  // A store built inside an ImagePartIndex::Scope (Cluster builds every app
+  // in one) binds the deployment's index and shares one copy of every
+  // unchanged key with the other replicas: a dirty key whose name the index
+  // maps to a part holding exactly the bytes it would encode adopts that
+  // part and its CRC, compared in place with no allocation and no CRC pass;
+  // any other dirty key is encoded as above and published. Until its first
+  // image the store also adopts at the end of each write, so a replica that
+  // replays what another already imaged (a preload) never holds a second
+  // copy; after it, a write leaves its key dirty until the next image.
   Image SerializeImage(BufferWriter head) const;
-  // The deployment's index of published parts; null (the default) shares
-  // nothing. It must outlive the store's next image.
-  void ShareParts(ImagePartIndex* index) { shared_ = index; }
 
   // --- Shard-move range handoff (src/shard). The predicate selects keys by
   // name, keeping the store agnostic of the shard hash. ---
@@ -143,7 +144,20 @@ class KvStore {
     mutable uint32_t crc = 0;  // Crc32c(part)
   };
 
+  // Ends every write: until the store's first image, a key the write left
+  // dirty adopts the part published under its name if it matches.
+  struct Written {
+    ~Written() { store->AdoptBeforeFirstImage(key); }
+    KvStore* store;
+    std::string_view key;
+  };
+
   const Slot* Find(std::string_view key) const;
+  // Makes the dirty `slot` clean by adopting the part the index publishes
+  // under `key`, when that part holds exactly the bytes SerializeEntry
+  // would write; returns whether it did.
+  bool AdoptPublished(const std::string& key, const Slot& slot) const;
+  void AdoptBeforeFirstImage(std::string_view key);
   // The key's decoded value for mutation: a clean key is decoded and its
   // part dropped.
   Value* Mutable(std::string_view key);
@@ -166,7 +180,11 @@ class KvStore {
   };
 
   std::unordered_map<std::string, Slot, Hash, Eq> map_;
-  ImagePartIndex* shared_ = nullptr;
+  // The deployment's index of published parts, bound at construction: null
+  // outside a Scope, which shares nothing. It must outlive the store's
+  // writes and images.
+  ImagePartIndex* shared_ = ImagePartIndex::Current();
+  mutable bool imaged_ = false;  // SerializeImage has run
 };
 
 }  // namespace hovercraft

@@ -51,17 +51,15 @@ class StateMachine {
   // default wraps SnapshotState() as one part; an application that keeps
   // parts of its image from one snapshot to the next overrides it (KvService
   // keeps one part per key).
+  //
+  // Replicas hold identical state, so an application that images its state
+  // in named parts may also share them across the deployment: built inside
+  // an ImagePartIndex::Scope (Cluster builds every app in one over its
+  // fabric's index), it binds ImagePartIndex::Current() and adopts a part
+  // another replica published when it holds exactly the bytes it would
+  // encode (src/common/image.h). Its images stay byte for byte what they
+  // would be without the index.
   virtual Image SnapshotImage() const { return Image::Of(SnapshotState()); }
-
-  // Hands the application its deployment's index of published image parts
-  // (src/common/image.h; null for none), once, before the genesis image is
-  // taken. Replicas hold identical state, so an application that images its
-  // state in named parts may adopt a part another replica published when it
-  // holds exactly the bytes it would encode, and publish the parts it does
-  // encode; its images stay byte for byte what they would be without the
-  // index. The default shares nothing (KvService forwards it to its
-  // KvStore).
-  virtual void ShareImageParts(ImagePartIndex* index) { (void)index; }
 
   // --- Shard-move range handoff (src/shard, docs/sharding.md). A live shard
   // move freezes a slot range at the source group, captures exactly that

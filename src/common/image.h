@@ -9,7 +9,7 @@
 //
 // Replicas of one deployment share parts too, through the deployment's
 // ImagePartIndex (below): the deployment shares one copy of every unchanged
-// key, however many replicas hold it.
+// key, however many replicas hold it, from each replica's first write on.
 //
 // The image's CRC is the CRC-32C of its flat bytes, combined from the part
 // CRCs as parts are appended (Crc32cCombine), so it never reads the bytes.
@@ -69,11 +69,35 @@ class Image {
 // adopts that part and its CRC instead of holding its own copy. Sharing
 // happens only on exact byte equality, so no image byte or CRC changes.
 //
+// An application finds its deployment's index while it is built: Cluster
+// runs each app factory inside a Scope over the fabric's index, and an
+// application that images its state in named parts binds Current() when it
+// is constructed (KvStore does). The factory may do arbitrary work, such as
+// a preload, before any server sees the app, so binding at construction lets
+// a replica share from its first write on.
+//
 // The index holds its entries weakly in effect: an entry that only the index
 // still references is dropped at the next Find or Publish of its name, and
 // by a sweep whenever the index has doubled since the last one.
 class ImagePartIndex {
  public:
+  // Makes `index` the calling thread's Current() until the scope ends, then
+  // restores the one before it, so nested builds and builds on other
+  // threads (sweep -j) each see their own.
+  class Scope {
+   public:
+    explicit Scope(ImagePartIndex* index) : previous_(current_) { current_ = index; }
+    ~Scope() { current_ = previous_; }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    ImagePartIndex* previous_;
+  };
+  // The index of the deployment being built on this thread; null outside a
+  // Scope.
+  static ImagePartIndex* Current() { return current_; }
+
   // The part last published under `name`, or null when there is none or
   // nothing outside the index holds it any more.
   const Image::Part* Find(std::string_view name);
@@ -92,6 +116,8 @@ class ImagePartIndex {
     using is_transparent = void;
     size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
   };
+
+  static inline thread_local ImagePartIndex* current_ = nullptr;
 
   std::unordered_map<std::string, Image::Part, Hash, std::equal_to<>> parts_;
   size_t sweep_at_ = kMinSweepAt;

@@ -80,9 +80,16 @@ void Cluster::Build() {
       sc.raft.election_timeout_min = Millis(1);
       sc.raft.election_timeout_max = Millis(2);
     }
+    std::unique_ptr<StateMachine> app;
+    {
+      // The app binds the deployment's index while it is built, so it
+      // shares image parts from its first write (src/common/image.h).
+      ImagePartIndex::Scope parts(&fabric_->image_parts());
+      app = config_.app_factory();
+    }
     auto server = std::make_unique<ReplicatedServer>(
-        &sim(), config_.costs, sc, config_.app_factory(),
-        config_.seed + 0x1000u + static_cast<uint64_t>(n), &fabric_->image_parts());
+        &sim(), config_.costs, sc, std::move(app),
+        config_.seed + 0x1000u + static_cast<uint64_t>(n));
     server_hosts_.push_back(network().Attach(server.get()));
     servers_.push_back(std::move(server));
   }

@@ -51,8 +51,10 @@ class Fabric {
   obs::Observability* obs() const { return obs_; }
   // The image parts the deployment's replicas have published: replicas hold
   // the same state, so each unchanged key is held once per deployment, not
-  // once per replica (StateMachine::ShareImageParts). It dies with the
-  // fabric, so no two deployments (sweep -j runs one per thread) share it.
+  // once per replica. Cluster builds every app inside an
+  // ImagePartIndex::Scope over it, so an app binds it from construction on.
+  // It dies with the fabric, so no two deployments (sweep -j runs one per
+  // thread) share it.
   ImagePartIndex& image_parts() { return image_parts_; }
 
   // Subscribes a passive sink to the recorder until DetachSink. Both are

@@ -34,7 +34,7 @@ void PutSnapshotConfig(const MembershipConfigPtr& config, LogIndex config_idx,
 
 ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
                                    const ServerConfig& config, std::unique_ptr<StateMachine> app,
-                                   uint64_t seed, ImagePartIndex* shared_parts)
+                                   uint64_t seed)
     : Host(sim, costs, Kind::kServer),
       config_(config),
       app_(std::move(app)),
@@ -51,7 +51,6 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
     storage_ = std::make_unique<StableStorage>(disk_.get(), config_.fsync_policy);
     storage_->set_node(obs_node_id());
     raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this, storage_.get());
-    app_->ShareImageParts(shared_parts);
     genesis_app_state_ = app_->SnapshotImage();
   }
 }

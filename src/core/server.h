@@ -115,12 +115,8 @@ struct ServerStats {
 
 class ReplicatedServer final : public Host, public RaftNode::Env {
  public:
-  // `shared_parts`, when set, is the deployment's index of published image
-  // parts: the app gets it (StateMachine::ShareImageParts) before the
-  // genesis image is taken. It must outlive the server.
   ReplicatedServer(Simulator* sim, const CostModel& costs, const ServerConfig& config,
-                   std::unique_ptr<StateMachine> app, uint64_t seed,
-                   ImagePartIndex* shared_parts = nullptr);
+                   std::unique_ptr<StateMachine> app, uint64_t seed);
   ~ReplicatedServer() override;
 
   // Wiring (after Network::Attach of all hosts). `node_hosts[i]` is the host

@@ -42,6 +42,15 @@ size_t RaftLog::FindRidSlot(const RequestId& rid, uint64_t hash) const {
   }
 }
 
+size_t RaftLog::FreeRidSlot(uint64_t hash) const {
+  const size_t mask = rid_slots_.size() - 1;
+  size_t pos = hash & mask;
+  while (RidSlotLive(rid_slots_[pos])) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
 void RaftLog::RehashRids() {
   std::vector<uint64_t> old;
   old.swap(rid_slots_);
@@ -76,9 +85,15 @@ LogIndex RaftLog::Append(LogEntry entry) {
       RehashRids();
     }
     const uint64_t hash = RidHash(e.rid);
-    uint64_t& slot = rid_slots_[FindRidSlot(e.rid, hash)];
-    rid_slots_used_ += slot == 0 ? 1 : 0;
-    slot = RidTag(hash) | idx;
+    size_t pos = FindRidSlot(e.rid, hash);
+    if (rid_slots_[pos] == 0) {
+      // A new rid takes the first dead slot on its probe path when there is
+      // one, so the slots compaction leaves dead are reused instead of
+      // waiting for a rehash to purge them.
+      pos = FreeRidSlot(hash);
+      rid_slots_used_ += rid_slots_[pos] == 0 ? 1 : 0;
+    }
+    rid_slots_[pos] = RidTag(hash) | idx;
   }
   return idx;
 }

@@ -110,12 +110,16 @@ class RaftLog {
   // heap node, whatever seqs the clients send. A slot whose index is below
   // first_index() is dead: compaction forgets its entries' rids without
   // touching the table, and truncation (whose indices later appends reuse)
-  // overwrites the slot with kRidTombstone. Dead slots go at the next rehash:
+  // overwrites the slot with kRidTombstone. An append of a new rid reuses
+  // the first dead slot on its probe path; the rest go at the next rehash:
   // an append rehashes before the table passes 3/4 full, dead slots counted,
   // and a compaction once the log would fit in an eighth of it.
 
   // The slot mapping `rid`, or the empty slot that ends its probe sequence.
   size_t FindRidSlot(const RequestId& rid, uint64_t hash) const;
+  // The first slot on `hash`'s probe path that maps no live entry: a dead
+  // slot, or the empty one that ends the path.
+  size_t FreeRidSlot(uint64_t hash) const;
   bool RidSlotLive(uint64_t slot) const;
   // Rebuilds the table from its live slots, at most half full.
   void RehashRids();

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -198,6 +199,47 @@ TEST(RaftLogTest, ReappendAfterRehashesReplacesTheMapping) {
   log.TruncateFrom(again);
   EXPECT_EQ(log.FindRequest(RequestId{4, 200}), kNoLogIndex);
   EXPECT_EQ(log.FindRequest(RequestId{4, 199}), again - 2);
+}
+
+// Compaction leaves its entries' rid slots dead and new rids reuse them.
+// Over many compaction cycles every live rid stays found and every compacted
+// one is forgotten, and a re-append of a live rid, from this round or from
+// before the last compaction, still replaces its mapping rather than taking
+// a dead slot ahead of it, so dropping the re-append forgets the rid.
+TEST(RaftLogTest, DeadRidSlotsAreReusedAcrossCompactions) {
+  constexpr uint64_t kKept = 150;
+  RaftLog log;
+  uint64_t seq = 0;  // seq s sits at index s: every re-append is truncated
+  std::set<uint64_t> forgotten;
+  for (int round = 0; round < 60; ++round) {
+    // Re-append every fifth live rid, right after the last compaction left
+    // its dead slots, then drop the re-appends.
+    std::vector<uint64_t> again;
+    for (uint64_t s = log.first_index(); s <= seq; s += 5) {
+      if (forgotten.count(s) == 0) {
+        again.push_back(s);
+      }
+    }
+    const LogIndex first_again = log.last_index() + 1;
+    for (uint64_t s : again) {
+      const LogIndex idx = log.Append(MakeEntry(1, 7, s));
+      ASSERT_EQ(log.FindRequest(RequestId{7, s}), idx) << "round " << round << " seq " << s;
+    }
+    log.TruncateFrom(first_again);
+    for (uint64_t s : again) {
+      ASSERT_EQ(log.FindRequest(RequestId{7, s}), kNoLogIndex) << "round " << round << " seq " << s;
+      forgotten.insert(s);
+    }
+    for (int i = 0; i < 100; ++i) {
+      log.Append(MakeEntry(1, 7, ++seq));
+    }
+    log.CompactPrefix(seq > kKept ? seq - kKept : 0);
+    for (uint64_t s = 1; s <= seq; ++s) {
+      const bool live = s >= log.first_index() && forgotten.count(s) == 0;
+      ASSERT_EQ(log.FindRequest(RequestId{7, s}), live ? s : kNoLogIndex)
+          << "round " << round << " seq " << s;
+    }
+  }
 }
 
 // Reference model: the rid index as a plain hash map, with the log's

@@ -16,6 +16,7 @@
 #include "src/app/synthetic.h"
 #include "src/chaos/kv_workload.h"
 #include "src/common/buffer.h"
+#include "src/common/image.h"
 #include "src/loadgen/client.h"
 #include "src/loadgen/workload.h"
 #include "src/obs/metrics.h"
@@ -169,6 +170,35 @@ TEST(ShardedClusterTest, ScaleOutSpreadsLoadAcrossGroups) {
     EXPECT_GT(sharded.group(GroupId{g}).TotalExecuted(), 0u) << "group " << g;
   }
   EXPECT_TRUE(sharded.AllWatchdogsOk()) << sharded.WatchdogSummary();
+}
+
+// Cluster builds each app inside a scope over its fabric's index of image
+// parts, so every group's apps see the one fabric's index while they are
+// built, and the thread's current index is what it was before, both after a
+// build inside another scope and outside any.
+TEST(ShardedClusterTest, AppsSeeTheFabricsImagePartsOnlyWhileBuilt) {
+  EXPECT_EQ(ImagePartIndex::Current(), nullptr);
+  std::vector<ImagePartIndex*> seen;
+  ShardedClusterConfig cfg = BaseConfig(3);
+  cfg.app_factory = [&seen]() {
+    seen.push_back(ImagePartIndex::Current());
+    return std::make_unique<KvService>();
+  };
+  ImagePartIndex outer;
+  {
+    ImagePartIndex::Scope scope(&outer);
+    ShardedCluster sharded(cfg);
+    EXPECT_EQ(ImagePartIndex::Current(), &outer);
+    ASSERT_EQ(seen.size(), 9u);  // 3 groups of 3
+    for (ImagePartIndex* index : seen) {
+      EXPECT_EQ(index, &sharded.fabric().image_parts());
+    }
+  }
+  EXPECT_EQ(ImagePartIndex::Current(), nullptr);
+  seen.clear();
+  ShardedCluster sharded(cfg);
+  EXPECT_EQ(ImagePartIndex::Current(), nullptr);
+  EXPECT_EQ(seen.size(), 9u);
 }
 
 TEST(ShardedClusterTest, LiveMoveUnderLoadKeepsExactlyOnce) {

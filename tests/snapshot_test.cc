@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/app/kvstore/service.h"
@@ -634,6 +635,101 @@ TEST(SnapshotTest, CorruptSnapshotOnOneNodeLeavesSharedPartsIntact) {
     EXPECT_EQ(cluster.server(n).app().Digest(), cluster.server(leader).app().Digest())
         << "node " << n;
   }
+}
+
+// An image's part for each key, by the key its entry starts with.
+std::unordered_map<std::string, const uint8_t*> PartsByKey(const Image& image) {
+  std::unordered_map<std::string, const uint8_t*> parts;
+  for (size_t i = 1; i < image.parts().size(); ++i) {  // part 0 is the head
+    BufferReader r(image.parts()[i].bytes.bytes());
+    std::string key;
+    EXPECT_TRUE(r.GetString(key).ok());
+    parts[key] = image.parts()[i].bytes.data();
+  }
+  return parts;
+}
+
+// How many of the small YCSB-E store's conversations `app` holds only as
+// their encoded part.
+size_t EncodedOnlyConversations(const StateMachine& app) {
+  const KvStore& store = static_cast<const KvService&>(app).store();
+  size_t held = 0;
+  for (uint64_t id = 0; id < 200; ++id) {
+    held += store.IsEncodedOnly(YcsbEGenerator::ConversationKey(id)) ? 1 : 0;
+  }
+  return held;
+}
+
+// Each replica binds the fabric's index while its factory preloads it, and
+// replica 0's genesis image publishes every key before replica 1 is built.
+// So a later replica adopts each key's part at the insert that completes
+// the key: it leaves its factory holding every key only as replica 0's
+// part, before any image of its own, and its genesis image is those parts.
+TEST(SnapshotTest, PreloadingReplicasAdoptTheFirstReplicasParts) {
+  ClusterConfig config = SmallYcsbConfig(808);
+  const auto preload = config.app_factory;
+  std::vector<size_t> encoded_only;  // per replica, as its factory returned
+  config.app_factory = [&preload, &encoded_only]() {
+    std::unique_ptr<StateMachine> app = preload();
+    encoded_only.push_back(EncodedOnlyConversations(*app));
+    return app;
+  };
+  Cluster cluster(config);
+  EXPECT_EQ(encoded_only, (std::vector<size_t>{0, 200, 200}));
+  const Image image0 = cluster.server(0).app().SnapshotImage();
+  for (NodeId n = 1; n < 3; ++n) {
+    EXPECT_EQ(EncodedOnlyConversations(cluster.server(n).app()), 200u);
+    const Image image = cluster.server(n).app().SnapshotImage();
+    ASSERT_EQ(image.parts().size(), image0.parts().size());
+    for (size_t i = 1; i < image.parts().size(); ++i) {  // part 0 is the head
+      ASSERT_EQ(image.parts()[i].bytes.data(), image0.parts()[i].bytes.data())
+          << "node " << n << " part " << i;
+    }
+  }
+}
+
+// Adoption needs the exact bytes: a replica whose preload differs from the
+// others by one byte of one record keeps its own copy of that key, and of
+// no other.
+TEST(SnapshotTest, ReplicaWithOneDifferentRecordKeepsOnlyThatKey) {
+  ClusterConfig config = SmallYcsbConfig(809);
+  const std::string odd_key = YcsbEGenerator::ConversationKey(7);
+  std::vector<size_t> encoded_only;
+  std::vector<bool> odd_encoded_only;
+  config.app_factory = [&]() {
+    const bool odd = encoded_only.size() == 2;
+    YcsbEConfig ycsb;
+    ycsb.conversation_count = 200;
+    ycsb.preload_per_conversation = 4;
+    ycsb.field_bytes = 64;
+    auto svc = std::make_unique<KvService>();
+    Rng rng(9);
+    for (const KvCommand& cmd : YcsbEGenerator(ycsb).PreloadCommands(rng)) {
+      if (odd && cmd.key == odd_key) {
+        KvCommand flipped = cmd;
+        flipped.value[flipped.value.size() / 2] ^= 1;
+        svc->Apply(flipped);
+      } else {
+        svc->Apply(cmd);
+      }
+    }
+    encoded_only.push_back(EncodedOnlyConversations(*svc));
+    odd_encoded_only.push_back(svc->store().IsEncodedOnly(odd_key));
+    return svc;
+  };
+  Cluster cluster(config);
+  EXPECT_EQ(encoded_only, (std::vector<size_t>{0, 200, 199}));
+  EXPECT_EQ(odd_encoded_only, (std::vector<bool>{false, true, false}));
+  std::vector<std::unordered_map<std::string, const uint8_t*>> parts;
+  for (NodeId n = 0; n < 3; ++n) {
+    parts.push_back(PartsByKey(cluster.server(n).app().SnapshotImage()));
+  }
+  ASSERT_EQ(parts[0].size(), 200u);
+  for (const auto& [key, data] : parts[0]) {
+    EXPECT_EQ(parts[1].at(key), data) << key;
+    EXPECT_EQ(parts[2].at(key) == data, key != odd_key) << key;
+  }
+  EXPECT_NE(cluster.server(2).app().Digest(), cluster.server(0).app().Digest());
 }
 
 // The unreadable-snapshot fallback with a compacted log: a node whose
