@@ -29,15 +29,18 @@ namespace {
 // appended through StableStorage on a zero-latency SimDisk. The argument is
 // the seq stride: 1 is one replica group serving every request of its
 // clients; 4 is one of four shard groups, whose log sees about every fourth
-// seq of each client. Counters:
+// seq of each client. BM_RetainedBytesPerEntry's disk keeps its bytes, as a
+// deployment with ServerConfig::disk_faults does; the NoDiskFaults case's
+// keeps sizes only, as every other deployment's does. Counters:
 //   log_bytes_per_entry  RaftLog: the entries, their requests, the rid index;
 //   wal_bytes_per_entry  StableStorage and SimDisk: the segments' buffers and
 //                        any per-entry bookkeeping;
 //   bytes_per_entry      the sum.
 // Live bytes are a deterministic function of the code (run each case alone
 // with --benchmark_filter; after other cases, reused heap chunks shift them by
-// a few bytes). CI gates bytes_per_entry (docs/performance.md section 10).
-void BM_RetainedBytesPerEntry(benchmark::State& state) {
+// a few bytes). CI gates bytes_per_entry (docs/performance.md sections 10
+// and 15).
+void RetainedBytesPerEntry(benchmark::State& state, bool disk_faults) {
   constexpr uint64_t kEntries = 25'000;
   constexpr HostId kClients = 8;
   const auto stride = static_cast<uint64_t>(state.range(0));
@@ -45,7 +48,7 @@ void BM_RetainedBytesPerEntry(benchmark::State& state) {
   double wal_bytes = 0;
   for (auto _ : state) {
     Simulator sim;
-    SimDisk disk(&sim, 1, /*sync_latency=*/0);
+    SimDisk disk(&sim, 1, /*sync_latency=*/0, disk_faults);
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
     auto log = std::make_unique<RaftLog>();
     std::vector<uint64_t> next_seq(kClients, 1);
@@ -77,7 +80,15 @@ void BM_RetainedBytesPerEntry(benchmark::State& state) {
   state.counters["wal_bytes_per_entry"] = wal_bytes / kEntries;
   state.counters["bytes_per_entry"] = (log_bytes + wal_bytes) / kEntries;
 }
+void BM_RetainedBytesPerEntry(benchmark::State& state) { RetainedBytesPerEntry(state, true); }
+void BM_RetainedBytesPerEntryNoDiskFaults(benchmark::State& state) {
+  RetainedBytesPerEntry(state, false);
+}
 BENCHMARK(BM_RetainedBytesPerEntry)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->Iterations(1);
+BENCHMARK(BM_RetainedBytesPerEntryNoDiskFaults)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
 
 // Heap allocations (operator new calls) per completed request on the Figure 7
 // write path: HovercRaft, 3 nodes, 24-byte writes with 8-byte replies, the

@@ -465,6 +465,7 @@ ChaosRunResult RunChaosSchedule(const ChaosRunConfig& config) {
   HC_CHECK(config.Check().empty());  // Check() says what is wrong
   ClusterConfig cc = config.cluster;
   cc.seed = config.seed;
+  cc.server_template.disk_faults = true;  // the nemesis may power-fail or corrupt
 
   if (config.groups > 1) {
     ShardedClusterConfig sc;

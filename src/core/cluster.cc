@@ -417,6 +417,7 @@ void Cluster::PowerFailNode(NodeId node) {
   }
   HC_CHECK_GE(node, 0);
   HC_CHECK_LT(static_cast<size_t>(node), servers_.size());
+  HC_CHECK(config_.server_template.disk_faults);
   servers_[static_cast<size_t>(node)]->PowerFail();
 }
 

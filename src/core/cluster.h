@@ -117,7 +117,8 @@ class Cluster {
   // Power loss: like KillNode, but the node's simulated disk crashes too —
   // the unsynced WAL suffix (and any not-yet-durable acknowledgement) is
   // genuinely lost, and RestartNode will run WAL recovery instead of
-  // resuming from process memory. No-op on an already-failed node.
+  // resuming from process memory. No-op on an already-failed node. Needs
+  // server_template.disk_faults: only such a disk keeps bytes to recover.
   void PowerFailNode(NodeId node);
 
   // Restarts a killed node. After a fail-stop kill, process memory is intact

@@ -46,7 +46,8 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
     // Disk seed decorrelated from the raft RNG stream so adding durability
     // does not perturb existing election/jitter draws. The fsync cost is the
     // paper's persist_latency knob; zero keeps syncs inline and event-free.
-    disk_ = std::make_unique<SimDisk>(sim, seed ^ 0x5EEDD15Cu, config_.raft.persist_latency);
+    disk_ = std::make_unique<SimDisk>(sim, seed ^ 0x5EEDD15Cu, config_.raft.persist_latency,
+                                      config_.disk_faults);
     disk_->set_node(obs_node_id());
     storage_ = std::make_unique<StableStorage>(disk_.get(), config_.fsync_policy);
     storage_->set_node(obs_node_id());
@@ -91,6 +92,9 @@ void ReplicatedServer::Start() {
     // been applied yet, so the image captured at construction is current.
     HC_CHECK_EQ(apply_cursor_, 0);
     PersistLocalSnapshot(genesis_app_state_);
+    if (!config_.disk_faults) {
+      genesis_app_state_ = Image();  // only a power-fail recovery reads it
+    }
     raft_->Start();
     ArmMaintenanceTimers();
   }

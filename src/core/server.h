@@ -56,6 +56,11 @@ struct ServerConfig {
   // silently truncated (the classic unsafe repair) instead of quarantined
   // behind the suspect gate and re-fetched from the leader.
   bool wal_recovery = true;
+  // This deployment may power-fail a node or corrupt its disk. Only those
+  // faults read a disk back, so with it off the SimDisk keeps sizes and
+  // sync frontiers but no bytes, and the genesis image is dropped once
+  // written (docs/durability.md, "What a disk holds").
+  bool disk_faults = false;
   // Multi-group sharding (src/shard, docs/sharding.md). When set, this
   // server belongs to one of several consensus groups partitioning the
   // keyspace: it serves only the slots in shard_owned_slots, rejects data
@@ -271,7 +276,8 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   // Pristine application image captured at construction: the recovery target
   // of last resort when the on-disk snapshot itself is unreadable. It shares
   // its parts with the application's later images for every part that has
-  // not changed since.
+  // not changed since. Without disk_faults nothing can make the snapshot
+  // unreadable, and Start() drops it once written.
   Image genesis_app_state_;
   // Last index covered by the on-disk snapshot; compaction skips the write
   // when the apply cursor has not moved past it.

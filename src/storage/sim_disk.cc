@@ -24,6 +24,34 @@ void SimDisk::RecordFsyncLatency(TimeNs latency) {
   o->metrics().GetHistogram(fsync_metric_).Record(latency);
 }
 
+SimDisk::File& SimDisk::Open(const std::string& name) {
+  return files_.try_emplace(name, disk_faults_).first->second;
+}
+
+void SimDisk::File::Append(const uint8_t* data, size_t len) {
+  if (!keep_bytes) {
+    length += len;
+    return;
+  }
+  OwnTail();
+  head.insert(head.end(), data, data + len);
+}
+
+void SimDisk::File::Reserve(size_t bytes) {
+  if (keep_bytes) {
+    head.reserve(bytes);
+  }
+}
+
+void SimDisk::File::Replace(std::vector<uint8_t> new_head, Image new_tail) {
+  if (!keep_bytes) {
+    length = new_head.size() + new_tail.size();
+    return;
+  }
+  head = std::move(new_head);
+  tail = std::move(new_tail);
+}
+
 void SimDisk::File::OwnTail() {
   if (!tail.parts().empty()) {
     head.reserve(size());
@@ -38,7 +66,9 @@ void SimDisk::File::CutTo(size_t len) {
   if (len >= size()) {
     return;
   }
-  if (len > head.size()) {
+  if (!keep_bytes) {
+    length = len;
+  } else if (len > head.size()) {
     head.reserve(len);
     for (const Image::Part& part : tail.parts()) {
       const size_t take = std::min(part.bytes.size(), len - head.size());
@@ -51,15 +81,13 @@ void SimDisk::File::CutTo(size_t len) {
 }
 
 void SimDisk::Append(const std::string& file, const uint8_t* data, size_t len) {
-  File& f = files_[file];
-  f.OwnTail();
-  f.head.insert(f.head.end(), data, data + len);
+  Open(file).Append(data, len);
   ++stats_.appends;
   stats_.bytes_written += len;
 }
 
 void SimDisk::Reserve(const std::string& file, size_t bytes) {
-  files_[file].head.reserve(bytes);
+  Open(file).Reserve(bytes);
 }
 
 void SimDisk::Truncate(const std::string& file, size_t size) {
@@ -73,9 +101,8 @@ void SimDisk::Truncate(const std::string& file, size_t size) {
 }
 
 void SimDisk::WriteAndSync(const std::string& file, std::vector<uint8_t> head, Image tail) {
-  File& f = files_[file];
-  f.head = std::move(head);
-  f.tail = std::move(tail);
+  File& f = Open(file);
+  f.Replace(std::move(head), std::move(tail));
   f.synced = f.size();
   stats_.bytes_written += f.size();
   ++stats_.appends;
@@ -185,6 +212,7 @@ void SimDisk::MarkAllSynced() {
 }
 
 void SimDisk::Crash() {
+  HC_CHECK(disk_faults_);
   ++stats_.crashes;
   const bool torn = next_crash_torn_;
   next_crash_torn_ = false;
@@ -212,6 +240,7 @@ void SimDisk::Crash() {
 }
 
 bool SimDisk::FlipByte(const std::string& file, size_t offset) {
+  HC_CHECK(disk_faults_);
   auto it = files_.find(file);
   if (it == files_.end() || offset >= it->second.size()) {
     return false;
@@ -223,6 +252,7 @@ bool SimDisk::FlipByte(const std::string& file, size_t offset) {
 }
 
 Body SimDisk::ReadBody(const std::string& file) const {
+  HC_CHECK(disk_faults_);
   auto it = files_.find(file);
   if (it == files_.end()) {
     return Body::CopyOf({});
@@ -235,6 +265,7 @@ Body SimDisk::ReadBody(const std::string& file) const {
 }
 
 std::span<const uint8_t> SimDisk::ReadView(const std::string& file) const {
+  HC_CHECK(disk_faults_);
   auto it = files_.find(file);
   if (it == files_.end()) {
     return {};

@@ -23,6 +23,12 @@
 // surviving tail bytes into the head, so injected faults cannot reach any
 // part's owner. Sizes, sync frontiers and reads cover both; a file's bytes
 // are the head followed by the tail's parts in order.
+//
+// A disk built with `disk_faults` off (ServerConfig::disk_faults, for a
+// deployment that never power-fails a node or corrupts its disk) keeps each
+// file as a size and a durable watermark, with no bytes: writes, syncs and
+// stats behave exactly as with contents, and Crash, FlipByte and the reads
+// fail a CHECK, since there is nothing to read back.
 #ifndef SRC_STORAGE_SIM_DISK_H_
 #define SRC_STORAGE_SIM_DISK_H_
 
@@ -57,8 +63,8 @@ class SimDisk {
   // Inline storage: a barrier callback costs no allocation.
   using SyncCallback = Simulator::Callback;
 
-  SimDisk(Simulator* sim, uint64_t seed, TimeNs sync_latency)
-      : sim_(sim), rng_(seed), sync_latency_(sync_latency) {}
+  SimDisk(Simulator* sim, uint64_t seed, TimeNs sync_latency, bool disk_faults = true)
+      : sim_(sim), rng_(seed), sync_latency_(sync_latency), disk_faults_(disk_faults) {}
   SimDisk(const SimDisk&) = delete;
   SimDisk& operator=(const SimDisk&) = delete;
 
@@ -89,7 +95,7 @@ class SimDisk {
   // latency the model deliberately does not price (docs/durability.md).
   void SyncNow();
 
-  // --- faults ---------------------------------------------------------------
+  // --- faults (a disk built with disk_faults only) --------------------------
   // Power loss. Drops the unsynced suffix of every file and aborts pending
   // flush callbacks. In torn mode (one-shot, armed by the nemesis) a random
   // partial prefix of the unsynced tail survives — a torn final record.
@@ -103,6 +109,8 @@ class SimDisk {
   TimeNs stall() const { return stall_; }
 
   // --- reads ----------------------------------------------------------------
+  // ReadBody and ReadView need a disk built with disk_faults; the others
+  // answer from sizes alone.
   bool Exists(const std::string& file) const { return files_.count(file) != 0; }
   // The file's bytes in one flat buffer (a copy); empty when missing.
   Body ReadBody(const std::string& file) const;
@@ -125,11 +133,18 @@ class SimDisk {
 
  private:
   struct File {
+    explicit File(bool keep) : keep_bytes(keep) {}
+
+    bool keep_bytes;    // false: the file is `length` alone (disk_faults off)
     std::vector<uint8_t> head;
     Image tail;         // shared immutable suffix; empty when the file is flat
+    size_t length = 0;  // the size of a file that keeps no bytes
     size_t synced = 0;  // durable watermark: bytes [0, synced) survive a crash
 
-    size_t size() const { return head.size() + tail.size(); }
+    size_t size() const { return keep_bytes ? head.size() + tail.size() : length; }
+    void Append(const uint8_t* data, size_t len);
+    void Reserve(size_t bytes);
+    void Replace(std::vector<uint8_t> new_head, Image new_tail);
     // Copy-on-write: moves the tail's bytes into the head.
     void OwnTail();
     // Shortens the file to `len` bytes, copying only the kept tail bytes.
@@ -146,6 +161,8 @@ class SimDisk {
   // per-node "storage.fsync_ns" histogram; no-op without observability.
   void RecordFsyncLatency(TimeNs latency);
 
+  // The file named `name`, created empty when missing.
+  File& Open(const std::string& name);
   void StartNextFlush();
   void CompleteFlush();
   void FinishFront();
@@ -154,6 +171,7 @@ class SimDisk {
   Simulator* sim_;
   std::mt19937_64 rng_;
   TimeNs sync_latency_;
+  bool disk_faults_;
   TimeNs stall_ = 0;
   bool next_crash_torn_ = false;
   NodeId node_ = kInvalidNode;

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/app/synthetic.h"
+#include "src/common/check.h"
 #include "src/core/cluster.h"
 #include "src/loadgen/client.h"
 #include "src/loadgen/workload.h"
@@ -74,6 +78,7 @@ TEST(DurabilityTest, PowerFailLosesOnlyUnsyncedSuffix) {
   // intact (no torn tail, no corruption, not suspect) and the node converges
   // back to the leader's state.
   ClusterConfig config = Config(ClusterMode::kHovercRaft, 3, 111);
+  config.server_template.disk_faults = true;
   config.raft.persist_latency = Micros(500);
   Cluster cluster(config);
   ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
@@ -153,6 +158,7 @@ TEST(DurabilityTest, ExactlyOnceAcrossFullClusterPowerFail) {
   // because acks wait for the fsync — what a client saw confirmed was
   // durable on a quorum before the lights went out.
   ClusterConfig config = Config(ClusterMode::kHovercRaft, 3, 115);
+  config.server_template.disk_faults = true;
   config.raft.persist_latency = Micros(500);
   Cluster cluster(config);
   ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
@@ -193,6 +199,7 @@ TEST(DurabilityTest, CorruptedFollowerRecoversSuspectAndGetsRepaired) {
   // suspect, and the leader's AppendEntries re-fetch repairs it — after which
   // the suspicion clears and the replica converges bit-exactly.
   ClusterConfig config = Config(ClusterMode::kHovercRaft, 3, 117);
+  config.server_template.disk_faults = true;
   config.raft.persist_latency = Micros(500);
   Cluster cluster(config);
   ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
@@ -237,6 +244,7 @@ TEST(DurabilityTest, SuspectPairCannotElectALeaderByThemselves) {
   // amnesiac leader could overwrite entries whose replies clients hold —
   // until the pristine leader returns.
   ClusterConfig config = Config(ClusterMode::kHovercRaft, 3, 119);
+  config.server_template.disk_faults = true;
   config.raft.persist_latency = Micros(500);
   Cluster cluster(config);
   ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
@@ -288,6 +296,7 @@ TEST(DurabilityTest, SessionTableSurvivesPowerFailReplay) {
   // the dedup state is rebuilt from the *replayed WAL*, not from surviving
   // memory, and still matches the tables built live on the other replicas.
   ClusterConfig config = Config(ClusterMode::kHovercRaft, 3, 121);
+  config.server_template.disk_faults = true;
   config.raft.persist_latency = Micros(500);
   Cluster cluster(config);
   ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
@@ -310,6 +319,128 @@ TEST(DurabilityTest, SessionTableSurvivesPowerFailReplay) {
   EXPECT_TRUE(cluster.server(victim).sessions().Executed(RequestId{client->id(), 1}));
   EXPECT_EQ(cluster.server(victim).sessions().AckWatermark(client->id()),
             cluster.server(cluster.LeaderId()).sessions().AckWatermark(client->id()));
+}
+
+// Every node's disk and storage counters and the size and durable watermark
+// of each of its files, as one comparable line per node.
+std::vector<std::string> DiskState(Cluster& cluster) {
+  std::vector<std::string> nodes;
+  for (NodeId n = 0; n < cluster.total_node_count(); ++n) {
+    SimDisk* disk = cluster.server(n).disk();
+    const SimDiskStats& d = disk->stats();
+    const StorageStats& s = cluster.server(n).storage()->stats();
+    std::string line;
+    for (uint64_t v : {d.appends, d.bytes_written, d.syncs, d.coalesced, d.crashes, d.bytes_lost,
+                       d.torn_crashes, d.flips, d.stall_ns, s.entry_records, s.meta_records,
+                       s.snapshots_saved, s.recoveries, s.recovered_entries, s.torn_truncations,
+                       s.corrupt_records, s.suspect_recoveries, s.segments_dropped}) {
+      line += std::to_string(v) + " ";
+    }
+    std::vector<std::string> files = disk->List("wal-");
+    files.push_back("snapshot");
+    for (const std::string& f : files) {
+      line += f + ":" + std::to_string(disk->Size(f)) + "/" +
+              std::to_string(disk->SyncedSize(f)) + " ";
+    }
+    nodes.push_back(line);
+  }
+  return nodes;
+}
+
+// Every client-visible event: invocations, first replies with their bytes,
+// and NACKs, in the order the client saw them.
+class OutcomeLog final : public ClientHost::Observer {
+ public:
+  void OnInvoke(HostId client, uint64_t seq, R2p2Policy, const Body&, TimeNs at) override {
+    Add("invoke", client, seq, at, {});
+  }
+  void OnComplete(HostId client, uint64_t seq, const Body& reply, TimeNs at) override {
+    Add("reply", client, seq, at, reply);
+  }
+  void OnNack(HostId client, uint64_t seq, TimeNs at) override {
+    Add("nack", client, seq, at, {});
+  }
+  std::vector<std::string> events;
+
+ private:
+  void Add(const char* kind, HostId client, uint64_t seq, TimeNs at, const Body& bytes) {
+    std::string e = kind;
+    for (uint64_t v : {static_cast<uint64_t>(client), seq, static_cast<uint64_t>(at)}) {
+      e.append(" ").append(std::to_string(v));
+    }
+    for (uint8_t b : bytes) {
+      e.append(" ").append(std::to_string(b));
+    }
+    events.push_back(std::move(e));
+  }
+};
+
+struct TwinRun {
+  std::vector<std::vector<std::string>> disk_states;  // one per instant
+  std::vector<std::string> outcomes;
+  uint64_t segments_dropped = 0;  // over every node
+  uint64_t snapshots_saved = 0;
+};
+
+// One seeded HovercRaft++ run with priced fsyncs, compaction every 5 ms and a
+// fail-stop leader kill and restart (which keeps process memory, so it reads
+// no disk), sampled every 10 ms.
+TwinRun RunTwin(bool disk_faults) {
+  ClusterConfig config = Config(ClusterMode::kHovercRaftPP, 3, 131);
+  config.server_template.disk_faults = disk_faults;
+  config.server_template.compaction_interval = Millis(5);
+  config.raft.persist_latency = Micros(20);
+  Cluster cluster(config);
+  HC_CHECK_NE(cluster.WaitForLeader(), kInvalidNode);
+  auto client = AttachClient(cluster, 150'000, 67);
+  EnableRetries(client.get(), cluster);
+  OutcomeLog log;
+  client->set_observer(&log);
+
+  TwinRun run;
+  const TimeNs t0 = cluster.sim().Now();
+  client->StartLoad(t0, t0 + Millis(70));
+  NodeId killed = kInvalidNode;
+  for (int i = 1; i <= 10; ++i) {
+    cluster.sim().RunUntil(t0 + Millis(10) * i);
+    run.disk_states.push_back(DiskState(cluster));
+    if (i == 3) {
+      killed = cluster.LeaderId();
+      cluster.KillNode(killed);
+    } else if (i == 5) {
+      cluster.RestartNode(killed);
+    }
+  }
+  run.outcomes = std::move(log.events);
+  for (NodeId n = 0; n < cluster.total_node_count(); ++n) {
+    run.segments_dropped += cluster.server(n).storage()->stats().segments_dropped;
+    run.snapshots_saved += cluster.server(n).storage()->stats().snapshots_saved;
+  }
+  return run;
+}
+
+// A disk without disk_faults keeps sizes, not bytes, and nothing the cluster
+// does may tell the two apart: the twin runs write, sync, rotate and drop the
+// same files at the same instants and give every client the same answers.
+TEST(DurabilityTest, DiskWithoutBytesRunsLikeDiskWithBytes) {
+  const TwinRun off = RunTwin(false);
+  const TwinRun on = RunTwin(true);
+  // The run reaches what the comparison covers: snapshots and dropped
+  // segments, a leader change and thousands of client requests.
+  EXPECT_GT(on.snapshots_saved, 3u);
+  EXPECT_GT(on.segments_dropped, 0u);
+  EXPECT_GT(on.outcomes.size(), 10'000u);
+  ASSERT_EQ(off.disk_states.size(), on.disk_states.size());
+  for (size_t i = 0; i < on.disk_states.size(); ++i) {
+    EXPECT_EQ(off.disk_states[i], on.disk_states[i]) << "instant " << i;
+  }
+  EXPECT_TRUE(off.outcomes == on.outcomes);
+}
+
+TEST(DurabilityDeathTest, PowerFailNeedsDiskFaults) {
+  Cluster cluster(Config(ClusterMode::kHovercRaft, 3, 133));
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  EXPECT_DEATH(cluster.PowerFailNode(1), "disk_faults");
 }
 
 }  // namespace

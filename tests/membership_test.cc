@@ -242,6 +242,7 @@ TEST(MembershipTest, SnapshotCarriesConfigToFreshLearner) {
 // included, to a follower lagging that far.
 TEST(MembershipTest, RestartKeepsConfigEntriesBelowTheSnapshotConfig) {
   ClusterConfig config = BaseConfig(ClusterMode::kHovercRaft, 3, 2, 67);
+  config.server_template.disk_faults = true;
   config.stagger_first_election = false;
   // Local snapshots every 5 ms, while the log (and so the WAL) keeps
   // everything.

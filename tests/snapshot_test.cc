@@ -271,6 +271,7 @@ ClusterConfig GenesisOnlyConfig(uint64_t seed) {
   config.app_factory = []() { return PreloadedKvService(); };
   config.stagger_first_election = false;
   config.server_template.compaction_interval = Seconds(10);
+  config.server_template.disk_faults = true;
   return config;
 }
 
@@ -405,6 +406,7 @@ TEST(SnapshotTest, SnapshotFilesMatchFlatFraming) {
   config.mode = ClusterMode::kHovercRaftPP;
   config.nodes = 3;
   config.seed = 404;
+  config.server_template.disk_faults = true;
   config.app_factory = [ycsb]() {
     auto svc = std::make_unique<KvService>();
     Rng rng(5);
@@ -489,6 +491,7 @@ TEST(SnapshotTest, FollowerRecoversFromIncrementalSnapshotFile) {
   config.mode = ClusterMode::kHovercRaftPP;
   config.nodes = 3;
   config.seed = 505;
+  config.server_template.disk_faults = true;
   config.app_factory = [ycsb]() {
     auto svc = std::make_unique<KvService>();
     Rng rng(9);
@@ -588,7 +591,8 @@ const KvStore& StoreOf(Cluster& cluster, NodeId n) {
 // another node power-failed after it recovers cleanly from its own file,
 // with every shared part intact.
 TEST(SnapshotTest, CorruptSnapshotOnOneNodeLeavesSharedPartsIntact) {
-  const ClusterConfig config = SmallYcsbConfig(606);
+  ClusterConfig config = SmallYcsbConfig(606);
+  config.server_template.disk_faults = true;
   Fabric fabric(config.costs, config.seed);
   Cluster cluster(fabric, config);
   ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
@@ -739,6 +743,7 @@ TEST(SnapshotTest, ReplicaWithOneDifferentRecordKeepsOnlyThatKey) {
 // InstallSnapshot to the leader's state.
 TEST(SnapshotTest, UnreadableSnapshotAfterCompactionFallsBackToGenesis) {
   ClusterConfig config = SmallYcsbConfig(707);
+  config.server_template.disk_faults = true;
   config.raft.log_retention_entries = 64;
   Fabric fabric(config.costs, config.seed);
   Cluster cluster(fabric, config);

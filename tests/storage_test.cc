@@ -358,6 +358,85 @@ TEST(SimDiskTest, TornCrashInsideAPartLeavesEveryOwnerIntact) {
   }
 }
 
+// A disk built without disk_faults keeps each file as a size and a durable
+// watermark. The same writes and barriers on it and on a disk that keeps its
+// bytes report the same sizes, frontiers, listings and stats at every step.
+TEST(SimDiskTest, DiskWithoutBytesTracksSizesLikeADiskWithBytes) {
+  Simulator sim;
+  SimDisk kept(&sim, 1, 500);
+  SimDisk sized(&sim, 1, 500, /*disk_faults=*/false);
+  auto both = [&](const std::function<void(SimDisk&)>& op) {
+    op(kept);
+    op(sized);
+  };
+  auto expect_same = [&](const char* step) {
+    for (const char* f : {"a", "b", "snap"}) {
+      EXPECT_EQ(sized.Exists(f), kept.Exists(f)) << step << " " << f;
+      EXPECT_EQ(sized.Size(f), kept.Size(f)) << step << " " << f;
+      EXPECT_EQ(sized.SyncedSize(f), kept.SyncedSize(f)) << step << " " << f;
+    }
+    EXPECT_EQ(sized.List(""), kept.List("")) << step;
+    EXPECT_EQ(sized.queue_depth(), kept.queue_depth()) << step;
+    const SimDiskStats& s = sized.stats();
+    const SimDiskStats& k = kept.stats();
+    EXPECT_EQ(s.appends, k.appends) << step;
+    EXPECT_EQ(s.bytes_written, k.bytes_written) << step;
+    EXPECT_EQ(s.syncs, k.syncs) << step;
+    EXPECT_EQ(s.coalesced, k.coalesced) << step;
+  };
+
+  both([](SimDisk& d) { d.Reserve("a", 4096); });
+  expect_same("reserve");
+  both([](SimDisk& d) {
+    Append(&d, "a", Bytes({1, 2, 3, 4, 5}));
+    Append(&d, "b", Bytes({6}));
+  });
+  expect_same("append");
+  int synced = 0;
+  both([&](SimDisk& d) { d.Sync([&]() { ++synced; }, /*coalesce=*/true); });
+  both([](SimDisk& d) { Append(&d, "a", Bytes({7, 8})); });
+  both([&](SimDisk& d) { d.Sync([&]() { ++synced; }, /*coalesce=*/true); });
+  expect_same("syncs queued");
+  sim.RunToCompletion();
+  EXPECT_EQ(synced, 4);
+  expect_same("syncs done");
+  both([](SimDisk& d) { Append(&d, "a", Bytes({9, 9, 9})); });
+  both([](SimDisk& d) { d.Truncate("a", 8); });
+  expect_same("truncate into the unsynced tail");
+  both([](SimDisk& d) { d.Truncate("a", 3); });
+  expect_same("truncate below the durable watermark");
+  both([](SimDisk& d) { d.Truncate("a", 100); });
+  expect_same("truncate past the end");
+
+  const Body image = MakeBody(std::vector<uint8_t>(100, 7));
+  both([&](SimDisk& d) { d.WriteAndSync("snap", Bytes({1, 2, 3}), Image::Of(image)); });
+  expect_same("write and sync");
+  EXPECT_EQ(sized.Size("snap"), 103u);
+  EXPECT_EQ(image.refcount(), 2u);  // this test's and `kept`'s: `sized` holds no part
+  both([](SimDisk& d) { d.Truncate("snap", 50); });
+  expect_same("truncate inside the shared tail");
+  both([](SimDisk& d) {
+    Append(&d, "snap", Bytes({4, 5}));
+    d.SyncNow();
+  });
+  expect_same("sync now");
+  both([](SimDisk& d) { d.Delete("b"); });
+  expect_same("delete");
+}
+
+// Without disk_faults there are no bytes to crash, corrupt or read back:
+// each of those calls fails a CHECK instead of answering from nothing.
+TEST(SimDiskDeathTest, FaultsAndReadsNeedDiskFaults) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0, /*disk_faults=*/false);
+  Append(&disk, "f", Bytes({1, 2, 3}));
+  disk.SyncNow();
+  EXPECT_DEATH(disk.Crash(), "disk_faults");
+  EXPECT_DEATH(disk.FlipByte("f", 1), "disk_faults");
+  EXPECT_DEATH(disk.ReadView("f"), "disk_faults");
+  EXPECT_DEATH(disk.ReadBody("f"), "disk_faults");
+}
+
 // ---------------------------------------------------------------------------
 // StableStorage
 // ---------------------------------------------------------------------------
