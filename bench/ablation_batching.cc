@@ -62,7 +62,7 @@ WireRow MeasureTransport(benchutil::BenchIo& io, const std::string& scope, bool 
   config.cluster.costs.tx_batch_delay_ns = delay;
   io.Attach(&config, scope);
 
-  Fabric fabric(config.cluster.costs, config.cluster.seed, config.fabric);
+  Fabric fabric(config.cluster.seed, config.fabric);
   Cluster cluster(fabric, config.cluster);
   if (cluster.WaitForLeader() == kInvalidNode) {
     return WireRow{};

@@ -45,7 +45,6 @@ inline ExperimentConfig MakeSyntheticExperiment(ClusterMode mode, int32_t nodes,
   ExperimentConfig config;
   config.cluster = MakeClusterConfig(mode, nodes, policy, bounded_queue, seed);
   config.workload_factory = [workload]() { return std::make_unique<SyntheticWorkload>(workload); };
-  config.seed = seed;
   return config;
 }
 

@@ -37,7 +37,7 @@ void Run(benchutil::BenchIo& io) {
       ClusterMode::kHovercRaftPP, 3, ReplierPolicy::kJbsq, /*bounded_queue=*/32, 42);
   cluster_config.flow_control_threshold = 1000;
   io.Attach(&cluster_config, "fig12/");
-  Fabric fabric(cluster_config.costs, cluster_config.seed, {.obs = io.obs()});
+  Fabric fabric(cluster_config.seed, {.obs = io.obs()});
   Cluster cluster(fabric, cluster_config);
   if (cluster.WaitForLeader() == kInvalidNode) {
     std::printf("no leader elected\n");

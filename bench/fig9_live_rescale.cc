@@ -51,7 +51,7 @@ void Run(benchutil::BenchIo& io) {
   cluster_config.spare_nodes = 4;
   cluster_config.flow_control_threshold = 1000;
   io.Attach(&cluster_config, "fig9_live/");
-  Fabric fabric(cluster_config.costs, cluster_config.seed, {.obs = io.obs()});
+  Fabric fabric(cluster_config.seed, {.obs = io.obs()});
   Cluster cluster(fabric, cluster_config);
   if (cluster.WaitForLeader() == kInvalidNode) {
     std::printf("no leader elected\n");

@@ -46,7 +46,7 @@ Counts MeasureLeader(benchutil::BenchIo& io, const std::string& scope, ClusterMo
   config.cluster.costs.tx_batch_delay_ns = Micros(20);
   io.Attach(&config, scope);
 
-  Fabric fabric(config.cluster.costs, config.cluster.seed, config.fabric);
+  Fabric fabric(config.cluster.seed, config.fabric);
   Cluster cluster(fabric, config.cluster);
   if (cluster.WaitForLeader() == kInvalidNode) {
     return Counts{};

@@ -96,6 +96,7 @@ ChaosRunConfig::ChaosRunConfig() {
   // Chaos runs need the symmetric timeouts real deployments would have.
   cluster.stagger_first_election = false;
   cluster.app_factory = []() { return std::make_unique<KvService>(); };
+  cluster.server_template.disk_faults = true;  // the nemesis may power-fail or corrupt
 }
 
 ChaosRunConfig ChaosRunConfig::Sharded(int32_t groups) {
@@ -127,6 +128,12 @@ std::string ChaosRunConfig::Check() const {
     if (fabric.flight_recorder_depth == 0) {
       return "inject_violation needs the flight recorder on";
     }
+  }
+  if (!cluster.server_template.disk_faults) {
+    return "the nemesis may power-fail or corrupt a disk, so disk_faults stays on";
+  }
+  if (cluster.watchdog != nullptr) {
+    return "the run attaches its own watchdog (see `watchdog`); cluster.watchdog stays unset";
   }
   if (groups < 1) {
     return "groups must be at least 1";
@@ -268,7 +275,7 @@ ChaosRunResult Drive(const ChaosRunConfig& config, const Deployment& d) {
     auto client = std::make_unique<ClientHost>(
         &sim, home.config().costs, [&home]() { return home.ClientTarget(); },
         std::make_unique<ChaosKvWorkload>(wc), config.rate_rps_per_client,
-        config.seed * 1000 + static_cast<uint64_t>(i));
+        config.cluster.seed * 1000 + static_cast<uint64_t>(i));
     if (d.sharded != nullptr) {
       // One-lookup-behind map cache: a resolve returns the previously
       // fetched route and refreshes the cache. Post-cutover sends therefore
@@ -305,7 +312,7 @@ ChaosRunResult Drive(const ChaosRunConfig& config, const Deployment& d) {
   const TimeNs t0 = sim.Now();
   NemesisConfig nc;
   nc.schedule = config.schedule;
-  nc.seed = config.seed;
+  nc.seed = config.cluster.seed;
   nc.start = t0;
   nc.end = t0 + config.duration;
   for (const auto& client : clients) {
@@ -464,9 +471,6 @@ ChaosRunResult DriveAndInspect(const ChaosRunConfig& config, const Deployment& d
 ChaosRunResult RunChaosSchedule(const ChaosRunConfig& config) {
   HC_CHECK(config.Check().empty());  // Check() says what is wrong
   ClusterConfig cc = config.cluster;
-  cc.seed = config.seed;
-  cc.server_template.disk_faults = true;  // the nemesis may power-fail or corrupt
-
   if (config.groups > 1) {
     ShardedClusterConfig sc;
     static_cast<ClusterConfig&>(sc) = cc;
@@ -486,7 +490,7 @@ ChaosRunResult RunChaosSchedule(const ChaosRunConfig& config) {
 
   // The run's own fabric, so the recorder carries this run's repro command
   // from the first event and the watchdog can dump it on a violation.
-  Fabric fabric(cc.costs, cc.seed, config.fabric);
+  Fabric fabric(cc.seed, config.fabric);
   std::unique_ptr<obs::Watchdog> watchdog;
   if (obs::FlightRecorder* fr = fabric.recorder(); fr != nullptr) {
     fr->set_repro(config.repro);

@@ -46,13 +46,15 @@ bool ParseShardMove(std::string_view item, ShardMove* out);
 
 struct ChaosRunConfig {
   // The chaos defaults on top of ClusterConfig's: JBSQ repliers with queues
-  // of 64, symmetric election timeouts (stagger_first_election off) and a
-  // KvService per node.
+  // of 64, symmetric election timeouts (stagger_first_election off), disks
+  // that keep their bytes (server_template.disk_faults, which Check()
+  // requires) and a KvService per node.
   ChaosRunConfig();
 
   // The deployment: one group, or in a sharded run the template of every
-  // group (src/shard/sharded_cluster.h). Its seed is replaced by `seed`
-  // below and its watchdog set by the run; everything else is used as set:
+  // group (src/shard/sharded_cluster.h). Its seed is the run's: it also
+  // seeds the clients and the nemesis. Its watchdog stays unset (the run
+  // attaches its own; see `watchdog`); everything else is used as set:
   //  - costs.tx_batching / tx_batch_delay_ns: batching must be verdict-
   //    invariant; the transport-batching tests run every schedule batched
   //    and not and require identical chaos outcomes;
@@ -80,7 +82,6 @@ struct ChaosRunConfig {
   FabricConfig fabric;
 
   std::string schedule = "random";
-  uint64_t seed = 1;
 
   // Consensus groups. Above 1 the run is sharded (src/shard): `groups`
   // groups of cluster.nodes replicas share one fabric, every op resolves its

@@ -35,7 +35,9 @@ const Image::Part* ImagePartIndex::Find(std::string_view name) {
     return nullptr;
   }
   if (Orphaned(it->second)) {
-    parts_.erase(it);
+    // Release the part but keep the entry: the Publish of this name that
+    // usually follows replaces it in place instead of allocating a new one.
+    it->second = Image::Part{};
     return nullptr;
   }
   return &it->second;

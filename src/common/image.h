@@ -76,9 +76,11 @@ class Image {
 // a preload, before any server sees the app, so binding at construction lets
 // a replica share from its first write on.
 //
-// The index holds its entries weakly in effect: an entry that only the index
-// still references is dropped at the next Find or Publish of its name, and
-// by a sweep whenever the index has doubled since the last one.
+// The index holds its parts weakly in effect: a part that only the index
+// still references is released at the next Find of its name (the entry stays
+// for the next Publish of the name to reuse) or replaced by that Publish, and
+// such entries are erased by a sweep whenever the index has doubled since
+// the last one.
 class ImagePartIndex {
  public:
   // Makes `index` the calling thread's Current() until the scope ends, then

@@ -10,16 +10,10 @@ const char* StatusCodeName(StatusCode code) {
       return "INVALID_ARGUMENT";
     case StatusCode::kNotFound:
       return "NOT_FOUND";
-    case StatusCode::kAlreadyExists:
-      return "ALREADY_EXISTS";
     case StatusCode::kOutOfRange:
       return "OUT_OF_RANGE";
     case StatusCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
-    case StatusCode::kUnavailable:
-      return "UNAVAILABLE";
-    case StatusCode::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
     case StatusCode::kInternal:
       return "INTERNAL";
   }

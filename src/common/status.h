@@ -15,11 +15,8 @@ enum class StatusCode {
   kOk,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,
   kOutOfRange,
   kFailedPrecondition,
-  kUnavailable,
-  kResourceExhausted,
   kInternal,
 };
 
@@ -51,20 +48,11 @@ inline Status InvalidArgumentError(std::string msg) {
 inline Status NotFoundError(std::string msg) {
   return Status(StatusCode::kNotFound, std::move(msg));
 }
-inline Status AlreadyExistsError(std::string msg) {
-  return Status(StatusCode::kAlreadyExists, std::move(msg));
-}
 inline Status OutOfRangeError(std::string msg) {
   return Status(StatusCode::kOutOfRange, std::move(msg));
 }
 inline Status FailedPreconditionError(std::string msg) {
   return Status(StatusCode::kFailedPrecondition, std::move(msg));
-}
-inline Status UnavailableError(std::string msg) {
-  return Status(StatusCode::kUnavailable, std::move(msg));
-}
-inline Status ResourceExhaustedError(std::string msg) {
-  return Status(StatusCode::kResourceExhausted, std::move(msg));
 }
 inline Status InternalError(std::string msg) {
   return Status(StatusCode::kInternal, std::move(msg));

@@ -13,24 +13,24 @@ namespace hovercraft {
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
-      owned_fabric_(std::make_unique<Fabric>(config.costs, config.seed)),
+      owned_fabric_(std::make_unique<Fabric>(config.seed)),
       fabric_(owned_fabric_.get()) {
-  Build();
+  Build(nullptr);
 }
 
-Cluster::Cluster(Fabric& fabric, const ClusterConfig& config)
+Cluster::Cluster(Fabric& fabric, const ClusterConfig& config, const ShardGroupSpec* shard)
     : config_(config), fabric_(&fabric) {
-  Build();
+  Build(shard);
 }
 
-void Cluster::Build() {
+void Cluster::Build(const ShardGroupSpec* shard) {
   HC_CHECK(config_.app_factory != nullptr);
   HC_CHECK_GT(config_.nodes, 0);
   // A sharded group shares its fabric with other groups. Its obs-node range
   // is [base, base + nodes] — the last id is its flow-control middlebox — so
   // its watchdog only sees this group's events.
-  const bool sharded = config_.server_template.sharded;
-  const NodeId obs_base = config_.raft.obs_node_base;
+  const bool sharded = shard != nullptr;
+  const NodeId obs_base = sharded ? shard->obs_node_base : 0;
   if (sharded && config_.watchdog != nullptr) {
     config_.watchdog->set_node_filter(obs_base, obs_base + config_.nodes + 1);
   }
@@ -49,49 +49,30 @@ void Cluster::Build() {
   }
 
   for (NodeId n = 0; n < nodes; ++n) {
-    ServerConfig sc = config_.server_template;
+    ServerConfig sc;
+    static_cast<ServerTuning&>(sc) = config_.server_template;
     sc.mode = config_.mode;
-    sc.raft = config_.raft;
+    static_cast<RaftTuning&>(sc.raft) = config_.raft;
+    sc.raft.SetMode(config_.mode, config_.replier_policy, config_.bounded_queue_depth);
     sc.raft.id = n;
     sc.raft.cluster_size = nodes;
     sc.raft.initial_voters = members;
-    switch (config_.mode) {
-      case ClusterMode::kUnreplicated:
-      case ClusterMode::kVanillaRaft:
-        sc.raft.metadata_only = false;
-        sc.raft.assign_repliers = false;
-        sc.raft.use_aggregator = false;
-        sc.raft.replier_policy = ReplierPolicy::kLeaderOnly;
-        break;
-      case ClusterMode::kHovercRaft:
-      case ClusterMode::kHovercRaftPP:
-        sc.raft.metadata_only = true;
-        // Replier assignment (and its bounded-queue gating, section 3.4) is
-        // part of the load-balancing design; with kLeaderOnly the paper's
-        // "reply load balancing disabled" baseline applies and the leader
-        // answers everything, like vanilla Raft.
-        sc.raft.assign_repliers = (config_.replier_policy != ReplierPolicy::kLeaderOnly);
-        sc.raft.replier_policy = config_.replier_policy;
-        sc.raft.bounded_queue_depth = config_.bounded_queue_depth;
-        sc.raft.use_aggregator = (config_.mode == ClusterMode::kHovercRaftPP);
-        break;
+    if (sharded) {
+      sc.raft.obs_node_base = obs_base;
+      sc.sharded = true;
+      sc.shard_owned_slots = shard->owned_slots;
     }
     if (config_.stagger_first_election && n == 0) {
       sc.raft.election_timeout_min = Millis(1);
       sc.raft.election_timeout_max = Millis(2);
     }
-    std::unique_ptr<StateMachine> app;
-    {
-      // The app binds the deployment's index while it is built, so it
-      // shares image parts from its first write (src/common/image.h).
-      ImagePartIndex::Scope parts(&fabric_->image_parts());
-      app = config_.app_factory();
-    }
-    auto server = std::make_unique<ReplicatedServer>(
-        &sim(), config_.costs, sc, std::move(app),
-        config_.seed + 0x1000u + static_cast<uint64_t>(n));
-    server_hosts_.push_back(network().Attach(server.get()));
-    servers_.push_back(std::move(server));
+    // The server builds its app while the deployment's index is current, so
+    // the app shares image parts from its first write (src/common/image.h).
+    ImagePartIndex::Scope parts(&fabric_->image_parts());
+    servers_.push_back(std::make_unique<ReplicatedServer>(
+        &sim(), config_.costs, sc, config_.app_factory,
+        config_.seed + 0x1000u + static_cast<uint64_t>(n)));
+    server_hosts_.push_back(network().Attach(servers_.back().get()));
   }
 
   HostId aggregator_host = kInvalidHost;

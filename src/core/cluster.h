@@ -37,7 +37,8 @@ struct ClusterConfig {
   // and never campaign until AddServer() brings them into the config
   // (dynamic membership). Ignored by kUnreplicated.
   int32_t spare_nodes = 0;
-  // Factory invoked once per node so every replica owns its own state.
+  // Invoked once per node so every replica owns its own state, and again by
+  // a replica whose recovery finds its on-disk snapshot unreadable.
   std::function<std::unique_ptr<StateMachine>()> app_factory;
 
   // Reply / read-only load balancing (paper sections 3.3-3.6). kLeaderOnly
@@ -49,8 +50,10 @@ struct ClusterConfig {
   int64_t flow_control_threshold = 0;
 
   CostModel costs;
-  RaftOptions raft;  // timeouts / batching template; id & mode flags filled in
-  ServerConfig server_template;
+  // Every node's tuning; the rest of its options (id, cluster size, voters,
+  // RaftOptions::SetMode's switches) comes from the fields above.
+  RaftTuning raft;
+  ServerTuning server_template;
   uint64_t seed = 1;
 
   // Stagger node 0's election timeout low so the first election is prompt
@@ -66,11 +69,19 @@ struct ClusterConfig {
   // Optional online sinks (non-owning), attached to the fabric's recorder for
   // the cluster's lifetime. The watchdog checks cross-node safety invariants
   // on every event; the critical-path analyzer accumulates per-stage tail
-  // attribution. A sharded group (server_template.sharded) filters its
-  // watchdog to the group's own obs-node range, so per-group watchdogs can
-  // share one recorder.
+  // attribution. A sharded group (ShardGroupSpec) filters its watchdog to
+  // the group's own obs-node range, so per-group watchdogs can share one
+  // recorder.
   obs::Watchdog* watchdog = nullptr;
   obs::CriticalPath* critical_path = nullptr;
+};
+
+// What makes a cluster one consensus group of a sharded deployment
+// (src/shard/sharded_cluster.h): the start of its disjoint obs-node range
+// and the slots it serves from the start.
+struct ShardGroupSpec {
+  NodeId obs_node_base = 0;
+  std::vector<uint32_t> owned_slots;
 };
 
 class Cluster {
@@ -78,8 +89,9 @@ class Cluster {
   // Standalone: builds and owns a default Fabric (network seeded from
   // config.seed, default recorder depth, no observability bundle).
   explicit Cluster(const ClusterConfig& config);
-  // On a shared fabric, which must outlive the cluster.
-  Cluster(Fabric& fabric, const ClusterConfig& config);
+  // On a shared fabric, which must outlive the cluster; as one group of a
+  // sharded deployment when `shard` is set.
+  Cluster(Fabric& fabric, const ClusterConfig& config, const ShardGroupSpec* shard = nullptr);
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -174,7 +186,7 @@ class Cluster {
  private:
   // Builds the servers, middleboxes and multicast groups on fabric_ and
   // attaches the configured sinks (both constructors end here).
-  void Build();
+  void Build(const ShardGroupSpec* shard);
   // Registers the periodic queue-depth samplers on the fabric's obs bundle
   // (called from Build when there is one).
   void InstallObservability();

@@ -2,12 +2,11 @@
 
 namespace hovercraft {
 
-Fabric::Fabric(const CostModel& costs, uint64_t seed, const FabricConfig& config)
-    : costs_(costs),
-      recorder_(config.flight_recorder_depth > 0
+Fabric::Fabric(uint64_t seed, const FabricConfig& config)
+    : recorder_(config.flight_recorder_depth > 0
                     ? std::make_unique<obs::FlightRecorder>(config.flight_recorder_depth)
                     : nullptr),
-      net_(&sim_, costs_, seed ^ 0xFEEDFACE12345678ull),
+      net_(&sim_, seed ^ 0xFEEDFACE12345678ull),
       obs_(config.obs) {
   sim_.set_observability(obs_);
   // Attached before any host exists, so the very first role transition is

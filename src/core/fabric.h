@@ -16,7 +16,6 @@
 #include "src/common/image.h"
 #include "src/net/network.h"
 #include "src/obs/flight_recorder.h"
-#include "src/sim/cost_model.h"
 #include "src/sim/simulator.h"
 
 namespace hovercraft {
@@ -39,7 +38,7 @@ struct FabricConfig {
 class Fabric {
  public:
   // The network's loss/fault RNG is seeded `seed ^ 0xFEEDFACE12345678`.
-  Fabric(const CostModel& costs, uint64_t seed, const FabricConfig& config = {});
+  explicit Fabric(uint64_t seed, const FabricConfig& config = {});
   ~Fabric();
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -64,8 +63,6 @@ class Fabric {
 
  private:
   Simulator sim_;
-  // The network keeps a reference: the fabric's own copy outlives it.
-  const CostModel costs_;
   // Declared before the network so it outlives every host that records.
   std::unique_ptr<obs::FlightRecorder> recorder_;
   Network net_;

@@ -33,11 +33,13 @@ void PutSnapshotConfig(const MembershipConfigPtr& config, LogIndex config_idx,
 }  // namespace
 
 ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
-                                   const ServerConfig& config, std::unique_ptr<StateMachine> app,
+                                   const ServerConfig& config,
+                                   std::function<std::unique_ptr<StateMachine>()> app_factory,
                                    uint64_t seed)
     : Host(sim, costs, Kind::kServer),
       config_(config),
-      app_(std::move(app)),
+      app_factory_(std::move(app_factory)),
+      app_(app_factory_()),
       app_thread_(sim) {
   HC_CHECK(app_ != nullptr);
   set_obs_node(obs_node_id());
@@ -52,7 +54,11 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
     storage_ = std::make_unique<StableStorage>(disk_.get(), config_.fsync_policy);
     storage_->set_node(obs_node_id());
     raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this, storage_.get());
-    genesis_app_state_ = app_->SnapshotImage();
+    // Genesis snapshot: recovery always finds a durable floor to replay from,
+    // even if the node power-fails before the first compaction. Imaging here,
+    // while the deployment is still being built, publishes the app's parts
+    // before the next replica's app is built, so that one adopts them.
+    PersistLocalSnapshot(app_->SnapshotImage());
   }
 }
 
@@ -87,14 +93,6 @@ void ReplicatedServer::Wire(std::vector<HostId> node_hosts, HostId aggregator_ho
 
 void ReplicatedServer::Start() {
   if (raft_ != nullptr) {
-    // Genesis snapshot: recovery always finds a durable floor to replay from,
-    // even if the node power-fails before the first compaction. Nothing has
-    // been applied yet, so the image captured at construction is current.
-    HC_CHECK_EQ(apply_cursor_, 0);
-    PersistLocalSnapshot(genesis_app_state_);
-    if (!config_.disk_faults) {
-      genesis_app_state_ = Image();  // only a power-fail recovery reads it
-    }
     raft_->Start();
     ArmMaintenanceTimers();
   }
@@ -182,13 +180,13 @@ void ReplicatedServer::RecoverFromStorage() {
     HC_CHECK(app_->RestoreState(payload.Slice(r.position(), r.remaining())).ok());
     applied = rec.snapshot_index;
   } else {
-    // The snapshot itself was unreadable — fall back to the pristine image.
-    // A log tail whose base is not index zero cannot be replayed into state,
-    // so discard it; the node stays suspect (it may have acknowledged those
-    // entries) and the leader re-seeds it by state transfer.
+    // The snapshot itself was unreadable — fall back to a fresh app's
+    // pristine state. A log tail whose base is not index zero cannot be
+    // replayed into state, so discard it; the node stays suspect (it may have
+    // acknowledged those entries) and the leader re-seeds it by state transfer.
     sessions_.Clear();
     InitShardState();
-    HC_CHECK(app_->RestoreState(genesis_app_state_.Flatten()).ok());
+    HC_CHECK(app_->RestoreState(app_factory_()->SnapshotState()).ok());
     if (rec.base_index != 0) {
       rec.entries.clear();
       rec.base_index = 0;

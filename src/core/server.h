@@ -33,9 +33,10 @@
 
 namespace hovercraft {
 
-struct ServerConfig {
-  ClusterMode mode = ClusterMode::kUnreplicated;
-  RaftOptions raft;  // unused for kUnreplicated
+// The values a deployment tunes. ClusterConfig::server_template holds
+// exactly these, and Cluster copies them into every node's ServerConfig
+// unchanged.
+struct ServerTuning {
   // Log prefix compaction cadence (memory bound for long runs).
   TimeNs compaction_interval = Millis(20);
   // How far a straggler may lag before compaction proceeds without it and
@@ -58,9 +59,16 @@ struct ServerConfig {
   bool wal_recovery = true;
   // This deployment may power-fail a node or corrupt its disk. Only those
   // faults read a disk back, so with it off the SimDisk keeps sizes and
-  // sync frontiers but no bytes, and the genesis image is dropped once
-  // written (docs/durability.md, "What a disk holds").
+  // sync frontiers but no bytes (docs/durability.md, "What a disk holds").
   bool disk_faults = false;
+};
+
+// A server's full configuration: the tuning plus what the deployment derives
+// for the node (Cluster and ShardedCluster fill these in; tests that build a
+// ReplicatedServer directly set them all).
+struct ServerConfig : ServerTuning {
+  ClusterMode mode = ClusterMode::kUnreplicated;
+  RaftOptions raft;  // unused for kUnreplicated
   // Multi-group sharding (src/shard, docs/sharding.md). When set, this
   // server belongs to one of several consensus groups partitioning the
   // keyspace: it serves only the slots in shard_owned_slots, rejects data
@@ -120,8 +128,10 @@ struct ServerStats {
 
 class ReplicatedServer final : public Host, public RaftNode::Env {
  public:
+  // Builds the app with `app_factory`, which recovery calls again for
+  // pristine state when the on-disk snapshot is unreadable.
   ReplicatedServer(Simulator* sim, const CostModel& costs, const ServerConfig& config,
-                   std::unique_ptr<StateMachine> app, uint64_t seed);
+                   std::function<std::unique_ptr<StateMachine>()> app_factory, uint64_t seed);
   ~ReplicatedServer() override;
 
   // Wiring (after Network::Attach of all hosts). `node_hosts[i]` is the host
@@ -249,6 +259,7 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   void RecoverFromStorage();
 
   ServerConfig config_;
+  std::function<std::unique_ptr<StateMachine>()> app_factory_;
   std::unique_ptr<StateMachine> app_;
   // Simulated durable media + WAL (replicated modes only); declared before
   // raft_ so storage outlives the node that writes to it.
@@ -273,12 +284,6 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   // Apply pipeline: last log index handed to the app thread.
   LogIndex apply_cursor_ = 0;
 
-  // Pristine application image captured at construction: the recovery target
-  // of last resort when the on-disk snapshot itself is unreadable. It shares
-  // its parts with the application's later images for every part that has
-  // not changed since. Without disk_faults nothing can make the snapshot
-  // unreadable, and Start() drops it once written.
-  Image genesis_app_state_;
   // Last index covered by the on-disk snapshot; compaction skips the write
   // when the apply cursor has not moved past it.
   LogIndex local_snapshot_idx_ = 0;

@@ -26,7 +26,7 @@ LoadMetrics RunLoadPoint(const ExperimentConfig& config, double rate_rps) {
   HC_CHECK(config.workload_factory != nullptr);
   HC_CHECK_GT(rate_rps, 0.0);
 
-  Fabric fabric(config.cluster.costs, config.cluster.seed, config.fabric);
+  Fabric fabric(config.cluster.seed, config.fabric);
   Cluster cluster(fabric, config.cluster);
   const NodeId leader = cluster.WaitForLeader();
   if (config.cluster.mode != ClusterMode::kUnreplicated) {
@@ -39,7 +39,7 @@ LoadMetrics RunLoadPoint(const ExperimentConfig& config, double rate_rps) {
     auto client = std::make_unique<ClientHost>(
         &cluster.sim(), config.cluster.costs, [&cluster]() { return cluster.ClientTarget(); },
         config.workload_factory(), per_client,
-        config.seed + 0x9000u + static_cast<uint64_t>(c));
+        config.cluster.seed + 0x9000u + static_cast<uint64_t>(c));
     cluster.network().Attach(client.get());
     clients.push_back(std::move(client));
   }

@@ -29,8 +29,8 @@ bool ParseMembershipEvent(std::string_view item, MembershipEvent* out);
 
 struct ExperimentConfig {
   ClusterConfig cluster;
-  // The run's fabric (recorder depth, observability bundle); its network is
-  // seeded from cluster.seed.
+  // The run's fabric (recorder depth, observability bundle). Its network
+  // and the clients are seeded from cluster.seed.
   FabricConfig fabric;
   std::function<std::unique_ptr<Workload>()> workload_factory;
   // Offered load is split evenly over this many client machines so client
@@ -41,7 +41,6 @@ struct ExperimentConfig {
   // Extra simulated time after the window closes so in-window requests can
   // drain; whatever is still outstanding counts as lost with this latency.
   TimeNs drain = Millis(150);
-  uint64_t seed = 1;
 
   // Scripted membership events (offsets from load start, i.e. the beginning
   // of warmup): AddServer/RemoveServer proposed through the cluster's

@@ -9,8 +9,7 @@
 
 namespace hovercraft {
 
-Network::Network(Simulator* sim, const CostModel& costs, uint64_t seed)
-    : sim_(sim), costs_(costs), rng_(seed) {
+Network::Network(Simulator* sim, uint64_t seed) : sim_(sim), rng_(seed) {
   HC_CHECK(sim != nullptr);
 }
 
@@ -174,7 +173,7 @@ void Network::DeliverCopy(const Packet& packet, HostId dst) {
   if (loss_probability_ > 0.0) {
     // A message survives only if every frame does; a batch is one frame, so
     // losing it loses every member.
-    const int32_t frames = costs_.FramesFor(to_deliver->PayloadBytes());
+    const int32_t frames = CostModel::FramesFor(to_deliver->PayloadBytes());
     for (int32_t i = 0; i < frames; ++i) {
       if (rng_.NextBool(loss_probability_)) {
         dropped_msgs_ += delivering;

@@ -21,7 +21,7 @@ namespace hovercraft {
 
 class Network {
  public:
-  Network(Simulator* sim, const CostModel& costs, uint64_t seed);
+  Network(Simulator* sim, uint64_t seed);
 
   // Registers a host and assigns its id. The network does not own hosts.
   HostId Attach(Host* host);
@@ -102,7 +102,6 @@ class Network {
   int32_t PartitionOf(HostId id) const;
 
   Simulator* sim_;
-  const CostModel& costs_;
   Rng rng_;
   std::vector<Host*> hosts_;
   std::vector<std::vector<HostId>> groups_;

@@ -41,10 +41,7 @@ RaftNode::RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, En
   HC_CHECK_LT(options.id, options.cluster_size);
   // cluster_size is the node universe; the initial voter set may be a prefix
   // of it, leaving the rest as passive spares until AddServer brings them in.
-  const int32_t initial_voters =
-      options_.initial_voters > 0 ? std::min(options_.initial_voters, options_.cluster_size)
-                                  : options_.cluster_size;
-  configs_.emplace_back(LogIndex{0}, MakeInitialConfig(initial_voters));
+  configs_.emplace_back(LogIndex{0}, MakeInitialConfig(options_.InitialVoterCount()));
 }
 
 void RaftNode::Start() {
@@ -185,10 +182,7 @@ void RaftNode::RestartFromRecovery(const StableStorage::Recovery& rec, LogIndex 
   if (snap_config != nullptr) {
     configs_.emplace_back(snap_config_idx, std::move(snap_config));
   } else {
-    const int32_t initial_voters =
-        options_.initial_voters > 0 ? std::min(options_.initial_voters, options_.cluster_size)
-                                    : options_.cluster_size;
-    configs_.emplace_back(LogIndex{0}, MakeInitialConfig(initial_voters));
+    configs_.emplace_back(LogIndex{0}, MakeInitialConfig(options_.InitialVoterCount()));
   }
   std::vector<std::pair<LogIndex, MembershipConfigPtr>> below_base;
   for (const StableStorage::RecoveredEntry& re : rec.entries) {
@@ -848,8 +842,7 @@ void RaftNode::MaybePromoteLearners() {
   // matched to the frontier holds everything any voter can hold, so the
   // promotion entry reaches it in the same round-trip and it weighs on
   // quorums no later than a healthy voter would.
-  const LogIndex frontier =
-      options_.assign_repliers ? announced_idx_ : log_.last_index();
+  const LogIndex frontier = ReplicationLimit();
   for (NodeId learner : cfg.learners) {
     const PeerState& st = peers_[static_cast<size_t>(learner)];
     // applied_idx also counts: once the aggregator stream covers the learner
@@ -930,11 +923,8 @@ void RaftNode::TryAnnounce() {
   }
 }
 
-bool RaftNode::IsReplicationTarget(LogIndex idx) const {
-  if (options_.assign_repliers) {
-    return idx <= announced_idx_;
-  }
-  return idx <= log_.last_index();
+LogIndex RaftNode::ReplicationLimit() const {
+  return options_.assign_repliers ? announced_idx_ : log_.last_index();
 }
 
 // ---------------------------------------------------------------------------
@@ -1017,8 +1007,7 @@ void RaftNode::MaybeSendAppend(NodeId peer, bool heartbeat) {
       return;
     }
   }
-  const LogIndex limit =
-      options_.assign_repliers ? announced_idx_ : log_.last_index();
+  const LogIndex limit = ReplicationLimit();
   LogIndex end = 0;
   if (limit >= st.next_idx) {
     end = std::min(limit, st.next_idx + options_.max_entries_per_ae - 1);
@@ -1059,8 +1048,7 @@ void RaftNode::MaybeSendAggAppend(bool heartbeat) {
   if (!heartbeat && agg_inflight_ >= options_.max_outstanding_ae) {
     return;
   }
-  const LogIndex limit =
-      options_.assign_repliers ? announced_idx_ : log_.last_index();
+  const LogIndex limit = ReplicationLimit();
   LogIndex end = 0;
   if (limit >= agg_next_idx_) {
     end = std::min(limit, agg_next_idx_ + options_.max_entries_per_ae - 1);

@@ -361,7 +361,9 @@ class RaftNode {
   AppendOutcome AppendResolvedEntries(const AppendEntriesReq& req);
   void RequestRecovery(const RequestId& rid);
 
-  bool IsReplicationTarget(LogIndex idx) const;
+  // The last index the leader replicates: with replier assignment, only
+  // entries already announced with their replier; otherwise the whole log.
+  LogIndex ReplicationLimit() const;
 
   // -- durable storage internals --
   // Mirrors the freshly appended entry at `idx`, and the membership `config`

@@ -1,35 +1,20 @@
-// Configuration of a Raft node, including the HovercRaft extension switches.
-// The extension flags compose: VanillaRaft sets none of them; HovercRaft sets
-// metadata_only + assign_repliers; HovercRaft++ additionally use_aggregator.
+// Configuration of a Raft node: the values a deployment tunes (RaftTuning)
+// and the ones the deployment derives for each node (RaftOptions), including
+// the HovercRaft extension switches that SetMode() derives from the mode.
 #ifndef SRC_RAFT_OPTIONS_H_
 #define SRC_RAFT_OPTIONS_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/common/types.h"
 
 namespace hovercraft {
 
-struct RaftOptions {
-  NodeId id = kInvalidNode;
-  int32_t cluster_size = 3;
-
-  // Offset added to `id` for every flight-recorder / stage-mark emission.
-  // Raft node ids are group-local (0..n-1); when several consensus groups
-  // share one fabric (src/shard) each group gets a disjoint base so their
-  // rings, watchdog invariants and dumps never alias. 0 = the historic
-  // single-group namespace.
-  NodeId obs_node_base = 0;
-
-  NodeId obs_id() const { return obs_node_base + id; }
-
-  // Dynamic membership: number of nodes in the initial voter configuration.
-  // 0 means "all cluster_size nodes vote" (the static-membership default).
-  // When smaller than cluster_size, nodes [initial_voters, cluster_size) are
-  // spares: they run the full message handlers but hold no vote and arm no
-  // election timer until a committed config adds them (docs/membership.md).
-  int32_t initial_voters = 0;
-
+// The values a deployment tunes. ClusterConfig::raft holds exactly these,
+// and Cluster copies them into every node's RaftOptions unchanged (node 0's
+// election timeouts aside; see ClusterConfig::stagger_first_election).
+struct RaftTuning {
   // Election timeout is drawn uniformly from [min, max] and re-armed on any
   // valid leader contact. The heartbeat doubles as the retransmission timer.
   TimeNs election_timeout_min = Millis(5);
@@ -42,20 +27,6 @@ struct RaftOptions {
   // pipeline so queueing delay at a follower does not cap throughput.
   uint32_t max_entries_per_ae = 64;
   uint32_t max_outstanding_ae = 2;
-
-  // HovercRaft: separate request replication (client multicast) from
-  // ordering; append_entries carries request metadata only (section 3.2).
-  bool metadata_only = false;
-
-  // HovercRaft: delegate client replies / read-only execution (section 3.3,
-  // 3.5) with bounded queues (section 3.4).
-  bool assign_repliers = false;
-  ReplierPolicy replier_policy = ReplierPolicy::kLeaderOnly;
-  int64_t bounded_queue_depth = 128;
-
-  // HovercRaft++: route the append_entries fan-out/fan-in through the
-  // in-network aggregator (section 4).
-  bool use_aggregator = false;
 
   // Compaction retention: CompactLog always keeps at least this many of the
   // newest entries so a fresh leader can repair lagging followers.
@@ -102,8 +73,66 @@ struct RaftOptions {
   // replication round-trip; a follower's write delays its append_entries
   // reply. See bench/ablation_persistence.
   TimeNs persist_latency = 0;
+};
 
-  int32_t majority() const { return cluster_size / 2 + 1; }
+// A node's full options: the tuning plus what the deployment derives for the
+// node (Cluster fills these in; tests that build a RaftNode directly set them
+// all).
+struct RaftOptions : RaftTuning {
+  NodeId id = kInvalidNode;
+  int32_t cluster_size = 3;
+
+  // Offset added to `id` for every flight-recorder / stage-mark emission.
+  // Raft node ids are group-local (0..n-1); when several consensus groups
+  // share one fabric (src/shard) each group gets a disjoint base so their
+  // rings, watchdog invariants and dumps never alias. 0 = the historic
+  // single-group namespace.
+  NodeId obs_node_base = 0;
+
+  NodeId obs_id() const { return obs_node_base + id; }
+
+  // Dynamic membership: number of nodes in the initial voter configuration.
+  // 0 means "all cluster_size nodes vote" (the static-membership default).
+  // When smaller than cluster_size, nodes [initial_voters, cluster_size) are
+  // spares: they run the full message handlers but hold no vote and arm no
+  // election timer until a committed config adds them (docs/membership.md).
+  int32_t initial_voters = 0;
+
+  // HovercRaft: separate request replication (client multicast) from
+  // ordering; append_entries carries request metadata only (section 3.2).
+  bool metadata_only = false;
+
+  // HovercRaft: delegate client replies / read-only execution (section 3.3,
+  // 3.5) with bounded queues (section 3.4).
+  bool assign_repliers = false;
+  ReplierPolicy replier_policy = ReplierPolicy::kLeaderOnly;
+  int64_t bounded_queue_depth = 128;
+
+  // HovercRaft++: route the append_entries fan-out/fan-in through the
+  // in-network aggregator (section 4).
+  bool use_aggregator = false;
+
+  // The paper's mode table, and the one place the extension switches are
+  // set. Unreplicated and vanilla Raft set none of them (vanilla's leader
+  // answers every client). HovercRaft orders metadata only and, unless
+  // `policy` is kLeaderOnly (the "reply load balancing disabled" baseline of
+  // section 7.1), assigns repliers with queues bounded at `queue_depth`;
+  // HovercRaft++ adds the aggregator.
+  void SetMode(ClusterMode mode, ReplierPolicy policy, int64_t queue_depth) {
+    const bool multicast = mode == ClusterMode::kHovercRaft || mode == ClusterMode::kHovercRaftPP;
+    metadata_only = multicast;
+    assign_repliers = multicast && policy != ReplierPolicy::kLeaderOnly;
+    use_aggregator = mode == ClusterMode::kHovercRaftPP;
+    replier_policy = multicast ? policy : ReplierPolicy::kLeaderOnly;
+    if (multicast) {
+      bounded_queue_depth = queue_depth;
+    }
+  }
+
+  // The initial voter count: initial_voters, or every node when it is 0.
+  int32_t InitialVoterCount() const {
+    return initial_voters > 0 ? std::min(initial_voters, cluster_size) : cluster_size;
+  }
 };
 
 }  // namespace hovercraft

@@ -10,7 +10,7 @@
 namespace hovercraft {
 
 ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
-    : config_(config), fabric_(config_.costs, config_.seed, config_), map_(config_.groups) {
+    : config_(config), fabric_(config_.seed, config_), map_(config_.groups) {
   HC_CHECK(config_.app_factory != nullptr);
   HC_CHECK_GT(config_.groups, 0);
   HC_CHECK_GT(config_.nodes, 0);
@@ -26,9 +26,7 @@ ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
   for (int32_t g = 0; g < config_.groups; ++g) {
     const GroupId gid{g};
     ClusterConfig cc = config_;
-    cc.raft.obs_node_base = ObsBaseOf(gid);
-    cc.server_template.sharded = true;
-    cc.server_template.shard_owned_slots = map_.SlotsOf(gid);
+    const ShardGroupSpec spec{ObsBaseOf(gid), map_.SlotsOf(gid)};
     // Group-local seed, derived from the group id alone: group 0's stream is
     // independent of how many groups exist (determinism contract).
     cc.seed = config_.seed ^ (0x9E3779B97F4A7C15ull * static_cast<uint64_t>(g + 1));
@@ -38,7 +36,7 @@ ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
       cc.watchdog = watchdogs_.back().get();
     }
 
-    auto cluster = std::make_unique<Cluster>(fabric_, cc);
+    auto cluster = std::make_unique<Cluster>(fabric_, cc, &spec);
     FlowControl* fc = cluster->flow_control();
     HC_CHECK(fc != nullptr);
     fc->set_shard_gate([this, gid](uint32_t slot) -> uint64_t {

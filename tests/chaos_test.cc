@@ -25,7 +25,7 @@ ChaosRunConfig BaseConfig(ClusterMode mode, const std::string& schedule, uint64_
   ChaosRunConfig config;
   config.cluster.mode = mode;
   config.schedule = schedule;
-  config.seed = seed;
+  config.cluster.seed = seed;
   return config;
 }
 

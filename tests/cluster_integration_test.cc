@@ -2,7 +2,9 @@
 // simulated fabric, across all four configurations of the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -43,7 +45,6 @@ ExperimentConfig BaseExperiment(ClusterMode mode, int32_t nodes, uint64_t seed =
   config.warmup = Millis(20);
   config.measure = Millis(50);
   config.drain = Millis(100);
-  config.seed = seed;
   return config;
 }
 
@@ -344,6 +345,78 @@ TEST(MessagePoolTest, ClusterTeardownMidRunReturnsEveryBlock) {
     EXPECT_GT(SlabPool::Outstanding(), before);
   }
   EXPECT_EQ(SlabPool::Outstanding(), before);
+}
+
+// --- every node runs the paper-mode table and the tuning as set -----------
+
+// For every mode with and without reply load balancing, each node's Raft
+// extension switches are the paper's for that mode, and every tuning value
+// set on ClusterConfig::raft and ::server_template reaches every node
+// unchanged. The one documented exception is stagger_first_election, which
+// gives node 0 a 1-2 ms election timeout.
+TEST(ClusterConfigTest, NodesRunTheModeTableAndTheTuningAsSet) {
+  struct Row {
+    ClusterMode mode;
+    ReplierPolicy policy;
+    bool metadata_only;
+    bool assign_repliers;
+    bool use_aggregator;
+  };
+  const Row kTable[] = {
+      {ClusterMode::kUnreplicated, ReplierPolicy::kLeaderOnly, false, false, false},
+      {ClusterMode::kUnreplicated, ReplierPolicy::kJbsq, false, false, false},
+      {ClusterMode::kVanillaRaft, ReplierPolicy::kLeaderOnly, false, false, false},
+      {ClusterMode::kVanillaRaft, ReplierPolicy::kJbsq, false, false, false},
+      {ClusterMode::kHovercRaft, ReplierPolicy::kLeaderOnly, true, false, false},
+      {ClusterMode::kHovercRaft, ReplierPolicy::kJbsq, true, true, false},
+      {ClusterMode::kHovercRaftPP, ReplierPolicy::kLeaderOnly, true, false, true},
+      {ClusterMode::kHovercRaftPP, ReplierPolicy::kJbsq, true, true, true},
+  };
+  for (const Row& row : kTable) {
+    SCOPED_TRACE(std::string(ClusterModeName(row.mode)) +
+                 (row.policy == ReplierPolicy::kJbsq ? " jbsq" : " leader-only"));
+    const bool multicast =
+        row.mode == ClusterMode::kHovercRaft || row.mode == ClusterMode::kHovercRaftPP;
+    ClusterConfig config = BaseConfig(row.mode, 3);
+    config.spare_nodes = 1;
+    config.replier_policy = row.policy;
+    config.bounded_queue_depth = 17;
+    config.raft.election_timeout_min = Millis(7);
+    config.raft.election_timeout_max = Millis(9);
+    config.raft.max_entries_per_ae = 8;
+    config.raft.pre_vote = false;
+    config.raft.persist_latency = Micros(3);
+    config.server_template.compaction_interval = Millis(7);
+    config.server_template.dedup_enabled = false;
+    Cluster cluster(config);
+    ASSERT_EQ(cluster.total_node_count(), row.mode == ClusterMode::kUnreplicated ? 1 : 4);
+    for (NodeId n = 0; n < cluster.total_node_count(); ++n) {
+      SCOPED_TRACE("node " + std::to_string(n));
+      const ReplicatedServer& server = cluster.server(n);
+      EXPECT_EQ(server.config().mode, row.mode);
+      EXPECT_EQ(server.config().compaction_interval, Millis(7));
+      EXPECT_FALSE(server.config().dedup_enabled);
+      EXPECT_FALSE(server.config().sharded);
+      // What the node's Raft layer runs with (the server's copy when
+      // unreplicated, which has no Raft layer).
+      const RaftOptions& raft =
+          server.raft() != nullptr ? server.raft()->options() : server.config().raft;
+      EXPECT_EQ(raft.metadata_only, row.metadata_only);
+      EXPECT_EQ(raft.assign_repliers, row.assign_repliers);
+      EXPECT_EQ(raft.use_aggregator, row.use_aggregator);
+      EXPECT_EQ(raft.replier_policy, multicast ? row.policy : ReplierPolicy::kLeaderOnly);
+      EXPECT_EQ(raft.bounded_queue_depth, multicast ? 17 : 128);
+      EXPECT_EQ(raft.id, n);
+      EXPECT_EQ(raft.cluster_size, cluster.total_node_count());
+      EXPECT_EQ(raft.InitialVoterCount(), std::min(3, cluster.total_node_count()));
+      EXPECT_EQ(raft.obs_node_base, 0);
+      EXPECT_EQ(raft.election_timeout_min, n == 0 ? Millis(1) : Millis(7));
+      EXPECT_EQ(raft.election_timeout_max, n == 0 ? Millis(2) : Millis(9));
+      EXPECT_EQ(raft.max_entries_per_ae, 8u);
+      EXPECT_FALSE(raft.pre_vote);
+      EXPECT_EQ(raft.persist_latency, Micros(3));
+    }
+  }
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ class SinkHost final : public Host {
 
 class AggregatorTest : public ::testing::Test {
  protected:
-  AggregatorTest() : net_(&sim_, costs_, 1), agg_(&sim_, costs_, 3) {
+  AggregatorTest() : net_(&sim_, 1), agg_(&sim_, costs_, 3) {
     for (int i = 0; i < 3; ++i) {
       nodes_.push_back(std::make_unique<SinkHost>(&sim_, costs_));
       hosts_.push_back(net_.Attach(nodes_.back().get()));
@@ -199,7 +199,7 @@ TEST_F(AggregatorTest, StaleLeaderAppendDropped) {
 
 class FlowControlTest : public ::testing::Test {
  protected:
-  FlowControlTest() : net_(&sim_, costs_, 1) {
+  FlowControlTest() : net_(&sim_, 1) {
     client_ = std::make_unique<SinkHost>(&sim_, costs_);
     server_a_ = std::make_unique<SinkHost>(&sim_, costs_);
     server_b_ = std::make_unique<SinkHost>(&sim_, costs_);
@@ -502,7 +502,7 @@ namespace {
 TEST(AggregatorQuorumTest, FiveNodeQuorumNeedsTwoFollowers) {
   Simulator sim;
   CostModel costs;
-  Network net(&sim, costs, 1);
+  Network net(&sim, 1);
   std::vector<std::unique_ptr<SinkHost>> nodes;
   std::vector<HostId> hosts;
   for (int i = 0; i < 5; ++i) {

@@ -21,7 +21,7 @@ ChaosRunConfig DiskConfig(const std::string& schedule, uint64_t seed) {
   ChaosRunConfig config;
   config.cluster.mode = ClusterMode::kHovercRaft;
   config.schedule = schedule;
-  config.seed = seed;
+  config.cluster.seed = seed;
   config.retry_enabled = true;
   // A nonzero fsync window, or there is nothing for a power cut to lose
   // (same default the chaos_runner CLI applies to disk-* schedules).

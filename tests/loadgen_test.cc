@@ -30,7 +30,6 @@ ExperimentConfig QuickExperiment(uint64_t seed = 1) {
   config.warmup = Millis(10);
   config.measure = Millis(50);
   config.drain = Millis(50);
-  config.seed = seed;
   return config;
 }
 

@@ -41,7 +41,7 @@ MessagePtr SmallRequest(HostId client, uint64_t seq, int32_t bytes = 24) {
 struct NetFixture {
   Simulator sim;
   CostModel costs;
-  Network net{&sim, costs, 1};
+  Network net{&sim, 1};
 };
 
 TEST(NetworkTest, UnicastDelivery) {

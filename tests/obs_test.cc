@@ -113,7 +113,7 @@ ChaosRunConfig SmallChaosConfig() {
   ChaosRunConfig config;
   config.cluster.mode = ClusterMode::kHovercRaft;
   config.schedule = "flap";
-  config.seed = 3;
+  config.cluster.seed = 3;
   config.cluster.nodes = 3;
   config.clients = 2;
   config.rate_rps_per_client = 2'000;

@@ -17,13 +17,13 @@ namespace {
 // A fleet of unreplicated servers behind one router.
 struct RouterRig {
   RouterRig(int32_t servers, RouterPolicy policy, int64_t bound, uint64_t seed = 1)
-      : net(&sim, costs, seed) {
+      : net(&sim, seed) {
     ServerConfig sc;
     sc.mode = ClusterMode::kUnreplicated;
     std::vector<HostId> hosts;
     for (int32_t i = 0; i < servers; ++i) {
       fleet.push_back(std::make_unique<ReplicatedServer>(
-          &sim, costs, sc, std::make_unique<SyntheticService>(), seed + 100 + i));
+          &sim, costs, sc, [] { return std::make_unique<SyntheticService>(); }, seed + 100 + i));
       hosts.push_back(net.Attach(fleet.back().get()));
     }
     router = std::make_unique<R2p2Router>(&sim, costs, hosts, policy, bound, seed ^ 0xF00);

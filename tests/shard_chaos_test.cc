@@ -8,13 +8,15 @@
 
 #include <string>
 
+#include "src/obs/watchdog.h"
+
 namespace hovercraft {
 namespace {
 
 // Default there-and-back schedule at the issue's 80 kRPS aggregate.
 TEST(ShardChaosTest, MoveThereAndBackUnderLoadIsLinearizable) {
   ChaosRunConfig config = ChaosRunConfig::Sharded(2);
-  config.seed = 3;
+  config.cluster.seed = 3;
   const ChaosRunResult result = RunChaosSchedule(config);
   EXPECT_TRUE(result.ok()) << result.Describe();
   EXPECT_EQ(result.moves_started, 2u);
@@ -31,7 +33,7 @@ TEST(ShardChaosTest, MoveThereAndBackUnderLoadIsLinearizable) {
 
 TEST(ShardChaosTest, SourceLeaderCrashMidMoveStillLinearizable) {
   ChaosRunConfig config = ChaosRunConfig::Sharded(2);
-  config.seed = 5;
+  config.cluster.seed = 5;
   config.kill_leader_mid_move = true;
   const ChaosRunResult result = RunChaosSchedule(config);
   EXPECT_TRUE(result.ok()) << result.Describe();
@@ -41,7 +43,7 @@ TEST(ShardChaosTest, SourceLeaderCrashMidMoveStillLinearizable) {
 
 TEST(ShardChaosTest, FourGroupsWithScriptedMoves) {
   ChaosRunConfig config = ChaosRunConfig::Sharded(4);
-  config.seed = 9;
+  config.cluster.seed = 9;
   config.clients = 4;
   config.duration = Millis(80);
   // Rotate one range around three groups.
@@ -59,7 +61,7 @@ TEST(ShardChaosTest, FourGroupsWithScriptedMoves) {
 TEST(ShardChaosTest, GroupsHaveClusterNodesReplicas) {
   ChaosRunConfig config = ChaosRunConfig::Sharded(2);
   config.cluster.nodes = 5;
-  config.seed = 3;
+  config.cluster.seed = 3;
   config.duration = Millis(60);
   config.settle = Millis(60);
   const ChaosRunResult result = RunChaosSchedule(config);
@@ -96,6 +98,21 @@ TEST(ShardChaosTest, CheckRejectsWhatShardedRunsDoNotSupport) {
   unsharded = ChaosRunConfig{};
   unsharded.inject_violation = "no-such-code";
   EXPECT_FALSE(unsharded.Check().empty());
+}
+
+// The run relies on two cluster values it cannot take as set, so it rejects
+// them instead of overwriting them: the nemesis needs disks that keep their
+// bytes, and the run attaches its own watchdog.
+TEST(ChaosRunConfigTest, CheckRejectsClusterValuesTheRunCannotHonour) {
+  obs::Watchdog watchdog;
+  for (ChaosRunConfig config : {ChaosRunConfig{}, ChaosRunConfig::Sharded(2)}) {
+    ChaosRunConfig no_disk_faults = config;
+    no_disk_faults.cluster.server_template.disk_faults = false;
+    EXPECT_FALSE(no_disk_faults.Check().empty());
+    ChaosRunConfig own_watchdog = config;
+    own_watchdog.cluster.watchdog = &watchdog;
+    EXPECT_FALSE(own_watchdog.Check().empty());
+  }
 }
 
 }  // namespace

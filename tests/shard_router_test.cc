@@ -27,14 +27,15 @@ constexpr uint32_t kSlot = 5;
 
 // Two router-fronted server groups on one fabric.
 struct TwoGroupRig {
-  explicit TwoGroupRig(uint64_t seed = 1) : net(&sim, costs, seed) {
+  explicit TwoGroupRig(uint64_t seed = 1) : net(&sim, seed) {
     for (int32_t g = 0; g < 2; ++g) {
       ServerConfig sc;
       sc.mode = ClusterMode::kUnreplicated;
       std::vector<HostId> hosts;
       for (int32_t i = 0; i < 2; ++i) {
         fleets[g].push_back(std::make_unique<ReplicatedServer>(
-            &sim, costs, sc, std::make_unique<SyntheticService>(), seed + 100 + g * 10 + i));
+            &sim, costs, sc, [] { return std::make_unique<SyntheticService>(); },
+            seed + 100 + g * 10 + i));
         hosts.push_back(net.Attach(fleets[g].back().get()));
       }
       routers[g] = std::make_unique<R2p2Router>(&sim, costs, hosts, RouterPolicy::kJbsq, 8,

@@ -155,7 +155,7 @@ TEST(SimDeterminismTest, ExportMetricsReplayIsByteIdentical) {
     ChaosRunConfig config;
     config.cluster.mode = ClusterMode::kHovercRaftPP;
     config.schedule = "random";
-    config.seed = 17;
+    config.cluster.seed = 17;
     config.cluster.nodes = 3;
     config.clients = 2;
     config.rate_rps_per_client = 2'000;

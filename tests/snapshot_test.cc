@@ -593,7 +593,7 @@ const KvStore& StoreOf(Cluster& cluster, NodeId n) {
 TEST(SnapshotTest, CorruptSnapshotOnOneNodeLeavesSharedPartsIntact) {
   ClusterConfig config = SmallYcsbConfig(606);
   config.server_template.disk_faults = true;
-  Fabric fabric(config.costs, config.seed);
+  Fabric fabric(config.seed);
   Cluster cluster(fabric, config);
   ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
   const size_t keys = StoreOf(cluster, 0).key_count();
@@ -745,7 +745,7 @@ TEST(SnapshotTest, UnreadableSnapshotAfterCompactionFallsBackToGenesis) {
   ClusterConfig config = SmallYcsbConfig(707);
   config.server_template.disk_faults = true;
   config.raft.log_retention_entries = 64;
-  Fabric fabric(config.costs, config.seed);
+  Fabric fabric(config.seed);
   Cluster cluster(fabric, config);
   ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
   const std::unique_ptr<StateMachine> genesis = config.app_factory();

@@ -49,7 +49,7 @@ struct BatchingFixture {
   }
   Simulator sim;
   CostModel costs;
-  Network net{&sim, costs, 1};
+  Network net{&sim, 1};
 };
 
 TEST(TransportBatchingTest, CoalescesSameInstantSendsIntoOneFrame) {
@@ -326,7 +326,7 @@ TEST(TransportBatchingTest, ChaosVerdictsAreBatchingInvariant) {
     ChaosRunConfig config;
     config.cluster.mode = ClusterMode::kHovercRaft;
     config.schedule = schedule;
-    config.seed = seed++;
+    config.cluster.seed = seed++;
     config.retry_enabled = true;
 
     ChaosRunConfig batched = config;
@@ -358,7 +358,7 @@ TEST(TransportBatchingTest, BatchedRunsReplayIdentically) {
   ChaosRunConfig config;
   config.cluster.mode = ClusterMode::kHovercRaft;
   config.schedule = "random";
-  config.seed = 4242;
+  config.cluster.seed = 4242;
   config.retry_enabled = true;
   config.cluster.costs.tx_batching = true;
   config.cluster.costs.tx_batch_delay_ns = 2'000;
@@ -383,7 +383,7 @@ TEST(TransportBatchingTest, ExportedWireBytesByKindAreNonZero) {
   ChaosRunConfig config;
   config.cluster.mode = ClusterMode::kHovercRaftPP;
   config.schedule = "crash-leader";
-  config.seed = 11;
+  config.cluster.seed = 11;
   config.duration = Millis(60);
   config.settle = Millis(60);
   config.cluster.costs.tx_batching = true;

@@ -74,7 +74,7 @@ void DeclareFlags(Flags& flags, CliOptions& opts, ChaosRunConfig& config) {
             "alias for --schedule, reads better for the adversarial\n"
             "schedules (rejoin-storm, forged-vote, timer-skew,\n"
             "stale-read-probe)");
-  flags.Add("--seed=S", &config.seed, "replay seed (default 1)");
+  flags.Add("--seed=S", &config.cluster.seed, "replay seed (default 1)");
   flags.Add("--mode=vanilla|hovercraft|hovercraft++", &opts.mode, "(default hovercraft)");
   flags.Add("--groups=N", &config.groups,
             "consensus groups; above 1 the run is sharded: groups\n"
@@ -235,7 +235,7 @@ int Run(const CliOptions& opts, ChaosRunConfig config) {
       "chaos_runner: mode=%s schedule=%s seed=%llu nodes=%d duration=%lldms retries=%d dedup=%d "
       "prevote=%d check_quorum=%d read_index=%d persist_us=%lld fsync=%s recovery=%d "
       "fr_depth=%zu watchdog=%d",
-      opts.mode.c_str(), config.schedule.c_str(), static_cast<unsigned long long>(config.seed),
+      opts.mode.c_str(), config.schedule.c_str(), static_cast<unsigned long long>(cc.seed),
       cc.nodes, static_cast<long long>(config.duration / 1'000'000),
       config.retry_enabled || sharded ? 1 : 0, cc.server_template.dedup_enabled ? 1 : 0,
       cc.raft.pre_vote ? 1 : 0, cc.raft.check_quorum ? 1 : 0, cc.raft.read_index ? 1 : 0,

@@ -38,7 +38,6 @@ struct CliOptions {
   double read_only = 0.0;
   double bimodal_ratio = 0.0;  // >1 enables the bimodal distribution
   std::string policy = "jbsq";
-  uint64_t seed = 42;  // the cluster's and the workload's
 };
 
 // Every flag, declared once; the usage text is generated from this table.
@@ -73,7 +72,7 @@ void DeclareFlags(Flags& flags, CliOptions& opts, ExperimentConfig& config) {
   flags.AddDuration("--measure-ms=M", &config.measure, Millis(1),
                     "measurement window (default 300)");
   flags.Add("--clients=N", &config.client_count, "load generators (default 8)");
-  flags.Add("--seed=S", &opts.seed, "cluster and workload seed (default 42)");
+  flags.Add("--seed=S", &config.cluster.seed, "cluster and workload seed (default 42)");
   // Adversarial hardening (docs/hardening.md); the defenses default on.
   flags.AddNegated("--no-prevote", &config.cluster.raft.pre_vote, "disable the PreVote phase");
   flags.AddNegated("--no-check-quorum", &config.cluster.raft.check_quorum,
@@ -100,9 +99,6 @@ int Run(const CliOptions& opts, ExperimentConfig config) {
     std::fprintf(stderr, "bad --policy=%s\n", opts.policy.c_str());
     return 2;
   }
-  config.cluster.seed = opts.seed;
-  config.seed = opts.seed;
-
   if (opts.workload == "synthetic") {
     config.cluster.app_factory = []() { return std::make_unique<SyntheticService>(); };
     SyntheticWorkloadConfig wc;
@@ -136,8 +132,9 @@ int Run(const CliOptions& opts, ExperimentConfig config) {
   std::printf("# mode=%s nodes=%d workload=%s policy=%s seed=%llu prevote=%d check_quorum=%d"
               " read_index=%d\n",
               opts.mode.c_str(), config.cluster.nodes, opts.workload.c_str(), opts.policy.c_str(),
-              static_cast<unsigned long long>(opts.seed), config.cluster.raft.pre_vote ? 1 : 0,
-              config.cluster.raft.check_quorum ? 1 : 0, config.cluster.raft.read_index ? 1 : 0);
+              static_cast<unsigned long long>(config.cluster.seed),
+              config.cluster.raft.pre_vote ? 1 : 0, config.cluster.raft.check_quorum ? 1 : 0,
+              config.cluster.raft.read_index ? 1 : 0);
 
   if (opts.slo_search) {
     const SloResult r =
@@ -166,7 +163,8 @@ int Run(const CliOptions& opts, ExperimentConfig config) {
 int main(int argc, char** argv) {
   hovercraft::CliOptions opts;
   hovercraft::ExperimentConfig config;
-  // The CLI's own windows; every other default is ExperimentConfig's.
+  // The CLI's own windows and seed; every other default is ExperimentConfig's.
+  config.cluster.seed = 42;
   config.warmup = hovercraft::Millis(100);
   config.measure = hovercraft::Millis(300);
   hovercraft::Flags flags("hovercraft_cli");
