@@ -36,7 +36,7 @@ const std::vector<std::string>& Nemesis::ScheduleNames() {
       "churn-remove-leader",                "churn-add-partition", "rejoin-storm",
       "forged-vote",    "timer-skew",       "stale-read-probe",    "disk-power-fail",
       "disk-torn-write",                    "disk-corrupt-entry",  "disk-fsync-stall",
-      "random",
+      "disk-corrupt-snapshot",              "random",
   };
   return kNames;
 }
@@ -477,6 +477,20 @@ void Nemesis::DiskCorruptionCycle(TimeNs follower_outage, TimeNs leader_outage) 
   }
 }
 
+void Nemesis::SnapshotCorruptionCycle(TimeNs outage) {
+  const NodeId leader = CurrentLeaderOr(0);
+  const NodeId node = PickFollower(leader);
+  ReplicatedServer& server = cluster_->server(node);
+  if (node == leader || server.failed() || server.storage() == nullptr ||
+      !server.storage()->CorruptSnapshot()) {
+    Log("disk: corrupt snapshot skipped (no live follower with a snapshot)");
+    return;
+  }
+  Log("disk: corrupt snapshot on node " + std::to_string(node));
+  cluster_->PowerFailNode(node);
+  At(cluster_->sim().Now() + outage, [this] { RestartDead(); });
+}
+
 void Nemesis::StallDisks(TimeNs extra) {
   int stalled = 0;
   for (NodeId node : cluster_->Members()) {
@@ -639,6 +653,11 @@ void Nemesis::ArmScripted() {
     // exists to corrupt, and the long leader outage gives the amnesiac
     // followers time to form a quorum if recovery lets them.
     At(s + w / 4, [this] { DiskCorruptionCycle(Millis(2), Millis(20)); });
+  } else if (name == "disk-corrupt-snapshot") {
+    // A quarter into the window every follower has replaced its genesis
+    // snapshot (compaction runs every 20 ms), so recovery loses state the
+    // node had made durable and must rebuild it from the WAL.
+    At(s + w / 4, [this] { SnapshotCorruptionCycle(Millis(2)); });
   } else if (name == "disk-fsync-stall") {
     // Gray disk, then a power cut in the middle of the stall: a policy that
     // acks ahead of the (now glacial) fsync has a deep unsynced backlog to

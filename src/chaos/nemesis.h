@@ -108,6 +108,10 @@ class Nemesis {
   // truncate committed entries and elect each other over the amnesia
   // (--no-recovery control).
   void DiskCorruptionCycle(TimeNs follower_outage, TimeNs leader_outage);
+  // Flips a byte in one follower's local snapshot file and power-cycles it
+  // for `outage`: recovery must reject the file, restart suspect from the
+  // app's pristine state and re-apply its WAL from genesis.
+  void SnapshotCorruptionCycle(TimeNs outage);
   // Gray disk: every subsequent fsync costs `extra` more on every member.
   void StallDisks(TimeNs extra);
   void HealDisks();

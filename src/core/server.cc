@@ -174,10 +174,7 @@ void ReplicatedServer::RecoverFromStorage() {
       snap_config = DecodeConfig(&r);
       HC_CHECK(snap_config != nullptr);
     }
-    const Status sessions_ok = sessions_.Restore(&r);
-    HC_CHECK(sessions_ok.ok());
-    HC_CHECK(shard_.Restore(&r).ok());
-    HC_CHECK(app_->RestoreState(payload.Slice(r.position(), r.remaining())).ok());
+    RestoreSnapshotBody(payload, &r);
     applied = rec.snapshot_index;
   } else {
     // The snapshot itself was unreadable — fall back to a fresh app's
@@ -198,7 +195,6 @@ void ReplicatedServer::RecoverFromStorage() {
   // state; the raft layer re-applies forward from there as commit re-advances.
   apply_cursor_ = applied;
   local_snapshot_idx_ = applied;
-  pending_reads_.clear();
   raft_->RestartFromRecovery(rec, applied, std::move(snap_config), snap_config_idx);
 }
 
@@ -370,13 +366,10 @@ void ReplicatedServer::OnClientRequest(std::shared_ptr<const RpcRequest> request
   // so any retransmit still in flight is stale and safe to drop.
   if (raft_->IsLeader() && config_.dedup_enabled && !request->read_only() &&
       sessions_.Executed(request->rid())) {
-    ++stats_.dedup_hits;
-    Body cached = sessions_.CachedReply(request->rid());
+    // Answered at once: nothing executes, so the app thread is not involved.
+    Body cached = CachedAnswer(request->rid(), /*reply_here=*/true);
     if (cached != nullptr) {
-      ++stats_.dedup_replies;
-      // Retransmissions bypass the flow-control middlebox, so no FEEDBACK
-      // is owed for a cached reply.
-      SendReply(request->rid(), std::move(cached), /*send_feedback=*/false);
+      SendReply(request->rid(), std::move(cached));
     }
     return;
   }
@@ -397,9 +390,8 @@ void ReplicatedServer::OnClientRequest(std::shared_ptr<const RpcRequest> request
     // admission, so nothing else will). Repay is rid-keyed and idempotent at
     // the ledger, so a parked copy later rejected at apply cannot double-
     // close the slot.
-    if (!request->is_retransmit() && flow_control_host_ != kInvalidHost) {
-      ++stats_.feedback_sent;
-      Send(flow_control_host_, MakeMessage<FeedbackMsg>(request->rid()));
+    if (OwesFeedback(*request, /*ordered=*/false)) {
+      Repay(request->rid());
     }
     return;
   }
@@ -460,21 +452,14 @@ bool ReplicatedServer::TryServeReadIndex(const std::shared_ptr<const RpcRequest>
   }
   // The admission slot charged to this read is repaid here, at grant time:
   // the read never enters the log, so the apply path's first-instance
-  // FEEDBACK accounting never sees it. Retransmissions bypassed the
-  // middlebox and owe nothing — the same rule as everywhere else.
-  if (!request->is_retransmit() && flow_control_host_ != kInvalidHost) {
-    ++stats_.feedback_sent;
-    Send(flow_control_host_, MakeMessage<FeedbackMsg>(request->rid()));
+  // FEEDBACK accounting never sees it.
+  if (OwesFeedback(*request, /*ordered=*/false)) {
+    Repay(request->rid());
   }
   obs::MarkStage(sim(), request->rid(), obs::Stage::kReadGranted, obs_node_id(), sim()->Now());
   if (grant.replier == node_id()) {
     ++stats_.read_index_local;
-    if (apply_cursor_ >= grant.read_index) {
-      ExecuteLeasedRead(request, sim()->Now());
-    } else {
-      ++stats_.read_index_queued;
-      pending_reads_.push_back(PendingRead{grant.read_index, sim()->Now(), request});
-    }
+    ServeLeasedRead(request, grant.read_index);
     return true;
   }
   ++stats_.read_index_forwarded;
@@ -496,22 +481,30 @@ void ReplicatedServer::OnReadIndexGrant(const ReadIndexGrantMsg& grant) {
   }
   ++stats_.read_index_remote;
   obs::MarkStage(sim(), grant.rid(), obs::Stage::kReadGranted, obs_node_id(), sim()->Now());
-  if (apply_cursor_ >= grant.read_index()) {
-    ExecuteLeasedRead(request, sim()->Now());
-  } else {
-    ++stats_.read_index_queued;
-    pending_reads_.push_back(PendingRead{grant.read_index(), sim()->Now(), std::move(request)});
-  }
+  ServeLeasedRead(request, grant.read_index());
 }
 
-void ReplicatedServer::ExecuteLeasedRead(const std::shared_ptr<const RpcRequest>& request,
-                                         TimeNs granted) {
+void ReplicatedServer::ServeLeasedRead(const std::shared_ptr<const RpcRequest>& request,
+                                       LogIndex read_index) {
+  // The leader's own grants are always servable at once (ScheduleApply runs
+  // synchronously, so its apply cursor is its commit index). A forwarded
+  // grant can find its replier behind: a replier that power-failed and
+  // recovered from an older snapshot no longer has the applied index it
+  // last reported, on which the leader chose it.
+  if (apply_cursor_ >= read_index) {
+    ExecuteLeasedRead(*request, sim()->Now());
+    return;
+  }
+  ++stats_.read_index_queued;
+  pending_reads_.push_back(PendingRead{read_index, sim()->Now(), request});
+}
+
+void ReplicatedServer::ExecuteLeasedRead(const RpcRequest& request, TimeNs granted) {
   // Executes against the current applied prefix, which covers the granted
   // read index (the caller gated on apply_cursor_). The session table is
   // untouched: it must remain a deterministic function of the applied log,
   // and leased reads are invisible to the log.
-  ExecResult result = app_->Execute(*request);
-  ++stats_.ops_executed;
+  ExecResult result = Execute(request, /*mark_stages=*/true);
   if (auto* o = obs::ObsOf(sim())) {
     // Grant-to-execution wait: zero on the immediate path, the apply-cursor
     // catch-up lag for queued reads. Puts leased reads on the per-stage map.
@@ -519,16 +512,9 @@ void ReplicatedServer::ExecuteLeasedRead(const std::shared_ptr<const RpcRequest>
         .GetHistogram(obs::NodeScope(obs_node_id()) + "raft.read_index_wait_ns")
         .Record(sim()->Now() - granted);
   }
-  const TimeNs apply_start = std::max(sim()->Now(), app_thread_.busy_until());
-  obs::MarkStage(sim(), request->rid(), obs::Stage::kApplyStart, obs_node_id(), apply_start);
-  obs::MarkStage(sim(), request->rid(), obs::Stage::kApplyEnd, obs_node_id(),
-                 apply_start + result.service_time);
-  RecordBusy(obs::FrResource::kApp, app_thread_, result.service_time);
   // FEEDBACK was settled at grant time on the leader.
-  app_thread_.Submit(result.service_time,
-                     [this, rid = request->rid(), body = std::move(result.reply)]() {
-                       SendReply(rid, body, /*send_feedback=*/false);
-                     });
+  Complete(result.service_time, kNoLogIndex, request.rid(), Answer::kReply,
+           std::move(result.reply), /*feedback=*/false);
 }
 
 void ReplicatedServer::DrainPendingReads() {
@@ -538,7 +524,7 @@ void ReplicatedServer::DrainPendingReads() {
   size_t kept = 0;
   for (size_t i = 0; i < pending_reads_.size(); ++i) {
     if (apply_cursor_ >= pending_reads_[i].read_index) {
-      ExecuteLeasedRead(pending_reads_[i].request, pending_reads_[i].granted);
+      ExecuteLeasedRead(*pending_reads_[i].request, pending_reads_[i].granted);
     } else {
       pending_reads_[kept++] = std::move(pending_reads_[i]);
     }
@@ -587,38 +573,23 @@ void ReplicatedServer::ExecuteUnreplicated(const std::shared_ptr<const RpcReques
     sessions_.Acknowledge(request->rid().client, request->ack_watermark());
     if (sessions_.Executed(request->rid())) {
       if (config_.dedup_enabled) {
-        ++stats_.dedup_hits;
-        Body cached = sessions_.CachedReply(request->rid());
-        if (cached != nullptr) {
-          ++stats_.dedup_replies;
-          app_thread_.Submit(0, [this, rid = request->rid(), cached = std::move(cached)]() {
-            SendReply(rid, cached, /*send_feedback=*/false);
-          });
-        }
+        CompleteDuplicate(kNoLogIndex, request->rid(), /*reply_here=*/true);
         return;
       }
       ++stats_.double_applies;
     }
   }
-  ExecResult result = app_->Execute(*request);
-  ++stats_.ops_executed;
+  ExecResult result = Execute(*request, /*mark_stages=*/true);
   if (track_session) {
     sessions_.Record(request->rid(), result.reply, request->shard_slot());
   }
   // An unreplicated server wired behind an R2P2 router / flow-control box
   // owes FEEDBACK per completion; unrestricted requests inside a replicated
-  // group bypassed the middlebox, so none is owed for them. Retransmissions
-  // bypass the middlebox as well.
-  const bool send_feedback =
-      (config_.mode == ClusterMode::kUnreplicated) && !request->is_retransmit();
-  const TimeNs apply_start = std::max(sim()->Now(), app_thread_.busy_until());
-  obs::MarkStage(sim(), request->rid(), obs::Stage::kApplyStart, obs_node_id(), apply_start);
-  obs::MarkStage(sim(), request->rid(), obs::Stage::kApplyEnd, obs_node_id(),
-                 apply_start + result.service_time);
-  RecordBusy(obs::FrResource::kApp, app_thread_, result.service_time);
-  app_thread_.Submit(result.service_time,
-                     [this, rid = request->rid(), body = std::move(result.reply),
-                      send_feedback]() { SendReply(rid, body, send_feedback); });
+  // group bypassed the middlebox, so none is owed for them.
+  const bool feedback =
+      config_.mode == ClusterMode::kUnreplicated && OwesFeedback(*request, /*ordered=*/false);
+  Complete(result.service_time, kNoLogIndex, request->rid(), Answer::kReply,
+           std::move(result.reply), feedback);
 }
 
 // ---------------------------------------------------------------------------
@@ -638,10 +609,8 @@ void ReplicatedServer::OnCommitAdvanced(LogIndex commit) {
 
 void ReplicatedServer::ScheduleApply(LogIndex idx) {
   const LogEntry& entry = raft_->log().At(idx);
-  const NodeId self = node_id();
-
   if (entry.noop) {
-    app_thread_.Submit(0, [this, idx]() { raft_->OnApplied(idx); });
+    Complete(0, idx, entry.rid, Answer::kNone, nullptr, /*feedback=*/false);
     return;
   }
   HC_CHECK(entry.request != nullptr);
@@ -656,6 +625,7 @@ void ReplicatedServer::ScheduleApply(LogIndex idx) {
   // Session-table GC rides in the log entry: every replica raises the
   // client's ack watermark at the same log position (deterministic state).
   sessions_.Acknowledge(entry.rid.client, entry.ack_watermark);
+  const bool reply_here = (entry.replier == node_id());
 
   // Apply-time shard gate: a data entry for a slot this group no longer
   // serves (ordered before the freeze committed, or re-drained after a GC)
@@ -669,42 +639,18 @@ void ReplicatedServer::ScheduleApply(LogIndex idx) {
   if (config_.sharded && IsDataSlot(entry.request->shard_slot()) &&
       !shard_.Serves(entry.request->shard_slot())) {
     ++stats_.wrong_shard_rejects;
-    const bool reject_feedback =
-        !sessions_.Executed(entry.rid) && entry.replier == self;
-    app_thread_.Submit(0, [this, idx, rid = entry.rid,
-                           reply_here = entry.replier == self, reject_feedback]() {
-      raft_->OnApplied(idx);
-      if (failed()) {
-        return;
-      }
-      if (reply_here) {
-        Send(rid.client, MakeMessage<WrongShardNack>(rid, 0));
-      }
-      if (reject_feedback && flow_control_host_ != kInvalidHost) {
-        ++stats_.feedback_sent;
-        Send(flow_control_host_, MakeMessage<FeedbackMsg>(rid));
-      }
-    });
+    Complete(0, idx, entry.rid, reply_here ? Answer::kWrongShard : Answer::kNone, nullptr,
+             reply_here && OwesFeedback(*entry.request, /*ordered=*/true));
     return;
   }
 
-  // Is this the first ordered instance of this rid? Every replica evaluates
-  // the same session state at the same log position, so the answer is
-  // deterministic cluster-wide. It decides FEEDBACK: the middlebox admission
-  // slot charged to the request is repaid exactly once per rid — no matter
-  // which attempt's copy got ordered (a request whose admitted first attempt
-  // died with a leader is recovered by a retransmitted copy, which must
-  // repay in its place) and no matter how often a read-only retransmit is
-  // re-ordered for freshness (later instances repay nothing).
-  const bool first_instance = !sessions_.Executed(entry.rid);
-
-  if (entry.read_only && entry.replier != self) {
+  if (entry.read_only && !reply_here) {
     // Totally ordered, but executed only by the designated replier
     // (paper section 3.5). Still mark the rid as seen so this replica's
     // session table stays identical to the replier's.
     ++stats_.ro_skipped;
     sessions_.Record(entry.rid, nullptr, entry.request->shard_slot());
-    app_thread_.Submit(0, [this, idx]() { raft_->OnApplied(idx); });
+    Complete(0, idx, entry.rid, Answer::kNone, nullptr, /*feedback=*/false);
     return;
   }
 
@@ -714,19 +660,7 @@ void ReplicatedServer::ScheduleApply(LogIndex idx) {
   // instead of re-applying it.
   const bool duplicate = !entry.read_only && sessions_.Executed(entry.rid);
   if (duplicate && config_.dedup_enabled) {
-    ++stats_.dedup_hits;
-    const bool reply_here = (entry.replier == self);
-    Body cached = sessions_.CachedReply(entry.rid);
-    if (reply_here && cached != nullptr) {
-      ++stats_.dedup_replies;
-    }
-    app_thread_.Submit(0, [this, idx, rid = entry.rid, reply_here,
-                           cached = std::move(cached)]() {
-      raft_->OnApplied(idx);
-      if (reply_here && cached != nullptr) {
-        SendReply(rid, cached, /*send_feedback=*/false);
-      }
-    });
+    CompleteDuplicate(idx, entry.rid, reply_here);
     return;
   }
   if (duplicate) {
@@ -740,44 +674,19 @@ void ReplicatedServer::ScheduleApply(LogIndex idx) {
   // Execute now (in log order — the state machine sees exactly the committed
   // prefix) and charge the service time to the app thread; the reply leaves
   // when the virtual execution completes.
-  ExecResult result = app_->Execute(*entry.request);
-  ++stats_.ops_executed;
+  const bool feedback = reply_here && OwesFeedback(*entry.request, /*ordered=*/true);
+  ExecResult result = Execute(*entry.request, /*mark_stages=*/reply_here);
   // Writes cache their reply for dedup; read-onlys record a null marker (a
   // retransmitted read is always re-executed for freshness, so there is
-  // nothing to cache — the entry only pins down "first instance" above and
-  // keeps every replica's session table byte-identical).
+  // nothing to cache — the entry only pins down "first instance" for
+  // OwesFeedback and keeps every replica's session table byte-identical).
   sessions_.Record(entry.rid, entry.read_only ? nullptr : result.reply,
                    entry.request->shard_slot());
-  const bool reply_here = (entry.replier == self);
-  const RequestId rid = entry.rid;
-  const bool send_feedback = first_instance;
-  const TimeNs apply_start = std::max(sim()->Now(), app_thread_.busy_until());
-  if (reply_here) {
-    // Stage marks follow the designated replier — the copy whose execution
-    // produces the reply the client is waiting on.
-    obs::MarkStage(sim(), rid, obs::Stage::kApplyStart, obs_node_id(), apply_start);
-    obs::MarkStage(sim(), rid, obs::Stage::kApplyEnd, obs_node_id(),
-                   apply_start + result.service_time);
-  }
-  RecordBusy(obs::FrResource::kApp, app_thread_, result.service_time);
-  // Ownership rule: the reply Body is moved into the completion callback
-  // (never copied); SendReply takes its own reference only when the reply
-  // actually leaves this host. This capture set fills the simulator's inline
-  // budget (Simulator::kInlineCallbackBytes) exactly: the rid is captured as
-  // its two fields so the client id and the two flags share one word.
-  auto done = [this, idx, seq = rid.seq, client = rid.client, reply_here, send_feedback,
-               body = std::move(result.reply)]() {
-    raft_->OnApplied(idx);
-    if (reply_here) {
-      SendReply(RequestId{client, seq}, body, send_feedback);
-    }
-  };
-  static_assert(Simulator::Callback::kFits<decltype(done)>);
-  app_thread_.Submit(result.service_time, std::move(done));
+  Complete(result.service_time, idx, entry.rid, reply_here ? Answer::kReply : Answer::kNone,
+           std::move(result.reply), feedback);
 }
 
 void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
-  const NodeId self = node_id();
   // A duplicate control entry under the SAME rid (a parked multicast copy
   // re-drained into the log by a new leader after the original committed)
   // must be a no-op: re-running an install would roll the moved range back
@@ -785,33 +694,18 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
   // the same session table as data writes, so Executed() here is the same
   // deterministic, replicated dedup the data path uses. Duplicates under a
   // DIFFERENT rid — abandoned coordinator retries — are caught below by the
-  // move-id fence instead.
+  // move-id fence instead. Nobody waits on the duplicate: the original was
+  // answered, and the coordinator retries under fresh rids.
   if (sessions_.Executed(entry.rid)) {
-    ++stats_.dedup_hits;
-    app_thread_.Submit(0, [this, idx]() { raft_->OnApplied(idx); });
+    CompleteDuplicate(idx, entry.rid, /*reply_here=*/false);
     return;
   }
   sessions_.Acknowledge(entry.rid.client, entry.ack_watermark);
   ShardOp op;
   const Status decoded = DecodeShardOp(entry.request->body(), &op);
   HC_CHECK(decoded.ok());
-  const bool reply_here = (entry.replier == self);
-  Body reply;
+  const bool reply_here = (entry.replier == node_id());
   TimeNs cost = CostModel::kAeFixedNs;
-  // The designated replier's capture is not replicated state (every replica
-  // could produce the identical bytes) — it travels to the coordinator in the
-  // reply and reaches the destination group inside the install entry. While
-  // the range is frozen the capture is stable: the apply-time gate rejects
-  // every data write to it, so re-capturing for a freeze retry yields the
-  // bytes the first freeze would have returned.
-  auto build_capture = [this, &op]() {
-    BufferWriter w;
-    sessions_.SerializeRange(&w, op.lo, op.hi);
-    const Body app_range = app_->CaptureRange(op.lo, op.hi);
-    HC_CHECK(app_range != nullptr);
-    w.PutBytes(*app_range);
-    return w.TakeBody();
-  };
   // Move-id fence: the coordinator retries each phase under fresh rids, so an
   // abandoned attempt parked in a follower's unordered store is NOT in the
   // session table and can be re-drained into the log arbitrarily late — after
@@ -827,21 +721,11 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
     // a phase whose committed reply was lost, and that retry needs the phase
     // result (for a freeze, the capture). Replies to long-abandoned rids are
     // ignored by the coordinator's sequence check.
-    if (reply_here && op.kind == ShardOpKind::kFreeze) {
-      reply = build_capture();
-      cost += static_cast<TimeNs>(CostModel::kAePayloadByteNs *
-                                  static_cast<double>(reply->size()));
-    }
   } else {
     switch (op.kind) {
       case ShardOpKind::kFreeze: {
         shard_.Freeze(op.lo, op.hi);
         ++stats_.shard_freezes;
-        if (reply_here) {
-          reply = build_capture();
-          cost += static_cast<TimeNs>(CostModel::kAePayloadByteNs *
-                                      static_cast<double>(reply->size()));
-        }
         break;
       }
       case ShardOpKind::kInstall: {
@@ -888,6 +772,24 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
       }
     }
   }
+  // The designated replier's capture is not replicated state (every replica
+  // could produce the identical bytes) — it travels to the coordinator in the
+  // reply and reaches the destination group inside the install entry. While
+  // the range is frozen the capture is stable: the apply-time gate rejects
+  // every data write to it, so re-capturing for a freeze retry yields the
+  // bytes the first freeze would have returned.
+  Body reply;
+  if (reply_here && op.kind == ShardOpKind::kFreeze) {
+    BufferWriter w;
+    sessions_.SerializeRange(&w, op.lo, op.hi);
+    const Body app_range = app_->CaptureRange(op.lo, op.hi);
+    HC_CHECK(app_range != nullptr);
+    w.PutBytes(*app_range);
+    reply = w.TakeBody();
+    cost += static_cast<TimeNs>(CostModel::kAePayloadByteNs * static_cast<double>(reply->size()));
+  }
+  // Duplicates returned above, so this is the rid's first ordered instance.
+  const bool feedback = reply_here && OwesFeedback(*entry.request, /*ordered=*/true);
   // Every replica records the same marker (the capture reply above is sent
   // but never cached — the coordinator uses a fresh rid per retry, so the
   // cache would serve nothing). The marker is what makes duplicates no-ops.
@@ -896,32 +798,107 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
     fr->Record(sim()->Now(), obs_node_id(), obs::FrType::kApply,
                static_cast<uint64_t>(entry.rid.client), entry.rid.seq, 0u);
   }
-  const bool send_feedback = !entry.read_only;  // ctl ops are writes; repay once
   if (reply_here && reply == nullptr) {
     reply = MakeBody(std::vector<uint8_t>{1});  // install/gc ack
   }
-  app_thread_.Submit(cost, [this, idx, rid = entry.rid, reply_here, send_feedback,
-                            body = std::move(reply)]() {
-    raft_->OnApplied(idx);
-    if (reply_here) {
-      SendReply(rid, body, send_feedback);
-    }
-  });
+  Complete(cost, idx, entry.rid, reply_here ? Answer::kReply : Answer::kNone, std::move(reply),
+           feedback);
 }
 
-void ReplicatedServer::SendReply(const RequestId& rid, Body body, bool send_feedback) {
-  if (failed()) {
+// ---------------------------------------------------------------------------
+// The answer path: every request's work ends here
+// ---------------------------------------------------------------------------
+
+ExecResult ReplicatedServer::Execute(const RpcRequest& request, bool mark_stages) {
+  ExecResult result = app_->Execute(request);
+  ++stats_.ops_executed;
+  if (mark_stages) {
+    const TimeNs apply_start = std::max(sim()->Now(), app_thread_.busy_until());
+    obs::MarkStage(sim(), request.rid(), obs::Stage::kApplyStart, obs_node_id(), apply_start);
+    obs::MarkStage(sim(), request.rid(), obs::Stage::kApplyEnd, obs_node_id(),
+                   apply_start + result.service_time);
+  }
+  RecordBusy(obs::FrResource::kApp, app_thread_, result.service_time);
+  return result;
+}
+
+void ReplicatedServer::Complete(TimeNs cost, LogIndex applied, const RequestId& rid,
+                                Answer answer, Body body, bool feedback) {
+  if (applied == kNoLogIndex && answer == Answer::kNone) {
+    return;  // nothing to report or send
+  }
+  // The reply Body is moved into the callback, never copied; SendReply takes
+  // its own reference only when the reply leaves this host. The captures fill
+  // Simulator::kInlineCallbackBytes exactly: the rid is captured as its two
+  // fields so the client id, the answer and the flag share one word.
+  auto done = [this, applied, seq = rid.seq, client = rid.client, answer, feedback,
+               body = std::move(body)]() {
+    if (applied != kNoLogIndex) {
+      raft_->OnApplied(applied);
+    }
+    if (answer == Answer::kNone || failed()) {
+      return;
+    }
+    const RequestId to{client, seq};
+    if (answer == Answer::kReply) {
+      SendReply(to, body);
+    } else {
+      Send(client, MakeMessage<WrongShardNack>(to, 0));
+    }
+    if (feedback) {
+      Repay(to);
+    }
+  };
+  static_assert(Simulator::Callback::kFits<decltype(done)>);
+  app_thread_.Submit(cost, std::move(done));
+}
+
+Body ReplicatedServer::CachedAnswer(const RequestId& rid, bool reply_here) {
+  ++stats_.dedup_hits;
+  Body cached = reply_here ? sessions_.CachedReply(rid) : nullptr;
+  if (cached != nullptr) {
+    ++stats_.dedup_replies;
+  }
+  return cached;
+}
+
+void ReplicatedServer::CompleteDuplicate(LogIndex applied, const RequestId& rid,
+                                         bool reply_here) {
+  Body cached = CachedAnswer(rid, reply_here);
+  const Answer answer = cached != nullptr ? Answer::kReply : Answer::kNone;
+  Complete(0, applied, rid, answer, std::move(cached), /*feedback=*/false);
+}
+
+// The middlebox charges one admission slot to a request's first attempt, and
+// exactly one FEEDBACK repays it (DESIGN.md §5c).
+bool ReplicatedServer::OwesFeedback(const RpcRequest& request, bool ordered) const {
+  if (ordered) {
+    // The rid's first ordered instance, judged by the session table at the
+    // entry's log position so every replica agrees, whichever attempt's copy
+    // got ordered: a retransmit that recovers a first attempt lost with a
+    // leader repays in its place; a read re-ordered for freshness does not.
+    return !sessions_.Executed(request.rid());
+  }
+  // Answered without being ordered (an ingress redirect, a leased read, an
+  // unreplicated execution): the first attempt. Retransmissions bypass the
+  // middlebox and hold no slot.
+  return !request.is_retransmit();
+}
+
+void ReplicatedServer::Repay(const RequestId& rid) {
+  if (flow_control_host_ == kInvalidHost) {
     return;
   }
+  ++stats_.feedback_sent;
+  Send(flow_control_host_, MakeMessage<FeedbackMsg>(rid));
+}
+
+void ReplicatedServer::SendReply(const RequestId& rid, Body body) {
   ++stats_.replies_sent;
   obs::MarkStage(sim(), rid, obs::Stage::kReplySent, obs_node_id(), sim()->Now());
   // R2P2 lets the reply's source differ from the request's destination — the
   // mechanism enabling reply load balancing (paper section 3.3).
   Send(rid.client, MakeMessage<RpcResponse>(rid, std::move(body)));
-  if (send_feedback && flow_control_host_ != kInvalidHost) {
-    ++stats_.feedback_sent;
-    Send(flow_control_host_, MakeMessage<FeedbackMsg>(rid));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -981,17 +958,18 @@ void ReplicatedServer::PutSnapshotPrefix(BufferWriter* w) const {
   shard_.Serialize(w);
 }
 
+void ReplicatedServer::RestoreSnapshotBody(const Body& body, BufferReader* r) {
+  HC_CHECK(sessions_.Restore(r).ok());
+  HC_CHECK(shard_.Restore(r).ok());
+  HC_CHECK(app_->RestoreState(body.Slice(r->position(), r->remaining())).ok());
+}
+
 void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included,
                                        Term included_term, MembershipConfigPtr config,
                                        LogIndex config_idx) {
   HC_CHECK(state != nullptr);
   BufferReader r(*state);
-  const Status sessions_ok = sessions_.Restore(&r);
-  HC_CHECK(sessions_ok.ok());
-  const Status shard_ok = shard_.Restore(&r);
-  HC_CHECK(shard_ok.ok());
-  const Status status = app_->RestoreState(state.Slice(r.position(), r.remaining()));
-  HC_CHECK(status.ok());
+  RestoreSnapshotBody(state, &r);
   ++stats_.snapshots_restored;
   if (last_included > apply_cursor_) {
     apply_cursor_ = last_included;

@@ -214,6 +214,9 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   SimDisk* disk() { return disk_.get(); }
 
  private:
+  // What a completion sends once its app-thread work is done.
+  enum class Answer : uint8_t { kNone, kReply, kWrongShard };
+
   bool IsReplicated() const { return config_.mode != ClusterMode::kUnreplicated; }
 
   void OnClientRequest(std::shared_ptr<const RpcRequest> request);
@@ -224,13 +227,16 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   // available — the caller falls back to ordering the read through the log.
   bool TryServeReadIndex(const std::shared_ptr<const RpcRequest>& request);
   // Replier side of a forwarded grant: resolve the payload from the
-  // unordered set and serve once the apply cursor covers the read index.
+  // unordered set and serve it.
   void OnReadIndexGrant(const ReadIndexGrantMsg& grant);
+  // Serves a granted leased read once the apply cursor covers `read_index`,
+  // holding it in pending_reads_ until then.
+  void ServeLeasedRead(const std::shared_ptr<const RpcRequest>& request, LogIndex read_index);
   // Execute a leased read against the current applied state (never touches
   // the session table — the tables stay a pure function of the log).
   // `granted` is when the lease grant covered this read, for the
   // raft.read_index_wait_ns histogram (grant -> execution).
-  void ExecuteLeasedRead(const std::shared_ptr<const RpcRequest>& request, TimeNs granted);
+  void ExecuteLeasedRead(const RpcRequest& request, TimeNs granted);
   void DrainPendingReads();
   void ScheduleApply(LogIndex idx);
   // Applies a kShardCtlSlot entry: freeze (replier captures the range),
@@ -241,7 +247,25 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   // Resets shard_ to the configured initial ownership (ctor, and the
   // recovery path of last resort when the on-disk snapshot is unreadable).
   void InitShardState();
-  void SendReply(const RequestId& rid, Body body, bool send_feedback = true);
+
+  // --- the answer path: every request's work ends in these ---
+  // Runs `request` on the app and charges it to the app thread; the kApply
+  // stages are marked on the copy that replies (`mark_stages`).
+  ExecResult Execute(const RpcRequest& request, bool mark_stages);
+  // After `cost` on the app thread: reports `applied` to Raft (kNoLogIndex:
+  // none) and, on a live node, sends `answer` to `rid`'s client, then repays
+  // its admission slot when `feedback`.
+  void Complete(TimeNs cost, LogIndex applied, const RequestId& rid, Answer answer, Body body,
+                bool feedback);
+  // Counts a repeat of the executed `rid` (Raft section 8) and returns the
+  // cached reply to answer it with; null when there is none to send here.
+  Body CachedAnswer(const RequestId& rid, bool reply_here);
+  // Completes such a repeat, ordered at `applied`, from the reply cache.
+  void CompleteDuplicate(LogIndex applied, const RequestId& rid, bool reply_here);
+  // Whether the answer to `request` repays its admission slot (DESIGN.md §5c).
+  bool OwesFeedback(const RpcRequest& request, bool ordered) const;
+  void Repay(const RequestId& rid);
+  void SendReply(const RequestId& rid, Body body);
   // Protocol CPU beyond raw byte handling, charged on the net thread.
   TimeNs ProtocolCpu(const Message& msg) const;
   void ArmMaintenanceTimers();
@@ -257,6 +281,9 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   void PutSnapshotPrefix(BufferWriter* w) const;
   // Post-power-fail recovery: WAL replay + snapshot reload + raft restart.
   void RecoverFromStorage();
+  // Reads a snapshot wire body, [sessions][shard][app bytes], from `r`, which
+  // reads `body` and stands at the session table.
+  void RestoreSnapshotBody(const Body& body, BufferReader* r);
 
   ServerConfig config_;
   std::function<std::unique_ptr<StateMachine>()> app_factory_;

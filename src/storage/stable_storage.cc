@@ -275,6 +275,10 @@ bool StableStorage::CorruptEntry(LogIndex idx) {
   return CorruptNewestEntry(idx, idx, [](LogIndex) { return true; }) != kNoLogIndex;
 }
 
+bool StableStorage::CorruptSnapshot() {
+  return disk_->FlipByte(kSnapshotFile, disk_->Size(kSnapshotFile) / 2);
+}
+
 StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
   ++stats_.recoveries;
   // Recovery milestone as a flight-recorder event.

@@ -146,6 +146,9 @@ class StableStorage {
                               const std::function<bool(LogIndex)>& eligible);
   // CorruptNewestEntry for `idx` alone; false when it has no live record.
   bool CorruptEntry(LogIndex idx);
+  // Flips a byte in the middle of the local snapshot file, so the next
+  // Recover rejects it; false when there is no snapshot file.
+  bool CorruptSnapshot();
 
   // --- recovery -------------------------------------------------------------
   // Replays the WAL (see header comment) and re-opens it for appending.

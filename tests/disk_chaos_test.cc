@@ -34,13 +34,14 @@ const std::vector<std::string> kDiskSchedules = {
     "disk-torn-write",
     "disk-corrupt-entry",
     "disk-fsync-stall",
+    "disk-corrupt-snapshot",
 };
 
-// Defended runs: all four fault modes, several seeds each. Crashes lose the
-// unsynced suffix, torn writes shear records, committed entries rot on the
-// platter, fsyncs stall — and the history stays linearizable with zero
-// committed entries overwritten, because no ack ever preceded its fsync and
-// recovery re-fetches what the disk lost.
+// Defended runs: every fault mode, several seeds each. Crashes lose the
+// unsynced suffix, torn writes shear records, committed entries and
+// snapshots rot on the platter, fsyncs stall — and the history stays
+// linearizable with zero committed entries overwritten, because no ack ever
+// preceded its fsync and recovery re-fetches what the disk lost.
 TEST(DiskChaosTest, DefendedRunsSurviveEveryDiskFault) {
   for (const std::string& schedule : kDiskSchedules) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
@@ -82,6 +83,20 @@ TEST(DiskChaosTest, EachFaultExercisesItsRecoveryPath) {
   {
     const ChaosRunResult r = RunChaosSchedule(DiskConfig("disk-fsync-stall", 1));
     EXPECT_GT(r.acks_deferred_persist, 0u) << r.Describe();
+  }
+  {
+    // The victim's rejected snapshot is the only damage (no WAL record
+    // failed its CRC), so its suspect recovery is the unreadable-snapshot
+    // fallback, and the leader's repair cleared it.
+    const ChaosRunResult r = RunChaosSchedule(DiskConfig("disk-corrupt-snapshot", 1));
+    bool corrupted = false;
+    for (const std::string& event : r.nemesis_events) {
+      corrupted |= event.find("disk: corrupt snapshot on node") != std::string::npos;
+    }
+    EXPECT_TRUE(corrupted) << r.Describe();
+    EXPECT_EQ(r.corrupt_records, 0u) << r.Describe();
+    EXPECT_EQ(r.suspect_recoveries, 1u) << r.Describe();
+    EXPECT_EQ(r.suspect_repaired, 1u) << r.Describe();
   }
 }
 

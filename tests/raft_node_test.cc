@@ -877,6 +877,54 @@ TEST(RaftNodeTest, ReadLeaseExpiresWithoutQuorumContact) {
   EXPECT_TRUE(skewed.node(leader2).AcquireReadIndex().granted);  // the hazard
 }
 
+// Read leases do not survive a membership change. Node 3 joins as a learner
+// and is promoted; node 2 is cut off throughout, and node 1 acks the
+// promotion entry and is then cut off too, so the promotion commits on node
+// 3's ack. Right after that commit only the leader and node 3 have responded
+// under the new voter set, two of four, and the read is refused, although
+// node 1's earlier response is still inside the lease window and would make
+// a quorum of three with them. Once node 1 responds again, reads resume.
+TEST(RaftNodeTest, ConfigCommitFencesTheReadLease) {
+  RaftOptions opts;
+  opts.read_index = true;
+  opts.check_quorum = false;  // isolate lease behaviour from stepdown
+  opts.initial_voters = 3;
+  MiniHarness h(4, opts);
+  h.StartAll();
+  const NodeId leader = h.WaitForLeader();
+  ASSERT_EQ(leader, 0);
+  h.node(leader).SubmitRequest(MiniHarness::Req(1, 1));
+  h.Run(Millis(5));
+  ASSERT_TRUE(h.node(leader).AcquireReadIndex().granted);
+
+  bool node1_cut = false;
+  bool hold_learner = true;  // until node 1 alone holds the promotion entry
+  h.drop_filter = [&](NodeId from, NodeId to, const Message&) {
+    if (from == 2 || to == 2 || (node1_cut && (from == 1 || to == 1))) {
+      return true;
+    }
+    const bool promoted = h.node(leader).active_config().voters.size() == 4;
+    return hold_learner && promoted && (from == 3 || to == 3);
+  };
+  const uint64_t committed_before = h.node(leader).stats().config_changes_committed;
+  ASSERT_TRUE(h.node(leader).StartAddServer(3));
+  while (h.node(leader).active_config().voters.size() < 4 && h.sim.Step()) {
+  }
+  ASSERT_EQ(h.node(leader).stats().config_changes_committed, committed_before + 1);
+  h.Run(Micros(200));  // node 1 acks the promotion entry
+  node1_cut = true;
+  hold_learner = false;
+  while (h.node(leader).stats().config_changes_committed < committed_before + 2 &&
+         h.sim.Step()) {
+  }
+  ASSERT_EQ(h.node(leader).stats().config_changes_committed, committed_before + 2);
+  EXPECT_FALSE(h.node(leader).AcquireReadIndex().granted);
+
+  node1_cut = false;
+  h.Run(Millis(3));
+  EXPECT_TRUE(h.node(leader).AcquireReadIndex().granted);
+}
+
 // A follower whose hint lies below the leader's compaction point must be
 // repaired by snapshot (triggered from the failure-reply path, not only
 // from heartbeats).

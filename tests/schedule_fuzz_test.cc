@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -430,9 +432,16 @@ void FuzzEnv::DrainUnorderedIntoLog() {
   }
 }
 
+// gtest prints a FuzzParam as its raw bytes and ctest puts that text into
+// every test's name, so the struct has no padding: the bytes the compiler
+// would leave uninitialised are named fields. Left as padding they took
+// whatever the stack held while the binary was listed, and the test names
+// changed with the path it was run from. `id_bytes` keeps the values the
+// suite's names were first recorded with; they do not affect the run.
 struct FuzzParam {
   int32_t nodes;
   bool metadata;
+  std::array<uint8_t, 3> id_bytes{};
   int drop_permille;
   // Dynamic membership: extra servers started outside the initial voter set,
   // and how many randomized add/remove proposals to fire during the run.
@@ -442,11 +451,14 @@ struct FuzzParam {
   // ReadIndex probes checked against the global commit watermark.
   int attack_events = 0;
   int read_probes = 0;
+  int32_t id_tail = 0;
   // Per-delivery delay bound. The read-probe runs tighten it so the lease
   // argument (no new leader within election_timeout_min of quorum contact)
   // holds with a wide margin over message skew.
   TimeNs max_delay = Millis(2);
 };
+static_assert(std::has_unique_object_representations_v<FuzzParam>,
+              "padding in FuzzParam would make the test names nondeterministic");
 
 class ScheduleFuzzTest : public ::testing::TestWithParam<std::tuple<int, FuzzParam>> {};
 
@@ -482,8 +494,13 @@ TEST_P(ScheduleFuzzTest, SafetyHoldsUnderRandomSchedules) {
 INSTANTIATE_TEST_SUITE_P(
     Schedules, ScheduleFuzzTest,
     ::testing::Combine(::testing::Range(0, 12),
-                       ::testing::Values(FuzzParam{3, false, 20}, FuzzParam{3, true, 50},
-                                         FuzzParam{5, true, 20}, FuzzParam{5, false, 100})));
+                       ::testing::Values(
+        FuzzParam{.nodes = 3, .metadata = false, .id_bytes = {0x64, 0x75, 0x6C},
+                  .drop_permille = 20},
+        FuzzParam{.nodes = 3, .metadata = true, .drop_permille = 50},
+        FuzzParam{.nodes = 5, .metadata = true, .drop_permille = 20},
+        FuzzParam{.nodes = 5, .metadata = false, .id_bytes = {0x00, 0xC0, 0xCA},
+                  .drop_permille = 100})));
 
 // Election safety and log matching must survive arbitrary interleavings of
 // reconfiguration with message loss, reordering and crashes: randomized
@@ -492,9 +509,13 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     ChurnSchedules, ScheduleFuzzTest,
     ::testing::Combine(::testing::Range(0, 12),
-                       ::testing::Values(FuzzParam{3, false, 20, 2, 12},
-                                         FuzzParam{3, true, 50, 2, 12},
-                                         FuzzParam{3, true, 20, 3, 20})));
+                       ::testing::Values(
+        FuzzParam{.nodes = 3, .metadata = false, .drop_permille = 20, .spares = 2,
+                  .churn_events = 12},
+        FuzzParam{.nodes = 3, .metadata = true, .id_bytes = {0x31, 0xE2, 0x06},
+                  .drop_permille = 50, .spares = 2, .churn_events = 12},
+        FuzzParam{.nodes = 3, .metadata = true, .drop_permille = 20, .spares = 3,
+                  .churn_events = 20})));
 
 // Randomized attack schedules: forged votes and timer skews interleaved with
 // drops and crashes. Election safety and log matching must hold with the
@@ -502,17 +523,21 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     AttackSchedules, ScheduleFuzzTest,
     ::testing::Combine(::testing::Range(0, 12),
-                       ::testing::Values(FuzzParam{3, false, 20, 0, 0, 16},
-                                         FuzzParam{3, true, 50, 0, 0, 16},
-                                         FuzzParam{5, true, 20, 0, 0, 24})));
+                       ::testing::Values(
+        FuzzParam{.nodes = 3, .metadata = false, .drop_permille = 20, .attack_events = 16},
+        FuzzParam{.nodes = 3, .metadata = true, .drop_permille = 50, .attack_events = 16},
+        FuzzParam{.nodes = 5, .metadata = true, .drop_permille = 20, .attack_events = 24})));
 
 // Read-lease probes under attack + loss: every granted ReadIndex must cover
 // the global commit watermark (no stale grants), across seeds.
 INSTANTIATE_TEST_SUITE_P(
     ReadLeaseSchedules, ScheduleFuzzTest,
     ::testing::Combine(::testing::Range(0, 8),
-                       ::testing::Values(FuzzParam{3, false, 20, 0, 0, 8, 40, Micros(200)},
-                                         FuzzParam{3, true, 50, 0, 0, 0, 40, Micros(200)})));
+                       ::testing::Values(FuzzParam{.nodes = 3, .metadata = false, .drop_permille = 20,
+                                                   .attack_events = 8, .read_probes = 40,
+                                                   .max_delay = Micros(200)},
+                                         FuzzParam{.nodes = 3, .metadata = true, .drop_permille = 50,
+                                                   .read_probes = 40, .max_delay = Micros(200)})));
 
 }  // namespace
 }  // namespace hovercraft
