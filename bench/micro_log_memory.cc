@@ -1,9 +1,11 @@
-// Heap a replica retains per log entry between two compactions, and heap
-// allocations per request on a fig7-shaped run (google-benchmark). Its own
+// Heap a replica retains per log entry between two compactions, heap
+// allocations per request on a fig7-shaped run, and the longest log such a
+// run holds (google-benchmark). Its own
 // binary because the counting allocator replaces operator new/delete for the
 // whole program; the timing cases in micro_raft_log keep the plain allocator.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -134,6 +136,73 @@ void BM_AllocsPerRequest(benchmark::State& state) {
   state.counters["alloc_bytes_per_req"] = alloc_bytes_per_req;
 }
 BENCHMARK(BM_AllocsPerRequest)->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// The largest Raft log on any node of a fig7-shaped cluster (HovercRaft, 3
+// nodes, 24-byte writes, the leader replying, no TX batching) offered
+// 1,050 kRPS by 8 open-loop clients for 40 ms: perfbench's failing top
+// ladder rung, where the log grows fastest. Every node's log length is read
+// every 10 us of virtual time until the load ends. A node compacts once the
+// prefix it may drop reaches log_retention_entries, so max_log_entries stays
+// within twice the retention plus the node's unapplied tail; with the 20 ms
+// compaction timer alone it reached about 25,000. Deterministic. CI gates
+// max_log_entries (docs/performance.md section 16).
+class LogLengthSampler final : public EventHandler {
+ public:
+  LogLengthSampler(Cluster* cluster, TimeNs period, TimeNs stop)
+      : cluster_(cluster), period_(period), stop_(stop) {
+    cluster_->sim().After(period_, this);
+  }
+  void OnEvent() override {
+    for (NodeId n = 0; n < cluster_->node_count(); ++n) {
+      max_entries_ = std::max(max_entries_, cluster_->server(n).raft()->log().size());
+    }
+    if (cluster_->sim().Now() + period_ <= stop_) {
+      cluster_->sim().After(period_, this);
+    }
+  }
+  size_t max_entries() const { return max_entries_; }
+
+ private:
+  Cluster* cluster_;
+  TimeNs period_;
+  TimeNs stop_;
+  size_t max_entries_ = 0;
+};
+
+void BM_MaxLogEntries(benchmark::State& state) {
+  constexpr int kClients = 8;
+  size_t max_entries = 0;
+  LogIndex retention = 0;
+  for (auto _ : state) {
+    ClusterConfig config;
+    config.mode = ClusterMode::kHovercRaft;
+    config.nodes = 3;
+    config.seed = 1;
+    config.app_factory = []() { return std::make_unique<SyntheticService>(); };
+    Cluster cluster(config);
+    HC_CHECK_NE(cluster.WaitForLeader(), kInvalidNode);
+    retention = config.raft.log_retention_entries;
+    SyntheticWorkloadConfig wc;
+    wc.request_bytes = 24;
+    wc.reply_bytes = 8;
+    wc.service_time = std::make_shared<FixedDistribution>(Micros(1));
+    const TimeNs t0 = cluster.sim().Now();
+    std::vector<std::unique_ptr<ClientHost>> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.push_back(std::make_unique<ClientHost>(
+          &cluster.sim(), cluster.config().costs, [&cluster]() { return cluster.ClientTarget(); },
+          std::make_unique<SyntheticWorkload>(wc), 1'050'000.0 / kClients, 100 + c));
+      cluster.network().Attach(clients.back().get());
+      clients.back()->StartLoad(t0, t0 + Millis(40));
+    }
+    LogLengthSampler sampler(&cluster, Micros(10), t0 + Millis(40));
+    cluster.sim().RunUntil(t0 + Millis(40));
+    max_entries = sampler.max_entries();
+  }
+  state.counters["max_log_entries"] = static_cast<double>(max_entries);
+  state.counters["log_retention_entries"] = static_cast<double>(retention);
+}
+BENCHMARK(BM_MaxLogEntries)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 }  // namespace
 }  // namespace hovercraft

@@ -233,21 +233,24 @@ void ReplicatedServer::ArmCompactionTimer() {
 }
 
 void ReplicatedServer::CompactNow() {
-  // Compact to the slowest node's applied index — but do not let one dead or
-  // glacial straggler pin memory forever: beyond the allowance, compaction
-  // proceeds and the straggler is repaired by snapshot when it returns.
-  LogIndex target = raft_->MinAppliedKnown();
-  const LogIndex applied = raft_->applied_index();
-  if (applied > config_.straggler_lag_entries) {
-    target = std::max(target, applied - config_.straggler_lag_entries);
-  }
   if (storage_ != nullptr && apply_cursor_ > local_snapshot_idx_) {
     // A covering snapshot must be durable before CompactLog journals the
     // compact record and prunes WAL segments below the new base — a power
     // fail in between must still find a replayable floor.
     PersistLocalSnapshot(app_->SnapshotImage());
   }
-  raft_->CompactLog(target);
+  raft_->CompactLog(raft_->CompactionPoint(config_.straggler_lag_entries));
+}
+
+void ReplicatedServer::CompactIfLong() {
+  // The timer alone would let the log grow with the offered rate between two
+  // ticks. Compacting once the droppable prefix reaches the retention keeps
+  // it within twice the retention plus the unapplied tail.
+  const LogIndex retention = raft_->options().log_retention_entries;
+  if (!failed() && raft_->CompactionPoint(config_.straggler_lag_entries) >=
+                       raft_->log().first_index() - 1 + retention) {
+    CompactNow();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -835,6 +838,7 @@ void ReplicatedServer::Complete(TimeNs cost, LogIndex applied, const RequestId& 
                body = std::move(body)]() {
     if (applied != kNoLogIndex) {
       raft_->OnApplied(applied);
+      CompactIfLong();
     }
     if (answer == Answer::kNone || failed()) {
       return;

@@ -253,8 +253,9 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   // stages are marked on the copy that replies (`mark_stages`).
   ExecResult Execute(const RpcRequest& request, bool mark_stages);
   // After `cost` on the app thread: reports `applied` to Raft (kNoLogIndex:
-  // none) and, on a live node, sends `answer` to `rid`'s client, then repays
-  // its admission slot when `feedback`.
+  // none) and compacts if the log grew long, and, on a live node, sends
+  // `answer` to `rid`'s client, then repays its admission slot when
+  // `feedback`.
   void Complete(TimeNs cost, LogIndex applied, const RequestId& rid, Answer answer, Body body,
                 bool feedback);
   // Counts a repeat of the executed `rid` (Raft section 8) and returns the
@@ -271,7 +272,11 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   void ArmMaintenanceTimers();
   void ArmGcTimer();
   void ArmCompactionTimer();
+  // Snapshots, then compacts the log to RaftNode::CompactionPoint.
   void CompactNow();
+  // CompactNow once the prefix it would drop holds log_retention_entries
+  // entries; checked after every apply.
+  void CompactIfLong();
   // Writes the local snapshot (config + sessions + `app_state`, the image
   // through apply_cursor_) to the disk; the durable floor WAL replay restarts
   // from. The file shares the parts of `app_state` instead of copying them.

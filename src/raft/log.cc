@@ -52,25 +52,47 @@ size_t RaftLog::FreeRidSlot(uint64_t hash) const {
 }
 
 void RaftLog::RehashRids() {
-  std::vector<uint64_t> old;
-  old.swap(rid_slots_);
   size_t live = 0;
-  for (uint64_t slot : old) {
+  for (uint64_t slot : rid_slots_) {
     live += RidSlotLive(slot) ? 1 : 0;
   }
   size_t capacity = kMinRidSlots;
   while (capacity < 2 * (live + 1)) {
     capacity *= 2;
   }
-  rid_slots_.assign(capacity, 0);
   rid_slots_used_ = live;
+  if (capacity == rid_slots_.size()) {
+    PurgeDeadRids();
+    return;
+  }
+  const std::vector<uint64_t> old = std::exchange(rid_slots_, std::vector<uint64_t>(capacity, 0));
   for (uint64_t slot : old) {
     if (RidSlotLive(slot)) {
-      size_t pos = RidHash(At(slot & kRidIndexMask).rid) & (capacity - 1);
-      while (rid_slots_[pos] != 0) {
-        pos = (pos + 1) & (capacity - 1);
-      }
-      rid_slots_[pos] = slot;
+      rid_slots_[FreeRidSlot(RidHash(At(slot & kRidIndexMask).rid))] = slot;
+    }
+  }
+}
+
+void RaftLog::PurgeDeadRids() {
+  // An empty slot ends every probe path, so no live slot's path crosses the
+  // first one (the table is at most 3/4 full, so there is one): sweeping
+  // from just after it, each path lies before its slot.
+  const size_t mask = rid_slots_.size() - 1;
+  size_t start = 0;
+  while (rid_slots_[start] != 0) {
+    ++start;
+  }
+  for (uint64_t& slot : rid_slots_) {
+    slot = RidSlotLive(slot) ? slot : 0;
+  }
+  // Re-placing each live slot at the first empty slot of its path moves it
+  // back or leaves it; slots the sweep has passed are never emptied again,
+  // so every path re-placed so far stays unbroken.
+  for (size_t pos = (start + 1) & mask; pos != start; pos = (pos + 1) & mask) {
+    const uint64_t slot = rid_slots_[pos];
+    if (slot != 0) {
+      rid_slots_[pos] = 0;
+      rid_slots_[FreeRidSlot(RidHash(At(slot & kRidIndexMask).rid))] = slot;
     }
   }
 }

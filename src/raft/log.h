@@ -101,6 +101,8 @@ class RaftLog {
   // wins; dropping the entry it maps to (truncation or compaction) forgets
   // the rid, even when an older copy of it is still in the log.
   LogIndex FindRequest(const RequestId& rid) const;
+  // Slots in the rid index, dead and empty ones included.
+  size_t rid_capacity() const { return rid_slots_.size(); }
 
  private:
   // The rid index is an open-addressing table with linear probing. A slot
@@ -121,8 +123,11 @@ class RaftLog {
   // slot, or the empty one that ends the path.
   size_t FreeRidSlot(uint64_t hash) const;
   bool RidSlotLive(uint64_t slot) const;
-  // Rebuilds the table from its live slots, at most half full.
+  // Rebuilds the table from its live slots, at most half full; in place when
+  // that is its current capacity.
   void RehashRids();
+  // Empties the dead slots and re-places the live ones, in place.
+  void PurgeDeadRids();
 
   LogIndex base_index_ = 0;  // compaction point (0 = nothing compacted)
   Term base_term_ = 0;

@@ -1840,15 +1840,30 @@ LogIndex RaftNode::MinAppliedKnown() const {
   return min_applied;
 }
 
-void RaftNode::CompactLog(LogIndex idx) {
-  LogIndex safe = std::min(idx, applied_idx_);
+LogIndex RaftNode::CompactionPoint(LogIndex straggler_lag) const {
+  // Compact to the slowest node's applied index, but do not let one dead or
+  // glacial straggler pin memory forever: beyond the allowance, compaction
+  // proceeds and the straggler is repaired by snapshot when it returns.
+  LogIndex target = MinAppliedKnown();
+  if (applied_idx_ > straggler_lag) {
+    target = std::max(target, applied_idx_ - straggler_lag);
+  }
+  return std::min(target, CompactionCeiling());
+}
+
+LogIndex RaftNode::CompactionCeiling() const {
   // Keep a tail window beyond the strictly-safe point: if this node is later
   // elected, it can still repair moderately lagging followers point-to-point
   // instead of needing a full state transfer.
-  if (log_.last_index() <= options_.log_retention_entries) {
-    return;
+  const LogIndex last = log_.last_index();
+  if (last <= options_.log_retention_entries) {
+    return 0;
   }
-  safe = std::min(safe, log_.last_index() - options_.log_retention_entries);
+  return std::min(applied_idx_, last - options_.log_retention_entries);
+}
+
+void RaftNode::CompactLog(LogIndex idx) {
+  const LogIndex safe = std::min(idx, CompactionCeiling());
   if (safe >= log_.first_index()) {
     const Term safe_term = log_.TermAt(safe);
     log_.CompactPrefix(safe);

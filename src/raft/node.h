@@ -249,8 +249,15 @@ class RaftNode {
   // The server applied the entry at `idx` on its app thread.
   void OnApplied(LogIndex idx);
 
-  // Drops log entries at or below `idx` once every live node has applied
-  // them. Callers (the server's periodic GC) enforce the safety bound.
+  // The index compaction may drop the log through: MinAppliedKnown(),
+  // raised to within `straggler_lag` of this node's applied index, and
+  // clamped by CompactLog's rule. Below log().first_index() when nothing
+  // may go. The server compacts to it on its timer and once the
+  // prefix it frees reaches log_retention_entries entries.
+  LogIndex CompactionPoint(LogIndex straggler_lag) const;
+
+  // Drops log entries at or below `idx`, never past this node's applied
+  // index and always keeping the newest log_retention_entries entries.
   void CompactLog(LogIndex idx);
 
   // --- queries ---
@@ -377,6 +384,9 @@ class RaftNode {
   void ScheduleDurability(LogIndex tail);
   // Clears suspect mode once commit caught up to everything possibly acked.
   void MaybeClearSuspect();
+  // The most CompactLog may drop through: this node's applied index, short
+  // of the newest log_retention_entries entries.
+  LogIndex CompactionCeiling() const;
 
   // -- membership internals --
   bool AppendConfigEntry(MembershipConfigPtr config);

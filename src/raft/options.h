@@ -29,7 +29,10 @@ struct RaftTuning {
   uint32_t max_outstanding_ae = 2;
 
   // Compaction retention: CompactLog always keeps at least this many of the
-  // newest entries so a fresh leader can repair lagging followers.
+  // newest entries so a fresh leader can repair lagging followers. It also
+  // sets the length bound: the server compacts once the prefix it may drop
+  // holds this many entries, so a log stays within twice this plus its
+  // unapplied tail whatever the offered rate.
   LogIndex log_retention_entries = 4096;
 
   // --- Adversarial hardening (dissertation sections 9.6 and 6.4; see

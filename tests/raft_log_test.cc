@@ -242,6 +242,43 @@ TEST(RaftLogTest, DeadRidSlotsAreReusedAcrossCompactions) {
   }
 }
 
+// Bounded append/compact cycles, as a node that compacts on log length runs
+// them: the live rids stay between 1,500 and 2,000, so the table settles at
+// one capacity, and each rehash that purges the slots compaction left dead
+// rebuilds it in place. Every live rid stays found, every compacted one is
+// forgotten.
+TEST(RaftLogTest, BoundedCyclesPurgeDeadRidsAtOneCapacity) {
+  constexpr uint64_t kRetained = 1'500;
+  constexpr uint64_t kPerCycle = 500;
+  constexpr HostId kClients = 8;
+  RaftLog log;
+  std::vector<uint64_t> next_seq(kClients, 1);
+  std::vector<RequestId> rids;  // the rid at index i is rids[i - 1]
+  size_t capacity = 0;
+  for (int cycle = 0; cycle < 60; ++cycle) {
+    for (uint64_t i = 0; i < kPerCycle; ++i) {
+      const auto c = static_cast<HostId>(rids.size() % kClients);
+      rids.push_back(RequestId{c, next_seq[static_cast<size_t>(c)]});
+      // Each client's seqs are spread, as a shard group's log sees them.
+      next_seq[static_cast<size_t>(c)] += 1 + rids.size() % 3;
+      log.Append(MakeEntry(1, c, rids.back().seq));
+    }
+    if (log.size() > kRetained) {
+      log.CompactPrefix(log.last_index() - kRetained);
+    }
+    if (cycle == 4) {
+      capacity = log.rid_capacity();
+    } else if (cycle > 4) {
+      ASSERT_EQ(log.rid_capacity(), capacity) << "cycle " << cycle;
+    }
+    for (LogIndex idx = 1; idx <= log.last_index(); ++idx) {
+      ASSERT_EQ(log.FindRequest(rids[idx - 1]), idx >= log.first_index() ? idx : kNoLogIndex)
+          << "cycle " << cycle << " index " << idx;
+    }
+  }
+  EXPECT_EQ(capacity, 4'096u);
+}
+
 // Reference model: the rid index as a plain hash map, with the log's
 // documented rules (latest append wins; dropping the mapped index forgets
 // the rid; ResetTo forgets everything).
