@@ -321,7 +321,7 @@ void RaftNode::OnHeartbeat() {
   }
   if (options_.use_aggregator) {
     if (agg_active_) {
-      if (agg_last_send_ <= quiet_before) {
+      if (agg_stream_.last_send <= quiet_before) {
         MaybeSendAggAppend(/*heartbeat=*/true);
       }
     } else if (!ConfigChangeInFlight()) {
@@ -351,11 +351,7 @@ void RaftNode::OnHeartbeat() {
         if (auto* fr = obs::FrOf(sim_)) {
           fr->Note(sim_->Now(), options_.obs_id(), "agg-fallback", current_term_);
         }
-        agg_active_ = false;
-        agg_inflight_ = 0;
-        for (PeerState& st : peers_) {
-          st.direct_mode = true;
-        }
+        UseDirectStreams();
         TrySendAll();
       } else {
         for (NodeId p : active_config().voters) {
@@ -527,28 +523,19 @@ void RaftNode::BecomeLeader() {
               static_cast<unsigned long long>(current_term_));
   RecordRole(sim_, options_.obs_id(), current_term_, obs::FrRole::kLeader, suspect_);
 
-  for (NodeId p = 0; p < options_.cluster_size; ++p) {
-    PeerState& st = peers_[static_cast<size_t>(p)];
+  for (PeerState& st : peers_) {
+    st = PeerState{};
     st.next_idx = log_.last_index() + 1;
-    st.match_idx = 0;
-    st.applied_idx = 0;
-    st.inflight = 0;
-    st.commit_sent = 0;
-    st.paused_recovery = false;
     // Until the aggregator handshake completes, replicate point-to-point.
     st.direct_mode = options_.use_aggregator;
-    st.commit_acked = 0;
     // CheckQuorum grace period: a fresh leader gets one full window to
     // gather real responses before the quorum check may fire. Reads stay
     // gated separately by the current-term commit requirement.
     st.last_response = sim_->Now();
-    st.last_probe = 0;
   }
   lease_floor_ = sim_->Now();
   agg_active_ = false;
-  agg_inflight_ = 0;
-  agg_commit_sent_ = 0;
-  agg_next_idx_ = log_.last_index() + 1;
+  agg_stream_ = Stream{.next_idx = log_.last_index() + 1};
 
   scheduler_.Reset();
   scheduler_.SetMembers(active_config().voters);
@@ -762,11 +749,7 @@ bool RaftNode::AppendConfigEntry(MembershipConfigPtr config) {
   // must not commit entries at or beyond the config boundary. The heartbeat
   // re-probes the aggregator once the change commits.
   if (options_.use_aggregator) {
-    agg_active_ = false;
-    agg_inflight_ = 0;
-    for (PeerState& st : peers_) {
-      st.direct_mode = true;
-    }
+    UseDirectStreams();
   }
   if (!options_.assign_repliers) {
     announced_idx_ = idx;
@@ -970,6 +953,14 @@ void RaftNode::TrySendAll() {
   MaybeSendAggAppend(/*heartbeat=*/false);
 }
 
+void RaftNode::UseDirectStreams() {
+  agg_active_ = false;
+  agg_stream_.inflight = 0;
+  for (PeerState& st : peers_) {
+    st.direct_mode = true;
+  }
+}
+
 void RaftNode::MaybeSendAppend(NodeId peer, bool heartbeat) {
   if (role_ != RaftRole::kLeader) {
     return;
@@ -1002,33 +993,12 @@ void RaftNode::MaybeSendAppend(NodeId peer, bool heartbeat) {
     }
     return;
   }
-  if (!heartbeat) {
-    if (st.inflight >= options_.max_outstanding_ae || st.paused_recovery) {
-      return;
-    }
-  }
-  const LogIndex limit = ReplicationLimit();
-  LogIndex end = 0;
-  if (limit >= st.next_idx) {
-    end = std::min(limit, st.next_idx + options_.max_entries_per_ae - 1);
-  }
-  const bool has_entries = end >= st.next_idx;
-  const bool commit_news = st.commit_sent < commit_idx_;
-  if (!heartbeat && !has_entries && !commit_news) {
+  if (!heartbeat && st.paused_recovery) {
     return;
   }
-  const LogIndex prev = st.next_idx - 1;
-  auto msg = MakeMessage<AppendEntriesReq>(
-      current_term_, options_.id, prev, log_.TermAt(prev), commit_idx_,
-      has_entries ? CollectEntries(st.next_idx, end) : std::vector<WireEntry>{});
-  ++st.inflight;
-  st.commit_sent = commit_idx_;
-  st.last_send = sim_->Now();
-  if (has_entries) {
-    st.next_idx = end + 1;
+  if (MessagePtr msg = NextAppend(st, heartbeat, /*allow_commit_only=*/true)) {
+    env_->SendToPeer(peer, std::move(msg));
   }
-  ++stats_.ae_sent;
-  env_->SendToPeer(peer, std::move(msg));
 }
 
 void RaftNode::MaybeSendAggAppend(bool heartbeat) {
@@ -1038,42 +1008,45 @@ void RaftNode::MaybeSendAggAppend(bool heartbeat) {
   // Compaction can overtake the aggregator stream when followers progressed
   // through the direct path: anything below the compaction point has been
   // applied cluster-wide, so the stream can skip ahead safely.
-  agg_next_idx_ = std::max(agg_next_idx_, log_.first_index());
-  if (heartbeat && agg_inflight_ > 0) {
+  agg_stream_.next_idx = std::max(agg_stream_.next_idx, log_.first_index());
+  if (heartbeat && agg_stream_.inflight > 0) {
     // Possible loss in the aggregation path; rewind to the last index the
     // aggregator confirmed (the commit index it announced).
-    agg_next_idx_ = std::max(commit_idx_ + 1, log_.first_index());
-    agg_inflight_ = 0;
+    agg_stream_.next_idx = std::max(commit_idx_ + 1, log_.first_index());
+    agg_stream_.inflight = 0;
   }
-  if (!heartbeat && agg_inflight_ >= options_.max_outstanding_ae) {
-    return;
-  }
-  const LogIndex limit = ReplicationLimit();
-  LogIndex end = 0;
-  if (limit >= agg_next_idx_) {
-    end = std::min(limit, agg_next_idx_ + options_.max_entries_per_ae - 1);
-  }
-  const bool has_entries = end >= agg_next_idx_;
   // Unlike the direct streams, the aggregator path never sends commit-only
   // append_entries: AGG_COMMIT already tells every node the commit index,
   // and echoing it back would create an AE <-> AGG_COMMIT ping-pong that
   // floods the followers (and defeats the pipelining cap, since every
   // AGG_COMMIT frees the in-flight slots).
-  if (!heartbeat && !has_entries) {
-    return;
+  if (MessagePtr msg = NextAppend(agg_stream_, heartbeat, /*allow_commit_only=*/false)) {
+    env_->SendToAggregator(std::move(msg));
   }
-  const LogIndex prev = agg_next_idx_ - 1;
+}
+
+MessagePtr RaftNode::NextAppend(Stream& stream, bool heartbeat, bool allow_commit_only) {
+  if (!heartbeat && stream.inflight >= options_.max_outstanding_ae) {
+    return nullptr;
+  }
+  const LogIndex end =
+      std::min(ReplicationLimit(), stream.next_idx + options_.max_entries_per_ae - 1);
+  const bool has_entries = end >= stream.next_idx;
+  if (!heartbeat && !has_entries && !(allow_commit_only && stream.commit_sent < commit_idx_)) {
+    return nullptr;
+  }
+  const LogIndex prev = stream.next_idx - 1;
   auto msg = MakeMessage<AppendEntriesReq>(
       current_term_, options_.id, prev, log_.TermAt(prev), commit_idx_,
-      has_entries ? CollectEntries(agg_next_idx_, end) : std::vector<WireEntry>{});
-  ++agg_inflight_;
-  agg_commit_sent_ = commit_idx_;
-  agg_last_send_ = sim_->Now();
+      has_entries ? CollectEntries(stream.next_idx, end) : std::vector<WireEntry>{});
+  ++stream.inflight;
+  stream.commit_sent = commit_idx_;
+  stream.last_send = sim_->Now();
   if (has_entries) {
-    agg_next_idx_ = end + 1;
+    stream.next_idx = end + 1;
   }
   ++stats_.ae_sent;
-  env_->SendToAggregator(std::move(msg));
+  return msg;
 }
 
 std::pair<LogIndex, MembershipConfigPtr> RaftNode::ConfigCoveringIndex(LogIndex idx) const {
@@ -1113,20 +1086,8 @@ void RaftNode::SendSnapshot(NodeId peer) {
 }
 
 void RaftNode::OnInstallSnapshot(const InstallSnapshotReq& req) {
-  if (req.term() < current_term_) {
-    env_->SendToPeer(req.leader(), MakeMessage<InstallSnapshotRep>(
-                                       options_.id, current_term_, LogIndex{0}));
-    return;
-  }
-  if (req.term() > current_term_ || role_ != RaftRole::kFollower) {
-    BecomeFollower(req.term(), req.term() > current_term_);
-  }
-  leader_hint_ = req.leader();
-  last_leader_contact_ = sim_->Now();
-  AbandonPreVote();
-  ArmElectionTimer();
-
-  if (req.last_included() > commit_idx_) {
+  const bool current = AcceptLeader(req.term(), req.leader());
+  if (current && req.last_included() > commit_idx_) {
     ++stats_.snapshots_installed;
     bool kept_suffix = false;
     if (log_.Contains(req.last_included()) &&
@@ -1184,8 +1145,9 @@ void RaftNode::OnInstallSnapshot(const InstallSnapshotReq& req) {
       ReconcileRoleWithConfig();
     }
   }
-  env_->SendToPeer(req.leader(), MakeMessage<InstallSnapshotRep>(
-                                     options_.id, current_term_, req.last_included()));
+  env_->SendToPeer(req.leader(),
+                   MakeMessage<InstallSnapshotRep>(options_.id, current_term_,
+                                                   current ? req.last_included() : LogIndex{0}));
 }
 
 void RaftNode::OnInstallSnapshotRep(const InstallSnapshotRep& rep) {
@@ -1200,19 +1162,36 @@ void RaftNode::OnInstallSnapshotRep(const InstallSnapshotRep& rep) {
   st.last_response = sim_->Now();
   st.snapshot_inflight = false;
   if (rep.last_included() > 0) {
-    st.match_idx = std::max(st.match_idx, rep.last_included());
-    st.next_idx = std::max(st.next_idx, rep.last_included() + 1);
-    if (rep.last_included() > st.applied_idx) {
-      st.applied_idx = rep.last_included();
-      scheduler_.UpdateApplied(rep.from(), st.applied_idx);
-    }
-    AdvanceCommitFromMatches();
-    TryAnnounce();
-    if (!active_config().learners.empty()) {
-      MaybePromoteLearners();
-    }
-    MaybeSendAppend(rep.from(), false);
+    // The follower holds and has applied everything through the point.
+    RecordApplied(rep.from(), rep.last_included(), /*as_reported=*/false);
+    OnPeerProgress(rep.from(), rep.last_included(), /*waiting_recovery=*/false);
   }
+}
+
+void RaftNode::OnPeerProgress(NodeId peer, LogIndex match, bool waiting_recovery) {
+  PeerState& st = peers_[static_cast<size_t>(peer)];
+  st.match_idx = std::max(st.match_idx, match);
+  st.next_idx = std::max(st.next_idx, st.match_idx + 1);
+  st.paused_recovery = waiting_recovery;
+  if (st.direct_mode && agg_active_ && st.match_idx + 1 >= agg_stream_.next_idx) {
+    st.direct_mode = false;  // caught up; the aggregator stream covers it
+  }
+  AdvanceCommitFromMatches();
+  TryAnnounce();
+  MaybePromoteLearners();
+  if (!st.paused_recovery) {
+    MaybeSendAppend(peer, false);
+  }
+}
+
+bool RaftNode::RecordApplied(NodeId peer, LogIndex applied, bool as_reported) {
+  LogIndex& known = peers_[static_cast<size_t>(peer)].applied_idx;
+  const bool rose = applied > known;
+  if (rose || (as_reported && applied < known)) {
+    known = applied;
+    scheduler_.UpdateApplied(peer, applied);
+  }
+  return rose;
 }
 
 void RaftNode::AdvanceCommitFromMatches() {
@@ -1240,11 +1219,14 @@ void RaftNode::AdvanceCommitFromMatches() {
   const int32_t majority = cfg.majority();
   std::nth_element(matches.begin(), matches.begin() + (majority - 1), matches.end(),
                    std::greater<LogIndex>());
-  const LogIndex candidate = matches[static_cast<size_t>(majority - 1)];
-  // candidate > commit implies candidate is above the compaction point
-  // (base <= applied <= commit), so TermAt is safe to consult.
-  if (candidate > commit_idx_ && log_.TermAt(candidate) == current_term_) {
-    SetCommit(candidate);
+  CommitIfCurrentTerm(matches[static_cast<size_t>(majority - 1)]);
+}
+
+void RaftNode::CommitIfCurrentTerm(LogIndex idx) {
+  // idx > commit implies idx is above the compaction point (base <= applied
+  // <= commit), so TermAt is safe to consult.
+  if (idx > commit_idx_ && log_.TermAt(idx) == current_term_) {
+    SetCommit(idx);
   }
 }
 
@@ -1302,9 +1284,7 @@ void RaftNode::SetCommit(LogIndex commit) {
   if (role_ == RaftRole::kLeader) {
     // Followers learn the new commit index with the next append_entries.
     TrySendAll();
-    if (!active_config().learners.empty()) {
-      MaybePromoteLearners();
-    }
+    MaybePromoteLearners();
     if (!active_config().IsVoter(options_.id) && !ConfigChangeInFlight()) {
       // Our own removal just committed: the commit index went out with the
       // appends above; now step down (dissertation section 4.2.2). The
@@ -1320,60 +1300,50 @@ void RaftNode::SetCommit(LogIndex commit) {
 // Follower append path
 // ---------------------------------------------------------------------------
 
-void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator) {
-  ++stats_.ae_received;
-  if (req.term() < current_term_) {
-    env_->SendToPeer(req.leader(),
-                     MakeMessage<AppendEntriesRep>(options_.id, current_term_, false,
-                                                   LogIndex{0}, applied_idx_,
-                                                   log_.last_index(), false, commit_idx_));
-    return;
+bool RaftNode::AcceptLeader(Term term, NodeId leader) {
+  if (term < current_term_) {
+    return false;
   }
-  if (req.term() > current_term_ || role_ != RaftRole::kFollower) {
-    BecomeFollower(req.term(), /*reset_vote=*/req.term() > current_term_);
+  if (term > current_term_ || role_ != RaftRole::kFollower) {
+    BecomeFollower(term, /*reset_vote=*/term > current_term_);
   }
-  leader_hint_ = req.leader();
+  leader_hint_ = leader;
   last_leader_contact_ = sim_->Now();
   AbandonPreVote();  // a live leader voids any poll in progress
   ArmElectionTimer();
+  return true;
+}
 
-  // Consistency check at prev. Anything at or below our compaction point is
-  // committed and therefore matches by construction.
-  LogIndex prev = req.prev_idx();
-  Term prev_term = req.prev_term();
-  const LogIndex base = log_.first_index() - 1;
-  if (prev > log_.last_index()) {
-    env_->SendToPeer(req.leader(),
-                     MakeMessage<AppendEntriesRep>(options_.id, current_term_, false,
-                                                   LogIndex{0}, applied_idx_,
-                                                   log_.last_index(), false, commit_idx_));
-    return;
+void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator) {
+  ++stats_.ae_received;
+  // A refusal (stale term, or no match at prev) goes straight back to the
+  // leader, hinting the last index at which our log may still match.
+  bool success = false;
+  LogIndex hint = log_.last_index();
+  AppendOutcome outcome;
+  if (AcceptLeader(req.term(), req.leader())) {
+    // Consistency check at prev. Anything at or below our compaction point
+    // is committed and therefore matches by construction.
+    const LogIndex prev = req.prev_idx();
+    if (prev > log_.last_index() ||
+        (prev >= log_.first_index() - 1 && log_.TermAt(prev) != req.prev_term())) {
+      hint = std::min(log_.last_index(), prev - 1);
+    } else {
+      success = true;
+      outcome = AppendResolvedEntries(req);
+      pending_ae_ =
+          outcome.waiting_recovery ? std::make_unique<AppendEntriesReq>(req) : nullptr;
+      pending_ae_via_agg_ = via_aggregator;
+      if (const LogIndex c = std::min(req.leader_commit(), outcome.match); c > commit_idx_) {
+        SetCommit(c);
+      }
+      hint = log_.last_index();
+    }
   }
-  if (prev >= base && log_.TermAt(prev) != prev_term) {
-    const LogIndex hint = std::min(log_.last_index(), prev - 1);
-    env_->SendToPeer(req.leader(),
-                     MakeMessage<AppendEntriesRep>(options_.id, current_term_, false,
-                                                   LogIndex{0}, applied_idx_, hint, false,
-                                                   commit_idx_));
-    return;
-  }
-
-  const AppendOutcome outcome = AppendResolvedEntries(req);
-  if (outcome.waiting_recovery) {
-    pending_ae_ = std::make_unique<AppendEntriesReq>(req);
-    pending_ae_via_agg_ = via_aggregator;
-  } else {
-    pending_ae_.reset();
-  }
-
-  const LogIndex new_commit = std::min(req.leader_commit(), outcome.match);
-  if (new_commit > commit_idx_) {
-    SetCommit(new_commit);
-  }
-
-  auto rep = MakeMessage<AppendEntriesRep>(options_.id, current_term_, true, outcome.match,
-                                           applied_idx_, log_.last_index(),
-                                           outcome.waiting_recovery, commit_idx_);
+  auto rep = MakeMessage<AppendEntriesRep>(options_.id, current_term_, success, outcome.match,
+                                           applied_idx_, hint, outcome.waiting_recovery,
+                                           commit_idx_);
+  const bool to_aggregator = success && via_aggregator;
   // Durability: the acknowledged entries must hit the local WAL first. The
   // flush device completes barriers in order, so deferred replies stay FIFO
   // and the leader's match index remains monotone.
@@ -1389,7 +1359,7 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
     const uint64_t epoch = restart_epoch_;
     const Term term = current_term_;
     const Term tail_term = log_.TermAt(outcome.match);
-    auto ack = [this, rep, epoch, term, tail_term, reply_leader, via_aggregator]() {
+    auto ack = [this, rep, epoch, term, tail_term, reply_leader, to_aggregator]() {
       if (halted_ || epoch != restart_epoch_ || term != current_term_) {
         ++stats_.acks_dropped_crash;
         return;
@@ -1399,7 +1369,7 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
           (tail < log_.first_index() || log_.TermAt(tail) == tail_term)) {
         durable_index_ = tail;
       }
-      if (via_aggregator) {
+      if (to_aggregator) {
         env_->SendToAggregator(rep);
       } else {
         env_->SendToPeer(reply_leader, rep);
@@ -1417,7 +1387,7 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
     // failure in the window un-commits entries the leader already counted.
     ScheduleDurability(outcome.match);
   }
-  if (via_aggregator) {
+  if (to_aggregator) {
     env_->SendToAggregator(std::move(rep));
   } else {
     env_->SendToPeer(reply_leader, std::move(rep));
@@ -1576,29 +1546,10 @@ void RaftNode::OnAppendEntriesRep(const AppendEntriesRep& rep) {
   if (st.inflight > 0) {
     --st.inflight;
   }
-  if (rep.applied() > st.applied_idx) {
-    st.applied_idx = rep.applied();
-    scheduler_.UpdateApplied(rep.from(), rep.applied());
-  }
-  if (rep.commit() > st.commit_acked) {
-    st.commit_acked = rep.commit();
-  }
+  RecordApplied(rep.from(), rep.applied(), /*as_reported=*/true);
+  st.commit_acked = std::max(st.commit_acked, rep.commit());
   if (rep.success()) {
-    st.match_idx = std::max(st.match_idx, rep.match());
-    st.next_idx = std::max(st.next_idx, st.match_idx + 1);
-    st.paused_recovery = rep.waiting_recovery();
-    if (options_.use_aggregator && st.direct_mode && agg_active_ &&
-        st.match_idx + 1 >= agg_next_idx_) {
-      st.direct_mode = false;  // caught up; the aggregator stream covers it
-    }
-    AdvanceCommitFromMatches();
-    TryAnnounce();
-    if (!active_config().learners.empty()) {
-      MaybePromoteLearners();
-    }
-    if (!st.paused_recovery) {
-      MaybeSendAppend(rep.from(), false);
-    }
+    OnPeerProgress(rep.from(), rep.match(), rep.waiting_recovery());
   } else {
     if (rep.last_hint() < st.match_idx) {
       // The follower's log ends below what it once acknowledged: its WAL
@@ -1619,9 +1570,7 @@ void RaftNode::OnAppendEntriesRep(const AppendEntriesRep& rep) {
     const LogIndex backoff = std::min(st.next_idx - 1, rep.last_hint() + 1);
     st.next_idx = std::max(backoff, st.match_idx + 1);
     st.inflight = 0;
-    if (options_.use_aggregator) {
-      st.direct_mode = true;
-    }
+    st.direct_mode = options_.use_aggregator;
     MaybeSendAppend(rep.from(), false);
   }
 }
@@ -1760,33 +1709,23 @@ void RaftNode::OnAggCommit(const AggCommitMsg& msg) {
     ArmElectionTimer();
   }
   if (role_ == RaftRole::kLeader) {
-    agg_inflight_ = 0;
+    agg_stream_.inflight = 0;
     last_agg_commit_ = sim_->Now();
     const auto& applied = msg.applied();
     for (NodeId p = 0; p < options_.cluster_size && static_cast<size_t>(p) < applied.size();
          ++p) {
-      if (p == options_.id) {
-        continue;
-      }
-      PeerState& st = peers_[static_cast<size_t>(p)];
-      if (applied[static_cast<size_t>(p)] > st.applied_idx) {
-        st.applied_idx = applied[static_cast<size_t>(p)];
-        scheduler_.UpdateApplied(p, st.applied_idx);
-        // Fresh apply progress is genuine evidence this follower is alive;
-        // the aggregator's max-over-time match register is not.
-        st.last_response = sim_->Now();
+      // Fresh apply progress is genuine evidence this follower is alive;
+      // the aggregator's max-over-time match register is not.
+      if (p != options_.id &&
+          RecordApplied(p, applied[static_cast<size_t>(p)], /*as_reported=*/false)) {
+        peers_[static_cast<size_t>(p)].last_response = sim_->Now();
       }
     }
-    if (!active_config().learners.empty()) {
-      // A learner served by the aggregator stream reports progress only
-      // through the applied vector above; this is its promotion path.
-      MaybePromoteLearners();
-    }
+    // A learner served by the aggregator stream reports progress only
+    // through the applied vector above; this is its promotion path.
+    MaybePromoteLearners();
   }
-  const LogIndex new_commit = std::min(msg.commit(), log_.last_index());
-  if (new_commit > commit_idx_ && log_.TermAt(new_commit) == current_term_) {
-    SetCommit(new_commit);
-  }
+  CommitIfCurrentTerm(std::min(msg.commit(), log_.last_index()));
   if (role_ == RaftRole::kLeader) {
     TryAnnounce();
     MaybeSendAggAppend(false);
@@ -1807,7 +1746,7 @@ void RaftNode::OnAggVoteRep(const AggVoteRep& rep) {
   last_agg_commit_ = sim_->Now();  // start the silence clock at activation
   // Stream from the last quorum-confirmed point; overlapping entries are
   // deduplicated by the followers' consistency check.
-  agg_next_idx_ = std::max(commit_idx_ + 1, log_.first_index());
+  agg_stream_.next_idx = std::max(commit_idx_ + 1, log_.first_index());
   for (PeerState& st : peers_) {
     st.direct_mode = false;
   }

@@ -302,16 +302,22 @@ class RaftNode {
   bool retired() const { return retired_; }
 
  private:
-  struct PeerState {
+  // One pipelined append_entries stream, to a peer or (HovercRaft++) to the
+  // aggregator. NextAppend builds the messages of both.
+  struct Stream {
     LogIndex next_idx = 1;
-    LogIndex match_idx = 0;
-    LogIndex applied_idx = 0;
     uint32_t inflight = 0;
     LogIndex commit_sent = 0;
+    TimeNs last_send = 0;  // last AE/snapshot handed to this stream
+  };
+
+  // A peer's direct stream plus what the peer told us.
+  struct PeerState : Stream {
+    LogIndex match_idx = 0;
+    LogIndex applied_idx = 0;      // written only by RecordApplied
     bool paused_recovery = false;  // follower told us it awaits a payload
     bool direct_mode = false;      // ++: fell back to point-to-point
     bool snapshot_inflight = false;
-    TimeNs last_send = 0;  // last AE/snapshot handed to this peer
     // Last time any current-term reply from this peer reached us directly
     // (AE/snapshot/vote reply). CheckQuorum and the read lease count a peer
     // as "in contact" while this is fresh. In aggregator mode the leader
@@ -349,16 +355,36 @@ class RaftNode {
   void OnHeartbeat();
 
   // -- leader replication --
+  // Stops the aggregator stream; every follower goes point-to-point.
+  void UseDirectStreams();
   void TryAnnounce();
   void TrySendAll();
   void MaybeSendAppend(NodeId peer, bool heartbeat);
   void SendSnapshot(NodeId peer);
   void MaybeSendAggAppend(bool heartbeat);
+  // The next append_entries of `stream`, advancing it; null when there is
+  // nothing new to send (entries, or with `allow_commit_only` a newer commit).
+  MessagePtr NextAppend(Stream& stream, bool heartbeat, bool allow_commit_only);
   std::vector<WireEntry> CollectEntries(LogIndex from, LogIndex to) const;
+  // `peer` holds our log through `match` (AE reply or installed snapshot).
+  void OnPeerProgress(NodeId peer, LogIndex match, bool waiting_recovery);
+  // The one writer of a peer's applied index; tells the scheduler. A direct
+  // AE reply sets it as reported, even lower (a follower restored from an
+  // older snapshot; or a reply held for the WAL sync that lands after a later
+  // refusal, which only makes us more cautious). A snapshot point or AGG_COMMIT
+  // only raises it, so in HovercRaft++ (the aggregator keeps a max over time) a
+  // restored follower keeps its old index. Returns whether it rose.
+  bool RecordApplied(NodeId peer, LogIndex applied, bool as_reported);
   void AdvanceCommitFromMatches();
+  // Raft section 5.4.2: commits through `idx` only if it holds an entry of
+  // the current term; replicas of an older term's entry do not count.
+  void CommitIfCurrentTerm(LogIndex idx);
   void SetCommit(LogIndex commit);
 
   // -- follower append path --
+  // False for a stale `term`; otherwise follows `leader` at `term` and
+  // restarts the election timer.
+  bool AcceptLeader(Term term, NodeId leader);
   // Appends as many entries as have resolvable payloads; returns the new
   // match index and whether a payload is missing.
   struct AppendOutcome {
@@ -454,10 +480,7 @@ class RaftNode {
 
   // Aggregator stream state (HovercRaft++, leader side).
   bool agg_active_ = false;
-  LogIndex agg_next_idx_ = 1;
-  uint32_t agg_inflight_ = 0;
-  LogIndex agg_commit_sent_ = 0;
-  TimeNs agg_last_send_ = 0;
+  Stream agg_stream_;
   // Last AGG_COMMIT accepted while leading; a healthy aggregator emits one
   // every heartbeat, so silence past the CheckQuorum window (with the direct
   // probes still answered) means the aggregator died, not the followers.

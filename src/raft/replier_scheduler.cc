@@ -12,7 +12,6 @@ ReplierScheduler::ReplierScheduler(int32_t cluster_size, NodeId self, ReplierPol
       bound_(bound),
       rng_(seed),
       assigned_(static_cast<size_t>(cluster_size)),
-      applied_(static_cast<size_t>(cluster_size), 0),
       is_member_(static_cast<size_t>(cluster_size), 1) {
   HC_CHECK_GT(cluster_size, 0);
   HC_CHECK_GT(bound, 0);
@@ -21,12 +20,8 @@ ReplierScheduler::ReplierScheduler(int32_t cluster_size, NodeId self, ReplierPol
 void ReplierScheduler::UpdateApplied(NodeId node, LogIndex applied) {
   HC_CHECK_GE(node, 0);
   HC_CHECK_LT(node, cluster_size_);
-  auto& a = applied_[static_cast<size_t>(node)];
-  if (applied > a) {
-    a = applied;
-  }
   auto& queue = assigned_[static_cast<size_t>(node)];
-  while (!queue.empty() && queue.front() <= a) {
+  while (!queue.empty() && queue.front() <= applied) {
     queue.pop_front();
   }
 }

@@ -21,7 +21,11 @@ class ReplierScheduler {
   ReplierScheduler(int32_t cluster_size, NodeId self, ReplierPolicy policy, int64_t bound,
                    uint64_t seed);
 
-  // Records that node `node` has applied the log through `applied`.
+  // Records that node `node` has applied the log through `applied`: its
+  // assignments at or below it are done. The leader keeps the one copy of
+  // each node's applied index and passes it here. A report below an earlier
+  // one pops nothing: the earlier one left only assignments above it, and
+  // later ones lie above the commit index, which no report exceeds.
   void UpdateApplied(NodeId node, LogIndex applied);
 
   // Picks a replier for log index `idx` and records the assignment, or
@@ -55,7 +59,6 @@ class ReplierScheduler {
   Rng rng_;
   // Per node: assigned log indices not yet covered by its applied index.
   std::vector<std::deque<LogIndex>> assigned_;
-  std::vector<LogIndex> applied_;
   // Eligibility bitmap (1 = member). Checked before the per-node RNG draw so
   // that with all nodes member (the static default) the draw sequence is
   // identical to a build without membership support.

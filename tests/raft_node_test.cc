@@ -4,7 +4,9 @@
 // independently of the network cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -76,6 +78,13 @@ class MiniEnv final : public RaftNode::Env {
     unordered_[request->rid()] = std::move(request);
   }
 
+  // What this node applied at each index: the entry's term, rid and body.
+  struct Applied {
+    Term term = 0;
+    RequestId rid;
+    std::shared_ptr<const RpcRequest> request;
+  };
+  std::map<LogIndex, Applied> applied_at;
   std::vector<RequestId> applied_rids;
   uint64_t snapshots_restored = 0;
   std::vector<bool> leadership_changes;
@@ -170,6 +179,7 @@ class MiniHarness {
 
   RaftNode& node(NodeId n) { return *nodes_[static_cast<size_t>(n)]; }
   MiniEnv& env(NodeId n) { return *envs_[static_cast<size_t>(n)]; }
+  StableStorage& storage(NodeId n) { return *storages_[static_cast<size_t>(n)]; }
 
   static std::shared_ptr<const RpcRequest> Req(HostId client, uint64_t seq,
                                                bool read_only = false) {
@@ -202,6 +212,7 @@ void MiniEnv::OnCommitAdvanced(LogIndex commit) {
   while (applied_ < commit) {
     ++applied_;
     const LogEntry& e = node.log().At(applied_);
+    applied_at[applied_] = Applied{e.term, e.rid, e.request};
     if (!e.noop) {
       applied_rids.push_back(e.rid);
     }
@@ -953,6 +964,272 @@ TEST(RaftNodeTest, FailureReplyBelowCompactionTriggersSnapshot) {
   EXPECT_EQ(h.node(straggler).commit_index(), h.node(leader).commit_index());
   // The tail beyond the snapshot replicated normally.
   EXPECT_EQ(h.env(straggler).applied_rids.size(), h.env(leader).applied_rids.size());
+}
+
+// ---------------------------------------------------------------------------
+// Safety rules pinned by scripted schedules
+// ---------------------------------------------------------------------------
+
+// Every node that applied an index applied the same entry there.
+void ExpectNoDivergentApplies(MiniHarness& h, int32_t n) {
+  std::map<LogIndex, std::pair<NodeId, MiniEnv::Applied>> first;
+  for (NodeId i = 0; i < n; ++i) {
+    for (const auto& [idx, a] : h.env(i).applied_at) {
+      const auto [it, fresh] = first.emplace(idx, std::make_pair(i, a));
+      if (!fresh) {
+        EXPECT_TRUE(a.term == it->second.second.term && a.rid == it->second.second.rid)
+            << "index " << idx << ": node " << i << " applied term " << a.term << ", node "
+            << it->second.first << " term " << it->second.second.term;
+      }
+    }
+  }
+}
+
+// Raft's current-term commit rule (section 5.4.2, the Raft paper's Figure 8),
+// with five nodes and one entry per append:
+//  (a) leader 0 of term t1 writes A at index 2 and reaches only node 1;
+//  (b) nodes 0 and 1 crash; node 2 wins the next term with the votes of 3 and
+//      4 and writes its no-op at index 2, which reaches nobody;
+//  (c) node 2 crashes; node 0 returns, wins a later term and repairs 3 and 4
+//      up to A, while its own no-op at index 3 is held back from them. A sits
+//      on four nodes, yet it must not commit: no entry of node 0's term is on
+//      a majority;
+//  (d) nodes 0 and 1 crash again; node 2 returns, wins with 3 and 4 (its last
+//      term beats their t1) and overwrites A with its no-op.
+// Had node 0 counted replicas of A in (c), nodes 0 and 1 would have applied A
+// where nodes 2, 3 and 4 apply node 2's no-op.
+TEST(RaftNodeTest, EntryOfAnEarlierTermCommitsOnlyUnderAnOwnTermEntry) {
+  RaftOptions opts;
+  opts.max_entries_per_ae = 1;
+  opts.pre_vote = false;      // a timeout alone moves the term
+  opts.check_quorum = false;  // a cut-off leader keeps its role
+  MiniHarness h(5, opts);
+  auto crash = [&h](NodeId n) {
+    h.Kill(n);
+    h.node(n).Halt();
+  };
+  auto restart = [&h](NodeId n) {
+    h.Revive(n);
+    h.node(n).Resume();
+  };
+  auto is_ae = [](const Message& m) { return dynamic_cast<const AppendEntriesReq*>(&m); };
+  h.StartAll();
+  ASSERT_EQ(h.WaitForLeader(), 0);
+  h.Run(Millis(2));
+  ASSERT_EQ(h.node(4).commit_index(), 1u);
+
+  // (a)
+  h.drop_filter = [](NodeId from, NodeId to, const Message&) { return (from < 2) != (to < 2); };
+  ASSERT_TRUE(h.node(0).SubmitRequest(MiniHarness::Req(1, 1)));
+  h.Run(Millis(1));
+  ASSERT_EQ(h.node(1).log().last_index(), 2u);
+  const Term t1 = h.node(0).log().TermAt(2);
+
+  // (b)
+  crash(0);
+  crash(1);
+  h.drop_filter = [is_ae](NodeId from, NodeId, const Message& m) {
+    return from == 2 && is_ae(m) != nullptr;
+  };
+  ASSERT_EQ(h.WaitForLeader(h.sim.Now() + Millis(100)), 2);
+  ASSERT_EQ(h.node(2).log().TermAt(2), h.node(2).term());
+
+  // (c)
+  crash(2);
+  restart(0);
+  restart(1);
+  h.drop_filter = [is_ae](NodeId from, NodeId to, const Message& m) {
+    const AppendEntriesReq* ae = is_ae(m);
+    return ae != nullptr && from == 0 && to >= 3 && ae->prev_idx() == 2 &&
+           !ae->entries().empty();
+  };
+  ASSERT_EQ(h.WaitForLeader(h.sim.Now() + Millis(100)), 0);
+  const Term t3 = h.node(0).term();
+  auto holders = [&h](LogIndex idx, Term term) {
+    int count = 0;
+    for (NodeId n = 0; n < 5; ++n) {
+      const RaftLog& log = h.node(n).log();
+      count += log.Contains(idx) && log.TermAt(idx) == term ? 1 : 0;
+    }
+    return count;
+  };
+  const TimeNs end = h.sim.Now() + Millis(20);
+  while (h.sim.Now() < end && h.sim.Step()) {
+    const LogIndex commit = h.node(0).commit_index();
+    if (commit >= 2) {
+      ASSERT_EQ(h.node(0).log().TermAt(commit), t3) << "commit " << commit;
+      ASSERT_GE(holders(commit, t3), 3) << "commit " << commit;
+    }
+  }
+  EXPECT_EQ(holders(2, t1), 4);  // A is on a majority...
+  EXPECT_EQ(holders(3, t3), 2);  // ...the leader's own no-op is not...
+  EXPECT_EQ(h.node(0).commit_index(), 1u);  // ...so A is not committed
+
+  // (d)
+  crash(0);
+  crash(1);
+  restart(2);
+  h.drop_filter = nullptr;
+  ASSERT_EQ(h.WaitForLeader(h.sim.Now() + Millis(100)), 2);
+  h.Run(Millis(10));
+  EXPECT_GE(h.node(3).commit_index(), 3u);
+  EXPECT_NE(h.node(3).log().TermAt(2), t1);  // A was overwritten
+  ExpectNoDivergentApplies(h, 5);
+}
+
+// HovercRaft's body-hash check (section 5): append_entries carries metadata
+// only, and a follower takes the body from its unordered set. Here one
+// follower holds a second body under the rid the leader orders, the forged
+// request "From Consensus to Chaos" describes. The follower must discard that
+// body, recover the leader's point-to-point and apply it.
+TEST(RaftNodeTest, SecondBodyUnderAnOrderedRidIsDiscardedAndRecovered) {
+  MiniHarness h(3, MetadataOptions());
+  h.StartAll();
+  const NodeId leader = h.WaitForLeader();
+  const NodeId forged = (leader + 1) % 3;
+  const NodeId healthy = (leader + 2) % 3;
+  const auto req = MiniHarness::Req(1, 1);
+  const auto second = std::make_shared<RpcRequest>(req->rid(), R2p2Policy::kReplicatedReq,
+                                                   MakeBody(std::vector<uint8_t>(24, 0xEE)));
+  ASSERT_NE(HashRequestBody(*second), HashRequestBody(*req));
+  h.env(forged).AddUnordered(second);
+  h.env(healthy).AddUnordered(req);
+  ASSERT_TRUE(h.node(leader).SubmitRequest(req));
+  h.Run(Millis(50));
+  EXPECT_GE(h.node(forged).stats().recoveries_requested, 1u);
+  for (NodeId n = 0; n < 3; ++n) {
+    const auto& applied = h.env(n).applied_at;
+    const auto it = std::find_if(applied.begin(), applied.end(),
+                                 [&req](const auto& a) { return a.second.rid == req->rid(); });
+    ASSERT_NE(it, applied.end()) << "node " << n;
+    ASSERT_NE(it->second.request, nullptr) << "node " << n;
+    EXPECT_EQ(HashRequestBody(*it->second.request), HashRequestBody(*req)) << "node " << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// InstallSnapshot, one arm per test
+// ---------------------------------------------------------------------------
+
+// Drops every append_entries to `follower` that tells it a commit index above
+// `committed`: it keeps taking entries but never learns they committed.
+std::function<bool(NodeId, NodeId, const Message&)> HideCommitsFrom(NodeId follower,
+                                                                   LogIndex committed) {
+  return [follower, committed](NodeId, NodeId to, const Message& m) {
+    const auto* ae = dynamic_cast<const AppendEntriesReq*>(&m);
+    return ae != nullptr && to == follower && ae->leader_commit() > committed;
+  };
+}
+
+// A snapshot from a deposed leader is refused with the receiver's term,
+// which is what deposes the sender, and installs nothing.
+TEST(RaftNodeTest, StaleInstallSnapshotIsRefusedWithTheCurrentTerm) {
+  MiniHarness h(3);
+  h.StartAll();
+  const NodeId leader = h.WaitForLeader();
+  const NodeId follower = (leader + 1) % 3;
+  const NodeId deposed = (leader + 2) % 3;
+  h.Run(Millis(2));
+  const Term term = h.node(follower).term();
+  const LogIndex commit = h.node(follower).commit_index();
+  std::vector<std::pair<Term, LogIndex>> replies;
+  h.drop_filter = [&replies, follower](NodeId from, NodeId, const Message& m) {
+    if (const auto* rep = dynamic_cast<const InstallSnapshotRep*>(&m); rep && from == follower) {
+      replies.emplace_back(rep->term(), rep->last_included());
+    }
+    return false;
+  };
+  h.node(follower).OnInstallSnapshot(InstallSnapshotReq(
+      term - 1, deposed, commit + 50, term - 1, h.env(leader).CaptureSnapshot().state));
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].first, term);
+  EXPECT_EQ(replies[0].second, 0u);
+  EXPECT_EQ(h.node(follower).term(), term);
+  EXPECT_EQ(h.node(follower).commit_index(), commit);
+  EXPECT_EQ(h.node(follower).stats().snapshots_installed, 0u);
+  EXPECT_EQ(h.env(follower).snapshots_restored, 0u);
+}
+
+// A snapshot that ends inside the follower's log, at an entry of the same
+// term, compacts the prefix and keeps the suffix beyond it: the entries stay
+// in the log, and their records stay in the WAL.
+TEST(RaftNodeTest, InstallSnapshotKeepsAMatchingSuffixAndItsWalRecords) {
+  MiniHarness h(3);
+  h.StartAll();
+  const NodeId leader = h.WaitForLeader();
+  const NodeId follower = (leader + 1) % 3;
+  h.Run(Millis(2));
+  const LogIndex committed = h.node(follower).commit_index();
+  h.drop_filter = HideCommitsFrom(follower, committed);
+  for (uint64_t i = 1; i <= 4; ++i) {
+    h.node(leader).SubmitRequest(MiniHarness::Req(1, i));
+  }
+  h.Run(Millis(2));
+  const RaftLog& log = h.node(follower).log();
+  const LogIndex point = committed + 1;
+  const LogIndex last = log.last_index();
+  ASSERT_EQ(h.node(follower).commit_index(), committed);
+  ASSERT_GT(last, point);
+
+  h.node(follower).OnInstallSnapshot(InstallSnapshotReq(h.node(leader).term(), leader, point,
+                                                        log.TermAt(point),
+                                                        h.env(leader).CaptureSnapshot().state));
+  EXPECT_EQ(h.node(follower).stats().snapshots_installed, 1u);
+  EXPECT_EQ(h.node(follower).commit_index(), point);
+  EXPECT_EQ(log.first_index(), point + 1);
+  ASSERT_EQ(log.last_index(), last);
+  for (LogIndex idx = point + 1; idx <= last; ++idx) {
+    EXPECT_EQ(log.At(idx).rid, h.node(leader).log().At(idx).rid) << "index " << idx;
+  }
+  const StableStorage::Recovery rec = h.storage(follower).Recover(/*protocol_aware=*/true);
+  EXPECT_EQ(rec.base_index, point);
+  ASSERT_EQ(rec.entries.size(), last - point);
+  for (size_t i = 0; i < rec.entries.size(); ++i) {
+    EXPECT_EQ(rec.entries[i].idx, point + 1 + i);
+  }
+}
+
+// The snapshot's config becomes the follower's committed base, and a config
+// entry in the kept suffix stays above it as the active config. Node 3 joins
+// and is promoted; the follower then takes a request and the entry removing
+// node 3 without hearing they committed, and a snapshot through the request
+// arrives.
+TEST(RaftNodeTest, InstallSnapshotKeepsConfigsAboveItsPoint) {
+  RaftOptions opts;
+  opts.initial_voters = 3;
+  MiniHarness h(4, opts);
+  h.StartAll();
+  ASSERT_EQ(h.WaitForLeader(), 0);
+  RaftNode& leader = h.node(0);
+  RaftNode& follower = h.node(1);
+  ASSERT_TRUE(leader.StartAddServer(3));
+  h.Run(Millis(5));
+  ASSERT_EQ(leader.active_config().voters.size(), 4u);
+  const LogIndex promoted = leader.active_config_idx();
+  ASSERT_EQ(follower.committed_config_idx(), promoted);
+  const LogIndex committed = follower.commit_index();
+  h.drop_filter = HideCommitsFrom(1, committed);
+  ASSERT_TRUE(leader.SubmitRequest(MiniHarness::Req(1, 1)));
+  ASSERT_TRUE(leader.StartRemoveServer(3));
+  const LogIndex removal = leader.active_config_idx();
+  h.Run(Millis(2));
+  const LogIndex point = committed + 1;
+  ASSERT_LT(point, removal);
+  ASSERT_GE(follower.log().last_index(), removal);
+  ASSERT_EQ(follower.active_config_idx(), removal);
+
+  const auto [config_idx, config] = leader.ConfigCoveringIndex(point);
+  ASSERT_EQ(config_idx, promoted);
+  follower.OnInstallSnapshot(InstallSnapshotReq(leader.term(), 0, point,
+                                                follower.log().TermAt(point),
+                                                h.env(0).CaptureSnapshot().state, config,
+                                                config_idx));
+  EXPECT_EQ(follower.stats().snapshots_installed, 1u);
+  EXPECT_EQ(follower.committed_config_idx(), promoted);
+  EXPECT_EQ(follower.active_config_idx(), removal);
+  EXPECT_EQ(follower.active_config().voters, std::vector<NodeId>({0, 1, 2}));
+  EXPECT_EQ(follower.ConfigAt(promoted), config);
+  EXPECT_NE(follower.ConfigAt(removal), nullptr);
 }
 
 }  // namespace

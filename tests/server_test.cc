@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -213,6 +214,77 @@ TEST(ServerAnswerTest, ForwardedLeaseGrantWaitsForARestartedReplierToCatchUp) {
   cluster.network().set_drop_filter(nullptr);
   RunFor(cluster, Millis(5));
   for (uint64_t seq = 2; seq <= 4; ++seq) {
+    EXPECT_EQ(client.ValuesFor(seq), std::vector<std::string>{"v1"}) << "seq " << seq;
+  }
+}
+
+// A direct AppendEntries reply carries the follower's own apply cursor, so
+// the leader takes the applied index it reports as it stands, also when it
+// went down (plain HovercRaft: in HovercRaft++ AGG_COMMIT carries the
+// aggregator's max over time and only raises it). The victim power-fails and recovers from its genesis snapshot; its
+// first reply after the restart reports an applied index below the one it
+// reported before the crash. From that reply on the leader's
+// MinAppliedKnown() reads the reported value and lease grants skip the
+// victim. The victim's later replies are held back until it has re-applied;
+// once they arrive it is granted reads again.
+TEST(ServerAnswerTest, RestartedFollowersFirstReplyLowersItsAppliedIndexAtTheLeader) {
+  ClusterConfig config = KvConfig(22);
+  config.raft.read_index = true;
+  config.server_template.disk_faults = true;
+  config.server_template.compaction_interval = Seconds(10);  // genesis stays the snapshot
+  Cluster cluster(config);
+  const NodeId leader = cluster.WaitForLeader();
+  ASSERT_NE(leader, kInvalidNode);
+  const RaftNode& raft = *cluster.server(leader).raft();
+  ScriptedClient client(cluster);
+  client.Send(cluster.ClientTarget(), client.Request(1, Set("k", "v1")));
+  RunFor(cluster, Millis(10));
+  ASSERT_EQ(client.ValuesFor(1).size(), 1u);
+  const LogIndex applied_before = raft.MinAppliedKnown();
+  ASSERT_GT(applied_before, 0u);
+
+  const NodeId victim = (leader + 1) % 3;
+  const HostId victim_host = cluster.server_host(victim);
+  cluster.PowerFailNode(victim);
+  RunFor(cluster, Millis(1));
+  cluster.RestartNode(victim);
+  bool held = false;
+  std::optional<LogIndex> reported;
+  cluster.network().set_drop_filter([&](const Packet& packet, HostId) {
+    if (packet.src != victim_host || packet.msg->kind() != MessageKind::kAeRep) {
+      return false;
+    }
+    if (!reported) {
+      reported = As<AppendEntriesRep>(*packet.msg)->applied();
+      return false;
+    }
+    return held;
+  });
+  held = true;
+  while (!reported) {
+    RunFor(cluster, Micros(10));
+  }
+  RunFor(cluster, Millis(1));
+  ASSERT_LT(*reported, applied_before);
+  EXPECT_EQ(raft.MinAppliedKnown(), *reported);
+  for (uint64_t seq = 2; seq <= 5; ++seq) {
+    client.Send(cluster.ClientTarget(), client.Request(seq, Get("k")));
+  }
+  RunFor(cluster, Millis(1));
+  const ServerStats& vs = cluster.server(victim).server_stats();
+  EXPECT_EQ(vs.read_index_remote, 0u);
+  EXPECT_EQ(vs.read_index_queued, 0u);
+  EXPECT_EQ(raft.MinAppliedKnown(), *reported);
+
+  held = false;
+  RunFor(cluster, Millis(5));
+  EXPECT_GE(raft.MinAppliedKnown(), applied_before);
+  for (uint64_t seq = 6; seq <= 9; ++seq) {
+    client.Send(cluster.ClientTarget(), client.Request(seq, Get("k")));
+  }
+  RunFor(cluster, Millis(5));
+  EXPECT_GE(vs.read_index_remote, 1u);
+  for (uint64_t seq = 2; seq <= 9; ++seq) {
     EXPECT_EQ(client.ValuesFor(seq), std::vector<std::string>{"v1"}) << "seq " << seq;
   }
 }
