@@ -182,7 +182,7 @@ void Nemesis::ForgedVotePressure() {
     if (node == forged_id || cluster_->server(node).failed()) {
       continue;
     }
-    cluster_->server(node).raft()->OnRequestVote(forged);
+    cluster_->server(node).raft()->OnMessage(forged, /*via_aggregator=*/false);
     ++injected;
   }
   Log("forged-vote: injected term " + std::to_string(max_term + 100) +

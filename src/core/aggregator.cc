@@ -15,7 +15,7 @@ Aggregator::Aggregator(Simulator* sim, const CostModel& costs, int32_t cluster_s
     : Host(sim, costs, Kind::kDevice),
       cluster_size_(cluster_size),
       match_(static_cast<size_t>(cluster_size), 0),
-      completed_(static_cast<size_t>(cluster_size), 0) {
+      completed_(static_cast<size_t>(cluster_size), AggCommitMsg::kNotReported) {
   HC_CHECK_GT(cluster_size, 0);
   voters_.reserve(static_cast<size_t>(cluster_size));
   for (NodeId n = 0; n < cluster_size; ++n) {
@@ -55,13 +55,7 @@ void Aggregator::Reconfigure(const std::vector<NodeId>& voters, LogIndex epoch) 
   // Registers counted under the old voter set are meaningless under the new
   // one — rebuild from empty, exactly as on a term change. The leader
   // re-probes (AGG_VOTE) and re-announces after the config commits.
-  leader_ = kInvalidNode;
-  std::fill(match_.begin(), match_.end(), 0);
-  std::fill(completed_.begin(), completed_.end(), 0);
-  leader_last_ = 0;
-  last_announced_ = 0;
-  commit_ = 0;
-  pending_ = false;
+  ResetRegisters();
   ++stats_.reconfigures;
 }
 
@@ -76,14 +70,18 @@ NodeId Aggregator::NodeOfHost(HostId host) const {
 
 void Aggregator::Flush(Term term) {
   term_ = term;
+  ResetRegisters();
+  ++stats_.flushes;
+}
+
+void Aggregator::ResetRegisters() {
   leader_ = kInvalidNode;
   std::fill(match_.begin(), match_.end(), 0);
-  std::fill(completed_.begin(), completed_.end(), 0);
+  std::fill(completed_.begin(), completed_.end(), AggCommitMsg::kNotReported);
   leader_last_ = 0;
   last_announced_ = 0;
   commit_ = 0;
   pending_ = false;
-  ++stats_.flushes;
 }
 
 void Aggregator::HandleMessage(HostId src, const MessagePtr& msg) {
@@ -153,8 +151,7 @@ void Aggregator::OnFollowerReply(HostId src, const AppendEntriesRep& rep) {
   ++stats_.replies_absorbed;
   auto& match = match_[static_cast<size_t>(follower)];
   match = std::max(match, rep.match());
-  auto& completed = completed_[static_cast<size_t>(follower)];
-  completed = std::max(completed, rep.applied());
+  completed_[static_cast<size_t>(follower)] = rep.applied();
 
   // Quorum commit over the configured voter set: a voting leader always holds
   // its announced entries, so the commit index is the (majority-1)-th largest

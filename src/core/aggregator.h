@@ -53,6 +53,8 @@ class Aggregator final : public Host {
  private:
   NodeId NodeOfHost(HostId host) const;
   void Flush(Term term);
+  // Empties the soft-state registers (term change or reconfiguration).
+  void ResetRegisters();
   void OnLeaderAppend(HostId src, const AppendEntriesReq& req);
   void OnFollowerReply(HostId src, const AppendEntriesRep& rep);
   void SendAggCommit();
@@ -72,7 +74,9 @@ class Aggregator final : public Host {
   Term term_ = 0;
   NodeId leader_ = kInvalidNode;
   std::vector<LogIndex> match_;      // ingress registers
-  std::vector<LogIndex> completed_;  // egress registers (applied indices)
+  // Egress registers: the applied index of each follower's latest success
+  // reply, AggCommitMsg::kNotReported before its first since a reset.
+  std::vector<LogIndex> completed_;
   LogIndex leader_last_ = 0;
   LogIndex last_announced_ = 0;
   LogIndex commit_ = 0;

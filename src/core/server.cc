@@ -53,7 +53,7 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
     disk_->set_node(obs_node_id());
     storage_ = std::make_unique<StableStorage>(disk_.get(), config_.fsync_policy);
     storage_->set_node(obs_node_id());
-    raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this, storage_.get());
+    raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this, storage_.get(), &unordered_);
     // Genesis snapshot: recovery always finds a durable floor to replay from,
     // even if the node power-fails before the first compaction. Imaging here,
     // while the deployment is still being built, publishes the app's parts
@@ -299,39 +299,6 @@ void ReplicatedServer::HandleMessage(HostId src, const MessagePtr& msg) {
   }
   const Message& m = *msg;
   switch (m.kind()) {
-    case MessageKind::kAeReq:
-      raft_->OnAppendEntries(static_cast<const AppendEntriesReq&>(m),
-                             /*via_aggregator=*/src == aggregator_host_);
-      break;
-    case MessageKind::kAeRep:
-      raft_->OnAppendEntriesRep(static_cast<const AppendEntriesRep&>(m));
-      break;
-    case MessageKind::kVoteReq:
-    case MessageKind::kPreVoteReq:
-      raft_->OnRequestVote(static_cast<const RequestVoteReq&>(m));
-      break;
-    case MessageKind::kVoteRep:
-    case MessageKind::kPreVoteRep:
-      raft_->OnRequestVoteRep(static_cast<const RequestVoteRep&>(m));
-      break;
-    case MessageKind::kAggCommit:
-      raft_->OnAggCommit(static_cast<const AggCommitMsg&>(m));
-      break;
-    case MessageKind::kAggVoteRep:
-      raft_->OnAggVoteRep(static_cast<const AggVoteRep&>(m));
-      break;
-    case MessageKind::kRecoveryReq:
-      raft_->OnRecoveryReq(static_cast<const RecoveryReq&>(m));
-      break;
-    case MessageKind::kRecoveryRep:
-      raft_->OnRecoveryRep(static_cast<const RecoveryRep&>(m));
-      break;
-    case MessageKind::kSnapshotReq:
-      raft_->OnInstallSnapshot(static_cast<const InstallSnapshotReq&>(m));
-      break;
-    case MessageKind::kSnapshotRep:
-      raft_->OnInstallSnapshotRep(static_cast<const InstallSnapshotRep&>(m));
-      break;
     case MessageKind::kReadIndexGrant:
       OnReadIndexGrant(static_cast<const ReadIndexGrantMsg&>(m));
       break;
@@ -339,7 +306,7 @@ void ReplicatedServer::HandleMessage(HostId src, const MessagePtr& msg) {
       OnFcReconcile(src, static_cast<const FcReconcileReq&>(m));
       break;
     default:
-      HC_LOG_WARN("server %d: unexpected message %s", node_id(), m.Name());
+      raft_->OnMessage(m, /*via_aggregator=*/src == aggregator_host_);
   }
 }
 
@@ -922,19 +889,6 @@ void ReplicatedServer::SendToAggregator(MessagePtr msg) {
   }
   const TimeNs extra = ProtocolCpu(*msg);
   Send(aggregator_host_, std::move(msg), extra);
-}
-
-std::shared_ptr<const RpcRequest> ReplicatedServer::LookupUnordered(const RequestId& rid) {
-  return unordered_.Lookup(rid);
-}
-
-void ReplicatedServer::ConsumeUnordered(const RequestId& rid) { unordered_.Erase(rid); }
-
-void ReplicatedServer::StoreRecovered(const RequestId& rid,
-                                      std::shared_ptr<const RpcRequest> request) {
-  HC_CHECK(request != nullptr);
-  HC_CHECK(rid == request->rid());
-  unordered_.Insert(std::move(request), sim()->Now());
 }
 
 RaftNode::Env::SnapshotCapture ReplicatedServer::CaptureSnapshot() {

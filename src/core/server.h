@@ -21,12 +21,12 @@
 #include "src/app/state_machine.h"
 #include "src/common/types.h"
 #include "src/core/session_table.h"
-#include "src/core/unordered_store.h"
 #include "src/net/host.h"
 #include "src/r2p2/messages.h"
 #include "src/r2p2/shard.h"
 #include "src/raft/node.h"
 #include "src/raft/options.h"
+#include "src/raft/unordered_store.h"
 #include "src/storage/fsync_policy.h"
 #include "src/storage/sim_disk.h"
 #include "src/storage/stable_storage.h"
@@ -170,9 +170,6 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   // --- RaftNode::Env ---
   void SendToPeer(NodeId peer, MessagePtr msg) override;
   void SendToAggregator(MessagePtr msg) override;
-  std::shared_ptr<const RpcRequest> LookupUnordered(const RequestId& rid) override;
-  void ConsumeUnordered(const RequestId& rid) override;
-  void StoreRecovered(const RequestId& rid, std::shared_ptr<const RpcRequest> request) override;
   SnapshotCapture CaptureSnapshot() override;
   void RestoreSnapshot(const Body& state, LogIndex last_included, Term included_term,
                        MembershipConfigPtr config, LogIndex config_idx) override;
@@ -197,7 +194,6 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   StateMachine& app() { return *app_; }
   const StateMachine& app() const { return *app_; }
   const ServerStats& server_stats() const { return stats_; }
-  const UnorderedStore& unordered() const { return unordered_; }
   const SessionTable& sessions() const { return sessions_; }
   NodeId node_id() const { return config_.raft.id; }
   // Observability namespace: the group-local node id shifted into this
@@ -293,13 +289,13 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   ServerConfig config_;
   std::function<std::unique_ptr<StateMachine>()> app_factory_;
   std::unique_ptr<StateMachine> app_;
-  // Simulated durable media + WAL (replicated modes only); declared before
-  // raft_ so storage outlives the node that writes to it.
+  // Simulated durable media + WAL (replicated modes only) and the unordered
+  // set; declared before raft_ so they outlive the node that uses them.
   std::unique_ptr<SimDisk> disk_;
   std::unique_ptr<StableStorage> storage_;
+  UnorderedStore unordered_;
   std::unique_ptr<RaftNode> raft_;
   SerialResource app_thread_;
-  UnorderedStore unordered_;
   // Replicated client sessions: a deterministic function of the applied log
   // prefix, so it survives Restart() alongside the application state and
   // travels inside snapshots (serialized ahead of the app bytes).

@@ -243,6 +243,9 @@ class ReadIndexGrantMsg final : public Message {
 class AggCommitMsg final : public Message {
  public:
   static constexpr MessageKind kKind = MessageKind::kAggCommit;
+  // applied()[n] when node n has sent no success reply through the
+  // aggregator since its registers were last reset.
+  static constexpr LogIndex kNotReported = ~LogIndex{0};
   AggCommitMsg(Term term, LogIndex commit, std::vector<LogIndex> applied, LogIndex epoch = 0)
       : Message(kKind), term_(term), commit_(commit), applied_(std::move(applied)), epoch_(epoch) {}
 

@@ -25,10 +25,11 @@ void RecordRole(Simulator* sim, NodeId node, Term term, obs::FrRole role, bool s
 }  // namespace
 
 RaftNode::RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, Env* env,
-                   StableStorage* storage)
+                   StableStorage* storage, UnorderedStore* unordered)
     : sim_(sim),
       options_(options),
       env_(env),
+      unordered_(unordered),
       rng_(seed),
       storage_(storage),
       peers_(static_cast<size_t>(options.cluster_size)),
@@ -37,6 +38,7 @@ RaftNode::RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, En
   HC_CHECK(sim != nullptr);
   HC_CHECK(env != nullptr);
   HC_CHECK(storage != nullptr);
+  HC_CHECK(unordered != nullptr);
   HC_CHECK_GE(options.id, 0);
   HC_CHECK_LT(options.id, options.cluster_size);
   // cluster_size is the node universe; the initial voter set may be a prefix
@@ -45,17 +47,12 @@ RaftNode::RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, En
 }
 
 void RaftNode::Start() {
-  if (!CanCampaign()) {
-    return;  // spare: waits for a committed config to add it
-  }
+  // Both check CanCampaign: a spare waits for a committed config to add it.
   if (active_config().voters.size() == 1) {
-    // Degenerate single-voter group: immediately leader.
-    current_term_ = 1;
-    PersistHardState();
-    BecomeLeader();
-    return;
+    StartElection();
+  } else {
+    ArmElectionTimer();
   }
-  ArmElectionTimer();
 }
 
 // ---------------------------------------------------------------------------
@@ -464,8 +461,12 @@ void RaftNode::StartPreVote() {
     StartElection();  // single-voter group
     return;
   }
-  auto req = MakeMessage<RequestVoteReq>(pre_vote_term_, options_.id, log_.last_index(),
-                                         log_.last_term(), /*pre_vote=*/true);
+  RequestVotes(pre_vote_term_, /*pre_vote=*/true);
+}
+
+void RaftNode::RequestVotes(Term term, bool pre_vote) {
+  auto req = MakeMessage<RequestVoteReq>(term, options_.id, log_.last_index(), log_.last_term(),
+                                         pre_vote);
   for (NodeId p : active_config().voters) {
     if (p != options_.id) {
       env_->SendToPeer(p, req);
@@ -504,13 +505,7 @@ void RaftNode::StartElection() {
     BecomeLeader();
     return;
   }
-  auto req = MakeMessage<RequestVoteReq>(current_term_, options_.id, log_.last_index(),
-                                         log_.last_term());
-  for (NodeId p : active_config().voters) {
-    if (p != options_.id) {
-      env_->SendToPeer(p, req);
-    }
-  }
+  RequestVotes(current_term_, /*pre_vote=*/false);
 }
 
 void RaftNode::BecomeLeader() {
@@ -735,7 +730,6 @@ bool RaftNode::AppendConfigEntry(MembershipConfigPtr config) {
   const LogIndex idx = log_.Append(std::move(entry));
   ++stats_.entries_appended;
   StorageAppendEntry(idx, config.get());
-  ScheduleDurability(idx);
   ++stats_.config_changes_proposed;
   HC_LOG_INFO("node %d proposes config %s at idx %llu", options_.id,
               config->Describe().c_str(), static_cast<unsigned long long>(idx));
@@ -744,6 +738,9 @@ bool RaftNode::AppendConfigEntry(MembershipConfigPtr config) {
              "config-proposed " + config->Describe(), idx);
   }
   TrackConfig(idx, std::move(config));
+  // Tracked first: on a zero-latency disk a lone voter commits the entry, and
+  // may promote a learner, inside ScheduleDurability.
+  ScheduleDurability(idx);
   // The change replicates point-to-point: the aggregator's quorum register is
   // still sized to the old voter set, and an AGG_COMMIT computed under it
   // must not commit entries at or beyond the config boundary. The heartbeat
@@ -1297,6 +1294,39 @@ void RaftNode::SetCommit(LogIndex commit) {
 }
 
 // ---------------------------------------------------------------------------
+// Message dispatch
+// ---------------------------------------------------------------------------
+
+void RaftNode::OnMessage(const Message& msg, bool via_aggregator) {
+  switch (msg.kind()) {
+    case MessageKind::kAeReq:
+      return OnAppendEntries(static_cast<const AppendEntriesReq&>(msg), via_aggregator);
+    case MessageKind::kAeRep:
+      return OnAppendEntriesRep(static_cast<const AppendEntriesRep&>(msg));
+    case MessageKind::kVoteReq:
+    case MessageKind::kPreVoteReq:
+      return OnRequestVote(static_cast<const RequestVoteReq&>(msg));
+    case MessageKind::kVoteRep:
+    case MessageKind::kPreVoteRep:
+      return OnRequestVoteRep(static_cast<const RequestVoteRep&>(msg));
+    case MessageKind::kAggCommit:
+      return OnAggCommit(static_cast<const AggCommitMsg&>(msg));
+    case MessageKind::kAggVoteRep:
+      return OnAggVoteRep(static_cast<const AggVoteRep&>(msg));
+    case MessageKind::kRecoveryReq:
+      return OnRecoveryReq(static_cast<const RecoveryReq&>(msg));
+    case MessageKind::kRecoveryRep:
+      return OnRecoveryRep(static_cast<const RecoveryRep&>(msg));
+    case MessageKind::kSnapshotReq:
+      return OnInstallSnapshot(static_cast<const InstallSnapshotReq&>(msg));
+    case MessageKind::kSnapshotRep:
+      return OnInstallSnapshotRep(static_cast<const InstallSnapshotRep&>(msg));
+    default:
+      HC_LOG_WARN("node %d: unexpected message %s", options_.id, msg.Name());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Follower append path
 // ---------------------------------------------------------------------------
 
@@ -1459,9 +1489,9 @@ RaftNode::AppendOutcome RaftNode::AppendResolvedEntries(const AppendEntriesReq& 
         // HovercRaft: resolve the payload from the unordered set and verify
         // the body hash the leader shipped with the metadata (section 5) —
         // a mismatched hit is discarded and recovered point-to-point.
-        entry.request = env_->LookupUnordered(w.rid);
+        entry.request = unordered_->Lookup(w.rid);
         if (entry.request != nullptr && HashRequestBody(*entry.request) != w.body_hash) {
-          env_->ConsumeUnordered(w.rid);
+          unordered_->Erase(w.rid);
           entry.request = nullptr;
         }
         if (entry.request == nullptr) {
@@ -1472,7 +1502,7 @@ RaftNode::AppendOutcome RaftNode::AppendResolvedEntries(const AppendEntriesReq& 
           outcome.waiting_recovery = true;
           break;
         }
-        env_->ConsumeUnordered(w.rid);
+        unordered_->Erase(w.rid);
       }
     }
     log_.Append(std::move(entry));
@@ -1508,7 +1538,7 @@ void RaftNode::OnRecoveryReq(const RecoveryReq& req) {
   if (idx != kNoLogIndex) {
     payload = log_.At(idx).request;
   } else {
-    payload = env_->LookupUnordered(req.rid());
+    payload = unordered_->Lookup(req.rid());
   }
   if (payload != nullptr) {
     ++stats_.recoveries_served;
@@ -1521,7 +1551,8 @@ void RaftNode::OnRecoveryRep(const RecoveryRep& rep) {
   if (!rep.found()) {
     return;  // the leader no longer has it; the next heartbeat retries
   }
-  env_->StoreRecovered(rep.rid(), rep.request());
+  HC_CHECK(rep.rid() == rep.request()->rid());
+  unordered_->Insert(rep.request(), sim_->Now());
   if (pending_ae_ != nullptr) {
     const std::unique_ptr<AppendEntriesReq> ae = std::move(pending_ae_);
     const bool via_agg = pending_ae_via_agg_;
@@ -1607,9 +1638,7 @@ void RaftNode::OnRequestVote(const RequestVoteReq& req) {
     // reply echoes the candidate's proposed term so it can tally the poll.
     bool poll_granted = false;
     if (req.term() > current_term_ && !leader_is_live && !self_leading && floor_ok) {
-      poll_granted = req.last_term() > log_.last_term() ||
-                     (req.last_term() == log_.last_term() &&
-                      req.last_idx() >= log_.last_index());
+      poll_granted = AtLeastAsUpToDate(req.last_term(), req.last_idx());
     }
     if (poll_granted) {
       ++stats_.prevote_granted;
@@ -1638,10 +1667,7 @@ void RaftNode::OnRequestVote(const RequestVoteReq& req) {
   bool granted = false;
   if (req.term() == current_term_ &&
       (voted_for_ == kInvalidNode || voted_for_ == req.candidate())) {
-    const bool up_to_date =
-        req.last_term() > log_.last_term() ||
-        (req.last_term() == log_.last_term() && req.last_idx() >= log_.last_index());
-    if (up_to_date && floor_ok) {
+    if (AtLeastAsUpToDate(req.last_term(), req.last_idx()) && floor_ok) {
       granted = true;
       voted_for_ = req.candidate();
       PersistHardState();  // the vote is a durable promise
@@ -1650,6 +1676,11 @@ void RaftNode::OnRequestVote(const RequestVoteReq& req) {
   }
   env_->SendToPeer(req.candidate(),
                    MakeMessage<RequestVoteRep>(options_.id, current_term_, granted));
+}
+
+bool RaftNode::AtLeastAsUpToDate(Term last_term, LogIndex last_idx) const {
+  return last_term > log_.last_term() ||
+         (last_term == log_.last_term() && last_idx >= log_.last_index());
 }
 
 void RaftNode::OnRequestVoteRep(const RequestVoteRep& rep) {
@@ -1714,11 +1745,18 @@ void RaftNode::OnAggCommit(const AggCommitMsg& msg) {
     const auto& applied = msg.applied();
     for (NodeId p = 0; p < options_.cluster_size && static_cast<size_t>(p) < applied.size();
          ++p) {
-      // Fresh apply progress is genuine evidence this follower is alive;
-      // the aggregator's max-over-time match register is not.
-      if (p != options_.id &&
-          RecordApplied(p, applied[static_cast<size_t>(p)], /*as_reported=*/false)) {
-        peers_[static_cast<size_t>(p)].last_response = sim_->Now();
+      // The follower's latest reply through the aggregator, repeated until
+      // its next: only a change is news (an unchanged value may predate a
+      // direct reply). Fresh apply progress also proves the follower alive.
+      PeerState& st = peers_[static_cast<size_t>(p)];
+      const LogIndex reported = applied[static_cast<size_t>(p)];
+      if (p == options_.id || reported == st.agg_applied) {
+        continue;
+      }
+      st.agg_applied = reported;
+      if (reported != AggCommitMsg::kNotReported &&
+          RecordApplied(p, reported, /*as_reported=*/true)) {
+        st.last_response = sim_->Now();
       }
     }
     // A learner served by the aggregator stream reports progress only

@@ -28,6 +28,7 @@
 #include "src/raft/messages.h"
 #include "src/raft/options.h"
 #include "src/raft/replier_scheduler.h"
+#include "src/raft/unordered_store.h"
 #include "src/sim/simulator.h"
 #include "src/storage/stable_storage.h"
 
@@ -83,19 +84,13 @@ struct RaftStats {
 
 class RaftNode {
  public:
-  // Environment provided by the hosting server: message transport, the
-  // unordered request store, and application callbacks.
+  // Environment provided by the hosting server: message transport and
+  // application callbacks.
   class Env {
    public:
     virtual ~Env() = default;
     virtual void SendToPeer(NodeId peer, MessagePtr msg) = 0;
     virtual void SendToAggregator(MessagePtr msg) = 0;
-    // Unordered request set (paper section 3.2). Lookup does not remove;
-    // Consume removes once the request enters the log.
-    virtual std::shared_ptr<const RpcRequest> LookupUnordered(const RequestId& rid) = 0;
-    virtual void ConsumeUnordered(const RequestId& rid) = 0;
-    virtual void StoreRecovered(const RequestId& rid,
-                                std::shared_ptr<const RpcRequest> request) = 0;
     // Snapshot transfer (straggler repair). Capture serializes the current
     // application state together with the log index it reflects; Restore
     // replaces the application state with a received snapshot.
@@ -119,12 +114,8 @@ class RaftNode {
     virtual void DrainUnorderedIntoLog() = 0;
     // A membership config entry committed at `idx`. Fires on every node (in
     // commit order) so the hosting layer can reconfigure multicast groups,
-    // the aggregator, and retire removed servers. Default no-op so simple
-    // test environments need not care.
-    virtual void OnConfigCommitted(const MembershipConfig& config, LogIndex idx) {
-      (void)config;
-      (void)idx;
-    }
+    // the aggregator, and retire removed servers.
+    virtual void OnConfigCommitted(const MembershipConfig& config, LogIndex idx) = 0;
   };
 
   // `storage` (non-null, outliving the node) is the node's write-ahead log:
@@ -132,10 +123,13 @@ class RaftNode {
   // withheld until the acknowledged entries are durable (unless the policy is
   // kAckBeforeSync — the unsafe chaos control). On a SimDisk with zero sync
   // latency every barrier completes inline.
+  // `unordered` (non-null, outliving the node) is the host's unordered set
+  // (paper section 3.2): followers resolve ordered bodies from it.
   RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, Env* env,
-           StableStorage* storage);
+           StableStorage* storage, UnorderedStore* unordered);
 
-  // Arms the election timer. Call once after construction.
+  // Arms the election timer; a one-voter group elects itself at once. Call
+  // once after construction.
   void Start();
 
   // Reinitializes persistent state from a WAL recovery (power-fail restart).
@@ -210,17 +204,10 @@ class RaftNode {
   // applied after the draw.
   void SkewElectionTimer(double scale);
 
-  // --- message handlers, invoked by the hosting server ---
-  void OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator);
-  void OnAppendEntriesRep(const AppendEntriesRep& rep);
-  void OnRequestVote(const RequestVoteReq& req);
-  void OnRequestVoteRep(const RequestVoteRep& rep);
-  void OnAggCommit(const AggCommitMsg& msg);
-  void OnAggVoteRep(const AggVoteRep& rep);
-  void OnRecoveryReq(const RecoveryReq& req);
-  void OnRecoveryRep(const RecoveryRep& rep);
-  void OnInstallSnapshot(const InstallSnapshotReq& req);
-  void OnInstallSnapshotRep(const InstallSnapshotRep& rep);
+  // The one entry point for Raft and aggregator messages: dispatches on
+  // msg.kind(). `via_aggregator` says an append_entries came through the
+  // aggregator's fan-out, so its success reply goes back there.
+  void OnMessage(const Message& msg, bool via_aggregator);
 
   // --- membership change (leader only; dissertation section 4) ---
   // Starts adding `node`: appends a config entry that carries the active
@@ -302,6 +289,18 @@ class RaftNode {
   bool retired() const { return retired_; }
 
  private:
+  // -- message handlers (OnMessage) --
+  void OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator);
+  void OnAppendEntriesRep(const AppendEntriesRep& rep);
+  void OnRequestVote(const RequestVoteReq& req);
+  void OnRequestVoteRep(const RequestVoteRep& rep);
+  void OnAggCommit(const AggCommitMsg& msg);
+  void OnAggVoteRep(const AggVoteRep& rep);
+  void OnRecoveryReq(const RecoveryReq& req);
+  void OnRecoveryRep(const RecoveryRep& rep);
+  void OnInstallSnapshot(const InstallSnapshotReq& req);
+  void OnInstallSnapshotRep(const InstallSnapshotRep& rep);
+
   // One pipelined append_entries stream, to a peer or (HovercRaft++) to the
   // aggregator. NextAppend builds the messages of both.
   struct Stream {
@@ -315,6 +314,8 @@ class RaftNode {
   struct PeerState : Stream {
     LogIndex match_idx = 0;
     LogIndex applied_idx = 0;      // written only by RecordApplied
+    // Its applied index in the last AGG_COMMIT (OnAggCommit).
+    LogIndex agg_applied = AggCommitMsg::kNotReported;
     bool paused_recovery = false;  // follower told us it awaits a payload
     bool direct_mode = false;      // ++: fell back to point-to-point
     bool snapshot_inflight = false;
@@ -339,6 +340,12 @@ class RaftNode {
   // without touching term/vote/role; a majority of grants triggers the real
   // StartElection. Falls through to StartElection directly when disabled.
   void StartPreVote();
+  // Asks every other voter of the active config for its vote (or pre-vote)
+  // at `term`, offering this node's log tail.
+  void RequestVotes(Term term, bool pre_vote);
+  // Raft section 5.4.1: a log ending at (`last_term`, `last_idx`) is at least
+  // as up to date as ours. A vote and a pre-vote are granted only then.
+  bool AtLeastAsUpToDate(Term last_term, LogIndex last_idx) const;
   void AbandonPreVote();
   void BecomeLeader();
   // CheckQuorum: called from OnHeartbeat; steps the leader down when no
@@ -368,12 +375,11 @@ class RaftNode {
   std::vector<WireEntry> CollectEntries(LogIndex from, LogIndex to) const;
   // `peer` holds our log through `match` (AE reply or installed snapshot).
   void OnPeerProgress(NodeId peer, LogIndex match, bool waiting_recovery);
-  // The one writer of a peer's applied index; tells the scheduler. A direct
-  // AE reply sets it as reported, even lower (a follower restored from an
-  // older snapshot; or a reply held for the WAL sync that lands after a later
-  // refusal, which only makes us more cautious). A snapshot point or AGG_COMMIT
-  // only raises it, so in HovercRaft++ (the aggregator keeps a max over time) a
-  // restored follower keeps its old index. Returns whether it rose.
+  // The one writer of a peer's applied index; tells the scheduler. An AE
+  // reply, direct or through AGG_COMMIT, sets it as reported, even lower (a
+  // follower restored from an older snapshot; or a reply held for the WAL
+  // sync that lands after a later refusal, which only makes us more
+  // cautious). A snapshot point only raises it. Returns whether it rose.
   bool RecordApplied(NodeId peer, LogIndex applied, bool as_reported);
   void AdvanceCommitFromMatches();
   // Raft section 5.4.2: commits through `idx` only if it holds an entry of
@@ -433,6 +439,7 @@ class RaftNode {
   Simulator* sim_;
   RaftOptions options_;
   Env* env_;
+  UnorderedStore* unordered_;
   Rng rng_;
 
   // Persistent state. Every mutation is mirrored into the WAL (storage_) and

@@ -174,6 +174,23 @@ TEST_F(AggregatorTest, AggCommitCarriesCompletedCounts) {
   EXPECT_EQ(commits[0]->applied()[1], 2u);
 }
 
+// A completed register holds its follower's latest success reply, also when
+// that reports less than an earlier one (a follower restored from an older
+// snapshot). A follower with no reply since the registers were reset is
+// reported as such, not as 0.
+TEST_F(AggregatorTest, AggCommitCarriesEachFollowersLatestAppliedIndex) {
+  Handshake(0, 1);
+  SendAe(0, 1, 0, 4);
+  SendReply(1, 1, 4, /*applied=*/3);
+  SendAe(0, 1, /*prev=*/4, /*entries=*/0);  // a re-announcement: the next reply is sent on
+  SendReply(1, 1, 4, /*applied=*/1);
+  const auto commits = nodes_[0]->Of<AggCommitMsg>();
+  ASSERT_EQ(commits.size(), 2u);
+  EXPECT_EQ(commits[0]->applied()[1], 3u);
+  EXPECT_EQ(commits[1]->applied()[1], 1u);
+  EXPECT_EQ(commits[1]->applied()[2], AggCommitMsg::kNotReported);
+}
+
 TEST_F(AggregatorTest, HigherTermFlushesSoftState) {
   Handshake(0, 1);
   SendAe(0, 1, 0, 3);

@@ -1,273 +1,45 @@
-// Unit tests for the Raft engine against a minimal in-memory harness: a
-// zero-cost message fabric with drop filters and instant state machines.
-// These pin down algorithm behaviour (elections, log repair, recovery)
-// independently of the network cost model.
+// Scripted scenarios for the Raft engine on the Raft test harness
+// (tests/raft_harness.h): a fixed-hop message fabric with drop filters and
+// instant state machines. These pin down algorithm behaviour (elections, log
+// repair, recovery) independently of the network cost model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/buffer.h"
-#include "src/raft/node.h"
-#include "src/sim/simulator.h"
-#include "src/storage/sim_disk.h"
-#include "src/storage/stable_storage.h"
+#include "tests/raft_harness.h"
 
 namespace hovercraft {
 namespace {
-
-constexpr TimeNs kHop = Micros(2);
-
-class MiniHarness;
-
-class MiniEnv final : public RaftNode::Env {
- public:
-  MiniEnv(MiniHarness* harness, NodeId self) : harness_(harness), self_(self) {}
-
-  void SendToPeer(NodeId peer, MessagePtr msg) override;
-  void SendToAggregator(MessagePtr /*msg*/) override {}
-
-  std::shared_ptr<const RpcRequest> LookupUnordered(const RequestId& rid) override {
-    auto it = unordered_.find(rid);
-    return it == unordered_.end() ? nullptr : it->second;
-  }
-  void ConsumeUnordered(const RequestId& rid) override { unordered_.erase(rid); }
-  void StoreRecovered(const RequestId& rid,
-                      std::shared_ptr<const RpcRequest> request) override {
-    unordered_[rid] = std::move(request);
-  }
-  SnapshotCapture CaptureSnapshot() override {
-    // The test state machine is the applied rid sequence; serialize it.
-    BufferWriter w;
-    w.PutU64(applied_);
-    w.PutU64(applied_rids.size());
-    for (const RequestId& rid : applied_rids) {
-      w.PutU32(static_cast<uint32_t>(rid.client));
-      w.PutU64(rid.seq);
-    }
-    return SnapshotCapture{MakeBody(w.TakeBytes()), applied_};
-  }
-  void RestoreSnapshot(const Body& state, LogIndex last_included, Term /*included_term*/,
-                       MembershipConfigPtr /*config*/, LogIndex /*config_idx*/) override {
-    BufferReader r(*state);
-    uint64_t applied = 0;
-    uint64_t count = 0;
-    HC_CHECK(r.GetU64(applied).ok());
-    HC_CHECK(r.GetU64(count).ok());
-    applied_rids.clear();
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t client = 0;
-      uint64_t seq = 0;
-      HC_CHECK(r.GetU32(client).ok());
-      HC_CHECK(r.GetU64(seq).ok());
-      applied_rids.push_back(RequestId{static_cast<HostId>(client), seq});
-    }
-    applied_ = std::max<LogIndex>(applied_, last_included);
-    ++snapshots_restored;
-  }
-  void OnCommitAdvanced(LogIndex commit) override;
-  void OnLeadershipChanged(bool is_leader) override { leadership_changes.push_back(is_leader); }
-  void DrainUnorderedIntoLog() override;
-
-  void AddUnordered(std::shared_ptr<const RpcRequest> request) {
-    drain_order_.push_back(request->rid());
-    unordered_[request->rid()] = std::move(request);
-  }
-
-  // What this node applied at each index: the entry's term, rid and body.
-  struct Applied {
-    Term term = 0;
-    RequestId rid;
-    std::shared_ptr<const RpcRequest> request;
-  };
-  std::map<LogIndex, Applied> applied_at;
-  std::vector<RequestId> applied_rids;
-  uint64_t snapshots_restored = 0;
-  std::vector<bool> leadership_changes;
-
- private:
-  MiniHarness* harness_;
-  NodeId self_;
-  std::unordered_map<RequestId, std::shared_ptr<const RpcRequest>, RequestIdHash> unordered_;
-  std::vector<RequestId> drain_order_;
-  LogIndex applied_ = 0;
-
-  friend class MiniHarness;
-};
-
-class MiniHarness {
- public:
-  explicit MiniHarness(int32_t n, RaftOptions base = RaftOptions{}) {
-    for (NodeId i = 0; i < n; ++i) {
-      RaftOptions opts = base;
-      opts.id = i;
-      opts.cluster_size = n;
-      // Node 0 gets the shortest timeout for a deterministic first leader.
-      opts.election_timeout_min = Millis(5) + Millis(5) * i;
-      opts.election_timeout_max = opts.election_timeout_min + Millis(2);
-      envs_.push_back(std::make_unique<MiniEnv>(this, i));
-      // A zero-latency disk: every barrier completes inline, with no events.
-      disks_.push_back(std::make_unique<SimDisk>(&sim, static_cast<uint64_t>(i), 0));
-      storages_.push_back(
-          std::make_unique<StableStorage>(disks_.back().get(), FsyncPolicy::kGroupCommit));
-      nodes_.push_back(std::make_unique<RaftNode>(&sim, 100 + static_cast<uint64_t>(i), opts,
-                                                  envs_.back().get(), storages_.back().get()));
-    }
-  }
-
-  void StartAll() {
-    for (auto& node : nodes_) {
-      node->Start();
-    }
-  }
-
-  void Deliver(NodeId from, NodeId to, MessagePtr msg) {
-    if (down_[from] || down_[to]) {
-      return;
-    }
-    if (drop_filter && drop_filter(from, to, *msg)) {
-      return;
-    }
-    sim.After(kHop, [this, to, msg = std::move(msg)]() {
-      if (down_[to]) {
-        return;
-      }
-      RaftNode& n = *nodes_[static_cast<size_t>(to)];
-      if (const auto* ae = dynamic_cast<const AppendEntriesReq*>(msg.get())) {
-        n.OnAppendEntries(*ae, false);
-      } else if (const auto* rep = dynamic_cast<const AppendEntriesRep*>(msg.get())) {
-        n.OnAppendEntriesRep(*rep);
-      } else if (const auto* v = dynamic_cast<const RequestVoteReq*>(msg.get())) {
-        n.OnRequestVote(*v);
-      } else if (const auto* vr = dynamic_cast<const RequestVoteRep*>(msg.get())) {
-        n.OnRequestVoteRep(*vr);
-      } else if (const auto* rq = dynamic_cast<const RecoveryReq*>(msg.get())) {
-        n.OnRecoveryReq(*rq);
-      } else if (const auto* rp = dynamic_cast<const RecoveryRep*>(msg.get())) {
-        n.OnRecoveryRep(*rp);
-      } else if (const auto* sn = dynamic_cast<const InstallSnapshotReq*>(msg.get())) {
-        n.OnInstallSnapshot(*sn);
-      } else if (const auto* sr = dynamic_cast<const InstallSnapshotRep*>(msg.get())) {
-        n.OnInstallSnapshotRep(*sr);
-      }
-    });
-  }
-
-  NodeId Leader() {
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      if (!down_[static_cast<NodeId>(i)] && nodes_[i]->IsLeader()) {
-        return static_cast<NodeId>(i);
-      }
-    }
-    return kInvalidNode;
-  }
-
-  NodeId WaitForLeader(TimeNs deadline = Seconds(5)) {
-    while (Leader() == kInvalidNode && sim.Now() < deadline && sim.Step()) {
-    }
-    return Leader();
-  }
-
-  void Run(TimeNs duration) { sim.RunUntil(sim.Now() + duration); }
-
-  void Kill(NodeId n) { down_[n] = true; }
-  void Revive(NodeId n) { down_[n] = false; }
-
-  RaftNode& node(NodeId n) { return *nodes_[static_cast<size_t>(n)]; }
-  MiniEnv& env(NodeId n) { return *envs_[static_cast<size_t>(n)]; }
-  StableStorage& storage(NodeId n) { return *storages_[static_cast<size_t>(n)]; }
-
-  static std::shared_ptr<const RpcRequest> Req(HostId client, uint64_t seq,
-                                               bool read_only = false) {
-    return std::make_shared<RpcRequest>(
-        RequestId{client, seq},
-        read_only ? R2p2Policy::kReplicatedReqRo : R2p2Policy::kReplicatedReq,
-        MakeBody(std::vector<uint8_t>(24)));
-  }
-
-  Simulator sim;
-  std::function<bool(NodeId from, NodeId to, const Message&)> drop_filter;
-
- private:
-  std::vector<std::unique_ptr<MiniEnv>> envs_;
-  std::vector<std::unique_ptr<SimDisk>> disks_;
-  std::vector<std::unique_ptr<StableStorage>> storages_;
-  std::vector<std::unique_ptr<RaftNode>> nodes_;
-  std::unordered_map<NodeId, bool> down_;
-
-  friend class MiniEnv;
-};
-
-void MiniEnv::SendToPeer(NodeId peer, MessagePtr msg) {
-  harness_->Deliver(self_, peer, std::move(msg));
-}
-
-void MiniEnv::OnCommitAdvanced(LogIndex commit) {
-  // Instant state machine: apply everything as soon as it commits.
-  RaftNode& node = *harness_->nodes_[static_cast<size_t>(self_)];
-  while (applied_ < commit) {
-    ++applied_;
-    const LogEntry& e = node.log().At(applied_);
-    applied_at[applied_] = Applied{e.term, e.rid, e.request};
-    if (!e.noop) {
-      applied_rids.push_back(e.rid);
-    }
-    node.OnApplied(applied_);
-  }
-}
-
-void MiniEnv::DrainUnorderedIntoLog() {
-  RaftNode& node = *harness_->nodes_[static_cast<size_t>(self_)];
-  std::vector<RequestId> order = drain_order_;
-  drain_order_.clear();
-  for (const RequestId& rid : order) {
-    auto it = unordered_.find(rid);
-    if (it != unordered_.end()) {
-      auto req = it->second;
-      if (node.SubmitRequest(req)) {
-        unordered_.erase(req->rid());
-      }
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Elections
 // ---------------------------------------------------------------------------
 
 TEST(RaftNodeTest, SingleNodeBecomesLeaderImmediately) {
-  MiniHarness h(1);
+  RaftHarness h(1);
   h.StartAll();
   EXPECT_EQ(h.Leader(), 0);
   EXPECT_EQ(h.node(0).term(), 1u);
 }
 
 TEST(RaftNodeTest, ElectsExactlyOneLeader) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   ASSERT_NE(leader, kInvalidNode);
   h.Run(Millis(50));
-  int leaders = 0;
+  // One leader, and the followers learned it.
   for (NodeId n = 0; n < 3; ++n) {
-    if (h.node(n).IsLeader()) {
-      ++leaders;
-    }
-  }
-  EXPECT_EQ(leaders, 1);
-  // Followers learned the leader.
-  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(h.node(n).IsLeader(), n == leader) << "node " << n;
     EXPECT_EQ(h.node(n).leader_hint(), leader);
     EXPECT_EQ(h.node(n).term(), h.node(leader).term());
   }
 }
 
 TEST(RaftNodeTest, HeartbeatsSuppressNewElections) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const Term term = h.node(leader).term();
@@ -277,7 +49,7 @@ TEST(RaftNodeTest, HeartbeatsSuppressNewElections) {
 }
 
 TEST(RaftNodeTest, LeaderCrashTriggersFailover) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId first = h.WaitForLeader();
   ASSERT_NE(first, kInvalidNode);
@@ -290,7 +62,7 @@ TEST(RaftNodeTest, LeaderCrashTriggersFailover) {
 }
 
 TEST(RaftNodeTest, NoQuorumNoLeader) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId first = h.WaitForLeader();
   // Kill two of three: the survivor must never win an election.
@@ -301,13 +73,13 @@ TEST(RaftNodeTest, NoQuorumNoLeader) {
 }
 
 TEST(RaftNodeTest, CandidateWithStaleLogIsRejected) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   // Commit some entries everywhere except node 2 (isolated).
   h.drop_filter = [](NodeId, NodeId to, const Message&) { return to == 2; };
   for (uint64_t i = 1; i <= 5; ++i) {
-    h.node(leader).SubmitRequest(MiniHarness::Req(1, i));
+    h.node(leader).SubmitRequest(RaftHarness::Req(1, i));
   }
   h.Run(Millis(50));
   EXPECT_GT(h.node(leader).commit_index(), 0u);
@@ -324,16 +96,100 @@ TEST(RaftNodeTest, CandidateWithStaleLogIsRejected) {
   EXPECT_GE(h.node(second).log().last_index(), 5u);
 }
 
+// A group of one voter elects itself through the same campaign path as any
+// other. Here a two-voter group removes its leader; the survivor, now the
+// only voter, wins its own pre-vote poll and then its election without
+// sending a message.
+TEST(RaftNodeTest, SurvivorOfARemovedLeaderElectsItselfAlone) {
+  RaftHarness h(2);
+  h.StartAll();
+  ASSERT_EQ(h.WaitForLeader(), 0);
+  h.Run(Millis(2));
+  const Term term = h.node(0).term();
+  ASSERT_TRUE(h.node(0).StartRemoveServer(0));
+  h.Run(Millis(50));
+  EXPECT_TRUE(h.node(0).retired());
+  ASSERT_EQ(h.Leader(), 1);
+  EXPECT_EQ(h.node(1).active_config().voters, std::vector<NodeId>({1}));
+  EXPECT_EQ(h.node(1).term(), term + 1);
+  EXPECT_EQ(h.node(1).stats().prevote_rounds, 1u);
+  EXPECT_EQ(h.node(1).stats().elections_started, 1u);
+}
+
+// On a zero-latency disk a lone voter's entry is durable, and so committed,
+// inside its own append. A lone voter adding a second one then commits the
+// learner entry and the promotion each as it appends them, and promotes once.
+TEST(RaftNodeTest, LoneVoterPromotesItsLearnerOnce) {
+  RaftOptions opts;
+  opts.initial_voters = 1;
+  RaftHarness h(2, opts);
+  h.StartAll();
+  ASSERT_EQ(h.Leader(), 0);
+  ASSERT_TRUE(h.node(0).StartAddServer(1));
+  h.Run(Millis(5));
+  EXPECT_EQ(h.node(0).active_config().voters, std::vector<NodeId>({0, 1}));
+  EXPECT_EQ(h.node(0).stats().learners_promoted, 1u);
+  EXPECT_EQ(h.node(0).stats().config_changes_committed, 2u);
+  EXPECT_EQ(h.node(1).committed_config_idx(), h.node(0).committed_config_idx());
+}
+
+// A vote is granted only at the voter's own term, and once per term. Node 2
+// voted for leader 0 in term t. It then refuses a candidate at an older term
+// and a second candidate at t, though both offer a log as up to date as its
+// own, and repeats its vote to the candidate it chose.
+TEST(RaftNodeTest, AVoteIsGrantedOncePerTermAndOnlyAtTheVotersTerm) {
+  RaftOptions opts;
+  opts.check_quorum = false;  // no leader stickiness: node 2 weighs every request
+  RaftHarness h(3, opts);
+  h.StartAll();
+  ASSERT_EQ(h.WaitForLeader(), 0);
+  h.Run(Millis(2));
+  const Term term = h.node(2).term();
+  std::vector<bool> granted;
+  h.drop_filter = [&granted](NodeId from, NodeId, const Message& m) {
+    if (from == 2 && m.kind() == MessageKind::kVoteRep) {
+      granted.push_back(static_cast<const RequestVoteRep&>(m).granted());
+    }
+    return false;
+  };
+  const RaftLog& log = h.node(2).log();
+  for (const auto& [t, candidate] : {std::pair<Term, NodeId>{term - 1, 0}, {term, 1}, {term, 0}}) {
+    h.Inject(2, RequestVoteReq(t, candidate, log.last_index(), log.last_term()));
+  }
+  EXPECT_EQ(granted, std::vector<bool>({false, false, true}));
+  EXPECT_EQ(h.node(2).term(), term);
+}
+
+// Only voters of the active config count toward an election quorum. Voters
+// 1 and 2 are down while node 0 campaigns: a granted vote from node 3, a
+// spare outside the config, leaves it a candidate; one from voter 1 elects it.
+TEST(RaftNodeTest, AVoteFromANonVoterDoesNotCount) {
+  RaftOptions opts;
+  opts.initial_voters = 3;
+  opts.pre_vote = false;  // node 0 campaigns at its first timeout
+  RaftHarness h(4, opts);
+  h.Kill(1);
+  h.Kill(2);
+  h.StartAll();
+  while (h.node(0).role() != RaftRole::kCandidate && h.sim.Step()) {
+  }
+  const Term term = h.node(0).term();
+  h.Inject(0, RequestVoteRep(3, term, /*granted=*/true));
+  EXPECT_EQ(h.node(0).role(), RaftRole::kCandidate);
+  h.Inject(0, RequestVoteRep(1, term, /*granted=*/true));
+  EXPECT_TRUE(h.node(0).IsLeader());
+}
+
 // ---------------------------------------------------------------------------
 // Replication
 // ---------------------------------------------------------------------------
 
 TEST(RaftNodeTest, CommitsAndAppliesInOrderOnAllNodes) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   for (uint64_t i = 1; i <= 10; ++i) {
-    EXPECT_TRUE(h.node(leader).SubmitRequest(MiniHarness::Req(1, i)));
+    EXPECT_TRUE(h.node(leader).SubmitRequest(RaftHarness::Req(1, i)));
   }
   h.Run(Millis(100));
   for (NodeId n = 0; n < 3; ++n) {
@@ -345,30 +201,30 @@ TEST(RaftNodeTest, CommitsAndAppliesInOrderOnAllNodes) {
 }
 
 TEST(RaftNodeTest, FollowerRejectsSubmit) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const NodeId follower = (leader + 1) % 3;
-  EXPECT_FALSE(h.node(follower).SubmitRequest(MiniHarness::Req(1, 1)));
+  EXPECT_FALSE(h.node(follower).SubmitRequest(RaftHarness::Req(1, 1)));
   EXPECT_EQ(h.node(follower).stats().submits_rejected, 1u);
 }
 
 TEST(RaftNodeTest, DuplicateSubmitRejected) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
-  EXPECT_TRUE(h.node(leader).SubmitRequest(MiniHarness::Req(1, 7)));
-  EXPECT_FALSE(h.node(leader).SubmitRequest(MiniHarness::Req(1, 7)));
+  EXPECT_TRUE(h.node(leader).SubmitRequest(RaftHarness::Req(1, 7)));
+  EXPECT_FALSE(h.node(leader).SubmitRequest(RaftHarness::Req(1, 7)));
 }
 
 TEST(RaftNodeTest, LaggingFollowerCatchesUpAfterPartition) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const NodeId slow = (leader + 1) % 3;
   h.drop_filter = [slow](NodeId, NodeId to, const Message&) { return to == slow; };
   for (uint64_t i = 1; i <= 20; ++i) {
-    h.node(leader).SubmitRequest(MiniHarness::Req(1, i));
+    h.node(leader).SubmitRequest(RaftHarness::Req(1, i));
   }
   h.Run(Millis(100));
   EXPECT_EQ(h.env(slow).applied_rids.size(), 0u);
@@ -380,19 +236,19 @@ TEST(RaftNodeTest, LaggingFollowerCatchesUpAfterPartition) {
 }
 
 TEST(RaftNodeTest, LostAppendEntriesRetransmittedByHeartbeat) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   // Drop the next AE burst entirely, once.
   int drops = 0;
   h.drop_filter = [&drops](NodeId, NodeId, const Message& m) {
-    if (dynamic_cast<const AppendEntriesReq*>(&m) != nullptr && drops < 2) {
+    if (m.kind() == MessageKind::kAeReq && drops < 2) {
       ++drops;
       return true;
     }
     return false;
   };
-  h.node(leader).SubmitRequest(MiniHarness::Req(1, 1));
+  h.node(leader).SubmitRequest(RaftHarness::Req(1, 1));
   h.Run(Millis(100));
   for (NodeId n = 0; n < 3; ++n) {
     EXPECT_EQ(h.env(n).applied_rids.size(), 1u) << "node " << n;
@@ -400,7 +256,7 @@ TEST(RaftNodeTest, LostAppendEntriesRetransmittedByHeartbeat) {
 }
 
 TEST(RaftNodeTest, DeposedLeaderTruncatesConflictingSuffix) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId first = h.WaitForLeader();
   // Partition the leader away from both followers, then feed it requests it
@@ -409,7 +265,7 @@ TEST(RaftNodeTest, DeposedLeaderTruncatesConflictingSuffix) {
     return from == first || to == first;
   };
   for (uint64_t i = 1; i <= 5; ++i) {
-    h.node(first).SubmitRequest(MiniHarness::Req(9, i));
+    h.node(first).SubmitRequest(RaftHarness::Req(9, i));
   }
   h.Run(Millis(300));  // followers elect a new leader meanwhile
   // The partitioned old leader still believes it leads; find the leader the
@@ -424,7 +280,7 @@ TEST(RaftNodeTest, DeposedLeaderTruncatesConflictingSuffix) {
   ASSERT_NE(second, first);
   // New leader commits different entries.
   for (uint64_t i = 1; i <= 3; ++i) {
-    h.node(second).SubmitRequest(MiniHarness::Req(8, i));
+    h.node(second).SubmitRequest(RaftHarness::Req(8, i));
   }
   h.Run(Millis(100));
   // Heal the partition; the old leader must adopt the new history.
@@ -449,12 +305,12 @@ RaftOptions MetadataOptions() {
 }
 
 TEST(RaftNodeTest, MetadataModeResolvesFromUnorderedSet) {
-  MiniHarness h(3, MetadataOptions());
+  RaftHarness h(3, MetadataOptions());
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   // Simulate the client multicast: all nodes got the payload.
   for (uint64_t i = 1; i <= 5; ++i) {
-    auto req = MiniHarness::Req(1, i);
+    auto req = RaftHarness::Req(1, i);
     for (NodeId n = 0; n < 3; ++n) {
       if (n != leader) {
         h.env(n).AddUnordered(req);
@@ -469,13 +325,13 @@ TEST(RaftNodeTest, MetadataModeResolvesFromUnorderedSet) {
 }
 
 TEST(RaftNodeTest, MissingPayloadRecoveredFromLeader) {
-  MiniHarness h(3, MetadataOptions());
+  RaftHarness h(3, MetadataOptions());
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const NodeId starved = (leader + 1) % 3;
   const NodeId healthy = (leader + 2) % 3;
   // The starved follower missed the client multicast for request 1.
-  auto req = MiniHarness::Req(1, 1);
+  auto req = RaftHarness::Req(1, 1);
   h.env(healthy).AddUnordered(req);
   h.node(leader).SubmitRequest(req);
   h.Run(Millis(100));
@@ -487,11 +343,11 @@ TEST(RaftNodeTest, MissingPayloadRecoveredFromLeader) {
 }
 
 TEST(RaftNodeTest, NewLeaderDrainsUnorderedRequests) {
-  MiniHarness h(3, MetadataOptions());
+  RaftHarness h(3, MetadataOptions());
   h.StartAll();
   const NodeId first = h.WaitForLeader();
   // A request reached the followers but the leader died before ordering it.
-  auto req = MiniHarness::Req(1, 42);
+  auto req = RaftHarness::Req(1, 42);
   for (NodeId n = 0; n < 3; ++n) {
     if (n != first) {
       h.env(n).AddUnordered(req);
@@ -507,20 +363,20 @@ TEST(RaftNodeTest, NewLeaderDrainsUnorderedRequests) {
 }
 
 TEST(RaftNodeTest, RecoveryForUnknownRequestReturnsNotFound) {
-  MiniHarness h(3, MetadataOptions());
+  RaftHarness h(3, MetadataOptions());
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const NodeId asker = (leader + 1) % 3;
   // A rid the leader has never seen: neither in its log nor its unordered set.
   const RequestId unknown{7, 999};
-  h.node(leader).OnRecoveryReq(RecoveryReq(asker, unknown));
+  h.Inject(leader, RecoveryReq(asker, unknown));
   h.Run(Millis(50));
   // The leader answered found() == false and counted no served recovery...
   EXPECT_EQ(h.node(leader).stats().recoveries_served, 0u);
   // ...and the asker stored nothing: a not-found reply leaves no state behind.
-  EXPECT_EQ(h.env(asker).LookupUnordered(unknown), nullptr);
+  EXPECT_EQ(h.env(asker).unordered.Lookup(unknown), nullptr);
   // The exchange was harmless: normal replication still works afterwards.
-  auto req = MiniHarness::Req(1, 1);
+  auto req = RaftHarness::Req(1, 1);
   for (NodeId n = 0; n < 3; ++n) {
     if (n != leader) {
       h.env(n).AddUnordered(req);
@@ -532,14 +388,14 @@ TEST(RaftNodeTest, RecoveryForUnknownRequestReturnsNotFound) {
 }
 
 TEST(RaftNodeTest, DuplicateRecoveryRepliesAreIdempotent) {
-  MiniHarness h(3, MetadataOptions());
+  RaftHarness h(3, MetadataOptions());
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const NodeId starved = (leader + 1) % 3;
   const NodeId healthy = (leader + 2) % 3;
   // Same setup as MissingPayloadRecoveredFromLeader: the starved follower
   // misses the multicast and recovers the payload point-to-point.
-  auto req = MiniHarness::Req(1, 1);
+  auto req = RaftHarness::Req(1, 1);
   h.env(healthy).AddUnordered(req);
   h.node(leader).SubmitRequest(req);
   h.Run(Millis(100));
@@ -547,8 +403,8 @@ TEST(RaftNodeTest, DuplicateRecoveryRepliesAreIdempotent) {
   const LogIndex commit_before = h.node(starved).commit_index();
   // Heartbeat-driven retries can deliver the same recovery reply again after
   // the first already unblocked the follower. Late duplicates must be inert.
-  h.node(starved).OnRecoveryRep(RecoveryRep(req->rid(), req));
-  h.node(starved).OnRecoveryRep(RecoveryRep(req->rid(), req));
+  h.Inject(starved, RecoveryRep(req->rid(), req));
+  h.Inject(starved, RecoveryRep(req->rid(), req));
   h.Run(Millis(100));
   EXPECT_EQ(h.env(starved).applied_rids.size(), 1u);
   EXPECT_GE(h.node(starved).commit_index(), commit_before);
@@ -558,11 +414,11 @@ TEST(RaftNodeTest, DuplicateRecoveryRepliesAreIdempotent) {
 TEST(RaftNodeTest, CompactionPreservesReplication) {
   RaftOptions opts;
   opts.log_retention_entries = 8;
-  MiniHarness h(3, opts);
+  RaftHarness h(3, opts);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   for (uint64_t i = 1; i <= 30; ++i) {
-    h.node(leader).SubmitRequest(MiniHarness::Req(1, i));
+    h.node(leader).SubmitRequest(RaftHarness::Req(1, i));
   }
   h.Run(Millis(100));
   // Compact everywhere at the safe bound.
@@ -572,19 +428,13 @@ TEST(RaftNodeTest, CompactionPreservesReplication) {
   EXPECT_GT(h.node(leader).log().first_index(), 1u);
   // The cluster keeps working after compaction.
   for (uint64_t i = 31; i <= 40; ++i) {
-    h.node(leader).SubmitRequest(MiniHarness::Req(1, i));
+    h.node(leader).SubmitRequest(RaftHarness::Req(1, i));
   }
   h.Run(Millis(100));
   for (NodeId n = 0; n < 3; ++n) {
     EXPECT_EQ(h.env(n).applied_rids.size(), 40u) << "node " << n;
   }
 }
-
-}  // namespace
-}  // namespace hovercraft
-
-namespace hovercraft {
-namespace {
 
 // ---------------------------------------------------------------------------
 // Regression tests for pipelining + heartbeat interaction
@@ -594,7 +444,7 @@ namespace {
 // of append_entries sent should be close to entries/batch, not dominated by
 // per-heartbeat retransmissions of the in-flight window.
 TEST(RaftNodeTest, HeartbeatDoesNotRetransmitActiveStream) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const uint64_t ae_before = h.node(leader).stats().ae_sent;
@@ -603,7 +453,7 @@ TEST(RaftNodeTest, HeartbeatDoesNotRetransmitActiveStream) {
     h.sim.After(Millis(burst), [&h, leader, burst]() {
       for (uint64_t i = 0; i < 10; ++i) {
         h.node(leader).SubmitRequest(
-            MiniHarness::Req(1, static_cast<uint64_t>(burst) * 10 + i + 1));
+            RaftHarness::Req(1, static_cast<uint64_t>(burst) * 10 + i + 1));
       }
     });
   }
@@ -621,20 +471,18 @@ TEST(RaftNodeTest, HeartbeatDoesNotRetransmitActiveStream) {
 // A halted ("crashed") node must not start elections, and must rejoin as a
 // follower without disrupting the stable leader on resume.
 TEST(RaftNodeTest, HaltedNodeDoesNotInflateTerms) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const Term stable_term = h.node(leader).term();
   const NodeId victim = (leader + 1) % 3;
-  h.Kill(victim);
-  h.node(victim).Halt();
+  h.Crash(victim);
   h.Run(Millis(500));  // dozens of election timeouts
   EXPECT_EQ(h.node(victim).term(), stable_term);
   EXPECT_NE(h.node(victim).role(), RaftRole::kCandidate);
   // Revive: it rejoins as a follower and catches up without an election.
-  h.Revive(victim);
-  h.node(victim).Resume();
-  h.node(leader).SubmitRequest(MiniHarness::Req(2, 1));
+  h.Restart(victim);
+  h.node(leader).SubmitRequest(RaftHarness::Req(2, 1));
   h.Run(Millis(100));
   EXPECT_EQ(h.Leader(), leader);
   EXPECT_EQ(h.node(leader).term(), stable_term);
@@ -656,7 +504,7 @@ RaftOptions WithDefenses(bool pre_vote, bool check_quorum) {
 // isolated follower runs pre-election after pre-election, never increments
 // its term, never becomes a real candidate — and rejoins harmlessly.
 TEST(RaftNodeTest, PreCandidateNeverIncrementsTerm) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const Term stable_term = h.node(leader).term();
@@ -681,7 +529,7 @@ TEST(RaftNodeTest, PreCandidateNeverIncrementsTerm) {
 // term, and the rejoin deposes a perfectly healthy leader — the disruption
 // PreVote exists to prevent.
 TEST(RaftNodeTest, RejoinDisruptsLeaderWithoutPreVote) {
-  MiniHarness h(3, WithDefenses(/*pre_vote=*/false, /*check_quorum=*/true));
+  RaftHarness h(3, WithDefenses(/*pre_vote=*/false, /*check_quorum=*/true));
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const Term stable_term = h.node(leader).term();
@@ -707,13 +555,13 @@ TEST(RaftNodeTest, RejoinDisruptsLeaderWithoutPreVote) {
 // A pre-candidate with a stale log loses the poll and never campaigns for
 // real: the up-to-date follower takes over after the leader dies.
 TEST(RaftNodeTest, PreElectionLostOnStaleLog) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   // Commit entries everywhere except node 2.
   h.drop_filter = [](NodeId, NodeId to, const Message&) { return to == 2; };
   for (uint64_t i = 1; i <= 5; ++i) {
-    h.node(leader).SubmitRequest(MiniHarness::Req(1, i));
+    h.node(leader).SubmitRequest(RaftHarness::Req(1, i));
   }
   h.Run(Millis(50));
   ASSERT_GT(h.node(leader).commit_index(), 0u);
@@ -734,8 +582,8 @@ TEST(RaftNodeTest, PreElectionLostOnStaleLog) {
 // (one draw per arm, poll outcomes routed synchronously), so the same seeds
 // produce the same first leader at the same term with the defense on or off.
 TEST(RaftNodeTest, PreVotePreservesElectionTimeline) {
-  MiniHarness with(3, WithDefenses(true, true));
-  MiniHarness without(3, WithDefenses(false, true));
+  RaftHarness with(3, WithDefenses(true, true));
+  RaftHarness without(3, WithDefenses(false, true));
   with.StartAll();
   without.StartAll();
   const NodeId leader_with = with.WaitForLeader();
@@ -756,7 +604,7 @@ TEST(RaftNodeTest, PreVotePreservesElectionTimeline) {
 // CheckQuorum: a leader that cannot reach a quorum steps down on its own
 // within the evaluation window instead of shouting into the void forever.
 TEST(RaftNodeTest, CheckQuorumLeaderStepsDownWhenCutOff) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   h.drop_filter = [leader](NodeId from, NodeId to, const Message&) {
@@ -775,7 +623,7 @@ TEST(RaftNodeTest, CheckQuorumLeaderStepsDownWhenCutOff) {
 // straight into every node, bypassing the network — is ignored by followers
 // hearing a live leader and by the leader holding quorum contact.
 TEST(RaftNodeTest, ForgedVoteIgnoredUnderStickiness) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   h.Run(Millis(20));  // let heartbeat replies build quorum evidence
@@ -783,7 +631,7 @@ TEST(RaftNodeTest, ForgedVoteIgnoredUnderStickiness) {
   const NodeId forged_id = (leader + 1) % 3;
   const RequestVoteReq forged(stable_term + 100, forged_id, 0, 0);
   for (NodeId n = 0; n < 3; ++n) {
-    h.node(n).OnRequestVote(forged);
+    h.Inject(n, forged);
     EXPECT_GE(h.node(n).stats().votes_ignored_sticky, 1u) << "node " << n;
   }
   h.Run(Millis(100));
@@ -795,14 +643,14 @@ TEST(RaftNodeTest, ForgedVoteIgnoredUnderStickiness) {
 // term everywhere and deposes the leader, even though the "candidate" holds
 // no log and could never win.
 TEST(RaftNodeTest, ForgedVoteDeposesLeaderWithoutStickiness) {
-  MiniHarness h(3, WithDefenses(/*pre_vote=*/true, /*check_quorum=*/false));
+  RaftHarness h(3, WithDefenses(/*pre_vote=*/true, /*check_quorum=*/false));
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const Term stable_term = h.node(leader).term();
   const NodeId forged_id = (leader + 1) % 3;
   const RequestVoteReq forged(stable_term + 100, forged_id, 0, 0);
   for (NodeId n = 0; n < 3; ++n) {
-    h.node(n).OnRequestVote(forged);
+    h.Inject(n, forged);
   }
   EXPECT_NE(h.node(leader).role(), RaftRole::kLeader);
   EXPECT_GE(h.node(leader).term(), stable_term + 100);
@@ -815,7 +663,7 @@ TEST(RaftNodeTest, ForgedVoteDeposesLeaderWithoutStickiness) {
 // Election-timer skew: a follower whose timer fires below the heartbeat
 // interval keeps losing pre-elections against a live leader; no term moves.
 TEST(RaftNodeTest, SkewedTimerCannotDisruptWithPreVote) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const Term stable_term = h.node(leader).term();
@@ -836,11 +684,11 @@ TEST(RaftNodeTest, SkewedTimerCannotDisruptWithPreVote) {
 TEST(RaftNodeTest, ReadIndexGrantsAtCommitWithoutLogGrowth) {
   RaftOptions opts;
   opts.read_index = true;
-  MiniHarness h(3, opts);
+  RaftHarness h(3, opts);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   for (uint64_t i = 1; i <= 3; ++i) {
-    h.node(leader).SubmitRequest(MiniHarness::Req(1, i));
+    h.node(leader).SubmitRequest(RaftHarness::Req(1, i));
   }
   h.Run(Millis(50));
   const LogIndex log_before = h.node(leader).log().last_index();
@@ -861,10 +709,10 @@ TEST(RaftNodeTest, ReadLeaseExpiresWithoutQuorumContact) {
   RaftOptions opts;
   opts.read_index = true;
   opts.check_quorum = false;  // isolate lease behaviour from stepdown
-  MiniHarness strict(3, opts);
+  RaftHarness strict(3, opts);
   strict.StartAll();
   const NodeId leader = strict.WaitForLeader();
-  strict.node(leader).SubmitRequest(MiniHarness::Req(1, 1));
+  strict.node(leader).SubmitRequest(RaftHarness::Req(1, 1));
   strict.Run(Millis(5));
   ASSERT_TRUE(strict.node(leader).AcquireReadIndex().granted);
   strict.drop_filter = [leader](NodeId from, NodeId to, const Message&) {
@@ -876,10 +724,10 @@ TEST(RaftNodeTest, ReadLeaseExpiresWithoutQuorumContact) {
   EXPECT_GE(strict.node(leader).stats().read_index_rejected, 1u);
 
   opts.read_lease_timeout = Seconds(10);  // skewed lease: evidence never ages
-  MiniHarness skewed(3, opts);
+  RaftHarness skewed(3, opts);
   skewed.StartAll();
   const NodeId leader2 = skewed.WaitForLeader();
-  skewed.node(leader2).SubmitRequest(MiniHarness::Req(1, 1));
+  skewed.node(leader2).SubmitRequest(RaftHarness::Req(1, 1));
   skewed.Run(Millis(5));
   skewed.drop_filter = [leader2](NodeId from, NodeId to, const Message&) {
     return from == leader2 || to == leader2;
@@ -900,11 +748,11 @@ TEST(RaftNodeTest, ConfigCommitFencesTheReadLease) {
   opts.read_index = true;
   opts.check_quorum = false;  // isolate lease behaviour from stepdown
   opts.initial_voters = 3;
-  MiniHarness h(4, opts);
+  RaftHarness h(4, opts);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   ASSERT_EQ(leader, 0);
-  h.node(leader).SubmitRequest(MiniHarness::Req(1, 1));
+  h.node(leader).SubmitRequest(RaftHarness::Req(1, 1));
   h.Run(Millis(5));
   ASSERT_TRUE(h.node(leader).AcquireReadIndex().granted);
 
@@ -942,22 +790,20 @@ TEST(RaftNodeTest, ConfigCommitFencesTheReadLease) {
 TEST(RaftNodeTest, FailureReplyBelowCompactionTriggersSnapshot) {
   RaftOptions opts;
   opts.log_retention_entries = 8;
-  MiniHarness h(3, opts);
+  RaftHarness h(3, opts);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const NodeId straggler = (leader + 1) % 3;
-  h.Kill(straggler);
-  h.node(straggler).Halt();
+  h.Crash(straggler);
   for (uint64_t i = 1; i <= 100; ++i) {
-    h.node(leader).SubmitRequest(MiniHarness::Req(1, i));
+    h.node(leader).SubmitRequest(RaftHarness::Req(1, i));
   }
   h.Run(Millis(100));
   // Compact far beyond the straggler's position.
   h.node(leader).CompactLog(h.node(leader).applied_index());
   ASSERT_GT(h.node(leader).log().first_index(), 1u);
 
-  h.Revive(straggler);
-  h.node(straggler).Resume();
+  h.Restart(straggler);
   h.Run(Millis(300));
   EXPECT_GE(h.node(leader).stats().snapshots_sent, 1u);
   EXPECT_GE(h.env(straggler).snapshots_restored, 1u);
@@ -969,21 +815,6 @@ TEST(RaftNodeTest, FailureReplyBelowCompactionTriggersSnapshot) {
 // ---------------------------------------------------------------------------
 // Safety rules pinned by scripted schedules
 // ---------------------------------------------------------------------------
-
-// Every node that applied an index applied the same entry there.
-void ExpectNoDivergentApplies(MiniHarness& h, int32_t n) {
-  std::map<LogIndex, std::pair<NodeId, MiniEnv::Applied>> first;
-  for (NodeId i = 0; i < n; ++i) {
-    for (const auto& [idx, a] : h.env(i).applied_at) {
-      const auto [it, fresh] = first.emplace(idx, std::make_pair(i, a));
-      if (!fresh) {
-        EXPECT_TRUE(a.term == it->second.second.term && a.rid == it->second.second.rid)
-            << "index " << idx << ": node " << i << " applied term " << a.term << ", node "
-            << it->second.first << " term " << it->second.second.term;
-      }
-    }
-  }
-}
 
 // Raft's current-term commit rule (section 5.4.2, the Raft paper's Figure 8),
 // with five nodes and one entry per append:
@@ -1003,16 +834,8 @@ TEST(RaftNodeTest, EntryOfAnEarlierTermCommitsOnlyUnderAnOwnTermEntry) {
   opts.max_entries_per_ae = 1;
   opts.pre_vote = false;      // a timeout alone moves the term
   opts.check_quorum = false;  // a cut-off leader keeps its role
-  MiniHarness h(5, opts);
-  auto crash = [&h](NodeId n) {
-    h.Kill(n);
-    h.node(n).Halt();
-  };
-  auto restart = [&h](NodeId n) {
-    h.Revive(n);
-    h.node(n).Resume();
-  };
-  auto is_ae = [](const Message& m) { return dynamic_cast<const AppendEntriesReq*>(&m); };
+  RaftHarness h(5, opts);
+  auto is_ae = [](const Message& m) { return As<AppendEntriesReq>(m); };
   h.StartAll();
   ASSERT_EQ(h.WaitForLeader(), 0);
   h.Run(Millis(2));
@@ -1020,14 +843,14 @@ TEST(RaftNodeTest, EntryOfAnEarlierTermCommitsOnlyUnderAnOwnTermEntry) {
 
   // (a)
   h.drop_filter = [](NodeId from, NodeId to, const Message&) { return (from < 2) != (to < 2); };
-  ASSERT_TRUE(h.node(0).SubmitRequest(MiniHarness::Req(1, 1)));
+  ASSERT_TRUE(h.node(0).SubmitRequest(RaftHarness::Req(1, 1)));
   h.Run(Millis(1));
   ASSERT_EQ(h.node(1).log().last_index(), 2u);
   const Term t1 = h.node(0).log().TermAt(2);
 
   // (b)
-  crash(0);
-  crash(1);
+  h.Crash(0);
+  h.Crash(1);
   h.drop_filter = [is_ae](NodeId from, NodeId, const Message& m) {
     return from == 2 && is_ae(m) != nullptr;
   };
@@ -1035,9 +858,9 @@ TEST(RaftNodeTest, EntryOfAnEarlierTermCommitsOnlyUnderAnOwnTermEntry) {
   ASSERT_EQ(h.node(2).log().TermAt(2), h.node(2).term());
 
   // (c)
-  crash(2);
-  restart(0);
-  restart(1);
+  h.Crash(2);
+  h.Restart(0);
+  h.Restart(1);
   h.drop_filter = [is_ae](NodeId from, NodeId to, const Message& m) {
     const AppendEntriesReq* ae = is_ae(m);
     return ae != nullptr && from == 0 && to >= 3 && ae->prev_idx() == 2 &&
@@ -1066,15 +889,15 @@ TEST(RaftNodeTest, EntryOfAnEarlierTermCommitsOnlyUnderAnOwnTermEntry) {
   EXPECT_EQ(h.node(0).commit_index(), 1u);  // ...so A is not committed
 
   // (d)
-  crash(0);
-  crash(1);
-  restart(2);
+  h.Crash(0);
+  h.Crash(1);
+  h.Restart(2);
   h.drop_filter = nullptr;
   ASSERT_EQ(h.WaitForLeader(h.sim.Now() + Millis(100)), 2);
   h.Run(Millis(10));
   EXPECT_GE(h.node(3).commit_index(), 3u);
   EXPECT_NE(h.node(3).log().TermAt(2), t1);  // A was overwritten
-  ExpectNoDivergentApplies(h, 5);
+  h.CheckSafety();
 }
 
 // HovercRaft's body-hash check (section 5): append_entries carries metadata
@@ -1083,12 +906,12 @@ TEST(RaftNodeTest, EntryOfAnEarlierTermCommitsOnlyUnderAnOwnTermEntry) {
 // request "From Consensus to Chaos" describes. The follower must discard that
 // body, recover the leader's point-to-point and apply it.
 TEST(RaftNodeTest, SecondBodyUnderAnOrderedRidIsDiscardedAndRecovered) {
-  MiniHarness h(3, MetadataOptions());
+  RaftHarness h(3, MetadataOptions());
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const NodeId forged = (leader + 1) % 3;
   const NodeId healthy = (leader + 2) % 3;
-  const auto req = MiniHarness::Req(1, 1);
+  const auto req = RaftHarness::Req(1, 1);
   const auto second = std::make_shared<RpcRequest>(req->rid(), R2p2Policy::kReplicatedReq,
                                                    MakeBody(std::vector<uint8_t>(24, 0xEE)));
   ASSERT_NE(HashRequestBody(*second), HashRequestBody(*req));
@@ -1116,7 +939,7 @@ TEST(RaftNodeTest, SecondBodyUnderAnOrderedRidIsDiscardedAndRecovered) {
 std::function<bool(NodeId, NodeId, const Message&)> HideCommitsFrom(NodeId follower,
                                                                    LogIndex committed) {
   return [follower, committed](NodeId, NodeId to, const Message& m) {
-    const auto* ae = dynamic_cast<const AppendEntriesReq*>(&m);
+    const auto* ae = As<AppendEntriesReq>(m);
     return ae != nullptr && to == follower && ae->leader_commit() > committed;
   };
 }
@@ -1124,7 +947,7 @@ std::function<bool(NodeId, NodeId, const Message&)> HideCommitsFrom(NodeId follo
 // A snapshot from a deposed leader is refused with the receiver's term,
 // which is what deposes the sender, and installs nothing.
 TEST(RaftNodeTest, StaleInstallSnapshotIsRefusedWithTheCurrentTerm) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const NodeId follower = (leader + 1) % 3;
@@ -1134,13 +957,13 @@ TEST(RaftNodeTest, StaleInstallSnapshotIsRefusedWithTheCurrentTerm) {
   const LogIndex commit = h.node(follower).commit_index();
   std::vector<std::pair<Term, LogIndex>> replies;
   h.drop_filter = [&replies, follower](NodeId from, NodeId, const Message& m) {
-    if (const auto* rep = dynamic_cast<const InstallSnapshotRep*>(&m); rep && from == follower) {
+    if (const auto* rep = As<InstallSnapshotRep>(m); rep && from == follower) {
       replies.emplace_back(rep->term(), rep->last_included());
     }
     return false;
   };
-  h.node(follower).OnInstallSnapshot(InstallSnapshotReq(
-      term - 1, deposed, commit + 50, term - 1, h.env(leader).CaptureSnapshot().state));
+  h.Inject(follower, InstallSnapshotReq(term - 1, deposed, commit + 50, term - 1,
+                                        h.env(leader).CaptureSnapshot().state));
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].first, term);
   EXPECT_EQ(replies[0].second, 0u);
@@ -1154,7 +977,7 @@ TEST(RaftNodeTest, StaleInstallSnapshotIsRefusedWithTheCurrentTerm) {
 // term, compacts the prefix and keeps the suffix beyond it: the entries stay
 // in the log, and their records stay in the WAL.
 TEST(RaftNodeTest, InstallSnapshotKeepsAMatchingSuffixAndItsWalRecords) {
-  MiniHarness h(3);
+  RaftHarness h(3);
   h.StartAll();
   const NodeId leader = h.WaitForLeader();
   const NodeId follower = (leader + 1) % 3;
@@ -1162,7 +985,7 @@ TEST(RaftNodeTest, InstallSnapshotKeepsAMatchingSuffixAndItsWalRecords) {
   const LogIndex committed = h.node(follower).commit_index();
   h.drop_filter = HideCommitsFrom(follower, committed);
   for (uint64_t i = 1; i <= 4; ++i) {
-    h.node(leader).SubmitRequest(MiniHarness::Req(1, i));
+    h.node(leader).SubmitRequest(RaftHarness::Req(1, i));
   }
   h.Run(Millis(2));
   const RaftLog& log = h.node(follower).log();
@@ -1171,9 +994,8 @@ TEST(RaftNodeTest, InstallSnapshotKeepsAMatchingSuffixAndItsWalRecords) {
   ASSERT_EQ(h.node(follower).commit_index(), committed);
   ASSERT_GT(last, point);
 
-  h.node(follower).OnInstallSnapshot(InstallSnapshotReq(h.node(leader).term(), leader, point,
-                                                        log.TermAt(point),
-                                                        h.env(leader).CaptureSnapshot().state));
+  h.Inject(follower, InstallSnapshotReq(h.node(leader).term(), leader, point, log.TermAt(point),
+                                        h.env(leader).CaptureSnapshot().state));
   EXPECT_EQ(h.node(follower).stats().snapshots_installed, 1u);
   EXPECT_EQ(h.node(follower).commit_index(), point);
   EXPECT_EQ(log.first_index(), point + 1);
@@ -1197,7 +1019,7 @@ TEST(RaftNodeTest, InstallSnapshotKeepsAMatchingSuffixAndItsWalRecords) {
 TEST(RaftNodeTest, InstallSnapshotKeepsConfigsAboveItsPoint) {
   RaftOptions opts;
   opts.initial_voters = 3;
-  MiniHarness h(4, opts);
+  RaftHarness h(4, opts);
   h.StartAll();
   ASSERT_EQ(h.WaitForLeader(), 0);
   RaftNode& leader = h.node(0);
@@ -1209,7 +1031,7 @@ TEST(RaftNodeTest, InstallSnapshotKeepsConfigsAboveItsPoint) {
   ASSERT_EQ(follower.committed_config_idx(), promoted);
   const LogIndex committed = follower.commit_index();
   h.drop_filter = HideCommitsFrom(1, committed);
-  ASSERT_TRUE(leader.SubmitRequest(MiniHarness::Req(1, 1)));
+  ASSERT_TRUE(leader.SubmitRequest(RaftHarness::Req(1, 1)));
   ASSERT_TRUE(leader.StartRemoveServer(3));
   const LogIndex removal = leader.active_config_idx();
   h.Run(Millis(2));
@@ -1220,10 +1042,8 @@ TEST(RaftNodeTest, InstallSnapshotKeepsConfigsAboveItsPoint) {
 
   const auto [config_idx, config] = leader.ConfigCoveringIndex(point);
   ASSERT_EQ(config_idx, promoted);
-  follower.OnInstallSnapshot(InstallSnapshotReq(leader.term(), 0, point,
-                                                follower.log().TermAt(point),
-                                                h.env(0).CaptureSnapshot().state, config,
-                                                config_idx));
+  h.Inject(1, InstallSnapshotReq(leader.term(), 0, point, follower.log().TermAt(point),
+                                 h.env(0).CaptureSnapshot().state, config, config_idx));
   EXPECT_EQ(follower.stats().snapshots_installed, 1u);
   EXPECT_EQ(follower.committed_config_idx(), promoted);
   EXPECT_EQ(follower.active_config_idx(), removal);

@@ -218,17 +218,19 @@ TEST(ServerAnswerTest, ForwardedLeaseGrantWaitsForARestartedReplierToCatchUp) {
   }
 }
 
-// A direct AppendEntries reply carries the follower's own apply cursor, so
-// the leader takes the applied index it reports as it stands, also when it
-// went down (plain HovercRaft: in HovercRaft++ AGG_COMMIT carries the
-// aggregator's max over time and only raises it). The victim power-fails and recovers from its genesis snapshot; its
-// first reply after the restart reports an applied index below the one it
-// reported before the crash. From that reply on the leader's
-// MinAppliedKnown() reads the reported value and lease grants skip the
-// victim. The victim's later replies are held back until it has re-applied;
-// once they arrive it is granted reads again.
-TEST(ServerAnswerTest, RestartedFollowersFirstReplyLowersItsAppliedIndexAtTheLeader) {
+// An AppendEntries reply carries the follower's own apply cursor, so the
+// leader takes the applied index it reports as it stands, also when it went
+// down: directly in plain HovercRaft, and in HovercRaft++ through AGG_COMMIT,
+// which carries each follower's latest reply through the aggregator. The
+// victim power-fails and recovers from its genesis snapshot; its first reply
+// after the restart reports an applied index below the one it reported
+// before the crash. From that reply on the leader's MinAppliedKnown() reads
+// the reported value and lease grants skip the victim. The victim's later
+// replies are held back until it has re-applied; once they arrive it is
+// granted reads again.
+void ExpectRestartedFollowersFirstReplyLowersItsAppliedIndex(ClusterMode mode) {
   ClusterConfig config = KvConfig(22);
+  config.mode = mode;
   config.raft.read_index = true;
   config.server_template.disk_faults = true;
   config.server_template.compaction_interval = Seconds(10);  // genesis stays the snapshot
@@ -287,6 +289,14 @@ TEST(ServerAnswerTest, RestartedFollowersFirstReplyLowersItsAppliedIndexAtTheLea
   for (uint64_t seq = 2; seq <= 9; ++seq) {
     EXPECT_EQ(client.ValuesFor(seq), std::vector<std::string>{"v1"}) << "seq " << seq;
   }
+}
+
+TEST(ServerAnswerTest, RestartedFollowersFirstReplyLowersItsAppliedIndexAtTheLeader) {
+  ExpectRestartedFollowersFirstReplyLowersItsAppliedIndex(ClusterMode::kHovercRaft);
+}
+
+TEST(ServerAnswerTest, RestartedFollowersFirstReplyLowersItsAppliedIndexThroughTheAggregator) {
+  ExpectRestartedFollowersFirstReplyLowersItsAppliedIndex(ClusterMode::kHovercRaftPP);
 }
 
 // An ordered request repays its admission slot on its first ordered

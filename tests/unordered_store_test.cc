@@ -3,7 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/unordered_store.h"
+#include "src/raft/unordered_store.h"
 
 namespace hovercraft {
 namespace {
