@@ -3,7 +3,8 @@
 // simulator's cost model abstracts, plus the cost of a replica's local
 // snapshot of the YCSB-E store (BM_LocalSnapshot), the heap that store
 // retains (BM_StoreResidentBytes), the heap a 3-replica cluster of it retains
-// (BM_ClusterResidentBytes) and the heap its preload allocates (BM_Preload).
+// (BM_ClusterResidentBytes, which also counts the heap its later replicas'
+// preload replays request) and the heap its preload allocates (BM_Preload).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -39,6 +40,10 @@ void BM_StoreSetGet(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreSetGet);
 
+// Each iteration appends one post to a 10-post conversation rebuilt outside
+// the timed region, so the list does not grow across iterations. Arg 1
+// images the store first, as most ycsb-e inserts find their list: the post
+// goes to the clean list's tail and the encoded posts are not decoded.
 void BM_YcsbInsert(benchmark::State& state) {
   KvService svc;
   YcsbEGenerator gen(YcsbEConfig{});
@@ -48,13 +53,22 @@ void BM_YcsbInsert(benchmark::State& state) {
   cmd.key = "conv:1";
   cmd.value = gen.MakeRecord(rng);
   for (auto _ : state) {
+    state.PauseTiming();
+    svc.store().Del(cmd.key);
+    for (int i = 0; i < 10; ++i) {
+      svc.Apply(cmd);
+    }
+    if (state.range(0) == 1) {
+      svc.SnapshotImage();
+    }
+    state.ResumeTiming();
     benchmark::DoNotOptimize(svc.Apply(cmd));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(cmd.value.size()));
 }
-BENCHMARK(BM_YcsbInsert);
+BENCHMARK(BM_YcsbInsert)->ArgName("imaged")->Arg(0)->Arg(1);
 
 // Arg 1 scans an imaged store, whose keys are held only as their encoded
 // snapshot entries: the scan reads the posts in place.
@@ -256,20 +270,27 @@ BENCHMARK(BM_StoreResidentBytes)->Unit(benchmark::kMillisecond)->Iterations(1);
 // parts lets them hold one copy of each key between them: the cluster is
 // about one image plus three key indexes, where a copy per replica is 3x.
 // Each replica binds that index while its factory preloads it, so a replica
-// built after the first adopts each key's part as its preload completes the
-// key, and the build never holds a second copy either. Counters:
+// built after the first replays each key against the part the first
+// published, comparing each post in place and holding that part once its
+// preload completes the key: the build never holds a second copy, nor
+// allocates one. Counters:
 //   image_bytes       one replica's genesis image size;
 //   resident_bytes    g_live_bytes the cluster retains, allocator rounding
 //                     included;
 //   resident_x_image  the ratio, gated in CI (docs/performance.md);
 //   peak_bytes        the most g_live_bytes held at once while the cluster
 //                     was built;
-//   peak_x_image      its ratio to the image, gated in CI.
-// Live bytes are a deterministic function of the code and the seed.
+//   peak_x_image      its ratio to the image, gated in CI;
+//   replay_alloc_bytes  bytes requested by the factories of replicas 1
+//                     and 2, whose preloads replay replica 0's;
+//   replay_alloc_x_image  its ratio to the image, gated in CI.
+// Live and allocated bytes are a deterministic function of the code and the
+// seed.
 void BM_ClusterResidentBytes(benchmark::State& state) {
   double image = 0;
   double resident = 0;
   double peak = 0;
+  uint64_t replay_bytes = 0;
   for (auto _ : state) {
     const uint64_t live_before = g_live_bytes;
     g_peak_live_bytes = g_live_bytes;
@@ -277,11 +298,17 @@ void BM_ClusterResidentBytes(benchmark::State& state) {
     config.mode = ClusterMode::kHovercRaft;
     config.nodes = 3;
     config.seed = 1;
-    config.app_factory = []() {
+    int built = 0;
+    replay_bytes = 0;
+    config.app_factory = [&built, &replay_bytes]() {
+      const uint64_t bytes_before = g_alloc_bytes;
       auto svc = std::make_unique<KvService>();
       Rng rng(13);
       for (const KvCommand& cmd : YcsbEGenerator(YcsbEConfig{}).PreloadCommands(rng)) {
         svc->Apply(cmd);
+      }
+      if (built++ > 0) {
+        replay_bytes += g_alloc_bytes - bytes_before;
       }
       return svc;
     };
@@ -295,6 +322,8 @@ void BM_ClusterResidentBytes(benchmark::State& state) {
   state.counters["resident_x_image"] = resident / image;
   state.counters["peak_bytes"] = peak;
   state.counters["peak_x_image"] = peak / image;
+  state.counters["replay_alloc_bytes"] = static_cast<double>(replay_bytes);
+  state.counters["replay_alloc_x_image"] = static_cast<double>(replay_bytes) / image;
 }
 BENCHMARK(BM_ClusterResidentBytes)->Unit(benchmark::kMillisecond)->Iterations(1);
 

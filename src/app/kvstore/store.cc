@@ -38,6 +38,8 @@ class EntryReader {
 
   uint8_t tag() const { return tag_; }
   uint64_t count() const { return count_; }
+  // Bytes read so far: after construction, where the elements start.
+  size_t offset() const { return in_.position(); }
 
   // The next string: a string value, or an aggregate's next element (a
   // hash's field and its value are two).
@@ -62,6 +64,13 @@ class EntryReader {
 
 size_t KvStore::Slot::type() const { return clean() ? EntryReader(part).tag() : value.index(); }
 
+size_t KvStore::Slot::InPart() const {
+  if (prefixed()) {
+    return prefix;
+  }
+  return clean() ? EntryReader(part).count() : 0;
+}
+
 const KvStore::Slot* KvStore::Find(std::string_view key) const {
   auto it = map_.find(key);
   return it == map_.end() ? nullptr : &it->second;
@@ -75,25 +84,27 @@ bool KvStore::IsEncodedOnly(std::string_view key) const {
 std::vector<std::string> KvStore::ListSlice(const Slot& slot, size_t first, size_t count) {
   std::vector<std::string> out;
   out.reserve(count);
-  if (slot.clean()) {
+  const size_t in_part = slot.InPart();
+  if (first < in_part) {
     EntryReader r(slot.part);
     r.Skip(first);
-    for (size_t i = 0; i < count; ++i) {
+    while (out.size() < count && first + out.size() < in_part) {
       out.emplace_back(r.Next());
     }
-  } else {
+  }
+  if (out.size() < count) {  // the rest from the decoded list or tail
     const auto& l = std::get<ListValue>(slot.value);
-    const auto begin = l.begin() + static_cast<ptrdiff_t>(first);
-    out.assign(begin, begin + static_cast<ptrdiff_t>(count));
+    const auto begin = l.begin() + static_cast<ptrdiff_t>(first + out.size() - in_part);
+    out.insert(out.end(), begin, begin + static_cast<ptrdiff_t>(count - out.size()));
   }
   return out;
 }
 
 size_t KvStore::ElementCount(const Slot& slot) {
   if (slot.clean()) {
-    return EntryReader(slot.part).count();
+    return slot.InPart();
   }
-  return std::visit([](const auto& v) { return v.size(); }, slot.value);
+  return slot.InPart() + std::visit([](const auto& v) { return v.size(); }, slot.value);
 }
 
 void KvStore::Set(std::string_view key, std::string_view value) {
@@ -167,19 +178,38 @@ Result<std::string> KvStore::Hget(std::string_view key, std::string_view field) 
 
 Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
   const Written written{this, key};
-  Value* v = Mutable(key);
-  if (v == nullptr) {
-    ListValue l;
-    l.emplace_back(value);
-    map_.emplace(std::string(key), std::move(l));
-    return size_t{1};
+  auto it = map_.find(key);
+  if (it == map_.end()) {
+    it = map_.try_emplace(std::string(key)).first;
+    it->second.value.emplace<ListValue>();
+    // A list published under this name is replayed from an empty prefix.
+    const Image::Part* published = shared_ != nullptr ? shared_->Find(key) : nullptr;
+    if (published != nullptr) {
+      const EntryReader r(published->bytes);
+      if (r.tag() == kList) {
+        it->second.part = published->bytes;
+        it->second.crc = published->crc;
+        it->second.prefix_end = static_cast<uint32_t>(r.offset());
+      }
+    }
   }
-  auto* l = std::get_if<ListValue>(v);
-  if (l == nullptr) {
+  Slot& slot = it->second;
+  if (slot.type() != kList) {
     return Result<size_t>(FailedPreconditionError("wrong type"));
   }
-  l->emplace_back(value);
-  return l->size();
+  if (slot.clean()) {  // its whole part becomes the prefix: nothing is decoded
+    slot.prefix = static_cast<uint32_t>(slot.InPart());
+    slot.prefix_end = static_cast<uint32_t>(slot.part.size());
+    slot.value.emplace<ListValue>();
+  }
+  auto& tail = std::get<ListValue>(slot.value);
+  if (!tail.empty() || slot.part == nullptr || !Replay(slot, value)) {
+    tail.emplace_back(value);
+    if (slot.InPart() == 0) {
+      slot.part = nullptr;  // a prefix of no elements: just the tail
+    }
+  }
+  return ElementCount(slot);
 }
 
 Result<std::vector<std::string>> KvStore::Lrange(std::string_view key, int32_t start,
@@ -354,38 +384,6 @@ Result<size_t> KvStore::Scard(std::string_view key) const {
   return ElementCount(*slot);
 }
 
-uint64_t KvStore::ContentDigest() const {
-  uint64_t digest = 0;
-  for (const auto& [key, slot] : map_) {
-    Value temp;
-    const Value& value = Decoded(slot, temp);
-    uint64_t h = Fnv1aHash(key);
-    if (const auto* s = std::get_if<StringValue>(&value)) {
-      h = Fnv1aHash(*s, h ^ 1);
-    } else if (const auto* hv = std::get_if<HashValue>(&value)) {
-      uint64_t inner = 0;
-      for (const auto& [f, val] : *hv) {
-        inner ^= Fnv1aHash(val, Fnv1aHash(f) ^ 2);
-      }
-      h ^= inner;
-    } else if (const auto* l = std::get_if<ListValue>(&value)) {
-      uint64_t seq = h ^ 3;
-      for (const std::string& item : *l) {
-        seq = Fnv1aHash(item, seq);
-      }
-      h = seq;
-    } else if (const auto* set = std::get_if<SetValue>(&value)) {
-      uint64_t inner = 0;
-      for (const std::string& member : *set) {
-        inner ^= Fnv1aHash(member, h ^ 4);  // order-insensitive within the set
-      }
-      h ^= inner;
-    }
-    digest ^= h;  // order-insensitive across keys
-  }
-  return digest;
-}
-
 namespace {
 
 // The smallest encodings, which bound how many elements the remaining bytes
@@ -395,8 +393,8 @@ constexpr size_t kMinMemberBytes = 4;                     // empty string
 constexpr size_t kMinFieldBytes = 2 * kMinMemberBytes;    // field + value
 constexpr size_t kMinEntryBytes = kMinMemberBytes + 1 + kMinMemberBytes;  // key, tag, ""
 
-// Writes one key's entry to `out`: a BufferWriter, or an EntryMatcher that
-// compares the same bytes against a published part.
+// Writes one key's entry to `out`: a BufferWriter, or one of the sinks below
+// (EntryMatcher, EntrySizer, EntryDigest) that take the same calls.
 template <typename Out>
 void SerializeEntry(Out& out, const std::string& key, const KvStore::Value& value) {
   out.PutString(key);
@@ -438,6 +436,7 @@ class EntryMatcher {
     Match(&len, sizeof(len));
     Match(s.data(), s.size());
   }
+  void PutBytes(std::span<const uint8_t> bytes) { Match(bytes.data(), bytes.size()); }
 
   // Whether the part held exactly the bytes put, and nothing after them.
   bool matched() const { return ok_ && pos_ == end_; }
@@ -453,6 +452,76 @@ class EntryMatcher {
   const uint8_t* pos_;
   const uint8_t* end_;
   bool ok_ = true;
+};
+
+// Counts the bytes SerializeEntry writes.
+class EntrySizer {
+ public:
+  void PutU8(uint8_t) { size_ += 1; }
+  void PutU64(uint64_t) { size_ += 8; }
+  void PutString(std::string_view s) { size_ += 4 + s.size(); }
+  void PutBytes(std::span<const uint8_t> bytes) { size_ += bytes.size(); }
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
+// One key's ContentDigest term, folded from the strings SerializeEntry puts
+// (the key first), so an encoded part is hashed in place. Hash fields and
+// set members fold in order-insensitively, list items in order.
+class EntryDigest {
+ public:
+  void PutU8(uint8_t tag) {
+    tag_ = tag;
+    seq_ = h_ ^ 3;
+  }
+  void PutU64(uint64_t) {}
+  void PutString(std::string_view s) {
+    if (!keyed_) {
+      h_ = Fnv1aHash(s);
+      keyed_ = true;
+      return;
+    }
+    switch (tag_) {
+      case kString:
+        h_ = Fnv1aHash(s, h_ ^ 1);
+        break;
+      case kHash:
+        if (field_) {
+          field_seed_ = Fnv1aHash(s) ^ 2;
+        } else {
+          inner_ ^= Fnv1aHash(s, field_seed_);
+        }
+        field_ = !field_;
+        break;
+      case kList:
+        seq_ = Fnv1aHash(s, seq_);
+        break;
+      default:
+        inner_ ^= Fnv1aHash(s, h_ ^ 4);
+        break;
+    }
+  }
+  // u32-prefixed strings, back to back.
+  void PutBytes(std::span<const uint8_t> bytes) {
+    BufferReader in(bytes);
+    while (!in.AtEnd()) {
+      std::string_view s;
+      HC_CHECK(in.GetStringView(s).ok());
+      PutString(s);
+    }
+  }
+  uint64_t term() const { return tag_ == kList ? seq_ : h_ ^ inner_; }
+
+ private:
+  uint8_t tag_ = kString;
+  bool keyed_ = false;
+  bool field_ = true;  // a hash's next string is a field
+  uint64_t h_ = 0;
+  uint64_t seq_ = 0;
+  uint64_t inner_ = 0;
+  uint64_t field_seed_ = 0;
 };
 
 // An entry's tag and value, after its key.
@@ -546,52 +615,44 @@ KvStore::Value DecodePart(const Body& part) {
   return value;
 }
 
-// Bytes SerializeEntry appends for one key: mirrors its layout field by
-// field (u32-prefixed strings, u8 tag, u64 element counts).
-size_t SerializedEntrySize(const std::string& key, const KvStore::Value& value) {
-  constexpr size_t kLen = 4;
-  constexpr size_t kCount = 8;
-  size_t n = kLen + key.size() + 1;
-  if (const auto* s = std::get_if<KvStore::StringValue>(&value)) {
-    n += kLen + s->size();
-  } else if (const auto* h = std::get_if<KvStore::HashValue>(&value)) {
-    n += kCount;
-    for (const auto& [field, v] : *h) {
-      n += kLen + field.size() + kLen + v.size();
-    }
-  } else if (const auto* l = std::get_if<KvStore::ListValue>(&value)) {
-    n += kCount;
-    for (const std::string& item : *l) {
-      n += kLen + item.size();
-    }
-  } else if (const auto* set = std::get_if<KvStore::SetValue>(&value)) {
-    n += kCount;
-    for (const std::string& member : *set) {
-      n += kLen + member.size();
-    }
-  }
-  return n;
-}
-
-// Whether `part` holds exactly the bytes SerializeEntry writes for the key.
-bool Matches(const Body& part, const std::string& key, const KvStore::Value& value) {
-  EntryMatcher matcher(part);
-  SerializeEntry(matcher, key, value);
-  return matcher.matched();
-}
-
 }  // namespace
 
-size_t KvStore::Slot::EncodedSize(const std::string& key) const {
-  return clean() ? part.size() : SerializedEntrySize(key, value);
+template <typename Out>
+void KvStore::Slot::Encode(Out& out, const std::string& key) const {
+  if (part == nullptr) {
+    SerializeEntry(out, key, value);
+    return;
+  }
+  const EntryReader r(part);
+  out.PutString(key);
+  out.PutU8(r.tag());
+  if (r.tag() != kString) {
+    out.PutU64(ElementCount(*this));
+  }
+  // The part's elements: a prefixed list's up to its prefix.
+  const size_t end = prefixed() ? prefix_end : part.size();
+  out.PutBytes(part.bytes().subspan(r.offset(), end - r.offset()));
+  if (prefixed()) {
+    for (const std::string& item : std::get<ListValue>(value)) {
+      out.PutString(item);
+    }
+  }
 }
 
-void KvStore::Slot::EncodeTo(BufferWriter& out, const std::string& key) const {
-  if (clean()) {
-    out.PutBytes(part.bytes());
-  } else {
-    SerializeEntry(out, key, value);
+size_t KvStore::Slot::EncodedSize(const std::string& key) const {
+  EntrySizer sizer;
+  Encode(sizer, key);
+  return sizer.size();
+}
+
+uint64_t KvStore::ContentDigest() const {
+  uint64_t digest = 0;
+  for (const auto& [key, slot] : map_) {
+    EntryDigest term;
+    slot.Encode(term, key);
+    digest ^= term.term();  // order-insensitive across keys
   }
+  return digest;
 }
 
 KvStore::Value* KvStore::Mutable(std::string_view key) {
@@ -600,11 +661,36 @@ KvStore::Value* KvStore::Mutable(std::string_view key) {
     return nullptr;
   }
   Slot& slot = it->second;
-  if (slot.clean()) {
+  if (slot.prefixed()) {
+    ListValue l;
+    EntryReader r(slot.part);
+    for (uint32_t i = 0; i < slot.prefix; ++i) {
+      l.emplace_back(r.Next());
+    }
+    for (std::string& item : std::get<ListValue>(slot.value)) {
+      l.push_back(std::move(item));
+    }
+    slot.value = std::move(l);
+    slot.part = nullptr;
+  } else if (slot.clean()) {
     slot.value = DecodePart(slot.part);
     slot.part = nullptr;
   }
   return &slot.value;
+}
+
+bool KvStore::Replay(Slot& slot, std::string_view item) {
+  BufferReader rest(slot.part.bytes().subspan(slot.prefix_end));
+  std::string_view next;
+  if (!rest.GetStringView(next).ok() || next != item) {
+    return false;
+  }
+  ++slot.prefix;
+  slot.prefix_end = static_cast<uint32_t>(slot.part.size() - rest.remaining());
+  if (rest.AtEnd()) {
+    slot.value = Value{};  // replayed in full: clean, the part its only copy
+  }
+  return true;
 }
 
 const KvStore::Value& KvStore::Decoded(const Slot& slot, Value& temp) {
@@ -618,7 +704,7 @@ const KvStore::Value& KvStore::Decoded(const Slot& slot, Value& temp) {
 void KvStore::SerializeTo(BufferWriter& out) const {
   out.PutU64(map_.size());
   for (const auto& [key, slot] : map_) {
-    slot.EncodeTo(out, key);
+    slot.Encode(out, key);
   }
 }
 
@@ -626,8 +712,12 @@ bool KvStore::AdoptPublished(const std::string& key, const Slot& slot) const {
   const Image::Part* published = shared_ != nullptr ? shared_->Find(key) : nullptr;
   // The size check rules out the usual stale part, a list before its latest
   // append, without comparing its bytes.
-  if (published == nullptr || published->bytes.size() != SerializedEntrySize(key, slot.value) ||
-      !Matches(published->bytes, key, slot.value)) {
+  if (published == nullptr || published->bytes.size() != slot.EncodedSize(key)) {
+    return false;
+  }
+  EntryMatcher matcher(published->bytes);
+  slot.Encode(matcher, key);
+  if (!matcher.matched()) {
     return false;
   }
   // Another replica encoded these very bytes: hold its part, as the key's
@@ -644,8 +734,9 @@ void KvStore::AdoptBeforeFirstImage(std::string_view key) {
   if (shared_ == nullptr || imaged_) {
     return;
   }
+  // A prefixed list holds a part already, and adopts at the image.
   auto it = map_.find(key);
-  if (it != map_.end() && !it->second.clean()) {
+  if (it != map_.end() && it->second.part == nullptr) {
     AdoptPublished(it->first, it->second);
   }
 }
@@ -659,9 +750,9 @@ Image KvStore::SerializeImage(BufferWriter head) const {
   image.Append(head_part, Crc32c(head_part.bytes()));
   for (const auto& [key, slot] : map_) {
     if (!slot.clean() && !AdoptPublished(key, slot)) {
-      const size_t size = SerializedEntrySize(key, slot.value);
+      const size_t size = slot.EncodedSize(key);
       BufferWriter w(size);
-      SerializeEntry(w, key, slot.value);
+      slot.Encode(w, key);
       HC_CHECK_EQ(w.size(), size);
       slot.part = w.TakeBody();
       // Checksummed now, while the bytes are still in cache.
@@ -707,7 +798,7 @@ Body KvStore::SerializePart(const KeyPredicate& pred) const {
   BufferWriter out(size);
   out.PutU64(matched.size());
   for (const auto* entry : matched) {
-    entry->second.EncodeTo(out, entry->first);
+    entry->second.Encode(out, entry->first);
   }
   HC_CHECK_EQ(out.size(), size);
   return out.TakeBody();

@@ -1,6 +1,19 @@
 // The in-memory data-structure store (the paper's Redis stand-in).
 // Pure data structures + operations; no costs, no I/O — KvService layers the
 // cost model and the StateMachine interface on top.
+//
+// Each key is held in one of three states:
+//  - dirty: its decoded value (the state after most writes);
+//  - clean: only its encoded snapshot entry, a part that images share
+//    (SerializeImage leaves every key clean);
+//  - prefix plus tail, lists only: the first n elements of an encoded part,
+//    read in place, then a decoded tail. Rpush on a clean list starts a
+//    tail and decodes nothing; Rpush on an absent key whose name has a
+//    published list part replays it, comparing each value with the part's
+//    next element in place, and a key whose replay reaches the part's end
+//    is clean and holds that part.
+// Reads answer from every state without converting it; the next image
+// makes every key clean again.
 #ifndef SRC_APP_KVSTORE_STORE_H_
 #define SRC_APP_KVSTORE_STORE_H_
 
@@ -80,28 +93,30 @@ class KvStore {
   uint64_t ContentDigest() const;
 
   // The store's snapshot format: the u64 key count, then each key's entry.
-  // SerializeTo writes it in one buffer: a clean key's part verbatim, a
-  // dirty key encoded on the spot (neither changes representation).
+  // SerializeTo writes it in one buffer: a clean key's part verbatim, any
+  // other key encoded on the spot (no key changes state).
   // DeserializeFrom replaces the current contents with decoded keys.
   void SerializeTo(BufferWriter& out) const;
   Status DeserializeFrom(BufferReader& in);
 
   // The same bytes as `head` followed by SerializeTo's, as an Image: `head`
   // with the key count appended is the first part, then one part per key in
-  // SerializeTo's order. Each dirty key is encoded and checksummed and its
-  // decoded value freed, which leaves it clean; a clean key's part is shared
-  // as is. So only keys written since the last image are serialized, and
-  // every image shares the parts of the keys that did not change.
+  // SerializeTo's order. Each dirty key, and each prefixed list, is encoded
+  // and checksummed and its decoded value freed, which leaves it clean; a
+  // clean key's part is shared as is. So only keys written since the last
+  // image are serialized, and every image shares the parts of the keys that
+  // did not change.
   //
   // A store built inside an ImagePartIndex::Scope (Cluster builds every app
   // in one) binds the deployment's index and shares one copy of every
   // unchanged key with the other replicas: a dirty key whose name the index
   // maps to a part holding exactly the bytes it would encode adopts that
   // part and its CRC, compared in place with no allocation and no CRC pass;
-  // any other dirty key is encoded as above and published. Until its first
-  // image the store also adopts at the end of each write, so a replica that
+  // any other dirty key is encoded as above and published. A replica that
   // replays what another already imaged (a preload) never holds a second
-  // copy; after it, a write leaves its key dirty until the next image.
+  // copy: its lists replay the published parts (file comment), and until
+  // its first image a write that leaves its key dirty adopts at its end;
+  // after it, such a write leaves its key dirty until the next image.
   Image SerializeImage(BufferWriter head) const;
 
   // --- Shard-move range handoff (src/shard). The predicate selects keys by
@@ -117,31 +132,43 @@ class KvStore {
   size_t EraseIf(const KeyPredicate& pred);
 
  private:
-  // A key's contents, held in exactly one representation. A dirty key
-  // (written since the last image) holds its decoded value and a null part.
-  // A clean key holds only its SerializeEntry bytes and their CRC, and an
-  // empty value. SerializeImage makes every key clean. A write leaves its
-  // key dirty: Mutable() decodes a clean key once and drops its part, Set
-  // overwrites the value, and the other paths replace or erase the slot.
-  // Reads answer from either representation without converting it. The
-  // list reads, Get and the size reads read a clean key's part in place;
-  // Hget, Sismember and ContentDigest decode it into a temporary they drop.
+  // A key's contents in one of the three states (file comment):
+  //  - dirty: `value` holds the decoded value and `part` is null;
+  //  - clean: `part` holds the key's SerializeEntry bytes, `crc` their CRC,
+  //    and `value` is empty;
+  //  - prefix plus tail: `part` and `crc` are a list part's, whose first
+  //    `prefix` elements (its bytes before `prefix_end`) are the list's
+  //    head, and `value` holds the tail (a ListValue).
+  // A write leaves its key dirty, except Rpush, which keeps a part it can
+  // read the list's head from. Mutable() decodes the other states once and
+  // drops the part, Set overwrites the value, and the other paths replace or
+  // erase the slot. The list reads, Get, the size reads and ContentDigest
+  // read a part in place; Hget and Sismember decode a clean key's part into
+  // a temporary they drop.
   struct Slot {
     Slot() = default;
     Slot(Value v) : value(std::move(v)) {}  // NOLINT(google-explicit-constructor)
 
-    bool clean() const { return part != nullptr; }
-    // The value's variant index, from either representation.
+    bool prefixed() const { return part != nullptr && std::holds_alternative<ListValue>(value); }
+    bool clean() const { return part != nullptr && !prefixed(); }
+    // The value's variant index, from any state.
     size_t type() const;
-    // The key's SerializeEntry bytes: a clean key's part, verbatim.
+    // Elements read from `part`: a prefixed list's prefix, a clean key's
+    // count, none for a dirty key.
+    size_t InPart() const;
+    // The key's SerializeEntry bytes, to a BufferWriter or another sink
+    // with its Put* calls; a part's elements go in one PutBytes.
+    template <typename Out>
+    void Encode(Out& out, const std::string& key) const;
     size_t EncodedSize(const std::string& key) const;
-    void EncodeTo(BufferWriter& out, const std::string& key) const;
 
     // Logically const: SerializeImage trades one representation for the
     // other without changing the contents.
     mutable Value value;
     mutable Body part;
     mutable uint32_t crc = 0;  // Crc32c(part)
+    uint32_t prefix = 0;       // a prefixed list's head: elements in `part`
+    uint32_t prefix_end = 0;   // and the offset just past them
   };
 
   // Ends every write: until the store's first image, a key the write left
@@ -153,16 +180,20 @@ class KvStore {
   };
 
   const Slot* Find(std::string_view key) const;
-  // Makes the dirty `slot` clean by adopting the part the index publishes
-  // under `key`, when that part holds exactly the bytes SerializeEntry
-  // would write; returns whether it did.
+  // Makes a dirty or prefixed `slot` clean by adopting the part the index
+  // publishes under `key`, when that part holds exactly the bytes
+  // SerializeEntry would write; returns whether it did.
   bool AdoptPublished(const std::string& key, const Slot& slot) const;
   void AdoptBeforeFirstImage(std::string_view key);
-  // The key's decoded value for mutation: a clean key is decoded and its
-  // part dropped.
+  // Extends a prefixed list's head by `item` when that is its part's next
+  // element, compared in place; returns whether it did. A head that reaches
+  // the part's end leaves the slot clean, holding that part.
+  static bool Replay(Slot& slot, std::string_view item);
+  // The key's decoded value for mutation: a clean or prefixed key is
+  // decoded and its part dropped.
   Value* Mutable(std::string_view key);
-  // The slot's decoded value without converting the slot: a dirty slot's
-  // own, or a clean slot's part decoded into `temp`.
+  // A hash or set slot's decoded value without converting the slot: a dirty
+  // slot's own, or a clean slot's part decoded into `temp`.
   static const Value& Decoded(const Slot& slot, Value& temp);
   // Elements [first, first + count) of a list slot, in order.
   static std::vector<std::string> ListSlice(const Slot& slot, size_t first, size_t count);

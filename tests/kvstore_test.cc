@@ -2,12 +2,14 @@
 
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "bench/counting_allocator.h"  // heap a push requests
 #include "src/app/kvstore/command.h"
 #include "src/app/kvstore/service.h"
 #include "src/app/kvstore/store.h"
@@ -653,15 +655,23 @@ std::vector<KvCommand> EveryRead() {
   return reads;
 }
 
+// Each image part, by the key its entry starts with.
+std::unordered_map<std::string, Image::Part> PartOf(const Image& image) {
+  std::unordered_map<std::string, Image::Part> parts;
+  for (size_t i = 1; i < image.parts().size(); ++i) {
+    BufferReader r(image.parts()[i].bytes.bytes());
+    std::string key;
+    EXPECT_TRUE(r.GetString(key).ok());
+    parts[key] = image.parts()[i];
+  }
+  return parts;
+}
+
 // An image's part for each key, by the key its entry starts with.
 std::unordered_map<std::string, const uint8_t*> PartsByKey(const Image& image) {
   std::unordered_map<std::string, const uint8_t*> parts;
-  for (size_t i = 1; i < image.parts().size(); ++i) {
-    const Body& part = image.parts()[i].bytes;
-    BufferReader r(part.bytes());
-    std::string key;
-    EXPECT_TRUE(r.GetString(key).ok());
-    parts[key] = part.data();
+  for (const auto& [key, part] : PartOf(image)) {
+    parts[key] = part.bytes.data();
   }
   return parts;
 }
@@ -919,6 +929,275 @@ TEST(KvServiceTest, WriteToOneReplicaLeavesTheSharingReplicaUnchanged) {
     EXPECT_TRUE(shared.Flatten() == shared_bytes) << "after writing " << key;
   }
   EXPECT_NE(writer.Digest(), digest);
+}
+
+// ---------------------------------------------------------------------------
+// The prefix-plus-tail list state
+// ---------------------------------------------------------------------------
+
+const std::vector<std::string> kPosts = {"p1", "p2", "p3", "p4"};
+
+std::vector<uint8_t> Serialized(const KvStore& store) {
+  BufferWriter w;
+  store.SerializeTo(w);
+  return w.TakeBytes();
+}
+
+// A publishing store and a second store on one index of published parts,
+// both bound to it at construction.
+struct SharingStores {
+  SharingStores() {
+    ImagePartIndex::Scope scope(&index);
+    publisher = std::make_unique<KvStore>();
+    store = std::make_unique<KvStore>();
+  }
+
+  ImagePartIndex index;  // outlives the stores bound to it
+  std::unique_ptr<KvStore> publisher;
+  std::unique_ptr<KvStore> store;
+};
+
+// The ways a list reaches the prefix-plus-tail state: a push onto a clean
+// list (its own part, then a tail), a replay of a published list that
+// diverges at its third post (a prefix of two, a tail of two), and a replay
+// cut short after two posts (a prefix of two, no tail).
+enum class Prefixed { kPushOnClean, kDivergedReplay, kMidReplay };
+constexpr Prefixed kPrefixedCases[] = {Prefixed::kPushOnClean, Prefixed::kDivergedReplay,
+                                       Prefixed::kMidReplay};
+
+const char* Name(Prefixed how) {
+  switch (how) {
+    case Prefixed::kPushOnClean:
+      return "push on clean";
+    case Prefixed::kDivergedReplay:
+      return "diverged replay";
+    case Prefixed::kMidReplay:
+      return "mid replay";
+  }
+  return "?";
+}
+
+// `store` holds "list" in one of those states beside a string key, on an
+// index where `publisher` imaged kPosts; `decoded` holds the same contents,
+// built outside any index and never imaged, so each of its keys is dirty.
+struct PrefixedList : SharingStores {
+  explicit PrefixedList(Prefixed how) {
+    for (const std::string& post : kPosts) {
+      EXPECT_TRUE(publisher->Rpush("list", post).ok());
+    }
+    published = publisher->SerializeImage(BufferWriter());
+    switch (how) {
+      case Prefixed::kPushOnClean:
+        posts = kPosts;
+        for (const std::string& post : posts) {
+          EXPECT_TRUE(store->Rpush("list", post).ok());
+        }
+        store->SerializeImage(BufferWriter());
+        posts.emplace_back("p5");
+        EXPECT_TRUE(store->Rpush("list", "p5").ok());
+        break;
+      case Prefixed::kDivergedReplay:
+        posts = {"p1", "p2", "q3", "p4"};
+        break;
+      case Prefixed::kMidReplay:
+        posts = {"p1", "p2"};
+        break;
+    }
+    if (how != Prefixed::kPushOnClean) {
+      for (const std::string& post : posts) {
+        EXPECT_TRUE(store->Rpush("list", post).ok());
+      }
+    }
+    for (const std::string& post : posts) {
+      EXPECT_TRUE(decoded.Rpush("list", post).ok());
+    }
+    store->Set("str", "value");
+    decoded.Set("str", "value");
+  }
+
+  KvStore decoded;
+  Image published;
+  std::vector<std::string> posts;
+};
+
+// A store replaying a published list compares each post with the part's
+// next element, byte for byte: a replay that diverges at post k (by one
+// byte, keeping its length) ends with its own list, digest and image part,
+// and only a replay that never diverges holds the published part.
+TEST(KvStoreTest, ReplayDivergingAtAnyPostEndsWithItsOwnList) {
+  for (size_t k = 0; k <= kPosts.size(); ++k) {
+    SharingStores stores;
+    KvStore decoded;
+    std::vector<std::string> posts = kPosts;
+    if (k < posts.size()) {
+      posts[k][0] = 'q';
+    }
+    for (const std::string& post : kPosts) {
+      ASSERT_TRUE(stores.publisher->Rpush("list", post).ok());
+    }
+    const Image published = stores.publisher->SerializeImage(BufferWriter());
+    KvStore& replaying = *stores.store;
+    for (const std::string& post : posts) {
+      ASSERT_TRUE(replaying.Rpush("list", post).ok());
+      ASSERT_TRUE(decoded.Rpush("list", post).ok());
+    }
+    EXPECT_EQ(replaying.IsEncodedOnly("list"), k == kPosts.size()) << k;
+    EXPECT_EQ(replaying.Lrange("list", 0, -1).value(), posts) << k;
+    EXPECT_EQ(replaying.ContentDigest(), decoded.ContentDigest()) << k;
+    EXPECT_EQ(replaying.ContentDigest() == stores.publisher->ContentDigest(), k == kPosts.size())
+        << k;
+
+    const Image image = replaying.SerializeImage(BufferWriter());
+    const Image::Part want = PartOf(decoded.SerializeImage(BufferWriter())).at("list");
+    const Image::Part got = PartOf(image).at("list");
+    EXPECT_TRUE(got.bytes == want.bytes) << k;
+    EXPECT_EQ(got.crc, want.crc) << k;
+    EXPECT_EQ(got.bytes.data() == PartOf(published).at("list").bytes.data(), k == kPosts.size())
+        << k;
+    EXPECT_EQ(replaying.Lrange("list", 0, -1).value(), posts) << k;
+  }
+}
+
+// Mid-replay, the list holds exactly the posts replayed so far: its length,
+// ranges, scans, digest and serialization are those of a decoded list of
+// them, and the published list's later posts show nowhere.
+TEST(KvStoreTest, ReadsMidReplaySeeExactlyTheReplayedPrefix) {
+  SharingStores stores;
+  for (const std::string& post : kPosts) {
+    ASSERT_TRUE(stores.publisher->Rpush("list", post).ok());
+  }
+  const Image published = stores.publisher->SerializeImage(BufferWriter());
+  KvStore& replaying = *stores.store;
+  KvStore decoded;
+  for (size_t n = 1; n <= kPosts.size(); ++n) {
+    ASSERT_EQ(replaying.Rpush("list", kPosts[n - 1]).value(), n);
+    ASSERT_EQ(decoded.Rpush("list", kPosts[n - 1]).value(), n);
+    const std::vector<std::string> want(kPosts.begin(),
+                                        kPosts.begin() + static_cast<ptrdiff_t>(n));
+    EXPECT_EQ(replaying.IsEncodedOnly("list"), n == kPosts.size()) << n;
+    EXPECT_EQ(replaying.Llen("list").value(), n);
+    EXPECT_EQ(replaying.Lrange("list", 0, -1).value(), want) << n;
+    for (auto [start, stop] : {std::pair{1, 2}, {-2, -1}, {0, 9}, {3, 3}}) {
+      EXPECT_EQ(replaying.Lrange("list", start, stop).value(),
+                decoded.Lrange("list", start, stop).value())
+          << n << ": " << start << ".." << stop;
+    }
+    for (int32_t limit : {1, 3, 10}) {
+      EXPECT_EQ(replaying.ScanTail("list", limit).value(), decoded.ScanTail("list", limit).value())
+          << n << ", limit " << limit;
+    }
+    EXPECT_EQ(replaying.ContentDigest(), decoded.ContentDigest()) << n;
+    EXPECT_EQ(Serialized(replaying), Serialized(decoded)) << n;
+  }
+}
+
+// Lpop, an overwrite, a wrong-type write, a delete and further pushes on a
+// prefix-plus-tail list answer as on the decoded list and leave the same
+// contents, digest and image bytes.
+TEST(KvStoreTest, WritesOnAPrefixedListActLikeOnADecodedOne) {
+  using Write = std::string (*)(KvStore&);
+  const std::pair<const char*, Write> kWrites[] = {
+      {"lpop", [](KvStore& s) { return s.Lpop("list").value(); }},
+      {"lpop all",
+       [](KvStore& s) {
+         std::string popped;
+         while (s.Llen("list").value() > 0) {
+           popped += s.Lpop("list").value();
+         }
+         return popped;
+       }},
+      {"set",
+       [](KvStore& s) {
+         s.Set("list", "now a string");
+         return s.Get("list").value();
+       }},
+      {"hset", [](KvStore& s) { return s.Hset("list", "f", "v").ToString(); }},
+      {"del", [](KvStore& s) { return std::to_string(s.Del("list")); }},
+      {"rpush",
+       [](KvStore& s) {
+         return std::to_string(s.Rpush("list", "x1").value()) +
+                std::to_string(s.Rpush("list", "x2").value());
+       }},
+  };
+  for (Prefixed how : kPrefixedCases) {
+    for (const auto& [name, write] : kWrites) {
+      const std::string what = std::string(Name(how)) + ", " + name;
+      PrefixedList list(how);
+      KvStore& store = *list.store;
+      EXPECT_FALSE(store.IsEncodedOnly("list")) << what;
+      EXPECT_EQ(write(store), write(list.decoded)) << what;
+      EXPECT_EQ(store.Get("list").status().code(), list.decoded.Get("list").status().code())
+          << what;
+      if (list.decoded.Get("list").ok()) {
+        EXPECT_EQ(store.Get("list").value(), list.decoded.Get("list").value()) << what;
+      }
+      if (list.decoded.Lrange("list", 0, -1).ok()) {
+        EXPECT_EQ(store.Lrange("list", 0, -1).value(), list.decoded.Lrange("list", 0, -1).value())
+            << what;
+      }
+      EXPECT_EQ(store.ContentDigest(), list.decoded.ContentDigest()) << what;
+      EXPECT_EQ(Serialized(store), Serialized(list.decoded)) << what;
+      EXPECT_TRUE(store.SerializeImage(BufferWriter()).Flatten() == Serialized(list.decoded))
+          << what;
+    }
+  }
+}
+
+// A prefix-plus-tail list serializes, and images, to the bytes of the same
+// list built decoded: SerializeTo's bytes, each image part and its CRC. Its
+// image leaves it clean, answering reads from the new part.
+TEST(KvStoreTest, PrefixedListsImageLikeDecodedLists) {
+  for (Prefixed how : kPrefixedCases) {
+    PrefixedList list(how);
+    EXPECT_EQ(Serialized(*list.store), Serialized(list.decoded)) << Name(how);
+    EXPECT_EQ(list.store->ContentDigest(), list.decoded.ContentDigest()) << Name(how);
+    const Image image = list.store->SerializeImage(BufferWriter());
+    const Image want = list.decoded.SerializeImage(BufferWriter());
+    EXPECT_EQ(image.crc(), want.crc()) << Name(how);
+    const auto parts = PartOf(image);
+    for (const auto& [key, part] : PartOf(want)) {
+      EXPECT_TRUE(parts.at(key).bytes == part.bytes) << Name(how) << ", " << key;
+      EXPECT_EQ(parts.at(key).crc, part.crc) << Name(how) << ", " << key;
+      EXPECT_EQ(parts.at(key).crc, Crc32cPortable(part.bytes.bytes())) << Name(how) << ", " << key;
+    }
+    EXPECT_TRUE(list.store->IsEncodedOnly("list")) << Name(how);
+    EXPECT_EQ(list.store->Lrange("list", 0, -1).value(), list.posts) << Name(how);
+  }
+}
+
+// A push onto a clean list keeps the list's part as its prefix, still
+// shared with the image that made it, and requests heap for the pushed post
+// and the tail alone: none of the encoded posts is decoded. A replay that
+// matches the published posts requests none for them either.
+TEST(KvStoreTest, RpushOnACleanListSharesItsPartAndDecodesNoPost) {
+  constexpr size_t kListPosts = 20;
+  const std::string post(1024, 'p');
+  SharingStores stores;
+  KvStore& store = *stores.publisher;
+  for (size_t i = 0; i < kListPosts; ++i) {
+    ASSERT_TRUE(store.Rpush("list", post).ok());
+  }
+  const Image image = store.SerializeImage(BufferWriter());
+  const Body part = PartOf(image).at("list").bytes;
+  const uint32_t refs = part.refcount();
+
+  uint64_t before = g_alloc_bytes;
+  ASSERT_EQ(store.Rpush("list", post).value(), kListPosts + 1);
+  const uint64_t pushed = g_alloc_bytes - before;
+  EXPECT_EQ(part.refcount(), refs) << "the list dropped its part";
+  EXPECT_LT(pushed, 2 * post.size()) << "the push decoded the list";
+  EXPECT_EQ(store.Lrange("list", 0, -1).value(), std::vector<std::string>(kListPosts + 1, post));
+
+  KvStore& replaying = *stores.store;
+  before = g_alloc_bytes;
+  for (size_t i = 0; i < kListPosts; ++i) {
+    ASSERT_TRUE(replaying.Rpush("list", post).ok());
+  }
+  const uint64_t replayed = g_alloc_bytes - before;
+  EXPECT_LT(replayed, post.size()) << "the replay copied a post";  // the key's slot only
+  EXPECT_TRUE(replaying.IsEncodedOnly("list"));
+  EXPECT_EQ(PartOf(replaying.SerializeImage(BufferWriter())).at("list").bytes.data(),
+            part.data());
 }
 
 }  // namespace

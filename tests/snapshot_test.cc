@@ -19,6 +19,7 @@
 #include "src/core/session_table.h"
 #include "src/loadgen/client.h"
 #include "src/loadgen/workload.h"
+#include "src/r2p2/shard.h"
 #include "src/raft/wal_codec.h"
 
 namespace hovercraft {
@@ -734,6 +735,98 @@ TEST(SnapshotTest, ReplicaWithOneDifferentRecordKeepsOnlyThatKey) {
     EXPECT_EQ(parts[2].at(key) == data, key != odd_key) << key;
   }
   EXPECT_NE(cluster.server(2).app().Digest(), cluster.server(0).app().Digest());
+}
+
+// A replica whose preload stops partway through one conversation holds that
+// key as a prefix of the part the first replica published, with no tail:
+// its genesis image encodes the prefix as its own part, byte for byte what a
+// decoded preload of the same posts encodes, and shares every other key.
+TEST(SnapshotTest, ReplicaCutShortMidReplayImagesItsOwnPrefix) {
+  ClusterConfig config = SmallYcsbConfig(810);
+  const std::string short_key = YcsbEGenerator::ConversationKey(11);
+  YcsbEConfig ycsb;
+  ycsb.conversation_count = 200;
+  ycsb.preload_per_conversation = 4;
+  ycsb.field_bytes = 64;
+  KvService decoded;  // replica 2's preload, outside the deployment's index
+  auto preload = [&ycsb, &short_key](KvService& svc, bool cut) {
+    Rng rng(9);
+    int short_posts = 0;
+    for (const KvCommand& cmd : YcsbEGenerator(ycsb).PreloadCommands(rng)) {
+      if (!cut || cmd.key != short_key || ++short_posts <= 2) {
+        svc.Apply(cmd);
+      }
+    }
+  };
+  preload(decoded, true);
+  int built = 0;
+  config.app_factory = [&]() {
+    auto svc = std::make_unique<KvService>();
+    preload(*svc, built++ == 2);
+    return svc;
+  };
+  Cluster cluster(config);
+  EXPECT_EQ(cluster.server(2).app().Digest(), decoded.Digest());
+  EXPECT_NE(cluster.server(2).app().Digest(), cluster.server(0).app().Digest());
+  const KvStore& store = static_cast<const KvService&>(cluster.server(2).app()).store();
+  EXPECT_EQ(store.Llen(short_key).value(), 2u);
+
+  const Image image = cluster.server(2).app().SnapshotImage();
+  const Image image0 = cluster.server(0).app().SnapshotImage();
+  EXPECT_TRUE(image.Flatten() == decoded.SnapshotState());
+  const auto parts = PartsByKey(image);
+  const auto parts0 = PartsByKey(image0);
+  ASSERT_EQ(parts.size(), 200u);
+  for (const auto& [key, data] : parts0) {
+    EXPECT_EQ(parts.at(key) == data, key != short_key) << key;
+  }
+}
+
+// A list in the prefix-plus-tail state, pushed onto after its image,
+// survives the app's snapshot and range paths: SnapshotState restores it,
+// CaptureRange carries it to another store, its next image restores it, and
+// each reads back its posts.
+TEST(SnapshotTest, PrefixedListsSurviveRestoreAndRangeMoves) {
+  KvService svc;
+  KvCommand push;
+  push.op = KvOpcode::kRpush;
+  std::vector<std::string> posts;
+  for (int i = 0; i < 6; ++i) {
+    posts.push_back("post-" + std::to_string(i));
+  }
+  for (const char* key : {"conv:a", "conv:b"}) {
+    push.key = key;
+    for (size_t i = 0; i < 4; ++i) {
+      push.value = posts[i];
+      svc.Apply(push);
+    }
+  }
+  svc.SnapshotImage();  // both lists clean
+  push.key = "conv:a";
+  for (size_t i = 4; i < 6; ++i) {
+    push.value = posts[i];
+    svc.Apply(push);  // a prefix of four, a tail of two
+  }
+  EXPECT_FALSE(svc.store().IsEncodedOnly("conv:a"));
+  EXPECT_TRUE(svc.store().IsEncodedOnly("conv:b"));
+
+  KvService restored;
+  ASSERT_TRUE(restored.RestoreState(svc.SnapshotState()).ok());
+  EXPECT_EQ(restored.Digest(), svc.Digest());
+  EXPECT_EQ(restored.store().Lrange("conv:a", 0, -1).value(), posts);
+
+  KvService moved;
+  ASSERT_TRUE(moved.InstallRange(svc.CaptureRange(0, kShardSlots - 1)).ok());
+  EXPECT_EQ(moved.store().ContentDigest(), svc.store().ContentDigest());
+  EXPECT_EQ(moved.store().Lrange("conv:a", 0, -1).value(), posts);
+  EXPECT_EQ(moved.store().ScanTail("conv:a", 3).value(),
+            (std::vector<std::string>{posts[5], posts[4], posts[3]}));
+
+  KvService reimaged;
+  ASSERT_TRUE(reimaged.RestoreState(svc.SnapshotImage().Flatten()).ok());
+  EXPECT_EQ(reimaged.Digest(), svc.Digest());
+  EXPECT_EQ(reimaged.store().Lrange("conv:a", 0, -1).value(), posts);
+  EXPECT_TRUE(svc.store().IsEncodedOnly("conv:a"));
 }
 
 // The unreadable-snapshot fallback with a compacted log: a node whose
