@@ -15,7 +15,7 @@ Aggregator::Aggregator(Simulator* sim, const CostModel& costs, int32_t cluster_s
     : Host(sim, costs, Kind::kDevice),
       cluster_size_(cluster_size),
       match_(static_cast<size_t>(cluster_size), 0),
-      completed_(static_cast<size_t>(cluster_size), AggCommitMsg::kNotReported) {
+      completed_(static_cast<size_t>(cluster_size), 0) {
   HC_CHECK_GT(cluster_size, 0);
   voters_.reserve(static_cast<size_t>(cluster_size));
   for (NodeId n = 0; n < cluster_size; ++n) {
@@ -77,7 +77,7 @@ void Aggregator::Flush(Term term) {
 void Aggregator::ResetRegisters() {
   leader_ = kInvalidNode;
   std::fill(match_.begin(), match_.end(), 0);
-  std::fill(completed_.begin(), completed_.end(), AggCommitMsg::kNotReported);
+  std::fill(completed_.begin(), completed_.end(), 0);
   leader_last_ = 0;
   last_announced_ = 0;
   commit_ = 0;
@@ -149,9 +149,9 @@ void Aggregator::OnFollowerReply(HostId src, const AppendEntriesRep& rep) {
     return;  // failure replies go directly to the leader, not here
   }
   ++stats_.replies_absorbed;
-  auto& match = match_[static_cast<size_t>(follower)];
-  match = std::max(match, rep.match());
-  completed_[static_cast<size_t>(follower)] = rep.applied();
+  const auto f = static_cast<size_t>(follower);
+  match_[f] = std::max(match_[f], rep.match());
+  completed_[f] = std::max(completed_[f], rep.progress());
 
   // Quorum commit over the configured voter set: a voting leader always holds
   // its announced entries, so the commit index is the (majority-1)-th largest

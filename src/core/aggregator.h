@@ -74,9 +74,9 @@ class Aggregator final : public Host {
   Term term_ = 0;
   NodeId leader_ = kInvalidNode;
   std::vector<LogIndex> match_;      // ingress registers
-  // Egress registers: the applied index of each follower's latest success
-  // reply, AggCommitMsg::kNotReported before its first since a reset.
-  std::vector<LogIndex> completed_;
+  // Egress registers: each follower's greatest progress stamp, 0 until its
+  // first success reply since a reset.
+  std::vector<uint64_t> completed_;
   LogIndex leader_last_ = 0;
   LogIndex last_announced_ = 0;
   LogIndex commit_ = 0;

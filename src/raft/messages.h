@@ -1,5 +1,5 @@
 // Raft protocol messages, including the HovercRaft extensions: metadata-only
-// log entries, the replier/read-only fields, applied-index piggybacking on
+// log entries, the replier/read-only fields, progress stamps piggybacked on
 // append_entries replies, the aggregator's AGG_COMMIT, and payload recovery.
 //
 // Wire sizes follow the R2P2-framed layouts: each message declares the bytes
@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/types.h"
 #include "src/net/message.h"
 #include "src/r2p2/messages.h"
@@ -121,17 +122,28 @@ class AppendEntriesReq final : public Message {
   int32_t payload_bytes_;
 };
 
+// A progress stamp: a node's restart epoch over its applied index (16 + 48
+// bits). Within one epoch the applied index never falls, so of two stamps from
+// one node the greater is the newer report, whichever path carried it.
+inline uint64_t ProgressStamp(uint64_t epoch, LogIndex applied) {
+  HC_CHECK_LT(epoch, uint64_t{1} << 16);
+  HC_CHECK_LT(applied, uint64_t{1} << 48);
+  return epoch << 48 | applied;
+}
+inline uint64_t EpochOf(uint64_t stamp) { return stamp >> 48; }
+inline LogIndex AppliedOf(uint64_t stamp) { return stamp & ((uint64_t{1} << 48) - 1); }
+
 class AppendEntriesRep final : public Message {
  public:
   static constexpr MessageKind kKind = MessageKind::kAeRep;
-  AppendEntriesRep(NodeId from, Term term, bool success, LogIndex match, LogIndex applied,
+  AppendEntriesRep(NodeId from, Term term, bool success, LogIndex match, uint64_t progress,
                    LogIndex last_hint, bool waiting_recovery, LogIndex commit = 0)
       : Message(kKind),
         from_(from),
         term_(term),
         success_(success),
         match_(match),
-        applied_(applied),
+        progress_(progress),
         last_hint_(last_hint),
         waiting_recovery_(waiting_recovery),
         commit_(commit) {}
@@ -142,7 +154,7 @@ class AppendEntriesRep final : public Message {
   Term term() const { return term_; }
   bool success() const { return success_; }
   LogIndex match() const { return match_; }
-  LogIndex applied() const { return applied_; }
+  uint64_t progress() const { return progress_; }
   LogIndex last_hint() const { return last_hint_; }
   bool waiting_recovery() const { return waiting_recovery_; }
   // The follower's commit index at reply time. Lets the leader track how far
@@ -155,7 +167,7 @@ class AppendEntriesRep final : public Message {
   Term term_;
   bool success_;
   LogIndex match_;
-  LogIndex applied_;
+  uint64_t progress_;
   LogIndex last_hint_;
   bool waiting_recovery_;
   LogIndex commit_;
@@ -238,24 +250,21 @@ class ReadIndexGrantMsg final : public Message {
 };
 
 // Multicast by the aggregator when the commit index advances (paper
-// section 6.4). Carries per-node applied counts ("completed requests") so the
-// leader can run JBSQ without seeing individual append_entries replies.
+// section 6.4). Carries per-node progress stamps ("completed requests") so
+// the leader can run JBSQ without seeing individual append_entries replies.
 class AggCommitMsg final : public Message {
  public:
   static constexpr MessageKind kKind = MessageKind::kAggCommit;
-  // applied()[n] when node n has sent no success reply through the
-  // aggregator since its registers were last reset.
-  static constexpr LogIndex kNotReported = ~LogIndex{0};
-  AggCommitMsg(Term term, LogIndex commit, std::vector<LogIndex> applied, LogIndex epoch = 0)
-      : Message(kKind), term_(term), commit_(commit), applied_(std::move(applied)), epoch_(epoch) {}
+  AggCommitMsg(Term term, LogIndex commit, std::vector<uint64_t> stamps, LogIndex epoch = 0)
+      : Message(kKind), term_(term), commit_(commit), progress_(std::move(stamps)), epoch_(epoch) {}
 
   int32_t PayloadBytes() const override {
-    return kAggCommitFixedBytes + kAggCommitPerNodeBytes * static_cast<int32_t>(applied_.size());
+    return kAggCommitFixedBytes + kAggCommitPerNodeBytes * static_cast<int32_t>(progress_.size());
   }
 
   Term term() const { return term_; }
   LogIndex commit() const { return commit_; }
-  const std::vector<LogIndex>& applied() const { return applied_; }
+  const std::vector<uint64_t>& progress() const { return progress_; }
   // Config epoch (log index of the committed config) the aggregator computed
   // this quorum under. Nodes discard AGG_COMMITs whose epoch does not match
   // their own committed config: a quorum counted over a stale voter set must
@@ -265,7 +274,7 @@ class AggCommitMsg final : public Message {
  private:
   Term term_;
   LogIndex commit_;
-  std::vector<LogIndex> applied_;
+  std::vector<uint64_t> progress_;
   LogIndex epoch_;
 };
 

@@ -430,7 +430,6 @@ void RaftNode::BecomeFollower(Term term, bool reset_vote) {
   }
   PersistHardState();
   AbandonPreVote();
-  lease_floor_ = sim_->Now();  // a deposed leader must never serve reads
   role_ = RaftRole::kFollower;
   agg_active_ = false;
   sim_->Cancel(heartbeat_timer_);  // stop heartbeats
@@ -660,7 +659,7 @@ RaftNode::ReadGrant RaftNode::AcquireReadIndex() {
     for (size_t i = 0; i < voters.size(); ++i) {
       const NodeId p = voters[(read_replier_rr_ + i) % voters.size()];
       if (p == options_.id ||
-          peers_[static_cast<size_t>(p)].applied_idx >= grant.read_index) {
+          AppliedOf(peers_[static_cast<size_t>(p)].progress) >= grant.read_index) {
         grant.replier = p;
         read_replier_rr_ = (read_replier_rr_ + i + 1) % voters.size();
         break;
@@ -825,10 +824,10 @@ void RaftNode::MaybePromoteLearners() {
   const LogIndex frontier = ReplicationLimit();
   for (NodeId learner : cfg.learners) {
     const PeerState& st = peers_[static_cast<size_t>(learner)];
-    // applied_idx also counts: once the aggregator stream covers the learner
-    // its replies bypass the leader and match_idx freezes, but AGG_COMMIT
-    // keeps reporting apply progress (applied never exceeds what it holds).
-    const LogIndex progress = std::max(st.match_idx, st.applied_idx);
+    // Its applied index also counts: once the aggregator stream covers the
+    // learner its replies bypass the leader and match_idx freezes, but
+    // AGG_COMMIT keeps reporting apply progress (never beyond what it holds).
+    const LogIndex progress = std::max(st.match_idx, AppliedOf(st.progress));
     if (progress + options_.max_entries_per_ae < frontier) {
       continue;
     }
@@ -1159,8 +1158,8 @@ void RaftNode::OnInstallSnapshotRep(const InstallSnapshotRep& rep) {
   st.last_response = sim_->Now();
   st.snapshot_inflight = false;
   if (rep.last_included() > 0) {
-    // The follower holds and has applied everything through the point.
-    RecordApplied(rep.from(), rep.last_included(), /*as_reported=*/false);
+    // It applied through the point, in the epoch its refusal carried to us.
+    RecordApplied(rep.from(), ProgressStamp(EpochOf(st.progress), rep.last_included()));
     OnPeerProgress(rep.from(), rep.last_included(), /*waiting_recovery=*/false);
   }
 }
@@ -1181,14 +1180,13 @@ void RaftNode::OnPeerProgress(NodeId peer, LogIndex match, bool waiting_recovery
   }
 }
 
-bool RaftNode::RecordApplied(NodeId peer, LogIndex applied, bool as_reported) {
-  LogIndex& known = peers_[static_cast<size_t>(peer)].applied_idx;
-  const bool rose = applied > known;
-  if (rose || (as_reported && applied < known)) {
-    known = applied;
-    scheduler_.UpdateApplied(peer, applied);
+void RaftNode::RecordApplied(NodeId peer, uint64_t stamp) {
+  PeerState& st = peers_[static_cast<size_t>(peer)];
+  if (stamp > st.progress) {
+    st.progress = stamp;
+    st.last_response = sim_->Now();  // fresh progress proves the peer alive
+    scheduler_.UpdateApplied(peer, AppliedOf(stamp));
   }
-  return rose;
 }
 
 void RaftNode::AdvanceCommitFromMatches() {
@@ -1371,7 +1369,7 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
     }
   }
   auto rep = MakeMessage<AppendEntriesRep>(options_.id, current_term_, success, outcome.match,
-                                           applied_idx_, hint, outcome.waiting_recovery,
+                                           progress_stamp(), hint, outcome.waiting_recovery,
                                            commit_idx_);
   const bool to_aggregator = success && via_aggregator;
   // Durability: the acknowledged entries must hit the local WAL first. The
@@ -1458,6 +1456,9 @@ RaftNode::AppendOutcome RaftNode::AppendResolvedEntries(const AppendEntriesReq& 
                      commit_idx_);
         }
         commit_idx_ = idx - 1;
+        // The epoch stays, so a leader may record us above this. Moot: a
+        // forwarded read waits for our apply cursor, a compaction past our
+        // need is repaired by snapshot, and committed data is already lost.
         applied_idx_ = std::min(applied_idx_, idx - 1);
         announced_idx_ = std::min(announced_idx_, idx - 1);
         committed_config_idx_ = std::min(committed_config_idx_, idx - 1);
@@ -1577,7 +1578,7 @@ void RaftNode::OnAppendEntriesRep(const AppendEntriesRep& rep) {
   if (st.inflight > 0) {
     --st.inflight;
   }
-  RecordApplied(rep.from(), rep.applied(), /*as_reported=*/true);
+  RecordApplied(rep.from(), rep.progress());
   st.commit_acked = std::max(st.commit_acked, rep.commit());
   if (rep.success()) {
     OnPeerProgress(rep.from(), rep.match(), rep.waiting_recovery());
@@ -1742,25 +1743,15 @@ void RaftNode::OnAggCommit(const AggCommitMsg& msg) {
   if (role_ == RaftRole::kLeader) {
     agg_stream_.inflight = 0;
     last_agg_commit_ = sim_->Now();
-    const auto& applied = msg.applied();
-    for (NodeId p = 0; p < options_.cluster_size && static_cast<size_t>(p) < applied.size();
+    const auto& progress = msg.progress();
+    for (NodeId p = 0; p < options_.cluster_size && static_cast<size_t>(p) < progress.size();
          ++p) {
-      // The follower's latest reply through the aggregator, repeated until
-      // its next: only a change is news (an unchanged value may predate a
-      // direct reply). Fresh apply progress also proves the follower alive.
-      PeerState& st = peers_[static_cast<size_t>(p)];
-      const LogIndex reported = applied[static_cast<size_t>(p)];
-      if (p == options_.id || reported == st.agg_applied) {
-        continue;
-      }
-      st.agg_applied = reported;
-      if (reported != AggCommitMsg::kNotReported &&
-          RecordApplied(p, reported, /*as_reported=*/true)) {
-        st.last_response = sim_->Now();
+      if (p != options_.id) {
+        RecordApplied(p, progress[static_cast<size_t>(p)]);
       }
     }
     // A learner served by the aggregator stream reports progress only
-    // through the applied vector above; this is its promotion path.
+    // through the vector above; this is its promotion path.
     MaybePromoteLearners();
   }
   CommitIfCurrentTerm(std::min(msg.commit(), log_.last_index()));
@@ -1810,7 +1801,7 @@ LogIndex RaftNode::MinAppliedKnown() const {
   if (role_ == RaftRole::kLeader) {
     for (NodeId p : active_config().members) {
       if (p != options_.id) {
-        min_applied = std::min(min_applied, peers_[static_cast<size_t>(p)].applied_idx);
+        min_applied = std::min(min_applied, AppliedOf(peers_[static_cast<size_t>(p)].progress));
       }
     }
   }

@@ -255,6 +255,9 @@ class RaftNode {
   NodeId leader_hint() const { return leader_hint_; }
   LogIndex commit_index() const { return commit_idx_; }
   LogIndex applied_index() const { return applied_idx_; }
+  // This node's progress stamp, and the greatest it recorded for `p` as leader.
+  uint64_t progress_stamp() const { return ProgressStamp(restart_epoch_, applied_idx_); }
+  uint64_t RecordedProgress(NodeId p) const { return peers_[static_cast<size_t>(p)].progress; }
   // Highest log index known durable in the local WAL. The leader's own
   // quorum contribution is capped here.
   LogIndex durable_index() const { return durable_index_; }
@@ -313,9 +316,7 @@ class RaftNode {
   // A peer's direct stream plus what the peer told us.
   struct PeerState : Stream {
     LogIndex match_idx = 0;
-    LogIndex applied_idx = 0;      // written only by RecordApplied
-    // Its applied index in the last AGG_COMMIT (OnAggCommit).
-    LogIndex agg_applied = AggCommitMsg::kNotReported;
+    uint64_t progress = 0;         // its newest progress stamp; written by RecordApplied
     bool paused_recovery = false;  // follower told us it awaits a payload
     bool direct_mode = false;      // ++: fell back to point-to-point
     bool snapshot_inflight = false;
@@ -375,12 +376,10 @@ class RaftNode {
   std::vector<WireEntry> CollectEntries(LogIndex from, LogIndex to) const;
   // `peer` holds our log through `match` (AE reply or installed snapshot).
   void OnPeerProgress(NodeId peer, LogIndex match, bool waiting_recovery);
-  // The one writer of a peer's applied index; tells the scheduler. An AE
-  // reply, direct or through AGG_COMMIT, sets it as reported, even lower (a
-  // follower restored from an older snapshot; or a reply held for the WAL
-  // sync that lands after a later refusal, which only makes us more
-  // cautious). A snapshot point only raises it. Returns whether it rose.
-  bool RecordApplied(NodeId peer, LogIndex applied, bool as_reported);
+  // The one writer of a peer's progress record, from an AE reply, an
+  // AGG_COMMIT slot or an InstallSnapshot reply: keeps the greater stamp,
+  // and on a rise tells the scheduler and counts the peer as in contact.
+  void RecordApplied(NodeId peer, uint64_t stamp);
   void AdvanceCommitFromMatches();
   // Raft section 5.4.2: commits through `idx` only if it holds an entry of
   // the current term; replicas of an older term's entry do not count.
@@ -451,7 +450,7 @@ class RaftNode {
   // Durable storage state (docs/durability.md). restart_epoch_ fences every
   // deferred persist callback: a callback captured under an older epoch (the
   // process crashed and recovered in between) must not ack or advance
-  // durability.
+  // durability. It also heads this node's progress stamps.
   StableStorage* storage_;
   LogIndex durable_index_ = 0;
   uint64_t restart_epoch_ = 0;
@@ -474,9 +473,8 @@ class RaftNode {
   Term pre_vote_term_ = 0;  // the term the poll proposes (current_term_ + 1)
   int32_t pre_votes_ = 0;
 
-  // Read lease floor: reads need quorum contact *after* this point. Bumped
-  // when a membership config commits (the quorum definition changed) and on
-  // every term/role change.
+  // Read lease floor: reads need quorum contact from this point on. Set on
+  // becoming leader and when a membership config commits.
   TimeNs lease_floor_ = 0;
   // Round-robins lease-protected reads over caught-up members.
   size_t read_replier_rr_ = 0;

@@ -22,10 +22,10 @@ class ReplierScheduler {
                    uint64_t seed);
 
   // Records that node `node` has applied the log through `applied`: its
-  // assignments at or below it are done. The leader keeps the one copy of
-  // each node's applied index and passes it here. A report below an earlier
-  // one pops nothing: the earlier one left only assignments above it, and
-  // later ones lie above the commit index, which no report exceeds.
+  // assignments at or below it are done. The leader passes each rise of its
+  // progress record. A restarted node's lower index pops nothing: the earlier
+  // one left only assignments above it, and later ones lie above the commit
+  // index, which no report exceeds.
   void UpdateApplied(NodeId node, LogIndex applied);
 
   // Picks a replier for log index `idx` and records the assignment, or

@@ -87,9 +87,9 @@ class AggregatorTest : public ::testing::Test {
     sim_.RunToCompletion();
   }
 
-  void SendReply(NodeId follower, Term term, LogIndex match, LogIndex applied) {
+  void SendReply(NodeId follower, Term term, LogIndex match, uint64_t progress) {
     nodes_[static_cast<size_t>(follower)]->Send(
-        agg_.id(), std::make_shared<AppendEntriesRep>(follower, term, true, match, applied,
+        agg_.id(), std::make_shared<AppendEntriesRep>(follower, term, true, match, progress,
                                                       match, false));
     sim_.RunToCompletion();
   }
@@ -124,7 +124,7 @@ TEST_F(AggregatorTest, QuorumReplyTriggersAggCommitToEveryone) {
   Handshake(0, 1);
   SendAe(0, 1, 0, 3);
   // One follower (majority-1 = 1 for N=3) acking commits.
-  SendReply(/*follower=*/1, 1, /*match=*/3, /*applied=*/0);
+  SendReply(/*follower=*/1, 1, /*match=*/3, /*progress=*/0);
   for (int n = 0; n < 3; ++n) {
     const auto commits = nodes_[static_cast<size_t>(n)]->Of<AggCommitMsg>();
     ASSERT_EQ(commits.size(), 1u) << "node " << n;
@@ -136,7 +136,7 @@ TEST_F(AggregatorTest, QuorumReplyTriggersAggCommitToEveryone) {
 TEST_F(AggregatorTest, NoCommitWithoutQuorumProgress) {
   Handshake(0, 1);
   SendAe(0, 1, 0, 3);
-  SendReply(1, 1, /*match=*/0, /*applied=*/0);  // no progress
+  SendReply(1, 1, /*match=*/0, /*progress=*/0);  // no progress
   EXPECT_EQ(nodes_[0]->Of<AggCommitMsg>().size(), 0u);
   EXPECT_EQ(agg_.commit(), 0u);
 }
@@ -146,7 +146,7 @@ TEST_F(AggregatorTest, CommitCappedByLeaderAnnouncement) {
   SendAe(0, 1, 0, 2);
   // A reply claiming a match beyond the announced index must not commit
   // beyond it (stale/garbled reply).
-  SendReply(1, 1, /*match=*/10, /*applied=*/0);
+  SendReply(1, 1, /*match=*/10, /*progress=*/0);
   ASSERT_EQ(nodes_[0]->Of<AggCommitMsg>().size(), 1u);
   EXPECT_EQ(nodes_[0]->Of<AggCommitMsg>()[0]->commit(), 2u);
 }
@@ -167,28 +167,32 @@ TEST_F(AggregatorTest, PendingReannouncementForcesAggCommit) {
 TEST_F(AggregatorTest, AggCommitCarriesCompletedCounts) {
   Handshake(0, 1);
   SendAe(0, 1, 0, 4);
-  SendReply(1, 1, 4, /*applied=*/2);
+  SendReply(1, 1, 4, /*progress=*/2);
   const auto commits = nodes_[0]->Of<AggCommitMsg>();
   ASSERT_EQ(commits.size(), 1u);
-  ASSERT_EQ(commits[0]->applied().size(), 3u);
-  EXPECT_EQ(commits[0]->applied()[1], 2u);
+  ASSERT_EQ(commits[0]->progress().size(), 3u);
+  EXPECT_EQ(commits[0]->progress()[1], 2u);
 }
 
-// A completed register holds its follower's latest success reply, also when
-// that reports less than an earlier one (a follower restored from an older
-// snapshot). A follower with no reply since the registers were reset is
-// reported as such, not as 0.
+// A completed register holds the newest of its follower's progress stamps:
+// a reordered older reply of the same restart epoch leaves it, while a reply
+// of a later epoch replaces it even with a lower applied index (a follower
+// restored from an older snapshot). A follower with no reply since the
+// registers were reset reads 0.
 TEST_F(AggregatorTest, AggCommitCarriesEachFollowersLatestAppliedIndex) {
   Handshake(0, 1);
   SendAe(0, 1, 0, 4);
-  SendReply(1, 1, 4, /*applied=*/3);
+  SendReply(1, 1, 4, /*progress=*/ProgressStamp(0, 3));
   SendAe(0, 1, /*prev=*/4, /*entries=*/0);  // a re-announcement: the next reply is sent on
-  SendReply(1, 1, 4, /*applied=*/1);
+  SendReply(1, 1, 4, /*progress=*/ProgressStamp(0, 1));
+  SendAe(0, 1, /*prev=*/4, /*entries=*/0);
+  SendReply(1, 1, 4, /*progress=*/ProgressStamp(1, 1));
   const auto commits = nodes_[0]->Of<AggCommitMsg>();
-  ASSERT_EQ(commits.size(), 2u);
-  EXPECT_EQ(commits[0]->applied()[1], 3u);
-  EXPECT_EQ(commits[1]->applied()[1], 1u);
-  EXPECT_EQ(commits[1]->applied()[2], AggCommitMsg::kNotReported);
+  ASSERT_EQ(commits.size(), 3u);
+  EXPECT_EQ(commits[0]->progress()[1], ProgressStamp(0, 3));
+  EXPECT_EQ(commits[1]->progress()[1], ProgressStamp(0, 3));
+  EXPECT_EQ(commits[2]->progress()[1], ProgressStamp(1, 1));
+  EXPECT_EQ(commits[2]->progress()[2], 0u);
 }
 
 TEST_F(AggregatorTest, HigherTermFlushesSoftState) {

@@ -7,7 +7,8 @@
 // way a message sent by a down node, or arriving at one, is lost, and a
 // test's drop_filter may drop any other. After every delivery the harness
 // checks election safety: no term ever has two leaders; CheckSafety() checks
-// log matching and state machine safety on demand.
+// log matching, state machine safety and the leaders' progress records on
+// demand.
 //
 // A scripted scenario (tests/raft_node_test.cc) lets node 0 win the first
 // election, then drops, crashes and injects what its schedule needs between
@@ -232,9 +233,22 @@ class RaftHarness {
   // Log matching (Raft 5.3): where two logs hold entries of one term at an
   // index, they agree on it and on every index below that both still hold.
   // State machine safety (5.4.3): no two nodes applied different entries at
-  // one index.
+  // one index. Progress records: no node, leading or once leading, records
+  // a peer's progress stamp above the peer's own. A stamp of an earlier
+  // restart epoch is below any of a later one, so this says that a record is
+  // never ahead of what the peer has applied in the same epoch.
   void CheckSafety() {
     for (NodeId a = 0; a < size(); ++a) {
+      for (NodeId b = 0; b < size(); ++b) {
+        if (b != a) {
+          EXPECT_LE(node(a).RecordedProgress(b), node(b).progress_stamp())
+              << "node " << a << " records node " << b << " at applied "
+              << AppliedOf(node(a).RecordedProgress(b)) << ", epoch "
+              << EpochOf(node(a).RecordedProgress(b)) << "; it applied "
+              << node(b).applied_index() << " in epoch "
+              << EpochOf(node(b).progress_stamp());
+        }
+      }
       for (NodeId b = a + 1; b < size(); ++b) {
         const RaftLog& la = node(a).log();
         const RaftLog& lb = node(b).log();

@@ -736,6 +736,55 @@ TEST(RaftNodeTest, ReadLeaseExpiresWithoutQuorumContact) {
   EXPECT_TRUE(skewed.node(leader2).AcquireReadIndex().granted);  // the hazard
 }
 
+// A new leader grants no read before an entry of its own term commits (Raft
+// section 8): until then its commit index may lag its predecessor's. Node 0
+// commits a write that node 1 alone also holds, and crashes before node 1
+// learns the commit. Node 1 wins the election with node 2's vote. Node 2
+// lacks the write, so it refuses node 1's first append and its acks are then
+// lost: node 1 has heard from a quorum inside the lease, but its no-op does
+// not commit and its commit index lies below the write. A read granted now
+// would miss the write.
+TEST(RaftNodeTest, NewLeaderGrantsNoReadBeforeAnOwnTermEntryCommits) {
+  RaftOptions opts;
+  opts.read_index = true;
+  RaftHarness h(3, opts);
+  h.StartAll();
+  ASSERT_EQ(h.WaitForLeader(), 0);
+  h.Run(Millis(2));
+  ASSERT_EQ(h.node(2).commit_index(), 1u);
+
+  h.drop_filter = [](NodeId from, NodeId to, const Message& m) {
+    const auto* ae = As<AppendEntriesReq>(m);
+    return from == 0 && (to == 2 || (ae != nullptr && ae->leader_commit() >= 2));
+  };
+  ASSERT_TRUE(h.node(0).SubmitRequest(RaftHarness::Req(1, 1)));
+  while (h.node(0).commit_index() < 2 && h.sim.Step()) {
+  }
+  ASSERT_EQ(h.node(0).commit_index(), 2u);
+  h.Crash(0);
+  ASSERT_EQ(h.node(1).log().last_index(), 2u);
+  ASSERT_EQ(h.node(1).commit_index(), 1u);
+
+  bool refused = false;
+  h.drop_filter = [&refused](NodeId from, NodeId, const Message& m) {
+    const auto* rep = As<AppendEntriesRep>(m);
+    if (from != 2 || rep == nullptr) {
+      return false;
+    }
+    refused = refused || !rep->success();
+    return rep->success();
+  };
+  ASSERT_EQ(h.WaitForLeader(h.sim.Now() + Millis(100)), 1);
+  while (!refused && h.sim.Step()) {
+  }
+  h.Run(Micros(10));
+  ASSERT_TRUE(h.node(1).QuorumContactedSince(h.sim.Now() - Micros(20)));
+  ASSERT_EQ(h.node(1).commit_index(), 1u);
+  const RaftNode::ReadGrant grant = h.node(1).AcquireReadIndex();
+  EXPECT_FALSE(grant.granted) << "granted at read index " << grant.read_index;
+  EXPECT_GE(h.node(1).stats().read_index_rejected, 1u);
+}
+
 // Read leases do not survive a membership change. Node 3 joins as a learner
 // and is promoted; node 2 is cut off throughout, and node 1 acks the
 // promotion entry and is then cut off too, so the promotion commits on node

@@ -218,16 +218,16 @@ TEST(ServerAnswerTest, ForwardedLeaseGrantWaitsForARestartedReplierToCatchUp) {
   }
 }
 
-// An AppendEntries reply carries the follower's own apply cursor, so the
-// leader takes the applied index it reports as it stands, also when it went
-// down: directly in plain HovercRaft, and in HovercRaft++ through AGG_COMMIT,
-// which carries each follower's latest reply through the aggregator. The
-// victim power-fails and recovers from its genesis snapshot; its first reply
-// after the restart reports an applied index below the one it reported
-// before the crash. From that reply on the leader's MinAppliedKnown() reads
-// the reported value and lease grants skip the victim. The victim's later
-// replies are held back until it has re-applied; once they arrive it is
-// granted reads again.
+// An AppendEntries reply carries the follower's progress stamp, its restart
+// epoch over its apply cursor, so the leader takes a restarted follower's
+// applied index as it stands, also when it went down: directly in plain
+// HovercRaft, and in HovercRaft++ through AGG_COMMIT, which carries each
+// follower's newest stamp through the aggregator. The victim power-fails and
+// recovers from its genesis snapshot; its first reply after the restart
+// reports an applied index below the one it reported before the crash. From
+// that reply on the leader's MinAppliedKnown() reads the reported value and
+// lease grants skip the victim. The victim's later replies are held back
+// until it has re-applied; once they arrive it is granted reads again.
 void ExpectRestartedFollowersFirstReplyLowersItsAppliedIndex(ClusterMode mode) {
   ClusterConfig config = KvConfig(22);
   config.mode = mode;
@@ -257,7 +257,7 @@ void ExpectRestartedFollowersFirstReplyLowersItsAppliedIndex(ClusterMode mode) {
       return false;
     }
     if (!reported) {
-      reported = As<AppendEntriesRep>(*packet.msg)->applied();
+      reported = AppliedOf(As<AppendEntriesRep>(*packet.msg)->progress());
       return false;
     }
     return held;
@@ -297,6 +297,44 @@ TEST(ServerAnswerTest, RestartedFollowersFirstReplyLowersItsAppliedIndexAtTheLea
 
 TEST(ServerAnswerTest, RestartedFollowersFirstReplyLowersItsAppliedIndexThroughTheAggregator) {
   ExpectRestartedFollowersFirstReplyLowersItsAppliedIndex(ClusterMode::kHovercRaftPP);
+}
+
+// Between restarts the leader's record of a follower's applied index never
+// falls. In HovercRaft++ a follower's progress reaches the leader by two
+// paths, its direct replies to quorum probes and AGG_COMMIT, which can carry
+// an older reply through the aggregator after a newer direct one; the
+// progress stamp orders the two. No fault: the record is checked after every
+// simulator event for 10 ms while 20 writes commit.
+TEST(ServerAnswerTest, RecordedAppliedIndexNeverFallsWithoutARestart) {
+  ClusterConfig config = KvConfig(22);
+  config.mode = ClusterMode::kHovercRaftPP;
+  Cluster cluster(config);
+  const NodeId leader = cluster.WaitForLeader();
+  ASSERT_NE(leader, kInvalidNode);
+  const RaftNode& raft = *cluster.server(leader).raft();
+  ScriptedClient client(cluster);
+  for (uint64_t seq = 1; seq <= 20; ++seq) {
+    client.Send(cluster.ClientTarget(), client.Request(seq, Incr("k")));
+  }
+  std::vector<LogIndex> highest(3, 0);
+  const TimeNs end = cluster.sim().Now() + Millis(10);
+  while (cluster.sim().Now() < end && cluster.sim().Step()) {
+    for (NodeId p = 0; p < 3; ++p) {
+      if (p == leader) {
+        continue;
+      }
+      const LogIndex recorded = AppliedOf(raft.RecordedProgress(p));
+      ASSERT_GE(recorded, highest[static_cast<size_t>(p)])
+          << "peer " << p << " at " << cluster.sim().Now() << " ns";
+      highest[static_cast<size_t>(p)] = recorded;
+    }
+  }
+  EXPECT_EQ(client.replies.size(), 20u);
+  for (NodeId p = 0; p < 3; ++p) {
+    if (p != leader) {
+      EXPECT_GE(highest[static_cast<size_t>(p)], 20u) << "peer " << p;
+    }
+  }
 }
 
 // An ordered request repays its admission slot on its first ordered

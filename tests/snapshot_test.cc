@@ -130,6 +130,17 @@ TEST(SnapshotTest, SessionTableSerializeRoundTrip) {
   b.Serialize(&w2);
   EXPECT_EQ(w2.TakeBytes(), bytes);
 
+  // Watermarks are monotone: a delayed older attempt's stale acknowledgement
+  // neither lowers the watermark nor forgets a seq the newer one erased.
+  SessionTable d;
+  for (uint64_t seq = 1; seq <= 3; ++seq) {
+    d.Record(RequestId{1, seq}, MakeBody({static_cast<uint8_t>(seq)}));
+  }
+  d.Acknowledge(1, 3);
+  d.Acknowledge(1, 1);
+  EXPECT_EQ(d.AckWatermark(1), 3u);
+  EXPECT_TRUE(d.Executed(RequestId{1, 2}));
+
   // Truncated/garbage input is rejected, not crashed on.
   SessionTable c;
   const std::vector<uint8_t> garbage = {9, 9, 9};
