@@ -53,7 +53,8 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
     disk_->set_node(obs_node_id());
     storage_ = std::make_unique<StableStorage>(disk_.get(), config_.fsync_policy);
     storage_->set_node(obs_node_id());
-    raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this, storage_.get(), &unordered_);
+    raft_ = std::make_unique<RaftNode>(seed, config_.raft, this, storage_.get(), &unordered_,
+                                       obs::FrOf(sim));
     // Genesis snapshot: recovery always finds a durable floor to replay from,
     // even if the node power-fails before the first compaction. Imaging here,
     // while the deployment is still being built, publishes the app's parts
@@ -875,6 +876,21 @@ void ReplicatedServer::SendReply(const RequestId& rid, Body body) {
 // ---------------------------------------------------------------------------
 // RaftNode::Env plumbing
 // ---------------------------------------------------------------------------
+
+void ReplicatedServer::ArmTimer(RaftTimer timer, TimeNs delay) {
+  EventId& id = raft_timers_[static_cast<size_t>(timer)];
+  sim()->Cancel(id);
+  id = sim()->After(delay, [this, timer]() {
+    raft_timers_[static_cast<size_t>(timer)] = kInvalidEvent;
+    raft_->OnTimer(timer);
+  });
+}
+
+void ReplicatedServer::CancelTimer(RaftTimer timer) {
+  EventId& id = raft_timers_[static_cast<size_t>(timer)];
+  sim()->Cancel(id);
+  id = kInvalidEvent;
+}
 
 void ReplicatedServer::SendToPeer(NodeId peer, MessagePtr msg) {
   HC_CHECK_GE(peer, 0);

@@ -168,6 +168,9 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   void Restart();
 
   // --- RaftNode::Env ---
+  TimeNs Now() const override { return sim()->Now(); }
+  void ArmTimer(RaftTimer timer, TimeNs delay) override;
+  void CancelTimer(RaftTimer timer) override;
   void SendToPeer(NodeId peer, MessagePtr msg) override;
   void SendToAggregator(MessagePtr msg) override;
   SnapshotCapture CaptureSnapshot() override;
@@ -330,9 +333,11 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   std::vector<PendingRead> pending_reads_;
 
   // Maintenance timers; re-arming cancels the previous handle so restarts
-  // never stack duplicate GC/compaction chains.
+  // never stack duplicate GC/compaction chains. raft_timers_ holds the
+  // node's two, indexed by RaftTimer.
   EventId gc_timer_ = kInvalidEvent;
   EventId compaction_timer_ = kInvalidEvent;
+  EventId raft_timers_[2] = {kInvalidEvent, kInvalidEvent};
 
   ConfigCommittedCallback config_committed_cb_;
 

@@ -241,14 +241,18 @@ class FlightRecorder {
 // Hot-path accessor: one pointer load + branch when no recorder is installed.
 inline FlightRecorder* FrOf(const Simulator* sim) { return sim->flight_recorder(); }
 
-// Pipeline stage mark for one request; `node` is the acting Raft node
-// (kInvalidNode for client-side stages).
-inline void MarkStage(const Simulator* sim, const RequestId& rid, Stage stage, NodeId node,
+// Pipeline stage mark for one request on `fr` (null: none); `node` is the
+// acting Raft node (kInvalidNode for client-side stages).
+inline void MarkStage(FlightRecorder* fr, const RequestId& rid, Stage stage, NodeId node,
                       TimeNs ts) {
-  if (FlightRecorder* fr = FrOf(sim)) {
+  if (fr != nullptr) {
     fr->Record(ts, node, FrType::kStage, static_cast<uint64_t>(rid.client), rid.seq,
                static_cast<uint32_t>(stage));
   }
+}
+inline void MarkStage(const Simulator* sim, const RequestId& rid, Stage stage, NodeId node,
+                      TimeNs ts) {
+  MarkStage(FrOf(sim), rid, stage, node, ts);
 }
 
 }  // namespace obs

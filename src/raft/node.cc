@@ -6,36 +6,21 @@
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
-#include "src/obs/observability.h"
 #include "src/raft/wal_codec.h"
 
 namespace hovercraft {
 
-namespace {
-
-// Flight-recorder role transition: a=term, b=FrRole, c=recovery-suspect flag
-// (the watchdog's election-safety and suspect-floor invariants key off this).
-void RecordRole(Simulator* sim, NodeId node, Term term, obs::FrRole role, bool suspect) {
-  if (auto* fr = obs::FrOf(sim)) {
-    fr->Record(sim->Now(), node, obs::FrType::kRole, term,
-               static_cast<uint64_t>(role), suspect ? 1u : 0u);
-  }
-}
-
-}  // namespace
-
-RaftNode::RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, Env* env,
-                   StableStorage* storage, UnorderedStore* unordered)
-    : sim_(sim),
-      options_(options),
+RaftNode::RaftNode(uint64_t seed, const RaftOptions& options, Env* env, StableStorage* storage,
+                   UnorderedStore* unordered, obs::FlightRecorder* recorder)
+    : options_(options),
       env_(env),
       unordered_(unordered),
+      recorder_(recorder),
       rng_(seed),
       storage_(storage),
       peers_(static_cast<size_t>(options.cluster_size)),
       scheduler_(options.cluster_size, options.id, options.replier_policy,
                  options.bounded_queue_depth, seed ^ 0x5EED5EED5EED5EEDull) {
-  HC_CHECK(sim != nullptr);
   HC_CHECK(env != nullptr);
   HC_CHECK(storage != nullptr);
   HC_CHECK(unordered != nullptr);
@@ -52,6 +37,12 @@ void RaftNode::Start() {
     StartElection();
   } else {
     ArmElectionTimer();
+  }
+}
+
+void RaftNode::Record(obs::FrType type, uint64_t a, uint64_t b, uint32_t c) const {
+  if (recorder_ != nullptr) {
+    recorder_->Record(env_->Now(), options_.obs_id(), type, a, b, c);
   }
 }
 
@@ -119,7 +110,7 @@ void RaftNode::ScheduleDurability(LogIndex tail) {
   // it with an entry of a different term, never the same one).
   const uint64_t epoch = restart_epoch_;
   const Term tail_term = log_.TermAt(tail);
-  const TimeNs scheduled = sim_->Now();
+  const TimeNs scheduled = env_->Now();
   storage_->Sync([this, tail, tail_term, epoch, scheduled]() {
     if (halted_ || epoch != restart_epoch_) {
       ++stats_.acks_dropped_crash;
@@ -133,11 +124,8 @@ void RaftNode::ScheduleDurability(LogIndex tail) {
       return;  // truncated or replaced since the barrier was scheduled
     }
     durable_index_ = tail;
-    if (auto* fr = obs::FrOf(sim_)) {
-      fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kDurable, tail, epoch);
-      fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kWalFlush, tail,
-                 static_cast<uint64_t>(sim_->Now() - scheduled));
-    }
+    Record(obs::FrType::kDurable, tail, epoch);
+    Record(obs::FrType::kWalFlush, tail, static_cast<uint64_t>(env_->Now() - scheduled));
     if (role_ == RaftRole::kLeader) {
       // The leader's own quorum contribution just advanced.
       AdvanceCommitFromMatches();
@@ -154,11 +142,9 @@ void RaftNode::MaybeClearSuspect() {
   HC_LOG_INFO("node %d: suspect repaired (commit %llu >= floor %llu); campaigning re-enabled",
               options_.id, static_cast<unsigned long long>(commit_idx_),
               static_cast<unsigned long long>(suspect_floor_));
-  if (auto* fr = obs::FrOf(sim_)) {
-    fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
-               static_cast<uint64_t>(obs::FrRecovery::kSuspectRepair), commit_idx_);
-  }
-  if (role_ == RaftRole::kFollower && election_timer_ == kInvalidEvent && CanCampaign()) {
+  Record(obs::FrType::kRecovery, static_cast<uint64_t>(obs::FrRecovery::kSuspectRepair),
+         commit_idx_);
+  if (role_ == RaftRole::kFollower && !election_armed_ && CanCampaign()) {
     ArmElectionTimer();
   }
 }
@@ -223,23 +209,19 @@ void RaftNode::RestartFromRecovery(const StableStorage::Recovery& rec, LogIndex 
     HC_LOG_INFO("node %d: suspect recovery; campaigning blocked until commit >= %llu",
                 options_.id, static_cast<unsigned long long>(suspect_floor_));
   }
-  if (auto* fr = obs::FrOf(sim_)) {
-    fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
-               static_cast<uint64_t>(obs::FrRecovery::kRestart), commit_idx_);
-    if (suspect_) {
-      fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
-                 static_cast<uint64_t>(obs::FrRecovery::kSuspectEnter), suspect_floor_);
-    }
+  Record(obs::FrType::kRecovery, static_cast<uint64_t>(obs::FrRecovery::kRestart), commit_idx_);
+  if (suspect_) {
+    Record(obs::FrType::kRecovery, static_cast<uint64_t>(obs::FrRecovery::kSuspectEnter),
+           suspect_floor_);
   }
   MaybeClearSuspect();
 }
 
 void RaftNode::ArmElectionTimer() {
-  // Re-arming cancels the previous timer outright (election timeouts re-arm
+  // Re-arming replaces the pending timer outright (election timeouts re-arm
   // on every leader contact, so dead timers would otherwise pile up for the
   // full 5-10ms timeout span). The RNG draw stays one-per-arm, exactly as
   // under the epoch scheme, so pinned-seed runs are unchanged.
-  sim_->Cancel(election_timer_);
   if (!CanCampaign()) {
     // Learners, spares, retired and suspect nodes never campaign; the guard
     // sits before the RNG draw, which is fine for determinism because it can
@@ -247,7 +229,7 @@ void RaftNode::ArmElectionTimer() {
     if (suspect_) {
       ++stats_.campaigns_blocked_suspect;
     }
-    election_timer_ = kInvalidEvent;
+    CancelElectionTimer();
     return;
   }
   const TimeNs span = options_.election_timeout_max - options_.election_timeout_min;
@@ -261,21 +243,34 @@ void RaftNode::ArmElectionTimer() {
                                                  election_timer_scale_),
                              Micros(10));
   }
-  election_timer_ = sim_->After(delay, [this]() {
-    election_timer_ = kInvalidEvent;
-    if (halted_) {
-      return;
+  env_->ArmTimer(RaftTimer::kElection, delay);
+  election_armed_ = true;
+}
+
+void RaftNode::CancelElectionTimer() {
+  env_->CancelTimer(RaftTimer::kElection);
+  election_armed_ = false;
+}
+
+void RaftNode::OnTimer(RaftTimer timer) {
+  if (timer == RaftTimer::kElection) {
+    election_armed_ = false;
+  }
+  if (halted_) {
+    return;
+  }
+  if (timer == RaftTimer::kElection && role_ != RaftRole::kLeader) {
+    // With PreVote the timeout starts a non-disruptive poll; a majority of
+    // pre-votes then runs the real election synchronously.
+    if (options_.pre_vote) {
+      StartPreVote();
+    } else {
+      StartElection();
     }
-    if (role_ != RaftRole::kLeader) {
-      // With PreVote the timeout starts a non-disruptive poll; a majority of
-      // pre-votes then runs the real election synchronously.
-      if (options_.pre_vote) {
-        StartPreVote();
-      } else {
-        StartElection();
-      }
-    }
-  });
+  } else if (timer == RaftTimer::kHeartbeat && role_ == RaftRole::kLeader) {
+    OnHeartbeat();
+    env_->ArmTimer(RaftTimer::kHeartbeat, options_.heartbeat_interval);
+  }
 }
 
 void RaftNode::SkewElectionTimer(double scale) {
@@ -283,30 +278,16 @@ void RaftNode::SkewElectionTimer(double scale) {
   election_timer_scale_ = scale;
   // Re-arm so the skew takes effect now rather than after the pending (full
   // length) timeout expires. Costs one RNG draw, like any other re-arm.
-  if (role_ != RaftRole::kLeader && election_timer_ != kInvalidEvent) {
+  if (role_ != RaftRole::kLeader && election_armed_) {
     ArmElectionTimer();
   }
-}
-
-void RaftNode::ArmHeartbeatTimer() {
-  sim_->Cancel(heartbeat_timer_);
-  heartbeat_timer_ = sim_->After(options_.heartbeat_interval, [this]() {
-    heartbeat_timer_ = kInvalidEvent;
-    if (halted_) {
-      return;
-    }
-    if (role_ == RaftRole::kLeader) {
-      OnHeartbeat();
-      ArmHeartbeatTimer();
-    }
-  });
 }
 
 void RaftNode::OnHeartbeat() {
   // A heartbeat acts only on peers whose stream has been quiet for a full
   // interval: an actively flowing (pipelined) stream is its own liveness
   // signal, and rewinding it would retransmit the whole in-flight window.
-  const TimeNs quiet_before = sim_->Now() - options_.heartbeat_interval;
+  const TimeNs quiet_before = env_->Now() - options_.heartbeat_interval;
   for (NodeId p : active_config().members) {
     if (p == options_.id) {
       continue;
@@ -334,7 +315,7 @@ void RaftNode::OnHeartbeat() {
     // Probe quiet voters with direct, stream-neutral heartbeat appends; the
     // direct replies refresh last_response without disturbing the stream.
     if (options_.use_aggregator && agg_active_) {
-      const TimeNs now = sim_->Now();
+      const TimeNs now = env_->Now();
       if (now - last_agg_commit_ >= CheckQuorumWindow()) {
         // The probes keep proving followers alive, yet the aggregator has
         // gone silent (a healthy one emits AGG_COMMIT every heartbeat): it
@@ -345,8 +326,8 @@ void RaftNode::OnHeartbeat() {
         ++stats_.agg_fallbacks;
         HC_LOG_INFO("node %d: aggregator silent; falling back to direct replication",
                     options_.id);
-        if (auto* fr = obs::FrOf(sim_)) {
-          fr->Note(sim_->Now(), options_.obs_id(), "agg-fallback", current_term_);
+        if (recorder_ != nullptr) {
+          recorder_->Note(env_->Now(), options_.obs_id(), "agg-fallback", current_term_);
         }
         UseDirectStreams();
         TrySendAll();
@@ -374,7 +355,7 @@ void RaftNode::OnHeartbeat() {
 
 void RaftNode::SendQuorumProbe(NodeId peer) {
   PeerState& st = peers_[static_cast<size_t>(peer)];
-  st.last_probe = sim_->Now();
+  st.last_probe = env_->Now();
   // Anchor the consistency check at the last agreed position: the follower
   // answers success without touching its log, and the monotone max() updates
   // on the reply path leave the aggregator-owned stream state intact. A
@@ -392,7 +373,7 @@ void RaftNode::MaybeStepDownWithoutQuorum() {
   if (role_ != RaftRole::kLeader) {
     return;
   }
-  if (QuorumContactedSince(sim_->Now() - CheckQuorumWindow())) {
+  if (QuorumContactedSince(env_->Now() - CheckQuorumWindow())) {
     return;
   }
   ++stats_.stepdowns_check_quorum;
@@ -432,12 +413,11 @@ void RaftNode::BecomeFollower(Term term, bool reset_vote) {
   AbandonPreVote();
   role_ = RaftRole::kFollower;
   agg_active_ = false;
-  sim_->Cancel(heartbeat_timer_);  // stop heartbeats
-  heartbeat_timer_ = kInvalidEvent;
+  env_->CancelTimer(RaftTimer::kHeartbeat);
   if (was_leader) {
     env_->OnLeadershipChanged(false);
   }
-  RecordRole(sim_, options_.obs_id(), current_term_, obs::FrRole::kFollower, suspect_);
+  Record(obs::FrType::kRole, current_term_, static_cast<uint64_t>(obs::FrRole::kFollower), suspect_);
   ArmElectionTimer();
 }
 
@@ -451,7 +431,7 @@ void RaftNode::StartPreVote() {
   pre_votes_ = 1;  // our own pre-vote
   HC_LOG_INFO("node %d starts pre-vote poll for term %llu", options_.id,
               static_cast<unsigned long long>(pre_vote_term_));
-  RecordRole(sim_, options_.obs_id(), pre_vote_term_, obs::FrRole::kPreCandidate, suspect_);
+  Record(obs::FrType::kRole, pre_vote_term_, static_cast<uint64_t>(obs::FrRole::kPreCandidate), suspect_);
   // Retry the poll on silence. This is the cycle's only RNG draw: a winning
   // poll enters StartElection with this timer still armed and draws nothing,
   // so the draw order matches a non-PreVote run arm for arm.
@@ -496,7 +476,7 @@ void RaftNode::StartElection() {
   leader_hint_ = kInvalidNode;
   HC_LOG_INFO("node %d starts election for term %llu", options_.id,
               static_cast<unsigned long long>(current_term_));
-  RecordRole(sim_, options_.obs_id(), current_term_, obs::FrRole::kCandidate, suspect_);
+  Record(obs::FrType::kRole, current_term_, static_cast<uint64_t>(obs::FrRole::kCandidate), suspect_);
   if (!timer_covered) {
     ArmElectionTimer();  // retry on split vote
   }
@@ -515,7 +495,7 @@ void RaftNode::BecomeLeader() {
   ++stats_.times_leader;
   HC_LOG_INFO("node %d becomes leader of term %llu", options_.id,
               static_cast<unsigned long long>(current_term_));
-  RecordRole(sim_, options_.obs_id(), current_term_, obs::FrRole::kLeader, suspect_);
+  Record(obs::FrType::kRole, current_term_, static_cast<uint64_t>(obs::FrRole::kLeader), suspect_);
 
   for (PeerState& st : peers_) {
     st = PeerState{};
@@ -525,9 +505,9 @@ void RaftNode::BecomeLeader() {
     // CheckQuorum grace period: a fresh leader gets one full window to
     // gather real responses before the quorum check may fire. Reads stay
     // gated separately by the current-term commit requirement.
-    st.last_response = sim_->Now();
+    st.last_response = env_->Now();
   }
-  lease_floor_ = sim_->Now();
+  lease_floor_ = env_->Now();
   agg_active_ = false;
   agg_stream_ = Stream{.next_idx = log_.last_index() + 1};
 
@@ -538,16 +518,15 @@ void RaftNode::BecomeLeader() {
   // is unknown here.
   learner_since_.clear();
   for (NodeId l : active_config().learners) {
-    learner_since_.emplace(l, sim_->Now());
+    learner_since_.emplace(l, env_->Now());
   }
   // Entries inherited from previous terms were already announced by their
   // leader (their replier field is immutable and replicated); announcement
   // resumes from the tail.
   announced_idx_ = log_.last_index();
 
-  sim_->Cancel(election_timer_);  // cancel the election timer
-  election_timer_ = kInvalidEvent;
-  ArmHeartbeatTimer();
+  CancelElectionTimer();
+  env_->ArmTimer(RaftTimer::kHeartbeat, options_.heartbeat_interval);
 
   // Append a no-op entry, so entries from previous terms commit promptly
   // (Raft section 8 requirement).
@@ -606,7 +585,7 @@ bool RaftNode::SubmitRequest(std::shared_ptr<const RpcRequest> request, bool all
   ++stats_.entries_appended;
   StorageAppendEntry(idx);
   ScheduleDurability(idx);
-  obs::MarkStage(sim_, rid, obs::Stage::kOrdered, options_.obs_id(), sim_->Now());
+  obs::MarkStage(recorder_, rid, obs::Stage::kOrdered, options_.obs_id(), env_->Now());
   if (!options_.assign_repliers) {
     announced_idx_ = idx;
   }
@@ -633,15 +612,13 @@ RaftNode::ReadGrant RaftNode::AcquireReadIndex() {
   // a quorum counted under an older voter set or term proves nothing.
   const TimeNs window = options_.read_lease_timeout > 0 ? options_.read_lease_timeout
                                                         : options_.election_timeout_min;
-  if (!QuorumContactedSince(std::max(sim_->Now() - window, lease_floor_))) {
+  if (!QuorumContactedSince(std::max(env_->Now() - window, lease_floor_))) {
     // The lease lapsed: no quorum contact inside the window, so serving the
     // read locally could race a newer leader. Refuse and let the server fall
     // back to the commit path.
     ++stats_.read_index_rejected;
-    if (auto* fr = obs::FrOf(sim_)) {
-      fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kLeaseExpire,
-                 stats_.read_index_rejected, 0, static_cast<uint32_t>(current_term_));
-    }
+    Record(obs::FrType::kLeaseExpire, stats_.read_index_rejected, 0,
+           static_cast<uint32_t>(current_term_));
     return grant;
   }
   ++stats_.read_index_served;
@@ -666,11 +643,8 @@ RaftNode::ReadGrant RaftNode::AcquireReadIndex() {
       }
     }
   }
-  if (auto* fr = obs::FrOf(sim_)) {
-    fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kLeaseGrant, grant.read_index,
-               static_cast<uint64_t>(grant.replier),
-               static_cast<uint32_t>(current_term_));
-  }
+  Record(obs::FrType::kLeaseGrant, grant.read_index, static_cast<uint64_t>(grant.replier),
+         static_cast<uint32_t>(current_term_));
   return grant;
 }
 
@@ -698,7 +672,7 @@ bool RaftNode::StartAddServer(NodeId node) {
   // Catch-up starts now, not at commit: the learner config is effective on
   // append, so the snapshot/stream repair overlaps the change's own
   // replication (and often finishes before it commits).
-  learner_since_[node] = sim_->Now();
+  learner_since_[node] = env_->Now();
   return AppendConfigEntry(WithLearner(active_config(), node));
 }
 
@@ -732,9 +706,8 @@ bool RaftNode::AppendConfigEntry(MembershipConfigPtr config) {
   ++stats_.config_changes_proposed;
   HC_LOG_INFO("node %d proposes config %s at idx %llu", options_.id,
               config->Describe().c_str(), static_cast<unsigned long long>(idx));
-  if (auto* fr = obs::FrOf(sim_)) {
-    fr->Note(sim_->Now(), options_.obs_id(),
-             "config-proposed " + config->Describe(), idx);
+  if (recorder_ != nullptr) {
+    recorder_->Note(env_->Now(), options_.obs_id(), "config-proposed " + config->Describe(), idx);
   }
   TrackConfig(idx, std::move(config));
   // Tracked first: on a zero-latency disk a lone voter commits the entry, and
@@ -795,12 +768,11 @@ void RaftNode::ReconcileRoleWithConfig() {
     return;
   }
   if (CanCampaign()) {
-    if (election_timer_ == kInvalidEvent) {
+    if (!election_armed_) {
       ArmElectionTimer();
     }
   } else {
-    sim_->Cancel(election_timer_);
-    election_timer_ = kInvalidEvent;
+    CancelElectionTimer();
     if (role_ == RaftRole::kCandidate) {
       role_ = RaftRole::kFollower;
     }
@@ -834,7 +806,7 @@ void RaftNode::MaybePromoteLearners() {
     ++stats_.learners_promoted;
     auto it = learner_since_.find(learner);
     if (it != learner_since_.end()) {
-      stats_.learner_catchup_ns_total += static_cast<uint64_t>(sim_->Now() - it->second);
+      stats_.learner_catchup_ns_total += static_cast<uint64_t>(env_->Now() - it->second);
       learner_since_.erase(it);
     }
     HC_LOG_INFO("node %d promotes learner %d", options_.id, learner);
@@ -857,8 +829,7 @@ void RaftNode::Retire() {
     BecomeFollower(current_term_, false);
   } else {
     role_ = RaftRole::kFollower;
-    sim_->Cancel(election_timer_);
-    election_timer_ = kInvalidEvent;
+    CancelElectionTimer();
   }
 }
 
@@ -894,8 +865,8 @@ void RaftNode::TryAnnounce() {
     storage_->AppendAnnounce(idx, replier);
     announced_idx_ = idx;
     changed = true;
-    obs::MarkStage(sim_, entry.rid, obs::Stage::kDispatched,
-                   options_.obs_node_base + replier, sim_->Now());
+    obs::MarkStage(recorder_, entry.rid, obs::Stage::kDispatched,
+                   options_.obs_node_base + replier, env_->Now());
   }
   if (changed) {
     TrySendAll();
@@ -1037,7 +1008,7 @@ MessagePtr RaftNode::NextAppend(Stream& stream, bool heartbeat, bool allow_commi
       has_entries ? CollectEntries(stream.next_idx, end) : std::vector<WireEntry>{});
   ++stream.inflight;
   stream.commit_sent = commit_idx_;
-  stream.last_send = sim_->Now();
+  stream.last_send = env_->Now();
   if (has_entries) {
     stream.next_idx = end + 1;
   }
@@ -1068,7 +1039,7 @@ void RaftNode::SendSnapshot(NodeId peer) {
     return;  // nothing coherent to ship yet
   }
   st.snapshot_inflight = true;
-  st.last_send = sim_->Now();
+  st.last_send = env_->Now();
   ++stats_.snapshots_sent;
   // Ship the latest config covered by the snapshot so a fresh learner whose
   // log starts here still learns the membership. Elided while it is still
@@ -1110,10 +1081,8 @@ void RaftNode::OnInstallSnapshot(const InstallSnapshotReq& req) {
     durable_index_ =
         std::min(std::max(durable_index_, req.last_included()), log_.last_index());
     if (durable_index_ < durable_before) {
-      if (auto* fr = obs::FrOf(sim_)) {
-        fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
-                   static_cast<uint64_t>(obs::FrRecovery::kTruncate), durable_index_);
-      }
+      Record(obs::FrType::kRecovery, static_cast<uint64_t>(obs::FrRecovery::kTruncate),
+             durable_index_);
     }
     commit_idx_ = req.last_included();
     applied_idx_ = std::max(applied_idx_, req.last_included());
@@ -1155,7 +1124,7 @@ void RaftNode::OnInstallSnapshotRep(const InstallSnapshotRep& rep) {
     return;
   }
   PeerState& st = peers_[static_cast<size_t>(rep.from())];
-  st.last_response = sim_->Now();
+  st.last_response = env_->Now();
   st.snapshot_inflight = false;
   if (rep.last_included() > 0) {
     // It applied through the point, in the epoch its refusal carried to us.
@@ -1184,7 +1153,7 @@ void RaftNode::RecordApplied(NodeId peer, uint64_t stamp) {
   PeerState& st = peers_[static_cast<size_t>(peer)];
   if (stamp > st.progress) {
     st.progress = stamp;
-    st.last_response = sim_->Now();  // fresh progress proves the peer alive
+    st.last_response = env_->Now();  // fresh progress proves the peer alive
     scheduler_.UpdateApplied(peer, AppliedOf(stamp));
   }
 }
@@ -1233,15 +1202,13 @@ void RaftNode::SetCommit(LogIndex commit) {
   }
   // Every entry in (commit_idx_, commit] is newly committed; those indices
   // sit above the compaction point (base <= applied <= old commit).
-  auto* fr = obs::FrOf(sim_);
-  if (fr != nullptr) {
+  if (recorder_ != nullptr) {
     for (LogIndex idx = commit_idx_ + 1; idx <= commit; ++idx) {
       const LogEntry& e = log_.At(idx);
       if (!e.noop) {
-        obs::MarkStage(sim_, e.rid, obs::Stage::kCommitted, options_.obs_id(), sim_->Now());
+        obs::MarkStage(recorder_, e.rid, obs::Stage::kCommitted, options_.obs_id(), env_->Now());
       }
-      fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kCommit, idx, e.term,
-                 static_cast<uint32_t>(current_term_));
+      Record(obs::FrType::kCommit, idx, e.term, static_cast<uint32_t>(current_term_));
     }
   }
   commit_idx_ = commit;
@@ -1259,16 +1226,13 @@ void RaftNode::SetCommit(LogIndex commit) {
       ++stats_.config_changes_committed;
       // Read leases do not survive a membership change: a quorum counted
       // under the old voter set proves nothing about the new one.
-      lease_floor_ = sim_->Now();
+      lease_floor_ = env_->Now();
       HC_LOG_INFO("node %d: config %s committed at idx %llu", options_.id,
                   c.second->Describe().c_str(), static_cast<unsigned long long>(c.first));
-      if (auto* fr2 = obs::FrOf(sim_)) {
-        fr2->Record(sim_->Now(), options_.obs_id(), obs::FrType::kConfig, c.first,
-                    c.second->members.size());
-      }
+      Record(obs::FrType::kConfig, c.first, c.second->members.size());
       if (role_ == RaftRole::kLeader) {
         for (NodeId l : c.second->learners) {
-          learner_since_.emplace(l, sim_->Now());
+          learner_since_.emplace(l, env_->Now());
         }
       }
       env_->OnConfigCommitted(*c.second, c.first);
@@ -1336,7 +1300,7 @@ bool RaftNode::AcceptLeader(Term term, NodeId leader) {
     BecomeFollower(term, /*reset_vote=*/term > current_term_);
   }
   leader_hint_ = leader;
-  last_leader_contact_ = sim_->Now();
+  last_leader_contact_ = env_->Now();
   AbandonPreVote();  // a live leader voids any poll in progress
   ArmElectionTimer();
   return true;
@@ -1403,7 +1367,7 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
         env_->SendToPeer(reply_leader, rep);
       }
     };
-    static_assert(Simulator::Callback::kFits<decltype(ack)>);
+    static_assert(StableStorage::SyncCallback::kFits<decltype(ack)>);
     const bool inline_done = storage_->Sync(std::move(ack));
     if (!inline_done) {
       ++stats_.acks_deferred_persist;
@@ -1451,10 +1415,7 @@ RaftNode::AppendOutcome RaftNode::AppendResolvedEntries(const AppendEntriesReq& 
                     "durability was violated upstream",
                     options_.id, static_cast<unsigned long long>(idx),
                     static_cast<unsigned long long>(commit_idx_));
-        if (auto* fr = obs::FrOf(sim_)) {
-          fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kCommitLoss, idx - 1,
-                     commit_idx_);
-        }
+        Record(obs::FrType::kCommitLoss, idx - 1, commit_idx_);
         commit_idx_ = idx - 1;
         // The epoch stays, so a leader may record us above this. Moot: a
         // forwarded read waits for our apply cursor, a compaction past our
@@ -1467,10 +1428,8 @@ RaftNode::AppendOutcome RaftNode::AppendResolvedEntries(const AppendEntriesReq& 
       log_.TruncateFrom(idx);
       storage_->AppendTruncate(idx);
       durable_index_ = std::min(durable_index_, idx - 1);
-      if (auto* fr = obs::FrOf(sim_)) {
-        fr->Record(sim_->Now(), options_.obs_id(), obs::FrType::kRecovery,
-                   static_cast<uint64_t>(obs::FrRecovery::kTruncate), durable_index_);
-      }
+      Record(obs::FrType::kRecovery, static_cast<uint64_t>(obs::FrRecovery::kTruncate),
+             durable_index_);
     }
     HC_CHECK_EQ(idx, log_.last_index() + 1);
 
@@ -1520,7 +1479,7 @@ RaftNode::AppendOutcome RaftNode::AppendResolvedEntries(const AppendEntriesReq& 
 }
 
 void RaftNode::RequestRecovery(const RequestId& rid) {
-  const TimeNs now = sim_->Now();
+  const TimeNs now = env_->Now();
   auto it = recovery_inflight_.find(rid);
   if (it != recovery_inflight_.end() && now - it->second < options_.heartbeat_interval) {
     return;  // a request is already in flight
@@ -1553,7 +1512,7 @@ void RaftNode::OnRecoveryRep(const RecoveryRep& rep) {
     return;  // the leader no longer has it; the next heartbeat retries
   }
   HC_CHECK(rep.rid() == rep.request()->rid());
-  unordered_->Insert(rep.request(), sim_->Now());
+  unordered_->Insert(rep.request(), env_->Now());
   if (pending_ae_ != nullptr) {
     const std::unique_ptr<AppendEntriesReq> ae = std::move(pending_ae_);
     const bool via_agg = pending_ae_via_agg_;
@@ -1574,7 +1533,7 @@ void RaftNode::OnAppendEntriesRep(const AppendEntriesRep& rep) {
     return;
   }
   PeerState& st = peers_[static_cast<size_t>(rep.from())];
-  st.last_response = sim_->Now();  // current-term contact: CheckQuorum/lease evidence
+  st.last_response = env_->Now();  // current-term contact: CheckQuorum/lease evidence
   if (st.inflight > 0) {
     --st.inflight;
   }
@@ -1620,12 +1579,12 @@ void RaftNode::OnRequestVote(const RequestVoteReq& req) {
   // cannot depose the leader. Never triggers with static membership (every
   // node is a member).
   const bool leader_is_live = last_leader_contact_ > 0 &&
-                              sim_->Now() - last_leader_contact_ < options_.election_timeout_min;
+                              env_->Now() - last_leader_contact_ < options_.election_timeout_min;
   if (!active_config().IsMember(req.candidate()) && leader_is_live) {
     return;
   }
   const bool self_leading =
-      role_ == RaftRole::kLeader && QuorumContactedSince(sim_->Now() - CheckQuorumWindow());
+      role_ == RaftRole::kLeader && QuorumContactedSince(env_->Now() - CheckQuorumWindow());
   // A suspect replica (recovery cut its durable log below entries it may have
   // acknowledged — see RestartFromRecovery) must not endorse a candidate whose
   // log ends below its suspect floor: electing such a leader could overwrite
@@ -1736,13 +1695,13 @@ void RaftNode::OnAggCommit(const AggCommitMsg& msg) {
   if (role_ == RaftRole::kFollower) {
     // AGG_COMMIT is leader liveness: the aggregator only emits it while a
     // current-term leader feeds it.
-    last_leader_contact_ = sim_->Now();
+    last_leader_contact_ = env_->Now();
     AbandonPreVote();
     ArmElectionTimer();
   }
   if (role_ == RaftRole::kLeader) {
     agg_stream_.inflight = 0;
-    last_agg_commit_ = sim_->Now();
+    last_agg_commit_ = env_->Now();
     const auto& progress = msg.progress();
     for (NodeId p = 0; p < options_.cluster_size && static_cast<size_t>(p) < progress.size();
          ++p) {
@@ -1772,7 +1731,7 @@ void RaftNode::OnAggVoteRep(const AggVoteRep& rep) {
     return;  // the aggregator is configured for a different voter set
   }
   agg_active_ = true;
-  last_agg_commit_ = sim_->Now();  // start the silence clock at activation
+  last_agg_commit_ = env_->Now();  // start the silence clock at activation
   // Stream from the last quorum-confirmed point; overlapping entries are
   // deduplicated by the followers' consistency check.
   agg_stream_.next_idx = std::max(commit_idx_ + 1, log_.first_index());

@@ -13,6 +13,11 @@
 // The core algorithm (election, log matching, commit rule) is identical in
 // all modes — the extensions only change who transports what, which is the
 // paper's central claim (section 5).
+//
+// A RaftNode is a step machine over its host: it holds no simulator. Its
+// inputs are OnMessage, OnTimer and the host's calls below; it reads the
+// clock, arms its two timers and sends through its Env, which the host
+// drains synchronously.
 #ifndef SRC_RAFT_NODE_H_
 #define SRC_RAFT_NODE_H_
 
@@ -23,18 +28,20 @@
 
 #include "src/common/random.h"
 #include "src/common/types.h"
+#include "src/obs/flight_recorder.h"
 #include "src/raft/log.h"
 #include "src/raft/membership.h"
 #include "src/raft/messages.h"
 #include "src/raft/options.h"
 #include "src/raft/replier_scheduler.h"
 #include "src/raft/unordered_store.h"
-#include "src/sim/simulator.h"
 #include "src/storage/stable_storage.h"
 
 namespace hovercraft {
 
 enum class RaftRole { kFollower, kCandidate, kLeader };
+// A non-leader's election timeout, and the leader's heartbeat tick.
+enum class RaftTimer : uint8_t { kElection, kHeartbeat };
 
 struct RaftStats {
   uint64_t elections_started = 0;
@@ -84,11 +91,15 @@ struct RaftStats {
 
 class RaftNode {
  public:
-  // Environment provided by the hosting server: message transport and
-  // application callbacks.
+  // Environment provided by the hosting server: the clock, timers, message
+  // transport and application callbacks.
   class Env {
    public:
     virtual ~Env() = default;
+    virtual TimeNs Now() const = 0;
+    // Fires OnTimer(timer) after `delay`, replacing any pending firing of it.
+    virtual void ArmTimer(RaftTimer timer, TimeNs delay) = 0;
+    virtual void CancelTimer(RaftTimer timer) = 0;
     virtual void SendToPeer(NodeId peer, MessagePtr msg) = 0;
     virtual void SendToAggregator(MessagePtr msg) = 0;
     // Snapshot transfer (straggler repair). Capture serializes the current
@@ -125,8 +136,9 @@ class RaftNode {
   // latency every barrier completes inline.
   // `unordered` (non-null, outliving the node) is the host's unordered set
   // (paper section 3.2): followers resolve ordered bodies from it.
-  RaftNode(Simulator* sim, uint64_t seed, const RaftOptions& options, Env* env,
-           StableStorage* storage, UnorderedStore* unordered);
+  // `recorder` is the flight recorder the node's events go to (null: none).
+  RaftNode(uint64_t seed, const RaftOptions& options, Env* env, StableStorage* storage,
+           UnorderedStore* unordered, obs::FlightRecorder* recorder);
 
   // Arms the election timer; a one-voter group elects itself at once. Call
   // once after construction.
@@ -147,7 +159,7 @@ class RaftNode {
                            MembershipConfigPtr snap_config = nullptr,
                            LogIndex snap_config_idx = 0);
 
-  // Fail-stop crash injection: a halted node's timers stop firing (its host
+  // Fail-stop crash injection: a halted node's timers do nothing (its host
   // already drops all traffic), and any persist completion scheduled before
   // the halt is fenced off — a node killed inside the persist window never
   // acks from the grave. Resume models a process restart with the in-memory
@@ -208,6 +220,9 @@ class RaftNode {
   // msg.kind(). `via_aggregator` says an append_entries came through the
   // aggregator's fan-out, so its success reply goes back there.
   void OnMessage(const Message& msg, bool via_aggregator);
+  // The one timer entry point: the host calls it when a timer armed through
+  // Env::ArmTimer fires.
+  void OnTimer(RaftTimer timer);
 
   // --- membership change (leader only; dissertation section 4) ---
   // Starts adding `node`: appends a config entry that carries the active
@@ -356,11 +371,13 @@ class RaftNode {
   // the aggregator path hides follower replies from the leader.
   void SendQuorumProbe(NodeId peer);
 
-  // -- timers (cancellable handles: re-arming cancels the previous event in
-  // O(1) instead of leaving a dead timer in the queue) --
+  // -- timers (Env::ArmTimer replaces the pending firing, so re-arming leaves
+  // no dead timer in the host's queue) --
   void ArmElectionTimer();
-  void ArmHeartbeatTimer();
+  void CancelElectionTimer();
   void OnHeartbeat();
+  // A flight-recorder event of this node, stamped now.
+  void Record(obs::FrType type, uint64_t a, uint64_t b = 0, uint32_t c = 0) const;
 
   // -- leader replication --
   // Stops the aggregator stream; every follower goes point-to-point.
@@ -435,10 +452,10 @@ class RaftNode {
   // True when this node may campaign: a live, non-retired voter.
   bool CanCampaign() const;
 
-  Simulator* sim_;
   RaftOptions options_;
   Env* env_;
   UnorderedStore* unordered_;
+  obs::FlightRecorder* recorder_;
   Rng rng_;
 
   // Persistent state. Every mutation is mirrored into the WAL (storage_) and
@@ -496,8 +513,7 @@ class RaftNode {
   bool pending_ae_via_agg_ = false;
   std::unordered_map<RequestId, TimeNs, RequestIdHash> recovery_inflight_;
 
-  EventId election_timer_ = kInvalidEvent;
-  EventId heartbeat_timer_ = kInvalidEvent;
+  bool election_armed_ = false;  // the election timer is pending
   bool halted_ = false;
 
   // Membership state. `configs_` holds the initial config (index 0) plus

@@ -193,7 +193,7 @@ void StableStorage::SaveSnapshot(LogIndex idx, Term term, BufferWriter head, Ima
   ++stats_.snapshots_saved;
 }
 
-bool StableStorage::Sync(Simulator::Callback cb) {
+bool StableStorage::Sync(SyncCallback cb) {
   const bool coalesce = policy_ != FsyncPolicy::kSyncPerAppend;
   return disk_->Sync(std::move(cb), coalesce);
 }

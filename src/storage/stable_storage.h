@@ -133,7 +133,8 @@ class StableStorage {
   // Durability barrier under the configured policy. Returns true when it
   // completed inline (cb already ran); false when cb runs later, unless the
   // process crashes first — a crash drops pending barriers entirely.
-  bool Sync(Simulator::Callback cb);
+  using SyncCallback = SimDisk::SyncCallback;
+  bool Sync(SyncCallback cb);
 
   // --- fault hooks ----------------------------------------------------------
   void Crash() { disk_->Crash(); }

@@ -1,14 +1,17 @@
 // The Raft test harness: RaftNode driven without its server.
 //
-// N nodes share one simulator. Each runs on a zero-latency disk (every
-// barrier completes inline, with no events) and keeps a real UnorderedStore
-// as its unordered set. Every message goes through RaftNode::OnMessage under
-// one delivery rule: a fixed hop, or a seeded random delay and loss. Either
-// way a message sent by a down node, or arriving at one, is lost, and a
-// test's drop_filter may drop any other. After every delivery the harness
-// checks election safety: no term ever has two leaders; CheckSafety() checks
-// log matching, state machine safety and the leaders' progress records on
-// demand.
+// N nodes share one simulator, the test's network and clock. Each runs on a
+// zero-latency disk (every barrier completes inline, with no events) and
+// keeps a real UnorderedStore as its unordered set. Every message goes
+// through RaftNode::OnMessage under one delivery rule: a fixed hop, or a
+// seeded random delay and loss. Either way a message sent by a down node, or
+// arriving at one, is lost, and a test's drop_filter may drop any other.
+// Timers fire through RaftNode::OnTimer, on the simulator or at once by
+// FireTimer. After every delivery and timer firing the harness checks
+// election safety (no term ever has two leaders) and leader completeness (a
+// node that first leads a term holds every entry committed so far);
+// CheckSafety() checks log matching, state machine safety and the leaders'
+// progress records on demand.
 //
 // A scripted scenario (tests/raft_node_test.cc) lets node 0 win the first
 // election, then drops, crashes and injects what its schedule needs between
@@ -43,6 +46,17 @@ class RaftHarness {
    public:
     Env(RaftHarness* harness, NodeId self) : harness_(harness), self_(self) {}
 
+    TimeNs Now() const override { return harness_->sim.Now(); }
+    void ArmTimer(RaftTimer timer, TimeNs delay) override {
+      EventId& id = timers_[static_cast<size_t>(timer)];
+      harness_->sim.Cancel(id);
+      id = harness_->sim.After(delay, [this, timer]() { harness_->FireTimer(self_, timer); });
+    }
+    void CancelTimer(RaftTimer timer) override {
+      EventId& id = timers_[static_cast<size_t>(timer)];
+      harness_->sim.Cancel(id);
+      id = kInvalidEvent;
+    }
     void SendToPeer(NodeId peer, MessagePtr msg) override {
       harness_->Send(self_, peer, std::move(msg));
     }
@@ -79,6 +93,7 @@ class RaftHarness {
         ++applied_;
         const LogEntry& e = node.log().At(applied_);
         applied_at[applied_] = Applied{e.term, e.rid, e.request};
+        harness_->committed_.emplace(applied_, e.term);
         if (!e.noop) {
           applied_rids.push_back(e.rid);
         }
@@ -116,6 +131,7 @@ class RaftHarness {
     RaftHarness* harness_;
     NodeId self_;
     LogIndex applied_ = 0;
+    EventId timers_[2] = {kInvalidEvent, kInvalidEvent};  // by RaftTimer
   };
 
   // How a message travels. With max_delay == 0 it takes one 2 us hop;
@@ -139,10 +155,10 @@ class RaftHarness {
       disks_.push_back(std::make_unique<SimDisk>(&sim, static_cast<uint64_t>(i), 0));
       storages_.push_back(
           std::make_unique<StableStorage>(disks_.back().get(), FsyncPolicy::kGroupCommit));
-      nodes_.push_back(std::make_unique<RaftNode>(&sim, seed * 31 + static_cast<uint64_t>(i),
-                                                  opts, envs_.back().get(),
-                                                  storages_.back().get(),
-                                                  &envs_.back()->unordered));
+      nodes_.push_back(std::make_unique<RaftNode>(seed * 31 + static_cast<uint64_t>(i), opts,
+                                                  envs_.back().get(), storages_.back().get(),
+                                                  &envs_.back()->unordered,
+                                                  /*recorder=*/nullptr));
     }
   }
 
@@ -186,13 +202,31 @@ class RaftHarness {
     });
   }
 
+  // Fires node n's `timer` now: cancels its pending firing and calls OnTimer.
+  void FireTimer(NodeId n, RaftTimer timer) {
+    env(n).CancelTimer(timer);
+    node(n).OnTimer(timer);
+    CheckElectionSafety();
+  }
+
   // Election safety (Raft 5.2): every leader seen so far is the only one of
-  // its term.
+  // its term. Leader completeness (Raft 5.4): a node first seen leading a
+  // term holds every entry any node has committed, except those it compacted.
   void CheckElectionSafety() {
     for (const auto& node : nodes_) {
-      if (node->IsLeader()) {
-        const auto it = leader_of_term_.try_emplace(node->term(), node->id()).first;
-        ASSERT_EQ(it->second, node->id()) << "two leaders in term " << node->term();
+      if (!node->IsLeader()) {
+        continue;
+      }
+      const auto [it, first] = leader_of_term_.try_emplace(node->term(), node->id());
+      ASSERT_EQ(it->second, node->id()) << "two leaders in term " << node->term();
+      if (!first) {
+        continue;
+      }
+      const RaftLog& log = node->log();
+      for (auto c = committed_.lower_bound(log.first_index()); c != committed_.end(); ++c) {
+        ASSERT_TRUE(c->first <= log.last_index() && log.TermAt(c->first) == c->second)
+            << "node " << node->id() << ", leader of term " << node->term()
+            << ", lacks committed index " << c->first << " of term " << c->second;
       }
     }
   }
@@ -311,6 +345,7 @@ class RaftHarness {
   std::vector<std::unique_ptr<RaftNode>> nodes_;
   std::vector<bool> down_;
   std::map<Term, NodeId> leader_of_term_;
+  std::map<LogIndex, Term> committed_;  // ghost record: every committed (index, term)
   LogIndex commit_watermark_ = 0;
 };
 

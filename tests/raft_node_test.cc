@@ -679,6 +679,50 @@ TEST(RaftNodeTest, SkewedTimerCannotDisruptWithPreVote) {
   EXPECT_EQ(h.Leader(), leader);
 }
 
+// A timer fired by hand: five election timeouts of node 2 while node 0 leads
+// are five pre-vote polls that the leader and its follower refuse, so no
+// term moves.
+TEST(RaftNodeTest, HandFiredElectionTimerCannotDisruptALiveLeader) {
+  RaftHarness h(3, WithDefenses(/*pre_vote=*/true, /*check_quorum=*/true));
+  h.StartAll();
+  ASSERT_EQ(h.WaitForLeader(), 0);
+  h.Run(Millis(5));  // both followers hear the leader
+  const Term term = h.node(0).term();
+  for (int i = 0; i < 5; ++i) {
+    h.FireTimer(2, RaftTimer::kElection);
+    h.Run(Micros(100));
+  }
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(h.node(n).term(), term) << "node " << n;
+  }
+  EXPECT_EQ(h.Leader(), 0);
+  EXPECT_EQ(h.node(2).stats().prevote_rounds, 5u);
+  EXPECT_EQ(h.node(2).stats().elections_started, 0u);
+}
+
+// A timer fired by hand chooses who campaigns and when. Node 0 crashes; node
+// 1 stops counting it as live 10 ms after it last heard it, and node 2's
+// hand-fired poll wins then. Left alone, node 2 refuses every poll until 15
+// ms without the leader and its own timer fires no earlier than 14 ms after
+// the crash, so no election could have been won yet.
+TEST(RaftNodeTest, HandFiredElectionTimerElectsBeforeAnyTimeoutCould) {
+  RaftHarness h(3, WithDefenses(/*pre_vote=*/true, /*check_quorum=*/true));
+  h.StartAll();
+  ASSERT_EQ(h.WaitForLeader(), 0);
+  h.Run(Millis(20));
+  const Term term = h.node(0).term();
+  h.Crash(0);
+  const TimeNs crashed = h.sim.Now();
+  h.Run(Millis(10) + Micros(50));
+  h.FireTimer(2, RaftTimer::kElection);
+  h.Run(Micros(50));  // a poll and a vote: four 2 us hops
+  EXPECT_EQ(h.Leader(), 2);
+  EXPECT_EQ(h.node(2).term(), term + 1);
+  EXPECT_LT(h.sim.Now() - crashed, Millis(14));
+  EXPECT_EQ(h.node(2).stats().prevote_rounds, 1u);
+  EXPECT_EQ(h.node(2).stats().elections_started, 1u);
+}
+
 // ReadIndex: the leader serves a linearizable read at its commit index
 // without appending anything; followers refuse.
 TEST(RaftNodeTest, ReadIndexGrantsAtCommitWithoutLogGrowth) {

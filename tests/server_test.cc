@@ -429,6 +429,40 @@ TEST(ServerAnswerTest, DuplicateShardControlEntryIsANoOp) {
   EXPECT_EQ(client.replies.size(), 1u);
 }
 
+// Single-owner shards at apply: a freeze of slots 8-15 and a write for one
+// of them, ordered in one instant with the freeze first. Ordering saw the
+// slot served, so only the apply gate keeps the write from executing: every
+// replica rejects it, and its replier redirects the client.
+TEST(ServerAnswerTest, WriteOrderedBehindAFreezeOfItsSlotIsRejectedAtApply) {
+  const ClusterConfig config = KvConfig(26);
+  Fabric fabric(config.seed);
+  const ShardGroupSpec spec = OwnsEverySlot();
+  Cluster cluster(fabric, config, &spec);
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  ScriptedClient client(cluster);
+  std::string key = "k0";
+  for (int i = 1; ShardSlotOf(key) < 8 || ShardSlotOf(key) > 15; ++i) {
+    key = "k" + std::to_string(i);
+  }
+  std::vector<uint64_t> executed;
+  for (NodeId n = 0; n < 3; ++n) {
+    executed.push_back(cluster.server(n).server_stats().ops_executed);
+  }
+
+  Order(cluster, ShardCtl(client, 1, ShardOpKind::kFreeze, 8, 15));
+  Order(cluster, client.Request(2, Set(key, "v"), 1, ShardSlotOf(key)));
+  RunFor(cluster, Millis(5));
+
+  for (NodeId n = 0; n < 3; ++n) {
+    const ServerStats& st = cluster.server(n).server_stats();
+    EXPECT_EQ(st.shard_freezes, 1u) << "node " << n;
+    EXPECT_EQ(st.wrong_shard_rejects, 1u) << "node " << n;
+    EXPECT_EQ(st.ops_executed, executed[static_cast<size_t>(n)]) << "node " << n;
+  }
+  EXPECT_EQ(client.nacks, std::vector<uint64_t>{2});
+  EXPECT_TRUE(client.ValuesFor(2).empty());
+}
+
 // A first attempt the middlebox admitted, for a slot the group has since
 // handed away, is redirected by the leader, which repays its admission slot
 // then and there. A retransmission bypassed the middlebox and repays
