@@ -1,6 +1,6 @@
 // Heap a replica retains per log entry between two compactions, heap
-// allocations per request on a fig7-shaped run, and the longest log such a
-// run holds (google-benchmark). Its own
+// allocations per request on a fig7-shaped run, the heap one of its clients
+// holds, and the longest log such a run holds (google-benchmark). Its own
 // binary because the counting allocator replaces operator new/delete for the
 // whole program; the timing cases in micro_raft_log keep the plain allocator.
 #include <benchmark/benchmark.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench/counting_allocator.h"
@@ -136,6 +137,59 @@ void BM_AllocsPerRequest(benchmark::State& state) {
   state.counters["alloc_bytes_per_req"] = alloc_bytes_per_req;
 }
 BENCHMARK(BM_AllocsPerRequest)->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// Heap one Figure 7 client holds (docs/performance.md "Trial set-up"): the
+// cluster and client of BM_AllocsPerRequest, the client measuring its whole
+// 1/3 s of load, so it records about 10^5 latencies. Counters:
+//   construct_bytes  bytes the ClientHost constructor requests: a trial
+//                    builds 8 clients, and a client that never records
+//                    needs none;
+//   latencies        the latencies it recorded;
+//   held_bytes       usable bytes its destructor frees once the load has
+//                    drained: the latency histogram's buckets, and the
+//                    request tables' bucket arrays.
+// Both byte counts are a deterministic function of the code and the pinned
+// seeds; run the case alone. CI gates construct_bytes and held_bytes.
+void BM_ClientHostBytes(benchmark::State& state) {
+  double construct_bytes = 0;
+  double latencies = 0;
+  double held_bytes = 0;
+  for (auto _ : state) {
+    ClusterConfig config;
+    config.mode = ClusterMode::kHovercRaft;
+    config.nodes = 3;
+    config.seed = 7;
+    config.app_factory = []() { return std::make_unique<SyntheticService>(); };
+    Cluster cluster(config);
+    HC_CHECK_NE(cluster.WaitForLeader(), kInvalidNode);
+    SyntheticWorkloadConfig wc;
+    wc.request_bytes = 24;
+    wc.reply_bytes = 8;
+    wc.service_time = std::make_shared<FixedDistribution>(Micros(1));
+    auto workload = std::make_unique<SyntheticWorkload>(wc);
+    std::optional<ClientHost> client;  // not on the heap: only what it allocates counts
+    const uint64_t bytes_before = g_alloc_bytes;
+    client.emplace(&cluster.sim(), cluster.config().costs,
+                   [&cluster]() { return cluster.ClientTarget(); }, std::move(workload), 300'000,
+                   11);
+    construct_bytes = static_cast<double>(g_alloc_bytes - bytes_before);
+    cluster.network().Attach(&*client);
+    const TimeNs t0 = cluster.sim().Now();
+    const TimeNs stop = t0 + Seconds(1) / 3;
+    client->SetMeasureWindow(t0, stop);
+    client->StartLoad(t0, stop);
+    cluster.sim().RunUntil(stop + Millis(10));
+    HC_CHECK_EQ(client->total_completed(), client->total_sent());
+    latencies = static_cast<double>(client->latencies().count());
+    const uint64_t live_before = g_live_bytes;
+    client.reset();
+    held_bytes = static_cast<double>(live_before - g_live_bytes);
+  }
+  state.counters["construct_bytes"] = construct_bytes;
+  state.counters["latencies"] = latencies;
+  state.counters["held_bytes"] = held_bytes;
+}
+BENCHMARK(BM_ClientHostBytes)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // The largest Raft log on any node of a fig7-shaped cluster (HovercRaft, 3
 // nodes, 24-byte writes, the leader replying, no TX batching) offered

@@ -62,7 +62,9 @@ class EntryReader {
 
 }  // namespace
 
-size_t KvStore::Slot::type() const { return clean() ? EntryReader(part).tag() : value.index(); }
+size_t KvStore::Slot::type() const {
+  return part != nullptr ? EntryReader(part).tag() : value.index();
+}
 
 size_t KvStore::Slot::InPart() const {
   if (prefixed()) {
@@ -181,8 +183,8 @@ Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
   auto it = map_.find(key);
   if (it == map_.end()) {
     it = map_.try_emplace(std::string(key)).first;
-    it->second.value.emplace<ListValue>();
-    // A list published under this name is replayed from an empty prefix.
+    // A list published under this name is replayed from an empty prefix and
+    // no tail; any other new key starts as an empty list.
     const Image::Part* published = shared_ != nullptr ? shared_->Find(key) : nullptr;
     if (published != nullptr) {
       const EntryReader r(published->bytes);
@@ -192,6 +194,9 @@ Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
         it->second.prefix_end = static_cast<uint32_t>(r.offset());
       }
     }
+    if (it->second.part == nullptr) {
+      it->second.value.emplace<ListValue>();
+    }
   }
   Slot& slot = it->second;
   if (slot.type() != kList) {
@@ -200,14 +205,17 @@ Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
   if (slot.clean()) {  // its whole part becomes the prefix: nothing is decoded
     slot.prefix = static_cast<uint32_t>(slot.InPart());
     slot.prefix_end = static_cast<uint32_t>(slot.part.size());
-    slot.value.emplace<ListValue>();
   }
-  auto& tail = std::get<ListValue>(slot.value);
-  if (!tail.empty() || slot.part == nullptr || !Replay(slot, value)) {
-    tail.emplace_back(value);
-    if (slot.InPart() == 0) {
-      slot.part = nullptr;  // a prefix of no elements: just the tail
+  auto* tail = std::get_if<ListValue>(&slot.value);
+  if (tail == nullptr) {  // a prefix with no tail goes on replaying its part
+    if (Replay(slot, value)) {
+      return ElementCount(slot);
     }
+    tail = &slot.value.emplace<ListValue>();
+  }
+  tail->emplace_back(value);
+  if (slot.InPart() == 0) {
+    slot.part = nullptr;  // a prefix of no elements: just the tail
   }
   return ElementCount(slot);
 }
@@ -632,8 +640,8 @@ void KvStore::Slot::Encode(Out& out, const std::string& key) const {
   // The part's elements: a prefixed list's up to its prefix.
   const size_t end = prefixed() ? prefix_end : part.size();
   out.PutBytes(part.bytes().subspan(r.offset(), end - r.offset()));
-  if (prefixed()) {
-    for (const std::string& item : std::get<ListValue>(value)) {
+  if (const auto* tail = std::get_if<ListValue>(&value)) {  // a prefixed list's
+    for (const std::string& item : *tail) {
       out.PutString(item);
     }
   }
@@ -667,8 +675,10 @@ KvStore::Value* KvStore::Mutable(std::string_view key) {
     for (uint32_t i = 0; i < slot.prefix; ++i) {
       l.emplace_back(r.Next());
     }
-    for (std::string& item : std::get<ListValue>(slot.value)) {
-      l.push_back(std::move(item));
+    if (auto* tail = std::get_if<ListValue>(&slot.value)) {
+      for (std::string& item : *tail) {
+        l.push_back(std::move(item));
+      }
     }
     slot.value = std::move(l);
     slot.part = nullptr;
@@ -688,7 +698,10 @@ bool KvStore::Replay(Slot& slot, std::string_view item) {
   ++slot.prefix;
   slot.prefix_end = static_cast<uint32_t>(slot.part.size() - rest.remaining());
   if (rest.AtEnd()) {
-    slot.value = Value{};  // replayed in full: clean, the part its only copy
+    // Replayed in full (a replaying prefix has no tail): clean, the part
+    // its only copy.
+    slot.prefix = 0;
+    slot.prefix_end = 0;
   }
   return true;
 }
@@ -722,9 +735,7 @@ bool KvStore::AdoptPublished(const std::string& key, const Slot& slot) const {
   }
   // Another replica encoded these very bytes: hold its part, as the key's
   // only copy.
-  slot.part = published->bytes;
-  slot.crc = published->crc;
-  slot.value = Value{};
+  slot.Hold(published->bytes, published->crc);
   return true;
 }
 
@@ -754,13 +765,13 @@ Image KvStore::SerializeImage(BufferWriter head) const {
       BufferWriter w(size);
       slot.Encode(w, key);
       HC_CHECK_EQ(w.size(), size);
-      slot.part = w.TakeBody();
+      Body part = w.TakeBody();
       // Checksummed now, while the bytes are still in cache.
-      slot.crc = Crc32c(slot.part.bytes());
+      const uint32_t crc = Crc32c(part.bytes());
       if (shared_ != nullptr) {
-        shared_->Publish(key, Image::Part{slot.part, slot.crc});
+        shared_->Publish(key, Image::Part{part, crc});
       }
-      slot.value = Value{};  // the part is now the key's only copy
+      slot.Hold(std::move(part), crc);  // the part is now the key's only copy
     }
     image.Append(slot.part, slot.crc);
   }

@@ -137,8 +137,10 @@ class KvStore {
   //  - clean: `part` holds the key's SerializeEntry bytes, `crc` their CRC,
   //    and `value` is empty;
   //  - prefix plus tail: `part` and `crc` are a list part's, whose first
-  //    `prefix` elements (its bytes before `prefix_end`) are the list's
-  //    head, and `value` holds the tail (a ListValue).
+  //    `prefix` elements (its bytes before `prefix_end`, which is 0 only in
+  //    a clean slot) are the list's head, and `value` holds the tail (a
+  //    ListValue) once an Rpush appends past the head. A head with no tail
+  //    holds no value, so a replay allocates no tail it may never need.
   // A write leaves its key dirty, except Rpush, which keeps a part it can
   // read the list's head from. Mutable() decodes the other states once and
   // drops the part, Set overwrites the value, and the other paths replace or
@@ -149,8 +151,16 @@ class KvStore {
     Slot() = default;
     Slot(Value v) : value(std::move(v)) {}  // NOLINT(google-explicit-constructor)
 
-    bool prefixed() const { return part != nullptr && std::holds_alternative<ListValue>(value); }
-    bool clean() const { return part != nullptr && !prefixed(); }
+    bool prefixed() const { return part != nullptr && prefix_end != 0; }
+    bool clean() const { return part != nullptr && prefix_end == 0; }
+    // Makes the slot clean: `p`, with CRC `c`, becomes the key's only copy.
+    void Hold(Body p, uint32_t c) const {
+      part = std::move(p);
+      crc = c;
+      value = Value{};
+      prefix = 0;
+      prefix_end = 0;
+    }
     // The value's variant index, from any state.
     size_t type() const;
     // Elements read from `part`: a prefixed list's prefix, a clean key's
@@ -166,9 +176,9 @@ class KvStore {
     // other without changing the contents.
     mutable Value value;
     mutable Body part;
-    mutable uint32_t crc = 0;  // Crc32c(part)
-    uint32_t prefix = 0;       // a prefixed list's head: elements in `part`
-    uint32_t prefix_end = 0;   // and the offset just past them
+    mutable uint32_t crc = 0;         // Crc32c(part)
+    mutable uint32_t prefix = 0;      // a prefixed list's head: elements in `part`
+    mutable uint32_t prefix_end = 0;  // and the offset just past them
   };
 
   // Ends every write: until the store's first image, a key the write left
@@ -185,9 +195,10 @@ class KvStore {
   // SerializeEntry would write; returns whether it did.
   bool AdoptPublished(const std::string& key, const Slot& slot) const;
   void AdoptBeforeFirstImage(std::string_view key);
-  // Extends a prefixed list's head by `item` when that is its part's next
-  // element, compared in place; returns whether it did. A head that reaches
-  // the part's end leaves the slot clean, holding that part.
+  // Extends a prefixed list's head, which has no tail yet, by `item` when
+  // that is its part's next element, compared in place; returns whether it
+  // did. A head that reaches the part's end leaves the slot clean, holding
+  // that part.
   static bool Replay(Slot& slot, std::string_view item);
   // The key's decoded value for mutation: a clean or prefixed key is
   // decoded and its part dropped.

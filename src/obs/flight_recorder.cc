@@ -200,13 +200,16 @@ FlightRecorder::~FlightRecorder() {
 
 FlightRecorder* FlightRecorder::active() { return g_active; }
 
+static_assert(alignof(FrEvent) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+              "a slab from plain operator new[] holds aligned events");
+
 void FlightRecorder::GrowRing(size_t idx) {
   // Allocate densely through idx so the hot-path guard stays a single
   // limit compare (no per-ring null check). Node ids are small and dense in
   // practice, so the worst case is a handful of idle slabs.
   rings_.resize(idx + 1);
   for (size_t i = ring_limit_; i <= idx; ++i) {
-    slabs_.push_back(std::make_unique<FrEvent[]>(mask_ + 1));
+    slabs_.emplace_back(static_cast<FrEvent*>(::operator new[]((mask_ + 1) * sizeof(FrEvent))));
     rings_[i].events = slabs_.back().get();
   }
   ring_limit_ = idx + 1;

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -226,7 +227,14 @@ class FlightRecorder {
   size_t ring_limit_ = 0;  // rings_[0..ring_limit_) all have slabs
   int sink_count_ = 0;
   std::vector<Ring> rings_;
-  std::vector<std::unique_ptr<FrEvent[]>> slabs_;
+  // Slabs are allocated unfilled: every reader stops at a ring's count, so
+  // a slot is read only after Record wrote it, and zeroing each node's slab
+  // up front would be work no run reads. FrEvent is an aggregate, so the
+  // allocation itself creates the slab's events.
+  struct SlabDelete {
+    void operator()(FrEvent* slab) const { ::operator delete[](slab); }
+  };
+  std::vector<std::unique_ptr<FrEvent[], SlabDelete>> slabs_;
   // Sized for sharded runs: one node-filtered watchdog per consensus group
   // (src/shard supports several groups on one fabric) plus the critical-path
   // analyzer.

@@ -269,7 +269,10 @@ void RaftNode::OnTimer(RaftTimer timer) {
     }
   } else if (timer == RaftTimer::kHeartbeat && role_ == RaftRole::kLeader) {
     OnHeartbeat();
-    env_->ArmTimer(RaftTimer::kHeartbeat, options_.heartbeat_interval);
+    // A CheckQuorum step-down inside OnHeartbeat cancelled the timer.
+    if (role_ == RaftRole::kLeader) {
+      env_->ArmTimer(RaftTimer::kHeartbeat, options_.heartbeat_interval);
+    }
   }
 }
 

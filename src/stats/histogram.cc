@@ -9,8 +9,6 @@ namespace hovercraft {
 Histogram::Histogram(int sub_bucket_bits) : sub_bucket_bits_(sub_bucket_bits) {
   HC_CHECK(sub_bucket_bits >= 1 && sub_bucket_bits <= 16);
   sub_bucket_count_ = int64_t{1} << sub_bucket_bits_;
-  // 64 power-of-two ranges cover the whole non-negative int64 span.
-  buckets_.assign(static_cast<size_t>(64) * static_cast<size_t>(sub_bucket_count_), 0);
 }
 
 size_t Histogram::BucketFor(int64_t value) const {
@@ -42,9 +40,9 @@ int64_t Histogram::BucketUpperBound(size_t bucket) const {
   const int shift = static_cast<int>(past / half) + 1;
   const uint64_t sub_top = past % half;
   const uint64_t top = sub_top + half + 1;
-  // The highest ranges would shift past bit 63; saturate instead of
-  // overflowing (and shift >= 64 is undefined outright). Covers every bucket
-  // index in the array, not just the ones BucketFor can produce.
+  // The last bucket BucketFor returns (the top of [2^62, 2^63)) bounds at
+  // 2^63 - 1: saturate there instead of shifting into bit 63. An index past
+  // it would shift by 63 or more, which is undefined; it saturates too.
   if (shift >= 63 || (top >> (63 - shift)) != 0) {
     return std::numeric_limits<int64_t>::max();
   }
@@ -61,7 +59,10 @@ void Histogram::RecordN(int64_t value, uint64_t n) {
     value = 0;
   }
   const size_t bucket = BucketFor(value);
-  HC_CHECK_LT(bucket, buckets_.size());
+  if (bucket >= buckets_.size()) {
+    HC_CHECK_LE(bucket, BucketFor(std::numeric_limits<int64_t>::max()));
+    buckets_.resize(bucket + 1);
+  }
   buckets_[bucket] += n;
   if (count_ == 0) {
     min_ = value;
@@ -117,7 +118,10 @@ void Histogram::Clear() {
 
 void Histogram::Merge(const Histogram& other) {
   HC_CHECK_EQ(sub_bucket_bits_, other.sub_bucket_bits_);
-  for (size_t i = 0; i < buckets_.size(); ++i) {
+  if (buckets_.size() < other.buckets_.size()) {
+    buckets_.resize(other.buckets_.size());
+  }
+  for (size_t i = 0; i < other.buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
   if (other.count_ > 0) {

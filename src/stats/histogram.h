@@ -40,6 +40,9 @@ class Histogram {
 
   int sub_bucket_bits_;
   int64_t sub_bucket_count_;    // 2^sub_bucket_bits
+  // Counts of buckets 0 .. the highest one a sample or a merge reached; it
+  // starts empty and grows zero-filled, so a histogram costs no heap until
+  // it records and then about as much as its largest value needs.
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   int64_t min_ = 0;

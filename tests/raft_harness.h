@@ -205,6 +205,9 @@ class RaftHarness {
   // Fires node n's `timer` now: cancels its pending firing and calls OnTimer.
   void FireTimer(NodeId n, RaftTimer timer) {
     env(n).CancelTimer(timer);
+    if (timer == RaftTimer::kHeartbeat && !node(n).IsLeader()) {
+      ++idle_heartbeats;
+    }
     node(n).OnTimer(timer);
     CheckElectionSafety();
   }
@@ -337,6 +340,8 @@ class RaftHarness {
   Rng rng;
   Delivery delivery;
   std::function<bool(NodeId from, NodeId to, const Message&)> drop_filter;
+  // Heartbeat ticks that fired on a node that was not leading.
+  uint64_t idle_heartbeats = 0;
 
  private:
   std::vector<std::unique_ptr<Env>> envs_;

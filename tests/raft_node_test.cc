@@ -613,6 +613,8 @@ TEST(RaftNodeTest, CheckQuorumLeaderStepsDownWhenCutOff) {
   h.Run(Millis(100));
   EXPECT_NE(h.node(leader).role(), RaftRole::kLeader);
   EXPECT_EQ(h.node(leader).stats().stepdowns_check_quorum, 1u);
+  // Stepping down inside a heartbeat tick leaves no heartbeat armed.
+  EXPECT_EQ(h.idle_heartbeats, 0u);
   // The connected majority elected a replacement meanwhile.
   const NodeId second = h.Leader();
   ASSERT_NE(second, kInvalidNode);

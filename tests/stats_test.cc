@@ -198,6 +198,82 @@ TEST(HistogramTest, MergeWithEmptyIsIdentity) {
   EXPECT_EQ(empty.Percentile(99), 42);
 }
 
+// Two histograms agree sample for sample: the property every on-demand
+// bucket test below checks against a histogram that recorded directly.
+void ExpectSameSamples(const Histogram& got, const Histogram& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+  EXPECT_DOUBLE_EQ(got.Mean(), want.Mean());
+  for (double q : {0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(got.ValueAtQuantile(q), want.ValueAtQuantile(q)) << "q=" << q;
+  }
+}
+
+// Buckets are held only up to the highest one recorded, so a merge joins
+// histograms of different sizes: higher ranges into lower ones and the
+// reverse must both equal recording every sample in one histogram.
+TEST(HistogramTest, MergeAcrossHeldRangesMatchesDirect) {
+  Histogram low;
+  Histogram high;
+  Histogram direct;
+  for (int64_t v = 1; v <= 5000; v += 7) {
+    low.Record(v);
+    direct.Record(v);
+  }
+  for (int64_t v = 1'000'000; v <= 4'000'000'000; v += 99'999'989) {
+    high.Record(v);
+    direct.Record(v);
+  }
+  Histogram low_then_high = low;
+  low_then_high.Merge(high);
+  ExpectSameSamples(low_then_high, direct);
+  Histogram high_then_low = high;
+  high_then_low.Merge(low);
+  ExpectSameSamples(high_then_low, direct);
+}
+
+// Clear keeps what it holds, zeroed; values past it then grow it further.
+TEST(HistogramTest, ClearThenLargerValuesMatchesFresh) {
+  Histogram h;
+  for (int64_t v = 0; v < 1000; ++v) {
+    h.Record(v);
+  }
+  h.Clear();
+  Histogram fresh;
+  for (int64_t v : {int64_t{5}, int64_t{1} << 30, (int64_t{1} << 40) + 3,
+                    std::numeric_limits<int64_t>::max()}) {
+    h.Record(v);
+    fresh.Record(v);
+  }
+  ExpectSameSamples(h, fresh);
+}
+
+// Bucket bounds at the edges of power-of-two ranges: 2^k - 1 closes its
+// range exactly, 2^k opens the next one, and INT64_MAX sits in the last
+// bucket. A 0 sample below them keeps the clamp to [min, max] from hiding
+// the bounds, which do not depend on how many buckets a histogram holds.
+TEST(HistogramTest, QuantilesAtPowerOfTwoEdgesArePinned) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Edge {
+    int k;
+    int64_t below;  // the quantile landing on 2^k - 1
+    int64_t at;     // the quantile landing on 2^k
+  };
+  for (const Edge& e : {Edge{7, 127, 129}, Edge{8, 255, 259}, Edge{20, 1'048'575, 1'064'959},
+                        Edge{40, 1'099'511'627'775, 1'116'691'496'959},
+                        Edge{62, 4'611'686'018'427'387'903, 4'683'743'612'465'315'839}}) {
+    Histogram h;
+    const int64_t p = int64_t{1} << e.k;
+    for (int64_t v : {int64_t{0}, p - 1, p, kMax}) {
+      h.Record(v);
+    }
+    EXPECT_EQ(h.ValueAtQuantile(0.5), e.below) << "k=" << e.k;
+    EXPECT_EQ(h.ValueAtQuantile(0.75), e.at) << "k=" << e.k;
+    EXPECT_EQ(h.ValueAtQuantile(1.0), kMax) << "k=" << e.k;
+  }
+}
+
 // Quantiles are monotone in q.
 TEST(HistogramTest, QuantilesMonotone) {
   Histogram h;
